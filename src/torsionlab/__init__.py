@@ -9,17 +9,7 @@ measures.
 
 __version__ = "0.1.0"
 
-from .charts import (
-    BUILTIN_CHARTS,
-    Chart,
-    builtin_chart,
-    eval_triad,
-    load_chart,
-    metric,
-    reciprocal_triad,
-    save_chart,
-    triad_derivatives,
-)
+from .charts import BUILTIN_CHARTS, Chart, builtin_chart, load_chart, save_chart
 from .config import ToleranceProfile, active_profile
 from .connection import (
     ConnectionBundle,

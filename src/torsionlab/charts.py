@@ -18,14 +18,12 @@ Array layout conventions used across the package:
 from __future__ import annotations
 
 import json
-import math
 from importlib import resources
 
 import numpy as np
 
-from .config import active_profile
+from ._local import LocalGeometry, checked_metric
 from .errors import (
-    DegenerateTriadError,
     DimensionMismatchError,
     ExpressionParseError,
     SingularPointError,
@@ -177,17 +175,8 @@ class Chart:
     def triad(self, q) -> np.ndarray:
         """Basis triad e^i_mu(q), shape (ambient_dim, dim)."""
         (E,) = self.triad_jets(q, order=0)
-        self._check_degenerate(E, q)
+        checked_metric(E, q)
         return E
-
-    def _check_degenerate(self, E, q):
-        g = E.T @ E
-        detg = float(np.linalg.det(g))
-        floor = active_profile().degenerate_triad_floor
-        if not math.isfinite(detg) or detg <= floor * floor:
-            raise DegenerateTriadError(
-                f"triad degenerate at {np.asarray(q).tolist()}: sqrt(det g) <= {floor:g}"
-            )
 
     def reciprocal_triad(self, q) -> np.ndarray:
         """Reciprocal triad e_i^mu(q), shape (ambient_dim, dim).
@@ -197,18 +186,14 @@ class Chart:
         charts (ambient_dim > dim) it is the metric-raised triad and
         ``E @ R.T`` is the tangent-plane projector rather than the identity.
         """
-        E = self.triad(q)
-        g = E.T @ E
-        return E @ np.linalg.inv(g)
+        return LocalGeometry.of(self, q, 0).recip
 
     def metric(self, q) -> np.ndarray:
         """Induced metric g_munu = e^i_mu e^i_nu, symmetric positive definite."""
-        E = self.triad(q)
-        g = E.T @ E
-        return 0.5 * (g + g.T)
+        return LocalGeometry.of(self, q, 0).g
 
     def inverse_metric(self, q) -> np.ndarray:
-        return np.linalg.inv(self.metric(q))
+        return LocalGeometry.of(self, q, 0).invg
 
     def triad_derivatives(self, q, order=1):
         """Exact forward-mode triad derivatives.
@@ -223,24 +208,10 @@ class Chart:
 
     def metric_with_derivatives(self, q, order=2):
         """Metric plus its first (and second) coordinate derivatives."""
+        geo = LocalGeometry.of(self, q, 1 if order == 1 else 2)
         if order == 1:
-            E, dE = self.triad_jets(q, order=1)
-            d2E = None
-        else:
-            E, dE, d2E = self.triad_jets(q, order=2)
-        self._check_degenerate(E, q)
-        g = E.T @ E
-        g = 0.5 * (g + g.T)
-        dg = np.einsum("ims,in->mns", dE, E) + np.einsum("im,ins->mns", E, dE)
-        if order == 1:
-            return g, dg
-        d2g = (
-            np.einsum("imst,in->mnst", d2E, E)
-            + np.einsum("ims,int->mnst", dE, dE)
-            + np.einsum("imt,ins->mnst", dE, dE)
-            + np.einsum("im,inst->mnst", E, d2E)
-        )
-        return g, dg, d2g
+            return geo.g, geo.dg
+        return geo.g, geo.dg, geo.d2g
 
     # -- serialization --------------------------------------------------------
 
@@ -280,25 +251,6 @@ class Chart:
     def __repr__(self):
         label = self.name or f"{self.kind}[{self.dim}]"
         return f"Chart({label})"
-
-
-# -- functional aliases ------------------------------------------------------
-
-
-def eval_triad(chart: Chart, q) -> np.ndarray:
-    return chart.triad(q)
-
-
-def reciprocal_triad(chart: Chart, q) -> np.ndarray:
-    return chart.reciprocal_triad(q)
-
-
-def metric(chart: Chart, q) -> np.ndarray:
-    return chart.metric(q)
-
-
-def triad_derivatives(chart: Chart, q, order=1):
-    return chart.triad_derivatives(q, order)
 
 
 # -- chart files and the built-in library ------------------------------------

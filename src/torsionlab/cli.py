@@ -19,8 +19,7 @@ import numpy as np
 from . import __version__
 from .charts import BUILTIN_CHARTS, Chart, builtin_chart, load_chart
 from .config import ENV_VAR, active_profile
-from .connection import connection_bundle
-from .curvature import curvature_bundle
+from .curvature import geometry_point
 from .defects import DefectChart, LoopSpec, burgers_vector, frank_angle
 from .dynamics import (
     Trajectory,
@@ -124,11 +123,6 @@ def _resolve_chart(cfg: RunConfig) -> Chart:
     return chart
 
 
-def parse_chart_file(path) -> Chart:
-    """Load and validate a chart definition file."""
-    return load_chart(path)
-
-
 def _load_loop(path) -> LoopSpec:
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -152,9 +146,8 @@ def _tensor(arr) -> list:
 
 def _cmd_tensors(cfg: RunConfig) -> dict:
     chart = _resolve_chart(cfg)
-    q = np.asarray(cfg.at, dtype=float)
-    bundle = connection_bundle(chart, q)
-    curv = curvature_bundle(chart, q, source=cfg.source)
+    point = geometry_point(chart, np.asarray(cfg.at, dtype=float), source=cfg.source)
+    bundle, curv = point.connection, point.curvature
     return {
         "metric": _tensor(bundle.metric),
         "inverse_metric": _tensor(bundle.inverse_metric),

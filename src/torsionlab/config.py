@@ -1,14 +1,16 @@
-"""Central numeric defaults.
+"""Tolerance profiles.
 
-Every residual threshold the engine or its test-suite relies on lives here so
-a single profile switch (environment variable ``TORSIONLAB_TOLERANCES``)
-tightens or relaxes the whole stack consistently.
+The engine consults one threshold at run time: the degenerate-triad floor,
+below which sqrt(det g) makes a point unusable.  The environment variable
+``TORSIONLAB_TOLERANCES`` selects the profile, at every evaluation, so it
+acts on charts that already exist.  The test suites pin their own
+tolerances.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import ValidationError
 
@@ -18,28 +20,11 @@ class ToleranceProfile:
     name: str = "default"
     # |det e| (equivalently sqrt(det g)) below this means the triad is unusable.
     degenerate_triad_floor: float = 1e-12
-    # Defect charts exclude a disk of this radius around the origin.
-    guard_radius: float = 1e-8
-    # Minimum kernel width / grid spacing ratio accepted by the propagator.
-    grid_resolution_ratio: float = 1.5
-    # Pointwise identity residuals (max-norm) used by the verification suite.
-    symmetry_tol: float = 1e-10
-    identity_tol: float = 1e-8
-    trace_identity_tol: float = 1e-10
-    curvature_relation_tol: float = 1e-6
-    flatness_tol: float = 1e-8
 
 
 _PROFILES = {
     "default": ToleranceProfile(),
-    "strict": replace(
-        ToleranceProfile(),
-        name="strict",
-        degenerate_triad_floor=1e-10,
-        symmetry_tol=1e-12,
-        identity_tol=1e-10,
-        curvature_relation_tol=1e-8,
-    ),
+    "strict": ToleranceProfile(name="strict", degenerate_triad_floor=1e-10),
 }
 
 ENV_VAR = "TORSIONLAB_TOLERANCES"

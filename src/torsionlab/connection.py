@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._local import LocalGeometry
 from .charts import Chart
 from .errors import ValidationError
 from .expressions import Expression, Jet
@@ -28,29 +29,18 @@ def christoffel(chart: Chart, q):
     chris1[lam, nu, mu] = (d_lam g_numu + d_nu g_lammu - d_mu g_lamnu) / 2
     and chris2 raised with the inverse metric on the last index.
     """
-    g, dg = chart.metric_with_derivatives(q, order=1)
-    # dg[m, n, s] = d_s g_mn; chris1[l, n, m] = (dg[n,m,l] + dg[l,m,n] - dg[l,n,m]) / 2
-    chris1 = 0.5 * (
-        np.einsum("nml->lnm", dg) + np.einsum("lmn->lnm", dg) - np.einsum("lnm->lnm", dg)
-    )
-    invg = np.linalg.inv(g)
-    chris2 = np.einsum("lns,sm->lnm", chris1, invg)
-    return chris1, chris2
+    geo = LocalGeometry.of(chart, q, 1)
+    return geo.chris1, geo.chris2
 
 
 def affine_connection(chart: Chart, q) -> np.ndarray:
     """Affine connection Gamma_{lam kap}^mu = e_i^mu d_lam e^i_kap."""
-    E, dE = chart.triad_jets(q, order=1)
-    chart._check_degenerate(E, q)
-    g = E.T @ E
-    recip = E @ np.linalg.inv(g)
-    return np.einsum("im,ikl->lkm", recip, dE)
+    return LocalGeometry.of(chart, q, 1).gamma
 
 
 def torsion_tensor(chart: Chart, q) -> np.ndarray:
     """Torsion S_{lam kap}^mu: the antisymmetric part of the affine connection."""
-    gamma = affine_connection(chart, q)
-    return 0.5 * (gamma - gamma.transpose(1, 0, 2))
+    return LocalGeometry.of(chart, q, 1).torsion
 
 
 def torsion_trace(torsion: np.ndarray) -> np.ndarray:
@@ -63,10 +53,7 @@ def contortion(chart: Chart, q) -> np.ndarray:
 
     All indices lowered with the metric; antisymmetric in the last two.
     """
-    S = torsion_tensor(chart, q)
-    g = chart.metric(q)
-    Sl = np.einsum("abs,sc->abc", S, g)
-    return Sl - np.einsum("bca->abc", Sl) + np.einsum("cab->abc", Sl)
+    return LocalGeometry.of(chart, q, 1).contortion
 
 
 @dataclass
@@ -84,36 +71,24 @@ class ConnectionBundle:
     contortion: np.ndarray  # K[mu, nu, lam] all lower
     contortion_mixed: np.ndarray  # K_{mu nu}^lam
 
+    @classmethod
+    def of(cls, geo: LocalGeometry) -> "ConnectionBundle":
+        return cls(
+            q=geo.q,
+            metric=geo.g,
+            inverse_metric=geo.invg,
+            gamma_bar_first=geo.chris1,
+            gamma_bar=geo.chris2,
+            gamma=geo.gamma,
+            torsion=geo.torsion,
+            torsion_vector=torsion_trace(geo.torsion),
+            contortion=geo.contortion,
+            contortion_mixed=geo.contortion_mixed,
+        )
+
 
 def connection_bundle(chart: Chart, q) -> ConnectionBundle:
-    E, dE = chart.triad_jets(q, order=1)
-    chart._check_degenerate(E, q)
-    g = E.T @ E
-    g = 0.5 * (g + g.T)
-    invg = np.linalg.inv(g)
-    dg = np.einsum("ims,in->mns", dE, E) + np.einsum("im,ins->mns", E, dE)
-    chris1 = 0.5 * (
-        np.einsum("nml->lnm", dg) + np.einsum("lmn->lnm", dg) - np.einsum("lnm->lnm", dg)
-    )
-    chris2 = np.einsum("lns,sm->lnm", chris1, invg)
-    recip = E @ invg
-    gamma = np.einsum("im,ikl->lkm", recip, dE)
-    S = 0.5 * (gamma - gamma.transpose(1, 0, 2))
-    Sl = np.einsum("abs,sc->abc", S, g)
-    K = Sl - np.einsum("bca->abc", Sl) + np.einsum("cab->abc", Sl)
-    Kmix = np.einsum("abl,lc->abc", K, invg)
-    return ConnectionBundle(
-        q=np.asarray(q, dtype=float),
-        metric=g,
-        inverse_metric=invg,
-        gamma_bar_first=chris1,
-        gamma_bar=chris2,
-        gamma=gamma,
-        torsion=S,
-        torsion_vector=np.einsum("mll->m", S),
-        contortion=K,
-        contortion_mixed=Kmix,
-    )
+    return ConnectionBundle.of(LocalGeometry.of(chart, q, 1))
 
 
 def connection_derivatives(chart: Chart, q):
@@ -123,53 +98,8 @@ def connection_derivatives(chart: Chart, q):
     dgamma[lam, kap, mu, sig] = d_sig Gamma_{lam kap}^mu and likewise for the
     Riemann connection of the second kind.
     """
-    E, dE, d2E = chart.triad_jets(q, order=2)
-    chart._check_degenerate(E, q)
-    g = E.T @ E
-    g = 0.5 * (g + g.T)
-    invg = np.linalg.inv(g)
-    dg = np.einsum("ims,in->mns", dE, E) + np.einsum("im,ins->mns", E, dE)
-    d2g = (
-        np.einsum("imst,in->mnst", d2E, E)
-        + np.einsum("ims,int->mnst", dE, dE)
-        + np.einsum("imt,ins->mnst", dE, dE)
-        + np.einsum("im,inst->mnst", E, d2E)
-    )
-    dinvg = -np.einsum("ma,abs,bn->mns", invg, dg, invg)
-
-    chris1 = 0.5 * (
-        np.einsum("nml->lnm", dg) + np.einsum("lmn->lnm", dg) - np.einsum("lnm->lnm", dg)
-    )
-    chris2 = np.einsum("lns,sm->lnm", chris1, invg)
-    dchris1 = 0.5 * (
-        np.einsum("nmls->lnms", d2g) + np.einsum("lmns->lnms", d2g) - np.einsum("lnms->lnms", d2g)
-    )
-    dchris2 = np.einsum("lnts,tm->lnms", dchris1, invg) + np.einsum(
-        "lnt,tms->lnms", chris1, dinvg
-    )
-
-    recip = E @ invg
-    drecip = np.einsum("ins,nm->ims", dE, invg) + np.einsum("in,nms->ims", E, dinvg)
-    gamma = np.einsum("im,ikl->lkm", recip, dE)
-    dgamma = np.einsum("ims,ikl->lkms", drecip, dE) + np.einsum("im,ikls->lkms", recip, d2E)
-
-    S = 0.5 * (gamma - gamma.transpose(1, 0, 2))
-    Sl = np.einsum("abs,sc->abc", S, g)
-    K = Sl - np.einsum("bca->abc", Sl) + np.einsum("cab->abc", Sl)
-    Kmix = np.einsum("abl,lc->abc", K, invg)
-    bundle = ConnectionBundle(
-        q=np.asarray(q, dtype=float),
-        metric=g,
-        inverse_metric=invg,
-        gamma_bar_first=chris1,
-        gamma_bar=chris2,
-        gamma=gamma,
-        torsion=S,
-        torsion_vector=np.einsum("mll->m", S),
-        contortion=K,
-        contortion_mixed=Kmix,
-    )
-    return bundle, dgamma, dchris2
+    geo = LocalGeometry.of(chart, q, 2)
+    return ConnectionBundle.of(geo), geo.dgamma, geo.dchris2
 
 
 def covariant_derivative(chart: Chart, q, field, connection="riemann", variance="upper"):

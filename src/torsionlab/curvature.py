@@ -16,28 +16,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._local import LocalGeometry, curl, inverse_derivative
 from .charts import Chart
-from .connection import connection_derivatives
+from .connection import ConnectionBundle, connection_derivatives
 from .errors import ValidationError
 
 
-def _curl(conn: np.ndarray, dconn: np.ndarray) -> np.ndarray:
-    """Covariant curl of a connection, R[mu, nu, lam, kap]."""
-    dterm = np.einsum("nlkm->mnlk", dconn) - np.einsum("mlkn->mnlk", dconn)
-    comm = np.einsum("mls,nsk->mnlk", conn, conn) - np.einsum("nls,msk->mnlk", conn, conn)
-    return dterm - comm
+def _check_source(source):
+    if source not in ("riemann", "cartan"):
+        raise ValidationError(f"source must be 'riemann' or 'cartan', got {source!r}")
 
 
 def cartan_curvature(chart: Chart, q) -> np.ndarray:
     """Curvature of the affine (triad) connection, R[mu, nu, lam, kap]."""
-    bundle, dgamma, _ = connection_derivatives(chart, q)
-    return _curl(bundle.gamma, dgamma)
+    return LocalGeometry.of(chart, q, 2).cartan
 
 
 def riemann_curvature(chart: Chart, q) -> np.ndarray:
     """Curvature of the Riemann (Christoffel) connection, Rbar[mu, nu, lam, kap]."""
-    bundle, _, dchris2 = connection_derivatives(chart, q)
-    return _curl(bundle.gamma_bar, dchris2)
+    return LocalGeometry.of(chart, q, 2).riemann
 
 
 def ricci_scalar_einstein(chart: Chart, q, source="riemann"):
@@ -47,17 +44,8 @@ def ricci_scalar_einstein(chart: Chart, q, source="riemann"):
     Returns ``(ricci, scalar, einstein)`` with R_nulam = R_{mu nu lam}^mu,
     R = g^{nulam} R_nulam, G = R_nulam - g_nulam R / 2.
     """
-    if source not in ("riemann", "cartan"):
-        raise ValidationError(f"source must be 'riemann' or 'cartan', got {source!r}")
-    bundle, dgamma, dchris2 = connection_derivatives(chart, q)
-    if source == "riemann":
-        R4 = _curl(bundle.gamma_bar, dchris2)
-    else:
-        R4 = _curl(bundle.gamma, dgamma)
-    ricci = np.einsum("anla->nl", R4)
-    scalar = float(np.einsum("nl,nl->", bundle.inverse_metric, ricci))
-    einstein = ricci - 0.5 * bundle.metric * scalar
-    return ricci, scalar, einstein
+    _check_source(source)
+    return LocalGeometry.of(chart, q, 2).ricci_scalar_einstein(source)
 
 
 @dataclass
@@ -72,26 +60,23 @@ class CurvatureBundle:
     einstein: np.ndarray
     source: str
 
+    @classmethod
+    def of(cls, geo: LocalGeometry, source: str) -> "CurvatureBundle":
+        ricci, scalar, einstein = geo.ricci_scalar_einstein(source)
+        return cls(
+            q=geo.q,
+            cartan=geo.cartan,
+            riemann=geo.riemann,
+            ricci=ricci,
+            scalar=scalar,
+            einstein=einstein,
+            source=source,
+        )
+
 
 def curvature_bundle(chart: Chart, q, source="riemann") -> CurvatureBundle:
-    if source not in ("riemann", "cartan"):
-        raise ValidationError(f"source must be 'riemann' or 'cartan', got {source!r}")
-    bundle, dgamma, dchris2 = connection_derivatives(chart, q)
-    cartan = _curl(bundle.gamma, dgamma)
-    riemann = _curl(bundle.gamma_bar, dchris2)
-    R4 = riemann if source == "riemann" else cartan
-    ricci = np.einsum("anla->nl", R4)
-    scalar = float(np.einsum("nl,nl->", bundle.inverse_metric, ricci))
-    einstein = ricci - 0.5 * bundle.metric * scalar
-    return CurvatureBundle(
-        q=np.asarray(q, dtype=float),
-        cartan=cartan,
-        riemann=riemann,
-        ricci=ricci,
-        scalar=scalar,
-        einstein=einstein,
-        source=source,
-    )
+    _check_source(source)
+    return CurvatureBundle.of(LocalGeometry.of(chart, q, 2), source)
 
 
 @dataclass
@@ -99,17 +84,17 @@ class GeometryPoint:
     """Every local tensor at one point: connection and curvature bundles."""
 
     q: np.ndarray
-    connection: object
+    connection: ConnectionBundle
     curvature: CurvatureBundle
 
 
 def geometry_point(chart: Chart, q, source="riemann") -> GeometryPoint:
-    from .connection import connection_bundle
-
+    _check_source(source)
+    geo = LocalGeometry.of(chart, q, 2)
     return GeometryPoint(
-        q=np.asarray(q, dtype=float),
-        connection=connection_bundle(chart, q),
-        curvature=curvature_bundle(chart, q, source=source),
+        q=geo.q,
+        connection=ConnectionBundle.of(geo),
+        curvature=CurvatureBundle.of(geo, source),
     )
 
 
@@ -123,12 +108,12 @@ def curvature_relation_check(chart: Chart, q) -> float:
     bundle, dgamma, dchris2 = connection_derivatives(chart, q)
     g, invg = bundle.metric, bundle.inverse_metric
     chris2 = bundle.gamma_bar
-    cartan = _curl(bundle.gamma, dgamma)
-    riemann = _curl(chris2, dchris2)
+    cartan = curl(bundle.gamma, dgamma)
+    riemann = curl(chris2, dchris2)
 
     # dK needs dS (from dgamma), dg and d(invg)
     _, dg = chart.metric_with_derivatives(q, order=1)
-    dinvg = -np.einsum("ma,abs,bn->mns", invg, dg, invg)
+    dinvg = inverse_derivative(invg, dg)
     dS = 0.5 * (dgamma - np.einsum("klms->lkms", dgamma))
     S = bundle.torsion
     dSl = np.einsum("abts,tc->abcs", dS, g) + np.einsum("abt,tcs->abcs", S, dg)

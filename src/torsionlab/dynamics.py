@@ -4,8 +4,13 @@ Geodesics extremize length (Christoffel force term); autoparallels are the
 straightest lines (full affine connection) and coincide with the image of a
 straight flat-space line mapped step by step through the triads -- that image
 integrator is kept as an independent oracle.  The closure defect of varied
-paths solves a linear ODE driven by torsion, solved here both by RK4 and by
-an ordered-exponential quadrature.
+paths solves a linear ODE driven by torsion.
+
+All three trajectory kinds and the closure-defect ODE are stepped by one
+classical RK4 loop, ``_rk4``.  The closure defect has a second, independent
+solver, ``closure_defect_by_quadrature`` (ordered exponential plus
+trapezoid rule); both read the same half-step samples of the variation
+matrices.
 """
 
 from __future__ import annotations
@@ -15,9 +20,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
+from ._local import LocalGeometry
 from .charts import Chart
 from .connection import affine_connection, christoffel, torsion_tensor
 from .errors import (
+    DegenerateTriadError,
+    EvaluationError,
     GridMismatchError,
     SamplingError,
     SingularPointError,
@@ -66,61 +74,67 @@ def _grid(t_span, step):
     return np.linspace(ta, tb, n + 1)
 
 
-def _integrate_second_order(accel, q0, v0, t_grid):
-    """Classical RK4 for q'' = accel(q, v); returns (q, v, truncated)."""
+# A step that meets one of these ends the trajectory instead of failing it.
+_DOMAIN_ERRORS = (SingularPointError, EvaluationError, DegenerateTriadError)
+
+
+def _rk4(rhs, y0, t_grid, final_slope=False):
+    """Classical RK4 for y' = rhs(j, y) on ``t_grid``.
+
+    ``j`` counts half steps: 2k at node k, 2k + 1 at the midpoint of step k.
+    Returns ``(y, slope, truncated)`` with ``slope[k] = rhs(2k, y[k])``; the
+    slope at the last node is computed only with ``final_slope`` and is NaN
+    otherwise.  A domain error ends the path at the last node whose slope was
+    computed; at the first node it propagates.
+    """
     n = len(t_grid)
-    D = len(q0)
-    q = np.empty((n, D))
-    v = np.empty((n, D))
-    q[0], v[0] = q0, v0
-    truncated = False
-    for k in range(n - 1):
-        h = t_grid[k + 1] - t_grid[k]
-        try:
-            qk, vk = q[k], v[k]
-            a1 = accel(qk, vk)
-            q2 = qk + 0.5 * h * vk
-            v2 = vk + 0.5 * h * a1
-            a2 = accel(q2, v2)
-            q3 = qk + 0.5 * h * v2
-            v3 = vk + 0.5 * h * a2
-            a3 = accel(q3, v3)
-            q4 = qk + h * v3
-            v4 = vk + h * a3
-            a4 = accel(q4, v4)
-            q[k + 1] = qk + (h / 6.0) * (vk + 2.0 * v2 + 2.0 * v3 + v4)
-            v[k + 1] = vk + (h / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-        except SingularPointError:
-            return q[: k + 1], v[: k + 1], True
-    return q, v, truncated
+    y = np.empty((n,) + np.shape(y0))
+    slope = np.full_like(y, np.nan)
+    y[0] = y0
+    done = 0  # nodes whose slope is computed
+    try:
+        for k in range(n - 1):
+            h = t_grid[k + 1] - t_grid[k]
+            yk = y[k]
+            k1 = slope[k] = rhs(2 * k, yk)
+            done = k + 1
+            k2 = rhs(2 * k + 1, yk + 0.5 * h * k1)
+            k3 = rhs(2 * k + 1, yk + 0.5 * h * k2)
+            k4 = rhs(2 * k + 2, yk + h * k3)
+            y[k + 1] = yk + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if final_slope:
+            slope[n - 1] = rhs(2 * n - 2, y[n - 1])
+    except _DOMAIN_ERRORS:
+        if done == 0:
+            raise
+        return y[:done], slope[:done], True
+    return y, slope, False
+
+
+def _integrate_second_order(connection, chart, q0, qdot0, t_span, step) -> Trajectory:
+    """q'' + conn q' q' = 0 as a first-order system in the stacked state (q, q')."""
+    q0 = chart.check_point(q0)
+    t_grid = _grid(t_span, step)
+    D = chart.dim
+
+    def rhs(_, y):
+        q, v = y[:D], y[D:]
+        return np.concatenate((v, -np.einsum("lnm,l,n->m", connection(chart, q), v, v)))
+
+    y, _, truncated = _rk4(rhs, np.concatenate((q0, np.asarray(qdot0, dtype=float))), t_grid)
+    return Trajectory(t=t_grid[: len(y)], q=y[:, :D], qdot=y[:, D:], truncated=truncated)
 
 
 def integrate_geodesic(chart: Chart, q0, qdot0, t_span, step) -> Trajectory:
     """Integrate q'' + Gammabar q' q' = 0 with fixed-step RK4."""
-    q0 = chart.check_point(q0)
-    v0 = np.asarray(qdot0, dtype=float)
-    t_grid = _grid(t_span, step)
-
-    def accel(q, v):
-        _, chris2 = christoffel(chart, q)
-        return -np.einsum("lnm,l,n->m", chris2, v, v)
-
-    q, v, truncated = _integrate_second_order(accel, q0, v0, t_grid)
-    return Trajectory(t=t_grid[: len(q)], q=q, qdot=v, truncated=truncated)
+    return _integrate_second_order(
+        lambda c, q: christoffel(c, q)[1], chart, q0, qdot0, t_span, step
+    )
 
 
 def integrate_autoparallel(chart: Chart, q0, qdot0, t_span, step) -> Trajectory:
     """Integrate q'' + Gamma q' q' = 0 (full affine connection) with RK4."""
-    q0 = chart.check_point(q0)
-    v0 = np.asarray(qdot0, dtype=float)
-    t_grid = _grid(t_span, step)
-
-    def accel(q, v):
-        gamma = affine_connection(chart, q)
-        return -np.einsum("lnm,l,n->m", gamma, v, v)
-
-    q, v, truncated = _integrate_second_order(accel, q0, v0, t_grid)
-    return Trajectory(t=t_grid[: len(q)], q=q, qdot=v, truncated=truncated)
+    return _integrate_second_order(affine_connection, chart, q0, qdot0, t_span, step)
 
 
 def straight_line_image(chart: Chart, q0, qdot0, t_span, step) -> Trajectory:
@@ -133,35 +147,10 @@ def straight_line_image(chart: Chart, q0, qdot0, t_span, step) -> Trajectory:
     q0 = chart.check_point(q0)
     v_flat = chart.triad(q0) @ np.asarray(qdot0, dtype=float)
     t_grid = _grid(t_span, step)
-    n = len(t_grid)
-    q = np.empty((n, chart.dim))
-    qdot = np.empty((n, chart.dim))
-    q[0] = q0
-    truncated = False
-
-    def rhs(qq):
-        return chart.reciprocal_triad(qq).T @ v_flat
-
-    k_final = n - 1
-    for k in range(n - 1):
-        h = t_grid[k + 1] - t_grid[k]
-        try:
-            qdot[k] = rhs(q[k])
-            k1 = qdot[k]
-            k2 = rhs(q[k] + 0.5 * h * k1)
-            k3 = rhs(q[k] + 0.5 * h * k2)
-            k4 = rhs(q[k] + h * k3)
-            q[k + 1] = q[k] + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        except SingularPointError:
-            k_final = k
-            truncated = True
-            break
-    if not truncated:
-        qdot[n - 1] = rhs(q[n - 1])
-        return Trajectory(t=t_grid, q=q, qdot=qdot, truncated=False)
-    return Trajectory(
-        t=t_grid[: k_final + 1], q=q[: k_final + 1], qdot=qdot[: k_final + 1], truncated=True
+    q, qdot, truncated = _rk4(
+        lambda _, q: chart.reciprocal_triad(q).T @ v_flat, q0, t_grid, final_slope=True
     )
+    return Trajectory(t=t_grid[: len(q)], q=q, qdot=qdot, truncated=truncated)
 
 
 def kinetic_energy(chart: Chart, traj: Trajectory, mass: float = 1.0) -> np.ndarray:
@@ -218,51 +207,50 @@ def _parse_variation(deltaq, dim, params):
     return fn
 
 
-def _hermite(t, tk, h, qk, vk, qk1, vk1):
-    """Cubic Hermite interpolation of q (and its derivative) inside one step."""
-    s = (t - tk) / h
-    h00 = 2 * s**3 - 3 * s**2 + 1
-    h10 = s**3 - 2 * s**2 + s
-    h01 = -2 * s**3 + 3 * s**2
-    h11 = s**3 - s**2
-    q = h00 * qk + h10 * h * vk + h01 * qk1 + h11 * h * vk1
-    d00 = 6 * s**2 - 6 * s
-    d10 = 3 * s**2 - 4 * s + 1
-    d01 = -6 * s**2 + 6 * s
-    d11 = 3 * s**2 - 2 * s
-    v = (d00 * qk + d10 * h * vk + d01 * qk1 + d11 * h * vk1) / h
-    return q, v
-
-
 def variation_matrices(chart: Chart, q, qdot):
     """Transport matrix G^mu_lam = Gamma_{lam nu}^mu qdot^nu and torsion drive
     Sigma^mu_nu = 2 S_{lam nu}^mu qdot^lam at one phase point."""
-    gamma = affine_connection(chart, q)
-    S = 0.5 * (gamma - gamma.transpose(1, 0, 2))
-    G = np.einsum("lnm,n->ml", gamma, qdot)
-    Sigma = 2.0 * np.einsum("lnm,l->mn", S, qdot)
+    geo = LocalGeometry.of(chart, q, 1)
+    G = np.einsum("lnm,n->ml", geo.gamma, qdot)
+    Sigma = 2.0 * np.einsum("lnm,l->mn", geo.torsion, qdot)
     return G, Sigma
 
 
-def solve_variation_ode(G_fn, Sigma_fn, deltaq_fn, t_grid):
-    """RK4 solve of d(delta_b)/dt = -G delta_b + Sigma delta_q, delta_b(ta)=0."""
-    n = len(t_grid)
-    G0, S0 = G_fn(t_grid[0]), Sigma_fn(t_grid[0])
-    D = G0.shape[0]
-    db = np.zeros((n, D))
+def _half_step_samples(chart: Chart, base: Trajectory, deltaq, params):
+    """delta_q, G and Sigma at every node and step midpoint of ``base``.
 
-    def rhs(t, b):
-        return -G_fn(t) @ b + Sigma_fn(t) @ deltaq_fn(t)
+    Sample j = 2k is node k and j = 2k + 1 the midpoint of step k, where the
+    state is the cubic Hermite interpolant of the two nodes.  Returns
+    ``(delta_q, G, Sigma)`` with 2N - 1 samples each.
+    """
+    if len(base) < 2:
+        raise GridMismatchError("base trajectory needs at least two samples")
+    env_params = dict(chart.params)
+    env_params.update(params or {})
+    dq_fn = _parse_variation(deltaq, chart.dim, env_params)
+    m, D = 2 * len(base) - 1, chart.dim
+    dq, G, Sigma = np.empty((m, D)), np.empty((m, D, D)), np.empty((m, D, D))
+    for j in range(m):
+        k, mid = divmod(j, 2)
+        t, q, v = base.t[k], base.q[k], base.qdot[k]
+        if mid:
+            h, q1, v1 = base.t[k + 1] - t, base.q[k + 1], base.qdot[k + 1]
+            t += 0.5 * h
+            q, v = 0.5 * (q + q1) + 0.125 * h * (v - v1), 1.5 * (q1 - q) / h - 0.25 * (v + v1)
+        dq[j] = dq_fn(t)
+        G[j], Sigma[j] = variation_matrices(chart, q, v)
+    return dq, G, Sigma
 
-    for k in range(n - 1):
-        h = t_grid[k + 1] - t_grid[k]
-        tk = t_grid[k]
-        b = db[k]
-        k1 = rhs(tk, b)
-        k2 = rhs(tk + 0.5 * h, b + 0.5 * h * k1)
-        k3 = rhs(tk + 0.5 * h, b + 0.5 * h * k2)
-        k4 = rhs(tk + h, b + h * k3)
-        db[k + 1] = b + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+def solve_variation_ode(G, Sigma, deltaq, t_grid):
+    """RK4 solve of d(delta_b)/dt = -G delta_b + Sigma delta_q, delta_b(ta)=0.
+
+    ``G``, ``Sigma`` and ``deltaq`` are sampled at the nodes and step
+    midpoints of ``t_grid`` (2N - 1 samples, node k at index 2k).
+    """
+    db, _, _ = _rk4(
+        lambda j, b: -G[j] @ b + Sigma[j] @ deltaq[j], np.zeros(len(deltaq[0])), t_grid
+    )
     return db
 
 
@@ -272,53 +260,26 @@ def nonholonomic_variation(chart: Chart, base: Trajectory, deltaq, params=None) 
     ``deltaq`` is a sequence of D expressions in the time variable ``t``
     (chart params are available too) vanishing at both endpoints.
     """
-    if len(base) < 2:
-        raise GridMismatchError("base trajectory needs at least two samples")
     steps = np.diff(base.t)
-    if np.max(np.abs(steps - steps[0])) > 1e-12 * max(1.0, abs(steps[0])):
+    if len(steps) and np.max(np.abs(steps - steps[0])) > 1e-12 * max(1.0, abs(steps[0])):
         raise GridMismatchError("base trajectory must be uniformly sampled")
-    env_params = dict(chart.params)
-    env_params.update(params or {})
-    dq_fn = _parse_variation(deltaq, chart.dim, env_params)
+    dq, G, Sigma = _half_step_samples(chart, base, deltaq, params)
 
-    scale = max(1.0, float(np.max(np.abs([dq_fn(t) for t in base.t]))))
-    for t_end in (base.t[0], base.t[-1]):
-        if np.max(np.abs(dq_fn(t_end))) > 1e-9 * scale:
+    scale = max(1.0, float(np.max(np.abs(dq[::2]))))
+    for end, t_end in ((dq[0], base.t[0]), (dq[-1], base.t[-1])):
+        if np.max(np.abs(end)) > 1e-9 * scale:
             raise ValidationError(
-                f"variation must vanish at the endpoints; got {dq_fn(t_end)} at t={t_end}"
+                f"variation must vanish at the endpoints; got {end} at t={t_end}"
             )
 
-    n = len(base)
-    D = chart.dim
-    G_samples = np.empty((n, D, D))
-    S_samples = np.empty((n, D, D))
-    dq_samples = np.empty((n, D))
-    for k in range(n):
-        G_samples[k], S_samples[k] = variation_matrices(chart, base.q[k], base.qdot[k])
-        dq_samples[k] = dq_fn(base.t[k])
-
-    def interp_state(t):
-        k = min(int((t - base.t[0]) / steps[0]), n - 2)
-        return _hermite(
-            t, base.t[k], steps[0], base.q[k], base.qdot[k], base.q[k + 1], base.qdot[k + 1]
-        )
-
-    def G_fn(t):
-        q, v = interp_state(t)
-        return variation_matrices(chart, q, v)[0]
-
-    def Sigma_fn(t):
-        q, v = interp_state(t)
-        return variation_matrices(chart, q, v)[1]
-
-    db = solve_variation_ode(G_fn, Sigma_fn, dq_fn, base.t)
+    db = solve_variation_ode(G, Sigma, dq, base.t)
     return VariationRun(
         t=base.t.copy(),
         q=base.q.copy(),
         qdot=base.qdot.copy(),
-        delta_q=dq_samples,
-        transport=G_samples,
-        drive=S_samples,
+        delta_q=dq[::2],
+        transport=G[::2],
+        drive=Sigma[::2],
         delta_b=db,
         solver="rk4",
     )
@@ -331,36 +292,14 @@ def closure_defect_by_quadrature(chart: Chart, base: Trajectory, deltaq, params=
     exp(-G(t_mid) h); the time integral uses the trapezoid rule on the base
     grid.  Errors are O(h^2), independent of the RK4 route.
     """
-    if len(base) < 2:
-        raise GridMismatchError("base trajectory needs at least two samples")
-    env_params = dict(chart.params)
-    env_params.update(params or {})
-    dq_fn = _parse_variation(deltaq, chart.dim, env_params)
-    n = len(base)
-    D = chart.dim
+    dq, G, Sigma = _half_step_samples(chart, base, deltaq, params)
     steps = np.diff(base.t)
-
-    integrand = np.empty((n, D))
-    for k in range(n):
-        _, Sigma = variation_matrices(chart, base.q[k], base.qdot[k])
-        integrand[k] = Sigma @ dq_fn(base.t[k])
-
-    # step propagators exp(-G(t_mid) h), built from Hermite-interpolated states
-    props = np.empty((n - 1, D, D))
-    for k in range(n - 1):
-        t_mid = 0.5 * (base.t[k] + base.t[k + 1])
-        qm, vm = _hermite(
-            t_mid, base.t[k], steps[k], base.q[k], base.qdot[k], base.q[k + 1], base.qdot[k + 1]
-        )
-        G_mid, _ = variation_matrices(chart, qm, vm)
-        props[k] = expm(-G_mid * steps[k])
-
-    db = np.zeros((n, D))
+    integrand = np.einsum("kmn,kn->km", Sigma[::2], dq[::2])
+    db = np.zeros_like(integrand)
     # running trapezoid: db_{k+1} = P_k (db_k + h/2 f_k) + h/2 f_{k+1}
-    for k in range(n - 1):
-        db[k + 1] = props[k] @ (db[k] + 0.5 * steps[k] * integrand[k]) + 0.5 * steps[
-            k
-        ] * integrand[k + 1]
+    for k, h in enumerate(steps):
+        prop = expm(-G[2 * k + 1] * h)
+        db[k + 1] = prop @ (db[k] + 0.5 * h * integrand[k]) + 0.5 * h * integrand[k + 1]
     return db
 
 
@@ -389,12 +328,11 @@ def torsion_el_residual(chart: Chart, traj: Trajectory, mass: float = 1.0):
     dLdq = np.empty((n, D))  # dL/dq_lam = (M/2) d_lam g_munu qdot qdot
     torsion_force = np.empty((n, D))
     for k in range(n):
-        g, dg = chart.metric_with_derivatives(traj.q[k], order=1)
+        geo = LocalGeometry.of(chart, traj.q[k], 1)
         v = traj.qdot[k]
-        p[k] = mass * g @ v
-        dLdq[k] = 0.5 * mass * np.einsum("mnl,m,n->l", dg, v, v)
-        S = torsion_tensor(chart, traj.q[k])
-        torsion_force[k] = 2.0 * np.einsum("lmn,m,n->l", S, v, p[k])
+        p[k] = mass * geo.g @ v
+        dLdq[k] = 0.5 * mass * np.einsum("mnl,m,n->l", geo.dg, v, v)
+        torsion_force[k] = 2.0 * np.einsum("lmn,m,n->l", geo.torsion, v, p[k])
 
     dp = (-p[4:] + 8.0 * p[3:-1] - 8.0 * p[1:-3] + p[:-4]) / (12.0 * h)
     interior = slice(2, n - 2)

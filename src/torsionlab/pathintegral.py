@@ -33,8 +33,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .charts import Chart, builtin_chart
+from ._local import curl, ricci_reduction
 from .connection import connection_derivatives
-from .curvature import curvature_bundle
+from .curvature import ricci_scalar_einstein
 from .errors import GridTooCoarseError, NumericError, ValidationError
 
 MEASURE_MODES = ("naive_dewitt", "qep", "qep_via_veff")
@@ -47,7 +48,6 @@ class ShortTimeConfig:
     mass: float = 1.0
     hbar: float = 1.0
     epsilon: float = 0.02
-    sign_mode: str = "imaginary"  # "imaginary" | "real"
     cutoff_sigmas: float = 6.0
     min_resolution_ratio: float = 1.5
     # Kernel entries whose cubic+quartic bracket correction shifts the
@@ -59,8 +59,6 @@ class ShortTimeConfig:
     def __post_init__(self):
         if self.mass <= 0 or self.hbar <= 0 or self.epsilon <= 0:
             raise ValidationError("mass, hbar and epsilon must all be positive")
-        if self.sign_mode not in ("imaginary", "real"):
-            raise ValidationError(f"sign_mode must be 'imaginary' or 'real', got {self.sign_mode!r}")
 
 
 def _normalize_measure(mode: str) -> str:
@@ -83,9 +81,12 @@ class PostpointData:
     """Connection data at one postpoint, reusable over batches of steps."""
 
     def __init__(self, chart: Chart, q):
-        bundle, dgamma, _ = connection_derivatives(chart, q)
+        bundle, dgamma, dchris2 = connection_derivatives(chart, q)
         self.q = np.asarray(q, dtype=float)
         self.metric = bundle.metric
+        self.inverse_metric = bundle.inverse_metric
+        self.gamma_bar = bundle.gamma_bar
+        self.dchris2 = dchris2
         gamma = bundle.gamma
         self.gamma = gamma
         g = bundle.metric
@@ -109,6 +110,11 @@ class PostpointData:
         T = dgamma.transpose(0, 1, 3, 2) + np.einsum("mnt,tsl->mnsl", gamma, gsym)
         perms = ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
         self.qep_coeff = sum(T.transpose(p + (3,)) for p in perms) / 6.0
+
+    def curvature_scalar(self) -> float:
+        """Riemann curvature scalar at the postpoint."""
+        riemann = curl(self.gamma_bar, self.dchris2)
+        return ricci_reduction(riemann, self.metric, self.inverse_metric)[1]
 
     def quadratic_form(self, dq):
         return np.einsum("mn,...m,...n->...", self.metric, dq, dq)
@@ -198,8 +204,10 @@ def delta_jacobian(chart: Chart, q_post, dq):
 
 def effective_potential(chart: Chart, q, cfg: ShortTimeConfig | None = None) -> float:
     """Measure-difference effective potential V_eff = -hbar^2 Rbar / (6 M)."""
-    cfg = cfg or ShortTimeConfig()
-    scalar = curvature_bundle(chart, q, source="riemann").scalar
+    return _veff(ricci_scalar_einstein(chart, q, source="riemann")[1], cfg or ShortTimeConfig())
+
+
+def _veff(scalar: float, cfg: ShortTimeConfig) -> float:
     return -cfg.hbar**2 * scalar / (6.0 * cfg.mass)
 
 
@@ -328,8 +336,6 @@ def build_propagator(manifold, cfg: ShortTimeConfig, measure_mode="qep") -> Slic
     grid, so only quadrature error is divided out.
     """
     mode = _normalize_measure(measure_mode)
-    if cfg.sign_mode != "imaginary":
-        raise ValidationError("spectrum kernels require sign_mode='imaginary'")
     if isinstance(manifold, Ring):
         return _build_ring(manifold, cfg, mode)
     if isinstance(manifold, Sphere):
@@ -377,7 +383,7 @@ def _build_ring(manifold: Ring, cfg: ShortTimeConfig, mode: str) -> SlicedPropag
     trusted = _trusted_entries(quad, bracket, lam, cfg.expansion_tolerance)
     action2 = np.where(trusted, bracket, arc2)
     mask = arc2 <= cut
-    jexp = _mode_exponent(data, delta, mode, chart, cfg)
+    jexp = _mode_exponent(data, delta, mode, cfg)
     norm = (cfg.mass / (2.0 * math.pi * cfg.epsilon * cfg.hbar)) ** 0.5
     vol = 2.0 * math.pi / P
     sqrtg = math.sqrt(np.linalg.det(data.metric))  # constant along the ring
@@ -400,7 +406,7 @@ def _build_ring(manifold: Ring, cfg: ShortTimeConfig, mode: str) -> SlicedPropag
     )
 
 
-def _mode_exponent(data: PostpointData, dq, mode: str, chart: Chart, cfg: ShortTimeConfig):
+def _mode_exponent(data: PostpointData, dq, mode: str, cfg: ShortTimeConfig):
     """Measure dressing relative to the exact prepoint volume weight.
 
     The naive measure is carried entirely by the closed-form sqrt(g) weight
@@ -412,7 +418,7 @@ def _mode_exponent(data: PostpointData, dq, mode: str, chart: Chart, cfg: ShortT
         return data.jacobian_qep(dq) - data.jacobian_naive(dq)
     if mode == "naive_dewitt":
         return np.zeros(np.shape(dq)[:-1])
-    veff = effective_potential(chart, data.q, cfg)
+    veff = _veff(data.curvature_scalar(), cfg)
     return np.full(np.shape(dq)[:-1], -cfg.epsilon * veff / cfg.hbar)
 
 
@@ -456,7 +462,7 @@ def _build_sphere(manifold: Sphere, cfg: ShortTimeConfig, mode: str) -> SlicedPr
         trusted = _trusted_entries(quad, bracket, lam, cfg.expansion_tolerance)
         action2 = np.where(trusted, bracket, arc2)
         mask = arc2 <= cut
-        jexp = _mode_exponent(data, dq, mode, chart, cfg)
+        jexp = _mode_exponent(data, dq, mode, cfg)
         # exact volume weight at the integration point: vol * sqrt(g(q_b))
         sqrtg_col = r * r * np.sin(theta)
         rows = norm * (vol * sqrtg_col)[:, None] * np.exp(-lam * action2 + jexp)

@@ -4,16 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from torsionlab import (
-    Chart,
-    builtin_chart,
-    eval_triad,
-    load_chart,
-    metric,
-    reciprocal_triad,
-    save_chart,
-    triad_derivatives,
-)
+from torsionlab import Chart, builtin_chart, load_chart, save_chart
 from torsionlab.errors import (
     DegenerateTriadError,
     DimensionMismatchError,
@@ -28,25 +19,25 @@ IDENTITY = Chart(dim=2, kind="map", exprs=["q1", "q2"])
 
 
 def test_identity_triad():
-    assert np.allclose(eval_triad(IDENTITY, [0.3, 0.7]), np.eye(2))
+    assert np.allclose(IDENTITY.triad([0.3, 0.7]), np.eye(2))
 
 
 def test_polar_triad_hand_value():
     polar = builtin_chart("polar")
-    E = eval_triad(polar, [2.0, math.pi / 2])
+    E = polar.triad([2.0, math.pi / 2])
     assert np.allclose(E, [[0.0, -2.0], [1.0, 0.0]], atol=1e-14)
 
 
 def test_dislocation_triad_hand_value():
     disl = builtin_chart("dislocation", eps=0.1)
-    E = eval_triad(disl, [1.0, 0.0])
+    E = disl.triad([1.0, 0.0])
     assert np.allclose(E, [[1.0, 0.0], [0.0, 1.1]], atol=1e-14)
 
 
 def test_reciprocal_identity_and_polar():
-    assert np.allclose(reciprocal_triad(IDENTITY, [0.1, 0.2]), np.eye(2))
+    assert np.allclose(IDENTITY.reciprocal_triad([0.1, 0.2]), np.eye(2))
     polar = builtin_chart("polar")
-    R = reciprocal_triad(polar, [2.0, math.pi / 2])
+    R = polar.reciprocal_triad([2.0, math.pi / 2])
     # R[i, mu] = e_i^mu; as a matrix acting on flat indices this is the
     # transpose of the 2x2 inverse of the triad
     assert np.allclose(R.T, [[0.0, 1.0], [-0.5, 0.0]], atol=1e-14)
@@ -56,8 +47,8 @@ def test_orthogonality_random_points(charts, rng):
     for name in ("polar", "dislocation", "disclination", "synthetic_torsion"):
         chart = charts[name]
         for q in sample_points(name, 10, rng):
-            E = eval_triad(chart, q)
-            R = reciprocal_triad(chart, q)
+            E = chart.triad(q)
+            R = chart.reciprocal_triad(q)
             assert np.max(np.abs(R.T @ E - np.eye(2))) < 1e-12
             assert np.max(np.abs(E @ R.T - np.eye(2))) < 1e-12
 
@@ -65,8 +56,8 @@ def test_orthogonality_random_points(charts, rng):
 def test_embedded_sphere_orthogonality(charts, rng):
     sphere = charts["sphere"]
     for q in sample_points("sphere", 10, rng):
-        E = eval_triad(sphere, q)
-        R = reciprocal_triad(sphere, q)
+        E = sphere.triad(q)
+        R = sphere.reciprocal_triad(q)
         assert E.shape == (3, 2)
         assert np.max(np.abs(np.einsum("im,in->mn", R, E) - np.eye(2))) < 1e-12
         # for an embedded chart the flat-index contraction is the tangent projector
@@ -75,28 +66,28 @@ def test_embedded_sphere_orthogonality(charts, rng):
 
 
 def test_metric_examples():
-    assert np.allclose(metric(IDENTITY, [0.4, -0.1]), np.eye(2))
+    assert np.allclose(IDENTITY.metric([0.4, -0.1]), np.eye(2))
     polar = builtin_chart("polar")
-    assert np.allclose(metric(polar, [2.0, 1.1]), np.diag([1.0, 4.0]), atol=1e-14)
+    assert np.allclose(polar.metric([2.0, 1.1]), np.diag([1.0, 4.0]), atol=1e-14)
     disl = builtin_chart("dislocation", eps=0.1)
-    assert np.allclose(metric(disl, [1.0, 0.0]), [[1.0, 0.0], [0.0, 1.21]], atol=1e-14)
+    assert np.allclose(disl.metric([1.0, 0.0]), [[1.0, 0.0], [0.0, 1.21]], atol=1e-14)
 
 
 def test_metric_equals_triad_product(charts, rng):
     for name, chart in charts.items():
         for q in sample_points(name, 5, rng):
-            E = eval_triad(chart, q)
-            assert np.max(np.abs(metric(chart, q) - E.T @ E)) < 1e-14
+            E = chart.triad(q)
+            assert np.max(np.abs(chart.metric(q) - E.T @ E)) < 1e-14
 
 
 def test_triad_derivative_examples():
-    assert np.allclose(triad_derivatives(IDENTITY, [0.3, 0.7]), np.zeros((2, 2, 2)))
+    assert np.allclose(IDENTITY.triad_derivatives([0.3, 0.7]), np.zeros((2, 2, 2)))
     polar = builtin_chart("polar")
-    dE = triad_derivatives(polar, [1.7, 0.6])
+    dE = polar.triad_derivatives([1.7, 0.6])
     # dE[i, kap, lam] = d_lam e^i_kap; d_r e^1_theta = -sin(theta)
     assert dE[0, 1, 0] == pytest.approx(-math.sin(0.6), rel=1e-12)
     st = builtin_chart("synthetic_torsion", alpha=0.25)
-    dE_t = triad_derivatives(st, [0.2, -0.4])
+    dE_t = st.triad_derivatives([0.2, -0.4])
     assert dE_t[1, 1, 0] == pytest.approx(0.25)  # d_1 e^2_2 = alpha
     assert dE_t[1, 0, 1] == pytest.approx(0.0)  # d_2 e^2_1 = 0
 
@@ -105,7 +96,7 @@ def test_schwarz_condition_on_holonomic_charts(charts, rng):
     for name in ("cartesian", "polar", "sphere", "disclination"):
         chart = charts[name]
         for q in sample_points(name, 10, rng):
-            dE = triad_derivatives(chart, q)
+            dE = chart.triad_derivatives(q)
             assert np.max(np.abs(dE - dE.transpose(0, 2, 1))) < 1e-10
 
 
@@ -114,11 +105,11 @@ def test_forward_mode_matches_finite_differences(charts, rng):
     for name in ("polar", "sphere", "dislocation", "synthetic_torsion"):
         chart = charts[name]
         for q in sample_points(name, 4, rng):
-            dE = triad_derivatives(chart, q, order=1)
+            dE = chart.triad_derivatives(q, order=1)
             for lam in range(chart.dim):
                 dqv = np.zeros(chart.dim)
                 dqv[lam] = h
-                fd = (eval_triad(chart, q + dqv) - eval_triad(chart, q - dqv)) / (2 * h)
+                fd = (chart.triad(q + dqv) - chart.triad(q - dqv)) / (2 * h)
                 scale = max(1.0, np.max(np.abs(fd)))
                 assert np.max(np.abs(dE[:, :, lam] - fd)) / scale < 1e-6
 
@@ -127,12 +118,12 @@ def test_second_triad_derivatives_match_finite_differences(charts, rng):
     h = 1e-4
     chart = charts["sphere"]
     for q in sample_points("sphere", 3, rng):
-        d2E = triad_derivatives(chart, q, order=2)
+        d2E = chart.triad_derivatives(q, order=2)
         for sig in range(2):
             dqv = np.zeros(2)
             dqv[sig] = h
             fd = (
-                triad_derivatives(chart, q + dqv, 1) - triad_derivatives(chart, q - dqv, 1)
+                chart.triad_derivatives(q + dqv, 1) - chart.triad_derivatives(q - dqv, 1)
             ) / (2 * h)
             assert np.max(np.abs(d2E[:, :, :, sig] - fd)) < 1e-6
 
@@ -140,10 +131,10 @@ def test_second_triad_derivatives_match_finite_differences(charts, rng):
 def test_guard_rejects_singular_points():
     disl = builtin_chart("dislocation", eps=0.1)
     with pytest.raises(SingularPointError):
-        eval_triad(disl, [0.0, 0.0])
+        disl.triad([0.0, 0.0])
     polar = builtin_chart("polar")
     with pytest.raises(SingularPointError):
-        eval_triad(polar, [-1.0, 0.2])
+        polar.triad([-1.0, 0.2])
     assert disl.admitted([1.0, 1.0])
     assert not disl.admitted([0.0, 0.0])
 
@@ -151,9 +142,9 @@ def test_guard_rejects_singular_points():
 def test_degenerate_triad_detected():
     squashed = Chart(dim=2, kind="triad", exprs=["q1", "0", "0", "1"])
     with pytest.raises(DegenerateTriadError):
-        eval_triad(squashed, [0.0, 0.5])
+        squashed.triad([0.0, 0.5])
     # fine away from the degeneracy
-    assert np.allclose(eval_triad(squashed, [2.0, 0.5]), [[2.0, 0.0], [0.0, 1.0]])
+    assert np.allclose(squashed.triad([2.0, 0.5]), [[2.0, 0.0], [0.0, 1.0]])
 
 
 def test_dimension_mismatch():
@@ -162,7 +153,7 @@ def test_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
         Chart(dim=2, kind="map", exprs=["q1"])
     with pytest.raises(DimensionMismatchError):
-        eval_triad(IDENTITY, [1.0, 2.0, 3.0])
+        IDENTITY.triad([1.0, 2.0, 3.0])
 
 
 def test_unknown_name_rejected():
@@ -178,7 +169,7 @@ def test_chart_json_round_trip(tmp_path):
     loaded = load_chart(path)
     assert loaded.to_dict() == chart.to_dict()
     q = [0.8, -0.6]
-    assert np.allclose(eval_triad(loaded, q), eval_triad(chart, q))
+    assert np.allclose(loaded.triad(q), chart.triad(q))
 
 
 def test_chart_file_errors(tmp_path):
@@ -194,7 +185,7 @@ def test_chart_file_errors(tmp_path):
 
 def test_builtin_param_overrides():
     chart = builtin_chart("sphere", r=2.5)
-    g = metric(chart, [math.pi / 2, 0.0])
+    g = chart.metric([math.pi / 2, 0.0])
     assert np.allclose(g, np.diag([6.25, 6.25]), atol=1e-12)
     with pytest.raises(ValidationError):
         builtin_chart("sphere", bogus=1.0)

@@ -12,11 +12,11 @@ from torsionlab.cli import (
     RunConfig,
     config_from_args,
     main,
-    parse_chart_file,
     render,
     run,
     _build_arg_parser,
 )
+from torsionlab.charts import load_chart
 from torsionlab.errors import DimensionMismatchError, ExpressionParseError
 
 
@@ -30,7 +30,7 @@ def test_parse_chart_file_polar(tmp_path):
         tmp_path / "polar.json",
         {"dim": 2, "kind": "map", "exprs": ["q1*cos(q2)", "q1*sin(q2)"]},
     )
-    chart = parse_chart_file(path)
+    chart = load_chart(path)
     assert chart.kind == "map"
     assert np.allclose(chart.metric([2.0, 0.3]), np.diag([1.0, 4.0]))
 
@@ -41,7 +41,7 @@ def test_parse_chart_file_dimension_mismatch(tmp_path):
         {"dim": 2, "kind": "triad", "exprs": ["1", "0", "1"]},
     )
     with pytest.raises(DimensionMismatchError):
-        parse_chart_file(path)
+        load_chart(path)
 
 
 def test_parse_chart_file_unknown_function(tmp_path):
@@ -50,7 +50,7 @@ def test_parse_chart_file_unknown_function(tmp_path):
         {"dim": 2, "kind": "map", "exprs": ["q1*frob(q2)", "q2"]},
     )
     with pytest.raises(ExpressionParseError) as err:
-        parse_chart_file(path)
+        load_chart(path)
     assert err.value.token == "frob"
     assert err.value.column == 4
 

@@ -9,14 +9,13 @@ def test_default_profile(monkeypatch):
     profile = active_profile()
     assert profile.name == "default"
     assert profile.degenerate_triad_floor == 1e-12
-    assert profile.guard_radius == 1e-8
 
 
 def test_strict_profile(monkeypatch):
     monkeypatch.setenv(ENV_VAR, "strict")
     profile = active_profile()
     assert profile.name == "strict"
-    assert profile.identity_tol < 1e-8
+    assert profile.degenerate_triad_floor > 1e-12
 
 
 def test_unknown_profile_rejected(monkeypatch):

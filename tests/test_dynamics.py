@@ -120,6 +120,44 @@ def test_truncated_run_flagged():
     assert len(traj) < 2001
 
 
+def test_truncated_line_image_ends_at_last_evaluated_sample():
+    # dq/dt = q; the first unit step lands on q = 2.7083, inside the guard's hole
+    chart = Chart(dim=1, kind="triad", exprs=["1/q1"], guard="(q1 - 2.708)^2 - 1e-6")
+    for _ in range(2):
+        traj = straight_line_image(chart, [1.0], [1.0], (0.0, 2.0), 1.0)
+        assert traj.truncated
+        assert traj.t.tolist() == [0.0]
+        assert traj.q.tolist() == [[1.0]]
+        assert traj.qdot.tolist() == [[1.0]]
+
+
+DOMAIN_ERROR_STARTS = {
+    # sqrt of a negative value: EvaluationError
+    "evaluation_error": (
+        Chart(dim=2, kind="map", exprs=["q1 + 0.1*sqrt(q1)", "q2"]), [0.5, 0.0], [-1.0, 0.0]
+    ),
+    # sqrt(det g) = exp(-40 q1) falls below the floor: DegenerateTriadError
+    "degenerate_triad": (
+        Chart(dim=2, kind="triad", exprs=["exp(-40*q1)", "0", "0", "1"]), [0.0, 0.0], [1.0, 0.0]
+    ),
+}
+
+
+@pytest.mark.parametrize("start", sorted(DOMAIN_ERROR_STARTS))
+@pytest.mark.parametrize(
+    "integrate", (integrate_geodesic, integrate_autoparallel, straight_line_image)
+)
+def test_domain_error_truncates(integrate, start):
+    chart, q0, qdot0 = DOMAIN_ERROR_STARTS[start]
+    traj = integrate(chart, q0, qdot0, (0.0, 1.0), 1e-2)
+    assert traj.truncated
+    assert 1 < len(traj) < 101
+    assert traj.q.shape == traj.qdot.shape == (len(traj.t), 2)
+    assert np.all(np.isfinite(traj.qdot))
+    for q in traj.q:
+        chart.triad(q)  # every returned sample is a point where the chart evaluates
+
+
 # -- nonholonomic variation ----------------------------------------------------
 
 DELTAQ = ["0.3*t*(1 - t)", "-0.2*t*(1 - t)"]
@@ -138,12 +176,13 @@ def test_variation_closed_form_with_constant_drive():
     D = 2
     Sigma = np.array([[0.0, 2.0], [-1.0, 0.5]])
     grid = np.linspace(0.0, 1.0, 2001)
+    half = np.linspace(0.0, 1.0, 2 * len(grid) - 1)  # nodes and step midpoints
 
     def dq(t):
         return np.array([t * (1 - t), math.sin(math.pi * t) * 0.5])
 
     db = solve_variation_ode(
-        lambda t: np.zeros((D, D)), lambda t: Sigma, dq, grid
+        np.zeros((len(half), D, D)), np.tile(Sigma, (len(half), 1, 1)), [dq(t) for t in half], grid
     )
     integral = np.array([1.0 / 6.0, 1.0 / math.pi])
     assert np.allclose(db[-1], Sigma @ integral, atol=1e-8)

@@ -321,8 +321,6 @@ def test_grid_too_coarse_rejected():
     with pytest.raises(GridTooCoarseError):
         build_propagator(Ring(radius=1.0, points=16), ShortTimeConfig(epsilon=0.01), "qep")
     with pytest.raises(ValidationError):
-        build_propagator(Ring(), ShortTimeConfig(sign_mode="real"), "qep")
-    with pytest.raises(ValidationError):
         build_propagator(Ring(), ShortTimeConfig(), "weyl")
 
 
