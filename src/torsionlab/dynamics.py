@@ -258,11 +258,9 @@ def nonholonomic_variation(chart: Chart, base: Trajectory, deltaq, params=None) 
     """Solve the closure-defect ODE along ``base`` for a variation field.
 
     ``deltaq`` is a sequence of D expressions in the time variable ``t``
-    (chart params are available too) vanishing at both endpoints.
+    (chart params are available too) vanishing at both endpoints.  The base
+    may be non-uniformly sampled: each step uses its own length.
     """
-    steps = np.diff(base.t)
-    if len(steps) and np.max(np.abs(steps - steps[0])) > 1e-12 * max(1.0, abs(steps[0])):
-        raise GridMismatchError("base trajectory must be uniformly sampled")
     dq, G, Sigma = _half_step_samples(chart, base, deltaq, params)
 
     scale = max(1.0, float(np.max(np.abs(dq[::2]))))

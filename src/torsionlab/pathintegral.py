@@ -28,7 +28,7 @@ same spectra.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -40,6 +40,14 @@ from .errors import GridTooCoarseError, NumericError, ValidationError
 
 MEASURE_MODES = ("naive_dewitt", "qep", "qep_via_veff")
 
+# Smallest kernel width sqrt(eps hbar / M) per largest grid spacing.
+MIN_RESOLUTION_RATIO = 1.5
+# Kernel entries whose cubic+quartic bracket correction shifts the kernel
+# exponent by more than this lie outside the short-time expansion's trust
+# region (coordinate steps wrapping a pole, far Gaussian tails); those
+# entries use the manifold's exact squared geodesic arc instead.
+EXPANSION_TOLERANCE = 2.0
+
 
 @dataclass(frozen=True)
 class ShortTimeConfig:
@@ -49,12 +57,6 @@ class ShortTimeConfig:
     hbar: float = 1.0
     epsilon: float = 0.02
     cutoff_sigmas: float = 6.0
-    min_resolution_ratio: float = 1.5
-    # Kernel entries whose cubic+quartic bracket correction shifts the
-    # kernel exponent by more than this lie outside the short-time
-    # expansion's trust region (coordinate steps wrapping a pole, say);
-    # those entries use the manifold's exact squared geodesic arc instead.
-    expansion_tolerance: float = 2.0
 
     def __post_init__(self):
         if self.mass <= 0 or self.hbar <= 0 or self.epsilon <= 0:
@@ -252,7 +254,6 @@ class SlicedPropagator:
     matrix: np.ndarray | None = None
     profile: np.ndarray | None = None  # sphere: (n_theta, n_theta, n_phi)
     blocks: np.ndarray | None = None  # sphere: (n_theta, n_theta, n_phi)
-    grid: dict = field(default_factory=dict)
 
     @property
     def total_time(self) -> float:
@@ -316,12 +317,51 @@ class SlicedPropagator:
         return vals.real
 
 
-def _ring_chart(manifold: Ring) -> Chart:
-    return builtin_chart("ring", r=manifold.radius)
+def _kernel_grid(manifold):
+    """Grid description for the kernel assembly of ``build_propagator``.
 
+    Returns ``(chart, weights, spacing, rows)``.  A column is a latitude and
+    an azimuth difference dk = k_a - k_b; ``weights[j, dk]`` is sqrt(g) times
+    the coordinate cell volume at the column's point, ``spacing`` the largest
+    geodesic grid step.  ``rows`` yields, per postpoint latitude, the
+    postpoint q_a (azimuth 0), the steps dq = q_a - q_b to every column and
+    their exact squared geodesic arcs.  The ring is the single-row case.
+    """
+    if isinstance(manifold, Ring):
+        points = (int(manifold.points),)
+    elif isinstance(manifold, Sphere):
+        points = (int(manifold.n_theta), int(manifold.n_phi))
+    else:
+        raise ValidationError(f"unsupported manifold {manifold!r}")
+    if min(points) < 8:
+        raise ValidationError(f"kernel grid needs at least 8 points per axis, got {points}")
+    r, n_ph = float(manifold.radius), points[-1]
+    dphi = 2.0 * math.pi / n_ph
+    delta_phi = _wrap_angle(dphi * np.arange(n_ph))
+    if len(points) == 1:
+        chart = builtin_chart("ring", r=r)
+        weights = np.full((1, n_ph), r * dphi)  # sqrt(g) = r along the ring
+        rows = [(np.zeros(1), delta_phi[None, :, None], (r * delta_phi[None, :]) ** 2)]
+        return chart, weights, r * dphi, iter(rows)
 
-def _sphere_chart(manifold: Sphere) -> Chart:
-    return builtin_chart("sphere", r=manifold.radius)
+    n_th = points[0]
+    chart = builtin_chart("sphere", r=r)
+    u, wu = np.polynomial.legendre.leggauss(n_th)
+    theta = np.arccos(u)  # descending from pi to 0, none at the poles
+    vol = wu * dphi / np.sin(theta)  # coordinate cell volume per column latitude
+    weights = np.broadcast_to((vol * (r * r * np.sin(theta)))[:, None], (n_th, n_ph))
+    spacing = max(r * float(np.max(np.abs(np.diff(theta)))), r * dphi)  # azimuth: equator
+
+    def rows():
+        for th in theta:
+            steps = np.broadcast_arrays((th - theta)[:, None], delta_phi[None, :])
+            cos_arc = math.cos(th) * np.cos(theta)[:, None] + (
+                math.sin(th) * np.sin(theta)[:, None]
+            ) * np.cos(delta_phi)[None, :]
+            arc2 = (r * np.arccos(np.clip(cos_arc, -1.0, 1.0))) ** 2
+            yield np.array([th, 0.0]), np.stack(steps, axis=-1), arc2
+
+    return chart, weights, spacing, rows()
 
 
 def build_propagator(manifold, cfg: ShortTimeConfig, measure_mode="qep") -> SlicedPropagator:
@@ -334,13 +374,46 @@ def build_propagator(manifold, cfg: ShortTimeConfig, measure_mode="qep") -> Slic
     ``cfg.cutoff_sigmas`` widths of geodesic distance.  A leading-order
     Gaussian row sum (continuum value one) fixes the normalization on the
     grid, so only quadrature error is divided out.
+
+    Ring and sphere share this one assembly over the rows of
+    ``_kernel_grid``; only the grid differs.  The ring is the single-row
+    case and is stored as its dense circulant matrix, the sphere as its
+    azimuthal profile and Fourier blocks.
     """
     mode = _normalize_measure(measure_mode)
-    if isinstance(manifold, Ring):
-        return _build_ring(manifold, cfg, mode)
-    if isinstance(manifold, Sphere):
-        return _build_sphere(manifold, cfg, mode)
-    raise ValidationError(f"unsupported manifold {manifold!r}")
+    chart, weights, spacing, rows = _kernel_grid(manifold)
+    sigma = math.sqrt(cfg.epsilon * cfg.hbar / cfg.mass)
+    if sigma / spacing < MIN_RESOLUTION_RATIO:
+        raise GridTooCoarseError(
+            f"kernel width {sigma:.4g} under-resolved by grid spacing {spacing:.4g}"
+        )
+    lam = 0.5 * cfg.mass / (cfg.epsilon * cfg.hbar)
+    cut = (cfg.cutoff_sigmas * sigma) ** 2
+    norm = (cfg.mass / (2.0 * math.pi * cfg.epsilon * cfg.hbar)) ** (chart.dim / 2)
+
+    profile = np.empty((len(weights),) + weights.shape)
+    for j, (q_post, dq, arc2) in enumerate(rows):
+        data = PostpointData(chart, q_post)
+        bracket = data.bracket(dq)
+        trusted = _trusted_entries(data.quadratic_form(dq), bracket, lam)
+        action2 = np.where(trusted, bracket, arc2)
+        mask = arc2 <= cut
+        jexp = _mode_exponent(data, dq, mode, cfg)
+        kernel = np.where(mask, norm * weights * np.exp(-lam * action2 + jexp), 0.0)
+        # leading-order reference with the exact arc and measure (continuum value 1)
+        flat_sum = float(np.sum(np.where(mask, norm * weights * np.exp(-lam * arc2), 0.0)))
+        if flat_sum <= 0:
+            raise NumericError("flat reference kernel summed to zero")
+        profile[j] = kernel / flat_sum
+    _check_positive_finite(profile)
+    # the kernel is even in the azimuth difference; symmetrize rounding noise
+    n_ph = profile.shape[2]
+    profile = 0.5 * (profile + profile[:, :, (-np.arange(n_ph)) % n_ph])
+    if len(profile) == 1:  # the ring, stored dense: K[a, b] = profile[(a - b) % P]
+        circulant = (np.arange(n_ph)[:, None] - np.arange(n_ph)[None, :]) % n_ph
+        return SlicedPropagator(manifold, cfg, mode, matrix=profile[0, 0][circulant])
+    blocks = np.fft.fft(profile, axis=2)
+    return SlicedPropagator(manifold, cfg, mode, profile=profile, blocks=blocks)
 
 
 def _check_positive_finite(arr):
@@ -350,60 +423,9 @@ def _check_positive_finite(arr):
         raise NumericError("imaginary-time kernel must be non-negative")
 
 
-def _trusted_entries(quad, bracket, lam, expansion_tolerance):
-    """Entries where the fourth-order bracket is inside its trust region.
-
-    The cubic+quartic correction may not shift the kernel exponent by more
-    than ``expansion_tolerance``; beyond that (steps wrapping a pole of the
-    latitude grid, far Gaussian tails) the truncated polynomial is
-    meaningless and the exact squared geodesic arc of the manifold is used
-    instead.
-    """
-    return lam * np.abs(bracket - quad) <= expansion_tolerance
-
-
-def _build_ring(manifold: Ring, cfg: ShortTimeConfig, mode: str) -> SlicedPropagator:
-    r, P = float(manifold.radius), int(manifold.points)
-    if P < 8:
-        raise ValidationError("ring grid needs at least 8 points")
-    chart = _ring_chart(manifold)
-    sigma = math.sqrt(cfg.epsilon * cfg.hbar / cfg.mass)
-    spacing = 2.0 * math.pi * r / P
-    if sigma / spacing < cfg.min_resolution_ratio:
-        raise GridTooCoarseError(
-            f"kernel width {sigma:.4g} under-resolved by ring spacing {spacing:.4g}"
-        )
-    data = PostpointData(chart, np.array([0.0]))
-    delta = _wrap_angle(-2.0 * math.pi * np.arange(P) / P)[:, None]  # dq = q_a - q_b at a=0
-    bracket = data.bracket(delta)
-    quad = data.quadratic_form(delta)
-    arc2 = (r * delta[:, 0]) ** 2  # exact squared geodesic arc on the circle
-    lam = 0.5 * cfg.mass / (cfg.epsilon * cfg.hbar)
-    cut = (cfg.cutoff_sigmas * sigma) ** 2
-    trusted = _trusted_entries(quad, bracket, lam, cfg.expansion_tolerance)
-    action2 = np.where(trusted, bracket, arc2)
-    mask = arc2 <= cut
-    jexp = _mode_exponent(data, delta, mode, cfg)
-    norm = (cfg.mass / (2.0 * math.pi * cfg.epsilon * cfg.hbar)) ** 0.5
-    vol = 2.0 * math.pi / P
-    sqrtg = math.sqrt(np.linalg.det(data.metric))  # constant along the ring
-    row = np.where(mask, norm * sqrtg * vol * np.exp(-lam * action2 + jexp), 0.0)
-    row_flat = np.where(mask, norm * sqrtg * vol * np.exp(-lam * arc2), 0.0)
-    flat_sum = float(np.sum(row_flat))
-    if flat_sum <= 0:
-        raise NumericError("flat reference kernel summed to zero")
-    row = row / flat_sum
-    # row holds K[0][b]; K[a][b] depends on the wrapped difference b - a
-    idx = (np.arange(P)[None, :] - np.arange(P)[:, None]) % P
-    matrix = row[idx]
-    _check_positive_finite(matrix)
-    return SlicedPropagator(
-        manifold=manifold,
-        cfg=cfg,
-        measure_mode=mode,
-        matrix=matrix,
-        grid={"angles": (2.0 * math.pi * np.arange(P) / P)},
-    )
+def _trusted_entries(quad, bracket, lam):
+    """Entries where the fourth-order bracket is inside its trust region."""
+    return lam * np.abs(bracket - quad) <= EXPANSION_TOLERANCE
 
 
 def _mode_exponent(data: PostpointData, dq, mode: str, cfg: ShortTimeConfig):
@@ -420,72 +442,6 @@ def _mode_exponent(data: PostpointData, dq, mode: str, cfg: ShortTimeConfig):
         return np.zeros(np.shape(dq)[:-1])
     veff = _veff(data.curvature_scalar(), cfg)
     return np.full(np.shape(dq)[:-1], -cfg.epsilon * veff / cfg.hbar)
-
-
-def _build_sphere(manifold: Sphere, cfg: ShortTimeConfig, mode: str) -> SlicedPropagator:
-    r = float(manifold.radius)
-    n_th, n_ph = int(manifold.n_theta), int(manifold.n_phi)
-    if n_th < 8 or n_ph < 8:
-        raise ValidationError("sphere grid needs at least 8 x 8 points")
-    chart = _sphere_chart(manifold)
-    u, wu = np.polynomial.legendre.leggauss(n_th)
-    theta = np.arccos(u)  # descending from pi to 0, none at the poles
-    dphi = 2.0 * math.pi / n_ph
-    sigma = math.sqrt(cfg.epsilon * cfg.hbar / cfg.mass)
-    spacing_theta = r * float(np.max(np.abs(np.diff(theta))))
-    spacing_phi = r * dphi  # worst case at the equator
-    spacing = max(spacing_theta, spacing_phi)
-    if sigma / spacing < cfg.min_resolution_ratio:
-        raise GridTooCoarseError(
-            f"kernel width {sigma:.4g} under-resolved by sphere spacing {spacing:.4g}"
-        )
-
-    lam = 0.5 * cfg.mass / (cfg.epsilon * cfg.hbar)
-    cut = (cfg.cutoff_sigmas * sigma) ** 2
-    norm = cfg.mass / (2.0 * math.pi * cfg.epsilon * cfg.hbar)  # D = 2
-    vol = wu * dphi / np.sin(theta)  # coordinate cell volume per column latitude
-    delta_phi = _wrap_angle(dphi * np.arange(n_ph))
-
-    profile = np.empty((n_th, n_th, n_ph))
-    dq = np.empty((n_th, n_ph, 2))
-    for j in range(n_th):
-        data = PostpointData(chart, np.array([theta[j], 0.0]))
-        dq[:, :, 0] = (theta[j] - theta)[:, None]
-        dq[:, :, 1] = delta_phi[None, :]
-        quad = data.quadratic_form(dq)
-        bracket = data.bracket(dq)
-        # exact squared geodesic arc between the grid points
-        cos_arc = math.cos(theta[j]) * np.cos(theta)[:, None] + (
-            math.sin(theta[j]) * np.sin(theta)[:, None]
-        ) * np.cos(delta_phi)[None, :]
-        arc2 = (r * np.arccos(np.clip(cos_arc, -1.0, 1.0))) ** 2
-        trusted = _trusted_entries(quad, bracket, lam, cfg.expansion_tolerance)
-        action2 = np.where(trusted, bracket, arc2)
-        mask = arc2 <= cut
-        jexp = _mode_exponent(data, dq, mode, cfg)
-        # exact volume weight at the integration point: vol * sqrt(g(q_b))
-        sqrtg_col = r * r * np.sin(theta)
-        rows = norm * (vol * sqrtg_col)[:, None] * np.exp(-lam * action2 + jexp)
-        # leading-order reference with the exact arc and measure (continuum value 1)
-        rows_flat = norm * (vol * sqrtg_col)[:, None] * np.exp(-lam * arc2)
-        rows = np.where(mask, rows, 0.0)
-        rows_flat = np.where(mask, rows_flat, 0.0)
-        flat_sum = float(np.sum(rows_flat))
-        if flat_sum <= 0:
-            raise NumericError("flat reference kernel summed to zero")
-        profile[j] = rows / flat_sum
-    _check_positive_finite(profile)
-    # the kernel is even in the azimuth difference; symmetrize rounding noise
-    profile = 0.5 * (profile + profile[:, :, (-np.arange(n_ph)) % n_ph])
-    blocks = np.fft.fft(profile, axis=2)
-    return SlicedPropagator(
-        manifold=manifold,
-        cfg=cfg,
-        measure_mode=mode,
-        profile=profile,
-        blocks=blocks,
-        grid={"theta": theta, "phi": dphi * np.arange(n_ph), "gl_weights": wu},
-    )
 
 
 # -- spectrum extraction -------------------------------------------------------

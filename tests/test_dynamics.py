@@ -16,7 +16,7 @@ from torsionlab import (
     torsion_el_residual,
 )
 from torsionlab.charts import Chart, builtin_chart
-from torsionlab.errors import GridMismatchError, SamplingError, ValidationError
+from torsionlab.errors import SamplingError, ValidationError
 
 FLAT = Chart(dim=2, kind="map", exprs=["q1", "q2"])
 
@@ -207,12 +207,21 @@ def test_variation_validates_endpoints():
         nonholonomic_variation(st, base, ["t*(1-t)"])
 
 
-def test_variation_needs_uniform_grid():
+def test_variation_on_nonuniform_base():
+    # h = 1e-2 over (0, 0.4), then the same autoparallel continued at h = 2.5e-3
     st = builtin_chart("synthetic_torsion", alpha=0.3)
-    base = integrate_autoparallel(st, [0.1, 0.2], [1.0, 0.7], (0.0, 1.0), 1e-2)
-    warped = Trajectory(t=base.t**1.5 + base.t[0], q=base.q, qdot=base.qdot)
-    with pytest.raises(GridMismatchError):
-        nonholonomic_variation(st, warped, DELTAQ)
+    q0, v0 = [0.1, 0.2], [1.0, 0.7]
+    head = integrate_autoparallel(st, q0, v0, (0.0, 0.4), 1e-2)
+    tail = integrate_autoparallel(st, head.q[-1], head.qdot[-1], (0.4, 1.0), 2.5e-3)
+    base = Trajectory(
+        t=np.concatenate((head.t, tail.t[1:])),
+        q=np.concatenate((head.q, tail.q[1:])),
+        qdot=np.concatenate((head.qdot, tail.qdot[1:])),
+    )
+    run = nonholonomic_variation(st, base, DELTAQ)
+    assert np.max(np.abs(run.delta_b - closure_defect_by_quadrature(st, base, DELTAQ))) < 1e-5
+    uniform = nonholonomic_variation(st, integrate_autoparallel(st, q0, v0, (0.0, 1.0), 1e-3), DELTAQ)
+    assert np.max(np.abs(run.delta_b[-1] - uniform.delta_b[-1])) < 1e-8
 
 
 # -- torsion-modified Euler-Lagrange ------------------------------------------

@@ -320,8 +320,22 @@ def test_geometry_point_aggregates_everything():
 def test_grid_too_coarse_rejected():
     with pytest.raises(GridTooCoarseError):
         build_propagator(Ring(radius=1.0, points=16), ShortTimeConfig(epsilon=0.01), "qep")
+    with pytest.raises(GridTooCoarseError):
+        build_propagator(Sphere(1.0, 8, 16), ShortTimeConfig(epsilon=0.001), "qep")
+    for manifold in (Ring(points=7), Sphere(n_theta=7), Sphere(n_phi=7), object()):
+        with pytest.raises(ValidationError):
+            build_propagator(manifold, ShortTimeConfig(), "qep")
     with pytest.raises(ValidationError):
         build_propagator(Ring(), ShortTimeConfig(), "weyl")
+
+
+@pytest.mark.parametrize("mode", ["qep", "naive_dewitt", "qep_via_veff"])
+def test_flat_ring_rows_normalized(mode):
+    # on the ring the bracket is the exact arc and every measure exponent
+    # vanishes, so the flat-reference division leaves unit row sums
+    for ring, eps in ((Ring(1.0, 128), 0.05), (Ring(2.0, 200), 0.1)):
+        matrix = build_propagator(ring, ShortTimeConfig(epsilon=eps), mode).matrix
+        assert np.max(np.abs(matrix.sum(axis=1) - 1.0)) < 1e-13
 
 
 def test_ring_kernel_positive_and_symmetric():
