@@ -29,7 +29,7 @@ from .errors import (
     SingularPointError,
     ValidationError,
 )
-from .expressions import Expression, Jet
+from .expressions import Expression, _partials_index
 
 _KINDS = ("map", "triad")
 
@@ -103,13 +103,15 @@ class Chart:
             )
         return q
 
+    def _env(self, q):
+        env = dict(self.params)
+        env.update(zip(self._coord_names, q.tolist()))
+        return env
+
     def admitted(self, q) -> bool:
         q = self._coerce_point(q)
-        if self.guard is None:
-            return True
-        env = dict(self.params)
-        env.update(zip(self._coord_names, q))
-        return float(self.guard(env)) > 0.0
+        # a plain value (no wrt): sqrt(0) or atan2(0, 0) reject, not raise
+        return self.guard is None or self.guard(self._env(q), (), 0)[0] > 0.0
 
     def check_point(self, q) -> np.ndarray:
         q = self._coerce_point(q)
@@ -118,12 +120,6 @@ class Chart:
         return q
 
     # -- triads and metric ---------------------------------------------------
-
-    def _jet_env(self, q, order):
-        env = dict(self.params)
-        for idx, cname in enumerate(self._coord_names):
-            env[cname] = Jet.variable(q[idx], idx, self.dim, order)
-        return env
 
     def triad_jets(self, q, order=0):
         """Triad field and its derivatives up to ``order`` (0, 1 or 2).
@@ -135,42 +131,14 @@ class Chart:
         if order not in (0, 1, 2):
             raise ValidationError(f"triad derivative order must be 0, 1 or 2, got {order!r}")
         q = self.check_point(q)
+        env, wrt = self._env(q), self._coord_names
+        first = 1 if self.kind == "map" else 0  # derivative order that gives E
+        jets = np.array([e(env, wrt, first + order) for e in self.exprs])
         D, A = self.dim, self.ambient_dim
-        if self.kind == "map":
-            env = self._jet_env(q, order + 1)
-            E = np.empty((A, D))
-            dE = np.empty((A, D, D)) if order >= 1 else None
-            d2E = np.empty((A, D, D, D)) if order >= 2 else None
-            for i, expr in enumerate(self.exprs):
-                jet = expr(env)
-                if not isinstance(jet, Jet):
-                    jet = Jet.constant(jet, D, order + 1)
-                E[i] = jet.d1
-                if order >= 1:
-                    dE[i] = jet.d2  # dE[i, kap, lam]: symmetric here by Schwarz
-                if order >= 2:
-                    d2E[i] = jet.d3
-        else:
-            env = self._jet_env(q, order)
-            E = np.empty((A, D))
-            dE = np.empty((A, D, D)) if order >= 1 else None
-            d2E = np.empty((A, D, D, D)) if order >= 2 else None
-            for i in range(A):
-                for mu in range(D):
-                    jet = self.exprs[i * D + mu](env)
-                    if not isinstance(jet, Jet):
-                        jet = Jet.constant(jet, D, order)
-                    E[i, mu] = jet.val
-                    if order >= 1:
-                        dE[i, mu] = jet.d1
-                    if order >= 2:
-                        d2E[i, mu] = jet.d2
-        out = [E]
-        if order >= 1:
-            out.append(dE)
-        if order >= 2:
-            out.append(d2E)
-        return tuple(out)
+        return tuple(
+            jets[:, _partials_index(D, first + k)].reshape((A,) + (D,) * (k + 1))
+            for k in range(order + 1)
+        )
 
     def triad(self, q) -> np.ndarray:
         """Basis triad e^i_mu(q), shape (ambient_dim, dim)."""

@@ -19,7 +19,7 @@ import numpy as np
 from ._local import LocalGeometry
 from .charts import Chart
 from .errors import ValidationError
-from .expressions import Expression, Jet
+from .expressions import Expression
 
 
 def christoffel(chart: Chart, q):
@@ -135,16 +135,10 @@ def covariant_derivative(chart: Chart, q, field, connection="riemann", variance=
             raise ValidationError(f"vector field needs {D} components, got {len(exprs)}")
 
     env = dict(chart.params)
-    for idx in range(D):
-        env[f"q{idx + 1}"] = Jet.variable(q[idx], idx, D, 1)
-    vals = np.empty(len(exprs))
-    grads = np.empty((len(exprs), D))
-    for k, expr in enumerate(exprs):
-        jet = expr(env)
-        if not isinstance(jet, Jet):
-            jet = Jet.constant(jet, D, 1)
-        vals[k] = jet.val
-        grads[k] = jet.d1
+    wrt = tuple(f"q{idx + 1}" for idx in range(D))
+    env.update(zip(wrt, q.tolist()))
+    jets = np.array([expr(env, wrt, 1) for expr in exprs])
+    vals, grads = jets[:, 0], jets[:, 1:]
 
     if scalar:
         return grads[0]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charts import Chart, builtin_chart
-from .errors import SingularPointError, ValidationError
+from .errors import DimensionMismatchError, SingularPointError, ValidationError
 
 TWO_PI = 2.0 * np.pi
 
@@ -97,6 +97,8 @@ def line_integral(field, loop: LoopSpec, chart: Chart | None = None):
 def angle_gradient(q) -> np.ndarray:
     """Gradient of the polar angle: (-q2, q1) / |q|^2 (single-valued off origin)."""
     q = np.asarray(q, dtype=float)
+    if q.shape != (2,):
+        raise DimensionMismatchError(f"angle gradient needs a 2D point, got shape {q.shape}")
     r2 = float(q @ q)
     if r2 == 0.0:
         raise SingularPointError("angle gradient undefined at the origin")

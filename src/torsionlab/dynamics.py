@@ -53,10 +53,6 @@ class Trajectory:
     def __len__(self):
         return len(self.t)
 
-    @property
-    def step(self) -> float:
-        return float(self.t[1] - self.t[0]) if len(self.t) > 1 else 0.0
-
     def state(self, k: int) -> TrajectoryState:
         return TrajectoryState(float(self.t[k]), self.q[k].copy(), self.qdot[k].copy())
 
@@ -202,7 +198,7 @@ def _parse_variation(deltaq, dim, params):
     def fn(t):
         env = dict(params)
         env["t"] = float(t)
-        return np.array([float(e(env)) for e in exprs])
+        return np.array([e(env, (), 0)[0] for e in exprs])
 
     return fn
 

@@ -10,13 +10,17 @@ difference truncation enters the tensor pipeline.
 from __future__ import annotations
 
 import math
+import operator
 import re
+from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import combinations_with_replacement, product
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import EvaluationError, ExpressionParseError
+from .errors import EvaluationError, ExpressionParseError, ValidationError
 
 FUNCTIONS = {"sin": 1, "cos": 1, "atan2": 2, "sqrt": 1, "exp": 1, "log": 1}
 
@@ -41,11 +45,114 @@ def _triple_mixed(u, v):
     return t + t.transpose(0, 2, 1) + t.transpose(2, 0, 1)
 
 
+# -- scalar series: value and first three derivatives of each elementary
+# function at a point, with its domain checks.  The interpreted jets below and
+# the compiled kernels further down compose the same series.
+
+
+def _sin_series(u):
+    s, c = math.sin(u), math.cos(u)
+    return s, c, -s, -c
+
+
+def _cos_series(u):
+    s, c = math.sin(u), math.cos(u)
+    return c, -s, -c, s
+
+
+def _exp_series(u):
+    e = math.exp(u)
+    return e, e, e, e
+
+
+def _log_series(u):
+    if u <= 0.0:
+        raise EvaluationError(f"log of non-positive value {u!r}")
+    return math.log(u), 1.0 / u, -1.0 / u**2, 2.0 / u**3
+
+
+def _sqrt_series(u):
+    if u < 0.0:
+        raise EvaluationError(f"sqrt of negative value {u!r}")
+    if u == 0.0:
+        raise EvaluationError("sqrt not differentiable at 0")
+    r = math.sqrt(u)
+    return r, 0.5 / r, -0.25 / u / r, 0.375 / u**2 / r
+
+
+def _recip_series(u):
+    if u == 0.0:
+        raise EvaluationError("division by zero")
+    return 1.0 / u, -1.0 / u**2, 2.0 / u**3, -6.0 / u**4
+
+
+def _pow_series(u, c):
+    """u^c for a constant exponent c, rounded to an integer when it is one."""
+    c = float(c)
+    if c == round(c):
+        c = round(c)
+    if u == 0.0:
+        if not isinstance(c, int):
+            raise EvaluationError("0 raised to a non-integer power")
+        if c < 0:
+            raise EvaluationError("0 raised to a negative power")
+    if u < 0.0 and not isinstance(c, int):
+        raise EvaluationError(f"negative base {u!r} with non-integer exponent {c!r}")
+    return (
+        u**c,
+        c * u ** (c - 1) if c != 0 else 0.0,
+        c * (c - 1) * u ** (c - 2) if c not in (0, 1) else 0.0,
+        c * (c - 1) * (c - 2) * u ** (c - 3) if c not in (0, 1, 2) else 0.0,
+    )
+
+
+def _atan2_series(y, x):
+    """atan2(y, x) and its partials in (y, x) to third order, in the jet layout."""
+    r2 = x * x + y * y
+    if r2 == 0.0:
+        raise EvaluationError("atan2 evaluated at the origin")
+    r4 = r2 * r2
+    r6 = r4 * r2
+    return (
+        math.atan2(y, x), x / r2, -y / r2,  # value, d/dy, d/dx
+        -2.0 * x * y / r4, (y * y - x * x) / r4, 2.0 * x * y / r4,
+        2.0 * x * (3.0 * y * y - x * x) / r6,  # d^3/dy^3
+        2.0 * y * (3.0 * x * x - y * y) / r6,  # d^3/dy^2 dx
+        2.0 * x * (x * x - 3.0 * y * y) / r6,  # d^3/dy dx^2
+        2.0 * y * (y * y - 3.0 * x * x) / r6,  # d^3/dx^3
+    )
+
+
+def _real_div(a, b):
+    if b == 0.0:
+        raise EvaluationError("division by zero")
+    return a / b
+
+
+def _real_pow(u, c):
+    if u == 0.0 and c < 0:
+        raise EvaluationError("0 raised to a negative power")
+    if u < 0.0 and not float(c).is_integer():
+        raise EvaluationError(f"negative base {u!r} with non-integer exponent {c!r}")
+    return u**c
+
+
+# Plain-float meaning of every operation, for subtrees that carry no jet.
+_REAL = {
+    "neg": operator.neg, "add": operator.add, "sub": operator.sub, "mul": operator.mul,
+    "div": _real_div, "pow": _real_pow, "sin": math.sin, "cos": math.cos, "exp": math.exp,
+    "log": lambda u: math.log(u) if u > 0.0 else _log_series(u)[0],  # raises
+    "sqrt": lambda u: math.sqrt(u) if u >= 0.0 else _sqrt_series(u)[0],  # raises
+    "atan2": math.atan2,
+}
+
+
 class Jet:
     """Multivariate Taylor jet: value plus symmetric derivative tensors.
 
     ``order`` is 0..3; ``d2[a, b] = d_a d_b f`` and so on.  Arithmetic with
-    plain floats lifts them to constants.
+    plain floats lifts them to constants.  This tree-walking form is the
+    reference that the compiled kernels are tested against.
     """
 
     __slots__ = ("order", "dim", "val", "d1", "d2", "d3")
@@ -145,23 +252,7 @@ class Jet:
     def __pow__(self, exponent):
         if isinstance(exponent, Jet):
             return (exponent * self.log()).exp()
-        c = float(exponent)
-        if c == round(c):
-            c = round(c)
-        u = self.val
-        if u == 0.0:
-            if not isinstance(c, int):
-                raise EvaluationError("0 raised to a non-integer power")
-            if c < 0:
-                raise EvaluationError("0 raised to a negative power")
-        if u < 0.0 and not isinstance(c, int):
-            raise EvaluationError(f"negative base {u!r} with non-integer exponent {c!r}")
-        return self._compose(
-            u**c,
-            c * u ** (c - 1) if c != 0 else 0.0,
-            c * (c - 1) * u ** (c - 2) if c not in (0, 1) else 0.0,
-            c * (c - 1) * (c - 2) * u ** (c - 3) if c not in (0, 1, 2) else 0.0,
-        )
+        return self._compose(*_pow_series(self.val, exponent))
 
     def __rpow__(self, base):
         b = float(base)
@@ -186,37 +277,22 @@ class Jet:
         return j
 
     def _reciprocal(self):
-        u = self.val
-        if u == 0.0:
-            raise EvaluationError("division by zero")
-        return self._compose(1.0 / u, -1.0 / u**2, 2.0 / u**3, -6.0 / u**4)
+        return self._compose(*_recip_series(self.val))
 
     def sin(self):
-        s, c = math.sin(self.val), math.cos(self.val)
-        return self._compose(s, c, -s, -c)
+        return self._compose(*_sin_series(self.val))
 
     def cos(self):
-        s, c = math.sin(self.val), math.cos(self.val)
-        return self._compose(c, -s, -c, s)
+        return self._compose(*_cos_series(self.val))
 
     def exp(self):
-        e = math.exp(self.val)
-        return self._compose(e, e, e, e)
+        return self._compose(*_exp_series(self.val))
 
     def log(self):
-        u = self.val
-        if u <= 0.0:
-            raise EvaluationError(f"log of non-positive value {u!r}")
-        return self._compose(math.log(u), 1.0 / u, -1.0 / u**2, 2.0 / u**3)
+        return self._compose(*_log_series(self.val))
 
     def sqrt(self):
-        u = self.val
-        if u < 0.0:
-            raise EvaluationError(f"sqrt of negative value {u!r}")
-        if u == 0.0:
-            raise EvaluationError("sqrt not differentiable at 0")
-        r = math.sqrt(u)
-        return self._compose(r, 0.5 / r, -0.25 / u / r, 0.375 / u**2 / r)
+        return self._compose(*_sqrt_series(self.val))
 
 
 def jet_atan2(y, x):
@@ -226,21 +302,13 @@ def jet_atan2(y, x):
     ref = y if isinstance(y, Jet) else x
     u = ref._like(y)
     v = ref._like(x)
-    yv, xv = u.val, v.val
-    r2 = xv * xv + yv * yv
-    if r2 == 0.0:
-        raise EvaluationError("atan2 evaluated at the origin")
-    order, dim = ref.order, ref.dim
-    j = Jet(order, dim, math.atan2(yv, xv))
+    g, gu, gv, guu, guv, gvv, guuu, guuv, guvv, gvvv = _atan2_series(u.val, v.val)
+    order = ref.order
+    j = Jet(order, ref.dim, g)
     if order == 0:
         return j
-    r4 = r2 * r2
-    gu, gv = xv / r2, -yv / r2
     j.d1 = gu * u.d1 + gv * v.d1
     if order >= 2:
-        guu = -2.0 * xv * yv / r4
-        guv = (yv * yv - xv * xv) / r4
-        gvv = 2.0 * xv * yv / r4
         j.d2 = (
             guu * _outer(u.d1, u.d1)
             + guv * (_outer(u.d1, v.d1) + _outer(v.d1, u.d1))
@@ -249,11 +317,6 @@ def jet_atan2(y, x):
             + gv * v.d2
         )
     if order >= 3:
-        r6 = r4 * r2
-        guuu = 2.0 * xv * (3.0 * yv * yv - xv * xv) / r6  # d^3/dy^3
-        guuv = 2.0 * yv * (3.0 * xv * xv - yv * yv) / r6  # d^3/dy^2 dx
-        guvv = 2.0 * xv * (xv * xv - 3.0 * yv * yv) / r6  # d^3/dy dx^2
-        gvvv = 2.0 * yv * (yv * yv - 3.0 * xv * xv) / r6  # d^3/dx^3
         j.d3 = (
             guuu * _triple(u.d1, u.d1, u.d1)
             + guuv * _triple_mixed(u.d1, v.d1)
@@ -266,20 +329,6 @@ def jet_atan2(y, x):
             + gv * v.d3
         )
     return j
-
-
-def _lift(fn_name, args):
-    args = list(args)
-    if fn_name == "atan2":
-        return jet_atan2(args[0], args[1])
-    a = args[0]
-    if isinstance(a, Jet):
-        return getattr(a, fn_name)()
-    if fn_name == "log" and a <= 0:
-        raise EvaluationError(f"log of non-positive value {a!r}")
-    if fn_name == "sqrt" and a < 0:
-        raise EvaluationError(f"sqrt of negative value {a!r}")
-    return getattr(math, fn_name)(a)
 
 
 # -- parsing ---------------------------------------------------------------
@@ -510,9 +559,7 @@ def _eval(node, env):
             return left * right
         if node.op == "/":
             if not isinstance(left, Jet) and not isinstance(right, Jet):
-                if right == 0.0:
-                    raise EvaluationError("division by zero")
-                return left / right
+                return _real_div(left, right)
             return left / right
         if node.op == "^":
             if isinstance(right, Jet):
@@ -520,11 +567,186 @@ def _eval(node, env):
                 if any(np.any(p != 0.0) for p in parts):
                     return left**right
                 right = right.val  # exponent is constant at every order
-            return left**right
+            if isinstance(left, Jet):
+                return left**right
+            return _real_pow(left, right)
         raise AssertionError(node.op)
     if isinstance(node, Call):
-        return _lift(node.func, [_eval(a, env) for a in node.args])
+        args = [_eval(a, env) for a in node.args]
+        if node.func == "atan2":
+            return jet_atan2(*args)
+        if isinstance(args[0], Jet):
+            return getattr(args[0], node.func)()
+        return _REAL[node.func](*args)
     raise AssertionError(type(node))
+
+
+# -- compiled Taylor kernels: a jet in D variables at order n is a flat tuple
+# of floats, the value and then the partials d_S f for every multiset S of
+# k = 1..n variable indices, in ``combinations_with_replacement(range(D), k)``
+# order.  Its arithmetic -- the Leibniz product and the univariate and
+# bivariate Faa di Bruno chain rules (Griewank & Walther, Evaluating
+# Derivatives, 2nd ed., ch. 13) -- depends on (D, n) only, so it is emitted
+# once per pair as straight-line source and compiled on first use.  Each
+# expression is lowered once per (wrt, order) into closures over the kernels.
+
+_KERNELS: dict = {}  # (D, n) -> namespace of compiled kernels
+
+
+def _multisets(dim, order):
+    return [c for k in range(order + 1) for c in combinations_with_replacement(range(dim), k)]
+
+
+def _partitions(items):
+    """Every partition of ``items`` into non-empty blocks."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for part in _partitions(rest):
+        yield [(first,)] + part
+        for i, block in enumerate(part):
+            yield part[:i] + [(first,) + block] + part[i + 1 :]
+
+
+def _kernel_source(dim, order):
+    sets = _multisets(dim, order)
+    pos = {s: i for i, s in enumerate(sets)}
+
+    def sub(s, block):
+        return pos[tuple(sorted(s[p] for p in block))]
+
+    def polynomial(terms):  # {tuple of factor names: integer multiplicity}
+        return " + ".join("*".join(((str(m),) if m > 1 else ()) + f) for f, m in terms.items())
+
+    def leibniz(s):
+        terms = Counter()
+        for mask in product((0, 1), repeat=len(s)):
+            left = sub(s, [p for p, m in enumerate(mask) if not m])
+            terms[f"a{left}", f"b{sub(s, [p for p, m in enumerate(mask) if m])}"] += 1
+        return polynomial(terms)
+
+    def chain(s, inner, outer):
+        # d_S g(u, ...) = sum over partitions of S, and over which inner jet
+        # each block differentiates, of a partial of g times the blocks' partials
+        outer_pos = {w: i for i, w in enumerate(_multisets(len(inner), order))}
+        terms = Counter()
+        for part in _partitions(list(range(len(s)))):
+            for which in product(range(len(inner)), repeat=len(part)):
+                factors = sorted(f"{inner[w]}{sub(s, b)}" for w, b in zip(which, part))
+                terms[(f"{outer}{outer_pos[tuple(sorted(which))]}", *factors)] += 1
+        return polynomial(terms)
+
+    def kernel(signature, rule, *unpack):
+        lines = [f"    {', '.join(f'{v}{i}' for i in pos.values())}, = {v}\n" for v in unpack]
+        body = ", ".join(rule(i, s) for i, s in enumerate(sets))
+        return f"def {signature}:\n{''.join(lines)}    return ({body},)\n"
+
+    g = ", ".join(f"g{i}" for i in range(len(_multisets(2, order))))
+    src = [
+        kernel("const(c)", lambda i, s: "0.0" if i else "c"),
+        kernel("neg(a)", lambda i, s: f"-a{i}", "a"),
+        kernel("add(a, b)", lambda i, s: f"a{i} + b{i}", "a", "b"),
+        kernel("sub(a, b)", lambda i, s: f"a{i} - b{i}", "a", "b"),
+        kernel("mul(a, b)", lambda i, s: leibniz(s), "a", "b"),
+        kernel("compose(a, f0, f1, f2, f3)", lambda i, s: chain(s, "a", "f"), "a"),
+        kernel(f"compose2(a, b, {g}, *rest)", lambda i, s: chain(s, "ab", "g"), "a", "b"),
+        kernel("add_jc(a, c)", lambda i, s: f"a{i} + c" if i == 0 else f"a{i}", "a"),
+        kernel("add_cj(c, a)", lambda i, s: f"c + a{i}" if i == 0 else f"a{i}", "a"),
+        kernel("sub_jc(a, c)", lambda i, s: f"a{i} - c" if i == 0 else f"a{i}", "a"),
+        kernel("sub_cj(c, a)", lambda i, s: f"c - a{i}" if i == 0 else f"-a{i}", "a"),
+        kernel("mul_jc(a, c)", lambda i, s: f"a{i} * c", "a"),
+        kernel("mul_cj(c, a)", lambda i, s: f"c * a{i}", "a"),
+    ]
+    for k in range(dim):
+        src.append(kernel(f"var{k}(x)", lambda i, s: "x" if i == 0 else str(float(s == (k,)))))
+    for f in ("sin", "cos", "exp", "log", "sqrt"):
+        src.append(f"def {f}(a):\n    return compose(a, *_{f}_series(a[0]))\n")
+    return "\n".join(src) + _KERNEL_RULES
+
+
+# Rules over the kernels above; "_jc" / "_cj" mark a float right / left operand.
+_KERNEL_RULES = """
+def recip(a):
+    return compose(a, *_recip_series(a[0]))
+def div(a, b):
+    return mul(a, recip(b))
+def div_jc(a, c):
+    return mul_jc(a, _recip_series(c)[0])
+def div_cj(c, b):
+    return mul_cj(c, recip(b))
+def pow(a, b):
+    # an exponent whose derivatives all vanish here takes the constant rule
+    if not any(b[1:]):
+        return pow_jc(a, b[0])
+    return exp(mul(b, log(a)))
+def pow_jc(a, c):
+    return compose(a, *_pow_series(a[0], c))
+def pow_cj(c, b):
+    if not any(b[1:]):
+        return const(_real_pow(c, b[0]))
+    if c <= 0.0:
+        raise EvaluationError(f"non-positive base {float(c)!r} with variable exponent")
+    return exp(mul_jc(b, math.log(c)))
+def atan2(y, x):
+    return compose2(y, x, *_atan2_series(y[0], x[0]))
+def atan2_jc(y, c):
+    return atan2(y, const(c))
+def atan2_cj(c, x):
+    return atan2(const(c), x)
+"""
+
+
+def _kernels(dim, order):
+    kernels = _KERNELS.get((dim, order))
+    if kernels is None:
+        kernels = dict(globals())  # the kernels call this module's series helpers
+        exec(compile(_kernel_source(dim, order), f"<kernels D={dim} n={order}>", "exec"), kernels)
+        _KERNELS[dim, order] = kernels
+    return kernels
+
+
+@lru_cache(maxsize=None)
+def _partials_index(dim, k):
+    """Positions of the k-th partials d_{a1..ak} in a jet tuple, shape (dim,) * k."""
+    pos = {s: i for i, s in enumerate(_multisets(dim, k))}
+    flat = [pos[tuple(sorted(idx))] for idx in product(range(dim), repeat=k)]
+    return np.array(flat, dtype=np.intp).reshape((dim,) * k)
+
+
+_OPS = {"+": "add", "-": "sub", "*": "mul", "/": "div", "^": "pow"}
+
+
+def _lower(node, wrt, kernels):
+    """Closure ``env -> value`` for ``node``, and whether the value is a jet
+    tuple; a subtree that does not depend on ``wrt`` gives a plain float."""
+    if isinstance(node, Num):
+        return (lambda env, value=node.value: value), False
+    if isinstance(node, Name):
+        ident = node.ident
+        if ident in wrt:
+            seed = kernels[f"var{wrt.index(ident)}"]
+            return (lambda env: seed(env[ident])), True
+        return (lambda env: env[ident]), False
+    if isinstance(node, Neg):
+        op, args = "neg", (node.arg,)
+    elif isinstance(node, BinOp):
+        op, args = _OPS[node.op], (node.left, node.right)
+    else:
+        op, args = node.func, node.args
+    lowered = [_lower(a, wrt, kernels) for a in args]
+    jets = [j for _, j in lowered]
+    if not any(jets):
+        fn = _REAL[op]
+    else:
+        if len(jets) == 2 and not all(jets):
+            op += "_jc" if jets[0] else "_cj"
+        fn = kernels[op]
+    if len(lowered) == 1:
+        ((f, _),) = lowered
+        return (lambda env: fn(f(env))), any(jets)
+    (f, _), (g, _) = lowered
+    return (lambda env: fn(f(env), g(env))), any(jets)
 
 
 class Expression:
@@ -536,9 +758,26 @@ class Expression:
         names: dict[str, int] = {}
         _free_names(self.ast, names)
         self.free_names = names  # name -> first column of use
+        self._lowered: dict = {}  # (wrt, order) -> closure
 
-    def __call__(self, env):
-        return _eval(self.ast, env)
+    def __call__(self, env, wrt=None, order=0):
+        """Value at ``env``: a ``Jet`` tree walk over what ``env`` holds, or with
+        ``wrt`` (names bound to floats) compiled kernels' flat tuple of the value
+        and the partials up to ``order`` (0..3), the k-th partials in
+        ``combinations_with_replacement(range(len(wrt)), k)`` order."""
+        if wrt is None:
+            return _eval(self.ast, env)
+        try:
+            fn = self._lowered[wrt, order]
+        except (KeyError, TypeError):
+            if not isinstance(wrt, tuple) or order not in (0, 1, 2, 3):
+                raise ValidationError(f"need a tuple wrt and order 0..3, got {wrt!r}, {order!r}")
+            kernels = _kernels(len(wrt), order)
+            fn, is_jet = _lower(self.ast, wrt, kernels)
+            if not is_jet:
+                fn = lambda env, value=fn, const=kernels["const"]: const(value(env))  # noqa: E731
+            self._lowered[wrt, order] = fn
+        return fn(env)
 
     def __repr__(self):
         return f"Expression({self.source!r})"

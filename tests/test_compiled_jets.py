@@ -1,0 +1,229 @@
+"""Compiled Taylor kernels against the tree-walking Jet interpreter and sympy."""
+
+import math
+import os
+import subprocess
+import sys
+from itertools import combinations_with_replacement
+
+import numpy as np
+import pytest
+import sympy
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import torsionlab
+from torsionlab import builtin_chart, dynamics, expressions
+from torsionlab.charts import BUILTIN_CHARTS
+from torsionlab.errors import EvaluationError, SingularPointError, ValidationError
+from torsionlab.expressions import Expression, Jet
+
+PARAMS = {"a": 0.7, "b": -1.3}
+
+
+def interpreted(expr, names, point, order, params=PARAMS):
+    """The interpreter's jet, flattened into the compiled layout."""
+    dim = len(names)
+    env = dict(params)
+    env.update({n: Jet.variable(x, i, dim, order) for i, (n, x) in enumerate(zip(names, point))})
+    jet = expr(env)
+    if not isinstance(jet, Jet):
+        jet = Jet.constant(jet, dim, order)
+    tensors = (None, jet.d1, jet.d2, jet.d3)
+    return [jet.val] + [
+        float(tensors[k][idx])
+        for k in range(1, order + 1)
+        for idx in combinations_with_replacement(range(dim), k)
+    ]
+
+
+def compiled(expr, names, point, order, params=PARAMS):
+    env = dict(params)
+    env.update(zip(names, point))
+    return expr(env, tuple(names), order)
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (EvaluationError, OverflowError, ZeroDivisionError) as exc:
+        return type(exc)
+
+
+def assert_close(ref, got, rtol=1e-13):
+    assert len(got) == len(ref)
+    scale = max(1.0, max(abs(x) for x in ref))
+    for r, g in zip(ref, got):
+        assert abs(r - g) <= rtol * scale, (ref, got)
+
+
+# -- generated expressions ------------------------------------------------------
+
+UNARY = ("sin", "cos", "sqrt", "exp", "log")
+
+
+def expressions_in(dim):
+    leaves = st.sampled_from([f"q{i + 1}" for i in range(dim)] + ["a", "b", "2", "0.5", "3"])
+
+    def extend(inner):
+        return st.one_of(
+            st.tuples(inner, st.sampled_from("+-*/^"), inner).map(lambda t: "(%s %s %s)" % t),
+            st.tuples(st.sampled_from(UNARY), inner).map(lambda t: f"{t[0]}({t[1]})"),
+            st.tuples(inner, inner).map(lambda t: f"atan2({t[0]}, {t[1]})"),
+            inner.map(lambda s: f"-{s}"),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=8)
+
+
+@st.composite
+def cases(draw):
+    dim = draw(st.sampled_from([1, 2, 3]))
+    source = draw(expressions_in(dim))
+    point = draw(st.lists(st.floats(-2.0, 2.0), min_size=dim, max_size=dim))
+    return source, [f"q{i + 1}" for i in range(dim)], point
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=cases(), order=st.integers(0, 3))
+def test_compiled_matches_interpreter(case, order):
+    source, names, point = case
+    expr = Expression(source)
+    ref = outcome(interpreted, expr, names, point, order)
+    got = outcome(compiled, expr, names, point, order)
+    if isinstance(ref, type) or isinstance(got, type):
+        assert ref == got  # both raise, and the same error
+        return
+    # Infinities and NaNs carry no digits to compare.
+    assume(all(math.isfinite(x) for x in ref))
+    assert_close(ref, got)
+
+
+def test_fixed_d3_order3_matches_sympy():
+    source = "a*q1^2*sin(q2*q3) + exp(q1 - q3)/sqrt(1 + q2^2) - atan2(q3, q1)*log(2 + q2) + q2^q1"
+    point = (0.8, 1.1, -0.6)
+    syms = sympy.symbols("q1 q2 q3")
+    sym = sympy.sympify(source.replace("^", "**"), locals=dict(zip(("q1", "q2", "q3"), syms)))
+    sym = sym.subs("a", PARAMS["a"])
+    subs = dict(zip(syms, point))
+    got = compiled(Expression(source), ("q1", "q2", "q3"), point, 3)
+    want = [
+        float(sym.diff(*(syms[i] for i in idx)).subs(subs) if idx else sym.subs(subs))
+        for k in range(4)
+        for idx in combinations_with_replacement(range(3), k)
+    ]
+    assert len(got) == 20
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-13)
+
+
+@pytest.mark.parametrize("name", BUILTIN_CHARTS)
+def test_builtin_charts_match_interpreter(name, rng):
+    chart = builtin_chart(name)
+    names = [f"q{i + 1}" for i in range(chart.dim)]
+    lo = np.array([0.4] * chart.dim)
+    for point in lo + 1.5 * rng.random((5, chart.dim)):
+        for expr in chart.exprs + ((chart.guard,) if chart.guard is not None else ()):
+            for order in range(4):
+                ref = interpreted(expr, names, point, order, chart.params)
+                assert_close(ref, compiled(expr, names, point, order, chart.params))
+
+
+def test_layout_and_constant_expressions():
+    out = Expression("q1*q2^2")({"q1": 2.0, "q2": 3.0}, ("q1", "q2"), 2)
+    # value, d1, d2, then d11, d12, d22
+    assert out == (18.0, 9.0, 12.0, 0.0, 6.0, 4.0)
+    assert Expression("a + 1")(PARAMS, ("q1",), 2) == (1.7, 0.0, 0.0)
+    assert Expression("q1^2")({"q1": 3.0}, (), 3) == (9.0,)
+    with pytest.raises(ValidationError):
+        Expression("q1")({"q1": 1.0}, ["q1"], 1)
+    with pytest.raises(ValidationError):
+        Expression("q1")({"q1": 1.0}, ("q1",), 4)
+
+
+def test_plain_values_need_no_derivatives():
+    # 1e-200 squared underflows to 0, which only a derivative would divide by
+    expr = Expression("log(q1) + sqrt(q1) + sqrt(0)")
+    env = {"q1": 1e-200}
+    assert expr(env, (), 0) == (expr(env),) == (math.log(1e-200) + 1e-100,)
+
+
+# -- domain errors ------------------------------------------------------------------
+
+DOMAIN_ERRORS = [
+    ("log(q1)", (0.0, 1.0)),
+    ("log(q1)", (-1.0, 1.0)),
+    ("sqrt(q1)", (-1.0, 1.0)),
+    ("sqrt(q1)", (0.0, 1.0)),
+    ("q2/q1", (0.0, 1.0)),
+    ("q2/(q1 - q1)", (1.0, 1.0)),
+    ("q1^(-2)", (0.0, 1.0)),
+    ("q1^0.5", (0.0, 1.0)),
+    ("q1^0.5", (-2.0, 1.0)),
+    ("atan2(q1, q2)", (0.0, 0.0)),
+    ("(-2)^q1", (0.5, 1.0)),
+]
+
+
+@pytest.mark.parametrize("order", [0, 2])
+@pytest.mark.parametrize("source,point", DOMAIN_ERRORS)
+def test_domain_errors_match_interpreter(source, point, order):
+    expr = Expression(source)
+    names = ("q1", "q2")
+    with pytest.raises(EvaluationError) as want:
+        interpreted(expr, names, point, order)
+    with pytest.raises(EvaluationError) as got:
+        compiled(expr, names, point, order)
+    assert str(got.value) == str(want.value)
+
+
+def test_integer_exponents_are_rounded():
+    # (-2)^3.0 is an integer power; its derivatives use the integer rule
+    out = Expression("q1^3.0")({"q1": -2.0}, ("q1",), 3)
+    assert out == (-8.0, 12.0, -12.0, 6.0)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+def test_exponent_with_vanishing_derivatives_takes_constant_rule(order):
+    out = Expression("q1^(q2 - q2)")({"q1": -2.0, "q2": 0.3}, ("q1", "q2"), order)
+    assert out[0] == 1.0
+    assert all(x == 0.0 for x in out[1:])
+
+
+def test_guard_rejected_point_raises_singular_point():
+    chart = builtin_chart("polar")
+    assert not chart.admitted([-0.5, 0.1])
+    with pytest.raises(SingularPointError):
+        chart.check_point([-0.5, 0.1])
+    with pytest.raises(SingularPointError):
+        chart.triad_jets([0.0, 0.1], order=2)
+
+
+# -- the hot paths walk no tree ------------------------------------------------------
+
+
+def test_hot_paths_never_walk_the_tree(monkeypatch):
+    calls = []
+    walk = expressions._eval
+
+    def counted(node, env):
+        calls.append(node)
+        return walk(node, env)
+
+    monkeypatch.setattr(expressions, "_eval", counted)
+    sphere = builtin_chart("sphere")
+    traj = dynamics.integrate_geodesic(sphere, [1.2, 0.1], [0.3, 0.8], (0.0, 0.1), 1e-3)
+    assert len(traj) == 101
+    torsion = builtin_chart("synthetic_torsion")
+    base = dynamics.integrate_autoparallel(torsion, [0.1, 0.0], [1.0, 0.5], (0.0, 0.1), 1e-3)
+    dynamics.nonholonomic_variation(torsion, base, ["t*(0.1 - t)", "0"])
+    assert calls == []
+
+
+def test_import_generates_no_kernels():
+    code = "import torsionlab, torsionlab.expressions as e; print(len(e._KERNELS))"
+    src = os.path.dirname(os.path.dirname(torsionlab.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert out.stdout.strip() == "0"

@@ -15,7 +15,7 @@ from torsionlab import (
     torsion_tensor,
     winding_integral,
 )
-from torsionlab.errors import SingularPointError, ValidationError
+from torsionlab.errors import DimensionMismatchError, SingularPointError, ValidationError
 
 TWO_PI = 2 * math.pi
 
@@ -54,6 +54,12 @@ def test_winding_integral():
     assert winding_integral(angle_gradient, OFFSET) == pytest.approx(0.0, abs=1e-8)
     double = square_loop(1.0, samples_per_edge=16, turns=2)
     assert winding_integral(angle_gradient, double) == pytest.approx(2 * TWO_PI, abs=1e-6)
+
+
+@pytest.mark.parametrize("q", [[1.0, 2.0, 3.0], [1.0], [[1.0, 2.0]], 1.0])
+def test_angle_gradient_needs_a_2d_point(q):
+    with pytest.raises(DimensionMismatchError):
+        angle_gradient(q)
 
 
 def test_burgers_vector_values():
