@@ -95,29 +95,33 @@ class Chart:
 
     # -- admission ----------------------------------------------------------
 
-    def _coerce_point(self, q):
+    def _point_env(self, q):
+        """The point as a float array and its evaluation environment."""
         q = np.asarray(q, dtype=float)
         if q.shape != (self.dim,):
             raise DimensionMismatchError(
                 f"point of shape {q.shape} does not match chart dimension {self.dim}"
             )
-        return q
-
-    def _env(self, q):
         env = dict(self.params)
         env.update(zip(self._coord_names, q.tolist()))
-        return env
+        return q, env
+
+    def _admits(self, env) -> bool:
+        # a plain value (no wrt): sqrt(0) or atan2(0, 0) reject, not raise
+        return self.guard is None or self.guard(env, (), 0)[0] > 0.0
 
     def admitted(self, q) -> bool:
-        q = self._coerce_point(q)
-        # a plain value (no wrt): sqrt(0) or atan2(0, 0) reject, not raise
-        return self.guard is None or self.guard(self._env(q), (), 0)[0] > 0.0
+        return self._admits(self._point_env(q)[1])
 
     def check_point(self, q) -> np.ndarray:
-        q = self._coerce_point(q)
-        if not self.admitted(q):
+        return self._checked_env(q)[0]
+
+    def _checked_env(self, q):
+        """``_point_env``, rejecting a point outside the domain guard."""
+        q, env = self._point_env(q)
+        if not self._admits(env):
             raise SingularPointError(f"point {q.tolist()} rejected by chart domain guard")
-        return q
+        return q, env
 
     # -- triads and metric ---------------------------------------------------
 
@@ -130,9 +134,10 @@ class Chart:
         """
         if order not in (0, 1, 2):
             raise ValidationError(f"triad derivative order must be 0, 1 or 2, got {order!r}")
-        q = self.check_point(q)
-        env, wrt = self._env(q), self._coord_names
+        env = self._checked_env(q)[1]
         first = 1 if self.kind == "map" else 0  # derivative order that gives E
+        # plain values (no wrt) for an order-0 triad: nothing to differentiate
+        wrt = self._coord_names if first + order else ()
         jets = np.array([e(env, wrt, first + order) for e in self.exprs])
         D, A = self.dim, self.ambient_dim
         return tuple(

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -37,6 +38,7 @@ from ._local import curl, ricci_reduction
 from .connection import connection_derivatives
 from .curvature import ricci_scalar_einstein
 from .errors import GridTooCoarseError, NumericError, ValidationError
+from .expressions import _multisets, _partials_index
 
 MEASURE_MODES = ("naive_dewitt", "qep", "qep_via_veff")
 
@@ -65,53 +67,57 @@ class ShortTimeConfig:
 
 def _normalize_measure(mode: str) -> str:
     key = str(mode).strip().lower().replace("-", "_")
-    aliases = {
-        "naive": "naive_dewitt",
-        "naive_dewitt": "naive_dewitt",
-        "naivedewitt": "naive_dewitt",
-        "qep": "qep",
-        "qep_via_veff": "qep_via_veff",
-        "qepviaveff": "qep_via_veff",
-        "veff": "qep_via_veff",
-    }
-    if key not in aliases:
+    aliases = {"naive": "naive_dewitt", "naivedewitt": "naive_dewitt",
+               "veff": "qep_via_veff", "qepviaveff": "qep_via_veff"}
+    key = aliases.get(key, key)
+    if key not in MEASURE_MODES:
         raise ValidationError(f"unknown measure mode {mode!r}; use one of {MEASURE_MODES}")
-    return aliases[key]
+    return key
 
 
 class PostpointData:
-    """Connection data at one postpoint, reusable over batches of steps."""
+    """Connection data at one postpoint, reusable over batches of steps.
+
+    Each step polynomial is collapsed once onto monomial coefficients, so an
+    evaluation on steps of any shape ``(..., D)`` is one matrix product.
+    """
 
     def __init__(self, chart: Chart, q):
         bundle, dgamma, dchris2 = connection_derivatives(chart, q)
         self.q = np.asarray(q, dtype=float)
-        self.metric = bundle.metric
+        self.metric = g = bundle.metric
         self.inverse_metric = bundle.inverse_metric
         self.gamma_bar = bundle.gamma_bar
         self.dchris2 = dchris2
         gamma = bundle.gamma
-        self.gamma = gamma
-        g = bundle.metric
-        self.gamma_lower = np.einsum("mns,sl->mnl", gamma, g)
+        gamma_lower = np.einsum("mns,sl->mnl", gamma, g)
         gsym = 0.5 * (gamma + gamma.transpose(1, 0, 2))
-        self.gamma_sym = gsym
-        self.dgamma = dgamma
         # quartic coefficient of the postpoint bracket
         self.quartic = (
             np.einsum("mt,lntk->mnlk", g, dgamma) / 3.0
             + np.einsum("mt,lnd,kdt->mnlk", g, gamma, gsym) / 3.0
-            + 0.25 * np.einsum("lks,mns->mnlk", gamma, self.gamma_lower)
+            + 0.25 * np.einsum("lks,mns->mnlk", gamma, gamma_lower)
         )
         # midpoint quartic coefficient
-        self.quartic_mid = (
+        quartic_mid = (
             np.einsum("kt,mntl->mnlk", g, dgamma) + np.einsum("kt,mnd,ldt->mnlk", g, gamma, gsym)
         ) / 12.0
-        # Jacobian exponent ingredients
-        self.trace_gamma = np.einsum("mnn->m", gamma)
-        self.dtrace_gamma = np.einsum("nkkm->nm", dgamma)
+        # step-difference Jacobian coefficient, symmetrized in its three step indices
         T = dgamma.transpose(0, 1, 3, 2) + np.einsum("mnt,tsl->mnsl", gamma, gsym)
         perms = ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
-        self.qep_coeff = sum(T.transpose(p + (3,)) for p in perms) / 6.0
+        qep_coeff = sum(T.transpose(p + (3,)) for p in perms) / 6.0
+        self._quadratic = _coefficients(2, g)
+        self._bracket = _coefficients(4, g, -gamma_lower, self.quartic)
+        self._bracket_mid = _coefficients(4, g, quartic_mid)
+        self._jacobian_naive = _coefficients(
+            2, -np.einsum("mnn->m", gamma), 0.5 * np.einsum("nkkm->nm", dgamma)
+        )
+        self._jacobian_qep = _coefficients(
+            2,
+            -np.einsum("mnm->n", gsym),
+            0.5 * (np.einsum("mnsm->ns", qep_coeff) - np.einsum("mnl,lsm->ns", gsym, gsym)),
+        )
+        self._delta_jacobian = self._jacobian_qep - self._jacobian_naive
 
     def curvature_scalar(self) -> float:
         """Riemann curvature scalar at the postpoint."""
@@ -119,35 +125,56 @@ class PostpointData:
         return ricci_reduction(riemann, self.metric, self.inverse_metric)[1]
 
     def quadratic_form(self, dq):
-        return np.einsum("mn,...m,...n->...", self.metric, dq, dq)
+        return _monomials(dq, 2) @ self._quadratic
 
     def bracket(self, dq):
         """Postpoint expansion of the squared flat step through fourth order."""
-        dq = np.asarray(dq, dtype=float)
-        a2 = self.quadratic_form(dq)
-        a3 = np.einsum("mnl,...m,...n,...l->...", self.gamma_lower, dq, dq, dq)
-        a4 = np.einsum("mnlk,...m,...n,...l,...k->...", self.quartic, dq, dq, dq, dq)
-        return a2 - a3 + a4
+        return _monomials(dq, 4) @ self._bracket
 
     def bracket_midpoint(self, dq):
-        dq = np.asarray(dq, dtype=float)
-        a2 = self.quadratic_form(dq)
-        a4 = np.einsum("mnlk,...m,...n,...l,...k->...", self.quartic_mid, dq, dq, dq, dq)
-        return a2 + a4
+        return _monomials(dq, 4) @ self._bracket_mid
 
     def jacobian_naive(self, dq):
-        dq = np.asarray(dq, dtype=float)
-        return -np.einsum("m,...m->...", self.trace_gamma, dq) + 0.5 * np.einsum(
-            "nm,...n,...m->...", self.dtrace_gamma, dq, dq
-        )
+        return _monomials(dq, 2) @ self._jacobian_naive
 
     def jacobian_qep(self, dq):
-        dq = np.asarray(dq, dtype=float)
-        t1 = -np.einsum("mnm,...n->...", self.gamma_sym, dq)
-        t2 = 0.5 * np.einsum("mnsm,...n,...s->...", self.qep_coeff, dq, dq)
-        m1 = np.einsum("mnl,...n->...ml", self.gamma_sym, dq)
-        t3 = -0.5 * np.einsum("...ml,...lm->...", m1, m1)
-        return t1 + t2 + t3
+        return _monomials(dq, 2) @ self._jacobian_qep
+
+    def delta_jacobian(self, dq):
+        """``jacobian_qep(dq) - jacobian_naive(dq)`` as one polynomial."""
+        return _monomials(dq, 2) @ self._delta_jacobian
+
+
+def _coefficients(degree, *tensors):
+    """Coefficients on ``_monomials(dq, degree)`` of sum_T T[a1..ak] dq^a1 .. dq^ak."""
+    size = len(_multisets(len(tensors[0]), degree))
+    return sum(
+        np.bincount(_partials_index(len(t), t.ndim).ravel(), weights=t.ravel(), minlength=size)
+        for t in tensors
+    )
+
+
+def _monomials(dq, degree):
+    """Every monomial of the steps ``dq`` (shape (..., D)) up to ``degree``, last
+    axis in the order of the jet tuples' partials (``expressions._multisets``)."""
+    dq = np.asarray(dq, dtype=float)
+    out = [np.ones(dq.shape[:-1])]
+    for parent, last in _monomial_factors(dq.shape[-1], degree):
+        out.append(out[parent] * dq[..., last])
+    return np.stack(out, axis=-1)
+
+
+@lru_cache(maxsize=None)
+def _monomial_factors(dim, degree):
+    """Per non-constant monomial s: the position of s[:-1] and the coordinate s[-1]."""
+    sets = _multisets(dim, degree)
+    return tuple((sets.index(s[:-1]), s[-1]) for s in sets[1:])
+
+
+def _evaluate(chart: Chart, q, poly, dq, scale=1.0):
+    """``scale * poly(data, dq)`` for the postpoint data at q; a float for one step."""
+    value = scale * poly(PostpointData(chart, chart.check_point(q)), dq)
+    return float(value) if np.ndim(value) == 0 else value
 
 
 def postpoint_action(chart: Chart, q_post, dq, cfg: ShortTimeConfig) -> float:
@@ -156,30 +183,24 @@ def postpoint_action(chart: Chart, q_post, dq, cfg: ShortTimeConfig) -> float:
     Exact to O(|dq|^5)/eps for the step along the preferred (autoparallel)
     path; for a flat cartesian chart it reduces to M dq^2 / (2 eps) exactly.
     """
-    data = PostpointData(chart, chart.check_point(q_post))
-    value = 0.5 * cfg.mass / cfg.epsilon * data.bracket(dq)
-    return float(value) if np.ndim(value) == 0 else value
+    return _evaluate(chart, q_post, PostpointData.bracket, dq, 0.5 * cfg.mass / cfg.epsilon)
 
 
 def prepoint_action(chart: Chart, q_pre, dq, cfg: ShortTimeConfig):
     """Prepoint form: postpoint bracket with dq -> -dq and coefficients at q_pre."""
-    data = PostpointData(chart, chart.check_point(q_pre))
-    value = 0.5 * cfg.mass / cfg.epsilon * data.bracket(-np.asarray(dq, dtype=float))
-    return float(value) if np.ndim(value) == 0 else value
+    dq = -np.asarray(dq, dtype=float)
+    return _evaluate(chart, q_pre, PostpointData.bracket, dq, 0.5 * cfg.mass / cfg.epsilon)
 
 
 def midpoint_action(chart: Chart, q_mid, dq, cfg: ShortTimeConfig):
     """Midpoint form: no cubic term, 1/12 quartic coefficient, coefficients at q_mid."""
-    data = PostpointData(chart, chart.check_point(q_mid))
-    value = 0.5 * cfg.mass / cfg.epsilon * data.bracket_midpoint(dq)
-    return float(value) if np.ndim(value) == 0 else value
+    scale = 0.5 * cfg.mass / cfg.epsilon
+    return _evaluate(chart, q_mid, PostpointData.bracket_midpoint, dq, scale)
 
 
 def jacobian_action_naive(chart: Chart, q_post, dq):
     """Volume-weight Jacobian exponent: log of sqrt(g(q - dq) / g(q)) through second order."""
-    data = PostpointData(chart, chart.check_point(q_post))
-    value = data.jacobian_naive(dq)
-    return float(value) if np.ndim(value) == 0 else value
+    return _evaluate(chart, q_post, PostpointData.jacobian_naive, dq)
 
 
 def jacobian_action_qep(chart: Chart, q_post, dq):
@@ -189,9 +210,7 @@ def jacobian_action_qep(chart: Chart, q_post, dq):
     first and then all three step indices; for integrable (flat-image square)
     charts it collapses onto the naive exponent.
     """
-    data = PostpointData(chart, chart.check_point(q_post))
-    value = data.jacobian_qep(dq)
-    return float(value) if np.ndim(value) == 0 else value
+    return _evaluate(chart, q_post, PostpointData.jacobian_qep, dq)
 
 
 def delta_jacobian(chart: Chart, q_post, dq):
@@ -199,9 +218,7 @@ def delta_jacobian(chart: Chart, q_post, dq):
 
     On torsion-free charts this equals Ricci_{mu nu} dq^mu dq^nu / 6.
     """
-    data = PostpointData(chart, chart.check_point(q_post))
-    value = data.jacobian_qep(dq) - data.jacobian_naive(dq)
-    return float(value) if np.ndim(value) == 0 else value
+    return _evaluate(chart, q_post, PostpointData.delta_jacobian, dq)
 
 
 def effective_potential(chart: Chart, q, cfg: ShortTimeConfig | None = None) -> float:
@@ -244,7 +261,10 @@ class SlicedPropagator:
     For the ring the kernel is a dense (P, P) matrix.  For the sphere it is
     kept in azimuthal-profile form ``profile[j, j', dk]`` (the kernel is
     block-circulant in the azimuth) together with its Fourier blocks; the
-    full dense matrix is never materialized.
+    full dense matrix is never materialized.  The profile is even in dk, so
+    block m equals block n_phi - m: only blocks m = 0 .. n_phi // 2 are kept.
+    ``fallback_fraction`` is the share of a single slice's entries inside the
+    cutoff that left the fourth-order bracket for the exact squared arc.
     """
 
     manifold: object
@@ -253,7 +273,8 @@ class SlicedPropagator:
     slice_count: int = 1
     matrix: np.ndarray | None = None
     profile: np.ndarray | None = None  # sphere: (n_theta, n_theta, n_phi)
-    blocks: np.ndarray | None = None  # sphere: (n_theta, n_theta, n_phi)
+    blocks: np.ndarray | None = None  # sphere: (n_theta, n_theta, n_phi // 2 + 1)
+    fallback_fraction: float | None = None
 
     @property
     def total_time(self) -> float:
@@ -263,13 +284,12 @@ class SlicedPropagator:
         """Chain two kernels on the same grid (matrix product)."""
         if self.manifold != other.manifold or self.measure_mode != other.measure_mode:
             raise ValidationError("can only compose propagators on the same grid and measure")
+        count = self.slice_count + other.slice_count
+        out = replace(self, slice_count=count, fallback_fraction=None)
         if self.matrix is not None:
-            out = replace(self, slice_count=self.slice_count + other.slice_count)
             out.matrix = self.matrix @ other.matrix
             return out
-        blocks = np.einsum("abm,bcm->acm", self.blocks, other.blocks)
-        out = replace(self, slice_count=self.slice_count + other.slice_count)
-        out.blocks = blocks
+        out.blocks = np.einsum("abm,bcm->acm", self.blocks, other.blocks)
         out.profile = None
         return out
 
@@ -304,7 +324,9 @@ class SlicedPropagator:
                 block = self.blocks[:, :, m]
                 if np.max(np.abs(block.imag)) > 1e-9 * max(1.0, np.max(np.abs(block.real))):
                     raise NumericError("azimuthal kernel block unexpectedly complex")
-                all_vals.append(np.linalg.eigvals(block.real))
+                # the stored block m also stands for block n_phi - m
+                paired = 0 < m and 2 * m != self.manifold.n_phi
+                all_vals.extend([np.linalg.eigvals(block.real)] * (2 if paired else 1))
             vals = np.concatenate(all_vals)
         vals = vals[np.argsort(-vals.real, kind="stable")]
         if count is not None:
@@ -318,14 +340,15 @@ class SlicedPropagator:
 
 
 def _kernel_grid(manifold):
-    """Grid description for the kernel assembly of ``build_propagator``.
+    """Grid description for the kernel assembly of ``_propagators``.
 
-    Returns ``(chart, weights, spacing, rows)``.  A column is a latitude and
-    an azimuth difference dk = k_a - k_b; ``weights[j, dk]`` is sqrt(g) times
-    the coordinate cell volume at the column's point, ``spacing`` the largest
-    geodesic grid step.  ``rows`` yields, per postpoint latitude, the
-    postpoint q_a (azimuth 0), the steps dq = q_a - q_b to every column and
-    their exact squared geodesic arcs.  The ring is the single-row case.
+    Returns ``(chart, weights, spacing, posts, steps)``.  A column is a
+    latitude and an azimuth difference dk = k_a - k_b; ``weights[j, dk]`` is
+    sqrt(g) times the coordinate cell volume at the column's point,
+    ``spacing`` the largest geodesic grid step.  ``posts`` lists the
+    postpoint q_a (azimuth 0) of each latitude row, and ``steps(q_a)`` gives
+    that row's steps dq = q_a - q_b to every column and their exact squared
+    geodesic arcs.  The ring is the single-row case.
     """
     if isinstance(manifold, Ring):
         points = (int(manifold.points),)
@@ -341,8 +364,8 @@ def _kernel_grid(manifold):
     if len(points) == 1:
         chart = builtin_chart("ring", r=r)
         weights = np.full((1, n_ph), r * dphi)  # sqrt(g) = r along the ring
-        rows = [(np.zeros(1), delta_phi[None, :, None], (r * delta_phi[None, :]) ** 2)]
-        return chart, weights, r * dphi, iter(rows)
+        row = (delta_phi[None, :, None], (r * delta_phi[None, :]) ** 2)
+        return chart, weights, r * dphi, [np.zeros(1)], lambda q_post: row
 
     n_th = points[0]
     chart = builtin_chart("sphere", r=r)
@@ -352,16 +375,16 @@ def _kernel_grid(manifold):
     weights = np.broadcast_to((vol * (r * r * np.sin(theta)))[:, None], (n_th, n_ph))
     spacing = max(r * float(np.max(np.abs(np.diff(theta)))), r * dphi)  # azimuth: equator
 
-    def rows():
-        for th in theta:
-            steps = np.broadcast_arrays((th - theta)[:, None], delta_phi[None, :])
-            cos_arc = math.cos(th) * np.cos(theta)[:, None] + (
-                math.sin(th) * np.sin(theta)[:, None]
-            ) * np.cos(delta_phi)[None, :]
-            arc2 = (r * np.arccos(np.clip(cos_arc, -1.0, 1.0))) ** 2
-            yield np.array([th, 0.0]), np.stack(steps, axis=-1), arc2
+    def steps(q_post):
+        th = q_post[0]
+        dq = np.broadcast_arrays((th - theta)[:, None], delta_phi[None, :])
+        cos_arc = math.cos(th) * np.cos(theta)[:, None] + (
+            math.sin(th) * np.sin(theta)[:, None]
+        ) * np.cos(delta_phi)[None, :]
+        arc2 = (r * np.arccos(np.clip(cos_arc, -1.0, 1.0))) ** 2
+        return np.stack(dq, axis=-1), arc2
 
-    return chart, weights, spacing, rows()
+    return chart, weights, spacing, [np.array([th, 0.0]) for th in theta], steps
 
 
 def build_propagator(manifold, cfg: ShortTimeConfig, measure_mode="qep") -> SlicedPropagator:
@@ -380,40 +403,52 @@ def build_propagator(manifold, cfg: ShortTimeConfig, measure_mode="qep") -> Slic
     case and is stored as its dense circulant matrix, the sphere as its
     azimuthal profile and Fourier blocks.
     """
-    mode = _normalize_measure(measure_mode)
-    chart, weights, spacing, rows = _kernel_grid(manifold)
-    sigma = math.sqrt(cfg.epsilon * cfg.hbar / cfg.mass)
-    if sigma / spacing < MIN_RESOLUTION_RATIO:
-        raise GridTooCoarseError(
-            f"kernel width {sigma:.4g} under-resolved by grid spacing {spacing:.4g}"
-        )
-    lam = 0.5 * cfg.mass / (cfg.epsilon * cfg.hbar)
-    cut = (cfg.cutoff_sigmas * sigma) ** 2
-    norm = (cfg.mass / (2.0 * math.pi * cfg.epsilon * cfg.hbar)) ** (chart.dim / 2)
+    return next(_propagators(manifold, (cfg,), _normalize_measure(measure_mode)))
 
-    profile = np.empty((len(weights),) + weights.shape)
-    for j, (q_post, dq, arc2) in enumerate(rows):
-        data = PostpointData(chart, q_post)
-        bracket = data.bracket(dq)
-        trusted = _trusted_entries(data.quadratic_form(dq), bracket, lam)
-        action2 = np.where(trusted, bracket, arc2)
-        mask = arc2 <= cut
-        jexp = _mode_exponent(data, dq, mode, cfg)
-        kernel = np.where(mask, norm * weights * np.exp(-lam * action2 + jexp), 0.0)
-        # leading-order reference with the exact arc and measure (continuum value 1)
-        flat_sum = float(np.sum(np.where(mask, norm * weights * np.exp(-lam * arc2), 0.0)))
-        if flat_sum <= 0:
-            raise NumericError("flat reference kernel summed to zero")
-        profile[j] = kernel / flat_sum
-    _check_positive_finite(profile)
-    # the kernel is even in the azimuth difference; symmetrize rounding noise
-    n_ph = profile.shape[2]
-    profile = 0.5 * (profile + profile[:, :, (-np.arange(n_ph)) % n_ph])
-    if len(profile) == 1:  # the ring, stored dense: K[a, b] = profile[(a - b) % P]
-        circulant = (np.arange(n_ph)[:, None] - np.arange(n_ph)[None, :]) % n_ph
-        return SlicedPropagator(manifold, cfg, mode, matrix=profile[0, 0][circulant])
-    blocks = np.fft.fft(profile, axis=2)
-    return SlicedPropagator(manifold, cfg, mode, profile=profile, blocks=blocks)
+
+def _propagators(manifold, cfgs, mode):
+    """The kernel of ``build_propagator`` for each config in turn, from one
+    grid and one ``PostpointData`` per row (only these survive across configs)."""
+    chart, weights, spacing, posts, steps = _kernel_grid(manifold)
+    rows = [PostpointData(chart, q_post) for q_post in posts]
+    for cfg in cfgs:
+        sigma = math.sqrt(cfg.epsilon * cfg.hbar / cfg.mass)
+        if sigma / spacing < MIN_RESOLUTION_RATIO:
+            raise GridTooCoarseError(
+                f"kernel width {sigma:.4g} under-resolved by grid spacing {spacing:.4g}"
+            )
+        lam = 0.5 * cfg.mass / (cfg.epsilon * cfg.hbar)
+        cut = (cfg.cutoff_sigmas * sigma) ** 2
+        norm = (cfg.mass / (2.0 * math.pi * cfg.epsilon * cfg.hbar)) ** (chart.dim / 2)
+
+        profile = np.empty((len(weights),) + weights.shape)
+        live = fallback = 0
+        for j, data in enumerate(rows):
+            dq, arc2 = steps(data.q)
+            bracket = data.bracket(dq)
+            trusted = _trusted_entries(data.quadratic_form(dq), bracket, lam)
+            action2 = np.where(trusted, bracket, arc2)
+            mask = arc2 <= cut
+            live += np.count_nonzero(mask)
+            fallback += np.count_nonzero(mask & ~trusted)
+            jexp = _mode_exponent(data, dq, mode, cfg)
+            kernel = np.where(mask, norm * weights * np.exp(-lam * action2 + jexp), 0.0)
+            # leading-order reference with the exact arc and measure (continuum value 1)
+            flat_sum = float(np.sum(np.where(mask, norm * weights * np.exp(-lam * arc2), 0.0)))
+            if flat_sum <= 0:
+                raise NumericError("flat reference kernel summed to zero")
+            profile[j] = kernel / flat_sum
+        _check_positive_finite(profile)
+        # the kernel is even in the azimuth difference; symmetrize rounding noise
+        n_ph = profile.shape[2]
+        profile = 0.5 * (profile + profile[:, :, (-np.arange(n_ph)) % n_ph])
+        out = SlicedPropagator(manifold, cfg, mode, fallback_fraction=fallback / live)
+        if len(profile) == 1:  # the ring, stored dense: K[a, b] = profile[(a - b) % P]
+            circulant = (np.arange(n_ph)[:, None] - np.arange(n_ph)[None, :]) % n_ph
+            out.matrix = profile[0, 0][circulant]
+        else:  # blocks m and n_phi - m of the even profile coincide: keep m <= n_phi / 2
+            out.profile, out.blocks = profile, np.fft.rfft(profile, axis=2)
+        yield out
 
 
 def _check_positive_finite(arr):
@@ -437,11 +472,10 @@ def _mode_exponent(data: PostpointData, dq, mode: str, cfg: ShortTimeConfig):
     into the action instead.
     """
     if mode == "qep":
-        return data.jacobian_qep(dq) - data.jacobian_naive(dq)
+        return data.delta_jacobian(dq)
     if mode == "naive_dewitt":
-        return np.zeros(np.shape(dq)[:-1])
-    veff = _veff(data.curvature_scalar(), cfg)
-    return np.full(np.shape(dq)[:-1], -cfg.epsilon * veff / cfg.hbar)
+        return 0.0
+    return -cfg.epsilon * _veff(data.curvature_scalar(), cfg) / cfg.hbar
 
 
 # -- spectrum extraction -------------------------------------------------------
@@ -474,22 +508,16 @@ def extract_spectrum(prop: SlicedPropagator, n_levels: int, group_tol: float = 1
     energies = -(prop.cfg.hbar / prop.total_time) * np.log(vals)
     # group ascending energies into degenerate clusters
     levels = []
-    counts = []
     for e in energies:
         if levels and abs(e - levels[-1][-1]) <= group_tol:
             levels[-1].append(e)
-            counts[-1] += 1
+        elif len(levels) == n_levels:
+            break
         else:
             levels.append([e])
-            counts.append(1)
-        if len(levels) > n_levels:
-            levels.pop()
-            counts.pop()
-            break
-    mean_levels = np.array([float(np.mean(group)) for group in levels])
     return SpectrumLevels(
-        energies=mean_levels[:n_levels],
-        degeneracies=tuple(counts[:n_levels]),
+        energies=np.array([float(np.mean(group)) for group in levels]),
+        degeneracies=tuple(len(group) for group in levels),
         eigenvalues=vals,
     )
 
@@ -531,13 +559,12 @@ def spectrum_ladder(
     if len(eps_sorted) < 2:
         raise ValidationError("need at least two distinct epsilons to extrapolate")
     mode = _normalize_measure(measure_mode)
-    ladder = {}
-    degeneracies = None
-    for eps in eps_sorted:
-        prop = build_propagator(manifold, replace(cfg, epsilon=eps), mode)
-        levels = extract_spectrum(prop, n_levels, group_tol=group_tol)
-        ladder[eps] = levels.energies
-        degeneracies = levels.degeneracies
+    cfgs = [replace(cfg, epsilon=eps) for eps in eps_sorted]
+    spectra = [
+        extract_spectrum(prop, n_levels, group_tol=group_tol)
+        for prop in _propagators(manifold, cfgs, mode)
+    ]
+    ladder = {eps: levels.energies for eps, levels in zip(eps_sorted, spectra)}
     extrapolated = richardson_order1(
         eps_sorted[-2], ladder[eps_sorted[-2]], eps_sorted[-1], ladder[eps_sorted[-1]]
     )
@@ -545,6 +572,6 @@ def spectrum_ladder(
         measure_mode=mode,
         epsilons=eps_sorted,
         ladder=ladder,
-        degeneracies=degeneracies,
+        degeneracies=spectra[-1].degeneracies,
         extrapolated=extrapolated,
     )

@@ -8,6 +8,7 @@ from torsionlab import Chart, builtin_chart, load_chart, save_chart
 from torsionlab.errors import (
     DegenerateTriadError,
     DimensionMismatchError,
+    EvaluationError,
     ExpressionParseError,
     SingularPointError,
     ValidationError,
@@ -191,3 +192,13 @@ def test_builtin_param_overrides():
         builtin_chart("sphere", bogus=1.0)
     with pytest.raises(ValidationError):
         builtin_chart("nonexistent")
+
+
+def test_order_zero_triad_needs_no_derivatives():
+    # the value sqrt(0) exists although its derivative does not
+    chart = Chart(dim=2, kind="triad", exprs=["1 + sqrt(q1)", "0", "0", "1"])
+    (E,) = chart.triad_jets([0.0, 0.5], order=0)
+    assert np.array_equal(E, np.eye(2))
+    assert np.array_equal(chart.triad([0.0, 0.5]), np.eye(2))
+    with pytest.raises(EvaluationError):
+        chart.triad_jets([0.0, 0.5], order=1)

@@ -421,3 +421,124 @@ def test_sphere_measures_shift_by_effective_potential():
     assert np.allclose(shift, 1.0 / 3.0, rtol=0.05)
     diff = np.abs(res["qep"].extrapolated - res["qep_via_veff"].extrapolated)
     assert np.max(diff) < 0.01 * max(1.0, np.max(np.abs(res["qep"].extrapolated)))
+
+
+# -- monomial-basis step polynomials, ladders and halved Fourier blocks ----------
+
+TORSION_3D = Chart(
+    dim=3,
+    kind="triad",
+    exprs=["1 + 0.2*sin(q2)", "0.1*q3", "0", "0", "1 + 0.3*q1", "0.2*cos(q1)",
+           "0.1*q1*q2", "0", "exp(0.1*q3)"],
+)
+
+
+def einsum_step_polynomials(chart, q, dq):
+    """Reference: the step polynomials as direct tensor contractions."""
+    from torsionlab.connection import connection_derivatives
+
+    bundle, dgamma, _ = connection_derivatives(chart, q)
+    g, gamma = bundle.metric, bundle.gamma
+    gamma_lower = np.einsum("mns,sl->mnl", gamma, g)
+    gsym = 0.5 * (gamma + gamma.transpose(1, 0, 2))
+    quartic = (
+        np.einsum("mt,lntk->mnlk", g, dgamma) / 3.0
+        + np.einsum("mt,lnd,kdt->mnlk", g, gamma, gsym) / 3.0
+        + 0.25 * np.einsum("lks,mns->mnlk", gamma, gamma_lower)
+    )
+    quartic_mid = (
+        np.einsum("kt,mntl->mnlk", g, dgamma) + np.einsum("kt,mnd,ldt->mnlk", g, gamma, gsym)
+    ) / 12.0
+    T = dgamma.transpose(0, 1, 3, 2) + np.einsum("mnt,tsl->mnsl", gamma, gsym)
+    perms = ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
+    qep_coeff = sum(T.transpose(p + (3,)) for p in perms) / 6.0
+
+    a2 = np.einsum("mn,...m,...n->...", g, dq, dq)
+    a3 = np.einsum("mnl,...m,...n,...l->...", gamma_lower, dq, dq, dq)
+    a4 = np.einsum("mnlk,...m,...n,...l,...k->...", quartic, dq, dq, dq, dq)
+    a4_mid = np.einsum("mnlk,...m,...n,...l,...k->...", quartic_mid, dq, dq, dq, dq)
+    naive = -np.einsum("mnn,...m->...", gamma, dq) + 0.5 * np.einsum(
+        "nkkm,...n,...m->...", dgamma, dq, dq
+    )
+    m1 = np.einsum("mnl,...n->...ml", gsym, dq)
+    qep = (
+        -np.einsum("mnm,...n->...", gsym, dq)
+        + 0.5 * np.einsum("mnsm,...n,...s->...", qep_coeff, dq, dq)
+        - 0.5 * np.einsum("...ml,...lm->...", m1, m1)
+    )
+    return {
+        "quadratic_form": a2,
+        "bracket": a2 - a3 + a4,
+        "bracket_midpoint": a2 + a4_mid,
+        "jacobian_naive": naive,
+        "jacobian_qep": qep,
+        "delta_jacobian": qep - naive,
+    }
+
+
+@pytest.mark.parametrize(
+    "chart, q",
+    [
+        (builtin_chart("sphere", r=1.3), [1.1, 0.4]),
+        (builtin_chart("synthetic_torsion", alpha=0.3), [0.3, -0.7]),
+        (TORSION_3D, [0.3, -0.2, 0.5]),
+    ],
+)
+@pytest.mark.parametrize("lead", [(), (7,), (4, 5)])
+def test_monomial_polynomials_match_tensor_contractions(chart, q, lead, rng):
+    data = PostpointData(chart, q)
+    dq = 0.3 * rng.standard_normal(lead + (chart.dim,))
+    for name, expected in einsum_step_polynomials(chart, q, dq).items():
+        got = getattr(data, name)(dq)
+        assert np.shape(got) == lead, name
+        scale = max(np.max(np.abs(expected)), 1e-300)
+        assert np.max(np.abs(got - expected)) <= 1e-13 * scale, name
+
+
+@pytest.mark.parametrize(
+    "manifold, ladder",
+    [(Ring(1.0, 96), (0.2, 0.1, 0.05)), (Sphere(1.0, 24, 48), (0.16, 0.08, 0.04))],
+)
+@pytest.mark.parametrize("mode", ["qep", "naive_dewitt", "qep_via_veff"])
+def test_ladder_levels_equal_one_kernel_per_epsilon(manifold, ladder, mode):
+    cfg = ShortTimeConfig()
+    res = spectrum_ladder(manifold, cfg, mode, ladder, n_levels=3, group_tol=0.05)
+    for eps in ladder:
+        levels = extract_spectrum(
+            build_propagator(manifold, replace(cfg, epsilon=eps), mode), 3, group_tol=0.05
+        )
+        assert np.array_equal(res.ladder[eps], levels.energies)
+    assert res.degeneracies == levels.degeneracies
+
+
+def full_block_eigenvalues(blocks):
+    vals = np.concatenate([np.linalg.eigvals(blocks[:, :, m].real) for m in range(blocks.shape[2])])
+    return np.sort(vals.real)[::-1]
+
+
+@pytest.mark.parametrize("n_phi", [32, 33])
+def test_halved_blocks_give_every_block_eigenvalue(n_phi):
+    prop = build_propagator(Sphere(1.0, 16, n_phi), ShortTimeConfig(epsilon=0.16), "qep")
+    assert prop.blocks.shape == (16, 16, n_phi // 2 + 1)
+    full = np.fft.fft(prop.profile, axis=2)
+    kept = full[:, :, : n_phi // 2 + 1]
+    assert np.max(np.abs(prop.blocks - kept)) <= 1e-13 * np.max(np.abs(full))
+    for kernel, blocks in (
+        (prop, full),
+        (prop.compose(prop), np.einsum("abm,bcm->acm", full, full)),
+    ):
+        vals = kernel.eigenvalues()
+        assert len(vals) == 16 * n_phi
+        assert np.max(np.abs(np.sort(vals)[::-1] - full_block_eigenvalues(blocks))) < 1e-12
+
+
+def test_fallback_fraction_pinned_on_the_sphere():
+    # share of in-cutoff 48x96 kernel entries that leave the fourth-order
+    # bracket for the exact arc (measured 0.343, 0.352, 0.338)
+    sphere = Sphere(1.0, 48, 96)
+    for eps, expected in ((0.08, 0.343), (0.04, 0.352), (0.02, 0.338)):
+        prop = build_propagator(sphere, ShortTimeConfig(epsilon=eps), "qep")
+        assert abs(prop.fallback_fraction - expected) <= 0.005, eps
+    assert prop.compose(prop).fallback_fraction is None
+    ring = build_propagator(Ring(1.0, 128), ShortTimeConfig(epsilon=0.05), "qep")
+    assert ring.fallback_fraction == 0.0
