@@ -50,7 +50,6 @@ from .defects import (
 )
 from .dynamics import (
     Trajectory,
-    TrajectoryState,
     VariationRun,
     closure_defect_by_quadrature,
     commutation_defect,

@@ -25,11 +25,10 @@ import numpy as np
 from ._local import LocalGeometry, checked_metric
 from .errors import (
     DimensionMismatchError,
-    ExpressionParseError,
     SingularPointError,
     ValidationError,
 )
-from .expressions import Expression, _partials_index
+from .expressions import _partials_index, parse_over
 
 _KINDS = ("map", "triad")
 
@@ -57,7 +56,10 @@ class Chart:
             raise ValidationError(f"chart dimension must be a positive integer, got {dim!r}")
         if kind not in _KINDS:
             raise ValidationError(f"chart kind must be one of {_KINDS}, got {kind!r}")
-        exprs = [e if isinstance(e, Expression) else Expression(str(e)) for e in exprs]
+        self.params = {str(k): float(v) for k, v in (params or {}).items()}
+        self._coord_names = tuple(f"q{i + 1}" for i in range(dim))
+        allowed = set(self._coord_names) | set(self.params)
+        exprs = parse_over(exprs, allowed, "chart expression")
         if kind == "triad":
             if len(exprs) != dim * dim:
                 raise DimensionMismatchError(
@@ -74,24 +76,10 @@ class Chart:
             ambient = len(exprs)
         self.dim = dim
         self.kind = kind
-        self.exprs = tuple(exprs)
-        self.params = {str(k): float(v) for k, v in (params or {}).items()}
-        self.guard = (
-            guard if (guard is None or isinstance(guard, Expression)) else Expression(str(guard))
-        )
+        self.exprs = exprs
+        self.guard = None if guard is None else parse_over([guard], allowed, "chart guard")[0]
         self.name = name
         self.ambient_dim = ambient
-        self._coord_names = tuple(f"q{i + 1}" for i in range(dim))
-        allowed = set(self._coord_names) | set(self.params)
-        for expr in self.exprs + ((self.guard,) if self.guard is not None else ()):
-            for ident, col in expr.free_names.items():
-                if ident not in allowed:
-                    raise ExpressionParseError(
-                        f"unknown name {ident!r} in chart expression {expr.source!r}",
-                        1,
-                        col,
-                        ident,
-                    )
 
     # -- admission ----------------------------------------------------------
 
@@ -229,14 +217,25 @@ class Chart:
 # -- chart files and the built-in library ------------------------------------
 
 
-def load_chart(path) -> Chart:
-    """Load a chart definition file (JSON); see README for the schema."""
+def _with_overrides(data, overrides, label) -> Chart:
+    """Chart of a definition with some of its params replaced; unknown names are rejected."""
+    if overrides and isinstance(data, dict):
+        params = dict(data.get("params") or {})
+        unknown = set(overrides) - set(params)
+        if unknown:
+            raise ValidationError(f"chart {label} has no parameter(s) {sorted(unknown)}")
+        data = {**data, "params": {**params, **overrides}}
+    return Chart.from_dict(data)
+
+
+def load_chart(path, **param_overrides) -> Chart:
+    """Load a chart definition file (JSON; see README), optionally overriding params."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"chart file {path}: invalid JSON ({exc})") from exc
-    return Chart.from_dict(data)
+    return _with_overrides(data, param_overrides, f"file {str(path)!r}")
 
 
 def save_chart(chart: Chart, path) -> None:
@@ -261,12 +260,4 @@ def builtin_chart(name: str, **param_overrides) -> Chart:
     if name not in BUILTIN_CHARTS:
         raise ValidationError(f"unknown builtin chart {name!r}; available: {BUILTIN_CHARTS}")
     text = resources.files("torsionlab.chartlib").joinpath(f"{name}.json").read_text("utf-8")
-    data = json.loads(text)
-    if param_overrides:
-        params = dict(data.get("params", {}))
-        unknown = set(param_overrides) - set(params)
-        if unknown:
-            raise ValidationError(f"chart {name!r} has no parameter(s) {sorted(unknown)}")
-        params.update(param_overrides)
-        data["params"] = params
-    return Chart.from_dict(data)
+    return _with_overrides(json.loads(text), param_overrides, repr(name))

@@ -3,8 +3,13 @@
 Subcommands: tensors, geodesic, autoparallel, variation, burgers, amplitude,
 spectrum.  Outputs are deterministic JSON (or CSV for trajectories) and every
 artifact embeds the fully resolved run configuration, so a result can be
-reproduced from its own header.  Exit codes: 0 ok, 2 validation error,
-3 numeric failure.
+reproduced from its own header.  Exit codes: 0 ok, 2 validation error
+(argument errors included), 3 numeric failure; every error is one JSON line
+on stderr.
+
+Defaults live in ``RunConfig`` alone and type conversions in the argument
+parser alone: the subcommand parsers leave an option out of the namespace
+unless it is given, so ``config_from_args`` is ``RunConfig(**vars(args))``.
 """
 
 from __future__ import annotations
@@ -17,23 +22,17 @@ import sys
 import numpy as np
 
 from . import __version__
-from .charts import BUILTIN_CHARTS, Chart, builtin_chart, load_chart
+from .charts import BUILTIN_CHARTS, builtin_chart, load_chart
 from .config import ENV_VAR, active_profile
 from .curvature import geometry_point
 from .defects import DefectChart, LoopSpec, burgers_vector, frank_angle
 from .dynamics import (
-    Trajectory,
     integrate_autoparallel,
     integrate_geodesic,
     kinetic_energy,
     nonholonomic_variation,
 )
-from .errors import (
-    EvaluationError,
-    ExpressionParseError,
-    TorsionLabError,
-    ValidationError,
-)
+from .errors import ExpressionParseError, TorsionLabError, ValidationError
 from .pathintegral import (
     Ring,
     ShortTimeConfig,
@@ -81,46 +80,26 @@ class RunConfig:
 
     def to_dict(self) -> dict:
         out = dataclasses.asdict(self)
-        out["params"] = [[k, v] for k, v in self.params]
-        for key in ("at", "q0", "qdot0", "deltaq", "ladder"):
-            out[key] = list(out[key])
+        out = {k: list(v) if isinstance(v, tuple) else v for k, v in out.items()}
+        out["params"] = [list(p) for p in self.params]
         out["tool_version"] = __version__
         return out
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        data = dict(data)
+        """Inverse of ``to_dict``: JSON lists back to tuples."""
+        data = {k: tuple(v) if isinstance(v, list) else v for k, v in data.items()}
         data.pop("tool_version", None)
-        data["params"] = tuple((str(k), float(v)) for k, v in data.get("params", ()))
-        for key in ("at", "q0", "qdot0"):
-            data[key] = tuple(float(x) for x in data.get(key, ()))
-        data["deltaq"] = tuple(str(x) for x in data.get("deltaq", ()))
-        data["ladder"] = tuple(float(x) for x in data.get("ladder", ()))
+        data["params"] = tuple(map(tuple, data.get("params", ())))
         return cls(**data)
 
 
-def _floats(text: str) -> tuple:
-    return tuple(float(x) for x in str(text).split(",") if x.strip() != "")
-
-
-def _resolve_chart(cfg: RunConfig) -> Chart:
+def _resolve_chart(cfg: RunConfig):
     if not cfg.chart:
         raise ValidationError("this command needs --chart (a file path or builtin:<name>)")
-    overrides = dict(cfg.params)
     if cfg.chart.startswith("builtin:"):
-        name = cfg.chart.split(":", 1)[1]
-        return builtin_chart(name, **overrides)
-    chart = load_chart(cfg.chart)
-    if overrides:
-        data = chart.to_dict()
-        params = dict(data.get("params", {}))
-        unknown = set(overrides) - set(params)
-        if unknown:
-            raise ValidationError(f"chart has no parameter(s) {sorted(unknown)}")
-        params.update(overrides)
-        data["params"] = params
-        chart = Chart.from_dict(data)
-    return chart
+        return builtin_chart(cfg.chart[len("builtin:"):], **dict(cfg.params))
+    return load_chart(cfg.chart, **dict(cfg.params))
 
 
 def _load_loop(path) -> LoopSpec:
@@ -130,11 +109,17 @@ def _load_loop(path) -> LoopSpec:
         except json.JSONDecodeError as exc:
             raise ValidationError(f"loop file {path}: invalid JSON ({exc})") from exc
     if isinstance(data, list):
-        return LoopSpec(vertices=tuple(map(tuple, data)))
-    return LoopSpec(
-        vertices=tuple(map(tuple, data["vertices"])),
-        samples_per_edge=int(data.get("samples_per_edge", 8)),
-    )
+        data = {"vertices": data}
+    try:
+        return LoopSpec(
+            vertices=tuple(map(tuple, data["vertices"])),
+            samples_per_edge=int(data.get("samples_per_edge", 8)),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValidationError(
+            f"loop file {path}: expected a vertex list or an object with \"vertices\" "
+            f"({type(exc).__name__}: {exc})"
+        ) from exc
 
 
 def _tensor(arr) -> list:
@@ -166,27 +151,20 @@ def _cmd_tensors(cfg: RunConfig) -> dict:
     }
 
 
-def _trajectory_payload(chart: Chart, traj: Trajectory) -> dict:
-    energy = kinetic_energy(chart, traj)
+_INTEGRATORS = {"geodesic": integrate_geodesic, "autoparallel": integrate_autoparallel}
+
+
+def _cmd_trajectory(cfg: RunConfig) -> dict:
+    chart = _resolve_chart(cfg)
+    integrate = _INTEGRATORS[cfg.command]
+    traj = integrate(chart, cfg.q0, cfg.qdot0, (cfg.t0, cfg.t1), cfg.step)
     return {
         "t": _tensor(traj.t),
         "q": _tensor(traj.q),
         "qdot": _tensor(traj.qdot),
-        "energy": _tensor(energy),
+        "energy": _tensor(kinetic_energy(chart, traj)),
         "truncated": traj.truncated,
     }
-
-
-def _cmd_geodesic(cfg: RunConfig) -> dict:
-    chart = _resolve_chart(cfg)
-    traj = integrate_geodesic(chart, cfg.q0, cfg.qdot0, (cfg.t0, cfg.t1), cfg.step)
-    return _trajectory_payload(chart, traj)
-
-
-def _cmd_autoparallel(cfg: RunConfig) -> dict:
-    chart = _resolve_chart(cfg)
-    traj = integrate_autoparallel(chart, cfg.q0, cfg.qdot0, (cfg.t0, cfg.t1), cfg.step)
-    return _trajectory_payload(chart, traj)
 
 
 def _cmd_variation(cfg: RunConfig) -> dict:
@@ -271,15 +249,13 @@ def _cmd_spectrum(cfg: RunConfig) -> dict:
 
 _COMMANDS = {
     "tensors": _cmd_tensors,
-    "geodesic": _cmd_geodesic,
-    "autoparallel": _cmd_autoparallel,
+    "geodesic": _cmd_trajectory,
+    "autoparallel": _cmd_trajectory,
     "variation": _cmd_variation,
     "burgers": _cmd_burgers,
     "amplitude": _cmd_amplitude,
     "spectrum": _cmd_spectrum,
 }
-
-_TRAJECTORY_COMMANDS = ("geodesic", "autoparallel")
 
 
 def run(cfg: RunConfig) -> dict:
@@ -293,7 +269,7 @@ def run(cfg: RunConfig) -> dict:
 def _render_csv(cfg: RunConfig, artifact: dict) -> str:
     result = artifact["result"]
     lines = ["# config=" + json.dumps(artifact["config"], sort_keys=True)]
-    if cfg.command in _TRAJECTORY_COMMANDS:
+    if cfg.command in _INTEGRATORS:
         dim = len(result["q"][0])
         header = ["t"] + [f"q{i+1}" for i in range(dim)] + [f"qdot{i+1}" for i in range(dim)]
         lines.append(",".join(header + ["energy"]))
@@ -317,8 +293,34 @@ def render(cfg: RunConfig, artifact: dict) -> str:
     return json.dumps(artifact, sort_keys=True, indent=2) + "\n"
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises ``ValidationError`` on a bad argument instead of printing usage."""
+
+    def error(self, message):
+        raise ValidationError(message)
+
+
+def _floats(text: str) -> tuple:
+    try:
+        return tuple(float(x) for x in text.split(",") if x.strip())
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
+
+
+def _param(text: str) -> tuple:
+    name, _, value = text.partition("=")
+    try:
+        return name.strip(), float(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected NAME=VALUE with a number, got {text!r}")
+
+
+def _expressions(text: str) -> tuple:
+    return tuple(s.strip() for s in text.split(";") if s.strip())
+
+
 def _build_arg_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="torsionlab",
         description=__doc__.splitlines()[0] if __doc__ else "",
         epilog=f"Builtin charts: {', '.join(BUILTIN_CHARTS)} (use --chart builtin:<name>). "
@@ -326,115 +328,64 @@ def _build_arg_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--output", "-o", default="", help="write artifact to this path")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
+    def command(name, help_text):
+        p = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
+        p.add_argument("--output", "-o", help="write artifact to this path")
+        p.add_argument("--format", choices=("json", "csv"))
+        return p
 
-    def add_chart(p):
+    def chart_command(name, help_text):
+        p = command(name, help_text)
         p.add_argument("--chart", required=True, help="chart file path or builtin:<name>")
-        p.add_argument(
-            "--param",
-            action="append",
-            default=[],
-            metavar="NAME=VALUE",
-            help="override a chart parameter (repeatable)",
-        )
+        p.add_argument("--param", dest="params", action="append", type=_param,
+                       metavar="NAME=VALUE", help="override a chart parameter (repeatable)")
+        return p
 
-    p = sub.add_parser("tensors", help="all local tensors at a point")
-    add_chart(p)
-    p.add_argument("--at", required=True, help="comma-separated coordinates")
-    p.add_argument("--source", choices=("riemann", "cartan"), default="riemann")
-    add_common(p)
+    def trajectory_command(name, help_text):
+        p = chart_command(name, help_text)
+        p.add_argument("--q0", type=_floats, required=True)
+        p.add_argument("--qdot0", type=_floats, required=True)
+        for flag in ("--t0", "--t1", "--step"):
+            p.add_argument(flag, type=float)
+        return p
 
-    for name, help_text in (
-        ("geodesic", "integrate a geodesic"),
-        ("autoparallel", "integrate an autoparallel"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        add_chart(p)
-        p.add_argument("--q0", required=True)
-        p.add_argument("--qdot0", required=True)
-        p.add_argument("--t0", type=float, default=0.0)
-        p.add_argument("--t1", type=float, default=1.0)
-        p.add_argument("--step", type=float, default=1e-3)
-        add_common(p)
+    def kernel_command(name, help_text):
+        p = command(name, help_text)
+        p.add_argument("--manifold", choices=("ring", "sphere"))
+        p.add_argument("--radius", "--r", type=float)
+        p.add_argument("--points", type=int, help="ring grid size")
+        p.add_argument("--n-theta", type=int)
+        p.add_argument("--n-phi", type=int)
+        for flag in ("--epsilon", "--mass", "--hbar"):
+            p.add_argument(flag, type=float)
+        p.add_argument("--measure")
+        return p
 
-    p = sub.add_parser("variation", help="closure defect of a varied autoparallel")
-    add_chart(p)
-    p.add_argument("--q0", required=True)
-    p.add_argument("--qdot0", required=True)
-    p.add_argument("--t0", type=float, default=0.0)
-    p.add_argument("--t1", type=float, default=1.0)
-    p.add_argument("--step", type=float, default=1e-3)
-    p.add_argument("--deltaq", required=True, help="semicolon-separated expressions in t")
-    add_common(p)
+    p = chart_command("tensors", "all local tensors at a point")
+    p.add_argument("--at", type=_floats, required=True, help="comma-separated coordinates")
+    p.add_argument("--source", choices=("riemann", "cartan"))
 
-    p = sub.add_parser("burgers", help="loop invariants of a defect chart")
-    add_chart(p)
+    trajectory_command("geodesic", "integrate a geodesic")
+    trajectory_command("autoparallel", "integrate an autoparallel")
+    p = trajectory_command("variation", "closure defect of a varied autoparallel")
+    p.add_argument("--deltaq", type=_expressions, required=True,
+                   help="semicolon-separated expressions in t")
+
+    p = chart_command("burgers", "loop invariants of a defect chart")
     p.add_argument("--loop", required=True, help="loop file (JSON vertices)")
-    add_common(p)
 
-    for name, help_text in (
-        ("amplitude", "kernel summary for a sliced propagator"),
-        ("spectrum", "transfer-matrix spectrum"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--manifold", choices=("ring", "sphere"), default="ring")
-        p.add_argument("--radius", "--r", type=float, default=1.0)
-        p.add_argument("--points", type=int, default=256, help="ring grid size")
-        p.add_argument("--n-theta", type=int, default=32)
-        p.add_argument("--n-phi", type=int, default=64)
-        p.add_argument("--epsilon", type=float, default=0.04)
-        p.add_argument("--measure", default="qep")
-        p.add_argument("--mass", type=float, default=1.0)
-        p.add_argument("--hbar", type=float, default=1.0)
-        if name == "spectrum":
-            p.add_argument("--levels", type=int, default=4)
-            p.add_argument("--ladder", default="", help="comma-separated epsilon ladder")
-            p.add_argument(
-                "--group-tol",
-                type=float,
-                default=1e-6,
-                help="energy window for merging degenerate levels",
-            )
-        add_common(p)
-
+    kernel_command("amplitude", "kernel summary for a sliced propagator")
+    p = kernel_command("spectrum", "transfer-matrix spectrum")
+    p.add_argument("--levels", type=int)
+    p.add_argument("--ladder", type=_floats, help="comma-separated epsilon ladder")
+    p.add_argument("--group-tol", type=float,
+                   help="energy window for merging degenerate levels")
     return parser
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    params = []
-    for item in getattr(args, "param", []) or []:
-        if "=" not in item:
-            raise ValidationError(f"--param expects NAME=VALUE, got {item!r}")
-        name, value = item.split("=", 1)
-        try:
-            params.append((name.strip(), float(value)))
-        except ValueError:
-            raise ValidationError(f"--param value for {name!r} is not a number: {value!r}")
-    kwargs = {"command": args.command, "params": tuple(params)}
-    for key in ("chart", "source", "loop", "manifold", "measure", "output", "format"):
-        if hasattr(args, key):
-            kwargs[key] = getattr(args, key)
-    for key in ("t0", "t1", "step", "radius", "epsilon", "mass", "hbar", "group_tol"):
-        if hasattr(args, key):
-            kwargs[key] = float(getattr(args, key))
-    for key in ("points", "levels"):
-        if hasattr(args, key):
-            kwargs[key] = int(getattr(args, key))
-    if hasattr(args, "n_theta"):
-        kwargs["n_theta"] = int(args.n_theta)
-        kwargs["n_phi"] = int(args.n_phi)
-    if hasattr(args, "at"):
-        kwargs["at"] = _floats(args.at)
-    if hasattr(args, "q0"):
-        kwargs["q0"] = _floats(args.q0)
-        kwargs["qdot0"] = _floats(args.qdot0)
-    if hasattr(args, "deltaq"):
-        kwargs["deltaq"] = tuple(s.strip() for s in args.deltaq.split(";") if s.strip())
-    if getattr(args, "ladder", ""):
-        kwargs["ladder"] = _floats(args.ladder)
-    return RunConfig(**kwargs)
+    kwargs = vars(args)
+    return RunConfig(**{**kwargs, "params": tuple(kwargs.get("params", ()))})
 
 
 def main(argv=None) -> int:
@@ -443,31 +394,28 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         active_profile()  # fail fast on a bad profile name
         cfg = config_from_args(args)
-        artifact = run(cfg)
-        text = render(cfg, artifact)
-    except (ValidationError, ExpressionParseError) as exc:
+        text = render(cfg, run(cfg))
+        if cfg.output:
+            with open(cfg.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+    except ValidationError as exc:
         _emit_error(exc, EXIT_VALIDATION)
         return EXIT_VALIDATION
-    except (TorsionLabError, EvaluationError, ValueError) as exc:
+    except (TorsionLabError, ValueError) as exc:
         _emit_error(exc, EXIT_NUMERIC)
         return EXIT_NUMERIC
     except OSError as exc:
         _emit_error(exc, EXIT_VALIDATION)
         return EXIT_VALIDATION
-    if cfg.output:
-        with open(cfg.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     return EXIT_OK
 
 
 def _emit_error(exc: Exception, code: int) -> None:
     payload = {"error": {"type": type(exc).__name__, "message": str(exc), "exit_code": code}}
-    extra = {}
     if isinstance(exc, ExpressionParseError):
-        extra = {"line": exc.line, "column": exc.column, "token": exc.token}
-    payload["error"].update(extra)
+        payload["error"].update(line=exc.line, column=exc.column, token=exc.token)
     sys.stderr.write(json.dumps(payload, sort_keys=True) + "\n")
 
 

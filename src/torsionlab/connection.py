@@ -19,7 +19,7 @@ import numpy as np
 from ._local import LocalGeometry
 from .charts import Chart
 from .errors import ValidationError
-from .expressions import Expression
+from .expressions import Expression, parse_over
 
 
 def christoffel(chart: Chart, q):
@@ -119,25 +119,19 @@ def covariant_derivative(chart: Chart, q, field, connection="riemann", variance=
         raise ValidationError(f"connection must be 'riemann' or 'affine', got {connection!r}")
     if variance not in ("upper", "lower", "scalar"):
         raise ValidationError(f"variance must be 'upper', 'lower' or 'scalar', got {variance!r}")
-    q = chart.check_point(q)
-    D = chart.dim
+    q, env = chart._checked_env(q)
 
     scalar = variance == "scalar"
     if isinstance(field, (str, Expression)):
-        exprs = [field if isinstance(field, Expression) else Expression(field)]
         if not scalar:
             raise ValidationError("a single expression needs variance='scalar'")
-    else:
-        exprs = [e if isinstance(e, Expression) else Expression(str(e)) for e in field]
-        if scalar and len(exprs) != 1:
-            raise ValidationError("scalar variance expects exactly one expression")
-        if not scalar and len(exprs) != D:
-            raise ValidationError(f"vector field needs {D} components, got {len(exprs)}")
-
-    env = dict(chart.params)
-    wrt = tuple(f"q{idx + 1}" for idx in range(D))
-    env.update(zip(wrt, q.tolist()))
-    jets = np.array([expr(env, wrt, 1) for expr in exprs])
+        field = [field]
+    exprs = parse_over(field, env, "field component")
+    if scalar and len(exprs) != 1:
+        raise ValidationError("scalar variance expects exactly one expression")
+    if not scalar and len(exprs) != chart.dim:
+        raise ValidationError(f"vector field needs {chart.dim} components, got {len(exprs)}")
+    jets = np.array([expr(env, chart._coord_names, 1) for expr in exprs])
     vals, grads = jets[:, 0], jets[:, 1:]
 
     if scalar:

@@ -31,14 +31,7 @@ from .errors import (
     SingularPointError,
     ValidationError,
 )
-from .expressions import Expression
-
-
-@dataclass
-class TrajectoryState:
-    t: float
-    q: np.ndarray
-    qdot: np.ndarray
+from .expressions import parse_over
 
 
 @dataclass
@@ -52,12 +45,6 @@ class Trajectory:
 
     def __len__(self):
         return len(self.t)
-
-    def state(self, k: int) -> TrajectoryState:
-        return TrajectoryState(float(self.t[k]), self.q[k].copy(), self.qdot[k].copy())
-
-    def states(self):
-        return [self.state(k) for k in range(len(self))]
 
 
 def _grid(t_span, step):
@@ -177,23 +164,14 @@ class VariationRun:
     transport: np.ndarray  # G(t): (N, D, D)
     drive: np.ndarray  # Sigma(t): (N, D, D)
     delta_b: np.ndarray  # (N, D)
-    solver: str = "rk4"
 
 
 def _parse_variation(deltaq, dim, params):
-    if isinstance(deltaq, (list, tuple)):
-        exprs = [e if isinstance(e, Expression) else Expression(str(e)) for e in deltaq]
-    else:
+    if not isinstance(deltaq, (list, tuple)):
         raise ValidationError("deltaq must be a sequence of D expressions in t")
+    exprs = parse_over(deltaq, {"t"} | set(params), "variation expression")
     if len(exprs) != dim:
         raise ValidationError(f"deltaq needs {dim} components, got {len(exprs)}")
-    allowed = {"t"} | set(params)
-    for e in exprs:
-        for ident in e.free_names:
-            if ident not in allowed:
-                raise ValidationError(
-                    f"variation expression {e.source!r} uses unknown name {ident!r}"
-                )
 
     def fn(t):
         env = dict(params)
@@ -275,7 +253,6 @@ def nonholonomic_variation(chart: Chart, base: Trajectory, deltaq, params=None) 
         transport=G[::2],
         drive=Sigma[::2],
         delta_b=db,
-        solver="rk4",
     )
 
 

@@ -785,3 +785,16 @@ class Expression:
 
 def parse_expression(source: str) -> Expression:
     return Expression(source)
+
+
+def parse_over(sources, allowed, context: str) -> tuple:
+    """Parse each source (an ``Expression`` passes as is), rejecting a free
+    name outside ``allowed`` with the column of its first use."""
+    exprs = tuple(e if isinstance(e, Expression) else Expression(str(e)) for e in sources)
+    for expr in exprs:
+        for ident, col in expr.free_names.items():
+            if ident not in allowed:
+                raise ExpressionParseError(
+                    f"unknown name {ident!r} in {context} {expr.source!r}", 1, col, ident
+                )
+    return exprs

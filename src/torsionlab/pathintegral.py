@@ -34,8 +34,7 @@ from functools import lru_cache
 import numpy as np
 
 from .charts import Chart, builtin_chart
-from ._local import curl, ricci_reduction
-from .connection import connection_derivatives
+from ._local import LocalGeometry
 from .curvature import ricci_scalar_einstein
 from .errors import GridTooCoarseError, NumericError, ValidationError
 from .expressions import _multisets, _partials_index
@@ -83,13 +82,9 @@ class PostpointData:
     """
 
     def __init__(self, chart: Chart, q):
-        bundle, dgamma, dchris2 = connection_derivatives(chart, q)
-        self.q = np.asarray(q, dtype=float)
-        self.metric = g = bundle.metric
-        self.inverse_metric = bundle.inverse_metric
-        self.gamma_bar = bundle.gamma_bar
-        self.dchris2 = dchris2
-        gamma = bundle.gamma
+        self.geometry = geo = LocalGeometry.of(chart, q, 2)
+        self.q = geo.q
+        g, gamma, dgamma = geo.g, geo.gamma, geo.dgamma
         gamma_lower = np.einsum("mns,sl->mnl", gamma, g)
         gsym = 0.5 * (gamma + gamma.transpose(1, 0, 2))
         # quartic coefficient of the postpoint bracket
@@ -121,8 +116,7 @@ class PostpointData:
 
     def curvature_scalar(self) -> float:
         """Riemann curvature scalar at the postpoint."""
-        riemann = curl(self.gamma_bar, self.dchris2)
-        return ricci_reduction(riemann, self.metric, self.inverse_metric)[1]
+        return self.geometry.ricci_scalar_einstein("riemann")[1]
 
     def quadratic_form(self, dq):
         return _monomials(dq, 2) @ self._quadratic

@@ -194,6 +194,14 @@ def test_builtin_param_overrides():
         builtin_chart("nonexistent")
 
 
+def test_file_param_overrides_follow_the_builtin_rule(tmp_path):
+    path = tmp_path / "sphere.json"
+    save_chart(builtin_chart("sphere"), path)
+    assert load_chart(path, r=2.5).to_dict() == builtin_chart("sphere", r=2.5).to_dict()
+    with pytest.raises(ValidationError, match="bogus"):
+        load_chart(path, bogus=1.0)
+
+
 def test_order_zero_triad_needs_no_derivatives():
     # the value sqrt(0) exists although its derivative does not
     chart = Chart(dim=2, kind="triad", exprs=["1 + sqrt(q1)", "0", "0", "1"])

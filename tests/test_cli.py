@@ -194,6 +194,57 @@ def test_exit_codes(tmp_path, capsys):
     assert payload["config"]["chart"] == "builtin:polar"
 
 
+def test_omitted_options_take_run_config_defaults():
+    assert build_config(["amplitude"]) == RunConfig(command="amplitude")
+    cfg = build_config(["tensors", "--chart", "builtin:polar", "--at", "1,0.2"])
+    assert cfg == RunConfig(command="tensors", chart="builtin:polar", at=(1.0, 0.2))
+
+
+POLAR_FILE = {"dim": 2, "kind": "map", "exprs": ["q1*cos(q2)", "q1*sin(q2)"], "guard": "q1"}
+GEODESIC = ["geodesic", "--chart", "builtin:polar", "--q0", "1,0", "--qdot0", "1,1"]
+
+
+@pytest.mark.parametrize(
+    "argv, error_type, code, mentions",
+    [
+        (["tensors", "--chart", "builtin:polar"], "ValidationError", EXIT_VALIDATION, "--at"),
+        (["geodesic", "--chart", "builtin:polar", "--q0", "1,x", "--qdot0", "1,1"],
+         "ValidationError", EXIT_VALIDATION, "--q0"),
+        (GEODESIC + ["--step", "abc"], "ValidationError", EXIT_VALIDATION, "--step"),
+        (["tensors", "--chart", "builtin:sphere", "--at", "1,1", "--param", "r"],
+         "ValidationError", EXIT_VALIDATION, "--param"),
+        (["tensors", "--chart", "builtin:polar", "--at", "1,1", "--source", "weyl"],
+         "ValidationError", EXIT_VALIDATION, "weyl"),
+        (["tensors", "--chart", "builtin:nope", "--at", "1,1"],
+         "ValidationError", EXIT_VALIDATION, "nope"),
+        (["tensors", "--chart", "{chart}", "--at", "1,1", "--param", "r=2"],
+         "ValidationError", EXIT_VALIDATION, "['r']"),
+        (["burgers", "--chart", "builtin:dislocation", "--loop", "{no_vertices}"],
+         "ValidationError", EXIT_VALIDATION, "no_vertices.json"),
+        (["burgers", "--chart", "builtin:dislocation", "--loop", "{flat_list}"],
+         "ValidationError", EXIT_VALIDATION, "flat_list.json"),
+        (["tensors", "--chart", "builtin:dislocation", "--at", "0,0"],
+         "SingularPointError", EXIT_NUMERIC, "guard"),
+    ],
+    ids=["missing-option", "malformed-floats", "malformed-float", "bad-param", "bad-choice",
+         "unknown-builtin", "unknown-file-param", "loop-without-vertices", "loop-flat-list",
+         "guard-rejected"],
+)
+def test_every_error_is_one_json_line(tmp_path, capsys, argv, error_type, code, mentions):
+    files = {
+        "chart": write_json(tmp_path / "polar.json", POLAR_FILE),
+        "no_vertices": write_json(tmp_path / "no_vertices.json", {"verts": [[1, 1], [1, 1]]}),
+        "flat_list": write_json(tmp_path / "flat_list.json", [1, 2, 3]),
+    }
+    assert main([arg.format(**files) for arg in argv]) == code
+    out, err = capsys.readouterr()
+    assert out == ""
+    (line,) = err.splitlines()
+    error = json.loads(line)["error"]
+    assert (error["type"], error["exit_code"]) == (error_type, code)
+    assert mentions in error["message"]
+
+
 def test_run_config_round_trip_all_commands(tmp_path):
     loop = write_json(tmp_path / "loop.json", [[1, 1], [-1, 1], [-1, -1], [1, -1], [1, 1]])
     examples = [

@@ -15,6 +15,7 @@ from torsionlab import (
     torsion_trace,
 )
 from torsionlab.charts import Chart, builtin_chart
+from torsionlab.errors import ExpressionParseError
 
 from conftest import sample_points
 
@@ -117,6 +118,14 @@ def test_covariant_derivative_scalar_is_plain_gradient(charts):
     for conn in ("riemann", "affine"):
         grad = covariant_derivative(st, q, "q1*q2^2", conn, "scalar")
         assert np.allclose(grad, [0.9**2, 2 * 0.4 * 0.9], rtol=1e-12)
+
+
+def test_covariant_derivative_rejects_unknown_names(charts):
+    with pytest.raises(ExpressionParseError) as err:
+        covariant_derivative(charts["polar"], [1.0, 0.2], ["zz*q1", "0"])
+    assert (err.value.token, err.value.column) == ("zz", 1)
+    with pytest.raises(ExpressionParseError):
+        covariant_derivative(charts["polar"], [1.0, 0.2], "q1 + t", variance="scalar")
 
 
 def test_covariant_derivative_polar_hand_value():
