@@ -19,8 +19,9 @@ from .config import active_profile
 from .errors import DegenerateTriadError
 
 
-def checked_metric(E, q) -> np.ndarray:
-    """Induced metric g = E^T E; rejects the point if sqrt(det g) is below the floor."""
+def checked_gram(E, q):
+    """g = E^T E and det g; rejects the point if sqrt(det g) is not finite or at
+    most the degenerate-triad floor."""
     g = E.T @ E
     detg = float(np.linalg.det(g))
     floor = active_profile().degenerate_triad_floor
@@ -28,6 +29,12 @@ def checked_metric(E, q) -> np.ndarray:
         raise DegenerateTriadError(
             f"triad degenerate at {np.asarray(q).tolist()}: sqrt(det g) <= {floor:g}"
         )
+    return g, detg
+
+
+def checked_metric(E, q) -> np.ndarray:
+    """Induced metric g = E^T E; rejects the point if sqrt(det g) is below the floor."""
+    g = checked_gram(E, q)[0]
     return 0.5 * (g + g.T)
 
 

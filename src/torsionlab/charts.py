@@ -113,6 +113,18 @@ class Chart:
 
     # -- triads and metric ---------------------------------------------------
 
+    def _jets(self, q, order):
+        """The raw jet tuple of every expression at a guard-checked point, to
+        the derivative order that gives the triad and its ``order`` (0, 1 or 2)
+        derivatives: the one evaluation every triad and tensor reads."""
+        if order not in (0, 1, 2):
+            raise ValidationError(f"triad derivative order must be 0, 1 or 2, got {order!r}")
+        env = self._checked_env(q)[1]
+        first = 1 if self.kind == "map" else 0  # derivative order that gives E
+        # plain values (no wrt) for an order-0 triad: nothing to differentiate
+        wrt = self._coord_names if first + order else ()
+        return [e(env, wrt, first + order) for e in self.exprs]
+
     def triad_jets(self, q, order=0):
         """Triad field and its derivatives up to ``order`` (0, 1 or 2).
 
@@ -120,14 +132,13 @@ class Chart:
         For a holonomic map the triad itself is the Jacobian of the map, so
         order k here requires jets of order k+1 on the map expressions.
         """
-        if order not in (0, 1, 2):
-            raise ValidationError(f"triad derivative order must be 0, 1 or 2, got {order!r}")
-        env = self._checked_env(q)[1]
-        first = 1 if self.kind == "map" else 0  # derivative order that gives E
-        # plain values (no wrt) for an order-0 triad: nothing to differentiate
-        wrt = self._coord_names if first + order else ()
-        jets = np.array([e(env, wrt, first + order) for e in self.exprs])
+        return self._tensors(self._jets(q, order), order)
+
+    def _tensors(self, jets, order):
+        """(E, dE, ...) up to ``order`` from ``_jets`` output of at least that order."""
+        jets = np.array(jets)
         D, A = self.dim, self.ambient_dim
+        first = 1 if self.kind == "map" else 0  # derivative order that gives E
         return tuple(
             jets[:, _partials_index(D, first + k)].reshape((A,) + (D,) * (k + 1))
             for k in range(order + 1)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import re
 import sys
 
 import numpy as np
@@ -294,7 +295,18 @@ def render(cfg: RunConfig, artifact: dict) -> str:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Raises ``ValidationError`` on a bad argument instead of printing usage."""
+    """Raises ``ValidationError`` on a bad argument instead of printing usage.
+
+    A word that starts with a negative number, such as the coordinate list
+    in ``--q0 -1,0``, is a value: argparse by default takes only a single
+    negative number for one, and ``-1,0`` for an unknown option.
+    """
+
+    _NEGATIVE_LEADING = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?(,|$)")
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = self._NEGATIVE_LEADING
 
     def error(self, message):
         raise ValidationError(message)

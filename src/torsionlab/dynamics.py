@@ -11,6 +11,13 @@ classical RK4 loop, ``_rk4``.  The closure defect has a second, independent
 solver, ``closure_defect_by_quadrature`` (ordered exponential plus
 trapezoid rule); both read the same half-step samples of the variation
 matrices.
+
+The geodesic and autoparallel right-hand sides and the variation matrices
+are straight-line functions generated per chart shape by ``expressions``:
+they read the raw jet tuples of one guard-checked ``Chart._jets`` pass and
+the velocity and return plain floats, with no tensor built on the way.  The
+tensor route through ``LocalGeometry`` stays for the line-image oracle and
+the Euler-Lagrange residual, and the tests compare the two.
 """
 
 from __future__ import annotations
@@ -20,9 +27,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from ._local import LocalGeometry
+from ._local import LocalGeometry, checked_gram
 from .charts import Chart
-from .connection import affine_connection, christoffel, torsion_tensor
+from .config import active_profile
+from .connection import torsion_tensor
 from .errors import (
     DegenerateTriadError,
     EvaluationError,
@@ -31,7 +39,7 @@ from .errors import (
     SingularPointError,
     ValidationError,
 )
-from .expressions import parse_over
+from .expressions import _trajectory_field, parse_over
 
 
 @dataclass
@@ -94,15 +102,27 @@ def _rk4(rhs, y0, t_grid, final_slope=False):
     return y, slope, False
 
 
-def _integrate_second_order(connection, chart, q0, qdot0, t_span, step) -> Trajectory:
-    """q'' + conn q' q' = 0 as a first-order system in the stacked state (q, q')."""
+def _field_at(chart: Chart, field, q, v):
+    """The generated ``field`` of ``chart`` at the phase point (q, v), as plain
+    floats from one guard-checked jet pass; rejects a degenerate triad."""
+    floor = active_profile().degenerate_triad_floor
+    fn = _trajectory_field(field, chart.kind, chart.dim, chart.ambient_dim)
+    jets = chart._jets(q, 1)
+    out = fn(jets, v, floor * floor)
+    if out is None:  # det g within rounding of the floor: decide as ``checked_metric`` does
+        out = fn(jets, v, floor * floor, checked_gram(chart._tensors(jets, 0)[0], q)[1])
+    return out
+
+
+def _integrate_second_order(field, chart, q0, qdot0, t_span, step) -> Trajectory:
+    """q'' = field(q, q') as a first-order system in the stacked state (q, q')."""
     q0 = chart.check_point(q0)
     t_grid = _grid(t_span, step)
     D = chart.dim
 
     def rhs(_, y):
-        q, v = y[:D], y[D:]
-        return np.concatenate((v, -np.einsum("lnm,l,n->m", connection(chart, q), v, v)))
+        y = y.tolist()
+        return np.array((*y[D:], *_field_at(chart, field, y[:D], y[D:])))
 
     y, _, truncated = _rk4(rhs, np.concatenate((q0, np.asarray(qdot0, dtype=float))), t_grid)
     return Trajectory(t=t_grid[: len(y)], q=y[:, :D], qdot=y[:, D:], truncated=truncated)
@@ -110,14 +130,12 @@ def _integrate_second_order(connection, chart, q0, qdot0, t_span, step) -> Traje
 
 def integrate_geodesic(chart: Chart, q0, qdot0, t_span, step) -> Trajectory:
     """Integrate q'' + Gammabar q' q' = 0 with fixed-step RK4."""
-    return _integrate_second_order(
-        lambda c, q: christoffel(c, q)[1], chart, q0, qdot0, t_span, step
-    )
+    return _integrate_second_order("geodesic", chart, q0, qdot0, t_span, step)
 
 
 def integrate_autoparallel(chart: Chart, q0, qdot0, t_span, step) -> Trajectory:
     """Integrate q'' + Gamma q' q' = 0 (full affine connection) with RK4."""
-    return _integrate_second_order(affine_connection, chart, q0, qdot0, t_span, step)
+    return _integrate_second_order("autoparallel", chart, q0, qdot0, t_span, step)
 
 
 def straight_line_image(chart: Chart, q0, qdot0, t_span, step) -> Trajectory:
@@ -184,10 +202,9 @@ def _parse_variation(deltaq, dim, params):
 def variation_matrices(chart: Chart, q, qdot):
     """Transport matrix G^mu_lam = Gamma_{lam nu}^mu qdot^nu and torsion drive
     Sigma^mu_nu = 2 S_{lam nu}^mu qdot^lam at one phase point."""
-    geo = LocalGeometry.of(chart, q, 1)
-    G = np.einsum("lnm,n->ml", geo.gamma, qdot)
-    Sigma = 2.0 * np.einsum("lnm,l->mn", geo.torsion, qdot)
-    return G, Sigma
+    G, Sigma = _field_at(chart, "variation", q, np.asarray(qdot, dtype=float).tolist())
+    shape = (chart.dim, chart.dim)
+    return np.reshape(G, shape), np.reshape(Sigma, shape)
 
 
 def _half_step_samples(chart: Chart, base: Trajectory, deltaq, params):

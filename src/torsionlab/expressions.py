@@ -798,3 +798,143 @@ def parse_over(sources, allowed, context: str) -> tuple:
                     f"unknown name {ident!r} in {context} {expr.source!r}", 1, col, ident
                 )
     return exprs
+
+
+# -- straight-line trajectory fields: the right-hand sides of ``dynamics``
+# written out per (field, chart kind, D, ambient dimension) over the raw jet
+# tuples of a chart's expressions (``Chart._jets`` at triad order 1) and the
+# velocity v, and compiled on first use like the kernels above.  Each term is
+# contracted with v while its indices are still lowered, so no rank-3 tensor
+# is formed:
+#
+#   P^i_k = d_l e^i_k v^l,  T^i_l = d_l e^i_k v^k,  w^i = P^i_k v^k,  u^i = e^i_k v^k
+#   geodesic      -g^{ms} (e^i_s w^i + u^i (P^i_s - T^i_s))  = -Gammabar^m_{ln} v^l v^n
+#   autoparallel  -g^{ms} e^i_s w^i                          = -Gamma_{lk}^m v^l v^k
+#   variation     G^m_l = g^{ms} e^i_s T^i_l,  Sigma^m_n = g^{ms} e^i_s (P^i_n - T^i_n)
+#
+# with g_{mn} = e^i_m e^i_n formed from the triad.  A map chart's d_l e^i_k is
+# symmetric, so there P = T and its torsion terms vanish identically.  The
+# metric is inverted by cofactors for D <= 3 and by one ``np.linalg.solve``
+# above.  A field returns plain floats, D accelerations or the row-major
+# D x D matrices (G, Sigma), where its own det g clears ``floor2``, the
+# squared degenerate-triad floor, by more than rounding (1e-13 of the product
+# of the diagonal of g, which bounds det g), and None elsewhere: there the
+# caller decides with the determinant of the degenerate-triad check and, if
+# the point passes, calls again with that ``det``.
+
+_FIELDS: dict = {}  # (field, kind, D, ambient) -> compiled field function
+
+_ADJUGATES = {  # upper triangle of the adjugate of a symmetric g, and det g
+    1: ({(0, 0): "1.0"}, "g0_0"),
+    2: ({(0, 0): "g1_1", (0, 1): "-g0_1", (1, 1): "g0_0"}, "g0_0*g1_1 - g0_1*g0_1"),
+    3: (
+        {
+            (0, 0): "g1_1*g2_2 - g1_2*g1_2",
+            (0, 1): "g0_2*g1_2 - g0_1*g2_2",
+            (0, 2): "g0_1*g1_2 - g0_2*g1_1",
+            (1, 1): "g0_0*g2_2 - g0_2*g0_2",
+            (1, 2): "g0_1*g0_2 - g0_0*g1_2",
+            (2, 2): "g0_0*g1_1 - g0_1*g0_1",
+        },
+        "g0_0*a0_0 + g0_1*a0_1 + g0_2*a0_2",
+    ),
+}
+
+
+def _field_source(field, kind, dim, ambient):
+    rD, rA = range(dim), range(ambient)
+
+    def total(terms):
+        return " + ".join(terms)
+
+    if kind == "map":  # x^i to order 2: e^i_k = d_k x^i, d_l e^i_k = d_k d_l x^i
+        names = [
+            ["_" if not s else f"e{i}_{s[0]}" if len(s) == 1 else f"d{i}_{s[0]}_{s[1]}"
+             for s in _multisets(dim, 2)]
+            for i in rA
+        ]
+
+        def dE(i, k, l):
+            return f"d{i}_{min(k, l)}_{max(k, l)}"
+    else:  # e^i_k to order 1, row-major in (i, k)
+        names = [[f"e{i}_{k}"] + [f"d{i}_{k}_{l}" for l in rD] for i in rA for k in rD]
+
+        def dE(i, k, l):
+            return f"d{i}_{k}_{l}"
+
+    T = "p" if kind == "map" else "t"
+    lines = [
+        f"def {field}(jets, v, floor2, det=None):",
+        f"    {', '.join('(' + ', '.join(n) + ')' for n in names)}, = jets",
+        f"    {', '.join(f'v{k}' for k in rD)}, = v",
+    ]
+    lines += [f"    p{i}_{k} = {total(f'{dE(i, k, l)}*v{l}' for l in rD)}" for i in rA for k in rD]
+    if kind != "map":
+        lines += [f"    t{i}_{l} = {total(f'{dE(i, k, l)}*v{k}' for k in rD)}" for i in rA for l in rD]
+    lines += [f"    g{m}_{n} = {total(f'e{i}_{m}*e{i}_{n}' for i in rA)}" for m in rD for n in rD if m <= n]
+
+    if field == "variation":  # right-hand sides: the D columns of G, then of Sigma
+        columns = [[total(f"e{i}_{s}*{T}{i}_{l}" for i in rA) for s in rD] for l in rD]
+        if kind != "map":
+            columns += [[total(f"e{i}_{s}*(p{i}_{n} - t{i}_{n})" for i in rA) for s in rD] for n in rD]
+        sign = ""
+    else:
+        lines += [f"    w{i} = {total(f'p{i}_{k}*v{k}' for k in rD)}" for i in rA]
+        torsion = field == "geodesic" and kind != "map"
+        if torsion:
+            lines += [f"    u{i} = {total(f'e{i}_{k}*v{k}' for k in rD)}" for i in rA]
+        columns = [[
+            total([f"e{i}_{s}*w{i}" for i in rA]
+                  + ([f"u{i}*(p{i}_{s} - t{i}_{s})" for i in rA] if torsion else []))
+            for s in rD
+        ]]
+        sign = "-"
+    for c, column in enumerate(columns):
+        lines += [f"    c{c}_{s} = {entry}" for s, entry in enumerate(column)]
+
+    zero = ", ".join(["0.0"] * dim * dim)  # a map chart's Sigma
+    diagonal = "*".join(f"g{m}_{m}" for m in rD)
+    check = [f"        if not floor2 + 1e-13*{diagonal} < det < _INF:", "            return None"]
+    if dim in _ADJUGATES:
+        adjugate, det = _ADJUGATES[dim]
+        lines += [f"    a{m}_{n} = {entry}" for (m, n), entry in adjugate.items()]
+        lines += ["    if det is None:", f"        det = {det}", *check]
+        # x[c][m]: row m of the solution for column c
+        x = [[f"{sign}({total(f'a{min(m, s)}_{max(m, s)}*c{c}_{s}' for s in rD)}) / det" for m in rD]
+             for c in range(len(columns))]
+        if field != "variation":
+            lines.append(f"    return ({', '.join(x[0])},)")
+        else:
+            G = ", ".join(x[l][m] for m in rD for l in rD)
+            S = ", ".join(x[dim + n][m] for m in rD for n in rD) if kind != "map" else zero
+            lines.append(f"    return ({G},), ({S},)")
+    else:
+        rows = ", ".join("(" + ", ".join(f"g{min(m, n)}_{max(m, n)}" for n in rD) + ")" for m in rD)
+        rhs = ", ".join("(" + ", ".join(f"c{c}_{s}" for c in range(len(columns))) + ",)" for s in rD)
+        lines += [
+            f"    g = np.array(({rows}))",
+            "    if det is None:",
+            "        det = float(np.linalg.det(g))",
+            *check,
+            f"    x = np.linalg.solve(g, np.array(({rhs})))",
+        ]
+        if field != "variation":
+            lines.append(f"    return tuple(({sign}x[:, 0]).tolist())")
+        else:
+            S = f"tuple(x[:, {dim}:].ravel().tolist())" if kind != "map" else f"({zero},)"
+            lines.append(f"    return tuple(x[:, :{dim}].ravel().tolist()), {S}")
+    return "\n".join(lines) + "\n"
+
+
+def _trajectory_field(field, kind, dim, ambient):
+    """The compiled ``field(jets, v, floor2, det=None)`` ("geodesic",
+    "autoparallel" or "variation") of a chart of this kind, dimension and
+    ambient dimension."""
+    key = (field, kind, dim, ambient)
+    fn = _FIELDS.get(key)
+    if fn is None:
+        namespace = {"np": np, "_INF": math.inf}
+        label = f"<{field} field {kind} D={dim} A={ambient}>"
+        exec(compile(_field_source(field, kind, dim, ambient), label, "exec"), namespace)
+        fn = _FIELDS[key] = namespace[field]
+    return fn

@@ -200,6 +200,22 @@ def test_omitted_options_take_run_config_defaults():
     assert cfg == RunConfig(command="tensors", chart="builtin:polar", at=(1.0, 0.2))
 
 
+NEGATIVE_LISTS = [
+    (["geodesic", "--chart", "builtin:cartesian", "--q0", "-1,0", "--qdot0", "1,0", "--t1", "0.01"],
+     "q0", (-1.0, 0.0)),
+    (["tensors", "--chart", "builtin:cartesian", "--at", "-0.5,1"], "at", (-0.5, 1.0)),
+    (["autoparallel", "--chart", "builtin:cartesian", "--q0", "1,0", "--qdot0", "-1e-1,-2",
+      "--t1", "0.01"], "qdot0", (-0.1, -2.0)),
+]
+
+
+@pytest.mark.parametrize("argv, field, value", NEGATIVE_LISTS)
+def test_negative_coordinate_lists_are_values(capsys, argv, field, value):
+    assert getattr(build_config(argv), field) == value
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().err == ""
+
+
 POLAR_FILE = {"dim": 2, "kind": "map", "exprs": ["q1*cos(q2)", "q1*sin(q2)"], "guard": "q1"}
 GEODESIC = ["geodesic", "--chart", "builtin:polar", "--q0", "1,0", "--qdot0", "1,1"]
 

@@ -14,15 +14,16 @@ from torsionlab.cli import _build_arg_parser, config_from_args, run
 
 @pytest.fixture
 def jet_passes(monkeypatch):
-    """Orders of every ``Chart.triad_jets`` call made while the test runs."""
+    """Triad orders of every jet pass made while the test runs: every triad,
+    tensor and trajectory field evaluates its point through ``Chart._jets``."""
     calls = []
-    original = Chart.triad_jets
+    original = Chart._jets
 
-    def counting(self, q, order=0):
+    def counting(self, q, order):
         calls.append(order)
         return original(self, q, order)
 
-    monkeypatch.setattr(Chart, "triad_jets", counting)
+    monkeypatch.setattr(Chart, "_jets", counting)
     return calls
 
 

@@ -1,0 +1,232 @@
+"""Generated trajectory fields against the einsum formulas they replaced.
+
+The oracle is the tensor route: ``LocalGeometry``'s Christoffel symbols,
+affine connection and torsion, contracted with ``np.einsum`` exactly as the
+trajectory right-hand sides and ``variation_matrices`` once did.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import torsionlab as tl
+from torsionlab import dynamics, expressions
+from torsionlab.charts import BUILTIN_CHARTS, Chart
+from torsionlab.connection import affine_connection, christoffel, torsion_tensor
+from torsionlab.errors import DegenerateTriadError, SingularPointError
+
+from conftest import SAMPLE_BOXES
+from test_compiled_jets import PARAMS, expressions_in
+
+FIELDS = ("geodesic", "autoparallel", "variation")
+
+
+def oracle(chart, field, q, v):
+    """The field by the tensor route."""
+    if field == "variation":
+        G = np.einsum("lnm,n->ml", affine_connection(chart, q), v)
+        Sigma = 2.0 * np.einsum("lnm,l->mn", torsion_tensor(chart, q), v)
+        return np.concatenate((G.ravel(), Sigma.ravel()))
+    conn = christoffel(chart, q)[1] if field == "geodesic" else affine_connection(chart, q)
+    return -np.einsum("lnm,l,n->m", conn, v, v)
+
+
+def magnitude(chart, field, q, v):
+    """Scale of the terms either route sums: |g^-1| |e| |de| |v|^2 (|v| for variation)."""
+    E, dE = chart.triad_jets(q, order=1)
+    size = np.abs(np.linalg.inv(E.T @ E)).max() * np.abs(E).max() * np.abs(dE).max()
+    return size * np.abs(v).max() ** (1 if field == "variation" else 2)
+
+
+def generated(chart, field, q, v):
+    out = dynamics._field_at(chart, field, q, [float(x) for x in v])
+    return np.concatenate([np.ravel(part) for part in out]) if field == "variation" else np.array(out)
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # the two routes must fail alike
+        return type(exc), str(exc)
+
+
+def assert_field_matches(chart, field, q, v, rtol=1e-13, atol=1e-300):
+    """Equal failures, or values within ``rtol`` of the term scale; ``atol``
+    covers products that underflow, where rounding is absolute."""
+    ref = outcome(oracle, chart, field, q, v)
+    got = outcome(generated, chart, field, q, v)
+    if isinstance(ref, tuple) or isinstance(got, tuple):
+        assert isinstance(ref, tuple) and isinstance(got, tuple) and got == ref, (ref, got)
+        return
+    assert got.shape == ref.shape
+    scale = max(magnitude(chart, field, q, v), np.max(np.abs(ref)))
+    assert np.max(np.abs(got - ref)) <= rtol * scale + atol, (chart.to_dict(), field, q, v, ref, got)
+
+
+# -- generated charts -----------------------------------------------------------------
+
+
+@st.composite
+def chart_points(draw):
+    dim = draw(st.sampled_from([1, 2, 3]))
+    kind = draw(st.sampled_from(["map", "triad"]))
+    count = dim * dim if kind == "triad" else draw(st.integers(dim, dim + 1))
+    exprs = draw(st.lists(expressions_in(dim), min_size=count, max_size=count))
+    coords = st.lists(st.floats(-2.0, 2.0), min_size=dim, max_size=dim)
+    return Chart(dim, kind, exprs, params=PARAMS), draw(coords), draw(coords)
+
+
+def well_posed(chart, q):
+    """A point where the triad evaluates to finite values and g is well conditioned:
+    with cond(g) <= 100 the two routes' rounding stays below 1e-13 of the scale."""
+    try:
+        E, dE = chart.triad_jets(q, order=1)
+    except Exception:
+        return False
+    if not (np.all(np.isfinite(E)) and np.all(np.isfinite(dE))):
+        return False
+    g = E.T @ E
+    return np.linalg.cond(g) <= 100.0 and np.max(np.abs(dE), initial=0.0) < 1e6
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=chart_points())
+def test_generated_fields_match_oracle(case):
+    chart, q, v = case
+    assume(well_posed(chart, q))
+    for field in FIELDS:
+        assert_field_matches(chart, field, q, v)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=chart_points())
+def test_generated_fields_fail_like_oracle(case):
+    # anywhere the tensor route raises, the generated one raises the same
+    chart, q, v = case
+    assume(isinstance(outcome(oracle, chart, "geodesic", q, v), tuple))
+    for field in FIELDS:
+        ref, got = outcome(oracle, chart, field, q, v), outcome(generated, chart, field, q, v)
+        assert isinstance(got, tuple) and got == ref, (chart.to_dict(), q, v, ref, got)
+
+
+# -- builtin and fixed charts ---------------------------------------------------------
+
+DEFAULT_BOX = (-2.0, 2.0)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("name", BUILTIN_CHARTS)
+def test_builtin_charts_match_oracle(name, field, rng):
+    chart = tl.builtin_chart(name)
+    lo, hi = np.array(SAMPLE_BOXES.get(name, (DEFAULT_BOX,) * chart.dim)).T
+    for q, v in zip(lo + (hi - lo) * rng.random((10, chart.dim)), rng.normal(size=(10, chart.dim))):
+        assert_field_matches(chart, field, q, v)
+
+
+FOUR_DIMENSIONAL = {  # above D = 3 the generated fields end in np.linalg.solve
+    "triad": ["1 + 0.2*sin(q2)", "0.1*q3", "0", "0.1*q4",
+              "0", "1 + 0.3*q1", "0.2*cos(q4)", "0",
+              "0.1*q1*q2", "0", "exp(0.1*q3)", "0.2*q2",
+              "0", "0.1*q3*q4", "0", "1 + 0.1*q1^2"],
+    "map": ["q1*cos(q2)", "q1*sin(q2)", "q3 + 0.1*q4^2", "q4*exp(0.1*q1)", "0.2*q2*q3"],
+}
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("kind", sorted(FOUR_DIMENSIONAL))
+def test_four_dimensional_charts_match_oracle(kind, field, rng):
+    chart = Chart(4, kind, FOUR_DIMENSIONAL[kind])
+    for q, v in zip(0.5 + rng.random((10, 4)), rng.normal(size=(10, 4))):
+        assert_field_matches(chart, field, q, v)
+
+
+def test_map_charts_carry_no_torsion_drive():
+    G, Sigma = tl.variation_matrices(tl.builtin_chart("sphere"), [1.0, 0.3], [0.2, -0.4])
+    assert np.all(Sigma == 0.0)
+    assert np.max(np.abs(G)) > 0.1
+
+
+# -- errors and truncation ---------------------------------------------------------------
+
+DEGENERATE = Chart(dim=2, kind="triad", exprs=["exp(-1/q1^2)", "0", "0", "1"])
+SPHERE = tl.builtin_chart("sphere", r=1.0)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_errors_match_checked_metric_and_guard(field):
+    v = [0.3, -0.2]
+    with pytest.raises(DegenerateTriadError) as want:
+        DEGENERATE.triad([0.05, 0.0])
+    with pytest.raises(DegenerateTriadError) as got:
+        dynamics._field_at(DEGENERATE, field, [0.05, 0.0], v)
+    assert str(got.value) == str(want.value)
+    with pytest.raises(SingularPointError) as want:
+        SPHERE.check_point([0.0, 0.3])
+    with pytest.raises(SingularPointError) as got:
+        dynamics._field_at(SPHERE, field, [0.0, 0.3], v)
+    assert str(got.value) == str(want.value)
+
+
+def test_degenerate_floor_follows_the_profile(monkeypatch):
+    # sqrt(det g) = exp(-1/0.2^2) = 1.4e-11: above the default floor, below strict
+    dynamics._field_at(DEGENERATE, "geodesic", [0.2, 0.0], [1.0, 0.0])
+    monkeypatch.setenv("TORSIONLAB_TOLERANCES", "strict")
+    with pytest.raises(DegenerateTriadError, match=r"sqrt\(det g\) <= 1e-10"):
+        dynamics._field_at(DEGENERATE, "geodesic", [0.2, 0.0], [1.0, 0.0])
+
+
+def test_near_singular_metric_takes_the_checked_determinant():
+    # det g = 1e-14 lies within rounding of the floor for a g of order 1
+    # (cond g = 2e15): the field defers to the LU determinant, which admits it
+    chart = Chart(dim=2, kind="triad", exprs=["1", "1", "1", "1 + 1e-7*q1"])
+    q, v = [1.0, 0.3], [0.5, -0.7]
+    for field in FIELDS:
+        fn = expressions._trajectory_field(field, "triad", 2, 2)
+        assert fn(chart._jets(q, 1), v, 1e-24) is None
+        ref, got = oracle(chart, field, q, v), generated(chart, field, q, v)
+        assert np.max(np.abs(got - ref)) <= 1e-6 * np.max(np.abs(ref))
+
+
+def oracle_trajectory(chart, field, q0, qdot0, t_span, step):
+    """The integrators' RK4 on the oracle's right-hand side."""
+    D = chart.dim
+
+    def rhs(_, y):
+        return np.concatenate((y[D:], oracle(chart, field, y[:D], y[D:])))
+
+    t_grid = dynamics._grid(t_span, step)
+    y, _, truncated = dynamics._rk4(rhs, np.concatenate((q0, qdot0)), t_grid)
+    return y, truncated
+
+
+# start next to a degenerate band or a guard-rejected pole; the sample counts
+# are those of the tensor route, which truncated at the same steps
+NEAR_DOMAIN_EDGES = {
+    "degenerate_triad": (DEGENERATE, [0.22, 0.1], [-0.05, 1.0], 11),
+    "sphere_pole": (SPHERE, [0.5, 0.3], [-1.0, 0.0], 50),
+}
+
+
+@pytest.mark.parametrize("field", ("geodesic", "autoparallel"))
+@pytest.mark.parametrize("edge", sorted(NEAR_DOMAIN_EDGES))
+def test_truncation_matches_tensor_route(edge, field):
+    chart, q0, qdot0, samples = NEAR_DOMAIN_EDGES[edge]
+    integrate = tl.integrate_geodesic if field == "geodesic" else tl.integrate_autoparallel
+    traj = integrate(chart, q0, qdot0, (0.0, 1.0), 1e-2)
+    y, truncated = oracle_trajectory(chart, field, np.array(q0), np.array(qdot0), (0.0, 1.0), 1e-2)
+    assert traj.truncated and truncated
+    assert len(traj) == len(y) == samples
+    np.testing.assert_allclose(np.hstack((traj.q, traj.qdot)), y, rtol=1e-12, atol=1e-14)
+
+
+def test_fields_compile_once_per_shape():
+    before = dict(expressions._FIELDS)
+    for r in (1.0, 2.0):
+        tl.integrate_geodesic(tl.builtin_chart("sphere", r=r), [1.0, 0.0], [0.3, 0.4], (0.0, 0.02), 1e-2)
+    key = ("geodesic", "map", 2, 3)
+    assert key in expressions._FIELDS
+    if key in before:
+        assert expressions._FIELDS[key] is before[key]
+    assert len(expressions._FIELDS) - len(before) <= 1
+

@@ -1,14 +1,16 @@
-"""Layer timings of the sphere short-time kernel and its spectrum ladder.
+"""Layer timings of the sphere kernel, its spectrum ladder and the trajectories.
 
 Usage::
 
-    python tools/bench_kernel.py [--src SRC] [--label LABEL] [--out BENCH.json]
+    python tools/bench_kernel.py --out BENCH.json [--src SRC] [--label LABEL]
 
 Imports ``torsionlab`` from ``SRC`` (default: this checkout's ``src``), times
-the layers under criterion 8 on the 48 x 96 sphere and merges the result into
-``--out`` under ``runs[LABEL]``, so two checkouts (say, before and after a
-change) can be recorded side by side in one file.  Layers, each a warm
+the layers below and merges the result into ``--out`` under ``runs[LABEL]``,
+so two checkouts (say, before and after a change) can be recorded side by
+side in one file.  Layers, each a warm
 median over ``repeats`` timed calls with ``time.perf_counter``:
+
+the kernel, under criterion 8 on the 48 x 96 sphere:
 
 * ``postpoint_data_per_row``  ``PostpointData`` at one latitude row's postpoint
   (the mean over all 48 rows of one timed sweep);
@@ -17,6 +19,15 @@ median over ``repeats`` timed calls with ``time.perf_counter``:
 * ``build_propagator``        one 48 x 96 ``qep`` kernel at eps = 0.04;
 * ``block_eigensolve``        ``SlicedPropagator.eigenvalues`` of that kernel;
 * ``sphere_ladder``           one criterion-8 ``qep`` ladder (eps 0.08, 0.04, 0.02).
+
+the trajectories, under criteria 3 and 5:
+
+* ``geodesic_per_step``       ``integrate_geodesic`` on the unit sphere, 1,000
+  RK4 steps of h = 1e-3, per step;
+* ``autoparallel_per_step``   ``integrate_autoparallel`` on ``synthetic_torsion``
+  (alpha = 0.3), 1,000 steps of h = 1e-3, per step;
+* ``variation_matrices``      one ``variation_matrices`` call on that chart
+  (the mean of 1,000 calls).
 
 Only public names are used, so any checkout of the package can be timed.
 BLAS is pinned to one thread before numpy loads, as in ``perfbench/run.py``.
@@ -40,6 +51,8 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 ROOT = Path(__file__).resolve().parent.parent
 N_THETA, N_PHI = 48, 96
 LADDER = (0.08, 0.04, 0.02)
+TRAJECTORY_STEPS, TRAJECTORY_H = 1000, 1e-3
+VARIATION_CALLS = 1000
 
 
 def _median_timing(fn, repeats, per=1):
@@ -66,10 +79,7 @@ def _rows():
         yield np.array([th, 0.0]), np.stack(steps, axis=-1)
 
 
-def measure():
-    import numpy as np
-    import scipy
-
+def _kernel_layers():
     from torsionlab import ShortTimeConfig, Sphere, build_propagator, builtin_chart, spectrum_ladder
     from torsionlab.pathintegral import PostpointData
 
@@ -94,25 +104,65 @@ def measure():
             lambda: spectrum_ladder(sphere, ShortTimeConfig(), "qep", LADDER, n_levels=4,
                                     group_tol=0.05), 7),
     }
-    return {
-        "layers": layers,
+    facts = {
         "grid": [N_THETA, N_PHI],
         "blocks_stored": None if prop.blocks is None else int(prop.blocks.shape[2]),
-        "machine": {
-            "nproc": os.cpu_count(),
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "scipy": scipy.__version__,
-            "blas_threads": BLAS_THREADS,
-        },
     }
+    return layers, facts
+
+
+def _trajectory_layers():
+    from torsionlab import (
+        builtin_chart,
+        integrate_autoparallel,
+        integrate_geodesic,
+        variation_matrices,
+    )
+
+    sphere = builtin_chart("sphere", r=1.0)
+    torsion = builtin_chart("synthetic_torsion", alpha=0.3)
+    span = (0.0, TRAJECTORY_STEPS * TRAJECTORY_H)
+
+    def variation_calls():
+        for _ in range(VARIATION_CALLS):
+            variation_matrices(torsion, [0.3, 0.1], [0.4, 0.2])
+
+    layers = {
+        "geodesic_per_step": _median_timing(
+            lambda: integrate_geodesic(sphere, [1.2, 0.1], [0.3, 0.8], span, TRAJECTORY_H), 7,
+            per=TRAJECTORY_STEPS),
+        "autoparallel_per_step": _median_timing(
+            lambda: integrate_autoparallel(torsion, [0.1, 0.2], [1.0, 0.7], span, TRAJECTORY_H), 7,
+            per=TRAJECTORY_STEPS),
+        "variation_matrices": _median_timing(variation_calls, 7, per=VARIATION_CALLS),
+    }
+    return layers, {"trajectory_steps": TRAJECTORY_STEPS}
+
+
+def measure():
+    import numpy as np
+    import scipy
+
+    result = {"layers": {}}
+    for group in (_kernel_layers, _trajectory_layers):
+        layers, facts = group()
+        result["layers"].update(layers)
+        result.update(facts)
+    result["machine"] = {
+        "nproc": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "blas_threads": BLAS_THREADS,
+    }
+    return result
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", default=str(ROOT / "src"), help="directory holding torsionlab")
     parser.add_argument("--label", default="current", help="key of this run in the output")
-    parser.add_argument("--out", default=str(ROOT / "BENCH_5.json"))
+    parser.add_argument("--out", required=True, help="JSON file to merge the run into")
     args = parser.parse_args(argv)
     sys.path.insert(0, str(Path(args.src).resolve()))
     result = measure()
@@ -122,7 +172,7 @@ def main(argv=None):
     doc.setdefault("runs", {})[args.label] = result
     out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     for name, timing in result["layers"].items():
-        print(f"{args.label:>10}  {name:<24} {timing['median_s'] * 1e3:10.3f} ms"
+        print(f"{args.label:>10}  {name:<24} {timing['median_s'] * 1e6:12.2f} us"
               f"  (median of {timing['repeats']})")
 
 
