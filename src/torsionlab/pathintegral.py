@@ -152,10 +152,12 @@ def _monomials(dq, degree):
     """Every monomial of the steps ``dq`` (shape (..., D)) up to ``degree``, last
     axis in the order of the jet tuples' partials (``expressions._multisets``)."""
     dq = np.asarray(dq, dtype=float)
-    out = [np.ones(dq.shape[:-1])]
-    for parent, last in _monomial_factors(dq.shape[-1], degree):
-        out.append(out[parent] * dq[..., last])
-    return np.stack(out, axis=-1)
+    factors = _monomial_factors(dq.shape[-1], degree)
+    out = np.empty(dq.shape[:-1] + (len(factors) + 1,))
+    out[..., 0] = 1.0
+    for s, (parent, last) in enumerate(factors, 1):
+        np.multiply(out[..., parent], dq[..., last], out=out[..., s])
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -306,6 +308,12 @@ class SlicedPropagator:
         (Deep in the spectrum the mildly nonsymmetric postpoint
         discretization can produce tiny complex pairs, which never carry
         physics and are returned as real parts.)
+
+        A sphere kernel's eigenvalues in block B_m obey |lambda| <= b_m =
+        min(||B_m||_1, ||B_m||_inf).  Blocks are solved in descending b_m (a
+        block standing also for n_phi - m counts twice) until ``count`` values
+        are in hand and the next b_m is strictly below the count-th largest
+        real part so far; the slice is then a full solve's, bit for bit.
         """
         if self.matrix is not None:
             if np.allclose(self.matrix, self.matrix.T, rtol=0.0, atol=1e-13):
@@ -313,15 +321,20 @@ class SlicedPropagator:
             else:
                 vals = np.linalg.eigvals(self.matrix)
         else:
-            all_vals = []
-            for m in range(self.blocks.shape[2]):
-                block = self.blocks[:, :, m]
-                if np.max(np.abs(block.imag)) > 1e-9 * max(1.0, np.max(np.abs(block.real))):
-                    raise NumericError("azimuthal kernel block unexpectedly complex")
+            size = np.abs(self.blocks.real)
+            if np.any(np.max(np.abs(self.blocks.imag), axis=(0, 1))
+                      > 1e-9 * np.maximum(1.0, np.max(size, axis=(0, 1)))):
+                raise NumericError("azimuthal kernel block unexpectedly complex")
+            bound = np.minimum(size.sum(axis=0).max(axis=0), size.sum(axis=1).max(axis=0))
+            solved, found = {}, np.empty(0)
+            for m in np.argsort(-bound, kind="stable"):
+                if 0 < (count or 0) <= len(found) and bound[m] < np.sort(found)[-count]:
+                    break
                 # the stored block m also stands for block n_phi - m
                 paired = 0 < m and 2 * m != self.manifold.n_phi
-                all_vals.extend([np.linalg.eigvals(block.real)] * (2 if paired else 1))
-            vals = np.concatenate(all_vals)
+                solved[m] = [np.linalg.eigvals(self.blocks[:, :, m].real)] * (2 if paired else 1)
+                found = np.concatenate([found] + [v.real for v in solved[m]])
+            vals = np.concatenate([v for m in sorted(solved) for v in solved[m]])
         vals = vals[np.argsort(-vals.real, kind="stable")]
         if count is not None:
             vals = vals[:count]
@@ -401,10 +414,10 @@ def build_propagator(manifold, cfg: ShortTimeConfig, measure_mode="qep") -> Slic
 
 
 def _propagators(manifold, cfgs, mode):
-    """The kernel of ``build_propagator`` for each config in turn, from one
-    grid and one ``PostpointData`` per row (only these survive across configs)."""
+    """The kernel of ``build_propagator`` for each config in turn; every
+    config's grid resolution is checked before any row is built."""
     chart, weights, spacing, posts, steps = _kernel_grid(manifold)
-    rows = [PostpointData(chart, q_post) for q_post in posts]
+    scales = []
     for cfg in cfgs:
         sigma = math.sqrt(cfg.epsilon * cfg.hbar / cfg.mass)
         if sigma / spacing < MIN_RESOLUTION_RATIO:
@@ -412,37 +425,55 @@ def _propagators(manifold, cfgs, mode):
                 f"kernel width {sigma:.4g} under-resolved by grid spacing {spacing:.4g}"
             )
         lam = 0.5 * cfg.mass / (cfg.epsilon * cfg.hbar)
-        cut = (cfg.cutoff_sigmas * sigma) ** 2
         norm = (cfg.mass / (2.0 * math.pi * cfg.epsilon * cfg.hbar)) ** (chart.dim / 2)
-
-        profile = np.empty((len(weights),) + weights.shape)
-        live = fallback = 0
-        for j, data in enumerate(rows):
-            dq, arc2 = steps(data.q)
-            bracket = data.bracket(dq)
-            trusted = _trusted_entries(data.quadratic_form(dq), bracket, lam)
-            action2 = np.where(trusted, bracket, arc2)
-            mask = arc2 <= cut
-            live += np.count_nonzero(mask)
-            fallback += np.count_nonzero(mask & ~trusted)
-            jexp = _mode_exponent(data, dq, mode, cfg)
-            kernel = np.where(mask, norm * weights * np.exp(-lam * action2 + jexp), 0.0)
-            # leading-order reference with the exact arc and measure (continuum value 1)
-            flat_sum = float(np.sum(np.where(mask, norm * weights * np.exp(-lam * arc2), 0.0)))
-            if flat_sum <= 0:
-                raise NumericError("flat reference kernel summed to zero")
-            profile[j] = kernel / flat_sum
-        _check_positive_finite(profile)
-        # the kernel is even in the azimuth difference; symmetrize rounding noise
-        n_ph = profile.shape[2]
-        profile = 0.5 * (profile + profile[:, :, (-np.arange(n_ph)) % n_ph])
-        out = SlicedPropagator(manifold, cfg, mode, fallback_fraction=fallback / live)
+        scales.append((lam, (cfg.cutoff_sigmas * sigma) ** 2, norm * weights))
+    profiles, live, fallback = _kernel_profiles(chart, weights, posts, steps, mode, cfgs, scales)
+    n_ph = weights.shape[1]
+    for cfg, profile, n_live, n_fallback in zip(cfgs, profiles, live, fallback):
+        out = SlicedPropagator(manifold, cfg, mode, fallback_fraction=n_fallback / n_live)
         if len(profile) == 1:  # the ring, stored dense: K[a, b] = profile[(a - b) % P]
             circulant = (np.arange(n_ph)[:, None] - np.arange(n_ph)[None, :]) % n_ph
             out.matrix = profile[0, 0][circulant]
         else:  # blocks m and n_phi - m of the even profile coincide: keep m <= n_phi / 2
             out.profile, out.blocks = profile, np.fft.rfft(profile, axis=2)
         yield out
+
+
+def _kernel_profiles(chart, weights, posts, steps, mode, cfgs, scales):
+    """Every config's kernel profile and counts of live and fallback entries.
+
+    Rows run outermost: one row's ``PostpointData``, steps, arcs and step
+    monomials fill that row of every config's kernel (and die with this call)."""
+    n_ph = weights.shape[1]
+    mirror = (-np.arange(n_ph)) % n_ph
+    n_low = len(_multisets(chart.dim, 2))  # the leading monomials, degree <= 2
+    profiles = np.empty((len(cfgs), len(weights)) + weights.shape)
+    live, fallback = [0] * len(cfgs), [0] * len(cfgs)
+    for j, q_post in enumerate(posts):
+        data = PostpointData(chart, q_post)
+        dq, arc2 = steps(data.q)
+        mono = _monomials(dq, 4)
+        low = mono[..., :n_low]
+        bracket = mono @ data._bracket
+        # cubic + quartic part of the bracket: the short-time expansion's trust measure
+        excess = np.abs(bracket - low @ data._quadratic)
+        jexps = _mode_exponents(data, low, mode, cfgs)
+        for c, ((lam, cut, norm_weights), jexp) in enumerate(zip(scales, jexps)):
+            trusted = lam * excess <= EXPANSION_TOLERANCE
+            action2 = np.where(trusted, bracket, arc2)
+            mask = arc2 <= cut
+            live[c] += np.count_nonzero(mask)
+            fallback[c] += np.count_nonzero(mask & ~trusted)
+            kernel = np.where(mask, norm_weights * np.exp(-lam * action2 + jexp), 0.0)
+            # leading-order reference with the exact arc and measure (continuum value 1)
+            flat_sum = float(np.sum(np.where(mask, norm_weights * np.exp(-lam * arc2), 0.0)))
+            if flat_sum <= 0:
+                raise NumericError("flat reference kernel summed to zero")
+            row = kernel / flat_sum
+            _check_positive_finite(row)
+            # the kernel is even in the azimuth difference; symmetrize rounding noise
+            profiles[c, j] = 0.5 * (row + row[:, mirror])
+    return profiles, live, fallback
 
 
 def _check_positive_finite(arr):
@@ -452,24 +483,20 @@ def _check_positive_finite(arr):
         raise NumericError("imaginary-time kernel must be non-negative")
 
 
-def _trusted_entries(quad, bracket, lam):
-    """Entries where the fourth-order bracket is inside its trust region."""
-    return lam * np.abs(bracket - quad) <= EXPANSION_TOLERANCE
-
-
-def _mode_exponent(data: PostpointData, dq, mode: str, cfg: ShortTimeConfig):
-    """Measure dressing relative to the exact prepoint volume weight.
+def _mode_exponents(data: PostpointData, low, mode: str, cfgs):
+    """Measure dressing relative to the exact prepoint volume weight, per config.
 
     The naive measure is carried entirely by the closed-form sqrt(g) weight
     at the integration point; the step-difference measure differs from it by
-    exp(delta_jacobian); the effective-potential form inserts -eps V_eff
-    into the action instead.
+    exp(delta_jacobian) (on ``low``, the step monomials of degree <= 2); the
+    effective-potential form inserts -eps V_eff into the action instead.
     """
     if mode == "qep":
-        return data.delta_jacobian(dq)
+        return [low @ data._delta_jacobian] * len(cfgs)
     if mode == "naive_dewitt":
-        return 0.0
-    return -cfg.epsilon * _veff(data.curvature_scalar(), cfg) / cfg.hbar
+        return [0.0] * len(cfgs)
+    scalar = data.curvature_scalar()
+    return [-cfg.epsilon * _veff(scalar, cfg) / cfg.hbar for cfg in cfgs]
 
 
 # -- spectrum extraction -------------------------------------------------------

@@ -22,8 +22,8 @@ from torsionlab import (
 )
 from torsionlab.charts import Chart, builtin_chart
 from torsionlab.connection import connection_bundle
-from torsionlab.errors import GridTooCoarseError, ValidationError
-from torsionlab.pathintegral import PostpointData
+from torsionlab.errors import GridTooCoarseError, NumericError, ValidationError
+from torsionlab.pathintegral import PostpointData, SlicedPropagator, _propagators
 
 CFG = ShortTimeConfig(epsilon=0.01)
 FLAT = Chart(dim=2, kind="map", exprs=["q1", "q2"])
@@ -542,3 +542,104 @@ def test_fallback_fraction_pinned_on_the_sphere():
     assert prop.compose(prop).fallback_fraction is None
     ring = build_propagator(Ring(1.0, 128), ShortTimeConfig(epsilon=0.05), "qep")
     assert ring.fallback_fraction == 0.0
+
+
+# -- norm-bounded block pruning and the rows-outer kernel ladder ------------------
+
+MODES = ("qep", "naive_dewitt", "qep_via_veff")
+
+
+@pytest.fixture
+def eigvals_calls(monkeypatch):
+    calls = []
+    solve = np.linalg.eigvals
+
+    def counted(a):
+        calls.append(a.shape)
+        return solve(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    return calls
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_pruned_eigenvalues_equal_the_full_solve(mode, eigvals_calls):
+    cfgs = [ShortTimeConfig(epsilon=eps) for eps in (0.08, 0.04, 0.02)]
+    for prop in _propagators(Sphere(1.0, 48, 96), cfgs, mode):
+        full = prop.eigenvalues()
+        assert len(eigvals_calls) == prop.blocks.shape[2] == 49
+        for count in (8, 16, 50):
+            eigvals_calls.clear()
+            assert np.array_equal(prop.eigenvalues(count), full[:count]), count
+            # measured: 8 of the 49 stored blocks at count 50
+            assert len(eigvals_calls) <= 10, count
+        eigvals_calls.clear()
+
+
+def hand_built_propagator(imag_block=None):
+    """n_phi = 8 sphere kernel whose leading values sit in the last stored block (m = 4)."""
+    rng = np.random.default_rng(7)
+    blocks = np.empty((4, 4, 5), dtype=complex)
+    for m in range(4):
+        a = rng.random((4, 4))
+        blocks[:, :, m] = 0.1 * (m + 1) * (a + a.T) / 8.0
+    blocks[:, :, 4] = np.diag([10.0, 9.0, 8.0, 7.0]) + 0.01 * np.ones((4, 4))
+    if imag_block is not None:
+        blocks[0, 1, imag_block] += 1e-3j
+    return SlicedPropagator(Sphere(1.0, 4, 8), ShortTimeConfig(), "qep", blocks=blocks)
+
+
+def test_blocks_are_solved_by_bound_not_by_m(eigvals_calls):
+    prop = hand_built_propagator()
+    full = prop.eigenvalues()
+    assert len(full) == 4 * 8
+    eigvals_calls.clear()
+    vals = prop.eigenvalues(4)
+    assert np.array_equal(vals, full[:4])
+    assert vals[0] > 10.0 and len(eigvals_calls) == 1
+    for count in (32, 33, 100):  # at least every eigenvalue: the full solve
+        assert np.array_equal(prop.eigenvalues(count), full)
+
+
+def test_pruned_complex_block_still_raises(eigvals_calls):
+    prop = hand_built_propagator(imag_block=0)
+    with pytest.raises(NumericError, match="unexpectedly complex"):
+        prop.eigenvalues(4)
+    assert eigvals_calls == []
+
+
+@pytest.mark.parametrize(
+    "manifold, ladder",
+    [(Ring(1.0, 96), (0.2, 0.1, 0.05)), (Sphere(1.0, 24, 48), (0.16, 0.08, 0.04))],
+)
+@pytest.mark.parametrize("mode", MODES)
+def test_ladder_kernels_equal_one_build_per_config(manifold, ladder, mode):
+    cfgs = [ShortTimeConfig(epsilon=eps) for eps in ladder]
+    for cfg, prop in zip(cfgs, _propagators(manifold, cfgs, mode), strict=True):
+        single = build_propagator(manifold, cfg, mode)
+        for name in ("profile", "blocks", "matrix"):
+            got, want = getattr(prop, name), getattr(single, name)
+            assert (got is None) == (want is None), name
+            assert want is None or np.array_equal(got, want), name
+        assert prop.fallback_fraction == single.fallback_fraction
+        assert prop.cfg == cfg
+
+
+def test_under_resolved_ladder_fails_before_any_row(monkeypatch):
+    sphere = Sphere(1.0, 24, 48)
+    coarse = ShortTimeConfig(epsilon=0.001)
+    with pytest.raises(GridTooCoarseError) as single:
+        build_propagator(sphere, coarse, "qep")
+    builds = []
+    init = PostpointData.__init__
+
+    def counted(self, chart, q):
+        builds.append(q)
+        init(self, chart, q)
+
+    monkeypatch.setattr(PostpointData, "__init__", counted)
+    cfgs = [ShortTimeConfig(epsilon=0.16), ShortTimeConfig(epsilon=0.08), coarse]
+    with pytest.raises(GridTooCoarseError) as ladder:
+        next(_propagators(sphere, cfgs, "qep"))
+    assert str(ladder.value) == str(single.value)
+    assert builds == []

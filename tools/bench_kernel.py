@@ -17,7 +17,9 @@ the kernel, under criterion 8 on the 48 x 96 sphere:
 * ``bracket_per_row``         ``PostpointData.bracket`` on one row's 48 x 96 steps
   (likewise the mean over the rows);
 * ``build_propagator``        one 48 x 96 ``qep`` kernel at eps = 0.04;
-* ``block_eigensolve``        ``SlicedPropagator.eigenvalues`` of that kernel;
+* ``block_eigensolve``        ``SlicedPropagator.eigenvalues(count=50)`` of that kernel,
+  with ``eigvals_calls``, the ``numpy.linalg.eigvals`` calls of one such solve
+  (counted by wrapping numpy's function, so blocks solved per kernel);
 * ``sphere_ladder``           one criterion-8 ``qep`` ladder (eps 0.08, 0.04, 0.02).
 
 the trajectories, under criteria 3 and 5:
@@ -67,6 +69,24 @@ def _median_timing(fn, repeats, per=1):
             "min_s": samples[0], "max_s": samples[-1]}
 
 
+def _eigvals_calls(fn):
+    """Number of ``numpy.linalg.eigvals`` calls made by one ``fn()``."""
+    import numpy as np
+
+    solve, calls = np.linalg.eigvals, []
+
+    def counted(a):
+        calls.append(a.shape)
+        return solve(a)
+
+    np.linalg.eigvals = counted
+    try:
+        fn()
+    finally:
+        np.linalg.eigvals = solve
+    return len(calls)
+
+
 def _rows():
     """Postpoints and steps of the sphere kernel rows (the grid of ``build_propagator``)."""
     import numpy as np
@@ -104,6 +124,8 @@ def _kernel_layers():
             lambda: spectrum_ladder(sphere, ShortTimeConfig(), "qep", LADDER, n_levels=4,
                                     group_tol=0.05), 7),
     }
+    layers["block_eigensolve"]["eigvals_calls"] = _eigvals_calls(
+        lambda: prop.eigenvalues(count=50))
     facts = {
         "grid": [N_THETA, N_PHI],
         "blocks_stored": None if prop.blocks is None else int(prop.blocks.shape[2]),
@@ -172,8 +194,9 @@ def main(argv=None):
     doc.setdefault("runs", {})[args.label] = result
     out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     for name, timing in result["layers"].items():
+        calls = f", {timing['eigvals_calls']} eigvals calls" if "eigvals_calls" in timing else ""
         print(f"{args.label:>10}  {name:<24} {timing['median_s'] * 1e6:12.2f} us"
-              f"  (median of {timing['repeats']})")
+              f"  (median of {timing['repeats']}{calls})")
 
 
 if __name__ == "__main__":

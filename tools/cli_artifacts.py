@@ -32,7 +32,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 LOOP_FILE = "loop.json"
 
-# cases beyond criterion 9: a chart override, the CSV renderers, a disclination
+# cases beyond criterion 9: a chart override, the CSV renderers, a disclination,
+# a sphere kernel's leading eigenvalues (a pruned block solve)
 EXTRA_CASES = (
     ["tensors", "--chart", "builtin:sphere", "--param", "r=2.0", "--at", "1.0,0.5",
      "--source", "cartan"],
@@ -41,6 +42,8 @@ EXTRA_CASES = (
     ["burgers", "--chart", "builtin:disclination", "--param", "om=0.05", "--loop", "{loop}"],
     ["spectrum", "--manifold", "sphere", "--n-theta", "24", "--n-phi", "48",
      "--ladder", "0.08,0.04", "--format", "csv"],
+    ["amplitude", "--manifold", "sphere", "--n-theta", "24", "--n-phi", "48",
+     "--epsilon", "0.08"],
 )
 
 _NUMBER = re.compile(r"(-?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|-?Infinity|NaN)")
