@@ -16,26 +16,41 @@ from functools import cached_property
 import numpy as np
 
 from .config import active_profile
-from .errors import DegenerateTriadError
+from .errors import DegenerateTriadError, TorsionLabError
+
+
+def attempt(batch):
+    """``batch()`` over a stack of points, or None if it fails (numpy's float
+    errors raise, as Python's do): the caller then runs the points one by one."""
+    try:
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            return batch()
+    except (ArithmeticError, ValueError, TorsionLabError):
+        return None
+
+
+def columns(parts, n):
+    """Batched components (arrays of n, or constant floats) as C-ordered columns."""
+    return np.array(np.broadcast_arrays(np.empty(n), *parts)[1:]).T.copy()
 
 
 def checked_gram(E, q):
-    """g = E^T E and det g; rejects the point if sqrt(det g) is not finite or at
-    most the degenerate-triad floor."""
-    g = E.T @ E
-    detg = float(np.linalg.det(g))
+    """g = E^T E and det g (per point of a batch); rejects the (first) point if
+    sqrt(det g) is not finite or at most the degenerate-triad floor."""
+    g = E.mT @ E
+    detg = np.linalg.det(g)
     floor = active_profile().degenerate_triad_floor
-    if not math.isfinite(detg) or detg <= floor * floor:
-        raise DegenerateTriadError(
-            f"triad degenerate at {np.asarray(q).tolist()}: sqrt(det g) <= {floor:g}"
-        )
+    admitted = (detg > floor * floor) & (detg < math.inf)
+    if not (admitted.all() if admitted.ndim else admitted):
+        at = np.asarray(q)[admitted.argmin()] if admitted.ndim else np.asarray(q)
+        raise DegenerateTriadError(f"triad degenerate at {at.tolist()}: sqrt(det g) <= {floor:g}")
     return g, detg
 
 
 def checked_metric(E, q) -> np.ndarray:
     """Induced metric g = E^T E; rejects the point if sqrt(det g) is below the floor."""
     g = checked_gram(E, q)[0]
-    return 0.5 * (g + g.T)
+    return 0.5 * (g + g.mT)
 
 
 def inverse_derivative(inv, d):
@@ -63,7 +78,8 @@ class LocalGeometry:
     Jets of order 0 give the metric and the reciprocal triad, order 1 adds
     the metric derivative, both connections, torsion and contortion, order 2
     the connection derivatives and curvatures.  Each tensor is computed on
-    first access and cached.
+    first access and cached.  Over points (N, D), g, invg, recip, dg, gamma
+    and torsion carry a leading point axis.
     """
 
     def __init__(self, jets, q):
@@ -91,7 +107,7 @@ class LocalGeometry:
     @cached_property
     def dg(self):
         E, dE = self.E, self.dE
-        return np.einsum("ims,in->mns", dE, E) + np.einsum("im,ins->mns", E, dE)
+        return np.einsum("...ims,...in->...mns", dE, E) + np.einsum("...im,...ins->...mns", E, dE)
 
     @cached_property
     def d2g(self):
@@ -136,7 +152,7 @@ class LocalGeometry:
     @cached_property
     def gamma(self):
         """Gamma_{lam kap}^mu = e_i^mu d_lam e^i_kap."""
-        return np.einsum("im,ikl->lkm", self.recip, self.dE)
+        return np.einsum("...im,...ikl->...lkm", self.recip, self.dE)
 
     @cached_property
     def dgamma(self):
@@ -149,7 +165,7 @@ class LocalGeometry:
     @cached_property
     def torsion(self):
         gamma = self.gamma
-        return 0.5 * (gamma - gamma.transpose(1, 0, 2))
+        return 0.5 * (gamma - np.swapaxes(gamma, -3, -2))
 
     @cached_property
     def contortion(self):

@@ -22,7 +22,7 @@ from importlib import resources
 
 import numpy as np
 
-from ._local import LocalGeometry, checked_metric
+from ._local import LocalGeometry, attempt, checked_metric, columns
 from .errors import (
     DimensionMismatchError,
     SingularPointError,
@@ -116,14 +116,27 @@ class Chart:
     def _jets(self, q, order):
         """The raw jet tuple of every expression at a guard-checked point, to
         the derivative order that gives the triad and its ``order`` (0, 1 or 2)
-        derivatives: the one evaluation every triad and tensor reads."""
+        derivatives: the one evaluation every triad and tensor reads.  Points
+        ``q`` (N, D) take one pass, an (expressions, partials, N) array."""
         if order not in (0, 1, 2):
             raise ValidationError(f"triad derivative order must be 0, 1 or 2, got {order!r}")
-        env = self._checked_env(q)[1]
         first = 1 if self.kind == "map" else 0  # derivative order that gives E
         # plain values (no wrt) for an order-0 triad: nothing to differentiate
         wrt = self._coord_names if first + order else ()
+        if isinstance(q, np.ndarray) and q.ndim == 2:  # if the batch fails, point by point
+            jets = attempt(lambda: self._batch_jets(q, wrt, first + order))
+            return np.moveaxis([self._jets(p, order) for p in q], 0, -1) if jets is None else jets
+        env = self._checked_env(q)[1]
         return [e(env, wrt, first + order) for e in self.exprs]
+
+    def _batch_jets(self, q, wrt, order):
+        """``_jets`` of every point of ``q`` in one pass; None unless the guard admits them all."""
+        if q.shape[1:] != (self.dim,):
+            return None
+        env = {**self.params, **dict(zip(self._coord_names, np.ascontiguousarray(q.T, float)))}
+        if self.guard is not None and not np.all(self.guard._batch(env, (), 0)[0] > 0.0):
+            return None
+        return np.array([columns(e._batch(env, wrt, order), len(q)).T for e in self.exprs])
 
     def triad_jets(self, q, order=0):
         """Triad field and its derivatives up to ``order`` (0, 1 or 2).
@@ -139,6 +152,10 @@ class Chart:
         jets = np.array(jets)
         D, A = self.dim, self.ambient_dim
         first = 1 if self.kind == "map" else 0  # derivative order that gives E
+        if jets.ndim == 3:  # a batch: per point, the layout below, so products round alike
+            jets = np.moveaxis(jets, (0, 2), (2, 0))  # (N, partials, expressions)
+            return tuple(np.moveaxis(np.take(jets, _partials_index(D, first + k), axis=1), -1, 1)
+                         .reshape((len(jets), A) + (D,) * (k + 1)) for k in range(order + 1))
         return tuple(
             jets[:, _partials_index(D, first + k)].reshape((A,) + (D,) * (k + 1))
             for k in range(order + 1)

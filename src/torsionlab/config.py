@@ -2,7 +2,7 @@
 
 The engine consults one threshold at run time: the degenerate-triad floor,
 below which sqrt(det g) makes a point unusable.  The environment variable
-``TORSIONLAB_TOLERANCES`` selects the profile, at every evaluation, so it
+``TORSIONLAB_TOLERANCES`` selects the profile, at every public call, so it
 acts on charts that already exist.  The test suites pin their own
 tolerances.
 """

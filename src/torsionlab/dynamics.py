@@ -18,6 +18,10 @@ they read the raw jet tuples of one guard-checked ``Chart._jets`` pass and
 the velocity and return plain floats, with no tensor built on the way.  The
 tensor route through ``LocalGeometry`` stays for the line-image oracle and
 the Euler-Lagrange residual, and the tests compare the two.
+
+The variation samples and the Euler-Lagrange residual nodes, known up front,
+take one batched jet pass per call, bitwise equal to the point-by-point path;
+that path takes over when a batch fails, so errors name the first bad point.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from ._local import LocalGeometry, checked_gram
+from ._local import LocalGeometry, attempt, checked_gram, columns
 from .charts import Chart
 from .config import active_profile
 from .connection import torsion_tensor
@@ -102,16 +106,22 @@ def _rk4(rhs, y0, t_grid, final_slope=False):
     return y, slope, False
 
 
-def _field_at(chart: Chart, field, q, v):
-    """The generated ``field`` of ``chart`` at the phase point (q, v), as plain
-    floats from one guard-checked jet pass; rejects a degenerate triad."""
+def _field(chart: Chart, field):
+    """``at(q, v)``: the generated ``field`` of ``chart`` at a phase point from
+    one guard-checked jet pass, rejecting a degenerate triad, or over points
+    (N, D) in one pass (None unless all clear).  Reads the profile once."""
     floor = active_profile().degenerate_triad_floor
     fn = _trajectory_field(field, chart.kind, chart.dim, chart.ambient_dim)
-    jets = chart._jets(q, 1)
-    out = fn(jets, v, floor * floor)
-    if out is None:  # det g within rounding of the floor: decide as ``checked_metric`` does
-        out = fn(jets, v, floor * floor, checked_gram(chart._tensors(jets, 0)[0], q)[1])
-    return out
+
+    def at(q, v):
+        jets = chart._jets(q, 1)
+        out = fn(jets, v, floor * floor)
+        if out is None and np.ndim(q) == 1:
+            # det g within rounding of the floor: decide as ``checked_metric`` does
+            out = fn(jets, v, floor * floor, checked_gram(chart._tensors(jets, 0)[0], q)[1])
+        return out
+
+    return at
 
 
 def _integrate_second_order(field, chart, q0, qdot0, t_span, step) -> Trajectory:
@@ -119,10 +129,11 @@ def _integrate_second_order(field, chart, q0, qdot0, t_span, step) -> Trajectory
     q0 = chart.check_point(q0)
     t_grid = _grid(t_span, step)
     D = chart.dim
+    at = _field(chart, field)
 
     def rhs(_, y):
         y = y.tolist()
-        return np.array((*y[D:], *_field_at(chart, field, y[:D], y[D:])))
+        return np.array((*y[D:], *at(y[:D], y[D:])))
 
     y, _, truncated = _rk4(rhs, np.concatenate((q0, np.asarray(qdot0, dtype=float))), t_grid)
     return Trajectory(t=t_grid[: len(y)], q=y[:, :D], qdot=y[:, D:], truncated=truncated)
@@ -192,7 +203,11 @@ def _parse_variation(deltaq, dim, params):
         raise ValidationError(f"deltaq needs {dim} components, got {len(exprs)}")
 
     def fn(t):
+        """delta_q at the time ``t``, or at each of an array of times (rows)."""
         env = dict(params)
+        if isinstance(t, np.ndarray):
+            env["t"] = t
+            return columns([e._batch(env, (), 0)[0] for e in exprs], len(t))
         env["t"] = float(t)
         return np.array([e(env, (), 0)[0] for e in exprs])
 
@@ -202,7 +217,7 @@ def _parse_variation(deltaq, dim, params):
 def variation_matrices(chart: Chart, q, qdot):
     """Transport matrix G^mu_lam = Gamma_{lam nu}^mu qdot^nu and torsion drive
     Sigma^mu_nu = 2 S_{lam nu}^mu qdot^lam at one phase point."""
-    G, Sigma = _field_at(chart, "variation", q, np.asarray(qdot, dtype=float).tolist())
+    G, Sigma = _field(chart, "variation")(q, np.asarray(qdot, dtype=float).tolist())
     shape = (chart.dim, chart.dim)
     return np.reshape(G, shape), np.reshape(Sigma, shape)
 
@@ -211,7 +226,8 @@ def _half_step_samples(chart: Chart, base: Trajectory, deltaq, params):
     """delta_q, G and Sigma at every node and step midpoint of ``base``.
 
     Sample j = 2k is node k and j = 2k + 1 the midpoint of step k, where the
-    state is the cubic Hermite interpolant of the two nodes.  Returns
+    state is the cubic Hermite interpolant of the two nodes.  All samples
+    take one batched jet pass, or one each in order if the batch fails.  Returns
     ``(delta_q, G, Sigma)`` with 2N - 1 samples each.
     """
     if len(base) < 2:
@@ -219,18 +235,24 @@ def _half_step_samples(chart: Chart, base: Trajectory, deltaq, params):
     env_params = dict(chart.params)
     env_params.update(params or {})
     dq_fn = _parse_variation(deltaq, chart.dim, env_params)
+    variation = _field(chart, "variation")
+    t, q, v = base.t, base.q, base.qdot
     m, D = 2 * len(base) - 1, chart.dim
-    dq, G, Sigma = np.empty((m, D)), np.empty((m, D, D)), np.empty((m, D, D))
-    for j in range(m):
-        k, mid = divmod(j, 2)
-        t, q, v = base.t[k], base.q[k], base.qdot[k]
-        if mid:
-            h, q1, v1 = base.t[k + 1] - t, base.q[k + 1], base.qdot[k + 1]
-            t += 0.5 * h
-            q, v = 0.5 * (q + q1) + 0.125 * h * (v - v1), 1.5 * (q1 - q) / h - 0.25 * (v + v1)
-        dq[j] = dq_fn(t)
-        G[j], Sigma[j] = variation_matrices(chart, q, v)
-    return dq, G, Sigma
+    ts, qs, vs = np.empty(m), np.empty((m, D)), np.empty((m, D))
+    ts[::2], qs[::2], vs[::2] = t, q, v
+    h = np.diff(t)[:, None]
+    ts[1::2] = t[:-1] + 0.5 * h[:, 0]
+    qs[1::2] = 0.5 * (q[:-1] + q[1:]) + 0.125 * h * (v[:-1] - v[1:])
+    vs[1::2] = 1.5 * (q[1:] - q[:-1]) / h - 0.25 * (v[:-1] + v[1:])
+
+    def batch():
+        out = variation(qs, tuple(vs.T))
+        if out is not None:
+            return dq_fn(ts), *(columns(parts, m) for parts in out)
+
+    dq, G, Sigma = attempt(batch) or [np.array(c) for c in zip(*(  # or sample by sample
+        (dq_fn(ts[j]), *variation(qs[j], vs[j].tolist())) for j in range(m)))]
+    return dq, G.reshape(m, D, D), Sigma.reshape(m, D, D)
 
 
 def solve_variation_ode(G, Sigma, deltaq, t_grid):
@@ -283,11 +305,11 @@ def closure_defect_by_quadrature(chart: Chart, base: Trajectory, deltaq, params=
     dq, G, Sigma = _half_step_samples(chart, base, deltaq, params)
     steps = np.diff(base.t)
     integrand = np.einsum("kmn,kn->km", Sigma[::2], dq[::2])
+    props = expm(-G[1::2] * steps[:, None, None])
     db = np.zeros_like(integrand)
     # running trapezoid: db_{k+1} = P_k (db_k + h/2 f_k) + h/2 f_{k+1}
     for k, h in enumerate(steps):
-        prop = expm(-G[2 * k + 1] * h)
-        db[k + 1] = prop @ (db[k] + 0.5 * h * integrand[k]) + 0.5 * h * integrand[k + 1]
+        db[k + 1] = props[k] @ (db[k] + 0.5 * h * integrand[k]) + 0.5 * h * integrand[k + 1]
     return db
 
 
@@ -310,17 +332,17 @@ def torsion_el_residual(chart: Chart, traj: Trajectory, mass: float = 1.0):
     if np.max(np.abs(steps - steps[0])) > 1e-12 * max(1.0, abs(steps[0])):
         raise GridMismatchError("trajectory must be uniformly sampled")
     h = steps[0]
-    D = chart.dim
 
-    p = np.empty((n, D))  # dL/dqdot_lam = M g_lamnu qdot^nu
-    dLdq = np.empty((n, D))  # dL/dq_lam = (M/2) d_lam g_munu qdot qdot
-    torsion_force = np.empty((n, D))
-    for k in range(n):
-        geo = LocalGeometry.of(chart, traj.q[k], 1)
-        v = traj.qdot[k]
-        p[k] = mass * geo.g @ v
-        dLdq[k] = 0.5 * mass * np.einsum("mnl,m,n->l", geo.dg, v, v)
-        torsion_force[k] = 2.0 * np.einsum("lmn,m,n->l", geo.torsion, v, p[k])
+    def at(q):
+        geo = LocalGeometry.of(chart, q, 1)
+        return geo.g, geo.dg, geo.torsion
+
+    # one batched jet pass over the nodes, or node by node in order if it fails
+    g, dg, torsion = attempt(lambda: at(traj.q)) or [np.array(c) for c in zip(*map(at, traj.q))]
+    v = traj.qdot
+    p = np.einsum("kmn,kn->km", mass * g, v)  # dL/dqdot_lam = M g_lamnu qdot^nu
+    dLdq = 0.5 * mass * np.einsum("kmnl,km,kn->kl", dg, v, v)  # (M/2) d_lam g_munu qdot qdot
+    torsion_force = 2.0 * np.einsum("klmn,km,kn->kl", torsion, v, p)
 
     dp = (-p[4:] + 8.0 * p[3:-1] - 8.0 * p[1:-3] + p[:-4]) / (12.0 * h)
     interior = slice(2, n - 2)

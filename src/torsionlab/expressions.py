@@ -14,7 +14,7 @@ import operator
 import re
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations_with_replacement, product
 from typing import NamedTuple
 
@@ -50,13 +50,13 @@ def _triple_mixed(u, v):
 # the compiled kernels further down compose the same series.
 
 
-def _sin_series(u):
-    s, c = math.sin(u), math.cos(u)
+def _sin_series(u, sin=math.sin, cos=math.cos):
+    s, c = sin(u), cos(u)
     return s, c, -s, -c
 
 
-def _cos_series(u):
-    s, c = math.sin(u), math.cos(u)
+def _cos_series(u, sin=math.sin, cos=math.cos):
+    s, c = sin(u), cos(u)
     return c, -s, -c, s
 
 
@@ -145,6 +145,31 @@ _REAL = {
     "sqrt": lambda u: math.sqrt(u) if u >= 0.0 else _sqrt_series(u)[0],  # raises
     "atan2": math.atan2,
 }
+
+
+# -- the helpers over arrays of points, bitwise the scalar ones: numpy's sin,
+# cos and arithmetic round as ``math`` does, its exp, log, atan2 and powers do
+# not, so those and the domain checks run element by element.  A domain error
+# or a branch on an array (``pow``'s exponent rule) raises, for a per-point rerun.
+
+
+def _per_element(fn):
+    def each(*args):
+        if not any(isinstance(a, np.ndarray) for a in args):
+            return fn(*args)
+        out = [fn(*xs) for xs in zip(*(a.tolist() for a in np.broadcast_arrays(*args)))]
+        return tuple(map(np.array, zip(*out))) if isinstance(out[0], tuple) else np.array(out)
+
+    return each
+
+
+_BATCH = {f"_{name}_series": partial(globals()[f"_{name}_series"], sin=np.sin, cos=np.cos)
+          for name in ("sin", "cos")}
+_BATCH.update((name, _per_element(globals()[name])) for name in (
+    "_exp_series", "_log_series", "_sqrt_series", "_recip_series", "_pow_series",
+    "_atan2_series", "_real_pow"))
+_BATCH["_REAL"] = {**_REAL, "sin": np.sin, "cos": np.cos, **{
+    op: _per_element(_REAL[op]) for op in ("div", "pow", "exp", "log", "sqrt", "atan2")}}
 
 
 class Jet:
@@ -587,10 +612,11 @@ def _eval(node, env):
 # order.  Its arithmetic -- the Leibniz product and the univariate and
 # bivariate Faa di Bruno chain rules (Griewank & Walther, Evaluating
 # Derivatives, 2nd ed., ch. 13) -- depends on (D, n) only, so it is emitted
-# once per pair as straight-line source and compiled on first use.  Each
-# expression is lowered once per (wrt, order) into closures over the kernels.
+# once per pair as straight-line source and compiled on first use, over the
+# scalar helpers or (for batches of points) the array helpers above.  Each
+# expression is lowered once per (wrt, order, batched) into closures.
 
-_KERNELS: dict = {}  # (D, n) -> namespace of compiled kernels
+_KERNELS: dict = {}  # (D, n, batched) -> namespace of compiled kernels
 
 
 def _multisets(dim, order):
@@ -697,12 +723,15 @@ def atan2_cj(c, x):
 """
 
 
-def _kernels(dim, order):
-    kernels = _KERNELS.get((dim, order))
+def _kernels(dim, order, batched):
+    kernels = _KERNELS.get((dim, order, batched))
     if kernels is None:
         kernels = dict(globals())  # the kernels call this module's series helpers
-        exec(compile(_kernel_source(dim, order), f"<kernels D={dim} n={order}>", "exec"), kernels)
-        _KERNELS[dim, order] = kernels
+        if batched:
+            kernels.update(_BATCH)
+        label = f"<{'batched ' * batched}kernels D={dim} n={order}>"
+        exec(compile(_kernel_source(dim, order), label, "exec"), kernels)
+        _KERNELS[dim, order, batched] = kernels
     return kernels
 
 
@@ -737,7 +766,7 @@ def _lower(node, wrt, kernels):
     lowered = [_lower(a, wrt, kernels) for a in args]
     jets = [j for _, j in lowered]
     if not any(jets):
-        fn = _REAL[op]
+        fn = kernels["_REAL"][op]
     else:
         if len(jets) == 2 and not all(jets):
             op += "_jc" if jets[0] else "_cj"
@@ -758,7 +787,7 @@ class Expression:
         names: dict[str, int] = {}
         _free_names(self.ast, names)
         self.free_names = names  # name -> first column of use
-        self._lowered: dict = {}  # (wrt, order) -> closure
+        self._lowered: dict = {}  # (wrt, order, batched) -> closure
 
     def __call__(self, env, wrt=None, order=0):
         """Value at ``env``: a ``Jet`` tree walk over what ``env`` holds, or with
@@ -768,16 +797,25 @@ class Expression:
         if wrt is None:
             return _eval(self.ast, env)
         try:
-            fn = self._lowered[wrt, order]
+            fn = self._lowered[wrt, order, False]
         except (KeyError, TypeError):
-            if not isinstance(wrt, tuple) or order not in (0, 1, 2, 3):
-                raise ValidationError(f"need a tuple wrt and order 0..3, got {wrt!r}, {order!r}")
-            kernels = _kernels(len(wrt), order)
-            fn, is_jet = _lower(self.ast, wrt, kernels)
-            if not is_jet:
-                fn = lambda env, value=fn, const=kernels["const"]: const(value(env))  # noqa: E731
-            self._lowered[wrt, order] = fn
+            fn = self._lower(wrt, order, False)
         return fn(env)
+
+    def _batch(self, env, wrt, order):
+        """``self(env, wrt, order)`` with names bound to arrays of points: an
+        array (a float where constant) per component, bitwise the scalar one."""
+        return (self._lowered.get((wrt, order, True)) or self._lower(wrt, order, True))(env)
+
+    def _lower(self, wrt, order, batched):
+        if not isinstance(wrt, tuple) or order not in (0, 1, 2, 3):
+            raise ValidationError(f"need a tuple wrt and order 0..3, got {wrt!r}, {order!r}")
+        kernels = _kernels(len(wrt), order, batched)
+        fn, is_jet = _lower(self.ast, wrt, kernels)
+        if not is_jet:
+            fn = lambda env, value=fn, const=kernels["const"]: const(value(env))  # noqa: E731
+        self._lowered[wrt, order, batched] = fn
+        return fn
 
     def __repr__(self):
         return f"Expression({self.source!r})"
@@ -820,7 +858,9 @@ def parse_over(sources, allowed, context: str) -> tuple:
 # squared degenerate-triad floor, by more than rounding (1e-13 of the product
 # of the diagonal of g, which bounds det g), and None elsewhere: there the
 # caller decides with the determinant of the degenerate-triad check and, if
-# the point passes, calls again with that ``det``.
+# the point passes, calls again with that ``det``.  On batched jets and a
+# velocity of D arrays it returns arrays, and None unless every point clears
+# (above D = 3 it raises, and the caller takes the points one by one).
 
 _FIELDS: dict = {}  # (field, kind, D, ambient) -> compiled field function
 
@@ -894,7 +934,8 @@ def _field_source(field, kind, dim, ambient):
 
     zero = ", ".join(["0.0"] * dim * dim)  # a map chart's Sigma
     diagonal = "*".join(f"g{m}_{m}" for m in rD)
-    check = [f"        if not floor2 + 1e-13*{diagonal} < det < _INF:", "            return None"]
+    check = [f"        ok = (floor2 + 1e-13*{diagonal} < det) & (det < _INF)",  # per point of a batch
+             "        if not (ok if ok.__class__ is bool else ok.all()):", "            return None"]
     if dim in _ADJUGATES:
         adjugate, det = _ADJUGATES[dim]
         lines += [f"    a{m}_{n} = {entry}" for (m, n), entry in adjugate.items()]

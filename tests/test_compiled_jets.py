@@ -216,6 +216,8 @@ def test_hot_paths_never_walk_the_tree(monkeypatch):
     torsion = builtin_chart("synthetic_torsion")
     base = dynamics.integrate_autoparallel(torsion, [0.1, 0.0], [1.0, 0.5], (0.0, 0.1), 1e-3)
     dynamics.nonholonomic_variation(torsion, base, ["t*(0.1 - t)", "0"])
+    dynamics.closure_defect_by_quadrature(torsion, base, ["t*(0.1 - t)", "0"])
+    dynamics.torsion_el_residual(torsion, base)
     assert calls == []
 
 

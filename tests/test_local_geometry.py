@@ -33,25 +33,24 @@ def test_geodesic_step_makes_four_passes(jet_passes):
     assert jet_passes == [1] * 40
 
 
-def test_variation_makes_two_passes_per_step(jet_passes):
+def test_variation_makes_one_pass_per_call(jet_passes):
     st = tl.builtin_chart("synthetic_torsion", alpha=0.3)
     base = tl.integrate_autoparallel(st, [0.1, 0.2], [1.0, 0.7], (0.0, 1.0), 1e-2)
-    steps = len(base) - 1
     jet_passes.clear()
     tl.nonholonomic_variation(st, base, ["0.3*t*(1 - t)", "-0.2*t*(1 - t)"])
-    # one pass per node and one per step midpoint
-    assert len(jet_passes) <= 2 * steps + 1
+    # one batched pass over every node and step midpoint
+    assert jet_passes == [1]
     jet_passes.clear()
     tl.closure_defect_by_quadrature(st, base, ["0.3*t*(1 - t)", "-0.2*t*(1 - t)"])
-    assert len(jet_passes) <= 2 * steps + 1
+    assert jet_passes == [1]
 
 
-def test_el_residual_makes_one_pass_per_sample(jet_passes):
+def test_el_residual_makes_one_pass_per_call(jet_passes):
     st = tl.builtin_chart("synthetic_torsion", alpha=0.3)
     traj = tl.integrate_autoparallel(st, [0.1, 0.2], [1.0, 0.7], (0.0, 0.1), 1e-2)
     jet_passes.clear()
     tl.torsion_el_residual(st, traj)
-    assert len(jet_passes) == len(traj)
+    assert jet_passes == [1]
 
 
 def test_geometry_point_and_cli_tensors_make_one_pass(jet_passes):

@@ -40,7 +40,7 @@ def magnitude(chart, field, q, v):
 
 
 def generated(chart, field, q, v):
-    out = dynamics._field_at(chart, field, q, [float(x) for x in v])
+    out = dynamics._field(chart, field)(q, [float(x) for x in v])
     return np.concatenate([np.ravel(part) for part in out]) if field == "variation" else np.array(out)
 
 
@@ -159,21 +159,21 @@ def test_errors_match_checked_metric_and_guard(field):
     with pytest.raises(DegenerateTriadError) as want:
         DEGENERATE.triad([0.05, 0.0])
     with pytest.raises(DegenerateTriadError) as got:
-        dynamics._field_at(DEGENERATE, field, [0.05, 0.0], v)
+        dynamics._field(DEGENERATE, field)([0.05, 0.0], v)
     assert str(got.value) == str(want.value)
     with pytest.raises(SingularPointError) as want:
         SPHERE.check_point([0.0, 0.3])
     with pytest.raises(SingularPointError) as got:
-        dynamics._field_at(SPHERE, field, [0.0, 0.3], v)
+        dynamics._field(SPHERE, field)([0.0, 0.3], v)
     assert str(got.value) == str(want.value)
 
 
 def test_degenerate_floor_follows_the_profile(monkeypatch):
     # sqrt(det g) = exp(-1/0.2^2) = 1.4e-11: above the default floor, below strict
-    dynamics._field_at(DEGENERATE, "geodesic", [0.2, 0.0], [1.0, 0.0])
+    dynamics._field(DEGENERATE, "geodesic")([0.2, 0.0], [1.0, 0.0])
     monkeypatch.setenv("TORSIONLAB_TOLERANCES", "strict")
     with pytest.raises(DegenerateTriadError, match=r"sqrt\(det g\) <= 1e-10"):
-        dynamics._field_at(DEGENERATE, "geodesic", [0.2, 0.0], [1.0, 0.0])
+        dynamics._field(DEGENERATE, "geodesic")([0.2, 0.0], [1.0, 0.0])
 
 
 def test_near_singular_metric_takes_the_checked_determinant():

@@ -29,9 +29,16 @@ the trajectories, under criteria 3 and 5:
 * ``autoparallel_per_step``   ``integrate_autoparallel`` on ``synthetic_torsion``
   (alpha = 0.3), 1,000 steps of h = 1e-3, per step;
 * ``variation_matrices``      one ``variation_matrices`` call on that chart
-  (the mean of 1,000 calls).
+  (the mean of 1,000 calls);
+* ``half_step_samples``       ``dynamics._half_step_samples`` along that
+  autoparallel: delta_q, G and Sigma at its 1,001 nodes and 1,000 step
+  midpoints (2,001 samples), as both closure-defect solvers take them;
+* ``el_residual``             ``torsion_el_residual`` along that autoparallel
+  (1,001 nodes).
 
-Only public names are used, so any checkout of the package can be timed.
+Only public names are used, besides ``dynamics._half_step_samples``, whose
+signature is unchanged since the variation solvers first shared it, so any
+checkout of the package can be timed.
 BLAS is pinned to one thread before numpy loads, as in ``perfbench/run.py``.
 """
 
@@ -55,6 +62,7 @@ N_THETA, N_PHI = 48, 96
 LADDER = (0.08, 0.04, 0.02)
 TRAJECTORY_STEPS, TRAJECTORY_H = 1000, 1e-3
 VARIATION_CALLS = 1000
+DELTAQ = ["0.3*t*(1 - t)", "-0.2*t*(1 - t)"]  # criterion 5
 
 
 def _median_timing(fn, repeats, per=1):
@@ -136,14 +144,17 @@ def _kernel_layers():
 def _trajectory_layers():
     from torsionlab import (
         builtin_chart,
+        dynamics,
         integrate_autoparallel,
         integrate_geodesic,
+        torsion_el_residual,
         variation_matrices,
     )
 
     sphere = builtin_chart("sphere", r=1.0)
     torsion = builtin_chart("synthetic_torsion", alpha=0.3)
     span = (0.0, TRAJECTORY_STEPS * TRAJECTORY_H)
+    base = integrate_autoparallel(torsion, [0.1, 0.2], [1.0, 0.7], span, TRAJECTORY_H)
 
     def variation_calls():
         for _ in range(VARIATION_CALLS):
@@ -157,6 +168,9 @@ def _trajectory_layers():
             lambda: integrate_autoparallel(torsion, [0.1, 0.2], [1.0, 0.7], span, TRAJECTORY_H), 7,
             per=TRAJECTORY_STEPS),
         "variation_matrices": _median_timing(variation_calls, 7, per=VARIATION_CALLS),
+        "half_step_samples": _median_timing(
+            lambda: dynamics._half_step_samples(torsion, base, DELTAQ, None), 15),
+        "el_residual": _median_timing(lambda: torsion_el_residual(torsion, base), 15),
     }
     return layers, {"trajectory_steps": TRAJECTORY_STEPS}
 
