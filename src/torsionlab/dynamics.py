@@ -167,11 +167,10 @@ def straight_line_image(chart: Chart, q0, qdot0, t_span, step) -> Trajectory:
 
 def kinetic_energy(chart: Chart, traj: Trajectory, mass: float = 1.0) -> np.ndarray:
     """(M/2) g_munu qdot^mu qdot^nu along the trajectory."""
-    out = np.empty(len(traj))
-    for k in range(len(traj)):
-        g = chart.metric(traj.q[k])
-        out[k] = 0.5 * mass * float(traj.qdot[k] @ g @ traj.qdot[k])
-    return out
+    g = attempt(lambda: chart.metric(traj.q))  # one batched jet pass, or node by node
+    g = np.array([chart.metric(q) for q in traj.q]) if g is None else g
+    v = traj.qdot
+    return 0.5 * mass * ((v[:, None, :] @ g) @ v[:, :, None])[:, 0, 0]
 
 
 # -- nonholonomic variations --------------------------------------------------

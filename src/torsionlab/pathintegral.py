@@ -3,10 +3,10 @@
 The short-time amplitude between nearby points is built from the postpoint
 expansion of the squared flat-space step: through fourth order in the
 coordinate difference, with all coefficient tensors evaluated at the later
-point.  Spectrum work runs in imaginary time (the standard Wick rotation of
-the sliced amplitude; real-time oscillatory slicing is out of scope), where
-the kernel is a positive transfer matrix whose eigenvalues give energies
-``E = -(hbar/eps) log(lambda)``.
+point.  Spectra run in imaginary time (the standard Wick rotation of the
+sliced amplitude; real-time slicing is out of scope), where the kernel is a
+positive transfer matrix, block-circulant in the azimuth on ring and sphere
+alike, whose Fourier-block eigenvalues give ``E = -(hbar/eps) log(lambda)``.
 
 Three measures can dress the kernel.  All carry the exact volume weight
 sqrt(g) at the integration (pre)point -- for the naive measure that weight
@@ -28,7 +28,7 @@ same spectra.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -254,11 +254,11 @@ def _wrap_angle(x):
 class SlicedPropagator:
     """Discretized short-time kernel; supports composition and spectra.
 
-    For the ring the kernel is a dense (P, P) matrix.  For the sphere it is
-    kept in azimuthal-profile form ``profile[j, j', dk]`` (the kernel is
-    block-circulant in the azimuth) together with its Fourier blocks; the
-    full dense matrix is never materialized.  The profile is even in dk, so
-    block m equals block n_phi - m: only blocks m = 0 .. n_phi // 2 are kept.
+    The kernel is block-circulant in the azimuth and is kept in profile form
+    ``profile[j, j', dk]`` over the rows j of ``_kernel_grid`` (the ring has
+    one) together with its Fourier blocks; the full dense matrix is never
+    materialized.  The profile is even in dk, so block m equals block
+    n_phi - m: only blocks m = 0 .. n_phi // 2 are kept.
     ``fallback_fraction`` is the share of a single slice's entries inside the
     cutoff that left the fourth-order bracket for the exact squared arc.
     """
@@ -267,34 +267,35 @@ class SlicedPropagator:
     cfg: ShortTimeConfig
     measure_mode: str
     slice_count: int = 1
-    matrix: np.ndarray | None = None
-    profile: np.ndarray | None = None  # sphere: (n_theta, n_theta, n_phi)
-    blocks: np.ndarray | None = None  # sphere: (n_theta, n_theta, n_phi // 2 + 1)
+    profile: np.ndarray | None = None  # (n_rows, n_rows, n_phi)
+    blocks: np.ndarray | None = None  # (n_rows, n_rows, n_phi // 2 + 1)
     fallback_fraction: float | None = None
 
     @property
     def total_time(self) -> float:
         return self.cfg.epsilon * self.slice_count
 
+    @property
+    def matrix(self) -> np.ndarray | None:
+        """A ring kernel's dense circulant K[a, b] = profile[(a - b) % P] as a
+        read-only view; None for the sphere."""
+        if self.profile is None or len(self.profile) != 1:
+            return None
+        n = self.profile.shape[2]  # window a of ext, reversed, holds K[a, b] at b
+        ext = self.profile[0, 0][(np.arange(2 * n - 1) + 1 - n) % n]
+        return np.lib.stride_tricks.sliding_window_view(ext, n)[:, ::-1]
+
     def compose(self, other: "SlicedPropagator") -> "SlicedPropagator":
-        """Chain two kernels on the same grid (matrix product)."""
+        """Chain two kernels on the same grid (matrix product, block by block)."""
         if self.manifold != other.manifold or self.measure_mode != other.measure_mode:
             raise ValidationError("can only compose propagators on the same grid and measure")
-        count = self.slice_count + other.slice_count
-        out = replace(self, slice_count=count, fallback_fraction=None)
-        if self.matrix is not None:
-            out.matrix = self.matrix @ other.matrix
-            return out
-        out.blocks = np.einsum("abm,bcm->acm", self.blocks, other.blocks)
-        out.profile = None
-        return out
+        blocks = np.einsum("abm,bcm->acm", self.blocks, other.blocks)
+        n_phi = _grid_points(self.manifold)[-1]
+        return replace(self, slice_count=self.slice_count + other.slice_count, blocks=blocks,
+                       profile=np.fft.irfft(blocks, n_phi, axis=2), fallback_fraction=None)
 
     def entry(self, a: int, b: int) -> float:
         """Kernel entry between flat grid indices (row = postpoint)."""
-        if self.matrix is not None:
-            return float(self.matrix[a, b])
-        if self.profile is None:
-            raise ValidationError("composed sphere kernels keep only Fourier blocks")
         n_phi = self.profile.shape[2]
         ja, ka = divmod(a, n_phi)
         jb, kb = divmod(b, n_phi)
@@ -309,41 +310,50 @@ class SlicedPropagator:
         discretization can produce tiny complex pairs, which never carry
         physics and are returned as real parts.)
 
-        A sphere kernel's eigenvalues in block B_m obey |lambda| <= b_m =
-        min(||B_m||_1, ||B_m||_inf).  Blocks are solved in descending b_m (a
-        block standing also for n_phi - m counts twice) until ``count`` values
-        are in hand and the next b_m is strictly below the count-th largest
-        real part so far; the slice is then a full solve's, bit for bit.
+        The eigenvalues are those of the Fourier blocks B_m (P. J. Davis,
+        *Circulant Matrices*, 1979; the ring's 1x1 blocks are its eigenvalues)
+        and obey |lambda| <= b_m = min(||B_m||_1, ||B_m||_inf).  Blocks are
+        solved in descending b_m (a block standing also for n_phi - m counts
+        twice) until ``count`` values are in hand and the next b_m is strictly
+        below the count-th largest real part so far; the slice is then a full
+        solve's, bit for bit.
         """
-        if self.matrix is not None:
-            if np.allclose(self.matrix, self.matrix.T, rtol=0.0, atol=1e-13):
-                vals = np.linalg.eigvalsh(self.matrix)[::-1].astype(complex)
-            else:
-                vals = np.linalg.eigvals(self.matrix)
-        else:
-            size = np.abs(self.blocks.real)
-            if np.any(np.max(np.abs(self.blocks.imag), axis=(0, 1))
-                      > 1e-9 * np.maximum(1.0, np.max(size, axis=(0, 1)))):
-                raise NumericError("azimuthal kernel block unexpectedly complex")
-            bound = np.minimum(size.sum(axis=0).max(axis=0), size.sum(axis=1).max(axis=0))
-            solved, found = {}, np.empty(0)
-            for m in np.argsort(-bound, kind="stable"):
-                if 0 < (count or 0) <= len(found) and bound[m] < np.sort(found)[-count]:
-                    break
-                # the stored block m also stands for block n_phi - m
-                paired = 0 < m and 2 * m != self.manifold.n_phi
-                solved[m] = [np.linalg.eigvals(self.blocks[:, :, m].real)] * (2 if paired else 1)
-                found = np.concatenate([found] + [v.real for v in solved[m]])
-            vals = np.concatenate([v for m in sorted(solved) for v in solved[m]])
-        vals = vals[np.argsort(-vals.real, kind="stable")]
-        if count is not None:
-            vals = vals[:count]
-            scale = float(np.max(np.abs(vals.real))) or 1.0
-            if np.max(np.abs(vals.imag)) > 1e-7 * scale:
-                raise NumericError(
-                    "leading kernel eigenvalues have unexpectedly large imaginary parts"
-                )
-        return vals.real
+        vals = self._leading(count)
+        return vals.real if count is None else _checked_real(vals)
+
+    def _leading(self, count):
+        """The complex eigenvalues of ``eigenvalues``, unchecked."""
+        size = np.abs(self.blocks.real)
+        if np.any(np.max(np.abs(self.blocks.imag), axis=(0, 1))
+                  > 1e-9 * np.maximum(1.0, np.max(size, axis=(0, 1)))):
+            raise NumericError("azimuthal kernel block unexpectedly complex")
+        n_phi = _grid_points(self.manifold)[-1]
+        bound = np.minimum(size.sum(axis=0).max(axis=0), size.sum(axis=1).max(axis=0))
+        solved, found = {}, np.empty(0)
+        for m in np.argsort(-bound, kind="stable"):
+            if 0 < (count or 0) <= len(found) and bound[m] < np.sort(found)[-count]:
+                break
+            # the stored block m also stands for block n_phi - m
+            paired = 0 < m and 2 * m != n_phi
+            solved[m] = [np.linalg.eigvals(self.blocks[:, :, m].real)] * (2 if paired else 1)
+            found = np.concatenate([found] + [v.real for v in solved[m]])
+        vals = np.concatenate([v for m in sorted(solved) for v in solved[m]])
+        return vals[np.argsort(-vals.real, kind="stable")][:count]
+
+
+def _checked_real(vals):
+    scale = float(np.max(np.abs(vals.real))) or 1.0
+    if np.max(np.abs(vals.imag)) > 1e-7 * scale:
+        raise NumericError("leading kernel eigenvalues have unexpectedly large imaginary parts")
+    return vals.real
+
+
+def _grid_points(manifold):
+    """Grid points per axis, the fields after the radius: (points,) for the ring,
+    (n_theta, n_phi) for the sphere."""
+    if isinstance(manifold, (Ring, Sphere)):
+        return tuple(int(n) for n in astuple(manifold)[1:])
+    raise ValidationError(f"unsupported manifold {manifold!r}")
 
 
 def _kernel_grid(manifold):
@@ -357,12 +367,7 @@ def _kernel_grid(manifold):
     that row's steps dq = q_a - q_b to every column and their exact squared
     geodesic arcs.  The ring is the single-row case.
     """
-    if isinstance(manifold, Ring):
-        points = (int(manifold.points),)
-    elif isinstance(manifold, Sphere):
-        points = (int(manifold.n_theta), int(manifold.n_phi))
-    else:
-        raise ValidationError(f"unsupported manifold {manifold!r}")
+    points = _grid_points(manifold)
     if min(points) < 8:
         raise ValidationError(f"kernel grid needs at least 8 points per axis, got {points}")
     r, n_ph = float(manifold.radius), points[-1]
@@ -406,9 +411,8 @@ def build_propagator(manifold, cfg: ShortTimeConfig, measure_mode="qep") -> Slic
     grid, so only quadrature error is divided out.
 
     Ring and sphere share this one assembly over the rows of
-    ``_kernel_grid``; only the grid differs.  The ring is the single-row
-    case and is stored as its dense circulant matrix, the sphere as its
-    azimuthal profile and Fourier blocks.
+    ``_kernel_grid``; only the grid differs.  Both are stored as their
+    azimuthal profile and Fourier blocks; the ring is the single-row case.
     """
     return next(_propagators(manifold, (cfg,), _normalize_measure(measure_mode)))
 
@@ -428,15 +432,11 @@ def _propagators(manifold, cfgs, mode):
         norm = (cfg.mass / (2.0 * math.pi * cfg.epsilon * cfg.hbar)) ** (chart.dim / 2)
         scales.append((lam, (cfg.cutoff_sigmas * sigma) ** 2, norm * weights))
     profiles, live, fallback = _kernel_profiles(chart, weights, posts, steps, mode, cfgs, scales)
-    n_ph = weights.shape[1]
     for cfg, profile, n_live, n_fallback in zip(cfgs, profiles, live, fallback):
-        out = SlicedPropagator(manifold, cfg, mode, fallback_fraction=n_fallback / n_live)
-        if len(profile) == 1:  # the ring, stored dense: K[a, b] = profile[(a - b) % P]
-            circulant = (np.arange(n_ph)[:, None] - np.arange(n_ph)[None, :]) % n_ph
-            out.matrix = profile[0, 0][circulant]
-        else:  # blocks m and n_phi - m of the even profile coincide: keep m <= n_phi / 2
-            out.profile, out.blocks = profile, np.fft.rfft(profile, axis=2)
-        yield out
+        # blocks m and n_phi - m of the even profile coincide: keep m <= n_phi / 2
+        yield SlicedPropagator(manifold, cfg, mode, profile=profile,
+                               blocks=np.fft.rfft(profile, axis=2),
+                               fallback_fraction=n_fallback / n_live)
 
 
 def _kernel_profiles(chart, weights, posts, steps, mode, cfgs, scales):
@@ -521,12 +521,11 @@ def extract_spectrum(prop: SlicedPropagator, n_levels: int, group_tol: float = 1
     if n_levels < 1:
         raise ValidationError("n_levels must be at least 1")
     # enough eigenvalues even for (2l+1)-fold degenerate ladders
-    needed = max(16, 2 * (n_levels + 1) ** 2)
-    vals = prop.eigenvalues(count=needed)
-    vals = vals[vals > 0.0]
+    vals = prop._leading(max(16, 2 * (n_levels + 1) ** 2))
+    vals = vals[vals.real > 0.0]
     if len(vals) == 0:
         raise NumericError("no positive kernel eigenvalues to take logarithms of")
-    energies = -(prop.cfg.hbar / prop.total_time) * np.log(vals)
+    energies = -(prop.cfg.hbar / prop.total_time) * np.log(vals.real)
     # group ascending energies into degenerate clusters
     levels = []
     for e in energies:
@@ -536,10 +535,11 @@ def extract_spectrum(prop: SlicedPropagator, n_levels: int, group_tol: float = 1
             break
         else:
             levels.append([e])
+    _checked_real(vals[: sum(map(len, levels))])  # only the eigenvalues behind the levels
     return SpectrumLevels(
         energies=np.array([float(np.mean(group)) for group in levels]),
         degeneracies=tuple(len(group) for group in levels),
-        eigenvalues=vals,
+        eigenvalues=vals.real,
     )
 
 

@@ -1,7 +1,7 @@
 """Batched jet passes against the point-by-point path they replace.
 
 A stack of points goes through ``Chart._jets`` in one pass; the variation
-samples and the Euler-Lagrange residual read such a pass.  Each must give
+samples, the Euler-Lagrange residual and the kinetic energy read such a pass.  Each must give
 the point-by-point values bit for bit (the residual: to 1e-13), and a batch
 holding a failing point must raise what the point-by-point loop raises.
 """
@@ -180,6 +180,9 @@ def test_failing_paths_raise_like_pointwise(case):
     ref = outcome(reference_el_residual, chart, path)
     assert isinstance(ref, tuple)
     assert outcome(dynamics.torsion_el_residual, chart, path) == ref
+    ref = outcome(reference_kinetic_energy, chart, path)
+    assert isinstance(ref, tuple)
+    assert outcome(dynamics.kinetic_energy, chart, path) == ref
 
 
 # -- consumers against point-by-point references -------------------------------------------
@@ -227,6 +230,10 @@ def reference_el_residual(chart, traj, mass=1.0):
     return traj.t[2:-2], dLdq[2:-2] - dp - force[2:-2]
 
 
+def reference_kinetic_energy(chart, traj, mass=1.0):
+    return np.array([0.5 * mass * float(v @ chart.metric(q) @ v) for q, v in zip(traj.q, traj.qdot)])
+
+
 BASES = {  # the paths of the trajectories benchmark and of criteria 3 and 5
     "synthetic_torsion": lambda chart: tl.integrate_autoparallel(
         chart, [0.1, 0.2], [1.0, 0.7], (0.0, 1.0), 1e-3),
@@ -267,6 +274,17 @@ def test_el_residual_matches_per_node_reference(name):
     t_ref, ref = reference_el_residual(chart, traj)
     assert_bitwise(t, t_ref)
     assert np.max(np.abs(got - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("name", sorted(BASES) + ["sphere"])
+def test_kinetic_energy_equals_per_node_reference(name, jet_calls):
+    chart = tl.builtin_chart(name)
+    traj = BASES[name](chart) if name in BASES else tl.integrate_geodesic(
+        chart, [1.0, 0.0], [0.4, 0.9], (0.0, 1.0), 1e-3)
+    jet_calls.clear()
+    got = tl.kinetic_energy(chart, traj)
+    assert jet_calls == [traj.q.shape]  # one batched pass
+    assert_bitwise(got, reference_kinetic_energy(chart, traj))
 
 
 # -- generated fields over a batch ----------------------------------------------------------

@@ -100,6 +100,16 @@ def test_spectrum_command_round_trips_config():
     assert artifact["result"]["levels"][1] == pytest.approx(0.5, rel=0.02)
 
 
+def test_sphere_levels_ignore_complex_pairs_below_them(capsys):
+    # a complex pair lies at index 148 of the 200 requested eigenvalues; the
+    # nine levels use only the first 37
+    argv = ["spectrum", "--manifold", "sphere", "--n-theta", "48", "--n-phi", "96",
+            "--epsilon", "0.08", "--levels", "9", "--group-tol", "0.05"]
+    assert main(argv) == EXIT_OK
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result["degeneracies"][:4] == [1, 3, 5, 7]
+
+
 def test_geodesic_csv_render():
     cfg = build_config(
         [

@@ -306,6 +306,10 @@ def test_composition_associative():
     right = a.compose(b.compose(c))
     assert left.slice_count == right.slice_count == 3
     assert np.max(np.abs(left.matrix - right.matrix)) < 1e-14
+    # a composed ring kernel is the dense product, entry by entry
+    dense = a.matrix @ b.matrix @ c.matrix
+    assert np.max(np.abs(left.matrix - dense)) < 1e-14 * np.max(dense)
+    assert all(left.entry(i, j) == left.matrix[i, j] for i, j in ((0, 0), (3, 10), (95, 1)))
 
 
 def test_geometry_point_aggregates_everything():
@@ -343,6 +347,18 @@ def test_ring_kernel_positive_and_symmetric():
     assert np.all(prop.matrix >= 0.0)
     assert np.allclose(prop.matrix, prop.matrix.T)
     assert prop.entry(3, 10) == prop.matrix[3, 10]
+    assert not prop.matrix.flags.writeable
+    for points in (128, 129):
+        prop = build_propagator(Ring(1.0, points), ShortTimeConfig(epsilon=0.05), "qep")
+        assert prop.blocks.shape == (1, 1, points // 2 + 1)
+        # the dense symmetric solve is the oracle for the 1x1 Fourier blocks
+        oracle = np.linalg.eigvalsh(prop.matrix)[::-1]
+        assert np.max(np.abs(prop.eigenvalues() - oracle)) <= 1e-13 * np.max(np.abs(oracle))
+        # blocks m and P - m give exactly equal levels
+        levels = extract_spectrum(prop, 12, group_tol=0.0)
+        assert levels.degeneracies == (1,) + (2,) * 11, points
+        dense = prop.matrix @ prop.matrix
+        assert np.max(np.abs(prop.compose(prop).matrix - dense)) < 1e-14 * np.max(dense)
 
 
 def test_ring_spectrum_exact_rotor():
@@ -391,12 +407,22 @@ def test_sphere_bracket_expands_geodesic_arc():
 def test_sphere_spectrum_block_structure():
     prop = build_propagator(Sphere(1.0, 24, 48), ShortTimeConfig(epsilon=0.04), "qep")
     assert prop.profile.shape == (24, 24, 48)
+    assert prop.matrix is None
     # kernel entries accessible through flattened indices
     val = prop.entry(5 * 48 + 3, 5 * 48 + 3)
     assert val > 0
     composed = prop.compose(prop)
     assert composed.slice_count == 2
     assert composed.total_time == pytest.approx(0.08)
+    assert composed.matrix is None
+    # a composed kernel's entries are the dense product's
+    dk = (np.arange(48)[:, None] - np.arange(48)[None, :]) % 48
+    dense = prop.profile[:, :, dk].transpose(0, 2, 1, 3).reshape(24 * 48, 24 * 48)
+    assert dense[5 * 48 + 3, 7 * 48 + 40] == prop.entry(5 * 48 + 3, 7 * 48 + 40)
+    product = dense @ dense
+    rng = np.random.default_rng(3)
+    for a, b in rng.integers(0, 24 * 48, size=(50, 2)):
+        assert abs(composed.entry(a, b) - product[a, b]) <= 1e-13 * np.max(product)
 
 
 def test_sphere_levels_follow_angular_momentum_ladder():
@@ -606,6 +632,23 @@ def test_pruned_complex_block_still_raises(eigvals_calls):
     with pytest.raises(NumericError, match="unexpectedly complex"):
         prop.eigenvalues(4)
     assert eigvals_calls == []
+    with pytest.raises(NumericError, match="unexpectedly complex"):
+        extract_spectrum(hand_built_propagator(imag_block=4), 1)
+
+
+def test_levels_check_only_their_own_eigenvalues():
+    # a rotation in the weak block m = 0 gives a complex pair deep in the spectrum
+    prop = hand_built_propagator()
+    prop.blocks[:2, :2, 0] += [[0.0, -0.1], [0.1, 0.0]]
+    with pytest.raises(NumericError, match="imaginary parts"):
+        prop.eigenvalues(32)
+    levels = extract_spectrum(prop, 4)
+    assert np.array_equal(levels.eigenvalues[:4], prop.eigenvalues(4))
+    # ... and in the leading block m = 4 it reaches the reported levels
+    prop = hand_built_propagator()
+    prop.blocks[:2, :2, 4] += [[0.0, -2.0], [2.0, 1.0]]  # 10.01 +- 2i
+    with pytest.raises(NumericError, match="imaginary parts"):
+        extract_spectrum(prop, 1)
 
 
 @pytest.mark.parametrize(

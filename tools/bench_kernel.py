@@ -1,4 +1,4 @@
-"""Layer timings of the sphere kernel, its spectrum ladder and the trajectories.
+"""Layer timings of the ring and sphere kernels, their ladders and the trajectories.
 
 Usage::
 
@@ -21,6 +21,13 @@ the kernel, under criterion 8 on the 48 x 96 sphere:
   with ``eigvals_calls``, the ``numpy.linalg.eigvals`` calls of one such solve
   (counted by wrapping numpy's function, so blocks solved per kernel);
 * ``sphere_ladder``           one criterion-8 ``qep`` ladder (eps 0.08, 0.04, 0.02).
+
+the ring kernel, under criterion 7 on 256 points:
+
+* ``ring_eigensolve``         ``SlicedPropagator.eigenvalues(count=50)`` of the
+  ``qep`` kernel at eps = 0.02, with its ``eigvals_calls`` as above;
+* ``ring_ladder``             one criterion-7 ``qep`` ladder (eps 0.08, 0.04, 0.02,
+  0.01, four levels).
 
 the trajectories, under criteria 3 and 5:
 
@@ -60,6 +67,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 ROOT = Path(__file__).resolve().parent.parent
 N_THETA, N_PHI = 48, 96
 LADDER = (0.08, 0.04, 0.02)
+RING_POINTS, RING_LADDER = 256, (0.08, 0.04, 0.02, 0.01)
 TRAJECTORY_STEPS, TRAJECTORY_H = 1000, 1e-3
 VARIATION_CALLS = 1000
 DELTAQ = ["0.3*t*(1 - t)", "-0.2*t*(1 - t)"]  # criterion 5
@@ -141,6 +149,21 @@ def _kernel_layers():
     return layers, facts
 
 
+def _ring_layers():
+    from torsionlab import Ring, ShortTimeConfig, build_propagator, spectrum_ladder
+
+    ring = Ring(1.0, RING_POINTS)
+    prop = build_propagator(ring, ShortTimeConfig(epsilon=0.02), "qep")
+    layers = {
+        "ring_eigensolve": _median_timing(lambda: prop.eigenvalues(count=50), 25),
+        "ring_ladder": _median_timing(
+            lambda: spectrum_ladder(ring, ShortTimeConfig(), "qep", RING_LADDER, n_levels=4), 15),
+    }
+    layers["ring_eigensolve"]["eigvals_calls"] = _eigvals_calls(
+        lambda: prop.eigenvalues(count=50))
+    return layers, {"ring_points": RING_POINTS}
+
+
 def _trajectory_layers():
     from torsionlab import (
         builtin_chart,
@@ -180,7 +203,7 @@ def measure():
     import scipy
 
     result = {"layers": {}}
-    for group in (_kernel_layers, _trajectory_layers):
+    for group in (_kernel_layers, _ring_layers, _trajectory_layers):
         layers, facts = group()
         result["layers"].update(layers)
         result.update(facts)
