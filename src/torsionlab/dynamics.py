@@ -12,12 +12,16 @@ solver, ``closure_defect_by_quadrature`` (ordered exponential plus
 trapezoid rule); both read the same half-step samples of the variation
 matrices.
 
-The geodesic and autoparallel right-hand sides and the variation matrices
-are straight-line functions generated per chart shape by ``expressions``:
-they read the raw jet tuples of one guard-checked ``Chart._jets`` pass and
-the velocity and return plain floats, with no tensor built on the way.  The
-tensor route through ``LocalGeometry`` stays for the line-image oracle and
-the Euler-Lagrange residual, and the tests compare the two.
+The geodesic, autoparallel and line-image right-hand sides and the
+variation matrices are straight-line functions generated by ``expressions``.
+At one phase point of floats, one call of the code generated for the chart's
+definition checks the guard, evaluates every chart expression's jet and
+returns the field as plain floats, with no tensor built on the way; over a
+stack of points the same field lines read one batched ``Chart._jets`` pass.
+The line image stays an independent oracle for the autoparallel because it
+integrates a different, first-order equation, dq/dt = g^-1 E^T v for a
+constant flat velocity v.  The Euler-Lagrange residual reads the tensors of
+``LocalGeometry``.
 
 The variation samples and the Euler-Lagrange residual nodes, known up front,
 take one batched jet pass per call, bitwise equal to the point-by-point path;
@@ -29,7 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from ._local import LocalGeometry, attempt, checked_gram, columns
 from .charts import Chart
@@ -37,13 +40,14 @@ from .config import active_profile
 from .connection import torsion_tensor
 from .errors import (
     DegenerateTriadError,
+    DimensionMismatchError,
     EvaluationError,
     GridMismatchError,
     SamplingError,
     SingularPointError,
     ValidationError,
 )
-from .expressions import _trajectory_field, parse_over
+from .expressions import _chart_field, _trajectory_field, parse_over
 
 
 @dataclass
@@ -77,6 +81,8 @@ def _rk4(rhs, y0, t_grid, final_slope=False):
     """Classical RK4 for y' = rhs(j, y) on ``t_grid``.
 
     ``j`` counts half steps: 2k at node k, 2k + 1 at the midpoint of step k.
+    The state passed to ``rhs`` is a list of floats, and ``rhs`` returns a
+    sequence of as many; each component takes the array arithmetic in its order.
     Returns ``(y, slope, truncated)`` with ``slope[k] = rhs(2k, y[k])``; the
     slope at the last node is computed only with ``final_slope`` and is NaN
     otherwise.  A domain error ends the path at the last node whose slope was
@@ -86,19 +92,20 @@ def _rk4(rhs, y0, t_grid, final_slope=False):
     y = np.empty((n,) + np.shape(y0))
     slope = np.full_like(y, np.nan)
     y[0] = y0
+    yk = y[0].tolist()
     done = 0  # nodes whose slope is computed
     try:
         for k in range(n - 1):
-            h = t_grid[k + 1] - t_grid[k]
-            yk = y[k]
+            h = t_grid.item(k + 1) - t_grid.item(k)
             k1 = slope[k] = rhs(2 * k, yk)
             done = k + 1
-            k2 = rhs(2 * k + 1, yk + 0.5 * h * k1)
-            k3 = rhs(2 * k + 1, yk + 0.5 * h * k2)
-            k4 = rhs(2 * k + 2, yk + h * k3)
-            y[k + 1] = yk + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            k2 = rhs(2 * k + 1, [x + 0.5 * h * a for x, a in zip(yk, k1)])
+            k3 = rhs(2 * k + 1, [x + 0.5 * h * a for x, a in zip(yk, k2)])
+            k4 = rhs(2 * k + 2, [x + h * a for x, a in zip(yk, k3)])
+            y[k + 1] = yk = [x + (h / 6.0) * (a + 2.0 * b + 2.0 * c + d)
+                             for x, a, b, c, d in zip(yk, k1, k2, k3, k4)]
         if final_slope:
-            slope[n - 1] = rhs(2 * n - 2, y[n - 1])
+            slope[n - 1] = rhs(2 * n - 2, yk)
     except _DOMAIN_ERRORS:
         if done == 0:
             raise
@@ -107,21 +114,46 @@ def _rk4(rhs, y0, t_grid, final_slope=False):
 
 
 def _field(chart: Chart, field):
-    """``at(q, v)``: the generated ``field`` of ``chart`` at a phase point from
-    one guard-checked jet pass, rejecting a degenerate triad, or over points
-    (N, D) in one pass (None unless all clear).  Reads the profile once."""
+    """``at(q, v=())``: the generated ``field`` of ``chart`` at one phase point
+    by one call of the code generated for the chart's definition, rejecting a
+    degenerate triad, or over points (N, D) from one batched jet pass (None
+    unless all clear).  A phase point is q (an array or D floats) and v, or
+    all its floats in q.  Reads the profile once."""
     floor = active_profile().degenerate_triad_floor
     fn = _trajectory_field(field, chart.kind, chart.dim, chart.ambient_dim)
+    code = _chart_field(field, chart.kind, chart.dim, chart.exprs, chart.guard, tuple(chart.params))
+    order, params = int(field != "line_image"), tuple(chart.params.values())
 
-    def at(q, v):
-        jets = chart._jets(q, 1)
+    def from_jets(q, v):
+        jets = chart._jets(q, order)
         out = fn(jets, v, floor * floor)
         if out is None and np.ndim(q) == 1:
             # det g within rounding of the floor: decide as ``checked_metric`` does
             out = fn(jets, v, floor * floor, checked_gram(chart._tensors(jets, 0)[0], q)[1])
         return out
 
+    def at(q, v=()):
+        if isinstance(q, np.ndarray):
+            if q.shape != (chart.dim,):  # points (N, D), or a shape ``_jets`` rejects
+                return from_jets(q, v)
+            q = q.tolist()
+        out = code(*q, *v, *params, floor * floor)
+        if out is None:  # det g within rounding of the floor
+            y = [*q, *v]
+            out = from_jets(y[: chart.dim], y[chart.dim :])
+        return out
+
     return at
+
+
+def _velocity(chart: Chart, qdot):
+    """A chart velocity as a float array, rejecting one of the wrong shape."""
+    qdot = np.asarray(qdot, dtype=float)
+    if qdot.shape != (chart.dim,):
+        raise DimensionMismatchError(
+            f"velocity of shape {qdot.shape} does not match chart dimension {chart.dim}"
+        )
+    return qdot
 
 
 def _integrate_second_order(field, chart, q0, qdot0, t_span, step) -> Trajectory:
@@ -132,10 +164,9 @@ def _integrate_second_order(field, chart, q0, qdot0, t_span, step) -> Trajectory
     at = _field(chart, field)
 
     def rhs(_, y):
-        y = y.tolist()
-        return np.array((*y[D:], *at(y[:D], y[D:])))
+        return (*y[D:], *at(y))
 
-    y, _, truncated = _rk4(rhs, np.concatenate((q0, np.asarray(qdot0, dtype=float))), t_grid)
+    y, _, truncated = _rk4(rhs, np.concatenate((q0, _velocity(chart, qdot0))), t_grid)
     return Trajectory(t=t_grid[: len(y)], q=y[:, :D], qdot=y[:, D:], truncated=truncated)
 
 
@@ -157,10 +188,11 @@ def straight_line_image(chart: Chart, q0, qdot0, t_span, step) -> Trajectory:
     must coincide with the autoparallel through (q0, qdot0).
     """
     q0 = chart.check_point(q0)
-    v_flat = chart.triad(q0) @ np.asarray(qdot0, dtype=float)
+    v_flat = (chart.triad_jets(q0)[0] @ _velocity(chart, qdot0)).tolist()
     t_grid = _grid(t_span, step)
+    at = _field(chart, "line_image")  # rejects a degenerate triad, at q0 too
     q, qdot, truncated = _rk4(
-        lambda _, q: chart.reciprocal_triad(q).T @ v_flat, q0, t_grid, final_slope=True
+        lambda _, q: at(q, v_flat), q0, t_grid, final_slope=True
     )
     return Trajectory(t=t_grid[: len(q)], q=q, qdot=qdot, truncated=truncated)
 
@@ -216,9 +248,10 @@ def _parse_variation(deltaq, dim, params):
 def variation_matrices(chart: Chart, q, qdot):
     """Transport matrix G^mu_lam = Gamma_{lam nu}^mu qdot^nu and torsion drive
     Sigma^mu_nu = 2 S_{lam nu}^mu qdot^lam at one phase point."""
-    G, Sigma = _field(chart, "variation")(q, np.asarray(qdot, dtype=float).tolist())
+    at = _field(chart, "variation")
+    G, Sigma = at(np.asarray(q, dtype=float), _velocity(chart, qdot).tolist())
     shape = (chart.dim, chart.dim)
-    return np.reshape(G, shape), np.reshape(Sigma, shape)
+    return np.array(G).reshape(shape), np.array(Sigma).reshape(shape)
 
 
 def _half_step_samples(chart: Chart, base: Trajectory, deltaq, params):
@@ -261,7 +294,7 @@ def solve_variation_ode(G, Sigma, deltaq, t_grid):
     midpoints of ``t_grid`` (2N - 1 samples, node k at index 2k).
     """
     db, _, _ = _rk4(
-        lambda j, b: -G[j] @ b + Sigma[j] @ deltaq[j], np.zeros(len(deltaq[0])), t_grid
+        lambda j, b: (-G[j] @ b + Sigma[j] @ deltaq[j]).tolist(), np.zeros(len(deltaq[0])), t_grid
     )
     return db
 
@@ -301,6 +334,8 @@ def closure_defect_by_quadrature(chart: Chart, base: Trajectory, deltaq, params=
     exp(-G(t_mid) h); the time integral uses the trapezoid rule on the base
     grid.  Errors are O(h^2), independent of the RK4 route.
     """
+    from scipy.linalg import expm  # here, not at import: scipy.linalg costs ~0.3 s to load
+
     dq, G, Sigma = _half_step_samples(chart, base, deltaq, params)
     steps = np.diff(base.t)
     integrand = np.einsum("kmn,kn->km", Sigma[::2], dq[::2])

@@ -15,12 +15,12 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement, count, product
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import EvaluationError, ExpressionParseError, ValidationError
+from .errors import EvaluationError, ExpressionParseError, SingularPointError, ValidationError
 
 FUNCTIONS = {"sin": 1, "cos": 1, "atan2": 2, "sqrt": 1, "exp": 1, "log": 1}
 
@@ -611,10 +611,12 @@ def _eval(node, env):
 # k = 1..n variable indices, in ``combinations_with_replacement(range(D), k)``
 # order.  Its arithmetic -- the Leibniz product and the univariate and
 # bivariate Faa di Bruno chain rules (Griewank & Walther, Evaluating
-# Derivatives, 2nd ed., ch. 13) -- depends on (D, n) only, so it is emitted
-# once per pair as straight-line source and compiled on first use, over the
-# scalar helpers or (for batches of points) the array helpers above.  Each
-# expression is lowered once per (wrt, order, batched) into closures.
+# Derivatives, 2nd ed., ch. 13) -- depends on (D, n) only.  ``_Taylor``
+# writes it out as straight-line source: once per pair as one kernel function
+# per operation, compiled on first use over the scalar helpers or (for
+# batches of points) the array helpers above, and inline in the per-chart
+# trajectory fields below.  Each expression is lowered once per (wrt, order,
+# batched) into closures over the kernels.
 
 _KERNELS: dict = {}  # (D, n, batched) -> namespace of compiled kernels
 
@@ -635,92 +637,209 @@ def _partitions(items):
             yield part[:i] + [(first,) + block] + part[i + 1 :]
 
 
-def _kernel_source(dim, order):
-    sets = _multisets(dim, order)
-    pos = {s: i for i, s in enumerate(sets)}
-
-    def sub(s, block):
-        return pos[tuple(sorted(s[p] for p in block))]
-
-    def polynomial(terms):  # {tuple of factor names: integer multiplicity}
-        return " + ".join("*".join(((str(m),) if m > 1 else ()) + f) for f, m in terms.items())
-
-    def leibniz(s):
-        terms = Counter()
-        for mask in product((0, 1), repeat=len(s)):
-            left = sub(s, [p for p, m in enumerate(mask) if not m])
-            terms[f"a{left}", f"b{sub(s, [p for p, m in enumerate(mask) if m])}"] += 1
-        return polynomial(terms)
-
-    def chain(s, inner, outer):
-        # d_S g(u, ...) = sum over partitions of S, and over which inner jet
-        # each block differentiates, of a partial of g times the blocks' partials
-        outer_pos = {w: i for i, w in enumerate(_multisets(len(inner), order))}
-        terms = Counter()
-        for part in _partitions(list(range(len(s)))):
-            for which in product(range(len(inner)), repeat=len(part)):
-                factors = sorted(f"{inner[w]}{sub(s, b)}" for w, b in zip(which, part))
-                terms[(f"{outer}{outer_pos[tuple(sorted(which))]}", *factors)] += 1
-        return polynomial(terms)
-
-    def kernel(signature, rule, *unpack):
-        lines = [f"    {', '.join(f'{v}{i}' for i in pos.values())}, = {v}\n" for v in unpack]
-        body = ", ".join(rule(i, s) for i, s in enumerate(sets))
-        return f"def {signature}:\n{''.join(lines)}    return ({body},)\n"
-
-    g = ", ".join(f"g{i}" for i in range(len(_multisets(2, order))))
-    src = [
-        kernel("const(c)", lambda i, s: "0.0" if i else "c"),
-        kernel("neg(a)", lambda i, s: f"-a{i}", "a"),
-        kernel("add(a, b)", lambda i, s: f"a{i} + b{i}", "a", "b"),
-        kernel("sub(a, b)", lambda i, s: f"a{i} - b{i}", "a", "b"),
-        kernel("mul(a, b)", lambda i, s: leibniz(s), "a", "b"),
-        kernel("compose(a, f0, f1, f2, f3)", lambda i, s: chain(s, "a", "f"), "a"),
-        kernel(f"compose2(a, b, {g}, *rest)", lambda i, s: chain(s, "ab", "g"), "a", "b"),
-        kernel("add_jc(a, c)", lambda i, s: f"a{i} + c" if i == 0 else f"a{i}", "a"),
-        kernel("add_cj(c, a)", lambda i, s: f"c + a{i}" if i == 0 else f"a{i}", "a"),
-        kernel("sub_jc(a, c)", lambda i, s: f"a{i} - c" if i == 0 else f"a{i}", "a"),
-        kernel("sub_cj(c, a)", lambda i, s: f"c - a{i}" if i == 0 else f"-a{i}", "a"),
-        kernel("mul_jc(a, c)", lambda i, s: f"a{i} * c", "a"),
-        kernel("mul_cj(c, a)", lambda i, s: f"c * a{i}", "a"),
-    ]
-    for k in range(dim):
-        src.append(kernel(f"var{k}(x)", lambda i, s: "x" if i == 0 else str(float(s == (k,)))))
-    for f in ("sin", "cos", "exp", "log", "sqrt"):
-        src.append(f"def {f}(a):\n    return compose(a, *_{f}_series(a[0]))\n")
-    return "\n".join(src) + _KERNEL_RULES
+class _Code(str):
+    """Source of a jet component not yet bound to a name."""
 
 
-# Rules over the kernels above; "_jc" / "_cj" mark a float right / left operand.
-_KERNEL_RULES = """
-def recip(a):
-    return compose(a, *_recip_series(a[0]))
-def div(a, b):
-    return mul(a, recip(b))
-def div_jc(a, c):
-    return mul_jc(a, _recip_series(c)[0])
-def div_cj(c, b):
-    return mul_cj(c, recip(b))
-def pow(a, b):
-    # an exponent whose derivatives all vanish here takes the constant rule
-    if not any(b[1:]):
-        return pow_jc(a, b[0])
-    return exp(mul(b, log(a)))
-def pow_jc(a, c):
-    return compose(a, *_pow_series(a[0], c))
-def pow_cj(c, b):
-    if not any(b[1:]):
-        return const(_real_pow(c, b[0]))
+def _lit(x):
+    return x if isinstance(x, str) else repr(x)
+
+
+def _op(fold, pattern, x, y):
+    # known operands fold to their (finite) value, computed as the code would
+    if not isinstance(x, str) and not isinstance(y, str) and math.isfinite(fold(x, y)):
+        return fold(x, y)
+    return _Code(pattern.format(_lit(x), _lit(y)))
+
+
+def _minus_zero(x):
+    return not isinstance(x, str) and x == 0.0 and math.copysign(1.0, x) < 0.0
+
+
+# Exact identities only (-0.0 + x, x - 0.0, 1.0 * x), so that signed zeros
+# and NaNs come out as the unfolded arithmetic gives them.
+def _neg(x):
+    return _Code(f"-{x}") if isinstance(x, str) else -x
+
+
+def _add(x, y):
+    return x if _minus_zero(y) else y if _minus_zero(x) else _op(operator.add, "{} + {}", x, y)
+
+
+def _sub(x, y):
+    return x if y == 0.0 and not _minus_zero(y) else _op(operator.sub, "{} - {}", x, y)
+
+
+def _mul(x, y):
+    return y if x is None or x == 1.0 else x if y == 1.0 else _op(operator.mul, "{}*{}", x, y)
+
+
+@lru_cache(maxsize=None)
+def _leibniz(dim, order, s):
+    """Terms of d_S (a b) as {(("a", component), ("b", component)): multiplicity}."""
+    pos = {m: i for i, m in enumerate(_multisets(dim, order))}
+    terms = Counter()
+    for mask in product((0, 1), repeat=len(s)):
+        left = pos[tuple(sorted(s[p] for p, m in enumerate(mask) if not m))]
+        terms[("a", left), ("b", pos[tuple(sorted(s[p] for p, m in enumerate(mask) if m))])] += 1
+    return tuple(terms.items())
+
+
+@lru_cache(maxsize=None)
+def _chain(dim, order, s, inner, outer):
+    """Terms of d_S g(u, ...): over partitions of S, and over which inner jet
+    each block differentiates, a partial of g times the blocks' partials."""
+    pos = {m: i for i, m in enumerate(_multisets(dim, order))}
+    outer_pos = {w: i for i, w in enumerate(_multisets(len(inner), order))}
+    terms = Counter()
+    for part in _partitions(list(range(len(s)))):
+        for which in product(range(len(inner)), repeat=len(part)):
+            factors = sorted(((inner[w], pos[tuple(sorted(s[p] for p in b))])
+                              for w, b in zip(which, part)), key=lambda f: f"{f[0]}{f[1]}")
+            terms[((outer, outer_pos[tuple(sorted(which))]), *factors)] += 1
+    return tuple(terms.items())
+
+
+class _Taylor:
+    """Jet arithmetic in ``dim`` variables to ``order`` as straight-line source.
+
+    A jet is a list of components in ``_multisets`` order, each a known float,
+    a name or a ``_Code`` expression, bound to a fresh name when first read; a
+    plain value is a one-component list.  A rule returns its result and adds
+    the lines it needs (series helper calls, the exponent-rule branch) to ``lines``.
+    """
+
+    def __init__(self, dim, order, prefix):
+        self.sets, self.dim, self.order = _multisets(dim, order), dim, order
+        self.lines, self.indent = [], "    "
+        self._names = (f"{prefix}{i}" for i in count())
+
+    def call(self, source, unpack=0):
+        """Bind ``source`` to a fresh name, or unpack it into ``unpack`` of them."""
+        names = [next(self._names) for _ in range(unpack or 1)]
+        self.lines.append(f"{self.indent}{', '.join(names)}{',' * bool(unpack)} = {source}")
+        return names if unpack else names[0]
+
+    def use(self, jet, i):
+        if isinstance(jet[i], _Code):
+            jet[i] = self.call(jet[i])
+        return jet[i]
+
+    def each(self, fn, *jets):
+        return [fn(*(self.use(j, i) for j in jets)) for i in range(len(jets[0]))]
+
+    def poly(self, terms, jets):
+        """Sum of the terms ((jet key, component), ...), multiplicity."""
+        total = None
+        for factors, m in terms:
+            prod = m if m > 1 else None
+            for key, i in factors:
+                prod = _mul(prod, self.use(jets[key], i))
+            total = prod if total is None else _add(total, prod)
+        return total
+
+    def const(self, c):
+        return [self.use(c, 0)] + [0.0] * (len(self.sets) - 1)
+
+    def var(self, k, x):
+        return [x] + [float(s == (k,)) for s in self.sets[1:]]
+
+    def mul(self, a, b):
+        return [self.poly(_leibniz(self.dim, self.order, s), {"a": a, "b": b}) for s in self.sets]
+
+    def series(self, fn, a, *c):  # fn(a, *c) by the chain rule over ``_{fn}_series``
+        f = self.call(f"_{fn}_series({', '.join([self.use(a, 0), *map(_lit, c)])})", 4)
+        return [self.poly(_chain(self.dim, self.order, s, "a", "f"), {"a": a, "f": f})
+                for s in self.sets]
+
+    def atan2(self, y, x):
+        g = self.call(f"_atan2_series({self.use(y, 0)}, {self.use(x, 0)})", 10)
+        return [self.poly(_chain(self.dim, self.order, s, "ab", "g"), {"a": y, "b": x, "g": g})
+                for s in self.sets]
+
+    def exponent_rule(self, b, other, constant, general):
+        """``constant()`` where every derivative of the exponent ``b`` vanishes,
+        else ``general()``, decided here where the derivatives are known."""
+        for jet in (b, other):  # bound before the branches read them
+            self.each(_same, jet)
+        unknown = [x for x in b[1:] if isinstance(x, str)]
+        if any(x for x in b[1:] if not isinstance(x, str)):
+            return general()
+        if not unknown:
+            return constant()
+        out, indent = [next(self._names) for _ in self.sets], self.indent
+        for head, rule in ((f"if not any(({', '.join(unknown)},)):", constant), ("else:", general)):
+            self.lines.append(indent + head)
+            self.indent = indent + "    "
+            self.lines += [f"{self.indent}{name} = {_lit(x)}" for name, x in zip(out, rule())]
+            self.indent = indent
+        return out
+
+    def apply(self, op, *args):
+        return _RULES[op][1](self, *args)
+
+    def plain(self, op, *args):  # as ``_REAL``
+        args = [self.use(a, 0) for a in args]
+        if op in ("neg", "add", "sub", "mul"):
+            return [{"neg": _neg, "add": _add, "sub": _sub, "mul": _mul}[op](*args)]
+        return [self.call(f"_REAL_{op}({', '.join(map(_lit, args))})")]
+
+
+def _same(x, *_):
+    return x
+
+
+def _log_base(c):
+    """log of the constant base of a power with a variable exponent."""
     if c <= 0.0:
         raise EvaluationError(f"non-positive base {float(c)!r} with variable exponent")
-    return exp(mul_jc(b, math.log(c)))
-def atan2(y, x):
-    return compose2(y, x, *_atan2_series(y[0], x[0]))
-def atan2_jc(y, c):
-    return atan2(y, const(c))
-def atan2_cj(c, x):
-    return atan2(const(c), x)
-"""
+    return math.log(c)
+
+
+# kernel name -> (operands: "a", "b" jets, "c" a plain value; the rule on a
+# ``_Taylor``); "_jc" / "_cj" mark a plain right / left operand
+_RULES = {
+    "const": ("c", _Taylor.const),
+    "neg": ("a", lambda t, a: t.each(_neg, a)),
+    **{f: ("a", lambda t, a, f=f: t.series(f, a)) for f in ("sin", "cos", "exp", "log", "sqrt")},
+    "add": ("ab", lambda t, a, b: t.each(_add, a, b)),
+    "sub": ("ab", lambda t, a, b: t.each(_sub, a, b)),
+    "mul": ("ab", _Taylor.mul),
+    "div": ("ab", lambda t, a, b: t.mul(a, t.series("recip", b))),
+    "pow": ("ab", lambda t, a, b: t.exponent_rule(  # variable exponent: exp(b log a)
+        b, a, lambda: t.apply("pow_jc", a, b[:1]),
+        lambda: t.series("exp", t.mul(b, t.series("log", a))))),
+    "atan2": ("ab", _Taylor.atan2),
+    "add_jc": ("ac", lambda t, a, c: [_add(t.use(a, 0), t.use(c, 0)), *t.each(_same, a)[1:]]),
+    "add_cj": ("ca", lambda t, c, a: [_add(t.use(c, 0), t.use(a, 0)), *t.each(_same, a)[1:]]),
+    "sub_jc": ("ac", lambda t, a, c: [_sub(t.use(a, 0), t.use(c, 0)), *t.each(_same, a)[1:]]),
+    "sub_cj": ("ca", lambda t, c, a: [_sub(t.use(c, 0), t.use(a, 0)), *t.each(_neg, a)[1:]]),
+    "mul_jc": ("ac", lambda t, a, c: t.each(_mul, a, [t.use(c, 0)] * len(a))),
+    "mul_cj": ("ca", lambda t, c, a: t.each(_mul, [t.use(c, 0)] * len(a), a)),
+    "div_jc": ("ac", lambda t, a, c: t.apply(
+        "mul_jc", a, [t.call(f"_recip_series({t.use(c, 0)})[0]")])),
+    "div_cj": ("ca", lambda t, c, b: t.apply("mul_cj", c, t.series("recip", b))),
+    "pow_jc": ("ac", lambda t, a, c: t.series("pow", a, t.use(c, 0))),
+    "pow_cj": ("ca", lambda t, c, b: t.exponent_rule(
+        b, c, lambda: t.const([t.call(f"_real_pow({_lit(c[0])}, {_lit(b[0])})")]),
+        lambda: t.series("exp", t.apply("mul_jc", b, [t.call(f"_log_base({_lit(c[0])})")])))),
+    "atan2_jc": ("ac", lambda t, y, c: t.atan2(y, t.const(c))),
+    "atan2_cj": ("ca", lambda t, c, x: t.atan2(t.const(c), x)),
+}
+
+
+def _kernel_source(dim, order):
+    size = len(_multisets(dim, order))
+    src = []
+    for rule, operands in [*((r, p) for r, (p, _) in _RULES.items()),
+                           *((f"var{k}", "x") for k in range(dim))]:
+        taylor = _Taylor(dim, order, "t")
+        args = [[f"{p}{i}" for i in range(size)] if p in "ab" else [p] for p in operands]
+        out = taylor.var(int(rule[3:]), "x") if operands == "x" else taylor.apply(rule, *args)
+        src += [f"def {rule}({', '.join(operands)}):"]
+        src += [f"    {', '.join(arg)}, = {p}" for p, arg in zip(operands, args) if p in "ab"]
+        src += [*taylor.lines, f"    return ({', '.join(map(_lit, out))},)"]
+    return "\n".join(src) + "\n"
 
 
 def _kernels(dim, order, batched):
@@ -746,6 +865,23 @@ def _partials_index(dim, k):
 _OPS = {"+": "add", "-": "sub", "*": "mul", "/": "div", "^": "pow"}
 
 
+def _operation(node):
+    """The operation of a ``Neg``, ``BinOp`` or ``Call`` node, and its operands."""
+    if isinstance(node, Neg):
+        return "neg", (node.arg,)
+    if isinstance(node, BinOp):
+        return _OPS[node.op], (node.left, node.right)
+    return node.func, node.args
+
+
+def _rule(op, jets):
+    """The kernel of ``op`` whose operands are jets where ``jets`` says so
+    ("_jc" / "_cj" mark a plain right / left one), or None if none is."""
+    if not any(jets):
+        return None
+    return op + ("_jc" if jets[0] else "_cj") if len(jets) == 2 and not all(jets) else op
+
+
 def _lower(node, wrt, kernels):
     """Closure ``env -> value`` for ``node``, and whether the value is a jet
     tuple; a subtree that does not depend on ``wrt`` gives a plain float."""
@@ -757,20 +893,11 @@ def _lower(node, wrt, kernels):
             seed = kernels[f"var{wrt.index(ident)}"]
             return (lambda env: seed(env[ident])), True
         return (lambda env: env[ident]), False
-    if isinstance(node, Neg):
-        op, args = "neg", (node.arg,)
-    elif isinstance(node, BinOp):
-        op, args = _OPS[node.op], (node.left, node.right)
-    else:
-        op, args = node.func, node.args
+    op, args = _operation(node)
     lowered = [_lower(a, wrt, kernels) for a in args]
     jets = [j for _, j in lowered]
-    if not any(jets):
-        fn = kernels["_REAL"][op]
-    else:
-        if len(jets) == 2 and not all(jets):
-            op += "_jc" if jets[0] else "_cj"
-        fn = kernels[op]
+    rule = _rule(op, jets)
+    fn = kernels["_REAL"][op] if rule is None else kernels[rule]
     if len(lowered) == 1:
         ((f, _),) = lowered
         return (lambda env: fn(f(env))), any(jets)
@@ -840,15 +967,16 @@ def parse_over(sources, allowed, context: str) -> tuple:
 
 # -- straight-line trajectory fields: the right-hand sides of ``dynamics``
 # written out per (field, chart kind, D, ambient dimension) over the raw jet
-# tuples of a chart's expressions (``Chart._jets`` at triad order 1) and the
-# velocity v, and compiled on first use like the kernels above.  Each term is
-# contracted with v while its indices are still lowered, so no rank-3 tensor
-# is formed:
+# tuples of a chart's expressions (``Chart._jets`` at triad order 1, order 0
+# for the line image) and the velocity v, and compiled on first use like the
+# kernels above.  Each term is contracted with v while its indices are still
+# lowered, so no rank-3 tensor is formed:
 #
 #   P^i_k = d_l e^i_k v^l,  T^i_l = d_l e^i_k v^k,  w^i = P^i_k v^k,  u^i = e^i_k v^k
 #   geodesic      -g^{ms} (e^i_s w^i + u^i (P^i_s - T^i_s))  = -Gammabar^m_{ln} v^l v^n
 #   autoparallel  -g^{ms} e^i_s w^i                          = -Gamma_{lk}^m v^l v^k
 #   variation     G^m_l = g^{ms} e^i_s T^i_l,  Sigma^m_n = g^{ms} e^i_s (P^i_n - T^i_n)
+#   line_image    g^{ms} e^i_s v^i = e_i^m v^i, with v^i the flat velocity
 #
 # with g_{mn} = e^i_m e^i_n formed from the triad.  A map chart's d_l e^i_k is
 # symmetric, so there P = T and its torsion terms vanish identically.  The
@@ -861,8 +989,16 @@ def parse_over(sources, allowed, context: str) -> tuple:
 # the point passes, calls again with that ``det``.  On batched jets and a
 # velocity of D arrays it returns arrays, and None unless every point clears
 # (above D = 3 it raises, and the caller takes the points one by one).
+#
+# ``_chart_field`` writes the same lines once per chart definition behind the
+# guard and the jets of every chart expression, which ``_Taylor`` inlines
+# (a subexpression shared between entries, found by structural hashing of
+# the AST, computed once): one call evaluates the field at a phase point of
+# floats.  Parameter values are arguments, so charts that differ only in
+# them share the code.
 
 _FIELDS: dict = {}  # (field, kind, D, ambient) -> compiled field function
+_CHART_FIELDS: dict = {}  # (field, kind, D, sources, guard, parameter names) -> function
 
 _ADJUGATES = {  # upper triangle of the adjugate of a symmetric g, and det g
     1: ({(0, 0): "1.0"}, "g0_0"),
@@ -881,39 +1017,48 @@ _ADJUGATES = {  # upper triangle of the adjugate of a symmetric g, and det g
 }
 
 
-def _field_source(field, kind, dim, ambient):
+def _jet_names(kind, dim, ambient, deriv):
+    """Per chart expression, the names the field lines give its jet components
+    at triad order ``deriv`` ("_" where they read none)."""
+    if kind == "map":  # x^i: e^i_k = d_k x^i, d_l e^i_k = d_k d_l x^i
+        return [["_" if not s else f"e{i}_{s[0]}" if len(s) == 1 else f"d{i}_{s[0]}_{s[1]}"
+                 for s in _multisets(dim, 1 + deriv)] for i in range(ambient)]
+    # e^i_k, row-major in (i, k)
+    return [[f"e{i}_{k}"] + [f"d{i}_{k}_{l}" for l in range(dim)] * deriv
+            for i in range(ambient) for k in range(dim)]
+
+
+def _field_source(field, kind, dim, ambient, head=None):
+    """Source of ``field``; ``head`` (the def line and the lines binding the
+    jet names and the velocity) unpacks ``jets`` and ``v`` by default."""
     rD, rA = range(dim), range(ambient)
+    deriv = field != "line_image"
 
     def total(terms):
         return " + ".join(terms)
 
-    if kind == "map":  # x^i to order 2: e^i_k = d_k x^i, d_l e^i_k = d_k d_l x^i
-        names = [
-            ["_" if not s else f"e{i}_{s[0]}" if len(s) == 1 else f"d{i}_{s[0]}_{s[1]}"
-             for s in _multisets(dim, 2)]
-            for i in rA
+    def dE(i, k, l):  # d_l e^i_k; a map chart's is symmetric in (k, l)
+        return f"d{i}_{min(k, l)}_{max(k, l)}" if kind == "map" else f"d{i}_{k}_{l}"
+
+    if head is None:
+        names = _jet_names(kind, dim, ambient, deriv)
+        head = [
+            f"def {field}(jets, v, floor2, det=None):",
+            f"    {', '.join('(' + ', '.join(n) + ',)' for n in names)}, = jets",
+            f"    {', '.join(f'v{k}' for k in (rD if deriv else rA))}, = v",
         ]
-
-        def dE(i, k, l):
-            return f"d{i}_{min(k, l)}_{max(k, l)}"
-    else:  # e^i_k to order 1, row-major in (i, k)
-        names = [[f"e{i}_{k}"] + [f"d{i}_{k}_{l}" for l in rD] for i in rA for k in rD]
-
-        def dE(i, k, l):
-            return f"d{i}_{k}_{l}"
-
     T = "p" if kind == "map" else "t"
-    lines = [
-        f"def {field}(jets, v, floor2, det=None):",
-        f"    {', '.join('(' + ', '.join(n) + ')' for n in names)}, = jets",
-        f"    {', '.join(f'v{k}' for k in rD)}, = v",
-    ]
-    lines += [f"    p{i}_{k} = {total(f'{dE(i, k, l)}*v{l}' for l in rD)}" for i in rA for k in rD]
-    if kind != "map":
+    lines = list(head)
+    if deriv:
+        lines += [f"    p{i}_{k} = {total(f'{dE(i, k, l)}*v{l}' for l in rD)}" for i in rA for k in rD]
+    if deriv and kind != "map":
         lines += [f"    t{i}_{l} = {total(f'{dE(i, k, l)}*v{k}' for k in rD)}" for i in rA for l in rD]
     lines += [f"    g{m}_{n} = {total(f'e{i}_{m}*e{i}_{n}' for i in rA)}" for m in rD for n in rD if m <= n]
 
-    if field == "variation":  # right-hand sides: the D columns of G, then of Sigma
+    if field == "line_image":
+        columns = [[total(f"e{i}_{s}*v{i}" for i in rA) for s in rD]]
+        sign = ""
+    elif field == "variation":  # right-hand sides: the D columns of G, then of Sigma
         columns = [[total(f"e{i}_{s}*{T}{i}_{l}" for i in rA) for s in rD] for l in rD]
         if kind != "map":
             columns += [[total(f"e{i}_{s}*(p{i}_{n} - t{i}_{n})" for i in rA) for s in rD] for n in rD]
@@ -969,8 +1114,8 @@ def _field_source(field, kind, dim, ambient):
 
 def _trajectory_field(field, kind, dim, ambient):
     """The compiled ``field(jets, v, floor2, det=None)`` ("geodesic",
-    "autoparallel" or "variation") of a chart of this kind, dimension and
-    ambient dimension."""
+    "autoparallel", "variation" or "line_image") of a chart of this kind,
+    dimension and ambient dimension."""
     key = (field, kind, dim, ambient)
     fn = _FIELDS.get(key)
     if fn is None:
@@ -978,4 +1123,69 @@ def _trajectory_field(field, kind, dim, ambient):
         label = f"<{field} field {kind} D={dim} A={ambient}>"
         exec(compile(_field_source(field, kind, dim, ambient), label, "exec"), namespace)
         fn = _FIELDS[key] = namespace[field]
+    return fn
+
+
+def _chart_source(field, kind, dim, exprs, guard, params):
+    ambient = len(exprs) if kind == "map" else dim
+    deriv = field != "line_image"
+    order = (kind == "map") + deriv  # of the jets that give E and its ``deriv`` derivatives
+    coords = tuple(f"q{k + 1}" for k in range(dim))
+    names = {**{p: f"r{k}" for k, p in enumerate(params)}, **dict(zip(coords, coords))}
+    velocity = [f"v{k}" for k in range(dim if deriv else ambient)]
+    taylor = _Taylor(dim, order, "j")
+
+    def lowering(wrt):
+        memo = {}  # structural key of a subexpression -> (jet or plain value, is jet)
+
+        def lower(node):  # as ``_lower``: (structural key without columns, value, is jet)
+            if isinstance(node, Num):
+                return node.value, [node.value if math.isfinite(node.value) else "_INF"], False
+            if isinstance(node, Name):
+                if node.ident in wrt:
+                    return node.ident, taylor.var(wrt.index(node.ident), node.ident), True
+                return node.ident, [names[node.ident]], False
+            op, args = _operation(node)
+            lowered = [lower(a) for a in args]
+            key = (op, *(k for k, _, _ in lowered))
+            if key not in memo:
+                values, rule = [v for _, v, _ in lowered], _rule(op, [j for _, _, j in lowered])
+                memo[key] = (taylor.plain(op, *values) if rule is None
+                             else taylor.apply(rule, *values)), rule is not None
+            return key, *memo[key]
+
+        return lower
+
+    plain = lowering(())
+    if guard is not None:  # as ``Chart._checked_env``
+        test = taylor.use(plain(guard.ast)[1], 0)
+        taylor.lines += [f"    if not {_lit(test)} > 0.0:", "        raise SingularPointError("
+                         f"f'point {{[{', '.join(coords)}]}} rejected by chart domain guard')"]
+    lower = lowering(coords) if order else plain  # as ``Chart._jets``: plain values at order 0
+    for expr, row in zip(exprs, _jet_names(kind, dim, ambient, deriv)):
+        _, jet, is_jet = lower(expr.ast)
+        jet = taylor.const(jet) if order and not is_jet else jet
+        for i, name in enumerate(row):
+            if name != "_":
+                taylor.lines.append(f"    {name} = {_lit(jet[i])}")
+                jet[i] = name if isinstance(jet[i], _Code) else jet[i]
+    args = ", ".join([*coords, *velocity, *(f"r{k}" for k in range(len(params)))])
+    return _field_source(field, kind, dim, ambient, [f"def {field}({args}, floor2, det=None):",
+                                                      *taylor.lines])
+
+
+def _chart_field(field, kind, dim, exprs, guard, params):
+    """``field(q1, .., qD, v.., parameter values.., floor2)`` of one chart
+    definition (``exprs``, ``guard`` and the parameter names ``params``):
+    the guard, the jets and the lines of ``_field_source`` in one function,
+    compiled on first use.  It raises as ``Chart._jets`` raises and returns
+    what ``_trajectory_field`` returns on that pass's jets."""
+    key = (field, kind, dim, tuple(e.source for e in exprs), guard and guard.source, params)
+    fn = _CHART_FIELDS.get(key)
+    if fn is None:
+        namespace = {**globals(), "_INF": math.inf, **{f"_REAL_{op}": f for op, f in _REAL.items()}}
+        label = f"<{field} field of the {kind} chart {list(key[3])}>"
+        source = _chart_source(field, kind, dim, exprs, guard, params)
+        exec(compile(source, label, "exec"), namespace)
+        fn = _CHART_FIELDS[key] = namespace[field]
     return fn

@@ -19,8 +19,13 @@ from torsionlab.charts import BUILTIN_CHARTS, Chart
 from torsionlab.dynamics import Trajectory
 
 from conftest import SAMPLE_BOXES
-from test_compiled_jets import PARAMS, cases, expressions_in
-from test_trajectory_fields import FIELDS, FOUR_DIMENSIONAL
+from test_trajectory_fields import (
+    FIELDS,
+    FOUR_DIMENSIONAL,
+    assert_bitwise,
+    assert_same,
+    chart_batches,
+)
 
 DELTAQ = ["0.3*t*(1 - t)", "-0.2*t*(1 - t)"]
 
@@ -32,42 +37,12 @@ def outcome(fn, *args):
         return type(exc), str(exc)
 
 
-def assert_bitwise(got, ref):
-    got, ref = np.asarray(got), np.asarray(ref)
-    assert got.shape == ref.shape
-    assert np.array_equal(got, ref, equal_nan=True), np.max(np.abs(got - ref))
-    assert np.array_equal(np.signbit(got), np.signbit(ref))
-
-
-def assert_same(got, ref):
-    """Equal failures, or bitwise equal values."""
-    if isinstance(ref, tuple) or isinstance(got, tuple):
-        assert isinstance(got, tuple) and got == ref, (ref, got)
-        return
-    assert_bitwise(got, ref)
-
-
 def pointwise_jets(chart, points, order):
     """The per-point jets, stacked in the batch layout (expressions, partials, N)."""
     return np.moveaxis(np.array([chart._jets(q, order) for q in points]), 0, -1)
 
 
 # -- jets of generated charts -----------------------------------------------------------
-
-
-@st.composite
-def chart_batches(draw):
-    """A map or triad chart whose first expression and first point come from
-    ``cases()``, the other entries from the same expression strategy, and
-    up to five more points."""
-    source, names, point = draw(cases())
-    dim = len(names)
-    kind = draw(st.sampled_from(["map", "triad"]))
-    count = dim * dim if kind == "triad" else dim
-    others = draw(st.lists(expressions_in(dim), min_size=count - 1, max_size=count - 1))
-    coords = st.lists(st.floats(-2.0, 2.0), min_size=dim, max_size=dim)
-    points = [point] + draw(st.lists(coords, max_size=5))
-    return Chart(dim, kind, [source, *others], params=PARAMS), np.array(points, dtype=float)
 
 
 @settings(max_examples=200, deadline=None)

@@ -221,11 +221,23 @@ def test_hot_paths_never_walk_the_tree(monkeypatch):
     assert calls == []
 
 
-def test_import_generates_no_kernels():
-    code = "import torsionlab, torsionlab.expressions as e; print(len(e._KERNELS), len(e._FIELDS))"
+def fresh_interpreter(code):
+    """The output of ``code`` run in a new interpreter that imports this checkout."""
     src = os.path.dirname(os.path.dirname(torsionlab.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     )
-    assert out.stdout.split() == ["0", "0"]
+    return out.stdout.split()
+
+
+def test_import_generates_no_kernels():
+    assert fresh_interpreter(
+        "import torsionlab, torsionlab.expressions as e; "
+        "print(len(e._KERNELS), len(e._FIELDS), len(e._CHART_FIELDS))"
+    ) == ["0", "0", "0"]
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy.linalg takes about half of the import time; only the quadrature solver needs it
+    assert fresh_interpreter("import sys, torsionlab; print('scipy' in sys.modules)") == ["False"]

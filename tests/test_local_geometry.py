@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import torsionlab as tl
+from torsionlab import _local, dynamics
 from torsionlab.charts import Chart
 from torsionlab.cli import _build_arg_parser, config_from_args, run
 
@@ -14,16 +15,28 @@ from torsionlab.cli import _build_arg_parser, config_from_args, run
 
 @pytest.fixture
 def jet_passes(monkeypatch):
-    """Triad orders of every jet pass made while the test runs: every triad,
-    tensor and trajectory field evaluates its point through ``Chart._jets``."""
+    """Triad orders of every jet pass made while the test runs: every triad
+    and tensor evaluates its point through ``Chart._jets``, a trajectory field
+    at one point through the code generated for its chart definition, which
+    evaluates the jets inline (order 0 for the line image, 1 otherwise)."""
     calls = []
-    original = Chart._jets
+    original, generated = Chart._jets, dynamics._chart_field
 
     def counting(self, q, order):
         calls.append(order)
         return original(self, q, order)
 
+    def counted_field(field, *definition):
+        fn, order = generated(field, *definition), int(field != "line_image")
+
+        def counted(*args):
+            calls.append(order)
+            return fn(*args)
+
+        return counted
+
     monkeypatch.setattr(Chart, "_jets", counting)
+    monkeypatch.setattr(dynamics, "_chart_field", counted_field)
     return calls
 
 
@@ -31,6 +44,18 @@ def test_geodesic_step_makes_four_passes(jet_passes):
     sphere = tl.builtin_chart("sphere", r=1.0)
     tl.integrate_geodesic(sphere, [1.0, 0.0], [0.3, 0.4], (0.0, 0.1), 1e-2)
     assert jet_passes == [1] * 40
+
+
+def test_line_image_reads_the_profile_once(jet_passes, monkeypatch):
+    reads, active_profile = [], dynamics.active_profile
+    for module in (dynamics, _local):
+        monkeypatch.setattr(module, "active_profile", lambda: reads.append(1) or active_profile())
+    st = tl.builtin_chart("synthetic_torsion", alpha=0.3)
+    traj = tl.straight_line_image(st, [0.1, 0.2], [1.0, 0.7], (0.0, 0.1), 1e-2)
+    assert len(traj) == 11 and not traj.truncated
+    assert len(reads) == 1
+    # the triad at q0 for the flat velocity, then one field per RK4 stage and the final slope
+    assert jet_passes == [0] * (1 + 4 * 10 + 1)
 
 
 def test_variation_makes_one_pass_per_call(jet_passes):

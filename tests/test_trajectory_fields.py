@@ -2,7 +2,10 @@
 
 The oracle is the tensor route: ``LocalGeometry``'s Christoffel symbols,
 affine connection and torsion, contracted with ``np.einsum`` exactly as the
-trajectory right-hand sides and ``variation_matrices`` once did.
+trajectory right-hand sides and ``variation_matrices`` once did.  The code
+generated per chart definition, which inlines the jets, must in turn equal
+the closure route (``_trajectory_field`` on one ``Chart._jets`` pass) bit for
+bit, fail alike and truncate trajectories at the same node.
 """
 
 import numpy as np
@@ -12,14 +15,30 @@ from hypothesis import strategies as st
 
 import torsionlab as tl
 from torsionlab import dynamics, expressions
+from torsionlab._local import checked_gram
 from torsionlab.charts import BUILTIN_CHARTS, Chart
 from torsionlab.connection import affine_connection, christoffel, torsion_tensor
 from torsionlab.errors import DegenerateTriadError, SingularPointError
 
 from conftest import SAMPLE_BOXES
-from test_compiled_jets import PARAMS, expressions_in
+from test_compiled_jets import PARAMS, cases, expressions_in
 
 FIELDS = ("geodesic", "autoparallel", "variation")
+
+
+def assert_bitwise(got, ref):
+    got, ref = np.asarray(got), np.asarray(ref)
+    assert got.shape == ref.shape
+    assert np.array_equal(got, ref, equal_nan=True), np.max(np.abs(got - ref))
+    assert np.array_equal(np.signbit(got), np.signbit(ref))
+
+
+def assert_same(got, ref):
+    """Equal failures, or bitwise equal values."""
+    if isinstance(ref, tuple) or isinstance(got, tuple):
+        assert isinstance(got, tuple) and got == ref, (ref, got)
+        return
+    assert_bitwise(got, ref)
 
 
 def oracle(chart, field, q, v):
@@ -230,3 +249,200 @@ def test_fields_compile_once_per_shape():
         assert expressions._FIELDS[key] is before[key]
     assert len(expressions._FIELDS) - len(before) <= 1
 
+
+
+# -- the code generated per chart definition against the closure route ------------------------
+
+FLOOR2 = 1e-12 * 1e-12  # the default profile's degenerate-triad floor, squared
+
+
+@st.composite
+def chart_batches(draw):
+    """A map or triad chart whose first expression and first point come from
+    ``cases()``, the other entries from the same expression strategy, and
+    up to five more points."""
+    source, names, point = draw(cases())
+    dim = len(names)
+    kind = draw(st.sampled_from(["map", "triad"]))
+    count = dim * dim if kind == "triad" else dim
+    others = draw(st.lists(expressions_in(dim), min_size=count - 1, max_size=count - 1))
+    coords = st.lists(st.floats(-2.0, 2.0), min_size=dim, max_size=dim)
+    points = [point] + draw(st.lists(coords, max_size=5))
+    return Chart(dim, kind, [source, *others], params=PARAMS), np.array(points, dtype=float)
+
+
+@st.composite
+def field_cases(draw):
+    """A chart of ``chart_batches()``, half of them guarded by an expression
+    of the same strategy, its first point and a velocity (a flat one, of the
+    ambient dimension, for the line image)."""
+    chart, points = draw(chart_batches())
+    guard = draw(st.one_of(st.none(), expressions_in(chart.dim)))
+    chart = Chart(chart.dim, chart.kind, chart.exprs, params=PARAMS, guard=guard)
+    v = st.lists(st.floats(-2.0, 2.0), min_size=chart.ambient_dim, max_size=chart.ambient_dim)
+    return chart, points[0].tolist(), draw(v)
+
+
+def by_code(chart, field, q, v):
+    code = expressions._chart_field(field, chart.kind, chart.dim, chart.exprs, chart.guard,
+                                    tuple(chart.params))
+    return code(*q, *v, *chart.params.values(), FLOOR2)
+
+
+def by_jets(chart, field, q, v):
+    fn = expressions._trajectory_field(field, chart.kind, chart.dim, chart.ambient_dim)
+    return fn(chart._jets(q, int(field != "line_image")), v, FLOOR2)
+
+
+def flat(out):
+    """A field's floats in one array (None, where det g is within rounding of the floor, as is)."""
+    if out is None or isinstance(out, tuple) and isinstance(out[0], type):
+        return out
+    if isinstance(out[0], tuple):
+        return np.concatenate([np.ravel(part) for part in out])
+    return np.array(out)
+
+
+def velocity(chart, field, v):
+    return v if field == "line_image" else v[: chart.dim]
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=field_cases())
+def test_chart_code_equals_closure_route(case):
+    chart, q, v = case
+    for field in FIELDS + ("line_image",):
+        w = velocity(chart, field, v)
+        got = flat(outcome(by_code, chart, field, q, w))
+        ref = flat(outcome(by_jets, chart, field, q, w))
+        if got is None or ref is None:
+            assert got is ref, (chart.to_dict(), field, q, w, got, ref)
+        else:
+            assert_same(got, ref)
+
+
+def zero_derivative_expressions():
+    """Expressions in q1 whose derivatives are often zeros of either sign."""
+    leaves = st.sampled_from(["q1", "(q1 - q1)", "-(q1 - q1)", "(0.5 - q1*0)", "a", "2"])
+
+    def extend(inner):
+        return st.one_of(
+            st.tuples(inner, st.sampled_from("+-*/^"), inner).map(lambda t: "(%s %s %s)" % t),
+            st.tuples(st.sampled_from(("sin", "cos", "exp")), inner).map("%s(%s)".__mod__),
+            inner.map(lambda s: f"-{s}"),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(source=zero_derivative_expressions(), kind=st.sampled_from(["map", "triad"]),
+       q=st.sampled_from([-1.5, -0.5, 0.5, 1.5]), v=st.sampled_from([-1.0, -0.0, 0.0, 1.0]))
+def test_chart_code_keeps_signed_zeros(source, kind, q, v):
+    # in D = 1 the variation field G = e (d v) / (e e) carries the sign of a
+    # zero derivative d: a fold that loses it shows here
+    chart = Chart(1, kind, [source, "1 + 0.5*q1^2"] if kind == "map" else [source], params=PARAMS)
+    for field in FIELDS + ("line_image",):
+        w = [v, 0.5][: chart.ambient_dim] if field == "line_image" else [v]
+        got = flat(outcome(by_code, chart, field, [q], w))
+        ref = flat(outcome(by_jets, chart, field, [q], w))
+        if got is None or ref is None:
+            assert got is ref
+        else:
+            assert_same(got, ref)
+
+
+def closure_field(chart, field):
+    """The closure route's ``at(q, v)`` at one point, deciding a point within
+    rounding of the floor by the checked determinant, as ``dynamics._field`` does."""
+
+    def at(q, v):
+        jets = chart._jets(q, int(field != "line_image"))
+        fn = expressions._trajectory_field(field, chart.kind, chart.dim, chart.ambient_dim)
+        out = fn(jets, v, FLOOR2)
+        if out is None:  # det g within rounding of the floor
+            out = fn(jets, v, FLOOR2, checked_gram(chart._tensors(jets, 0)[0], q)[1])
+        return out
+
+    return at
+
+
+def stepped(at, chart, field, q0, v, h=0.05, steps=20):
+    """``_rk4`` on ``at`` as the integrators run it: states, slopes, whether it
+    truncated, and every error a right-hand side met."""
+    D, errors = chart.dim, []
+
+    def rhs(_, y):
+        try:
+            return at(y, v) if field == "line_image" else (*y[D:], *at(y[:D], y[D:]))
+        except Exception as exc:
+            errors.append((type(exc), str(exc)))
+            raise
+
+    y0 = q0 if field == "line_image" else q0 + v
+    y, slope, truncated = dynamics._rk4(rhs, np.array(y0), np.linspace(0.0, h * steps, steps + 1),
+                                        final_slope=field == "line_image")
+    return y, slope, truncated, errors
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=field_cases())
+def test_chart_code_trajectories_equal_closure_route(case):
+    chart, q0, v = case
+    for field in ("geodesic", "autoparallel", "line_image"):
+        w = velocity(chart, field, v)
+        got = outcome(stepped, dynamics._field(chart, field), chart, field, q0, w)
+        ref = outcome(stepped, closure_field(chart, field), chart, field, q0, w)
+        if isinstance(ref, tuple) and isinstance(ref[0], type):
+            assert got == ref  # the first node fails alike
+            continue
+        assert got[2:] == ref[2:]  # truncated at the same node, by the same errors
+        assert_bitwise(got[0], ref[0])
+        assert_bitwise(got[1], ref[1])
+        if field != "line_image":  # what the integrators return
+            integrate = tl.integrate_geodesic if field == "geodesic" else tl.integrate_autoparallel
+            traj = integrate(chart, q0, w, (0.0, 1.0), 0.05)
+            assert_bitwise(np.hstack((traj.q, traj.qdot)), got[0])
+        # the variation matrices along the path, point by point as a failed batch takes them
+        generated, closure = dynamics._field(chart, "variation"), closure_field(chart, "variation")
+        u = w[: chart.dim]
+        for q in got[0][:, : chart.dim].tolist():
+            assert_same(flat(outcome(generated, q, u)), flat(outcome(closure, q, u)))
+
+
+def test_rebuilt_chart_reuses_the_compiled_field(monkeypatch):
+    # every CLI run builds a fresh chart from its definition, maybe with other values
+    monkeypatch.setattr(expressions, "_CHART_FIELDS", {})
+    written, source = [], expressions._chart_source
+    monkeypatch.setattr(expressions, "_chart_source", lambda *a: written.append(a[0]) or source(*a))
+    definition = tl.builtin_chart("synthetic_torsion").to_dict()
+    q, v = [0.3, 0.1], [0.4, 0.2]
+    fields = []
+    for alpha in (0.3, 0.5):
+        chart = Chart.from_dict({**definition, "params": {"alpha": alpha}})
+        fields.append(dynamics._field(chart, "autoparallel")(q, v))
+        assert_bitwise(fields[-1], closure_field(chart, "autoparallel")(q, v))
+    assert written == ["autoparallel"]
+    assert fields[0] != fields[1]
+
+
+TRUNCATING = {  # (chart, q0, velocity): each path meets its domain edge within 100 steps
+    **{name: (chart, q0, qdot0) for name, (chart, q0, qdot0, _) in NEAR_DOMAIN_EDGES.items()},
+    "polar_origin": (tl.builtin_chart("polar"), [0.5, 0.2], [-1.0, 0.0]),
+    "sqrt_of_negative": (Chart(2, "map", ["q1 + 0.1*sqrt(q1)", "q2"]), [0.5, 0.0], [-1.0, 0.0]),
+    "guard_hole": (Chart(1, "triad", ["1/q1"], guard="(q1 - 1.5)^2 - 1e-4"), [1.0], [1.0]),
+}
+
+
+@pytest.mark.parametrize("field", ("geodesic", "autoparallel", "line_image"))
+@pytest.mark.parametrize("edge", sorted(TRUNCATING))
+def test_chart_code_truncates_like_closure_route(edge, field):
+    chart, q0, v = TRUNCATING[edge]
+    if field == "line_image":  # the flat velocity
+        v = (chart.triad(q0) @ v).tolist()
+    got = stepped(dynamics._field(chart, field), chart, field, q0, v, h=1e-2, steps=100)
+    ref = stepped(closure_field(chart, field), chart, field, q0, v, h=1e-2, steps=100)
+    assert got[2:] == ref[2:]
+    assert got[2] or (edge, field) == ("sphere_pole", "line_image")  # that one turns away in time
+    assert_bitwise(got[0], ref[0])
+    assert_bitwise(got[1], ref[1])

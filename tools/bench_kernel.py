@@ -35,6 +35,12 @@ the trajectories, under criteria 3 and 5:
   RK4 steps of h = 1e-3, per step;
 * ``autoparallel_per_step``   ``integrate_autoparallel`` on ``synthetic_torsion``
   (alpha = 0.3), 1,000 steps of h = 1e-3, per step;
+* ``line_image_per_step``     ``straight_line_image`` from the same start on the
+  same chart, 1,000 steps of h = 1e-3, per step;
+* ``field_point``             one sphere geodesic field evaluation at a phase
+  point, as the integrators take it (``dynamics._field``; the mean of 10,000);
+* ``field_point_closure``     the same through ``Chart._jets`` and
+  ``expressions._trajectory_field``, the route stacks of points take;
 * ``variation_matrices``      one ``variation_matrices`` call on that chart
   (the mean of 1,000 calls);
 * ``half_step_samples``       ``dynamics._half_step_samples`` along that
@@ -43,9 +49,15 @@ the trajectories, under criteria 3 and 5:
 * ``el_residual``             ``torsion_el_residual`` along that autoparallel
   (1,001 nodes).
 
+the cold start:
+
+* ``import_torsionlab``       ``import torsionlab`` in a fresh interpreter, timed
+  inside it (the median of 9 interpreters).
+
 Only public names are used, besides ``dynamics._half_step_samples``, whose
-signature is unchanged since the variation solvers first shared it, so any
-checkout of the package can be timed.
+signature is unchanged since the variation solvers first shared it, and
+``dynamics._field`` and ``expressions._trajectory_field``, unchanged since
+the generated fields came in, so any checkout since then can be timed.
 BLAS is pinned to one thread before numpy loads, as in ``perfbench/run.py``.
 """
 
@@ -56,6 +68,7 @@ import json
 import math
 import os
 import platform
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -70,6 +83,8 @@ LADDER = (0.08, 0.04, 0.02)
 RING_POINTS, RING_LADDER = 256, (0.08, 0.04, 0.02, 0.01)
 TRAJECTORY_STEPS, TRAJECTORY_H = 1000, 1e-3
 VARIATION_CALLS = 1000
+FIELD_CALLS = 10000
+IMPORTS = 9
 DELTAQ = ["0.3*t*(1 - t)", "-0.2*t*(1 - t)"]  # criterion 5
 
 
@@ -168,8 +183,10 @@ def _trajectory_layers():
     from torsionlab import (
         builtin_chart,
         dynamics,
+        expressions,
         integrate_autoparallel,
         integrate_geodesic,
+        straight_line_image,
         torsion_el_residual,
         variation_matrices,
     )
@@ -183,6 +200,18 @@ def _trajectory_layers():
         for _ in range(VARIATION_CALLS):
             variation_matrices(torsion, [0.3, 0.1], [0.4, 0.2])
 
+    q, v, floor2 = [1.2, 0.1], [0.3, 0.8], 1e-12 * 1e-12
+    at = dynamics._field(sphere, "geodesic")
+    fn = expressions._trajectory_field("geodesic", sphere.kind, sphere.dim, sphere.ambient_dim)
+
+    def field_calls():
+        for _ in range(FIELD_CALLS):
+            at(q, v)
+
+    def closure_calls():
+        for _ in range(FIELD_CALLS):
+            fn(sphere._jets(q, 1), v, floor2)
+
     layers = {
         "geodesic_per_step": _median_timing(
             lambda: integrate_geodesic(sphere, [1.2, 0.1], [0.3, 0.8], span, TRAJECTORY_H), 7,
@@ -190,6 +219,11 @@ def _trajectory_layers():
         "autoparallel_per_step": _median_timing(
             lambda: integrate_autoparallel(torsion, [0.1, 0.2], [1.0, 0.7], span, TRAJECTORY_H), 7,
             per=TRAJECTORY_STEPS),
+        "line_image_per_step": _median_timing(
+            lambda: straight_line_image(torsion, [0.1, 0.2], [1.0, 0.7], span, TRAJECTORY_H), 7,
+            per=TRAJECTORY_STEPS),
+        "field_point": _median_timing(field_calls, 7, per=FIELD_CALLS),
+        "field_point_closure": _median_timing(closure_calls, 7, per=FIELD_CALLS),
         "variation_matrices": _median_timing(variation_calls, 7, per=VARIATION_CALLS),
         "half_step_samples": _median_timing(
             lambda: dynamics._half_step_samples(torsion, base, DELTAQ, None), 15),
@@ -198,12 +232,26 @@ def _trajectory_layers():
     return layers, {"trajectory_steps": TRAJECTORY_STEPS}
 
 
+def _import_layers():
+    """``import torsionlab`` timed inside each of ``IMPORTS`` fresh interpreters."""
+    code = ("import time; t = time.perf_counter(); import torsionlab; "
+            "print(time.perf_counter() - t)")
+    import torsionlab
+
+    env = dict(os.environ, PYTHONPATH=str(Path(torsionlab.__file__).parent.parent))
+    samples = sorted(float(subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                          capture_output=True, text=True).stdout)
+                     for _ in range(IMPORTS))
+    return {"import_torsionlab": {"median_s": samples[len(samples) // 2], "repeats": IMPORTS,
+                                  "min_s": samples[0], "max_s": samples[-1]}}, {}
+
+
 def measure():
     import numpy as np
     import scipy
 
     result = {"layers": {}}
-    for group in (_kernel_layers, _ring_layers, _trajectory_layers):
+    for group in (_kernel_layers, _ring_layers, _trajectory_layers, _import_layers):
         layers, facts = group()
         result["layers"].update(layers)
         result.update(facts)
