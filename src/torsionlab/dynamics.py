@@ -6,11 +6,11 @@ straight flat-space line mapped step by step through the triads -- that image
 integrator is kept as an independent oracle.  The closure defect of varied
 paths solves a linear ODE driven by torsion.
 
-All three trajectory kinds and the closure-defect ODE are stepped by one
-classical RK4 loop, ``_rk4``.  The closure defect has a second, independent
-solver, ``closure_defect_by_quadrature`` (ordered exponential plus
-trapezoid rule); both read the same half-step samples of the variation
-matrices.
+All three trajectory kinds are stepped by one classical RK4 loop, ``_rk4``;
+the linear closure-defect ODE takes its RK4 steps as affine maps, all built
+at once.  Its second, independent solver, ``closure_defect_by_quadrature``,
+is an ordered exponential (one stacked Pade ``_expm``) plus trapezoid rule;
+both read the same half-step samples of the variation matrices.
 
 The geodesic, autoparallel and line-image right-hand sides and the
 variation matrices are straight-line functions generated by ``expressions``.
@@ -30,6 +30,7 @@ that path takes over when a batch fails, so errors name the first bad point.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +44,7 @@ from .errors import (
     DimensionMismatchError,
     EvaluationError,
     GridMismatchError,
+    NumericError,
     SamplingError,
     SingularPointError,
     ValidationError,
@@ -128,8 +130,8 @@ def _field(chart: Chart, field):
         jets = chart._jets(q, order)
         out = fn(jets, v, floor * floor)
         if out is None and np.ndim(q) == 1:
-            # det g within rounding of the floor: decide as ``checked_metric`` does
-            out = fn(jets, v, floor * floor, checked_gram(chart._tensors(jets, 0)[0], q)[1])
+            # det g within rounding of the floor: decide as ``checked_metric`` does, det a float
+            out = fn(jets, v, floor * floor, float(checked_gram(chart._tensors(jets, 0)[0], q)[1]))
         return out
 
     def at(q, v=()):
@@ -291,12 +293,25 @@ def solve_variation_ode(G, Sigma, deltaq, t_grid):
     """RK4 solve of d(delta_b)/dt = -G delta_b + Sigma delta_q, delta_b(ta)=0.
 
     ``G``, ``Sigma`` and ``deltaq`` are sampled at the nodes and step
-    midpoints of ``t_grid`` (2N - 1 samples, node k at index 2k).
+    midpoints of ``t_grid`` (2N - 1 samples, node k at index 2k).  The ODE is
+    linear, so every RK4 step is an affine map db_{k+1} = A_k db_k + c_k, one
+    (D + 1)-square matrix on (db, 1); all are built at once, then applied in order.
     """
-    db, _, _ = _rk4(
-        lambda j, b: (-G[j] @ b + Sigma[j] @ deltaq[j]).tolist(), np.zeros(len(deltaq[0])), t_grid
-    )
-    return db
+    G, Sigma, deltaq = (np.asarray(a, dtype=float) for a in (G, Sigma, deltaq))
+    m, D = 2 * len(t_grid) - 1, G.shape[-1]
+    if not len(G) == len(Sigma) == len(deltaq) == m:
+        raise GridMismatchError(f"{len(t_grid)} nodes need {m} samples each of G, Sigma, delta_q")
+    L = np.zeros((m, D + 1, D + 1))  # the right-hand side -G db + Sigma delta_q on (db, 1)
+    L[:, :D, :D], L[:, :D, D] = -G, np.einsum("jmn,jn->jm", Sigma, deltaq)
+    La, Lm, Lb = L[:-1:2], L[1::2], L[2::2]  # at the step's start, midpoint and end
+    eye, h = np.eye(D + 1), np.diff(t_grid)[:, None, None]
+    k2 = Lm @ (eye + 0.5 * h * La)  # the stages as maps: k1 = La, k2 = Lm (1 + h/2 k1), ...
+    k3 = Lm @ (eye + 0.5 * h * k2)
+    step = eye + h / 6.0 * (La + 2.0 * k2 + 2.0 * k3 + Lb @ (eye + h * k3))
+    db = np.tile(eye[D], (len(t_grid), 1))  # db = 0 at the start; later rows are overwritten
+    for a, y, out in zip(step, db, db[1:]):
+        np.dot(a, y, out=out)
+    return db[:, :D].copy()
 
 
 def nonholonomic_variation(chart: Chart, base: Trajectory, deltaq, params=None) -> VariationRun:
@@ -327,6 +342,28 @@ def nonholonomic_variation(chart: Chart, base: Trajectory, deltaq, params=None) 
     )
 
 
+def _expm(A):
+    """exp of each matrix of a stack (N, D, D) by scaling and squaring, with one
+    diagonal Pade approximant q_m(A)^-1 p_m(A) for the whole stack: the degree
+    m and the squarings come from the stack's largest 1-norm and the theta_m of
+    Higham, SIAM J. Matrix Anal. Appl. 26 (2005) 1179, algorithm 2.3."""
+    if not np.all(np.isfinite(A)):
+        raise NumericError("matrix exponential of a non-finite generator")
+    norm = np.abs(A).sum(axis=-2).max(initial=0.0)
+    thetas = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1, 7: 9.504178996162932e-1,
+              9: 2.097847961257068, 13: 5.371920351148152}
+    m = next(m for m, theta in thetas.items() if norm <= theta or m == 13)
+    s = max(0, math.ceil(math.log2(norm / thetas[13]))) if m == 13 else 0
+    A = A / 2.0**s
+    b = [float(math.comb(2 * m - k, m) * math.perm(m, m - k)) for k in range(m + 1)]
+    powers = [np.eye(A.shape[-1]), A @ A]  # A^0, A^2, ..., A^(m - 1)
+    for _ in range(m // 2 - 1):
+        powers.append(powers[-1] @ powers[1])
+    U = A @ sum(b[2 * k + 1] * p for k, p in enumerate(powers))
+    V = sum(b[2 * k] * p for k, p in enumerate(powers))
+    return np.linalg.matrix_power(np.linalg.solve(V - U, V + U), 2**s)  # s squarings
+
+
 def closure_defect_by_quadrature(chart: Chart, base: Trajectory, deltaq, params=None):
     """Independent solver: delta_b(t) = int U(t,t') Sigma(t') delta_q(t') dt'.
 
@@ -334,16 +371,15 @@ def closure_defect_by_quadrature(chart: Chart, base: Trajectory, deltaq, params=
     exp(-G(t_mid) h); the time integral uses the trapezoid rule on the base
     grid.  Errors are O(h^2), independent of the RK4 route.
     """
-    from scipy.linalg import expm  # here, not at import: scipy.linalg costs ~0.3 s to load
-
     dq, G, Sigma = _half_step_samples(chart, base, deltaq, params)
     steps = np.diff(base.t)
     integrand = np.einsum("kmn,kn->km", Sigma[::2], dq[::2])
-    props = expm(-G[1::2] * steps[:, None, None])
+    props = _expm(-G[1::2] * steps[:, None, None])
     db = np.zeros_like(integrand)
+    lead, trail = 0.5 * steps[:, None] * integrand[:-1], 0.5 * steps[:, None] * integrand[1:]
     # running trapezoid: db_{k+1} = P_k (db_k + h/2 f_k) + h/2 f_{k+1}
-    for k, h in enumerate(steps):
-        db[k + 1] = props[k] @ (db[k] + 0.5 * h * integrand[k]) + 0.5 * h * integrand[k + 1]
+    for k in range(len(steps)):
+        db[k + 1] = props[k] @ (db[k] + lead[k]) + trail[k]
     return db
 
 

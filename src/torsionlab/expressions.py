@@ -999,6 +999,7 @@ def parse_over(sources, allowed, context: str) -> tuple:
 
 _FIELDS: dict = {}  # (field, kind, D, ambient) -> compiled field function
 _CHART_FIELDS: dict = {}  # (field, kind, D, sources, guard, parameter names) -> function
+_CHART_FIELDS_KEPT = 128  # entries kept, the most recently used (~9 KB each)
 
 _ADJUGATES = {  # upper triangle of the adjugate of a symmetric g, and det g
     1: ({(0, 0): "1.0"}, "g0_0"),
@@ -1181,11 +1182,14 @@ def _chart_field(field, kind, dim, exprs, guard, params):
     compiled on first use.  It raises as ``Chart._jets`` raises and returns
     what ``_trajectory_field`` returns on that pass's jets."""
     key = (field, kind, dim, tuple(e.source for e in exprs), guard and guard.source, params)
-    fn = _CHART_FIELDS.get(key)
+    fn = _CHART_FIELDS.pop(key, None)  # re-inserted below: dict order is recency order
     if fn is None:
         namespace = {**globals(), "_INF": math.inf, **{f"_REAL_{op}": f for op, f in _REAL.items()}}
         label = f"<{field} field of the {kind} chart {list(key[3])}>"
         source = _chart_source(field, kind, dim, exprs, guard, params)
         exec(compile(source, label, "exec"), namespace)
-        fn = _CHART_FIELDS[key] = namespace[field]
+        fn = namespace[field]
+        if len(_CHART_FIELDS) >= _CHART_FIELDS_KEPT:
+            del _CHART_FIELDS[next(iter(_CHART_FIELDS))]  # the least recently used
+    _CHART_FIELDS[key] = fn
     return fn

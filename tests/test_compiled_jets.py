@@ -239,5 +239,11 @@ def test_import_generates_no_kernels():
 
 
 def test_import_leaves_scipy_unloaded():
-    # scipy.linalg takes about half of the import time; only the quadrature solver needs it
-    assert fresh_interpreter("import sys, torsionlab; print('scipy' in sys.modules)") == ["False"]
+    # scipy is a test dependency only: the quadrature solver has its own matrix exponential
+    assert fresh_interpreter(
+        "import sys, torsionlab as tl; print('scipy' in sys.modules); "
+        "st = tl.builtin_chart('synthetic_torsion'); "
+        "base = tl.integrate_autoparallel(st, [0.1, 0.2], [1.0, 0.7], (0.0, 1.0), 0.01); "
+        "db = tl.closure_defect_by_quadrature(st, base, ['t*(1 - t)', '0']); "
+        "print('scipy' in sys.modules, db.shape)"
+    ) == ["False", "False", "(101,", "2)"]

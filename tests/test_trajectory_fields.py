@@ -446,3 +446,25 @@ def test_chart_code_truncates_like_closure_route(edge, field):
     assert got[2] or (edge, field) == ("sphere_pole", "line_image")  # that one turns away in time
     assert_bitwise(got[0], ref[0])
     assert_bitwise(got[1], ref[1])
+
+
+def test_field_within_rounding_of_the_floor_returns_plain_floats():
+    # det g within rounding of the floor: the field comes from the jets and the checked det,
+    # and must stay plain floats like the generated code's, or the RK4 state turns into numpy
+    # scalars and error messages differ between the routes (found by Hypothesis above)
+    chart = Chart(2, "map", ["atan2(q1, q1)", "atan2(q1, sqrt(q2))"])
+    q, v = [1.0, 0.0078125], [0.0, 1.0]
+    jets = chart._jets(q, 1)
+    assert expressions._trajectory_field("geodesic", "map", 2, 2)(jets, v, FLOOR2) is None
+    out = dynamics._field(chart, "geodesic")(q, v)
+    assert [type(x) for x in out] == [float, float]
+
+
+def test_field_within_rounding_of_the_floor_returns_plain_floats():
+    # det g within rounding of the floor: the field comes from the jets and the checked det,
+    # and must stay plain floats like the generated code's, or the RK4 state turns into numpy
+    # scalars and error messages differ between the routes (found by Hypothesis above)
+    chart = Chart(2, "map", ["atan2(q1, q1)", "atan2(q1, sqrt(q2))"])
+    q, v = [1.0, 0.0078125], [0.0, 1.0]
+    assert expressions._trajectory_field("geodesic", "map", 2, 2)(chart._jets(q, 1), v, FLOOR2) is None
+    assert [type(x) for x in dynamics._field(chart, "geodesic")(q, v)] == [float, float]

@@ -47,14 +47,23 @@ the trajectories, under criteria 3 and 5:
   autoparallel: delta_q, G and Sigma at its 1,001 nodes and 1,000 step
   midpoints (2,001 samples), as both closure-defect solvers take them;
 * ``el_residual``             ``torsion_el_residual`` along that autoparallel
-  (1,001 nodes).
+  (1,001 nodes);
+* ``variation_ode_solve``     ``solve_variation_ode`` on those samples (the
+  closure-defect RK4, 1,000 steps);
+* ``expm_stack``              the matrix exponential of the quadrature's 1,000 2 x 2
+  step generators -G(t_mid) h in one stacked call: ``dynamics._expm`` where the
+  checkout has it, else ``scipy.linalg.expm`` as the quadrature then called it
+  (the layer records which as ``impl``);
+* ``quadrature_solve``        ``closure_defect_by_quadrature`` along that
+  autoparallel, its half-step samples included.
 
 the cold start:
 
 * ``import_torsionlab``       ``import torsionlab`` in a fresh interpreter, timed
   inside it (the median of 9 interpreters).
 
-Only public names are used, besides ``dynamics._half_step_samples``, whose
+Only public names are used, besides ``dynamics._expm`` (optional, as above) and
+``dynamics._half_step_samples``, whose
 signature is unchanged since the variation solvers first shared it, and
 ``dynamics._field`` and ``expressions._trajectory_field``, unchanged since
 the generated fields came in, so any checkout since then can be timed.
@@ -180,12 +189,16 @@ def _ring_layers():
 
 
 def _trajectory_layers():
+    import numpy as np
+
     from torsionlab import (
         builtin_chart,
+        closure_defect_by_quadrature,
         dynamics,
         expressions,
         integrate_autoparallel,
         integrate_geodesic,
+        solve_variation_ode,
         straight_line_image,
         torsion_el_residual,
         variation_matrices,
@@ -199,6 +212,15 @@ def _trajectory_layers():
     def variation_calls():
         for _ in range(VARIATION_CALLS):
             variation_matrices(torsion, [0.3, 0.1], [0.4, 0.2])
+
+    dq, G, Sigma = dynamics._half_step_samples(torsion, base, DELTAQ, None)
+    generators = -G[1::2] * np.diff(base.t)[:, None, None]
+    if hasattr(dynamics, "_expm"):
+        expm, impl = dynamics._expm, "dynamics._expm"
+    else:
+        from scipy.linalg import expm
+
+        impl = "scipy.linalg.expm"
 
     q, v, floor2 = [1.2, 0.1], [0.3, 0.8], 1e-12 * 1e-12
     at = dynamics._field(sphere, "geodesic")
@@ -228,7 +250,12 @@ def _trajectory_layers():
         "half_step_samples": _median_timing(
             lambda: dynamics._half_step_samples(torsion, base, DELTAQ, None), 15),
         "el_residual": _median_timing(lambda: torsion_el_residual(torsion, base), 15),
+        "variation_ode_solve": _median_timing(lambda: solve_variation_ode(G, Sigma, dq, base.t), 15),
+        "expm_stack": _median_timing(lambda: expm(generators), 15),
+        "quadrature_solve": _median_timing(
+            lambda: closure_defect_by_quadrature(torsion, base, DELTAQ), 15),
     }
+    layers["expm_stack"]["impl"] = impl
     return layers, {"trajectory_steps": TRAJECTORY_STEPS}
 
 
