@@ -6,6 +6,8 @@ connections and their derivatives, torsion, contortion and curvatures.  The
 public tensor functions of ``charts``, ``connection`` and ``curvature`` are
 views on it.  Index layouts are those documented in ``charts`` and
 ``connection``; curvatures are ``R[mu, nu, lam, kap]`` as in ``curvature``.
+Every formula takes a leading stack of points (``...`` einsums), each
+point's slice bitwise the single-point tensor.
 """
 
 from __future__ import annotations
@@ -55,21 +57,23 @@ def checked_metric(E, q) -> np.ndarray:
 
 def inverse_derivative(inv, d):
     """d_s (A^-1) = -A^-1 (d_s A) A^-1, from A^-1 and dA[m, n, s]."""
-    return -np.einsum("ma,abs,bn->mns", inv, d, inv)
+    return -np.einsum("...ma,...abs,...bn->...mns", inv, d, inv)
 
 
 def curl(conn, dconn):
     """Covariant curl of a connection, R[mu, nu, lam, kap] (sign as in ``curvature``)."""
-    dterm = np.einsum("nlkm->mnlk", dconn) - np.einsum("mlkn->mnlk", dconn)
-    comm = np.einsum("mls,nsk->mnlk", conn, conn) - np.einsum("nls,msk->mnlk", conn, conn)
-    return dterm - comm
+    dterm = np.einsum("...nlkm->...mnlk", dconn) - np.einsum("...mlkn->...mnlk", dconn)
+    comm = np.einsum("...mls,...nsk->...mnlk", conn, conn)
+    return dterm - (comm - np.einsum("...nls,...msk->...mnlk", conn, conn))
 
 
 def ricci_reduction(R4, g, invg):
-    """Ricci tensor R_nulam = R_{mu nu lam}^mu, scalar g^{nulam} R_nulam and Einstein tensor."""
-    ricci = np.einsum("anla->nl", R4)
-    scalar = float(np.einsum("nl,nl->", invg, ricci))
-    return ricci, scalar, ricci - 0.5 * g * scalar
+    """Ricci tensor R_nulam = R_{mu nu lam}^mu, scalar g^{nulam} R_nulam and Einstein
+    tensor; the scalar is a float at one point and an array over a stack."""
+    ricci = np.einsum("...anla->...nl", R4)
+    scalar = np.einsum("...nl,...nl->...", invg, ricci)
+    einstein = ricci - 0.5 * g * scalar[..., None, None]
+    return ricci, float(scalar) if scalar.ndim == 0 else scalar, einstein
 
 
 class LocalGeometry:
@@ -78,8 +82,8 @@ class LocalGeometry:
     Jets of order 0 give the metric and the reciprocal triad, order 1 adds
     the metric derivative, both connections, torsion and contortion, order 2
     the connection derivatives and curvatures.  Each tensor is computed on
-    first access and cached.  Over points (N, D), g, invg, recip, dg, gamma
-    and torsion carry a leading point axis.
+    first access and cached.  Over points (N, D) every tensor carries a
+    leading point axis, and ``ricci_scalar_einstein`` gives one scalar per point.
     """
 
     def __init__(self, jets, q):
@@ -91,7 +95,14 @@ class LocalGeometry:
 
     @classmethod
     def of(cls, chart, q, order):
-        return cls(chart.triad_jets(q, order=order), q)
+        """The geometry at q, one point or a stack; a stack that fails is taken
+        point by point, so it raises what the first failing point raises."""
+        try:
+            return cls(chart.triad_jets(q, order=order), q)
+        except (ArithmeticError, ValueError, TorsionLabError):
+            for p in q if np.ndim(q) == 2 else ():
+                cls.of(chart, p, order)
+            raise
 
     # -- metric --------------------------------------------------------------
 
@@ -113,10 +124,10 @@ class LocalGeometry:
     def d2g(self):
         E, dE, d2E = self.E, self.dE, self.d2E
         return (
-            np.einsum("imst,in->mnst", d2E, E)
-            + np.einsum("ims,int->mnst", dE, dE)
-            + np.einsum("imt,ins->mnst", dE, dE)
-            + np.einsum("im,inst->mnst", E, d2E)
+            np.einsum("...imst,...in->...mnst", d2E, E)
+            + np.einsum("...ims,...int->...mnst", dE, dE)
+            + np.einsum("...imt,...ins->...mnst", dE, dE)
+            + np.einsum("...im,...inst->...mnst", E, d2E)
         )
 
     @cached_property
@@ -129,22 +140,19 @@ class LocalGeometry:
     def chris1(self):
         """chris1[l, n, m] = (d_l g_nm + d_n g_lm - d_m g_ln) / 2."""
         dg = self.dg
-        return 0.5 * (
-            np.einsum("nml->lnm", dg) + np.einsum("lmn->lnm", dg) - np.einsum("lnm->lnm", dg)
-        )
+        return 0.5 * (np.einsum("...nml->...lnm", dg) + np.einsum("...lmn->...lnm", dg) - dg)
 
     @cached_property
     def chris2(self):
-        return np.einsum("lns,sm->lnm", self.chris1, self.invg)
+        return np.einsum("...lns,...sm->...lnm", self.chris1, self.invg)
 
     @cached_property
     def dchris2(self):
         d2g = self.d2g
-        dchris1 = 0.5 * (
-            np.einsum("nmls->lnms", d2g) + np.einsum("lmns->lnms", d2g) - np.einsum("lnms->lnms", d2g)
-        )
-        return np.einsum("lnts,tm->lnms", dchris1, self.invg) + np.einsum(
-            "lnt,tms->lnms", self.chris1, self.dinvg
+        dchris1 = 0.5 * (np.einsum("...nmls->...lnms", d2g) + np.einsum("...lmns->...lnms", d2g)
+                         - d2g)
+        return np.einsum("...lnts,...tm->...lnms", dchris1, self.invg) + np.einsum(
+            "...lnt,...tms->...lnms", self.chris1, self.dinvg
         )
 
     # -- affine connection, torsion, contortion --------------------------------
@@ -157,9 +165,10 @@ class LocalGeometry:
     @cached_property
     def dgamma(self):
         dE, invg = self.dE, self.invg
-        drecip = np.einsum("ins,nm->ims", dE, invg) + np.einsum("in,nms->ims", self.E, self.dinvg)
-        return np.einsum("ims,ikl->lkms", drecip, dE) + np.einsum(
-            "im,ikls->lkms", self.recip, self.d2E
+        drecip = np.einsum("...ins,...nm->...ims", dE, invg)
+        drecip = drecip + np.einsum("...in,...nms->...ims", self.E, self.dinvg)
+        return np.einsum("...ims,...ikl->...lkms", drecip, dE) + np.einsum(
+            "...im,...ikls->...lkms", self.recip, self.d2E
         )
 
     @cached_property
@@ -170,12 +179,12 @@ class LocalGeometry:
     @cached_property
     def contortion(self):
         """K_{mu nu lam} = S_{mu nu lam} - S_{nu lam mu} + S_{lam mu nu}, all lower."""
-        Sl = np.einsum("abs,sc->abc", self.torsion, self.g)
-        return Sl - np.einsum("bca->abc", Sl) + np.einsum("cab->abc", Sl)
+        Sl = np.einsum("...abs,...sc->...abc", self.torsion, self.g)
+        return Sl - np.einsum("...bca->...abc", Sl) + np.einsum("...cab->...abc", Sl)
 
     @cached_property
     def contortion_mixed(self):
-        return np.einsum("abl,lc->abc", self.contortion, self.invg)
+        return np.einsum("...abl,...lc->...abc", self.contortion, self.invg)
 
     # -- curvature -------------------------------------------------------------
 

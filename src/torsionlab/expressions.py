@@ -612,13 +612,13 @@ def _eval(node, env):
 # order.  Its arithmetic -- the Leibniz product and the univariate and
 # bivariate Faa di Bruno chain rules (Griewank & Walther, Evaluating
 # Derivatives, 2nd ed., ch. 13) -- depends on (D, n) only.  ``_Taylor``
-# writes it out as straight-line source: once per pair as one kernel function
-# per operation, compiled on first use over the scalar helpers or (for
+# writes it out as straight-line source: one kernel function per pair and
+# operation, each compiled on its first lookup over the scalar helpers or (for
 # batches of points) the array helpers above, and inline in the per-chart
 # trajectory fields below.  Each expression is lowered once per (wrt, order,
 # batched) into closures over the kernels.
 
-_KERNELS: dict = {}  # (D, n, batched) -> namespace of compiled kernels
+_KERNELS: dict = {}  # (D, n, batched) -> ``_Kernels``
 
 
 def _multisets(dim, order):
@@ -828,30 +828,38 @@ _RULES = {
 }
 
 
-def _kernel_source(dim, order):
+def _kernel_source(dim, order, rule):
+    """Source of the kernel ``rule`` (a ``_RULES`` name, or ``var{k}`` seeding
+    variable k) on jets in ``dim`` variables to ``order``."""
     size = len(_multisets(dim, order))
-    src = []
-    for rule, operands in [*((r, p) for r, (p, _) in _RULES.items()),
-                           *((f"var{k}", "x") for k in range(dim))]:
-        taylor = _Taylor(dim, order, "t")
-        args = [[f"{p}{i}" for i in range(size)] if p in "ab" else [p] for p in operands]
-        out = taylor.var(int(rule[3:]), "x") if operands == "x" else taylor.apply(rule, *args)
-        src += [f"def {rule}({', '.join(operands)}):"]
-        src += [f"    {', '.join(arg)}, = {p}" for p, arg in zip(operands, args) if p in "ab"]
-        src += [*taylor.lines, f"    return ({', '.join(map(_lit, out))},)"]
-    return "\n".join(src) + "\n"
+    operands = "x" if rule.startswith("var") else _RULES[rule][0]
+    taylor = _Taylor(dim, order, "t")
+    args = [[f"{p}{i}" for i in range(size)] if p in "ab" else [p] for p in operands]
+    out = taylor.var(int(rule[3:]), "x") if operands == "x" else taylor.apply(rule, *args)
+    return "\n".join([f"def {rule}({', '.join(operands)}):",
+                      *(f"    {', '.join(arg)}, = {p}" for p, arg in zip(operands, args) if p in "ab"),
+                      *taylor.lines, f"    return ({', '.join(map(_lit, out))},)"]) + "\n"
+
+
+class _Kernels(dict):
+    """The kernels of one (D, n, batched) by name, and ``_REAL``; each is compiled
+    on its first lookup, over the scalar series helpers or (batched) the array ones."""
+
+    def __init__(self, dim, order, batched):
+        self.key, self.namespace = (dim, order, batched), {**globals(), **(_BATCH if batched else {})}
+        super().__init__(_REAL=self.namespace["_REAL"])
+
+    def __missing__(self, rule):
+        dim, order, batched = self.key
+        label = f"<{'batched ' * batched}kernel {rule} D={dim} n={order}>"
+        exec(compile(_kernel_source(dim, order, rule), label, "exec"), self.namespace)
+        fn = self[rule] = self.namespace[rule]
+        return fn
 
 
 def _kernels(dim, order, batched):
-    kernels = _KERNELS.get((dim, order, batched))
-    if kernels is None:
-        kernels = dict(globals())  # the kernels call this module's series helpers
-        if batched:
-            kernels.update(_BATCH)
-        label = f"<{'batched ' * batched}kernels D={dim} n={order}>"
-        exec(compile(_kernel_source(dim, order), label, "exec"), kernels)
-        _KERNELS[dim, order, batched] = kernels
-    return kernels
+    key = (dim, order, batched)
+    return _KERNELS.get(key) or _KERNELS.setdefault(key, _Kernels(*key))
 
 
 @lru_cache(maxsize=None)

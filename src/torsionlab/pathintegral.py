@@ -79,43 +79,47 @@ class PostpointData:
 
     Each step polynomial is collapsed once onto monomial coefficients, so an
     evaluation on steps of any shape ``(..., D)`` is one matrix product.
+    Postpoints ``q`` (N, D) take one stacked ``LocalGeometry`` pass, and every
+    coefficient array gains a leading row axis, row j bitwise that of ``q[j]`` alone.
     """
 
     def __init__(self, chart: Chart, q):
         self.geometry = geo = LocalGeometry.of(chart, q, 2)
         self.q = geo.q
         g, gamma, dgamma = geo.g, geo.gamma, geo.dgamma
-        gamma_lower = np.einsum("mns,sl->mnl", gamma, g)
-        gsym = 0.5 * (gamma + gamma.transpose(1, 0, 2))
+        gamma_lower = np.einsum("...mns,...sl->...mnl", gamma, g)
+        gsym = 0.5 * (gamma + np.swapaxes(gamma, -3, -2))
         # quartic coefficient of the postpoint bracket
         self.quartic = (
-            np.einsum("mt,lntk->mnlk", g, dgamma) / 3.0
-            + np.einsum("mt,lnd,kdt->mnlk", g, gamma, gsym) / 3.0
-            + 0.25 * np.einsum("lks,mns->mnlk", gamma, gamma_lower)
+            np.einsum("...mt,...lntk->...mnlk", g, dgamma) / 3.0
+            + np.einsum("...mt,...lnd,...kdt->...mnlk", g, gamma, gsym) / 3.0
+            + 0.25 * np.einsum("...lks,...mns->...mnlk", gamma, gamma_lower)
         )
         # midpoint quartic coefficient
         quartic_mid = (
-            np.einsum("kt,mntl->mnlk", g, dgamma) + np.einsum("kt,mnd,ldt->mnlk", g, gamma, gsym)
+            np.einsum("...kt,...mntl->...mnlk", g, dgamma)
+            + np.einsum("...kt,...mnd,...ldt->...mnlk", g, gamma, gsym)
         ) / 12.0
         # step-difference Jacobian coefficient, symmetrized in its three step indices
-        T = dgamma.transpose(0, 1, 3, 2) + np.einsum("mnt,tsl->mnsl", gamma, gsym)
-        perms = ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0))
-        qep_coeff = sum(T.transpose(p + (3,)) for p in perms) / 6.0
-        self._quadratic = _coefficients(2, g)
-        self._bracket = _coefficients(4, g, -gamma_lower, self.quartic)
-        self._bracket_mid = _coefficients(4, g, quartic_mid)
+        T = np.swapaxes(dgamma, -2, -1) + np.einsum("...mnt,...tsl->...mnsl", gamma, gsym)
+        perms = ((-4, -3, -2), (-4, -2, -3), (-3, -4, -2), (-3, -2, -4), (-2, -4, -3), (-2, -3, -4))
+        qep_coeff = sum(T.transpose(*range(T.ndim - 4), *p, -1) for p in perms) / 6.0
+        rows = self.q.shape[:-1]
+        self._quadratic = _coefficients(rows, 2, g)
+        self._bracket = _coefficients(rows, 4, g, -gamma_lower, self.quartic)
+        self._bracket_mid = _coefficients(rows, 4, g, quartic_mid)
         self._jacobian_naive = _coefficients(
-            2, -np.einsum("mnn->m", gamma), 0.5 * np.einsum("nkkm->nm", dgamma)
+            rows, 2, -np.einsum("...mnn->...m", gamma), 0.5 * np.einsum("...nkkm->...nm", dgamma)
         )
+        qep_quadratic = np.einsum("...mnsm->...ns", qep_coeff)
         self._jacobian_qep = _coefficients(
-            2,
-            -np.einsum("mnm->n", gsym),
-            0.5 * (np.einsum("mnsm->ns", qep_coeff) - np.einsum("mnl,lsm->ns", gsym, gsym)),
+            rows, 2, -np.einsum("...mnm->...n", gsym),
+            0.5 * (qep_quadratic - np.einsum("...mnl,...lsm->...ns", gsym, gsym)),
         )
         self._delta_jacobian = self._jacobian_qep - self._jacobian_naive
 
-    def curvature_scalar(self) -> float:
-        """Riemann curvature scalar at the postpoint."""
+    def curvature_scalar(self):
+        """Riemann curvature scalar at the postpoint (per row of a stack)."""
         return self.geometry.ricci_scalar_einstein("riemann")[1]
 
     def quadratic_form(self, dq):
@@ -139,13 +143,21 @@ class PostpointData:
         return _monomials(dq, 2) @ self._delta_jacobian
 
 
-def _coefficients(degree, *tensors):
-    """Coefficients on ``_monomials(dq, degree)`` of sum_T T[a1..ak] dq^a1 .. dq^ak."""
-    size = len(_multisets(len(tensors[0]), degree))
+def _coefficients(rows, degree, *tensors):
+    """Coefficients on ``_monomials(dq, degree)`` of sum_T T[a1..ak] dq^a1 .. dq^ak per
+    row (``rows``: () or (N,)); row offsets keep each row's order of additions."""
+    n, size = math.prod(rows), len(_multisets(tensors[0].shape[-1], degree))
     return sum(
-        np.bincount(_partials_index(len(t), t.ndim).ravel(), weights=t.ravel(), minlength=size)
+        np.bincount(_row_partials(t.shape[-1], t.ndim - len(rows), n, size), weights=t.ravel(),
+                    minlength=n * size)
         for t in tensors
-    )
+    ).reshape(rows + (size,))
+
+
+@lru_cache(maxsize=None)
+def _row_partials(dim, k, n, size):
+    """``_partials_index(dim, k)`` in each of n rows of ``size`` coefficients, raveled."""
+    return (size * np.arange(n)[:, None] + _partials_index(dim, k).ravel()).ravel()
 
 
 def _monomials(dq, degree):
@@ -329,14 +341,23 @@ class SlicedPropagator:
             raise NumericError("azimuthal kernel block unexpectedly complex")
         n_phi = _grid_points(self.manifold)[-1]
         bound = np.minimum(size.sum(axis=0).max(axis=0), size.sum(axis=1).max(axis=0))
-        solved, found = {}, np.empty(0)
-        for m in np.argsort(-bound, kind="stable"):
-            if 0 < (count or 0) <= len(found) and bound[m] < np.sort(found)[-count]:
+        copies = lambda m: 2 if 0 < m and 2 * m != n_phi else 1  # noqa: E731 (m, n_phi - m)
+        queue, solved, found = list(np.argsort(-bound, kind="stable")), {}, np.empty(0)
+        while True:
+            # a round: the next blocks solved whatever those before them hold (re <= bound)
+            upper, take = found, 0
+            for m in queue:
+                if 0 < (count or 0) <= len(upper) and bound[m] < np.sort(upper)[-count]:
+                    break
+                upper = np.concatenate([upper, np.full(len(self.blocks) * copies(m), bound[m])])
+                take += 1
+            if not take:
                 break
-            # the stored block m also stands for block n_phi - m
-            paired = 0 < m and 2 * m != n_phi
-            solved[m] = [np.linalg.eigvals(self.blocks[:, :, m].real)] * (2 if paired else 1)
-            found = np.concatenate([found] + [v.real for v in solved[m]])
+            round_, queue = queue[:take], queue[take:]
+            for m, v in zip(round_, np.linalg.eigvals(
+                    np.moveaxis(self.blocks[:, :, round_].real, 2, 0))):
+                solved[m] = [v] * copies(m)
+                found = np.concatenate([found] + [v.real] * copies(m))
         vals = np.concatenate([v for m in sorted(solved) for v in solved[m]])
         return vals[np.argsort(-vals.real, kind="stable")][:count]
 
@@ -442,22 +463,24 @@ def _propagators(manifold, cfgs, mode):
 def _kernel_profiles(chart, weights, posts, steps, mode, cfgs, scales):
     """Every config's kernel profile and counts of live and fallback entries.
 
-    Rows run outermost: one row's ``PostpointData``, steps, arcs and step
-    monomials fill that row of every config's kernel (and die with this call)."""
+    One stacked ``PostpointData`` holds every row's coefficients; rows then run
+    outermost: one row's steps, arcs and step monomials fill that row of every
+    config's kernel (and die with this call)."""
     n_ph = weights.shape[1]
     mirror = (-np.arange(n_ph)) % n_ph
     n_low = len(_multisets(chart.dim, 2))  # the leading monomials, degree <= 2
     profiles = np.empty((len(cfgs), len(weights)) + weights.shape)
     live, fallback = [0] * len(cfgs), [0] * len(cfgs)
-    for j, q_post in enumerate(posts):
-        data = PostpointData(chart, q_post)
-        dq, arc2 = steps(data.q)
+    data = PostpointData(chart, np.array(posts))
+    dressing = _mode_exponents(data, mode, cfgs)
+    for j, q_post in enumerate(data.q):
+        dq, arc2 = steps(q_post)
         mono = _monomials(dq, 4)
         low = mono[..., :n_low]
-        bracket = mono @ data._bracket
+        bracket = mono @ data._bracket[j]
         # cubic + quartic part of the bracket: the short-time expansion's trust measure
-        excess = np.abs(bracket - low @ data._quadratic)
-        jexps = _mode_exponents(data, low, mode, cfgs)
+        excess = np.abs(bracket - low @ data._quadratic[j])
+        jexps = dressing(j, low)
         for c, ((lam, cut, norm_weights), jexp) in enumerate(zip(scales, jexps)):
             trusted = lam * excess <= EXPANSION_TOLERANCE
             action2 = np.where(trusted, bracket, arc2)
@@ -483,20 +506,20 @@ def _check_positive_finite(arr):
         raise NumericError("imaginary-time kernel must be non-negative")
 
 
-def _mode_exponents(data: PostpointData, low, mode: str, cfgs):
-    """Measure dressing relative to the exact prepoint volume weight, per config.
+def _mode_exponents(data: PostpointData, mode: str, cfgs):
+    """Measure dressing relative to the exact prepoint volume weight, per config,
+    as a function of a row j of ``data`` and its step monomials of degree <= 2.
 
     The naive measure is carried entirely by the closed-form sqrt(g) weight
     at the integration point; the step-difference measure differs from it by
-    exp(delta_jacobian) (on ``low``, the step monomials of degree <= 2); the
-    effective-potential form inserts -eps V_eff into the action instead.
+    exp(delta_jacobian); the effective-potential form inserts -eps V_eff instead.
     """
     if mode == "qep":
-        return [low @ data._delta_jacobian] * len(cfgs)
+        return lambda j, low: [low @ data._delta_jacobian[j]] * len(cfgs)
     if mode == "naive_dewitt":
-        return [0.0] * len(cfgs)
-    scalar = data.curvature_scalar()
-    return [-cfg.epsilon * _veff(scalar, cfg) / cfg.hbar for cfg in cfgs]
+        return lambda j, low: [0.0] * len(cfgs)
+    scalars = data.curvature_scalar().tolist()
+    return lambda j, low: [-cfg.epsilon * _veff(scalars[j], cfg) / cfg.hbar for cfg in cfgs]
 
 
 # -- spectrum extraction -------------------------------------------------------

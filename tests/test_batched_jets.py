@@ -1,14 +1,15 @@
 """Batched jet passes against the point-by-point path they replace.
 
-A stack of points goes through ``Chart._jets`` in one pass; the variation
-samples, the Euler-Lagrange residual and the kinetic energy read such a pass.  Each must give
-the point-by-point values bit for bit (the residual: to 1e-13), and a batch
-holding a failing point must raise what the point-by-point loop raises.
+A stack of points goes through ``Chart._jets`` in one pass; every
+``LocalGeometry`` tensor, the variation samples, the Euler-Lagrange residual
+and the kinetic energy read such a pass.  Each must give the point-by-point
+values bit for bit (the residual: to 1e-13), and a batch holding a failing
+point must raise what the point-by-point loop raises.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
@@ -40,6 +41,36 @@ def outcome(fn, *args):
 def pointwise_jets(chart, points, order):
     """The per-point jets, stacked in the batch layout (expressions, partials, N)."""
     return np.moveaxis(np.array([chart._jets(q, order) for q in points]), 0, -1)
+
+
+TENSORS = (  # the ``LocalGeometry`` tensors that each triad order adds
+    ("E", "g", "invg", "recip"),
+    ("dE", "dg", "dinvg", "chris1", "chris2", "gamma", "torsion", "contortion",
+     "contortion_mixed"),
+    ("d2E", "d2g", "dchris2", "dgamma", "cartan", "riemann"),
+)
+
+
+def geometry_tensors(chart, q, order):
+    """Every ``LocalGeometry`` tensor at triad order ``order`` at q (one point or
+    a stack), and at order 2 the Ricci reductions of both curvatures."""
+    geo = LocalGeometry.of(chart, q, order)
+    out = {name: getattr(geo, name) for names in TENSORS[: order + 1] for name in names}
+    for source in ("riemann", "cartan") if order == 2 else ():
+        parts = ("ricci", "scalar", "einstein")
+        out.update(zip((f"{source}_{p}" for p in parts), geo.ricci_scalar_einstein(source)))
+    return out
+
+
+def assert_geometry_pointwise(chart, points, order):
+    batch = geometry_tensors(chart, points, order)
+    for k, q in enumerate(points):
+        single = geometry_tensors(chart, q, order)
+        assert batch.keys() == single.keys()
+        for name, value in single.items():
+            assert_bitwise(batch[name][k], value)
+    for source in ("riemann", "cartan") if order == 2 else ():
+        assert type(single[f"{source}_scalar"]) is float
 
 
 # -- jets of generated charts -----------------------------------------------------------
@@ -76,11 +107,19 @@ def test_builtin_batches_equal_pointwise(name, rng, jet_calls):
         batch = chart._jets(points, order)
         assert jet_calls == [points.shape]  # the batch needed no point-by-point rerun
         assert_bitwise(batch, pointwise_jets(chart, points, order))
-        batch = LocalGeometry.of(chart, points, order)
-        for k, q in enumerate(points):
-            single = LocalGeometry.of(chart, q, order)
-            for name in ("E", "g", "invg", "recip") + (("dg", "gamma", "torsion") if order else ()):
-                assert_bitwise(getattr(batch, name)[k], getattr(single, name))
+        assert_geometry_pointwise(chart, points, order)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=chart_batches(), order=st.integers(0, 2))
+def test_generated_geometry_batches_equal_pointwise(case, order):
+    # the stack of the points whose geometry the chart admits one by one
+    chart, points = case
+    with np.errstate(all="ignore"):  # the overflows of wild charts, alike on both paths
+        admitted = [k for k, q in enumerate(points)
+                    if not isinstance(outcome(geometry_tensors, chart, q, order), tuple)]
+        assume(admitted)
+        assert_geometry_pointwise(chart, points[admitted], order)
 
 
 # -- failing points -----------------------------------------------------------------------
@@ -104,6 +143,16 @@ def test_failing_batch_raises_like_pointwise(case):
     ref = outcome(pointwise_jets, chart, points, order)
     assert isinstance(ref, tuple)
     assert outcome(chart._jets, points, order) == ref
+
+
+@pytest.mark.parametrize("case", sorted(FAILING_BATCHES))
+def test_failing_geometry_stack_raises_like_pointwise(case):
+    chart, points, _ = FAILING_BATCHES[case]
+    points = np.array(points)
+    with np.errstate(over="ignore"):
+        ref = outcome(lambda: [geometry_tensors(chart, q, 2) for q in points])
+        assert isinstance(ref, tuple)
+        assert outcome(geometry_tensors, chart, points, 2) == ref
 
 
 def pointwise_geometry(chart, points):

@@ -238,6 +238,16 @@ def test_import_generates_no_kernels():
     ) == ["0", "0", "0"]
 
 
+def test_an_evaluation_compiles_only_the_kernels_it_calls():
+    # sin(q1) * q2 seeds both variables, applies sin and multiplies two jets
+    out = fresh_interpreter(
+        "import torsionlab.expressions as e; "
+        "e.Expression('sin(q1)*q2')({'q1': 0.3, 'q2': 0.5}, wrt=('q1', 'q2'), order=3); "
+        "print(len(e._RULES) + 2, *sorted(set(e._KERNELS[2, 3, False]) - {'_REAL'}))"
+    )
+    assert out[1:] == ["mul", "sin", "var0", "var1"] and int(out[0]) > len(out) - 1
+
+
 def test_import_leaves_scipy_unloaded():
     # scipy is a test dependency only: the quadrature solver has its own matrix exponential
     assert fresh_interpreter(

@@ -87,10 +87,11 @@ def test_geometry_point_and_cli_tensors_make_one_pass(jet_passes):
     assert jet_passes == [2]
 
 
-def test_veff_kernel_makes_one_pass_per_latitude(jet_passes):
+def test_veff_kernel_makes_one_pass_per_kernel(jet_passes):
+    # one stacked pass over the postpoints of every latitude row
     sphere = tl.Sphere(radius=1.0, n_theta=24, n_phi=48)
     tl.build_propagator(sphere, tl.ShortTimeConfig(epsilon=0.1), "qep_via_veff")
-    assert jet_passes == [2] * sphere.n_theta
+    assert jet_passes == [2]
 
 
 # -- identities in D = 1 and D = 3 ------------------------------------------------

@@ -23,7 +23,7 @@ from torsionlab import (
 from torsionlab.charts import Chart, builtin_chart
 from torsionlab.connection import connection_bundle
 from torsionlab.errors import GridTooCoarseError, NumericError, ValidationError
-from torsionlab.pathintegral import PostpointData, SlicedPropagator, _propagators
+from torsionlab.pathintegral import PostpointData, SlicedPropagator, _kernel_grid, _propagators
 
 CFG = ShortTimeConfig(epsilon=0.01)
 FLAT = Chart(dim=2, kind="map", exprs=["q1", "q2"])
@@ -577,11 +577,12 @@ MODES = ("qep", "naive_dewitt", "qep_via_veff")
 
 @pytest.fixture
 def eigvals_calls(monkeypatch):
+    """One entry per ``np.linalg.eigvals`` call: the number of matrices it solved."""
     calls = []
     solve = np.linalg.eigvals
 
     def counted(a):
-        calls.append(a.shape)
+        calls.append(1 if a.ndim == 2 else len(a))
         return solve(a)
 
     monkeypatch.setattr(np.linalg, "eigvals", counted)
@@ -593,13 +594,29 @@ def test_pruned_eigenvalues_equal_the_full_solve(mode, eigvals_calls):
     cfgs = [ShortTimeConfig(epsilon=eps) for eps in (0.08, 0.04, 0.02)]
     for prop in _propagators(Sphere(1.0, 48, 96), cfgs, mode):
         full = prop.eigenvalues()
-        assert len(eigvals_calls) == prop.blocks.shape[2] == 49
+        assert eigvals_calls == [prop.blocks.shape[2]] == [49]  # one stacked solve
         for count in (8, 16, 50):
             eigvals_calls.clear()
             assert np.array_equal(prop.eigenvalues(count), full[:count]), count
             # measured: 8 of the 49 stored blocks at count 50
-            assert len(eigvals_calls) <= 10, count
+            assert sum(eigvals_calls) <= 10, count
         eigvals_calls.clear()
+
+
+@pytest.mark.parametrize("manifold", [Ring(1.0, 256), Sphere(1.0, 48, 96)])
+def test_stacked_block_solve_equals_per_block_solves(manifold, eigvals_calls):
+    prop = build_propagator(manifold, ShortTimeConfig(epsilon=0.04), "qep")
+    n_phi, m = prop.profile.shape[2], np.arange(prop.blocks.shape[2])
+    per_block = [np.linalg.eigvals(prop.blocks[:, :, k].real) for k in m]
+    copies = np.where((m > 0) & (2 * m != n_phi), 2, 1)
+    vals = np.concatenate([v for k in m for v in [per_block[k]] * copies[k]])
+    eigvals_calls.clear()
+    assert np.array_equal(prop._leading(None), vals[np.argsort(-vals.real, kind="stable")])
+    assert eigvals_calls == [len(m)]
+    if len(prop.profile) == 1:  # the ring's 1x1 blocks at count 50: one call for 26 blocks
+        eigvals_calls.clear()
+        prop.eigenvalues(50)
+        assert eigvals_calls == [26]
 
 
 def hand_built_propagator(imag_block=None):
@@ -622,7 +639,7 @@ def test_blocks_are_solved_by_bound_not_by_m(eigvals_calls):
     eigvals_calls.clear()
     vals = prop.eigenvalues(4)
     assert np.array_equal(vals, full[:4])
-    assert vals[0] > 10.0 and len(eigvals_calls) == 1
+    assert vals[0] > 10.0 and eigvals_calls == [1]
     for count in (32, 33, 100):  # at least every eigenvalue: the full solve
         assert np.array_equal(prop.eigenvalues(count), full)
 
@@ -666,6 +683,21 @@ def test_ladder_kernels_equal_one_build_per_config(manifold, ladder, mode):
             assert want is None or np.array_equal(got, want), name
         assert prop.fallback_fraction == single.fallback_fraction
         assert prop.cfg == cfg
+
+
+@pytest.mark.parametrize("manifold", [Sphere(1.0, 48, 96), Sphere(1.0, 24, 48), Ring(1.0, 256)])
+def test_stacked_postpoint_rows_equal_single_postpoints(manifold):
+    chart, _, _, posts, _ = _kernel_grid(manifold)
+    stacked = PostpointData(chart, np.array(posts))
+    scalars = stacked.curvature_scalar()
+    assert scalars.shape == (len(posts),)
+    for j, q in enumerate(posts):
+        single = PostpointData(chart, q)
+        for name in ("_bracket", "_bracket_mid", "_quadratic", "_jacobian_naive",
+                     "_jacobian_qep", "_delta_jacobian"):
+            got, want = getattr(stacked, name)[j], getattr(single, name)
+            assert got.shape == want.shape and np.array_equal(got, want), (name, j)
+        assert scalars[j] == single.curvature_scalar(), j
 
 
 def test_under_resolved_ladder_fails_before_any_row(monkeypatch):

@@ -14,18 +14,25 @@ the kernel, under criterion 8 on the 48 x 96 sphere:
 
 * ``postpoint_data_per_row``  ``PostpointData`` at one latitude row's postpoint
   (the mean over all 48 rows of one timed sweep);
+* ``postpoint_rows_stacked``  one ``PostpointData`` over all 48 rows' postpoints
+  (shape (48, 2)), as the kernel build takes them;
+* ``local_geometry_stack``    ``LocalGeometry`` at order 2 over the same 48 points
+  in one pass, every tensor and both Ricci reductions read;
+* ``local_geometry_per_point`` the same, one point at a time (the 48 points in total);
 * ``bracket_per_row``         ``PostpointData.bracket`` on one row's 48 x 96 steps
   (likewise the mean over the rows);
 * ``build_propagator``        one 48 x 96 ``qep`` kernel at eps = 0.04;
 * ``block_eigensolve``        ``SlicedPropagator.eigenvalues(count=50)`` of that kernel,
-  with ``eigvals_calls``, the ``numpy.linalg.eigvals`` calls of one such solve
-  (counted by wrapping numpy's function, so blocks solved per kernel);
+  with ``eigvals_calls``, the ``numpy.linalg.eigvals`` calls of one such solve,
+  and ``eigvals_matrices``, the blocks they solved (counted by wrapping numpy's
+  function);
 * ``sphere_ladder``           one criterion-8 ``qep`` ladder (eps 0.08, 0.04, 0.02).
 
 the ring kernel, under criterion 7 on 256 points:
 
 * ``ring_eigensolve``         ``SlicedPropagator.eigenvalues(count=50)`` of the
-  ``qep`` kernel at eps = 0.02, with its ``eigvals_calls`` as above;
+  ``qep`` kernel at eps = 0.02, with its ``eigvals_calls`` and
+  ``eigvals_matrices`` as above;
 * ``ring_ladder``             one criterion-7 ``qep`` ladder (eps 0.08, 0.04, 0.02,
   0.01, four levels).
 
@@ -62,7 +69,12 @@ the cold start:
 * ``import_torsionlab``       ``import torsionlab`` in a fresh interpreter, timed
   inside it (the median of 9 interpreters).
 
-Only public names are used, besides ``dynamics._expm`` (optional, as above) and
+A layer that a checkout cannot run (a stacked ``PostpointData`` or every
+``LocalGeometry`` tensor over a stack, before they took one) is recorded
+with ``median_s`` null and the error under ``unsupported``.
+
+Only public names are used, besides ``_local.LocalGeometry``,
+``dynamics._expm`` (optional, as above) and
 ``dynamics._half_step_samples``, whose
 signature is unchanged since the variation solvers first shared it, and
 ``dynamics._field`` and ``expressions._trajectory_field``, unchanged since
@@ -95,6 +107,9 @@ VARIATION_CALLS = 1000
 FIELD_CALLS = 10000
 IMPORTS = 9
 DELTAQ = ["0.3*t*(1 - t)", "-0.2*t*(1 - t)"]  # criterion 5
+GEOMETRY_TENSORS = ("g", "invg", "recip", "dg", "d2g", "dinvg", "chris1", "chris2", "dchris2",
+                    "gamma", "dgamma", "torsion", "contortion", "contortion_mixed", "cartan",
+                    "riemann")
 
 
 def _median_timing(fn, repeats, per=1):
@@ -109,14 +124,22 @@ def _median_timing(fn, repeats, per=1):
             "min_s": samples[0], "max_s": samples[-1]}
 
 
-def _eigvals_calls(fn):
-    """Number of ``numpy.linalg.eigvals`` calls made by one ``fn()``."""
+def _runnable_timing(fn, repeats):
+    """``_median_timing``, or the error of a checkout that cannot run ``fn``."""
+    try:
+        return _median_timing(fn, repeats)
+    except Exception as exc:  # noqa: BLE001 (any failure marks the layer unsupported)
+        return {"median_s": None, "repeats": 0, "unsupported": f"{type(exc).__name__}: {exc}"}
+
+
+def _eigvals_counts(fn):
+    """``numpy.linalg.eigvals`` calls made by one ``fn()``, and the matrices they solved."""
     import numpy as np
 
     solve, calls = np.linalg.eigvals, []
 
     def counted(a):
-        calls.append(a.shape)
+        calls.append(1 if a.ndim == 2 else len(a))
         return solve(a)
 
     np.linalg.eigvals = counted
@@ -124,7 +147,7 @@ def _eigvals_calls(fn):
         fn()
     finally:
         np.linalg.eigvals = solve
-    return len(calls)
+    return {"eigvals_calls": len(calls), "eigvals_matrices": sum(calls)}
 
 
 def _rows():
@@ -140,11 +163,15 @@ def _rows():
 
 
 def _kernel_layers():
+    import numpy as np
+
     from torsionlab import ShortTimeConfig, Sphere, build_propagator, builtin_chart, spectrum_ladder
+    from torsionlab._local import LocalGeometry
     from torsionlab.pathintegral import PostpointData
 
     chart = builtin_chart("sphere", r=1.0)
     rows = list(_rows())
+    posts = np.array([q for q, _ in rows])
     data = [PostpointData(chart, q) for q, _ in rows]
     sphere = Sphere(1.0, N_THETA, N_PHI)
     cfg = ShortTimeConfig(epsilon=0.04)
@@ -154,9 +181,19 @@ def _kernel_layers():
         for d, (_, dq) in zip(data, rows):
             d.bracket(dq)
 
+    def every_tensor(q):
+        geo = LocalGeometry.of(chart, q, 2)
+        for name in GEOMETRY_TENSORS:
+            getattr(geo, name)
+        geo.ricci_scalar_einstein("riemann")
+        geo.ricci_scalar_einstein("cartan")
+
     layers = {
         "postpoint_data_per_row": _median_timing(
             lambda: [PostpointData(chart, q) for q, _ in rows], 20, per=len(rows)),
+        "postpoint_rows_stacked": _runnable_timing(lambda: PostpointData(chart, posts), 20),
+        "local_geometry_stack": _runnable_timing(lambda: every_tensor(posts), 20),
+        "local_geometry_per_point": _median_timing(lambda: [every_tensor(q) for q in posts], 20),
         "bracket_per_row": _median_timing(all_brackets, 20, per=len(rows)),
         "build_propagator": _median_timing(lambda: build_propagator(sphere, cfg, "qep"), 15),
         "block_eigensolve": _median_timing(lambda: prop.eigenvalues(count=50), 15),
@@ -164,8 +201,7 @@ def _kernel_layers():
             lambda: spectrum_ladder(sphere, ShortTimeConfig(), "qep", LADDER, n_levels=4,
                                     group_tol=0.05), 7),
     }
-    layers["block_eigensolve"]["eigvals_calls"] = _eigvals_calls(
-        lambda: prop.eigenvalues(count=50))
+    layers["block_eigensolve"].update(_eigvals_counts(lambda: prop.eigenvalues(count=50)))
     facts = {
         "grid": [N_THETA, N_PHI],
         "blocks_stored": None if prop.blocks is None else int(prop.blocks.shape[2]),
@@ -183,8 +219,7 @@ def _ring_layers():
         "ring_ladder": _median_timing(
             lambda: spectrum_ladder(ring, ShortTimeConfig(), "qep", RING_LADDER, n_levels=4), 15),
     }
-    layers["ring_eigensolve"]["eigvals_calls"] = _eigvals_calls(
-        lambda: prop.eigenvalues(count=50))
+    layers["ring_eigensolve"].update(_eigvals_counts(lambda: prop.eigenvalues(count=50)))
     return layers, {"ring_points": RING_POINTS}
 
 
@@ -306,7 +341,11 @@ def main(argv=None):
     doc.setdefault("runs", {})[args.label] = result
     out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     for name, timing in result["layers"].items():
-        calls = f", {timing['eigvals_calls']} eigvals calls" if "eigvals_calls" in timing else ""
+        if timing["median_s"] is None:
+            print(f"{args.label:>10}  {name:<24} unsupported: {timing['unsupported']}")
+            continue
+        calls = (f", {timing['eigvals_calls']} eigvals calls on {timing['eigvals_matrices']}"
+                 " matrices" if "eigvals_calls" in timing else "")
         print(f"{args.label:>10}  {name:<24} {timing['median_s'] * 1e6:12.2f} us"
               f"  (median of {timing['repeats']}{calls})")
 
