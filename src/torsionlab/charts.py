@@ -80,6 +80,8 @@ class Chart:
         self.guard = None if guard is None else parse_over([guard], allowed, "chart guard")[0]
         self.name = name
         self.ambient_dim = ambient
+        self._definition = (kind, dim, tuple(e.source for e in exprs),  # ``_chart_field``'s key
+                            self.guard and self.guard.source, tuple(self.params))
 
     # -- admission ----------------------------------------------------------
 

@@ -6,31 +6,33 @@ straight flat-space line mapped step by step through the triads -- that image
 integrator is kept as an independent oracle.  The closure defect of varied
 paths solves a linear ODE driven by torsion.
 
-All three trajectory kinds are stepped by one classical RK4 loop, ``_rk4``;
-the linear closure-defect ODE takes its RK4 steps as affine maps, all built
-at once.  Its second, independent solver, ``closure_defect_by_quadrature``,
-is an ordered exponential (one stacked Pade ``_expm``) plus trapezoid rule;
-both read the same half-step samples of the variation matrices.
+All three trajectory kinds are stepped by one generated RK4 stepper,
+``_stepper``: straight-line code per state size that runs the whole step
+loop on floats, one call of the chart's generated field per stage, into flat
+buffers.  The linear closure-defect ODE takes its RK4 steps as affine maps,
+all built at once.  Its second, independent solver, an ordered exponential
+(one stacked Pade ``_expm``) plus trapezoid rule, reads the same half-step
+samples of the variation matrices.
 
 The geodesic, autoparallel and line-image right-hand sides and the
 variation matrices are straight-line functions generated by ``expressions``.
 At one phase point of floats, one call of the code generated for the chart's
 definition checks the guard, evaluates every chart expression's jet and
-returns the field as plain floats, with no tensor built on the way; over a
-stack of points the same field lines read one batched ``Chart._jets`` pass.
-The line image stays an independent oracle for the autoparallel because it
-integrates a different, first-order equation, dq/dt = g^-1 E^T v for a
-constant flat velocity v.  The Euler-Lagrange residual reads the tensors of
-``LocalGeometry``.
+returns the field as plain floats; over a stack of points the same field
+lines read one batched ``Chart._jets`` pass.  The line image stays an
+independent oracle for the autoparallel: it integrates a different,
+first-order equation, dq/dt = g^-1 E^T v for a constant flat velocity v.
 
-The variation samples and the Euler-Lagrange residual nodes, known up front,
-take one batched jet pass per call, bitwise equal to the point-by-point path;
-that path takes over when a batch fails, so errors name the first bad point.
+The variation samples and the Euler-Lagrange residual nodes (read from
+``LocalGeometry``), known up front, take one batched jet pass per call,
+bitwise equal to the point-by-point path; that path takes over when a batch
+fails, so errors name the first bad point.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,54 +79,68 @@ def _grid(t_span, step):
 
 # A step that meets one of these ends the trajectory instead of failing it.
 _DOMAIN_ERRORS = (SingularPointError, EvaluationError, DegenerateTriadError)
+_NUMERIC = (ArithmeticError, ValueError)  # a batch retried node by node after one of these
 
 
-def _rk4(rhs, y0, t_grid, final_slope=False):
-    """Classical RK4 for y' = rhs(j, y) on ``t_grid``.
-
-    ``j`` counts half steps: 2k at node k, 2k + 1 at the midpoint of step k.
-    The state passed to ``rhs`` is a list of floats, and ``rhs`` returns a
-    sequence of as many; each component takes the array arithmetic in its order.
-    Returns ``(y, slope, truncated)`` with ``slope[k] = rhs(2k, y[k])``; the
-    slope at the last node is computed only with ``final_slope`` and is NaN
-    otherwise.  A domain error ends the path at the last node whose slope was
-    computed; at the first node it propagates.
-    """
-    n = len(t_grid)
-    y = np.empty((n,) + np.shape(y0))
-    slope = np.full_like(y, np.nan)
-    y[0] = y0
-    yk = y[0].tolist()
-    done = 0  # nodes whose slope is computed
-    try:
-        for k in range(n - 1):
-            h = t_grid.item(k + 1) - t_grid.item(k)
-            k1 = slope[k] = rhs(2 * k, yk)
-            done = k + 1
-            k2 = rhs(2 * k + 1, [x + 0.5 * h * a for x, a in zip(yk, k1)])
-            k3 = rhs(2 * k + 1, [x + 0.5 * h * a for x, a in zip(yk, k2)])
-            k4 = rhs(2 * k + 2, [x + h * a for x, a in zip(yk, k3)])
-            y[k + 1] = yk = [x + (h / 6.0) * (a + 2.0 * b + 2.0 * c + d)
-                             for x, a, b, c, d in zip(yk, k1, k2, k3, k4)]
-        if final_slope:
-            slope[n - 1] = rhs(2 * n - 2, yk)
-    except _DOMAIN_ERRORS:
-        if done == 0:
-            raise
-        return y[:done], slope[:done], True
-    return y, slope, False
+_STEPPERS: dict = {}  # (state size, slope components copied from the state) -> stepper
 
 
-def _field(chart: Chart, field):
-    """``at(q, v=())``: the generated ``field`` of ``chart`` at one phase point
-    by one call of the code generated for the chart's definition, rejecting a
-    degenerate triad, or over points (N, D) from one batched jet pass (None
-    unless all clear).  A phase point is q (an array or D floats) and v, or
-    all its floats in q.  Reads the profile once."""
+def _stepper(n, copied):
+    """``rk4(field, args, fallback, y, t, final_slope)``: classical RK4 from the n
+    floats ``y`` over the grid ``t`` (a float array), straight-line code compiled on
+    first use.  The slope at a state x is its last ``copied`` components, then
+    ``field(*x, *args)``, or ``fallback(list(x))`` where that is None.  Returns
+    ``(y, slope, truncated)``, arrays (N, n) over flat buffers; the last node's
+    slope is NaN unless ``final_slope``.  A domain error ends the path at the
+    last node whose slope was computed; at the first node it propagates."""
+    fn = _STEPPERS.get((n, copied))
+    if fn is None:
+        def row(x):
+            return "".join(f"{x}{i}, " for i in range(n))
+
+        def slope(a, w="", b=""):  # the slope a at the state x, or at x + w b (named s)
+            s = "s" if w else "x"
+            return [f"s{i} = x{i} + {w} * {b}{i}" for i in range(n) if w] + [
+                f"{a}{i} = {s}{n - copied + i}" for i in range(copied)] + [
+                f"{''.join(f'{a}{i}, ' for i in range(copied, n))}= "
+                f"field({row(s)}*args) or fallback([{row(s)}])"]
+
+        step = [*slope("a"), f"slopes.extend(({row('a')}))", "done = k + 1", *slope("b", "hh", "a"),
+                *slope("c", "hh", "b"), *slope("d", "h", "c"),
+                *(f"x{i} = x{i} + h6 * (a{i} + 2.0 * b{i} + 2.0 * c{i} + d{i})" for i in range(n)),
+                f"ys.extend(({row('x')}))"]
+        source = "\n".join([
+            "def rk4(field, args, fallback, y, t, final_slope):",
+            f"    ({row('x')}) = y",
+            "    ys, slopes, done, t = array('d', y), array('d'), 0, memoryview(t)",
+            "    try:",
+            "        for k in range(len(t) - 1):",
+            "            h = t[k + 1] - t[k]",
+            "            hh, h6 = 0.5 * h, h / 6.0",
+            *(12 * " " + line for line in step),
+            "        if final_slope:",
+            *(12 * " " + line for line in step[: copied + 2]),
+            "        else:",
+            f"            slopes.extend(({'math.nan, ' * n}))",
+            "    except _DOMAIN_ERRORS:",
+            "        if done == 0:",
+            "            raise",
+            f"        del ys[{n} * done:]",  # a truncated path ends at the last node with a slope
+            f"    y = np.frombuffer(ys).reshape(-1, {n})",
+            f"    return y, np.frombuffer(slopes).reshape(-1, {n}), len(y) < len(t)\n",
+        ])
+        namespace = dict(globals())  # array, math, np and _DOMAIN_ERRORS
+        exec(compile(source, f"<RK4 stepper n={n} copied={copied}>", "exec"), namespace)
+        fn = _STEPPERS[n, copied] = namespace["rk4"]
+    return fn
+
+
+def _chart_code(chart: Chart, field):
+    """``(code, args, from_jets)``: the chart's generated ``field(*floats, *args)`` at a phase
+    point and the checked-det fallback ``from_jets(q, v)`` for its None.  Reads the profile once."""
     floor = active_profile().degenerate_triad_floor
     fn = _trajectory_field(field, chart.kind, chart.dim, chart.ambient_dim)
-    code = _chart_field(field, chart.kind, chart.dim, chart.exprs, chart.guard, tuple(chart.params))
-    order, params = int(field != "line_image"), tuple(chart.params.values())
+    order = int(field != "line_image")
 
     def from_jets(q, v):
         jets = chart._jets(q, order)
@@ -134,16 +150,23 @@ def _field(chart: Chart, field):
             out = fn(jets, v, floor * floor, float(checked_gram(chart._tensors(jets, 0)[0], q)[1]))
         return out
 
-    def at(q, v=()):
+    code = _chart_field(field, chart._definition, chart.exprs, chart.guard)
+    return code, (*chart.params.values(), floor * floor), from_jets
+
+
+def _field(chart: Chart, field):
+    """``at(q, v)``: the generated ``field`` of ``chart`` at one phase point
+    by one call of the code generated for the chart's definition, rejecting a
+    degenerate triad, or over points (N, D) from one batched jet pass (None
+    unless all clear).  A phase point is q (an array or D floats) and v."""
+    code, args, from_jets = _chart_code(chart, field)
+
+    def at(q, v):
         if isinstance(q, np.ndarray):
             if q.shape != (chart.dim,):  # points (N, D), or a shape ``_jets`` rejects
                 return from_jets(q, v)
             q = q.tolist()
-        out = code(*q, *v, *params, floor * floor)
-        if out is None:  # det g within rounding of the floor
-            y = [*q, *v]
-            out = from_jets(y[: chart.dim], y[chart.dim :])
-        return out
+        return code(*q, *v, *args) or from_jets(q, v)  # None: det g within rounding of the floor
 
     return at
 
@@ -163,12 +186,10 @@ def _integrate_second_order(field, chart, q0, qdot0, t_span, step) -> Trajectory
     q0 = chart.check_point(q0)
     t_grid = _grid(t_span, step)
     D = chart.dim
-    at = _field(chart, field)
-
-    def rhs(_, y):
-        return (*y[D:], *at(y))
-
-    y, _, truncated = _rk4(rhs, np.concatenate((q0, _velocity(chart, qdot0))), t_grid)
+    code, args, from_jets = _chart_code(chart, field)
+    y, _, truncated = _stepper(2 * D, D)(
+        code, args, lambda y: from_jets(y[:D], y[D:]),
+        [*q0.tolist(), *_velocity(chart, qdot0).tolist()], t_grid, False)
     return Trajectory(t=t_grid[: len(y)], q=y[:, :D], qdot=y[:, D:], truncated=truncated)
 
 
@@ -192,16 +213,15 @@ def straight_line_image(chart: Chart, q0, qdot0, t_span, step) -> Trajectory:
     q0 = chart.check_point(q0)
     v_flat = (chart.triad_jets(q0)[0] @ _velocity(chart, qdot0)).tolist()
     t_grid = _grid(t_span, step)
-    at = _field(chart, "line_image")  # rejects a degenerate triad, at q0 too
-    q, qdot, truncated = _rk4(
-        lambda _, q: at(q, v_flat), q0, t_grid, final_slope=True
-    )
+    code, args, from_jets = _chart_code(chart, "line_image")
+    q, qdot, truncated = _stepper(chart.dim, 0)(  # the field rejects a degenerate triad, at q0 too
+        code, (*v_flat, *args), lambda q: from_jets(q, v_flat), q0.tolist(), t_grid, True)
     return Trajectory(t=t_grid[: len(q)], q=q, qdot=qdot, truncated=truncated)
 
 
 def kinetic_energy(chart: Chart, traj: Trajectory, mass: float = 1.0) -> np.ndarray:
     """(M/2) g_munu qdot^mu qdot^nu along the trajectory."""
-    g = attempt(lambda: chart.metric(traj.q))  # one batched jet pass, or node by node
+    g = attempt(lambda: chart.metric(traj.q), _NUMERIC)  # one batched jet pass, or node by node
     g = np.array([chart.metric(q) for q in traj.q]) if g is None else g
     v = traj.qdot
     return 0.5 * mass * ((v[:, None, :] @ g) @ v[:, :, None])[:, 0, 0]
@@ -407,8 +427,10 @@ def torsion_el_residual(chart: Chart, traj: Trajectory, mass: float = 1.0):
         geo = LocalGeometry.of(chart, q, 1)
         return geo.g, geo.dg, geo.torsion
 
-    # one batched jet pass over the nodes, or node by node in order if it fails
-    g, dg, torsion = attempt(lambda: at(traj.q)) or [np.array(c) for c in zip(*map(at, traj.q))]
+    # one batched jet pass over the nodes; node by node in order after a float error only,
+    # since ``LocalGeometry.of`` raises a failing stack's first failing node's error itself
+    g, dg, torsion = (attempt(lambda: at(traj.q), _NUMERIC)
+                      or [np.array(c) for c in zip(*map(at, traj.q))])
     v = traj.qdot
     p = np.einsum("kmn,kn->km", mass * g, v)  # dL/dqdot_lam = M g_lamnu qdot^nu
     dLdq = 0.5 * mass * np.einsum("kmnl,km,kn->kl", dg, v, v)  # (M/2) d_lam g_munu qdot qdot

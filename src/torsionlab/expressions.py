@@ -1006,7 +1006,7 @@ def parse_over(sources, allowed, context: str) -> tuple:
 # them share the code.
 
 _FIELDS: dict = {}  # (field, kind, D, ambient) -> compiled field function
-_CHART_FIELDS: dict = {}  # (field, kind, D, sources, guard, parameter names) -> function
+_CHART_FIELDS: dict = {}  # (field, (kind, D, sources, guard, parameter names)) -> function
 _CHART_FIELDS_KEPT = 128  # entries kept, the most recently used (~9 KB each)
 
 _ADJUGATES = {  # upper triangle of the adjugate of a symmetric g, and det g
@@ -1183,17 +1183,18 @@ def _chart_source(field, kind, dim, exprs, guard, params):
                                                       *taylor.lines])
 
 
-def _chart_field(field, kind, dim, exprs, guard, params):
+def _chart_field(field, definition, exprs, guard):
     """``field(q1, .., qD, v.., parameter values.., floor2)`` of one chart
-    definition (``exprs``, ``guard`` and the parameter names ``params``):
+    definition (``Chart._definition``, whose ``exprs`` and ``guard`` it reads):
     the guard, the jets and the lines of ``_field_source`` in one function,
     compiled on first use.  It raises as ``Chart._jets`` raises and returns
     what ``_trajectory_field`` returns on that pass's jets."""
-    key = (field, kind, dim, tuple(e.source for e in exprs), guard and guard.source, params)
+    key = (field, definition)
     fn = _CHART_FIELDS.pop(key, None)  # re-inserted below: dict order is recency order
     if fn is None:
+        kind, dim, sources, _, params = definition
         namespace = {**globals(), "_INF": math.inf, **{f"_REAL_{op}": f for op, f in _REAL.items()}}
-        label = f"<{field} field of the {kind} chart {list(key[3])}>"
+        label = f"<{field} field of the {kind} chart {list(sources)}>"
         source = _chart_source(field, kind, dim, exprs, guard, params)
         exec(compile(source, label, "exec"), namespace)
         fn = namespace[field]

@@ -10,6 +10,8 @@ from torsionlab import _local, dynamics
 from torsionlab.charts import Chart
 from torsionlab.cli import _build_arg_parser, config_from_args, run
 
+from test_batched_jets import FAILING_PATHS
+
 # -- triad-jet passes ------------------------------------------------------------
 
 
@@ -76,6 +78,18 @@ def test_el_residual_makes_one_pass_per_call(jet_passes):
     jet_passes.clear()
     tl.torsion_el_residual(st, traj)
     assert jet_passes == [1]
+
+
+def test_failing_stack_is_taken_point_by_point_once(jet_passes):
+    # the path's metric fails at its second node: the stack's pass, then the first two
+    # nodes, in ``LocalGeometry.of`` alone; the caller retries node by node only after a
+    # float error (the errors equal the point-by-point ones: test_batched_jets)
+    chart, path = FAILING_PATHS["rank_one"]
+    for consumer, order in ((tl.torsion_el_residual, 1), (tl.kinetic_energy, 0)):
+        jet_passes.clear()
+        with pytest.raises(tl.DegenerateTriadError, match=r"\[1.212500*1, 0.05\]"):
+            consumer(chart, path)
+        assert jet_passes == [order] * 3
 
 
 def test_geometry_point_and_cli_tensors_make_one_pass(jet_passes):

@@ -2,7 +2,7 @@
 
 ``solve_variation_ode`` takes every RK4 step of the linear closure-defect ODE
 as one affine map, all built at once; the oracle is the stage-wise route, the
-generic ``dynamics._rk4`` loop with one matrix-vector right-hand side per
+generic RK4 loop ``rk4`` with one matrix-vector right-hand side per
 stage, as the solver once ran.  ``closure_defect_by_quadrature`` takes its
 step propagators from the stacked Pade ``dynamics._expm``; the oracle is
 ``scipy.linalg.expm`` (a test dependency only), and mpmath for the exact value.
@@ -22,14 +22,14 @@ from torsionlab.dynamics import Trajectory
 from torsionlab.errors import GridMismatchError, NumericError
 
 from test_batched_jets import TRIAD3
-from test_trajectory_fields import assert_bitwise
+from test_trajectory_fields import assert_bitwise, rk4
 
 DELTAQ = ["0.3*t*(1 - t)", "-0.2*t*(1 - t)"]  # criterion 5
 
 
 def stagewise_variation_ode(G, Sigma, deltaq, t_grid):
-    """RK4 for d(delta_b)/dt = -G delta_b + Sigma delta_q stage by stage, through ``_rk4``."""
-    db, _, _ = dynamics._rk4(
+    """RK4 for d(delta_b)/dt = -G delta_b + Sigma delta_q stage by stage, through ``rk4``."""
+    db, _, _ = rk4(
         lambda j, b: (-G[j] @ b + Sigma[j] @ deltaq[j]).tolist(), np.zeros(len(deltaq[0])), t_grid
     )
     return db

@@ -67,14 +67,19 @@ the trajectories, under criteria 3 and 5:
 the cold start:
 
 * ``import_torsionlab``       ``import torsionlab`` in a fresh interpreter, timed
-  inside it (the median of 9 interpreters).
+  inside it (the median of 9 interpreters);
+* ``stepper_first_use``       the first use of both RK4 steppers a D = 2 chart's
+  trajectories take, ``dynamics._stepper(4, 2)`` (geodesic and autoparallel) and
+  ``dynamics._stepper(2, 0)`` (line image): their code generated and compiled,
+  timed inside a fresh interpreter after the import (the median of 9).
 
 A layer that a checkout cannot run (a stacked ``PostpointData`` or every
-``LocalGeometry`` tensor over a stack, before they took one) is recorded
-with ``median_s`` null and the error under ``unsupported``.
+``LocalGeometry`` tensor over a stack, before they took one; the steppers,
+before they came in) is recorded with ``median_s`` null and the error
+under ``unsupported``.
 
 Only public names are used, besides ``_local.LocalGeometry``,
-``dynamics._expm`` (optional, as above) and
+``dynamics._expm`` and ``dynamics._stepper`` (optional, as above) and
 ``dynamics._half_step_samples``, whose
 signature is unchanged since the variation solvers first shared it, and
 ``dynamics._field`` and ``expressions._trajectory_field``, unchanged since
@@ -294,18 +299,32 @@ def _trajectory_layers():
     return layers, {"trajectory_steps": TRAJECTORY_STEPS}
 
 
-def _import_layers():
-    """``import torsionlab`` timed inside each of ``IMPORTS`` fresh interpreters."""
-    code = ("import time; t = time.perf_counter(); import torsionlab; "
-            "print(time.perf_counter() - t)")
+def _fresh_timing(code):
+    """The median of the times that ``code`` prints in ``IMPORTS`` fresh interpreters
+    importing this checkout, or the error of a checkout that cannot run it."""
     import torsionlab
 
     env = dict(os.environ, PYTHONPATH=str(Path(torsionlab.__file__).parent.parent))
-    samples = sorted(float(subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                                          capture_output=True, text=True).stdout)
-                     for _ in range(IMPORTS))
-    return {"import_torsionlab": {"median_s": samples[len(samples) // 2], "repeats": IMPORTS,
-                                  "min_s": samples[0], "max_s": samples[-1]}}, {}
+    runs = [subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+            for _ in range(IMPORTS)]
+    if any(run.returncode for run in runs):
+        error = next(run for run in runs if run.returncode).stderr.strip().splitlines()[-1]
+        return {"median_s": None, "repeats": 0, "unsupported": error}
+    samples = sorted(float(run.stdout) for run in runs)
+    return {"median_s": samples[len(samples) // 2], "repeats": IMPORTS,
+            "min_s": samples[0], "max_s": samples[-1]}
+
+
+def _import_layers():
+    """``import torsionlab`` and the first use of the RK4 steppers, each in fresh interpreters."""
+    return {
+        "import_torsionlab": _fresh_timing(
+            "import time; t = time.perf_counter(); import torsionlab; "
+            "print(time.perf_counter() - t)"),
+        "stepper_first_use": _fresh_timing(
+            "import time, torsionlab.dynamics as d; t = time.perf_counter(); "
+            "d._stepper(4, 2), d._stepper(2, 0); print(time.perf_counter() - t)"),
+    }, {}
 
 
 def measure():
