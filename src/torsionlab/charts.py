@@ -115,11 +115,12 @@ class Chart:
 
     # -- triads and metric ---------------------------------------------------
 
-    def _jets(self, q, order):
+    def _jets(self, q, order, pointwise=True):
         """The raw jet tuple of every expression at a guard-checked point, to
         the derivative order that gives the triad and its ``order`` (0, 1 or 2)
         derivatives: the one evaluation every triad and tensor reads.  Points
-        ``q`` (N, D) take one pass, an (expressions, partials, N) array."""
+        ``q`` (N, D) take one pass, an (expressions, partials, N) array; if it
+        fails, point by point, or None unless ``pointwise``."""
         if order not in (0, 1, 2):
             raise ValidationError(f"triad derivative order must be 0, 1 or 2, got {order!r}")
         first = 1 if self.kind == "map" else 0  # derivative order that gives E
@@ -127,7 +128,9 @@ class Chart:
         wrt = self._coord_names if first + order else ()
         if isinstance(q, np.ndarray) and q.ndim == 2:  # if the batch fails, point by point
             jets = attempt(lambda: self._batch_jets(q, wrt, first + order))
-            return np.moveaxis([self._jets(p, order) for p in q], 0, -1) if jets is None else jets
+            if jets is None and pointwise:
+                return np.moveaxis([self._jets(p, order) for p in q], 0, -1)
+            return jets
         env = self._checked_env(q)[1]
         return [e(env, wrt, first + order) for e in self.exprs]
 

@@ -6,13 +6,14 @@ straight flat-space line mapped step by step through the triads -- that image
 integrator is kept as an independent oracle.  The closure defect of varied
 paths solves a linear ODE driven by torsion.
 
-All three trajectory kinds are stepped by one generated RK4 stepper,
-``_stepper``: straight-line code per state size that runs the whole step
-loop on floats, one call of the chart's generated field per stage, into flat
-buffers.  The linear closure-defect ODE takes its RK4 steps as affine maps,
-all built at once.  Its second, independent solver, an ordered exponential
-(one stacked Pade ``_expm``) plus trapezoid rule, reads the same half-step
-samples of the variation matrices.
+All three trajectory kinds are stepped by one RK4 integrator generated per
+chart definition and field (``expressions._chart_field`` with ``rk4``): the
+step loop on floats with the chart's field lines inline in a loop over the 4
+stages, so no call is left per stage, into flat buffers.  The linear
+closure-defect ODE takes its RK4 steps as affine maps, all built at once.
+Its second, independent solver, an ordered exponential (one stacked Pade
+``_expm``) plus trapezoid rule, reads the same half-step samples of the
+variation matrices.
 
 The geodesic, autoparallel and line-image right-hand sides and the
 variation matrices are straight-line functions generated by ``expressions``.
@@ -26,13 +27,13 @@ first-order equation, dq/dt = g^-1 E^T v for a constant flat velocity v.
 The variation samples and the Euler-Lagrange residual nodes (read from
 ``LocalGeometry``), known up front, take one batched jet pass per call,
 bitwise equal to the point-by-point path; that path takes over when a batch
-fails, so errors name the first bad point.
+fails, so errors name the first bad point.  A failing stack of variation
+samples goes straight to the sample-by-sample loop.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,13 +43,10 @@ from .charts import Chart
 from .config import active_profile
 from .connection import torsion_tensor
 from .errors import (
-    DegenerateTriadError,
     DimensionMismatchError,
-    EvaluationError,
     GridMismatchError,
     NumericError,
     SamplingError,
-    SingularPointError,
     ValidationError,
 )
 from .expressions import _chart_field, _trajectory_field, parse_over
@@ -77,80 +75,26 @@ def _grid(t_span, step):
     return np.linspace(ta, tb, n + 1)
 
 
-# A step that meets one of these ends the trajectory instead of failing it.
-_DOMAIN_ERRORS = (SingularPointError, EvaluationError, DegenerateTriadError)
 _NUMERIC = (ArithmeticError, ValueError)  # a batch retried node by node after one of these
 
 
-_STEPPERS: dict = {}  # (state size, slope components copied from the state) -> stepper
-
-
-def _stepper(n, copied):
-    """``rk4(field, args, fallback, y, t, final_slope)``: classical RK4 from the n
-    floats ``y`` over the grid ``t`` (a float array), straight-line code compiled on
-    first use.  The slope at a state x is its last ``copied`` components, then
-    ``field(*x, *args)``, or ``fallback(list(x))`` where that is None.  Returns
-    ``(y, slope, truncated)``, arrays (N, n) over flat buffers; the last node's
-    slope is NaN unless ``final_slope``.  A domain error ends the path at the
-    last node whose slope was computed; at the first node it propagates."""
-    fn = _STEPPERS.get((n, copied))
-    if fn is None:
-        def row(x):
-            return "".join(f"{x}{i}, " for i in range(n))
-
-        def slope(a, w="", b=""):  # the slope a at the state x, or at x + w b (named s)
-            s = "s" if w else "x"
-            return [f"s{i} = x{i} + {w} * {b}{i}" for i in range(n) if w] + [
-                f"{a}{i} = {s}{n - copied + i}" for i in range(copied)] + [
-                f"{''.join(f'{a}{i}, ' for i in range(copied, n))}= "
-                f"field({row(s)}*args) or fallback([{row(s)}])"]
-
-        step = [*slope("a"), f"slopes.extend(({row('a')}))", "done = k + 1", *slope("b", "hh", "a"),
-                *slope("c", "hh", "b"), *slope("d", "h", "c"),
-                *(f"x{i} = x{i} + h6 * (a{i} + 2.0 * b{i} + 2.0 * c{i} + d{i})" for i in range(n)),
-                f"ys.extend(({row('x')}))"]
-        source = "\n".join([
-            "def rk4(field, args, fallback, y, t, final_slope):",
-            f"    ({row('x')}) = y",
-            "    ys, slopes, done, t = array('d', y), array('d'), 0, memoryview(t)",
-            "    try:",
-            "        for k in range(len(t) - 1):",
-            "            h = t[k + 1] - t[k]",
-            "            hh, h6 = 0.5 * h, h / 6.0",
-            *(12 * " " + line for line in step),
-            "        if final_slope:",
-            *(12 * " " + line for line in step[: copied + 2]),
-            "        else:",
-            f"            slopes.extend(({'math.nan, ' * n}))",
-            "    except _DOMAIN_ERRORS:",
-            "        if done == 0:",
-            "            raise",
-            f"        del ys[{n} * done:]",  # a truncated path ends at the last node with a slope
-            f"    y = np.frombuffer(ys).reshape(-1, {n})",
-            f"    return y, np.frombuffer(slopes).reshape(-1, {n}), len(y) < len(t)\n",
-        ])
-        namespace = dict(globals())  # array, math, np and _DOMAIN_ERRORS
-        exec(compile(source, f"<RK4 stepper n={n} copied={copied}>", "exec"), namespace)
-        fn = _STEPPERS[n, copied] = namespace["rk4"]
-    return fn
-
-
-def _chart_code(chart: Chart, field):
+def _chart_code(chart: Chart, field, rk4=False):
     """``(code, args, from_jets)``: the chart's generated ``field(*floats, *args)`` at a phase
-    point and the checked-det fallback ``from_jets(q, v)`` for its None.  Reads the profile once."""
+    point, or with ``rk4`` its integrator ``field(y, t, fallback, *args)``, and the checked-det
+    fallback ``from_jets(q, v)`` for a None.  Reads the profile once."""
     floor = active_profile().degenerate_triad_floor
     fn = _trajectory_field(field, chart.kind, chart.dim, chart.ambient_dim)
     order = int(field != "line_image")
 
     def from_jets(q, v):
-        jets = chart._jets(q, order)
-        out = fn(jets, v, floor * floor)
+        jets = chart._jets(q, order, pointwise=False)  # a failing stack: None, for the caller
+        out = None if jets is None else fn(jets, v, floor * floor)
         if out is None and np.ndim(q) == 1:
             # det g within rounding of the floor: decide as ``checked_metric`` does, det a float
             out = fn(jets, v, floor * floor, float(checked_gram(chart._tensors(jets, 0)[0], q)[1]))
         return out
 
-    code = _chart_field(field, chart._definition, chart.exprs, chart.guard)
+    code = _chart_field(field, chart._definition, chart.exprs, chart.guard, rk4)
     return code, (*chart.params.values(), floor * floor), from_jets
 
 
@@ -186,10 +130,9 @@ def _integrate_second_order(field, chart, q0, qdot0, t_span, step) -> Trajectory
     q0 = chart.check_point(q0)
     t_grid = _grid(t_span, step)
     D = chart.dim
-    code, args, from_jets = _chart_code(chart, field)
-    y, _, truncated = _stepper(2 * D, D)(
-        code, args, lambda y: from_jets(y[:D], y[D:]),
-        [*q0.tolist(), *_velocity(chart, qdot0).tolist()], t_grid, False)
+    rk4, args, from_jets = _chart_code(chart, field, True)
+    y, _, truncated = rk4([*q0.tolist(), *_velocity(chart, qdot0).tolist()], t_grid,
+                          lambda y: from_jets(y[:D], y[D:]), *args)
     return Trajectory(t=t_grid[: len(y)], q=y[:, :D], qdot=y[:, D:], truncated=truncated)
 
 
@@ -213,9 +156,9 @@ def straight_line_image(chart: Chart, q0, qdot0, t_span, step) -> Trajectory:
     q0 = chart.check_point(q0)
     v_flat = (chart.triad_jets(q0)[0] @ _velocity(chart, qdot0)).tolist()
     t_grid = _grid(t_span, step)
-    code, args, from_jets = _chart_code(chart, "line_image")
-    q, qdot, truncated = _stepper(chart.dim, 0)(  # the field rejects a degenerate triad, at q0 too
-        code, (*v_flat, *args), lambda q: from_jets(q, v_flat), q0.tolist(), t_grid, True)
+    rk4, args, from_jets = _chart_code(chart, "line_image", True)
+    q, qdot, truncated = rk4(  # the field rejects a degenerate triad, at q0 too
+        q0.tolist(), t_grid, lambda q: from_jets(q, v_flat), *v_flat, *args)
     return Trajectory(t=t_grid[: len(q)], q=q, qdot=qdot, truncated=truncated)
 
 

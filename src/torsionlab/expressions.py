@@ -12,15 +12,22 @@ from __future__ import annotations
 import math
 import operator
 import re
+from array import array  # for the generated integrators
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import combinations_with_replacement, count, product
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import EvaluationError, ExpressionParseError, SingularPointError, ValidationError
+from .errors import (
+    DegenerateTriadError,
+    EvaluationError,
+    ExpressionParseError,
+    SingularPointError,
+    ValidationError,
+)
 
 FUNCTIONS = {"sin": 1, "cos": 1, "atan2": 2, "sqrt": 1, "exp": 1, "log": 1}
 
@@ -50,19 +57,22 @@ def _triple_mixed(u, v):
 # the compiled kernels further down compose the same series.
 
 
-def _sin_series(u, sin=math.sin, cos=math.cos):
-    s, c = sin(u), cos(u)
+def _sin_series(u):
+    s, c = math.sin(u), math.cos(u)
     return s, c, -s, -c
 
 
-def _cos_series(u, sin=math.sin, cos=math.cos):
-    s, c = sin(u), cos(u)
+def _cos_series(u):
+    s, c = math.sin(u), math.cos(u)
     return c, -s, -c, s
 
 
 def _exp_series(u):
     e = math.exp(u)
     return e, e, e, e
+
+
+_sin, _cos, _exp = math.sin, math.cos, math.exp  # what the generated code calls, once per argument
 
 
 def _log_series(u):
@@ -163,11 +173,10 @@ def _per_element(fn):
     return each
 
 
-_BATCH = {f"_{name}_series": partial(globals()[f"_{name}_series"], sin=np.sin, cos=np.cos)
-          for name in ("sin", "cos")}
+_BATCH = {"_sin": np.sin, "_cos": np.cos}
 _BATCH.update((name, _per_element(globals()[name])) for name in (
-    "_exp_series", "_log_series", "_sqrt_series", "_recip_series", "_pow_series",
-    "_atan2_series", "_real_pow"))
+    "_exp", "_log_series", "_sqrt_series", "_recip_series", "_pow_series", "_atan2_series",
+    "_real_pow"))
 _BATCH["_REAL"] = {**_REAL, "sin": np.sin, "cos": np.cos, **{
     op: _per_element(_REAL[op]) for op in ("div", "pow", "exp", "log", "sqrt", "atan2")}}
 
@@ -704,14 +713,15 @@ class _Taylor:
     """Jet arithmetic in ``dim`` variables to ``order`` as straight-line source.
 
     A jet is a list of components in ``_multisets`` order, each a known float,
-    a name or a ``_Code`` expression, bound to a fresh name when first read; a
-    plain value is a one-component list.  A rule returns its result and adds
-    the lines it needs (series helper calls, the exponent-rule branch) to ``lines``.
+    a name or a ``_Code`` expression, bound to a name when first read: the
+    same code, such as ``_sin(j3)``, to the same name.  A plain value is a
+    one-component list.  A rule returns its result and adds the lines it needs
+    (bindings, series helper calls, the exponent-rule branch) to ``lines``.
     """
 
     def __init__(self, dim, order, prefix):
         self.sets, self.dim, self.order = _multisets(dim, order), dim, order
-        self.lines, self.indent = [], "    "
+        self.lines, self.indent, self.bound = [], "    ", {}  # code -> its name in scope
         self._names = (f"{prefix}{i}" for i in count())
 
     def call(self, source, unpack=0):
@@ -722,8 +732,12 @@ class _Taylor:
 
     def use(self, jet, i):
         if isinstance(jet[i], _Code):
-            jet[i] = self.call(jet[i])
+            jet[i] = self.bound.get(jet[i]) or self.bound.setdefault(jet[i], self.call(jet[i]))
         return jet[i]
+
+    def shared(self, fn, u):
+        """``_{fn}(u)``: math's sin, cos or exp, evaluated once per argument."""
+        return self.use([_Code(f"_{fn}({_lit(u)})")], 0)
 
     def each(self, fn, *jets):
         return [fn(*(self.use(j, i) for j in jets)) for i in range(len(jets[0]))]
@@ -747,8 +761,16 @@ class _Taylor:
     def mul(self, a, b):
         return [self.poly(_leibniz(self.dim, self.order, s), {"a": a, "b": b}) for s in self.sets]
 
-    def series(self, fn, a, *c):  # fn(a, *c) by the chain rule over ``_{fn}_series``
-        f = self.call(f"_{fn}_series({', '.join([self.use(a, 0), *map(_lit, c)])})", 4)
+    def series(self, fn, a, *c):  # fn(a, *c) by the chain rule over its derivatives f
+        u = self.use(a, 0)
+        if fn == "exp":
+            f = [self.shared("exp", u)] * 4
+        elif fn in ("sin", "cos"):  # (s, co, -s, -co) and (co, -s, -co, s); s and co as needed
+            s, co = (self.shared(g, u) if self.order or g == fn else "" for g in ("sin", "cos"))
+            f = [s, co, _Code(f"-{s}"), _Code(f"-{co}")]
+            f = f if fn == "sin" else f[1:] + f[:1]
+        else:
+            f = self.call(f"_{fn}_series({', '.join([_lit(u), *map(_lit, c)])})", 4)
         return [self.poly(_chain(self.dim, self.order, s, "a", "f"), {"a": a, "f": f})
                 for s in self.sets]
 
@@ -767,12 +789,12 @@ class _Taylor:
             return general()
         if not unknown:
             return constant()
-        out, indent = [next(self._names) for _ in self.sets], self.indent
+        out, indent, bound = [next(self._names) for _ in self.sets], self.indent, self.bound
         for head, rule in ((f"if not any(({', '.join(unknown)},)):", constant), ("else:", general)):
             self.lines.append(indent + head)
-            self.indent = indent + "    "
+            self.indent, self.bound = indent + "    ", dict(bound)  # a branch's names stay in it
             self.lines += [f"{self.indent}{name} = {_lit(x)}" for name, x in zip(out, rule())]
-            self.indent = indent
+        self.indent, self.bound = indent, bound
         return out
 
     def apply(self, op, *args):
@@ -782,6 +804,8 @@ class _Taylor:
         args = [self.use(a, 0) for a in args]
         if op in ("neg", "add", "sub", "mul"):
             return [{"neg": _neg, "add": _add, "sub": _sub, "mul": _mul}[op](*args)]
+        if op in ("sin", "cos", "exp"):
+            return [self.shared(op, *args)]
         return [self.call(f"_REAL_{op}({', '.join(map(_lit, args))})")]
 
 
@@ -1006,8 +1030,8 @@ def parse_over(sources, allowed, context: str) -> tuple:
 # them share the code.
 
 _FIELDS: dict = {}  # (field, kind, D, ambient) -> compiled field function
-_CHART_FIELDS: dict = {}  # (field, (kind, D, sources, guard, parameter names)) -> function
-_CHART_FIELDS_KEPT = 128  # entries kept, the most recently used (~9 KB each)
+_CHART_FIELDS: dict = {}  # (field, (kind, D, sources, guard, parameter names), rk4) -> function
+_CHART_FIELDS_KEPT = 128  # entries kept, the most recently used (8-33 KB each)
 
 _ADJUGATES = {  # upper triangle of the adjugate of a symmetric g, and det g
     1: ({(0, 0): "1.0"}, "g0_0"),
@@ -1037,9 +1061,10 @@ def _jet_names(kind, dim, ambient, deriv):
             for i in range(ambient) for k in range(dim)]
 
 
-def _field_source(field, kind, dim, ambient, head=None):
+def _field_source(field, kind, dim, ambient, head=None, slope=None):
     """Source of ``field``; ``head`` (the def line and the lines binding the
-    jet names and the velocity) unpacks ``jets`` and ``v`` by default."""
+    jet names and the velocity) unpacks ``jets`` and ``v`` by default.  With
+    ``slope``, the lines compute the field into names instead of returning it."""
     rD, rA = range(dim), range(ambient)
     deriv = field != "line_image"
 
@@ -1087,37 +1112,34 @@ def _field_source(field, kind, dim, ambient, head=None):
         lines += [f"    c{c}_{s} = {entry}" for s, entry in enumerate(column)]
 
     zero = ", ".join(["0.0"] * dim * dim)  # a map chart's Sigma
-    diagonal = "*".join(f"g{m}_{m}" for m in rD)
-    check = [f"        ok = (floor2 + 1e-13*{diagonal} < det) & (det < _INF)",  # per point of a batch
-             "        if not (ok if ok.__class__ is bool else ok.all()):", "            return None"]
     if dim in _ADJUGATES:
         adjugate, det = _ADJUGATES[dim]
         lines += [f"    a{m}_{n} = {entry}" for (m, n), entry in adjugate.items()]
-        lines += ["    if det is None:", f"        det = {det}", *check]
+        solve = []
         # x[c][m]: row m of the solution for column c
         x = [[f"{sign}({total(f'a{min(m, s)}_{max(m, s)}*c{c}_{s}' for s in rD)}) / det" for m in rD]
              for c in range(len(columns))]
-        if field != "variation":
-            lines.append(f"    return ({', '.join(x[0])},)")
-        else:
+        result = f"({', '.join(x[0])},)"
+        if field == "variation":
             G = ", ".join(x[l][m] for m in rD for l in rD)
             S = ", ".join(x[dim + n][m] for m in rD for n in rD) if kind != "map" else zero
-            lines.append(f"    return ({G},), ({S},)")
+            result = f"({G},), ({S},)"
     else:
         rows = ", ".join("(" + ", ".join(f"g{min(m, n)}_{max(m, n)}" for n in rD) + ")" for m in rD)
         rhs = ", ".join("(" + ", ".join(f"c{c}_{s}" for c in range(len(columns))) + ",)" for s in rD)
-        lines += [
-            f"    g = np.array(({rows}))",
-            "    if det is None:",
-            "        det = float(np.linalg.det(g))",
-            *check,
-            f"    x = np.linalg.solve(g, np.array(({rhs})))",
-        ]
-        if field != "variation":
-            lines.append(f"    return tuple(({sign}x[:, 0]).tolist())")
-        else:
-            S = f"tuple(x[:, {dim}:].ravel().tolist())" if kind != "map" else f"({zero},)"
-            lines.append(f"    return tuple(x[:, :{dim}].ravel().tolist()), {S}")
+        lines.append(f"    g = np.array(({rows}))")
+        det, solve = "float(np.linalg.det(g))", [f"x = np.linalg.solve(g, np.array(({rhs})))"]
+        S = f"tuple(x[:, {dim}:].ravel().tolist())" if kind != "map" else f"({zero},)"
+        result = (f"tuple(({sign}x[:, 0]).tolist())" if field != "variation"
+                  else f"tuple(x[:, :{dim}].ravel().tolist()), {S}")
+    ok = f"(floor2 + 1e-13*{'*'.join(f'g{m}_{m}' for m in rD)} < det) & (det < _INF)"
+    if slope is None:  # per point of a batch
+        lines += ["    if det is None:", f"        det = {det}", f"        ok = {ok}",
+                  "        if not (ok if ok.__class__ is bool else ok.all()):",
+                  "            return None", *(f"    {line}" for line in solve), f"    return {result}"]
+    else:  # inline: the slope into the names ``slope[0]``, or from the call ``slope[1]``
+        lines += [f"    det = {det}", f"    if {ok}:", *(f"        {line}" for line in solve),
+                  f"        {slope[0]} = {result}", "    else:", f"        {slope[0]} = {slope[1]}"]
     return "\n".join(lines) + "\n"
 
 
@@ -1135,7 +1157,7 @@ def _trajectory_field(field, kind, dim, ambient):
     return fn
 
 
-def _chart_source(field, kind, dim, exprs, guard, params):
+def _chart_source(field, kind, dim, exprs, guard, params, rk4=False):
     ambient = len(exprs) if kind == "map" else dim
     deriv = field != "line_image"
     order = (kind == "map") + deriv  # of the jets that give E and its ``deriv`` derivatives
@@ -1178,24 +1200,82 @@ def _chart_source(field, kind, dim, exprs, guard, params):
             if name != "_":
                 taylor.lines.append(f"    {name} = {_lit(jet[i])}")
                 jet[i] = name if isinstance(jet[i], _Code) else jet[i]
-    args = ", ".join([*coords, *velocity, *(f"r{k}" for k in range(len(params)))])
-    return _field_source(field, kind, dim, ambient, [f"def {field}({args}, floor2, det=None):",
-                                                      *taylor.lines])
+    rest = [*velocity, *(f"r{k}" for k in range(len(params))), "floor2"]
+    if not rk4:
+        return _field_source(field, kind, dim, ambient, [
+            f"def {field}({', '.join([*coords, *rest])}, det=None):", *taylor.lines])
+    state = [*coords, *velocity[: dim * deriv]]
+    slope = [*velocity[: dim * deriv], *(f"f{k}" for k in range(dim))]
+    body = _field_source(field, kind, dim, ambient, taylor.lines,
+                         (", ".join(slope[-dim:]) + ",", f"fallback([{', '.join(state)}])"))
+    return _rk4_source(f"def {field}(y, t, fallback, {', '.join(rest[dim * deriv:])}):",
+                       state, slope, body.splitlines(), final=not deriv)
 
 
-def _chart_field(field, definition, exprs, guard):
+# A trajectory step that meets one of these ends the path instead of failing it.
+_DOMAIN_ERRORS = (SingularPointError, EvaluationError, DegenerateTriadError)
+
+
+def _rk4_source(head, state, slope, body, final):
+    """Classical RK4 over the grid ``t`` (a float array) from the floats ``y``,
+    one copy of ``body`` (the field's lines) inside a loop over the 4 stages:
+    it reads the stage state from the names ``state`` and leaves the slope in
+    the names ``slope``, or raises.  The function returns ``(y, slope,
+    truncated)``, arrays (N, n) over flat buffers; the last node's slope is NaN
+    unless ``final``.  A domain error ends the path at the last node whose
+    slope was computed; at the first node it propagates.  The arithmetic is the
+    generic loop's: x + hh * a, x + h6 * (a + 2.0 * b + 2.0 * c + d)."""
+    n = len(state)
+    y, m = [f"y{i}" for i in range(n)], [f"m{i}" for i in range(n)]
+
+    def row(names):
+        return "".join(f"{x}, " for x in names)
+
+    def at(w=None, indent=" " * 8):  # the next stage state y + w * slope, or y itself
+        return [f"{indent}{x} = {y0}" + (f" + {w} * {k}" if w else "")
+                for x, y0, k in zip(state, y, slope)]
+
+    stages = ["for stage in range(4):", *body, "    if stage == 0:",
+              f"        slopes.extend(({row(slope)}))", "        done = k + 1",
+              *["        if done == len(t):", "            break"] * final,
+              "        h = t[k + 1] - t[k]", "        hh, h6 = 0.5 * h, h / 6.0",
+              *(f"        {a} = {k}" for a, k in zip(m, slope)), *at("hh"),
+              "    elif stage < 3:", *(f"        {a} = {a} + 2.0 * {k}" for a, k in zip(m, slope)),
+              "        w = hh if stage == 1 else h", *at("w"),
+              "    else:",
+              *(f"        {x} = {x} + h6 * ({a} + {k})" for x, a, k in zip(y, m, slope)),
+              f"        ys.extend(({row(y)}))", *at()]
+    return "\n".join([
+        head, f"    {row(y)}= y", *at(indent="    "),
+        "    ys, slopes, done, t = array('d', y), array('d'), 0, memoryview(t)",
+        "    try:",
+        f"        for k in range(len(t){' - 1' * (not final)}):",
+        *(f"{' ' * 12}{line}" for line in stages),
+        *[f"        slopes.extend(({'math.nan, ' * n}))"] * (not final),
+        "    except _DOMAIN_ERRORS:",
+        "        if done == 0:",
+        "            raise",
+        f"        del ys[{n} * done:]",  # a truncated path ends at the last node with a slope
+        f"    y = np.frombuffer(ys).reshape(-1, {n})",
+        f"    return y, np.frombuffer(slopes).reshape(-1, {n}), len(y) < len(t)\n"])
+
+
+def _chart_field(field, definition, exprs, guard, rk4=False):
     """``field(q1, .., qD, v.., parameter values.., floor2)`` of one chart
     definition (``Chart._definition``, whose ``exprs`` and ``guard`` it reads):
     the guard, the jets and the lines of ``_field_source`` in one function,
     compiled on first use.  It raises as ``Chart._jets`` raises and returns
-    what ``_trajectory_field`` returns on that pass's jets."""
-    key = (field, definition)
+    what ``_trajectory_field`` returns on that pass's jets.  With ``rk4``, the
+    chart's integrator ``field(y, t, fallback, v.., parameter values.., floor2)``
+    instead (``_rk4_source``; ``v`` only for the line image), which sends the
+    state of a stage whose field is None to ``fallback``."""
+    key = (field, definition, rk4)
     fn = _CHART_FIELDS.pop(key, None)  # re-inserted below: dict order is recency order
     if fn is None:
         kind, dim, sources, _, params = definition
         namespace = {**globals(), "_INF": math.inf, **{f"_REAL_{op}": f for op, f in _REAL.items()}}
-        label = f"<{field} field of the {kind} chart {list(sources)}>"
-        source = _chart_source(field, kind, dim, exprs, guard, params)
+        label = f"<{field} {'integrator' if rk4 else 'field'} of the {kind} chart {list(sources)}>"
+        source = _chart_source(field, kind, dim, exprs, guard, params, rk4)
         exec(compile(source, label, "exec"), namespace)
         fn = namespace[field]
         if len(_CHART_FIELDS) >= _CHART_FIELDS_KEPT:

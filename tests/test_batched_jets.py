@@ -89,9 +89,9 @@ def jet_calls(monkeypatch):
     calls = []
     original = Chart._jets
 
-    def counting(self, q, order):
+    def counting(self, q, order, **kw):
         calls.append(np.shape(q))
-        return original(self, q, order)
+        return original(self, q, order, **kw)
 
     monkeypatch.setattr(Chart, "_jets", counting)
     return calls

@@ -10,7 +10,8 @@ from torsionlab import _local, dynamics
 from torsionlab.charts import Chart
 from torsionlab.cli import _build_arg_parser, config_from_args, run
 
-from test_batched_jets import FAILING_PATHS
+from test_batched_jets import DELTAQ, FAILING_PATHS
+from test_rk4_stepper import watch_integrators
 
 # -- triad-jet passes ------------------------------------------------------------
 
@@ -19,21 +20,27 @@ from test_batched_jets import FAILING_PATHS
 def jet_passes(monkeypatch):
     """Triad orders of every jet pass made while the test runs: every triad
     and tensor evaluates its point through ``Chart._jets``, a trajectory field
-    at one point through the code generated for its chart definition, which
-    evaluates the jets inline (order 0 for the line image, 1 otherwise)."""
-    calls = []
-    original, generated = Chart._jets, dynamics._chart_field
+    at one point and each stage of a generated integrator through the code
+    generated for its chart definition, which evaluates the jets inline
+    (order 0 for the line image, 1 otherwise)."""
+    calls, original = [], Chart._jets
+    runs = watch_integrators(monkeypatch)  # what a tracer sees of each integrator run
+    generated = dynamics._chart_field
 
-    def counting(self, q, order):
+    def counting(self, q, order, **kw):
         calls.append(order)
-        return original(self, q, order)
+        return original(self, q, order, **kw)
 
     def counted_field(field, *definition):
+        before = len(runs)
         fn, order = generated(field, *definition), int(field != "line_image")
+        seen = runs[-1] if len(runs) > before else None  # an integrator's run
 
         def counted(*args):
-            calls.append(order)
-            return fn(*args)
+            try:
+                return fn(*args)
+            finally:  # one pass per call of a field, one per stage an integrator runs
+                calls.extend([order] * (seen["passes"] if seen else 1))
 
         return counted
 
@@ -90,6 +97,21 @@ def test_failing_stack_is_taken_point_by_point_once(jet_passes):
         with pytest.raises(tl.DegenerateTriadError, match=r"\[1.212500*1, 0.05\]"):
             consumer(chart, path)
         assert jet_passes == [order] * 3
+
+
+@pytest.mark.parametrize("case, failing, checked", [("guard", 10, 0), ("degenerate_then_guard", 5, 1)])
+def test_failing_sample_stack_goes_sample_by_sample(case, failing, checked, jet_passes):
+    # a failing stack of half-step samples is not re-run point by point in ``Chart._jets``:
+    # after its one pass, the samples go one by one through the chart's code up to the
+    # failing one (sample 10 is node 5, on the polar guard; sample 5 is a midpoint in the
+    # degenerate band, whose det takes one checked pass), which raises the point-by-point
+    # error (test_batched_jets)
+    chart, path = FAILING_PATHS[case]
+    for solver in (tl.nonholonomic_variation, tl.closure_defect_by_quadrature):
+        jet_passes.clear()
+        with pytest.raises((tl.SingularPointError, tl.DegenerateTriadError)):
+            solver(chart, path, DELTAQ)
+        assert jet_passes == [1] * (1 + failing + 1 + checked)
 
 
 def test_geometry_point_and_cli_tensors_make_one_pass(jet_passes):

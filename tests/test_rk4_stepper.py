@@ -1,20 +1,24 @@
-"""The generated RK4 stepper against the generic loop it replaced.
+"""The generated RK4 integrators against the generic loop they replaced.
 
-Every trajectory integrator runs ``dynamics._stepper``: straight-line code per
-(state size, slope components copied from the state) that calls the chart's
-generated field once per stage.  The oracle is ``rk4`` of
-``test_trajectory_fields``, the generic loop that once stepped every
-trajectory, over ``dynamics._field``.  The two must agree bit for bit: the
-states, the slopes (the NaN of an uncomputed last slope included), whether
-the path truncated, and the error that ended it.
+Every trajectory integrator runs one function generated per (chart
+definition, field), ``expressions._chart_field(..., rk4=True)``: the RK4 step
+loop with the chart's field lines inline in a loop over the 4 stages.  The
+oracle is ``rk4`` of ``test_trajectory_fields``, the generic loop that once
+stepped every trajectory, over ``dynamics._field``.  The two must agree bit
+for bit: the states, the slopes (the NaN of an uncomputed last slope
+included), whether the path truncated, and the error that ended it.  No call
+is left per stage to wrap, so a tracer on the integrator's frame observes it:
+the error raised into it, its ``stage`` then, and each pass of its field lines.
 """
+
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
 import torsionlab as tl
-from torsionlab import dynamics
+from torsionlab import dynamics, expressions
 from torsionlab.charts import BUILTIN_CHARTS, Chart
 from torsionlab.errors import DegenerateTriadError, EvaluationError
 
@@ -38,6 +42,59 @@ INTEGRATORS = {
 }
 
 
+def watched(rk4, field, definition, exprs, guard, seen):
+    """The integrator ``rk4`` of ``_chart_field(field, definition, exprs, guard,
+    True)``, recording in ``seen`` each pass of its field lines ("passes"), each
+    call of its fallback ("fallback"), every error raised into its frame
+    ("errors") and the stage (0-3) that met it ("stage")."""
+    kind, dim, _, _, params = definition
+    source = expressions._chart_source(field, kind, dim, exprs, guard, params, True).splitlines()
+    first = source.index(" " * 12 + "for stage in range(4):") + 2  # the field's first line
+    code = rk4.__code__
+
+    def local(frame, event, arg):
+        if event == "line" and frame.f_lineno == first:
+            seen["passes"] += 1
+        elif event == "exception":
+            seen["errors"].append((arg[0], str(arg[1])))
+            seen["stage"] = frame.f_locals["stage"]
+        return local
+
+    def tracer(frame, event, arg):
+        return local if frame.f_code is code else None
+
+    def run(y, t, fallback, *args):
+        def counted(state):
+            seen["fallback"] += 1
+            return fallback(state)
+
+        previous = sys.gettrace()
+        sys.settrace(tracer)
+        try:
+            seen["returned"] = rk4(y, t, counted, *args)
+        finally:
+            sys.settrace(previous)
+        return seen["returned"]
+
+    return run
+
+
+def watch_integrators(patch):
+    """What the tracer sees of every generated integrator run while ``patch``
+    is active, one ``seen`` record per run (see ``watched``)."""
+    runs, generated = [], dynamics._chart_field
+
+    def chart_field(field, definition, exprs, guard, rk4=False):
+        fn = generated(field, definition, exprs, guard, rk4)
+        if not rk4:
+            return fn
+        runs.append({"passes": 0, "fallback": 0, "errors": [], "stage": None})
+        return watched(fn, field, definition, exprs, guard, runs[-1])
+
+    patch.setattr(dynamics, "_chart_field", chart_field)
+    return runs
+
+
 def by_oracle(chart, field, q0, qdot0, h, steps):
     """``rk4`` over ``dynamics._field`` as the integrators once ran it: states,
     slopes, whether it truncated, and every error a right-hand side met."""
@@ -48,39 +105,15 @@ def by_oracle(chart, field, q0, qdot0, h, steps):
     return stepped(dynamics._field(chart, field), chart, field, q0.tolist(), v, h, steps)
 
 
-def by_stepper(chart, field, q0, qdot0, h, steps):
-    """The integrator's trajectory, what its stepper returned and every error its
-    field met, with the calls of the field and its fallback and the stage (0-3)
-    of the call that met the error."""
-    runs, errors, calls = [], [], {"field": 0, "fallback": 0, "stage": None}
-    original = dynamics._stepper
-
-    def watched(name, fn):
-        def call(*args):
-            calls[name] += 1
-            try:
-                return fn(*args)
-            except Exception as exc:
-                errors.append((type(exc), str(exc)))
-                calls["stage"] = (calls["field"] - 1) % 4
-                raise
-
-        return call
-
-    def recording(n, copied):
-        rk4 = original(n, copied)
-
-        def run(field, args, fallback, *rest):
-            runs.append(rk4(watched("field", field), args, watched("fallback", fallback), *rest))
-            return runs[-1]
-
-        return run
-
+def by_integrator(chart, field, q0, qdot0, h, steps):
+    """The integrator's trajectory, what its generated integrator returned and
+    every error raised into it, with its passes, fallback calls and stage."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(dynamics, "_stepper", recording)
+        runs = watch_integrators(patch)
         traj = INTEGRATORS[field](chart, q0, qdot0, (0.0, h * steps), h)
-    ((y, slope, truncated),) = runs
-    return traj, y, slope, truncated, errors, calls
+    (seen,) = runs
+    y, slope, truncated = seen["returned"]
+    return traj, y, slope, truncated, seen["errors"], seen
 
 
 def failed(result):
@@ -88,14 +121,14 @@ def failed(result):
 
 
 def assert_stepper_equals_oracle(chart, field, q0, qdot0, h=0.05, steps=20):
-    """The integrator against the oracle, bitwise; returns the stepper's call
-    counts, or None where both reject the start or fail at the first node."""
+    """The integrator against the oracle, bitwise; returns what the tracer saw
+    of the integrator, or None where both reject the start or fail at the first node."""
     ref = outcome(by_oracle, chart, field, q0, qdot0, h, steps)
-    got = outcome(by_stepper, chart, field, q0, qdot0, h, steps)
+    got = outcome(by_integrator, chart, field, q0, qdot0, h, steps)
     if failed(ref) or failed(got):
         assert got == ref, (chart.to_dict(), field, q0, qdot0)
         return None
-    traj, y, slope, truncated, errors, calls = got
+    traj, y, slope, truncated, errors, seen = got
     ref_y, ref_slope, ref_truncated, ref_errors = ref
     assert (truncated, errors) == (ref_truncated, ref_errors)
     assert_bitwise(y, ref_y)
@@ -107,7 +140,7 @@ def assert_stepper_equals_oracle(chart, field, q0, qdot0, h=0.05, steps=20):
         assert_bitwise(traj.qdot, slope)
     else:  # the path and its velocity
         assert_bitwise(np.hstack((traj.q, traj.qdot)), y)
-    return calls
+    return seen
 
 
 @pytest.mark.parametrize("field", TRAJECTORY_FIELDS)
@@ -133,10 +166,10 @@ def test_truncating_paths_equal_the_generic_loop():
     stages = set()
     for edge, (chart, q0, qdot0) in sorted(TRUNCATING.items()):
         for field in TRAJECTORY_FIELDS:
-            calls = assert_stepper_equals_oracle(chart, field, q0, qdot0, h=1e-2, steps=100)
+            seen = assert_stepper_equals_oracle(chart, field, q0, qdot0, h=1e-2, steps=100)
             if (edge, field) != ("sphere_pole", "line_image"):  # that one turns away in time
-                assert calls["stage"] is not None, (edge, field)
-                stages.add(calls["stage"])
+                assert seen["stage"] is not None, (edge, field)
+                stages.add(seen["stage"])
     assert len(stages) > 1  # the paths end in different RK4 stages
 
 
@@ -151,18 +184,19 @@ def test_path_ending_at_a_node_equals_the_generic_loop(field):
     c1, c2 = path.q[node].tolist()
     guarded = Chart(2, chart.kind, chart.exprs, params=chart.params,
                     guard=f"(q1 - {c1!r})^2 + (q2 - {c2!r})^2 - 1e-18")
-    calls = assert_stepper_equals_oracle(guarded, field, q0, qdot0, h=0.05, steps=steps)
-    assert calls["stage"] == 0
-    assert len(by_stepper(guarded, field, q0, qdot0, 0.05, steps)[0]) == node
+    seen = assert_stepper_equals_oracle(guarded, field, q0, qdot0, h=0.05, steps=steps)
+    assert seen["stage"] == 0
+    assert seen["passes"] == 4 * node + 1  # every stage up to the node's own
+    assert len(by_integrator(guarded, field, q0, qdot0, 0.05, steps)[0]) == node
 
 
 def test_near_floor_path_takes_the_checked_determinant():
-    # det g within rounding of the floor: the generated field returns None and the
-    # stepper asks the fallback, which decides with the checked determinant
+    # det g within rounding of the floor: the field lines leave no slope and the
+    # integrator asks the fallback, which decides with the checked determinant
     chart = Chart(2, "map", ["atan2(q1, q1)", "atan2(q1, sqrt(q2))"])
     for field in TRAJECTORY_FIELDS:
-        calls = assert_stepper_equals_oracle(chart, field, [1.0, 0.0078125], [0.0, 1.0])
-        assert calls["fallback"] > 0, field
+        seen = assert_stepper_equals_oracle(chart, field, [1.0, 0.0078125], [0.0, 1.0])
+        assert seen["fallback"] > 0, field
 
 
 @pytest.mark.parametrize("field", TRAJECTORY_FIELDS)
@@ -175,13 +209,39 @@ def test_error_at_the_first_node_propagates(field):
             INTEGRATORS[field](chart, q0, [0.3, -0.2], (0.0, 1.0), 0.05)
 
 
+# one argument feeding sin, cos and exp in the guard and in several entries: each is
+# evaluated once per argument and stage, and read by every jet component that needs it
+SHARED_ARGUMENTS = {
+    "map": Chart(2, "map", ["exp(q1)*cos(q2) + sin(q1*q2)", "exp(q1)*sin(q2) - cos(q1*q2)",
+                            "cos(q1)*exp(q1*q2) + sin(q1)"],
+                 guard="2 + sin(q1*q2) - cos(q2)*exp(q1 - 3)"),
+    "triad": Chart(2, "triad", ["2 + cos(q1)", "sin(q1)*exp(q2)", "-sin(q1)*exp(q2)",
+                                "2 + cos(q1)*exp(-q2)"], guard="exp(q1) - cos(q1) + sin(q1)"),
+}
+
+
+@pytest.mark.parametrize("field", TRAJECTORY_FIELDS)
+@pytest.mark.parametrize("kind", sorted(SHARED_ARGUMENTS))
+def test_shared_elementary_functions_equal_the_generic_loop(kind, field, rng):
+    chart = SHARED_ARGUMENTS[kind]
+    source = expressions._chart_source(field, kind, 2, chart.exprs, chart.guard, (), True)
+    calls = [line.split(" = ")[1] for line in source.splitlines()
+             if line.split(" = ")[-1].startswith(("_sin(", "_cos(", "_exp("))]
+    assert len(calls) == len(set(calls)) >= 5, calls
+    for q0, qdot0 in zip(0.2 + rng.random((3, 2)), rng.normal(size=(3, 2))):
+        assert assert_stepper_equals_oracle(chart, field, q0.tolist(), qdot0.tolist()) is not None
+    # an exp that overflows fails the path alike, after the stages before it
+    assert assert_stepper_equals_oracle(chart, field, [0.3, 0.2], [2e4, 2e4], h=0.1, steps=3) is None
+
+
 def test_import_compiles_no_stepper():
-    # one stepper per (state size, copied components), compiled when a path first needs it
+    # one integrator per (field, chart definition), compiled when a path first needs it
     assert fresh_interpreter(
-        "import torsionlab as tl, torsionlab.dynamics as d; print(len(d._STEPPERS)); "
+        "import torsionlab as tl, torsionlab.expressions as e; print(len(e._CHART_FIELDS)); "
         "st = tl.builtin_chart('synthetic_torsion'); "
         "tl.integrate_autoparallel(st, [0.1, 0.2], [1.0, 0.7], (0.0, 0.1), 0.01); "
         "tl.integrate_geodesic(tl.builtin_chart('sphere'), [1.0, 0.0], [0.3, 0.4], (0.0, 0.1), 0.01); "
         "tl.straight_line_image(st, [0.1, 0.2], [1.0, 0.7], (0.0, 0.1), 0.01); "
-        "print(sorted(d._STEPPERS))"
-    ) == ["0", "[(2,", "0),", "(4,", "2)]"]
+        "print(*sorted((f, d[0], rk4) for f, d, rk4 in e._CHART_FIELDS), sep=';')"
+    ) == ["0", "('autoparallel',", "'triad',", "True);('geodesic',", "'map',",
+          "True);('line_image',", "'triad',", "True)"]

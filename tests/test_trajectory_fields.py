@@ -211,7 +211,7 @@ def test_near_singular_metric_takes_the_checked_determinant():
 
 def rk4(rhs, y0, t_grid, final_slope=False):
     """Classical RK4 for y' = rhs(j, y) on ``t_grid``: the generic loop that once
-    stepped every trajectory, the oracle of the generated ``dynamics._stepper``.
+    stepped every trajectory, the oracle of the generated RK4 integrators.
 
     ``j`` counts half steps: 2k at node k, 2k + 1 at the midpoint of step k.
     The state passed to ``rhs`` is a list of floats, and ``rhs`` returns a

@@ -2,13 +2,27 @@
 
 Usage::
 
-    python tools/bench_kernel.py --out BENCH.json [--src SRC] [--label LABEL]
+    python tools/bench_kernel.py --out BENCH.json [--src SRC] [--label LABEL] [--groups G,..]
+    python tools/bench_kernel.py --out BENCH.json --pair SRC_A SRC_B [--rounds N]
+        [--groups G,..] [--perfbench PAIRS]
 
 Imports ``torsionlab`` from ``SRC`` (default: this checkout's ``src``), times
 the layers below and merges the result into ``--out`` under ``runs[LABEL]``,
 so two checkouts (say, before and after a change) can be recorded side by
-side in one file.  Layers, each a warm
-median over ``repeats`` timed calls with ``time.perf_counter``:
+side in one file.  ``--groups`` picks the groups of layers to time (``kernel``,
+``ring``, ``trajectories``, ``imports``; all by default).
+
+With ``--pair``, ``SRC_A`` is the parent and ``SRC_B`` the change.  Each of
+``--rounds`` rounds times each side's layers in a fresh interpreter, the two
+sides in turn, alternating which goes first, so that machine drift between
+rounds cancels in the per-round ratios; ``--out`` then holds, per layer, both
+sides' medians of each round, the change/parent ratios and their median and
+quartiles.  ``--perfbench PAIRS`` adds that many alternating pairs of
+``perfbench/run.py`` runs per workload, each side run from the checkout that
+holds its ``src`` (the benchmark's run length, seeds 1501, 1502, ...), with
+the end-to-end metrics of every run, their change/parent ratios and how many
+pairs the change is lower in.  Layers, each a warm median over ``repeats``
+timed calls with ``time.perf_counter``:
 
 the kernel, under criterion 8 on the 48 x 96 sphere:
 
@@ -68,18 +82,17 @@ the cold start:
 
 * ``import_torsionlab``       ``import torsionlab`` in a fresh interpreter, timed
   inside it (the median of 9 interpreters);
-* ``stepper_first_use``       the first use of both RK4 steppers a D = 2 chart's
-  trajectories take, ``dynamics._stepper(4, 2)`` (geodesic and autoparallel) and
-  ``dynamics._stepper(2, 0)`` (line image): their code generated and compiled,
-  timed inside a fresh interpreter after the import (the median of 9).
+* ``integrator_first_use``    the first use of the sphere's geodesic and
+  line-image integrators: one step of ``integrate_geodesic`` and one of
+  ``straight_line_image`` on the unit sphere, all the code they take generated
+  and compiled, timed inside a fresh interpreter after the import (the median of 9).
 
 A layer that a checkout cannot run (a stacked ``PostpointData`` or every
-``LocalGeometry`` tensor over a stack, before they took one; the steppers,
-before they came in) is recorded with ``median_s`` null and the error
-under ``unsupported``.
+``LocalGeometry`` tensor over a stack, before they took one) is recorded with
+``median_s`` null and the error under ``unsupported``.
 
 Only public names are used, besides ``_local.LocalGeometry``,
-``dynamics._expm`` and ``dynamics._stepper`` (optional, as above) and
+``dynamics._expm`` (optional, as above) and
 ``dynamics._half_step_samples``, whose
 signature is unchanged since the variation solvers first shared it, and
 ``dynamics._field`` and ``expressions._trajectory_field``, unchanged since
@@ -94,8 +107,10 @@ import json
 import math
 import os
 import platform
+import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -111,6 +126,7 @@ TRAJECTORY_STEPS, TRAJECTORY_H = 1000, 1e-3
 VARIATION_CALLS = 1000
 FIELD_CALLS = 10000
 IMPORTS = 9
+PERFBENCH_SECONDS = 38.0  # the run length BENCHMARK.json sets
 DELTAQ = ["0.3*t*(1 - t)", "-0.2*t*(1 - t)"]  # criterion 5
 GEOMETRY_TENSORS = ("g", "invg", "recip", "dg", "d2g", "dinvg", "chris1", "chris2", "dchris2",
                     "gamma", "dgamma", "torsion", "contortion", "contortion_mixed", "cartan",
@@ -316,24 +332,31 @@ def _fresh_timing(code):
 
 
 def _import_layers():
-    """``import torsionlab`` and the first use of the RK4 steppers, each in fresh interpreters."""
+    """``import torsionlab`` and the first use of two integrators, each in fresh interpreters."""
     return {
         "import_torsionlab": _fresh_timing(
             "import time; t = time.perf_counter(); import torsionlab; "
             "print(time.perf_counter() - t)"),
-        "stepper_first_use": _fresh_timing(
-            "import time, torsionlab.dynamics as d; t = time.perf_counter(); "
-            "d._stepper(4, 2), d._stepper(2, 0); print(time.perf_counter() - t)"),
+        "integrator_first_use": _fresh_timing(
+            "import time, torsionlab as tl; s = tl.builtin_chart('sphere', r=1.0); "
+            "t = time.perf_counter(); "
+            "tl.integrate_geodesic(s, [1.2, 0.1], [0.3, 0.8], (0.0, 1e-3), 1e-3); "
+            "tl.straight_line_image(s, [1.2, 0.1], [0.3, 0.8], (0.0, 1e-3), 1e-3); "
+            "print(time.perf_counter() - t)"),
     }, {}
 
 
-def measure():
+GROUPS = {"kernel": _kernel_layers, "ring": _ring_layers, "trajectories": _trajectory_layers,
+          "imports": _import_layers}
+
+
+def measure(groups=tuple(GROUPS)):
     import numpy as np
     import scipy
 
     result = {"layers": {}}
-    for group in (_kernel_layers, _ring_layers, _trajectory_layers, _import_layers):
-        layers, facts = group()
+    for group in groups:
+        layers, facts = GROUPS[group]()
         result["layers"].update(layers)
         result.update(facts)
     result["machine"] = {
@@ -346,14 +369,102 @@ def measure():
     return result
 
 
+def _quartiles(values):
+    if len(values) < 2:
+        return {"median": values[0], "q1": values[0], "q3": values[0]}
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def _side(src, groups):
+    """One side's layers, timed by this script in a fresh interpreter."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "run.json"
+        subprocess.run([sys.executable, __file__, "--src", src, "--out", str(out),
+                        "--groups", ",".join(groups)], check=True, stdout=subprocess.DEVNULL)
+        return json.loads(out.read_text())["runs"]["current"]
+
+
+def _perfbench(src, workload, seed):
+    """The end-to-end metrics of one ``perfbench/run.py`` run of the checkout holding ``src``."""
+    root = Path(src).resolve().parent
+    command = [sys.executable, str(root / "perfbench" / "run.py"), "--workload", workload,
+               "--seed", str(seed), "--seconds", str(PERFBENCH_SECONDS), "--trace", "0"]
+    run = subprocess.run(command, cwd=root, check=True, capture_output=True, text=True)
+    result = json.loads(run.stdout.strip().splitlines()[-1])
+    return result["failed"] / result["attempted"], {
+        name: metric["value"] for name, metric in result["metrics"].items()}
+
+
+def _in_turn(rounds, measure_side):
+    """``measure_side(side, r)`` for both sides in each round r, alternating which goes first."""
+    runs = {"parent": [], "change": []}
+    for r in range(rounds):
+        for side in ("parent", "change") if r % 2 == 0 else ("change", "parent"):
+            runs[side].append(measure_side(side, r))
+    return runs
+
+
+def _compare(parent, change):
+    ratios = [c / p for p, c in zip(parent, change)]
+    lower = sum(c < p for p, c in zip(parent, change))
+    return {"parent": parent, "change": change, "ratio": ratios,
+            "ratio_quartiles": _quartiles(ratios), "parent_quartiles": _quartiles(parent),
+            "change_quartiles": _quartiles(change), "change_lower": lower}
+
+
+def pair(sources, rounds, groups, perfbench_pairs):
+    """Interleaved parent/change timings of the layers and, optionally, of ``perfbench``."""
+    srcs = dict(zip(("parent", "change"), sources))
+    runs = _in_turn(rounds, lambda side, _: _side(srcs[side], groups))
+    layers = {}
+    for name in runs["parent"][0]["layers"]:
+        medians = {side: [run["layers"][name]["median_s"] for run in runs[side]] for side in runs}
+        if None not in medians["parent"] + medians["change"]:
+            layers[name] = _compare(medians["parent"], medians["change"])
+    doc = {"harness": "tools/bench_kernel.py --pair", "rounds": rounds, "groups": list(groups),
+           "layers": layers, "machine": runs["parent"][0]["machine"]}
+    if perfbench_pairs:
+        doc["perfbench"] = {"seconds": PERFBENCH_SECONDS, "workloads": {}}
+        for workload in ("trajectories", "geometry_sweep", "spectra"):
+            bench = _in_turn(perfbench_pairs, lambda side, r: _perfbench(
+                srcs[side], workload, 1501 + r))
+            doc["perfbench"]["workloads"][workload] = {
+                "fail_frac": {side: [fail for fail, _ in bench[side]] for side in bench},
+                **{name: _compare(*([metrics[name] for _, metrics in bench[side]]
+                                    for side in ("parent", "change")))
+                   for name in bench["parent"][0][1]}}
+    return doc
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", default=str(ROOT / "src"), help="directory holding torsionlab")
     parser.add_argument("--label", default="current", help="key of this run in the output")
     parser.add_argument("--out", required=True, help="JSON file to merge the run into")
+    parser.add_argument("--groups", default=",".join(GROUPS), help="groups of layers to time")
+    parser.add_argument("--pair", nargs=2, metavar=("SRC_A", "SRC_B"),
+                        help="time the parent SRC_A and the change SRC_B in turn")
+    parser.add_argument("--rounds", type=int, default=10, help="rounds of a --pair run")
+    parser.add_argument("--perfbench", type=int, default=0, metavar="PAIRS",
+                        help="perfbench pairs per workload in a --pair run")
     args = parser.parse_args(argv)
+    groups = [g for g in args.groups.split(",") if g]
+    if args.pair:
+        doc = pair([str(Path(src).resolve()) for src in args.pair], args.rounds, groups,
+                   args.perfbench)
+        Path(args.out).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        rows = [(name, layer, args.rounds) for name, layer in doc["layers"].items()]
+        rows += [(f"{workload} {name}", metric, args.perfbench)
+                 for workload, metrics in doc.get("perfbench", {}).get("workloads", {}).items()
+                 for name, metric in metrics.items() if name != "fail_frac"]
+        for name, layer, count in rows:
+            q = layer["ratio_quartiles"]
+            print(f"{name:<32} change/parent {q['median']:.3f} ({q['q1']:.3f}-{q['q3']:.3f}),"
+                  f" change lower in {layer['change_lower']}/{count}")
+        return
     sys.path.insert(0, str(Path(args.src).resolve()))
-    result = measure()
+    result = measure(groups)
     out = Path(args.out)
     doc = json.loads(out.read_text()) if out.exists() else {}
     doc.setdefault("harness", "tools/bench_kernel.py")
