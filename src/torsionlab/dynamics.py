@@ -7,7 +7,7 @@ integrator is kept as an independent oracle.  The closure defect of varied
 paths solves a linear ODE driven by torsion.
 
 All three trajectory kinds are stepped by one RK4 integrator generated per
-chart definition and field (``expressions._chart_field`` with ``rk4``): the
+chart definition and field (``_fields._chart_field`` with ``rk4``): the
 step loop on floats with the chart's field lines inline in a loop over the 4
 stages, so no call is left per stage, into flat buffers.  The linear
 closure-defect ODE takes its RK4 steps as affine maps, all built at once.
@@ -16,7 +16,7 @@ Its second, independent solver, an ordered exponential (one stacked Pade
 variation matrices.
 
 The geodesic, autoparallel and line-image right-hand sides and the
-variation matrices are straight-line functions generated by ``expressions``.
+variation matrices are straight-line functions generated by ``_fields``.
 At one phase point of floats, one call of the code generated for the chart's
 definition checks the guard, evaluates every chart expression's jet and
 returns the field as plain floats; over a stack of points the same field
@@ -38,6 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._fields import _chart_field, _trajectory_field
 from ._local import LocalGeometry, attempt, checked_gram, columns
 from .charts import Chart
 from .config import active_profile
@@ -49,7 +50,7 @@ from .errors import (
     SamplingError,
     ValidationError,
 )
-from .expressions import _chart_field, _trajectory_field, parse_over
+from .expressions import parse_over
 
 
 @dataclass

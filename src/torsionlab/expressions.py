@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import operator
 import re
-from array import array  # for the generated integrators
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -21,13 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    DegenerateTriadError,
-    EvaluationError,
-    ExpressionParseError,
-    SingularPointError,
-    ValidationError,
-)
+from .errors import EvaluationError, ExpressionParseError, ValidationError
 
 FUNCTIONS = {"sin": 1, "cos": 1, "atan2": 2, "sqrt": 1, "exp": 1, "log": 1}
 
@@ -995,290 +988,3 @@ def parse_over(sources, allowed, context: str) -> tuple:
                     f"unknown name {ident!r} in {context} {expr.source!r}", 1, col, ident
                 )
     return exprs
-
-
-# -- straight-line trajectory fields: the right-hand sides of ``dynamics``
-# written out per (field, chart kind, D, ambient dimension) over the raw jet
-# tuples of a chart's expressions (``Chart._jets`` at triad order 1, order 0
-# for the line image) and the velocity v, and compiled on first use like the
-# kernels above.  Each term is contracted with v while its indices are still
-# lowered, so no rank-3 tensor is formed:
-#
-#   P^i_k = d_l e^i_k v^l,  T^i_l = d_l e^i_k v^k,  w^i = P^i_k v^k,  u^i = e^i_k v^k
-#   geodesic      -g^{ms} (e^i_s w^i + u^i (P^i_s - T^i_s))  = -Gammabar^m_{ln} v^l v^n
-#   autoparallel  -g^{ms} e^i_s w^i                          = -Gamma_{lk}^m v^l v^k
-#   variation     G^m_l = g^{ms} e^i_s T^i_l,  Sigma^m_n = g^{ms} e^i_s (P^i_n - T^i_n)
-#   line_image    g^{ms} e^i_s v^i = e_i^m v^i, with v^i the flat velocity
-#
-# with g_{mn} = e^i_m e^i_n formed from the triad.  A map chart's d_l e^i_k is
-# symmetric, so there P = T and its torsion terms vanish identically.  The
-# metric is inverted by cofactors for D <= 3 and by one ``np.linalg.solve``
-# above.  A field returns plain floats, D accelerations or the row-major
-# D x D matrices (G, Sigma), where its own det g clears ``floor2``, the
-# squared degenerate-triad floor, by more than rounding (1e-13 of the product
-# of the diagonal of g, which bounds det g), and None elsewhere: there the
-# caller decides with the determinant of the degenerate-triad check and, if
-# the point passes, calls again with that ``det``.  On batched jets and a
-# velocity of D arrays it returns arrays, and None unless every point clears
-# (above D = 3 it raises, and the caller takes the points one by one).
-#
-# ``_chart_field`` writes the same lines once per chart definition behind the
-# guard and the jets of every chart expression, which ``_Taylor`` inlines
-# (a subexpression shared between entries, found by structural hashing of
-# the AST, computed once): one call evaluates the field at a phase point of
-# floats.  Parameter values are arguments, so charts that differ only in
-# them share the code.
-
-_FIELDS: dict = {}  # (field, kind, D, ambient) -> compiled field function
-_CHART_FIELDS: dict = {}  # (field, (kind, D, sources, guard, parameter names), rk4) -> function
-_CHART_FIELDS_KEPT = 128  # entries kept, the most recently used (8-33 KB each)
-
-_ADJUGATES = {  # upper triangle of the adjugate of a symmetric g, and det g
-    1: ({(0, 0): "1.0"}, "g0_0"),
-    2: ({(0, 0): "g1_1", (0, 1): "-g0_1", (1, 1): "g0_0"}, "g0_0*g1_1 - g0_1*g0_1"),
-    3: (
-        {
-            (0, 0): "g1_1*g2_2 - g1_2*g1_2",
-            (0, 1): "g0_2*g1_2 - g0_1*g2_2",
-            (0, 2): "g0_1*g1_2 - g0_2*g1_1",
-            (1, 1): "g0_0*g2_2 - g0_2*g0_2",
-            (1, 2): "g0_1*g0_2 - g0_0*g1_2",
-            (2, 2): "g0_0*g1_1 - g0_1*g0_1",
-        },
-        "g0_0*a0_0 + g0_1*a0_1 + g0_2*a0_2",
-    ),
-}
-
-
-def _jet_names(kind, dim, ambient, deriv):
-    """Per chart expression, the names the field lines give its jet components
-    at triad order ``deriv`` ("_" where they read none)."""
-    if kind == "map":  # x^i: e^i_k = d_k x^i, d_l e^i_k = d_k d_l x^i
-        return [["_" if not s else f"e{i}_{s[0]}" if len(s) == 1 else f"d{i}_{s[0]}_{s[1]}"
-                 for s in _multisets(dim, 1 + deriv)] for i in range(ambient)]
-    # e^i_k, row-major in (i, k)
-    return [[f"e{i}_{k}"] + [f"d{i}_{k}_{l}" for l in range(dim)] * deriv
-            for i in range(ambient) for k in range(dim)]
-
-
-def _field_source(field, kind, dim, ambient, head=None, slope=None):
-    """Source of ``field``; ``head`` (the def line and the lines binding the
-    jet names and the velocity) unpacks ``jets`` and ``v`` by default.  With
-    ``slope``, the lines compute the field into names instead of returning it."""
-    rD, rA = range(dim), range(ambient)
-    deriv = field != "line_image"
-
-    def total(terms):
-        return " + ".join(terms)
-
-    def dE(i, k, l):  # d_l e^i_k; a map chart's is symmetric in (k, l)
-        return f"d{i}_{min(k, l)}_{max(k, l)}" if kind == "map" else f"d{i}_{k}_{l}"
-
-    if head is None:
-        names = _jet_names(kind, dim, ambient, deriv)
-        head = [
-            f"def {field}(jets, v, floor2, det=None):",
-            f"    {', '.join('(' + ', '.join(n) + ',)' for n in names)}, = jets",
-            f"    {', '.join(f'v{k}' for k in (rD if deriv else rA))}, = v",
-        ]
-    T = "p" if kind == "map" else "t"
-    lines = list(head)
-    if deriv:
-        lines += [f"    p{i}_{k} = {total(f'{dE(i, k, l)}*v{l}' for l in rD)}" for i in rA for k in rD]
-    if deriv and kind != "map":
-        lines += [f"    t{i}_{l} = {total(f'{dE(i, k, l)}*v{k}' for k in rD)}" for i in rA for l in rD]
-    lines += [f"    g{m}_{n} = {total(f'e{i}_{m}*e{i}_{n}' for i in rA)}" for m in rD for n in rD if m <= n]
-
-    if field == "line_image":
-        columns = [[total(f"e{i}_{s}*v{i}" for i in rA) for s in rD]]
-        sign = ""
-    elif field == "variation":  # right-hand sides: the D columns of G, then of Sigma
-        columns = [[total(f"e{i}_{s}*{T}{i}_{l}" for i in rA) for s in rD] for l in rD]
-        if kind != "map":
-            columns += [[total(f"e{i}_{s}*(p{i}_{n} - t{i}_{n})" for i in rA) for s in rD] for n in rD]
-        sign = ""
-    else:
-        lines += [f"    w{i} = {total(f'p{i}_{k}*v{k}' for k in rD)}" for i in rA]
-        torsion = field == "geodesic" and kind != "map"
-        if torsion:
-            lines += [f"    u{i} = {total(f'e{i}_{k}*v{k}' for k in rD)}" for i in rA]
-        columns = [[
-            total([f"e{i}_{s}*w{i}" for i in rA]
-                  + ([f"u{i}*(p{i}_{s} - t{i}_{s})" for i in rA] if torsion else []))
-            for s in rD
-        ]]
-        sign = "-"
-    for c, column in enumerate(columns):
-        lines += [f"    c{c}_{s} = {entry}" for s, entry in enumerate(column)]
-
-    zero = ", ".join(["0.0"] * dim * dim)  # a map chart's Sigma
-    if dim in _ADJUGATES:
-        adjugate, det = _ADJUGATES[dim]
-        lines += [f"    a{m}_{n} = {entry}" for (m, n), entry in adjugate.items()]
-        solve = []
-        # x[c][m]: row m of the solution for column c
-        x = [[f"{sign}({total(f'a{min(m, s)}_{max(m, s)}*c{c}_{s}' for s in rD)}) / det" for m in rD]
-             for c in range(len(columns))]
-        result = f"({', '.join(x[0])},)"
-        if field == "variation":
-            G = ", ".join(x[l][m] for m in rD for l in rD)
-            S = ", ".join(x[dim + n][m] for m in rD for n in rD) if kind != "map" else zero
-            result = f"({G},), ({S},)"
-    else:
-        rows = ", ".join("(" + ", ".join(f"g{min(m, n)}_{max(m, n)}" for n in rD) + ")" for m in rD)
-        rhs = ", ".join("(" + ", ".join(f"c{c}_{s}" for c in range(len(columns))) + ",)" for s in rD)
-        lines.append(f"    g = np.array(({rows}))")
-        det, solve = "float(np.linalg.det(g))", [f"x = np.linalg.solve(g, np.array(({rhs})))"]
-        S = f"tuple(x[:, {dim}:].ravel().tolist())" if kind != "map" else f"({zero},)"
-        result = (f"tuple(({sign}x[:, 0]).tolist())" if field != "variation"
-                  else f"tuple(x[:, :{dim}].ravel().tolist()), {S}")
-    ok = f"(floor2 + 1e-13*{'*'.join(f'g{m}_{m}' for m in rD)} < det) & (det < _INF)"
-    if slope is None:  # per point of a batch
-        lines += ["    if det is None:", f"        det = {det}", f"        ok = {ok}",
-                  "        if not (ok if ok.__class__ is bool else ok.all()):",
-                  "            return None", *(f"    {line}" for line in solve), f"    return {result}"]
-    else:  # inline: the slope into the names ``slope[0]``, or from the call ``slope[1]``
-        lines += [f"    det = {det}", f"    if {ok}:", *(f"        {line}" for line in solve),
-                  f"        {slope[0]} = {result}", "    else:", f"        {slope[0]} = {slope[1]}"]
-    return "\n".join(lines) + "\n"
-
-
-def _trajectory_field(field, kind, dim, ambient):
-    """The compiled ``field(jets, v, floor2, det=None)`` ("geodesic",
-    "autoparallel", "variation" or "line_image") of a chart of this kind,
-    dimension and ambient dimension."""
-    key = (field, kind, dim, ambient)
-    fn = _FIELDS.get(key)
-    if fn is None:
-        namespace = {"np": np, "_INF": math.inf}
-        label = f"<{field} field {kind} D={dim} A={ambient}>"
-        exec(compile(_field_source(field, kind, dim, ambient), label, "exec"), namespace)
-        fn = _FIELDS[key] = namespace[field]
-    return fn
-
-
-def _chart_source(field, kind, dim, exprs, guard, params, rk4=False):
-    ambient = len(exprs) if kind == "map" else dim
-    deriv = field != "line_image"
-    order = (kind == "map") + deriv  # of the jets that give E and its ``deriv`` derivatives
-    coords = tuple(f"q{k + 1}" for k in range(dim))
-    names = {**{p: f"r{k}" for k, p in enumerate(params)}, **dict(zip(coords, coords))}
-    velocity = [f"v{k}" for k in range(dim if deriv else ambient)]
-    taylor = _Taylor(dim, order, "j")
-
-    def lowering(wrt):
-        memo = {}  # structural key of a subexpression -> (jet or plain value, is jet)
-
-        def lower(node):  # as ``_lower``: (structural key without columns, value, is jet)
-            if isinstance(node, Num):
-                return node.value, [node.value if math.isfinite(node.value) else "_INF"], False
-            if isinstance(node, Name):
-                if node.ident in wrt:
-                    return node.ident, taylor.var(wrt.index(node.ident), node.ident), True
-                return node.ident, [names[node.ident]], False
-            op, args = _operation(node)
-            lowered = [lower(a) for a in args]
-            key = (op, *(k for k, _, _ in lowered))
-            if key not in memo:
-                values, rule = [v for _, v, _ in lowered], _rule(op, [j for _, _, j in lowered])
-                memo[key] = (taylor.plain(op, *values) if rule is None
-                             else taylor.apply(rule, *values)), rule is not None
-            return key, *memo[key]
-
-        return lower
-
-    plain = lowering(())
-    if guard is not None:  # as ``Chart._checked_env``
-        test = taylor.use(plain(guard.ast)[1], 0)
-        taylor.lines += [f"    if not {_lit(test)} > 0.0:", "        raise SingularPointError("
-                         f"f'point {{[{', '.join(coords)}]}} rejected by chart domain guard')"]
-    lower = lowering(coords) if order else plain  # as ``Chart._jets``: plain values at order 0
-    for expr, row in zip(exprs, _jet_names(kind, dim, ambient, deriv)):
-        _, jet, is_jet = lower(expr.ast)
-        jet = taylor.const(jet) if order and not is_jet else jet
-        for i, name in enumerate(row):
-            if name != "_":
-                taylor.lines.append(f"    {name} = {_lit(jet[i])}")
-                jet[i] = name if isinstance(jet[i], _Code) else jet[i]
-    rest = [*velocity, *(f"r{k}" for k in range(len(params))), "floor2"]
-    if not rk4:
-        return _field_source(field, kind, dim, ambient, [
-            f"def {field}({', '.join([*coords, *rest])}, det=None):", *taylor.lines])
-    state = [*coords, *velocity[: dim * deriv]]
-    slope = [*velocity[: dim * deriv], *(f"f{k}" for k in range(dim))]
-    body = _field_source(field, kind, dim, ambient, taylor.lines,
-                         (", ".join(slope[-dim:]) + ",", f"fallback([{', '.join(state)}])"))
-    return _rk4_source(f"def {field}(y, t, fallback, {', '.join(rest[dim * deriv:])}):",
-                       state, slope, body.splitlines(), final=not deriv)
-
-
-# A trajectory step that meets one of these ends the path instead of failing it.
-_DOMAIN_ERRORS = (SingularPointError, EvaluationError, DegenerateTriadError)
-
-
-def _rk4_source(head, state, slope, body, final):
-    """Classical RK4 over the grid ``t`` (a float array) from the floats ``y``,
-    one copy of ``body`` (the field's lines) inside a loop over the 4 stages:
-    it reads the stage state from the names ``state`` and leaves the slope in
-    the names ``slope``, or raises.  The function returns ``(y, slope,
-    truncated)``, arrays (N, n) over flat buffers; the last node's slope is NaN
-    unless ``final``.  A domain error ends the path at the last node whose
-    slope was computed; at the first node it propagates.  The arithmetic is the
-    generic loop's: x + hh * a, x + h6 * (a + 2.0 * b + 2.0 * c + d)."""
-    n = len(state)
-    y, m = [f"y{i}" for i in range(n)], [f"m{i}" for i in range(n)]
-
-    def row(names):
-        return "".join(f"{x}, " for x in names)
-
-    def at(w=None, indent=" " * 8):  # the next stage state y + w * slope, or y itself
-        return [f"{indent}{x} = {y0}" + (f" + {w} * {k}" if w else "")
-                for x, y0, k in zip(state, y, slope)]
-
-    stages = ["for stage in range(4):", *body, "    if stage == 0:",
-              f"        slopes.extend(({row(slope)}))", "        done = k + 1",
-              *["        if done == len(t):", "            break"] * final,
-              "        h = t[k + 1] - t[k]", "        hh, h6 = 0.5 * h, h / 6.0",
-              *(f"        {a} = {k}" for a, k in zip(m, slope)), *at("hh"),
-              "    elif stage < 3:", *(f"        {a} = {a} + 2.0 * {k}" for a, k in zip(m, slope)),
-              "        w = hh if stage == 1 else h", *at("w"),
-              "    else:",
-              *(f"        {x} = {x} + h6 * ({a} + {k})" for x, a, k in zip(y, m, slope)),
-              f"        ys.extend(({row(y)}))", *at()]
-    return "\n".join([
-        head, f"    {row(y)}= y", *at(indent="    "),
-        "    ys, slopes, done, t = array('d', y), array('d'), 0, memoryview(t)",
-        "    try:",
-        f"        for k in range(len(t){' - 1' * (not final)}):",
-        *(f"{' ' * 12}{line}" for line in stages),
-        *[f"        slopes.extend(({'math.nan, ' * n}))"] * (not final),
-        "    except _DOMAIN_ERRORS:",
-        "        if done == 0:",
-        "            raise",
-        f"        del ys[{n} * done:]",  # a truncated path ends at the last node with a slope
-        f"    y = np.frombuffer(ys).reshape(-1, {n})",
-        f"    return y, np.frombuffer(slopes).reshape(-1, {n}), len(y) < len(t)\n"])
-
-
-def _chart_field(field, definition, exprs, guard, rk4=False):
-    """``field(q1, .., qD, v.., parameter values.., floor2)`` of one chart
-    definition (``Chart._definition``, whose ``exprs`` and ``guard`` it reads):
-    the guard, the jets and the lines of ``_field_source`` in one function,
-    compiled on first use.  It raises as ``Chart._jets`` raises and returns
-    what ``_trajectory_field`` returns on that pass's jets.  With ``rk4``, the
-    chart's integrator ``field(y, t, fallback, v.., parameter values.., floor2)``
-    instead (``_rk4_source``; ``v`` only for the line image), which sends the
-    state of a stage whose field is None to ``fallback``."""
-    key = (field, definition, rk4)
-    fn = _CHART_FIELDS.pop(key, None)  # re-inserted below: dict order is recency order
-    if fn is None:
-        kind, dim, sources, _, params = definition
-        namespace = {**globals(), "_INF": math.inf, **{f"_REAL_{op}": f for op, f in _REAL.items()}}
-        label = f"<{field} {'integrator' if rk4 else 'field'} of the {kind} chart {list(sources)}>"
-        source = _chart_source(field, kind, dim, exprs, guard, params, rk4)
-        exec(compile(source, label, "exec"), namespace)
-        fn = namespace[field]
-        if len(_CHART_FIELDS) >= _CHART_FIELDS_KEPT:
-            del _CHART_FIELDS[next(iter(_CHART_FIELDS))]  # the least recently used
-    _CHART_FIELDS[key] = fn
-    return fn

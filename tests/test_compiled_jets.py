@@ -219,8 +219,10 @@ def test_compiled_matches_interpreter(case, order):
     if isinstance(ref, type) or isinstance(got, type):
         assert ref == got  # both raise, and the same error
         return
-    # Infinities and NaNs carry no digits to compare.
-    assume(all(math.isfinite(x) for x in (*ref, *got)))
+    # Infinities and NaNs carry no digits to compare; where the interpreter's jet is
+    # finite, the compiled one must be too.
+    assume(all(math.isfinite(x) for x in ref))
+    assert all(math.isfinite(x) for x in got), (source, point, order, ref, got)
     assert_within_running_error(expr, names, point, order, ref, got)
 
 
@@ -358,8 +360,8 @@ def fresh_interpreter(code):
 
 def test_import_generates_no_kernels():
     assert fresh_interpreter(
-        "import torsionlab, torsionlab.expressions as e; "
-        "print(len(e._KERNELS), len(e._FIELDS), len(e._CHART_FIELDS))"
+        "import torsionlab, torsionlab.expressions as e, torsionlab._fields as f; "
+        "print(len(e._KERNELS), len(f._FIELDS), len(f._CHART_FIELDS))"
     ) == ["0", "0", "0"]
 
 

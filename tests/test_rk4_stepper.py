@@ -1,7 +1,7 @@
 """The generated RK4 integrators against the generic loop they replaced.
 
 Every trajectory integrator runs one function generated per (chart
-definition, field), ``expressions._chart_field(..., rk4=True)``: the RK4 step
+definition, field), ``_fields._chart_field(..., rk4=True)``: the RK4 step
 loop with the chart's field lines inline in a loop over the 4 stages.  The
 oracle is ``rk4`` of ``test_trajectory_fields``, the generic loop that once
 stepped every trajectory, over ``dynamics._field``.  The two must agree bit
@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 
 import torsionlab as tl
-from torsionlab import dynamics, expressions
+from torsionlab import _fields, dynamics
 from torsionlab.charts import BUILTIN_CHARTS, Chart
 from torsionlab.errors import DegenerateTriadError, EvaluationError
 
@@ -48,7 +48,7 @@ def watched(rk4, field, definition, exprs, guard, seen):
     call of its fallback ("fallback"), every error raised into its frame
     ("errors") and the stage (0-3) that met it ("stage")."""
     kind, dim, _, _, params = definition
-    source = expressions._chart_source(field, kind, dim, exprs, guard, params, True).splitlines()
+    source = _fields._chart_source(field, kind, dim, exprs, guard, params, True).splitlines()
     first = source.index(" " * 12 + "for stage in range(4):") + 2  # the field's first line
     code = rk4.__code__
 
@@ -224,7 +224,7 @@ SHARED_ARGUMENTS = {
 @pytest.mark.parametrize("kind", sorted(SHARED_ARGUMENTS))
 def test_shared_elementary_functions_equal_the_generic_loop(kind, field, rng):
     chart = SHARED_ARGUMENTS[kind]
-    source = expressions._chart_source(field, kind, 2, chart.exprs, chart.guard, (), True)
+    source = _fields._chart_source(field, kind, 2, chart.exprs, chart.guard, (), True)
     calls = [line.split(" = ")[1] for line in source.splitlines()
              if line.split(" = ")[-1].startswith(("_sin(", "_cos(", "_exp("))]
     assert len(calls) == len(set(calls)) >= 5, calls
@@ -237,11 +237,11 @@ def test_shared_elementary_functions_equal_the_generic_loop(kind, field, rng):
 def test_import_compiles_no_stepper():
     # one integrator per (field, chart definition), compiled when a path first needs it
     assert fresh_interpreter(
-        "import torsionlab as tl, torsionlab.expressions as e; print(len(e._CHART_FIELDS)); "
+        "import torsionlab as tl, torsionlab._fields as f; print(len(f._CHART_FIELDS)); "
         "st = tl.builtin_chart('synthetic_torsion'); "
         "tl.integrate_autoparallel(st, [0.1, 0.2], [1.0, 0.7], (0.0, 0.1), 0.01); "
         "tl.integrate_geodesic(tl.builtin_chart('sphere'), [1.0, 0.0], [0.3, 0.4], (0.0, 0.1), 0.01); "
         "tl.straight_line_image(st, [0.1, 0.2], [1.0, 0.7], (0.0, 0.1), 0.01); "
-        "print(*sorted((f, d[0], rk4) for f, d, rk4 in e._CHART_FIELDS), sep=';')"
+        "print(*sorted((g, d[0], rk4) for g, d, rk4 in f._CHART_FIELDS), sep=';')"
     ) == ["0", "('autoparallel',", "'triad',", "True);('geodesic',", "'map',",
           "True);('line_image',", "'triad',", "True)"]

@@ -14,7 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import torsionlab as tl
-from torsionlab import dynamics, expressions
+from torsionlab import _fields, dynamics
 from torsionlab._local import checked_gram
 from torsionlab.charts import BUILTIN_CHARTS, Chart
 from torsionlab.connection import affine_connection, christoffel, torsion_tensor
@@ -203,7 +203,7 @@ def test_near_singular_metric_takes_the_checked_determinant():
     chart = Chart(dim=2, kind="triad", exprs=["1", "1", "1", "1 + 1e-7*q1"])
     q, v = [1.0, 0.3], [0.5, -0.7]
     for field in FIELDS:
-        fn = expressions._trajectory_field(field, "triad", 2, 2)
+        fn = _fields._trajectory_field(field, "triad", 2, 2)
         assert fn(chart._jets(q, 1), v, 1e-24) is None
         ref, got = oracle(chart, field, q, v), generated(chart, field, q, v)
         assert np.max(np.abs(got - ref)) <= 1e-6 * np.max(np.abs(ref))
@@ -279,14 +279,14 @@ def test_truncation_matches_tensor_route(edge, field):
 
 
 def test_fields_compile_once_per_shape():
-    before = dict(expressions._FIELDS)
+    before = dict(_fields._FIELDS)
     for r in (1.0, 2.0):
         tl.integrate_geodesic(tl.builtin_chart("sphere", r=r), [1.0, 0.0], [0.3, 0.4], (0.0, 0.02), 1e-2)
     key = ("geodesic", "map", 2, 3)
-    assert key in expressions._FIELDS
+    assert key in _fields._FIELDS
     if key in before:
-        assert expressions._FIELDS[key] is before[key]
-    assert len(expressions._FIELDS) - len(before) <= 1
+        assert _fields._FIELDS[key] is before[key]
+    assert len(_fields._FIELDS) - len(before) <= 1
 
 
 
@@ -323,12 +323,12 @@ def field_cases(draw):
 
 
 def by_code(chart, field, q, v):
-    code = expressions._chart_field(field, chart._definition, chart.exprs, chart.guard)
+    code = _fields._chart_field(field, chart._definition, chart.exprs, chart.guard)
     return code(*q, *v, *chart.params.values(), FLOOR2)
 
 
 def by_jets(chart, field, q, v):
-    fn = expressions._trajectory_field(field, chart.kind, chart.dim, chart.ambient_dim)
+    fn = _fields._trajectory_field(field, chart.kind, chart.dim, chart.ambient_dim)
     return fn(chart._jets(q, int(field != "line_image")), v, FLOOR2)
 
 
@@ -396,7 +396,7 @@ def closure_field(chart, field):
 
     def at(q, v):
         jets = chart._jets(q, int(field != "line_image"))
-        fn = expressions._trajectory_field(field, chart.kind, chart.dim, chart.ambient_dim)
+        fn = _fields._trajectory_field(field, chart.kind, chart.dim, chart.ambient_dim)
         out = fn(jets, v, FLOOR2)
         if out is None:  # det g within rounding of the floor
             out = fn(jets, v, FLOOR2, checked_gram(chart._tensors(jets, 0)[0], q)[1])
@@ -450,9 +450,9 @@ def test_chart_code_trajectories_equal_closure_route(case):
 
 def test_rebuilt_chart_reuses_the_compiled_field(monkeypatch):
     # every CLI run builds a fresh chart from its definition, maybe with other values
-    monkeypatch.setattr(expressions, "_CHART_FIELDS", {})
-    written, source = [], expressions._chart_source
-    monkeypatch.setattr(expressions, "_chart_source", lambda *a: written.append(a[0]) or source(*a))
+    monkeypatch.setattr(_fields, "_CHART_FIELDS", {})
+    written, source = [], _fields._chart_source
+    monkeypatch.setattr(_fields, "_chart_source", lambda *a: written.append(a[0]) or source(*a))
     definition = tl.builtin_chart("synthetic_torsion").to_dict()
     q, v = [0.3, 0.1], [0.4, 0.2]
     fields = []
@@ -493,6 +493,6 @@ def test_field_within_rounding_of_the_floor_returns_plain_floats():
     chart = Chart(2, "map", ["atan2(q1, q1)", "atan2(q1, sqrt(q2))"])
     q, v = [1.0, 0.0078125], [0.0, 1.0]
     jets = chart._jets(q, 1)
-    assert expressions._trajectory_field("geodesic", "map", 2, 2)(jets, v, FLOOR2) is None
+    assert _fields._trajectory_field("geodesic", "map", 2, 2)(jets, v, FLOOR2) is None
     out = dynamics._field(chart, "geodesic")(q, v)
     assert [type(x) for x in out] == [float, float]

@@ -2,24 +2,24 @@
 
 Usage::
 
-    python tools/bench_kernel.py --out BENCH.json [--src SRC] [--label LABEL] [--groups G,..]
+    python tools/bench_kernel.py --out BENCH.json [--src SRC] [--label LABEL]
     python tools/bench_kernel.py --out BENCH.json --pair SRC_A SRC_B [--rounds N]
-        [--groups G,..] [--perfbench PAIRS]
+        [--perfbench PAIRS]
 
 Imports ``torsionlab`` from ``SRC`` (default: this checkout's ``src``), times
 the layers below and merges the result into ``--out`` under ``runs[LABEL]``,
 so two checkouts (say, before and after a change) can be recorded side by
-side in one file.  ``--groups`` picks the groups of layers to time (``kernel``,
-``ring``, ``trajectories``, ``imports``; all by default).
+side in one file.
 
 With ``--pair``, ``SRC_A`` is the parent and ``SRC_B`` the change.  Each of
-``--rounds`` rounds times each side's layers in a fresh interpreter, the two
-sides in turn, alternating which goes first, so that machine drift between
-rounds cancels in the per-round ratios; ``--out`` then holds, per layer, both
-sides' medians of each round, the change/parent ratios and their median and
+``--rounds`` rounds times each side's trajectory and cold-start layers (the
+last two groups below) in a fresh interpreter, the two sides in turn,
+alternating which goes first, so that machine drift between rounds cancels
+in the per-round ratios; ``--out`` then holds, per layer, both sides'
+medians of each round, the change/parent ratios and their median and
 quartiles.  ``--perfbench PAIRS`` adds that many alternating pairs of
 ``perfbench/run.py`` runs per workload, each side run from the checkout that
-holds its ``src`` (the benchmark's run length, seeds 1501, 1502, ...), with
+holds its ``src`` (at its default run length, seeds 1501, 1502, ...), with
 the end-to-end metrics of every run, their change/parent ratios and how many
 pairs the change is lower in.  Layers, each a warm median over ``repeats``
 timed calls with ``time.perf_counter``:
@@ -61,7 +61,7 @@ the trajectories, under criteria 3 and 5:
 * ``field_point``             one sphere geodesic field evaluation at a phase
   point, as the integrators take it (``dynamics._field``; the mean of 10,000);
 * ``field_point_closure``     the same through ``Chart._jets`` and
-  ``expressions._trajectory_field``, the route stacks of points take;
+  ``dynamics._trajectory_field``, the route stacks of points take;
 * ``variation_matrices``      one ``variation_matrices`` call on that chart
   (the mean of 1,000 calls);
 * ``half_step_samples``       ``dynamics._half_step_samples`` along that
@@ -95,7 +95,7 @@ Only public names are used, besides ``_local.LocalGeometry``,
 ``dynamics._expm`` (optional, as above) and
 ``dynamics._half_step_samples``, whose
 signature is unchanged since the variation solvers first shared it, and
-``dynamics._field`` and ``expressions._trajectory_field``, unchanged since
+``dynamics._field`` and ``dynamics._trajectory_field``, unchanged since
 the generated fields came in, so any checkout since then can be timed.
 BLAS is pinned to one thread before numpy loads, as in ``perfbench/run.py``.
 """
@@ -110,7 +110,6 @@ import platform
 import statistics
 import subprocess
 import sys
-import tempfile
 import time
 from pathlib import Path
 
@@ -126,7 +125,6 @@ TRAJECTORY_STEPS, TRAJECTORY_H = 1000, 1e-3
 VARIATION_CALLS = 1000
 FIELD_CALLS = 10000
 IMPORTS = 9
-PERFBENCH_SECONDS = 38.0  # the run length BENCHMARK.json sets
 DELTAQ = ["0.3*t*(1 - t)", "-0.2*t*(1 - t)"]  # criterion 5
 GEOMETRY_TENSORS = ("g", "invg", "recip", "dg", "d2g", "dinvg", "chris1", "chris2", "dchris2",
                     "gamma", "dgamma", "torsion", "contortion", "contortion_mixed", "cartan",
@@ -251,7 +249,6 @@ def _trajectory_layers():
         builtin_chart,
         closure_defect_by_quadrature,
         dynamics,
-        expressions,
         integrate_autoparallel,
         integrate_geodesic,
         solve_variation_ode,
@@ -280,7 +277,7 @@ def _trajectory_layers():
 
     q, v, floor2 = [1.2, 0.1], [0.3, 0.8], 1e-12 * 1e-12
     at = dynamics._field(sphere, "geodesic")
-    fn = expressions._trajectory_field("geodesic", sphere.kind, sphere.dim, sphere.ambient_dim)
+    fn = dynamics._trajectory_field("geodesic", sphere.kind, sphere.dim, sphere.ambient_dim)
 
     def field_calls():
         for _ in range(FIELD_CALLS):
@@ -348,6 +345,7 @@ def _import_layers():
 
 GROUPS = {"kernel": _kernel_layers, "ring": _ring_layers, "trajectories": _trajectory_layers,
           "imports": _import_layers}
+PAIR_GROUPS = ("trajectories", "imports")  # what a --pair round times on each side
 
 
 def measure(groups=tuple(GROUPS)):
@@ -376,20 +374,19 @@ def _quartiles(values):
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def _side(src, groups):
-    """One side's layers, timed by this script in a fresh interpreter."""
-    with tempfile.TemporaryDirectory() as tmp:
-        out = Path(tmp) / "run.json"
-        subprocess.run([sys.executable, __file__, "--src", src, "--out", str(out),
-                        "--groups", ",".join(groups)], check=True, stdout=subprocess.DEVNULL)
-        return json.loads(out.read_text())["runs"]["current"]
+def _side(src):
+    """One side's ``PAIR_GROUPS`` layers, timed by this script in a fresh interpreter."""
+    code = (f"import json, sys; sys.path[:0] = [{str(Path(__file__).parent)!r}, {src!r}]; "
+            "import bench_kernel as b; print(json.dumps(b.measure(b.PAIR_GROUPS)))")
+    run = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True, text=True)
+    return json.loads(run.stdout.strip().splitlines()[-1])
 
 
 def _perfbench(src, workload, seed):
     """The end-to-end metrics of one ``perfbench/run.py`` run of the checkout holding ``src``."""
     root = Path(src).resolve().parent
     command = [sys.executable, str(root / "perfbench" / "run.py"), "--workload", workload,
-               "--seed", str(seed), "--seconds", str(PERFBENCH_SECONDS), "--trace", "0"]
+               "--seed", str(seed), "--trace", "0"]
     run = subprocess.run(command, cwd=root, check=True, capture_output=True, text=True)
     result = json.loads(run.stdout.strip().splitlines()[-1])
     return result["failed"] / result["attempted"], {
@@ -413,19 +410,19 @@ def _compare(parent, change):
             "change_quartiles": _quartiles(change), "change_lower": lower}
 
 
-def pair(sources, rounds, groups, perfbench_pairs):
+def pair(sources, rounds, perfbench_pairs):
     """Interleaved parent/change timings of the layers and, optionally, of ``perfbench``."""
     srcs = dict(zip(("parent", "change"), sources))
-    runs = _in_turn(rounds, lambda side, _: _side(srcs[side], groups))
+    runs = _in_turn(rounds, lambda side, _: _side(srcs[side]))
     layers = {}
     for name in runs["parent"][0]["layers"]:
         medians = {side: [run["layers"][name]["median_s"] for run in runs[side]] for side in runs}
         if None not in medians["parent"] + medians["change"]:
             layers[name] = _compare(medians["parent"], medians["change"])
-    doc = {"harness": "tools/bench_kernel.py --pair", "rounds": rounds, "groups": list(groups),
+    doc = {"harness": "tools/bench_kernel.py --pair", "rounds": rounds, "groups": PAIR_GROUPS,
            "layers": layers, "machine": runs["parent"][0]["machine"]}
     if perfbench_pairs:
-        doc["perfbench"] = {"seconds": PERFBENCH_SECONDS, "workloads": {}}
+        doc["perfbench"] = {"workloads": {}}
         for workload in ("trajectories", "geometry_sweep", "spectra"):
             bench = _in_turn(perfbench_pairs, lambda side, r: _perfbench(
                 srcs[side], workload, 1501 + r))
@@ -442,17 +439,14 @@ def main(argv=None):
     parser.add_argument("--src", default=str(ROOT / "src"), help="directory holding torsionlab")
     parser.add_argument("--label", default="current", help="key of this run in the output")
     parser.add_argument("--out", required=True, help="JSON file to merge the run into")
-    parser.add_argument("--groups", default=",".join(GROUPS), help="groups of layers to time")
     parser.add_argument("--pair", nargs=2, metavar=("SRC_A", "SRC_B"),
                         help="time the parent SRC_A and the change SRC_B in turn")
     parser.add_argument("--rounds", type=int, default=10, help="rounds of a --pair run")
     parser.add_argument("--perfbench", type=int, default=0, metavar="PAIRS",
                         help="perfbench pairs per workload in a --pair run")
     args = parser.parse_args(argv)
-    groups = [g for g in args.groups.split(",") if g]
     if args.pair:
-        doc = pair([str(Path(src).resolve()) for src in args.pair], args.rounds, groups,
-                   args.perfbench)
+        doc = pair([str(Path(src).resolve()) for src in args.pair], args.rounds, args.perfbench)
         Path(args.out).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
         rows = [(name, layer, args.rounds) for name, layer in doc["layers"].items()]
         rows += [(f"{workload} {name}", metric, args.perfbench)
@@ -464,7 +458,7 @@ def main(argv=None):
                   f" change lower in {layer['change_lower']}/{count}")
         return
     sys.path.insert(0, str(Path(args.src).resolve()))
-    result = measure(groups)
+    result = measure()
     out = Path(args.out)
     doc = json.loads(out.read_text()) if out.exists() else {}
     doc.setdefault("harness", "tools/bench_kernel.py")
