@@ -14,14 +14,12 @@ indices are still lowered, so no rank-3 tensor is formed:
 with g_{mn} = e^i_m e^i_n formed from the triad.  A map chart's d_l e^i_k is
 symmetric, so there P = T and its torsion terms vanish identically.  The
 metric is inverted by cofactors for D <= 3 and by one ``np.linalg.solve``
-above.  A field returns plain floats, D accelerations or the row-major
-D x D matrices (G, Sigma), where its own det g clears ``floor2``, the
-squared degenerate-triad floor, by more than rounding (1e-13 of the product
-of the diagonal of g, which bounds det g), and None elsewhere: there the
-caller decides with the determinant of the degenerate-triad check and, if
-the point passes, calls again with that ``det``.  On batched jets and a
-velocity of D arrays it returns arrays, and None unless every point clears
-(above D = 3 it raises, and the caller takes the points one by one).
+above.  Before that, the field runs the lines of the engine's one
+degenerate-triad rule (``_local.rule_lines``, which ``checked_metric`` runs
+too), which raise ``DegenerateTriadError`` at a rejected point; a trajectory
+truncates there as at a guard.  Elsewhere a field returns plain floats, D
+accelerations or the row-major D x D matrices (G, Sigma); on the jets of a
+stack (N, D), D <= 3, and a velocity of D arrays it returns arrays.
 
 ``_chart_field`` writes the same lines once per chart definition behind the
 guard and the jets of every chart expression, which ``_Taylor`` inlines
@@ -35,32 +33,17 @@ from __future__ import annotations
 
 import math
 from array import array  # for the generated integrators
+from functools import cache
 
 import numpy as np
 
 from . import expressions
+from ._local import degenerate_triad, rule_lines
 from .errors import DegenerateTriadError, EvaluationError, SingularPointError
 from .expressions import _REAL, Name, Num, _Code, _lit, _multisets, _operation, _rule, _Taylor
 
-_FIELDS: dict = {}  # (field, kind, D, ambient) -> compiled field function
 _CHART_FIELDS: dict = {}  # (field, (kind, D, sources, guard, parameter names), rk4) -> function
 _CHART_FIELDS_KEPT = 128  # entries kept, the most recently used (8-33 KB each)
-
-_ADJUGATES = {  # upper triangle of the adjugate of a symmetric g, and det g
-    1: ({(0, 0): "1.0"}, "g0_0"),
-    2: ({(0, 0): "g1_1", (0, 1): "-g0_1", (1, 1): "g0_0"}, "g0_0*g1_1 - g0_1*g0_1"),
-    3: (
-        {
-            (0, 0): "g1_1*g2_2 - g1_2*g1_2",
-            (0, 1): "g0_2*g1_2 - g0_1*g2_2",
-            (0, 2): "g0_1*g1_2 - g0_2*g1_1",
-            (1, 1): "g0_0*g2_2 - g0_2*g0_2",
-            (1, 2): "g0_1*g0_2 - g0_0*g1_2",
-            (2, 2): "g0_0*g1_1 - g0_1*g0_1",
-        },
-        "g0_0*a0_0 + g0_1*a0_1 + g0_2*a0_2",
-    ),
-}
 
 
 def _jet_names(kind, dim, ambient, deriv):
@@ -76,8 +59,9 @@ def _jet_names(kind, dim, ambient, deriv):
 
 def _field_source(field, kind, dim, ambient, head=None, slope=None):
     """Source of ``field``; ``head`` (the def line and the lines binding the
-    jet names and the velocity) unpacks ``jets`` and ``v`` by default.  With
-    ``slope``, the lines compute the field into names instead of returning it."""
+    jet names, the velocity and the chart's coordinates) unpacks ``jets`` and
+    ``v`` at the point or stack ``q`` by default.  With ``slope``, the lines
+    compute the field into those names instead of returning it."""
     rD, rA = range(dim), range(ambient)
     deriv = field != "line_image"
 
@@ -87,20 +71,19 @@ def _field_source(field, kind, dim, ambient, head=None, slope=None):
     def dE(i, k, l):  # d_l e^i_k; a map chart's is symmetric in (k, l)
         return f"d{i}_{min(k, l)}_{max(k, l)}" if kind == "map" else f"d{i}_{k}_{l}"
 
+    point = f"[{', '.join(f'q{k + 1}' for k in rD)}]"  # in a chart's code, its coordinates
     if head is None:
-        names = _jet_names(kind, dim, ambient, deriv)
-        head = [
-            f"def {field}(jets, v, floor2, det=None):",
-            f"    {', '.join('(' + ', '.join(n) + ',)' for n in names)}, = jets",
-            f"    {', '.join(f'v{k}' for k in (rD if deriv else rA))}, = v",
-        ]
+        point, names = None, _jet_names(kind, dim, ambient, deriv)  # ``q``, a point or a stack
+        head = [f"def {field}(q, jets, v, floor):",
+                f"    {', '.join('(' + ', '.join(n) + ',)' for n in names)}, = jets",
+                f"    {', '.join(f'v{k}' for k in (rD if deriv else rA))}, = v"]
     T = "p" if kind == "map" else "t"
     lines = list(head)
     if deriv:
         lines += [f"    p{i}_{k} = {total(f'{dE(i, k, l)}*v{l}' for l in rD)}" for i in rA for k in rD]
     if deriv and kind != "map":
         lines += [f"    t{i}_{l} = {total(f'{dE(i, k, l)}*v{k}' for k in rD)}" for i in rA for l in rD]
-    lines += [f"    g{m}_{n} = {total(f'e{i}_{m}*e{i}_{n}' for i in rA)}" for m in rD for n in rD if m <= n]
+    lines += rule_lines(dim, ambient, point)
 
     if field == "line_image":
         columns = [[total(f"e{i}_{s}*v{i}" for i in rA) for s in rD]]
@@ -125,10 +108,7 @@ def _field_source(field, kind, dim, ambient, head=None, slope=None):
         lines += [f"    c{c}_{s} = {entry}" for s, entry in enumerate(column)]
 
     zero = ", ".join(["0.0"] * dim * dim)  # a map chart's Sigma
-    if dim in _ADJUGATES:
-        adjugate, det = _ADJUGATES[dim]
-        lines += [f"    a{m}_{n} = {entry}" for (m, n), entry in adjugate.items()]
-        solve = []
+    if dim <= 3:  # g^-1 = adjugate / det
         # x[c][m]: row m of the solution for column c
         x = [[f"{sign}({total(f'a{min(m, s)}_{max(m, s)}*c{c}_{s}' for s in rD)}) / det" for m in rD]
              for c in range(len(columns))]
@@ -138,36 +118,24 @@ def _field_source(field, kind, dim, ambient, head=None, slope=None):
             S = ", ".join(x[dim + n][m] for m in rD for n in rD) if kind != "map" else zero
             result = f"({G},), ({S},)"
     else:
-        rows = ", ".join("(" + ", ".join(f"g{min(m, n)}_{max(m, n)}" for n in rD) + ")" for m in rD)
         rhs = ", ".join("(" + ", ".join(f"c{c}_{s}" for c in range(len(columns))) + ",)" for s in rD)
-        lines.append(f"    g = np.array(({rows}))")
-        det, solve = "float(np.linalg.det(g))", [f"x = np.linalg.solve(g, np.array(({rhs})))"]
+        lines.append(f"    x = np.linalg.solve(g, np.array(({rhs})))")
         S = f"tuple(x[:, {dim}:].ravel().tolist())" if kind != "map" else f"({zero},)"
         result = (f"tuple(({sign}x[:, 0]).tolist())" if field != "variation"
                   else f"tuple(x[:, :{dim}].ravel().tolist()), {S}")
-    ok = f"(floor2 + 1e-13*{'*'.join(f'g{m}_{m}' for m in rD)} < det) & (det < _INF)"
-    if slope is None:  # per point of a batch
-        lines += ["    if det is None:", f"        det = {det}", f"        ok = {ok}",
-                  "        if not (ok if ok.__class__ is bool else ok.all()):",
-                  "            return None", *(f"    {line}" for line in solve), f"    return {result}"]
-    else:  # inline: the slope into the names ``slope[0]``, or from the call ``slope[1]``
-        lines += [f"    det = {det}", f"    if {ok}:", *(f"        {line}" for line in solve),
-                  f"        {slope[0]} = {result}", "    else:", f"        {slope[0]} = {slope[1]}"]
+    lines.append(f"    {slope} = {result}" if slope else f"    return {result}")
     return "\n".join(lines) + "\n"
 
 
+@cache
 def _trajectory_field(field, kind, dim, ambient):
-    """The compiled ``field(jets, v, floor2, det=None)`` ("geodesic",
-    "autoparallel", "variation" or "line_image") of a chart of this kind,
-    dimension and ambient dimension."""
-    key = (field, kind, dim, ambient)
-    fn = _FIELDS.get(key)
-    if fn is None:
-        namespace = {"np": np, "_INF": math.inf}
-        label = f"<{field} field {kind} D={dim} A={ambient}>"
-        exec(compile(_field_source(field, kind, dim, ambient), label, "exec"), namespace)
-        fn = _FIELDS[key] = namespace[field]
-    return fn
+    """The compiled ``field(q, jets, v, floor)`` ("geodesic", "autoparallel",
+    "variation" or "line_image") of a chart of this kind, dimension and ambient
+    dimension, at the point or stack ``q`` whose ``Chart._jets`` are ``jets``."""
+    namespace = {"np": np, "_INF": math.inf, "degenerate_triad": degenerate_triad}
+    label = f"<{field} field {kind} D={dim} A={ambient}>"
+    exec(compile(_field_source(field, kind, dim, ambient), label, "exec"), namespace)
+    return namespace[field]
 
 
 def _chart_source(field, kind, dim, exprs, guard, params, rk4=False):
@@ -213,15 +181,14 @@ def _chart_source(field, kind, dim, exprs, guard, params, rk4=False):
             if name != "_":
                 taylor.lines.append(f"    {name} = {_lit(jet[i])}")
                 jet[i] = name if isinstance(jet[i], _Code) else jet[i]
-    rest = [*velocity, *(f"r{k}" for k in range(len(params))), "floor2"]
+    rest = [*velocity, *(f"r{k}" for k in range(len(params))), "floor"]
     if not rk4:
         return _field_source(field, kind, dim, ambient, [
-            f"def {field}({', '.join([*coords, *rest])}, det=None):", *taylor.lines])
+            f"def {field}({', '.join([*coords, *rest])}):", *taylor.lines])
     state = [*coords, *velocity[: dim * deriv]]
     slope = [*velocity[: dim * deriv], *(f"f{k}" for k in range(dim))]
-    body = _field_source(field, kind, dim, ambient, taylor.lines,
-                         (", ".join(slope[-dim:]) + ",", f"fallback([{', '.join(state)}])"))
-    return _rk4_source(f"def {field}(y, t, fallback, {', '.join(rest[dim * deriv:])}):",
+    body = _field_source(field, kind, dim, ambient, taylor.lines, ", ".join(slope[-dim:]) + ",")
+    return _rk4_source(f"def {field}(y, t, {', '.join(rest[dim * deriv:])}):",
                        state, slope, body.splitlines(), final=not deriv)
 
 
@@ -273,14 +240,13 @@ def _rk4_source(head, state, slope, body, final):
 
 
 def _chart_field(field, definition, exprs, guard, rk4=False):
-    """``field(q1, .., qD, v.., parameter values.., floor2)`` of one chart
+    """``field(q1, .., qD, v.., parameter values.., floor)`` of one chart
     definition (``Chart._definition``, whose ``exprs`` and ``guard`` it reads):
     the guard, the jets and the lines of ``_field_source`` in one function,
-    compiled on first use.  It raises as ``Chart._jets`` raises and returns
-    what ``_trajectory_field`` returns on that pass's jets.  With ``rk4``, the
-    chart's integrator ``field(y, t, fallback, v.., parameter values.., floor2)``
-    instead (``_rk4_source``; ``v`` only for the line image), which sends the
-    state of a stage whose field is None to ``fallback``."""
+    compiled on first use.  It raises as ``Chart._jets`` and ``checked_metric``
+    raise and returns what ``_trajectory_field`` returns on that pass's jets.
+    With ``rk4``, the chart's integrator ``field(y, t, v.., parameter values..,
+    floor)`` instead (``_rk4_source``; ``v`` only for the line image)."""
     key = (field, definition, rk4)
     fn = _CHART_FIELDS.pop(key, None)  # re-inserted below: dict order is recency order
     if fn is None:

@@ -13,7 +13,7 @@ point's slice bitwise the single-point tensor.
 from __future__ import annotations
 
 import math
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -36,22 +36,71 @@ def columns(parts, n):
     return np.array(np.broadcast_arrays(np.empty(n), *parts)[1:]).T.copy()
 
 
-def checked_gram(E, q):
-    """g = E^T E and det g (per point of a batch); rejects the (first) point if
-    sqrt(det g) is not finite or at most the degenerate-triad floor."""
-    g = E.mT @ E
-    detg = np.linalg.det(g)
-    floor = active_profile().degenerate_triad_floor
-    admitted = (detg > floor * floor) & (detg < math.inf)
-    if not (admitted.all() if admitted.ndim else admitted):
-        at = np.asarray(q)[admitted.argmin()] if admitted.ndim else np.asarray(q)
-        raise DegenerateTriadError(f"triad degenerate at {at.tolist()}: sqrt(det g) <= {floor:g}")
-    return g, detg
+DEGENERATE_MARGIN = 1e-13  # of the product of g's diagonal, which bounds det g (Hadamard)
+
+_ADJUGATES = {  # upper triangle of the adjugate of a symmetric g, and det g
+    1: ({(0, 0): "1.0"}, "g0_0"),
+    2: ({(0, 0): "g1_1", (0, 1): "-g0_1", (1, 1): "g0_0"}, "g0_0*g1_1 - g0_1*g0_1"),
+    3: ({(0, 0): "g1_1*g2_2 - g1_2*g1_2", (0, 1): "g0_2*g1_2 - g0_1*g2_2",
+         (0, 2): "g0_1*g1_2 - g0_2*g1_1", (1, 1): "g0_0*g2_2 - g0_2*g0_2",
+         (1, 2): "g0_1*g0_2 - g0_0*g1_2", (2, 2): "g0_0*g1_1 - g0_1*g0_1"},
+        "g0_0*a0_0 + g0_1*a0_1 + g0_2*a0_2"),
+}
+
+
+def rule_lines(dim, ambient, point=None):
+    """The engine's one degenerate-triad rule, as source lines one indent deep.
+
+    From the triad entries ``e{i}_{k}`` they compute g's upper triangle
+    ``g{m}_{n}`` (sums left to right) and ``det``: by the cofactors ``a{m}_{n}``
+    for D <= 3, else by ``np.linalg.det`` of the matrices ``g``.  Unless det g >
+    floor^2 + DEGENERATE_MARGIN prod g_ii and is finite, they raise
+    ``degenerate_triad`` at ``point``, the source of one point of plain floats,
+    or by default at the first rejected point of ``q``, a point or a stack."""
+    rD = range(dim)
+    lines = [f"    g{m}_{n} = {' + '.join(f'e{i}_{m}*e{i}_{n}' for i in range(ambient))}"
+             for m in rD for n in rD if m <= n]
+    if dim in _ADJUGATES:
+        adjugate, det = _ADJUGATES[dim]
+        lines += [f"    a{m}_{n} = {entry}" for (m, n), entry in adjugate.items()]
+    else:  # g is symmetric, so .T only moves a stack's axis first
+        rows = ", ".join("(" + ", ".join(f"g{min(m, n)}_{max(m, n)}" for n in rD) + ")" for m in rD)
+        lines.append(f"    g = np.array(({rows})).T")
+        det = "np.linalg.det(g)"
+    lines.append(f"    det = {det}")
+    ok = f"(floor*floor + {DEGENERATE_MARGIN!r}*{'*'.join(f'g{m}_{m}' for m in rD)} < det) & (det < _INF)"
+    if point is not None:  # one decision
+        return lines + [f"    if not {ok}:", f"        raise degenerate_triad({point}, floor)"]
+    return lines + [f"    ok = {ok}", "    if not (ok if ok.__class__ is bool else ok.all()):",
+                    "        raise degenerate_triad(q, floor, ok)"]
+
+
+def degenerate_triad(q, floor, ok=True):
+    """The error at the point ``q``, or at the first point of the stack ``q`` that ``ok`` rejects."""
+    at = np.asarray(q)[np.argmin(ok)] if np.ndim(ok) else np.asarray(q)
+    return DegenerateTriadError(f"triad degenerate at {at.tolist()}: det g <= floor^2 + "
+                                f"{DEGENERATE_MARGIN:g} prod(diag g), floor {floor:g}")
+
+
+@cache
+def _checker(dim, ambient):
+    """The compiled ``check(entries, q, floor)``: ``rule_lines`` on the entries of E, row-major."""
+    names = ", ".join(f"e{i}_{k}" for i in range(ambient) for k in range(dim))
+    source = "\n".join(["def check(entries, q, floor):", f"    {names}, = entries",
+                        *rule_lines(dim, ambient), ""])
+    namespace = {"np": np, "_INF": math.inf, "degenerate_triad": degenerate_triad}
+    exec(compile(source, f"<degenerate-triad rule D={dim} A={ambient}>", "exec"), namespace)
+    return namespace["check"]
 
 
 def checked_metric(E, q) -> np.ndarray:
-    """Induced metric g = E^T E; rejects the point if sqrt(det g) is below the floor."""
-    g = checked_gram(E, q)[0]
+    """Induced metric g = E^T E, symmetrised, at one point or over a stack, after
+    ``rule_lines`` on E's entries: plain floats at one point, element-wise over a
+    stack, so it decides as the generated fields do, bit for bit."""
+    A, D = E.shape[-2:]
+    _checker(D, A)(E.ravel().tolist() if E.ndim == 2 else E.reshape(-1, A * D).T, q,
+                active_profile().degenerate_triad_floor)
+    g = E.mT @ E
     return 0.5 * (g + g.mT)
 
 

@@ -22,7 +22,7 @@ from importlib import resources
 
 import numpy as np
 
-from ._local import LocalGeometry, attempt, checked_metric, columns
+from ._local import LocalGeometry, attempt, columns
 from .errors import (
     DimensionMismatchError,
     SingularPointError,
@@ -120,27 +120,26 @@ class Chart:
         the derivative order that gives the triad and its ``order`` (0, 1 or 2)
         derivatives: the one evaluation every triad and tensor reads.  Points
         ``q`` (N, D) take one pass, an (expressions, partials, N) array; if it
-        fails, point by point, or None unless ``pointwise``."""
+        fails, point by point, or unless ``pointwise`` it raises its own error."""
         if order not in (0, 1, 2):
             raise ValidationError(f"triad derivative order must be 0, 1 or 2, got {order!r}")
         first = 1 if self.kind == "map" else 0  # derivative order that gives E
         # plain values (no wrt) for an order-0 triad: nothing to differentiate
         wrt = self._coord_names if first + order else ()
-        if isinstance(q, np.ndarray) and q.ndim == 2:  # if the batch fails, point by point
+        if isinstance(q, np.ndarray) and q.shape[1:] == (self.dim,):  # if it fails, point by point
+            if not pointwise:
+                return self._batch_jets(q, wrt, first + order)
             jets = attempt(lambda: self._batch_jets(q, wrt, first + order))
-            if jets is None and pointwise:
-                return np.moveaxis([self._jets(p, order) for p in q], 0, -1)
-            return jets
+            return np.moveaxis([self._jets(p, order) for p in q], 0, -1) if jets is None else jets
         env = self._checked_env(q)[1]
         return [e(env, wrt, first + order) for e in self.exprs]
 
     def _batch_jets(self, q, wrt, order):
-        """``_jets`` of every point of ``q`` in one pass; None unless the guard admits them all."""
-        if q.shape[1:] != (self.dim,):
-            return None
+        """``_jets`` of every point of ``q`` in one pass; raises unless the guard admits them all."""
         env = {**self.params, **dict(zip(self._coord_names, np.ascontiguousarray(q.T, float)))}
-        if self.guard is not None and not np.all(self.guard._batch(env, (), 0)[0] > 0.0):
-            return None
+        if self.guard is not None and not np.all(admitted := self.guard._batch(env, (), 0)[0] > 0.0):
+            raise SingularPointError(
+                f"point {q[np.argmin(admitted)].tolist()} rejected by chart domain guard")
         return np.array([columns(e._batch(env, wrt, order), len(q)).T for e in self.exprs])
 
     def triad_jets(self, q, order=0):
@@ -150,11 +149,7 @@ class Chart:
         For a holonomic map the triad itself is the Jacobian of the map, so
         order k here requires jets of order k+1 on the map expressions.
         """
-        return self._tensors(self._jets(q, order), order)
-
-    def _tensors(self, jets, order):
-        """(E, dE, ...) up to ``order`` from ``_jets`` output of at least that order."""
-        jets = np.array(jets)
+        jets = np.array(self._jets(q, order))
         D, A = self.dim, self.ambient_dim
         first = 1 if self.kind == "map" else 0  # derivative order that gives E
         if jets.ndim == 3:  # a batch: per point, the layout below, so products round alike
@@ -168,9 +163,7 @@ class Chart:
 
     def triad(self, q) -> np.ndarray:
         """Basis triad e^i_mu(q), shape (ambient_dim, dim)."""
-        (E,) = self.triad_jets(q, order=0)
-        checked_metric(E, q)
-        return E
+        return LocalGeometry.of(self, q, 0).E
 
     def reciprocal_triad(self, q) -> np.ndarray:
         """Reciprocal triad e_i^mu(q), shape (ambient_dim, dim).

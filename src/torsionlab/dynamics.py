@@ -18,9 +18,12 @@ variation matrices.
 The geodesic, autoparallel and line-image right-hand sides and the
 variation matrices are straight-line functions generated by ``_fields``.
 At one phase point of floats, one call of the code generated for the chart's
-definition checks the guard, evaluates every chart expression's jet and
-returns the field as plain floats; over a stack of points the same field
-lines read one batched ``Chart._jets`` pass.  The line image stays an
+definition checks the guard, evaluates every chart expression's jet, applies
+the degenerate-triad rule (``_local.rule_lines``, as ``checked_metric`` does,
+on the same floats) and returns the field as plain floats; over a stack of
+points (D <= 3) the same field lines read one batched ``Chart._jets`` pass.
+A point the rule rejects raises ``DegenerateTriadError``; in an integrator it
+ends the path like any other domain error.  The line image stays an
 independent oracle for the autoparallel: it integrates a different,
 first-order equation, dq/dt = g^-1 E^T v for a constant flat velocity v.
 
@@ -39,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._fields import _chart_field, _trajectory_field
-from ._local import LocalGeometry, attempt, checked_gram, columns
+from ._local import LocalGeometry, attempt, columns
 from .charts import Chart
 from .config import active_profile
 from .connection import torsion_tensor
@@ -80,38 +83,26 @@ _NUMERIC = (ArithmeticError, ValueError)  # a batch retried node by node after o
 
 
 def _chart_code(chart: Chart, field, rk4=False):
-    """``(code, args, from_jets)``: the chart's generated ``field(*floats, *args)`` at a phase
-    point, or with ``rk4`` its integrator ``field(y, t, fallback, *args)``, and the checked-det
-    fallback ``from_jets(q, v)`` for a None.  Reads the profile once."""
-    floor = active_profile().degenerate_triad_floor
-    fn = _trajectory_field(field, chart.kind, chart.dim, chart.ambient_dim)
-    order = int(field != "line_image")
-
-    def from_jets(q, v):
-        jets = chart._jets(q, order, pointwise=False)  # a failing stack: None, for the caller
-        out = None if jets is None else fn(jets, v, floor * floor)
-        if out is None and np.ndim(q) == 1:
-            # det g within rounding of the floor: decide as ``checked_metric`` does, det a float
-            out = fn(jets, v, floor * floor, float(checked_gram(chart._tensors(jets, 0)[0], q)[1]))
-        return out
-
+    """``(code, args)``: the chart's generated ``field(*floats, *args)`` at a phase point, or
+    with ``rk4`` its integrator ``field(y, t, *args)``.  Reads the profile's floor once."""
     code = _chart_field(field, chart._definition, chart.exprs, chart.guard, rk4)
-    return code, (*chart.params.values(), floor * floor), from_jets
+    return code, (*chart.params.values(), active_profile().degenerate_triad_floor)
 
 
 def _field(chart: Chart, field):
-    """``at(q, v)``: the generated ``field`` of ``chart`` at one phase point
-    by one call of the code generated for the chart's definition, rejecting a
-    degenerate triad, or over points (N, D) from one batched jet pass (None
-    unless all clear).  A phase point is q (an array or D floats) and v."""
-    code, args, from_jets = _chart_code(chart, field)
+    """``at(q, v)``: the generated ``field`` of ``chart`` at one phase point (q an
+    array or D floats, and v) by one call of the code generated for the chart's
+    definition, or over points (N, D), D <= 3, by ``_trajectory_field`` on one
+    batched jet pass.  Both raise where a point fails, a degenerate triad too."""
+    code, args = _chart_code(chart, field)
 
     def at(q, v):
         if isinstance(q, np.ndarray):
             if q.shape != (chart.dim,):  # points (N, D), or a shape ``_jets`` rejects
-                return from_jets(q, v)
+                fn = _trajectory_field(field, chart.kind, chart.dim, chart.ambient_dim)
+                return fn(q, chart._jets(q, int(field != "line_image"), pointwise=False), v, args[-1])
             q = q.tolist()
-        return code(*q, *v, *args) or from_jets(q, v)  # None: det g within rounding of the floor
+        return code(*q, *v, *args)
 
     return at
 
@@ -131,9 +122,8 @@ def _integrate_second_order(field, chart, q0, qdot0, t_span, step) -> Trajectory
     q0 = chart.check_point(q0)
     t_grid = _grid(t_span, step)
     D = chart.dim
-    rk4, args, from_jets = _chart_code(chart, field, True)
-    y, _, truncated = rk4([*q0.tolist(), *_velocity(chart, qdot0).tolist()], t_grid,
-                          lambda y: from_jets(y[:D], y[D:]), *args)
+    rk4, args = _chart_code(chart, field, True)
+    y, _, truncated = rk4([*q0.tolist(), *_velocity(chart, qdot0).tolist()], t_grid, *args)
     return Trajectory(t=t_grid[: len(y)], q=y[:, :D], qdot=y[:, D:], truncated=truncated)
 
 
@@ -157,9 +147,8 @@ def straight_line_image(chart: Chart, q0, qdot0, t_span, step) -> Trajectory:
     q0 = chart.check_point(q0)
     v_flat = (chart.triad_jets(q0)[0] @ _velocity(chart, qdot0)).tolist()
     t_grid = _grid(t_span, step)
-    rk4, args, from_jets = _chart_code(chart, "line_image", True)
-    q, qdot, truncated = rk4(  # the field rejects a degenerate triad, at q0 too
-        q0.tolist(), t_grid, lambda q: from_jets(q, v_flat), *v_flat, *args)
+    rk4, args = _chart_code(chart, "line_image", True)
+    q, qdot, truncated = rk4(q0.tolist(), t_grid, *v_flat, *args)  # rejects a degenerate q0 too
     return Trajectory(t=t_grid[: len(q)], q=q, qdot=qdot, truncated=truncated)
 
 
@@ -225,7 +214,8 @@ def _half_step_samples(chart: Chart, base: Trajectory, deltaq, params):
 
     Sample j = 2k is node k and j = 2k + 1 the midpoint of step k, where the
     state is the cubic Hermite interpolant of the two nodes.  All samples
-    take one batched jet pass, or one each in order if the batch fails.  Returns
+    take one batched jet pass (D <= 3), or one each in order if the batch
+    fails, so the first failing sample raises its own error.  Returns
     ``(delta_q, G, Sigma)`` with 2N - 1 samples each.
     """
     if len(base) < 2:
@@ -244,11 +234,10 @@ def _half_step_samples(chart: Chart, base: Trajectory, deltaq, params):
     vs[1::2] = 1.5 * (q[1:] - q[:-1]) / h - 0.25 * (v[:-1] + v[1:])
 
     def batch():
-        out = variation(qs, tuple(vs.T))
-        if out is not None:
-            return dq_fn(ts), *(columns(parts, m) for parts in out)
+        return dq_fn(ts), *(columns(parts, m) for parts in variation(qs, tuple(vs.T)))
 
-    dq, G, Sigma = attempt(batch) or [np.array(c) for c in zip(*(  # or sample by sample
+    # one batched pass (above D = 3 the fields solve per point), or sample by sample
+    dq, G, Sigma = (attempt(batch) if D <= 3 else None) or [np.array(c) for c in zip(*(
         (dq_fn(ts[j]), *variation(qs[j], vs[j].tolist())) for j in range(m)))]
     return dq, G.reshape(m, D, D), Sigma.reshape(m, D, D)
 

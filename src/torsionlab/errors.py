@@ -34,7 +34,7 @@ class SingularPointError(TorsionLabError):
 
 
 class DegenerateTriadError(TorsionLabError):
-    """|det e| fell below the configured floor; the chart is not invertible here."""
+    """det g is within the degenerate-triad rule's margin of zero; the chart is not invertible here."""
 
 
 class GridMismatchError(ValidationError):

@@ -160,15 +160,16 @@ def pointwise_geometry(chart, points):
 
 
 def test_rank_one_triad_is_decided_per_point():
-    # the LU det of this exactly singular triad admits q1 = 1.0 and 1.3 and
-    # rejects q1 = 0.7 by rounding; a batch decides every point alike
-    admitted = np.array([[1.0, 0.0], [1.3, 0.2]])
-    batch = LocalGeometry.of(RANK_ONE, admitted, 1)
-    assert_bitwise(batch.g, pointwise_geometry(RANK_ONE, admitted))
-    for points in ([[1.0, 0.0], [0.7, 0.1], [1.3, 0.2]], [[0.7, 0.1]]):
+    # this triad is exactly singular; the LU det used to admit q1 = 1.0 and 1.3 and
+    # reject q1 = 0.7 by rounding.  Every point is rejected now, and a batch decides
+    # like its points: it raises what its first point raises
+    for q in ([1.0, 0.0], [0.7, 0.1], [1.3, 0.2]):
+        ref = outcome(pointwise_geometry, RANK_ONE, [q])
+        assert ref[0] is tl.DegenerateTriadError and str(q) in ref[1]
+    for points in ([[1.0, 0.0], [0.7, 0.1], [1.3, 0.2]], [[0.7, 0.1], [1.3, 0.2]], [[1.3, 0.2]]):
         points = np.array(points)
         ref = outcome(pointwise_geometry, RANK_ONE, points)
-        assert ref[0] is tl.DegenerateTriadError and "[0.7, 0.1]" in ref[1]
+        assert ref == outcome(pointwise_geometry, RANK_ONE, points[:1])
         assert outcome(lambda: LocalGeometry.of(RANK_ONE, points, 1).g) == ref
 
 
@@ -349,13 +350,15 @@ def test_four_dimensional_samples_are_taken_pointwise(kind):
 
 
 def test_near_singular_batch_defers_to_pointwise():
-    # det g within rounding of the floor at one point: the batched field
-    # declines, and the variation is taken point by point with the LU det
+    # det g is 2.4e-15 of the product of g's diagonal at every point, inside the rule's
+    # 1e-13 margin (the LU det used to admit it): the batched field raises what its first
+    # point raises, and the variation, taken sample by sample, fails like the reference
     chart = Chart(dim=2, kind="triad", exprs=["1", "1", "1", "1 + 1e-7*q1"])
     points = np.array([[1.0, 0.3], [2.0, 0.1]])
     at = dynamics._field(chart, "variation")
-    assert at(points, (np.array([0.5, 0.2]), np.array([-0.7, 0.1]))) is None
+    ref = outcome(at, points[0], [0.5, -0.7])
+    assert ref[0] is tl.DegenerateTriadError and "[1.0, 0.3]" in ref[1]
+    assert outcome(at, points, (np.array([0.5, 0.2]), np.array([-0.7, 0.1]))) == ref
     path = straight_path([1.0, 0.3], [2.0, 0.1])
-    ref = reference_samples(chart, path, DELTAQ)
-    for got, want in zip(dynamics._half_step_samples(chart, path, DELTAQ, None), ref):
-        assert_bitwise(got, want)
+    assert outcome(dynamics._half_step_samples, chart, path, DELTAQ, None) == ref
+    assert outcome(reference_samples, chart, path, DELTAQ) == ref

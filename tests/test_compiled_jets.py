@@ -360,9 +360,10 @@ def fresh_interpreter(code):
 
 def test_import_generates_no_kernels():
     assert fresh_interpreter(
-        "import torsionlab, torsionlab.expressions as e, torsionlab._fields as f; "
-        "print(len(e._KERNELS), len(f._FIELDS), len(f._CHART_FIELDS))"
-    ) == ["0", "0", "0"]
+        "import torsionlab, torsionlab.expressions as e, torsionlab._fields as f, "
+        "torsionlab._local as l; print(len(e._KERNELS), f._trajectory_field.cache_info().currsize, "
+        "len(f._CHART_FIELDS), l._checker.cache_info().currsize)"
+    ) == ["0", "0", "0", "0"]
 
 
 def test_an_evaluation_compiles_only_the_kernels_it_calls():

@@ -44,9 +44,9 @@ INTEGRATORS = {
 
 def watched(rk4, field, definition, exprs, guard, seen):
     """The integrator ``rk4`` of ``_chart_field(field, definition, exprs, guard,
-    True)``, recording in ``seen`` each pass of its field lines ("passes"), each
-    call of its fallback ("fallback"), every error raised into its frame
-    ("errors") and the stage (0-3) that met it ("stage")."""
+    True)``, recording in ``seen`` each pass of its field lines ("passes"),
+    every error raised into its frame ("errors") and the stage (0-3) that met
+    it ("stage")."""
     kind, dim, _, _, params = definition
     source = _fields._chart_source(field, kind, dim, exprs, guard, params, True).splitlines()
     first = source.index(" " * 12 + "for stage in range(4):") + 2  # the field's first line
@@ -63,15 +63,11 @@ def watched(rk4, field, definition, exprs, guard, seen):
     def tracer(frame, event, arg):
         return local if frame.f_code is code else None
 
-    def run(y, t, fallback, *args):
-        def counted(state):
-            seen["fallback"] += 1
-            return fallback(state)
-
+    def run(y, t, *args):
         previous = sys.gettrace()
         sys.settrace(tracer)
         try:
-            seen["returned"] = rk4(y, t, counted, *args)
+            seen["returned"] = rk4(y, t, *args)
         finally:
             sys.settrace(previous)
         return seen["returned"]
@@ -88,7 +84,7 @@ def watch_integrators(patch):
         fn = generated(field, definition, exprs, guard, rk4)
         if not rk4:
             return fn
-        runs.append({"passes": 0, "fallback": 0, "errors": [], "stage": None})
+        runs.append({"passes": 0, "errors": [], "stage": None})
         return watched(fn, field, definition, exprs, guard, runs[-1])
 
     patch.setattr(dynamics, "_chart_field", chart_field)
@@ -107,7 +103,7 @@ def by_oracle(chart, field, q0, qdot0, h, steps):
 
 def by_integrator(chart, field, q0, qdot0, h, steps):
     """The integrator's trajectory, what its generated integrator returned and
-    every error raised into it, with its passes, fallback calls and stage."""
+    every error raised into it, with its passes and stage."""
     with pytest.MonkeyPatch.context() as patch:
         runs = watch_integrators(patch)
         traj = INTEGRATORS[field](chart, q0, qdot0, (0.0, h * steps), h)
@@ -190,13 +186,17 @@ def test_path_ending_at_a_node_equals_the_generic_loop(field):
     assert len(by_integrator(guarded, field, q0, qdot0, 0.05, steps)[0]) == node
 
 
-def test_near_floor_path_takes_the_checked_determinant():
-    # det g within rounding of the floor: the field lines leave no slope and the
-    # integrator asks the fallback, which decides with the checked determinant
+def test_near_floor_path_is_rejected_like_the_generic_loop():
+    # the triad's first row is zero here, det g = 0 (the LU determinant used to admit it):
+    # every integrator raises at the first node, as the generic loop does, with the
+    # message of ``checked_metric``
     chart = Chart(2, "map", ["atan2(q1, q1)", "atan2(q1, sqrt(q2))"])
+    q0 = [1.0, 0.0078125]
+    want = outcome(chart.metric, q0)
+    assert want[0] is DegenerateTriadError
     for field in TRAJECTORY_FIELDS:
-        seen = assert_stepper_equals_oracle(chart, field, [1.0, 0.0078125], [0.0, 1.0])
-        assert seen["fallback"] > 0, field
+        assert assert_stepper_equals_oracle(chart, field, q0, [0.0, 1.0]) is None
+        assert outcome(INTEGRATORS[field], chart, q0, [0.0, 1.0], (0.0, 1.0), 0.05) == want
 
 
 @pytest.mark.parametrize("field", TRAJECTORY_FIELDS)

@@ -5,7 +5,8 @@ affine connection and torsion, contracted with ``np.einsum`` exactly as the
 trajectory right-hand sides and ``variation_matrices`` once did.  The code
 generated per chart definition, which inlines the jets, must in turn equal
 the closure route (``_trajectory_field`` on one ``Chart._jets`` pass) bit for
-bit, fail alike and truncate trajectories at the same node.
+bit, fail alike and truncate trajectories at the same node.  Every route
+decides a degenerate triad by the one rule of ``_local.rule_lines``.
 """
 
 import numpy as np
@@ -15,7 +16,6 @@ from hypothesis import strategies as st
 
 import torsionlab as tl
 from torsionlab import _fields, dynamics
-from torsionlab._local import checked_gram
 from torsionlab.charts import BUILTIN_CHARTS, Chart
 from torsionlab.connection import affine_connection, christoffel, torsion_tensor
 from torsionlab.errors import DegenerateTriadError, EvaluationError, SingularPointError
@@ -193,20 +193,25 @@ def test_degenerate_floor_follows_the_profile(monkeypatch):
     # sqrt(det g) = exp(-1/0.2^2) = 1.4e-11: above the default floor, below strict
     dynamics._field(DEGENERATE, "geodesic")([0.2, 0.0], [1.0, 0.0])
     monkeypatch.setenv("TORSIONLAB_TOLERANCES", "strict")
-    with pytest.raises(DegenerateTriadError, match=r"sqrt\(det g\) <= 1e-10"):
+    with pytest.raises(DegenerateTriadError, match=r"floor 1e-10$"):
         dynamics._field(DEGENERATE, "geodesic")([0.2, 0.0], [1.0, 0.0])
 
 
-def test_near_singular_metric_takes_the_checked_determinant():
-    # det g = 1e-14 lies within rounding of the floor for a g of order 1
-    # (cond g = 2e15): the field defers to the LU determinant, which admits it
+def test_near_singular_metric_is_rejected_by_the_relative_margin():
+    # det g = 1e-14 is far above the floor^2 = 1e-24, but only 2.4e-15 of the product of
+    # g's diagonal (cond g = 2e15), inside the rule's 1e-13 margin: every route rejects
+    # the point with one message, where the LU determinant used to admit it
     chart = Chart(dim=2, kind="triad", exprs=["1", "1", "1", "1 + 1e-7*q1"])
     q, v = [1.0, 0.3], [0.5, -0.7]
+    E = chart.triad_jets(q)[0]
+    g = E.T @ E
+    assert 1e-15 < np.linalg.det(g) and np.linalg.det(g) < 1e-13 * g[0, 0] * g[1, 1]
+    want = outcome(chart.metric, q)
+    assert want[0] is DegenerateTriadError and "[1.0, 0.3]" in want[1]
     for field in FIELDS:
-        fn = _fields._trajectory_field(field, "triad", 2, 2)
-        assert fn(chart._jets(q, 1), v, 1e-24) is None
-        ref, got = oracle(chart, field, q, v), generated(chart, field, q, v)
-        assert np.max(np.abs(got - ref)) <= 1e-6 * np.max(np.abs(ref))
+        assert outcome(oracle, chart, field, q, v) == want
+        assert outcome(generated, chart, field, q, v) == want
+        assert outcome(by_jets, chart, field, q, v) == want
 
 
 def rk4(rhs, y0, t_grid, final_slope=False):
@@ -279,20 +284,23 @@ def test_truncation_matches_tensor_route(edge, field):
 
 
 def test_fields_compile_once_per_shape():
-    before = dict(_fields._FIELDS)
+    # the field per shape serves stacks of points only, compiled at the first stack:
+    # an integrator compiles none
+    _fields._trajectory_field.cache_clear()
+    points, velocities = np.array([[1.0, 0.0], [1.2, 0.3]]), (np.array([0.3, 0.1]), np.array([0.4, 0.2]))
     for r in (1.0, 2.0):
-        tl.integrate_geodesic(tl.builtin_chart("sphere", r=r), [1.0, 0.0], [0.3, 0.4], (0.0, 0.02), 1e-2)
-    key = ("geodesic", "map", 2, 3)
-    assert key in _fields._FIELDS
-    if key in before:
-        assert _fields._FIELDS[key] is before[key]
-    assert len(_fields._FIELDS) - len(before) <= 1
-
+        sphere = tl.builtin_chart("sphere", r=r)
+        tl.integrate_geodesic(sphere, [1.0, 0.0], [0.3, 0.4], (0.0, 0.02), 1e-2)
+        tl.straight_line_image(sphere, [1.0, 0.0], [0.3, 0.4], (0.0, 0.02), 1e-2)
+        assert _fields._trajectory_field.cache_info().currsize == (r > 1.0)
+        dynamics._field(sphere, "geodesic")(points, velocities)
+    info = _fields._trajectory_field.cache_info()
+    assert (info.currsize, info.misses, info.hits) == (1, 1, 1)
 
 
 # -- the code generated per chart definition against the closure route ------------------------
 
-FLOOR2 = 1e-12 * 1e-12  # the default profile's degenerate-triad floor, squared
+FLOOR = 1e-12  # the default profile's degenerate-triad floor
 
 
 @st.composite
@@ -324,17 +332,17 @@ def field_cases(draw):
 
 def by_code(chart, field, q, v):
     code = _fields._chart_field(field, chart._definition, chart.exprs, chart.guard)
-    return code(*q, *v, *chart.params.values(), FLOOR2)
+    return code(*q, *v, *chart.params.values(), FLOOR)
 
 
 def by_jets(chart, field, q, v):
     fn = _fields._trajectory_field(field, chart.kind, chart.dim, chart.ambient_dim)
-    return fn(chart._jets(q, int(field != "line_image")), v, FLOOR2)
+    return fn(q, chart._jets(q, int(field != "line_image")), v, FLOOR)
 
 
 def flat(out):
-    """A field's floats in one array (None, where det g is within rounding of the floor, as is)."""
-    if out is None or isinstance(out, tuple) and isinstance(out[0], type):
+    """A field's floats in one array (a failure as is)."""
+    if isinstance(out, tuple) and isinstance(out[0], type):
         return out
     if isinstance(out[0], tuple):
         return np.concatenate([np.ravel(part) for part in out])
@@ -353,10 +361,7 @@ def test_chart_code_equals_closure_route(case):
         w = velocity(chart, field, v)
         got = flat(outcome(by_code, chart, field, q, w))
         ref = flat(outcome(by_jets, chart, field, q, w))
-        if got is None or ref is None:
-            assert got is ref, (chart.to_dict(), field, q, w, got, ref)
-        else:
-            assert_same(got, ref)
+        assert_same(got, ref)
 
 
 def zero_derivative_expressions():
@@ -382,25 +387,16 @@ def test_chart_code_keeps_signed_zeros(source, kind, q, v):
     chart = Chart(1, kind, [source, "1 + 0.5*q1^2"] if kind == "map" else [source], params=PARAMS)
     for field in FIELDS + ("line_image",):
         w = [v, 0.5][: chart.ambient_dim] if field == "line_image" else [v]
-        got = flat(outcome(by_code, chart, field, [q], w))
-        ref = flat(outcome(by_jets, chart, field, [q], w))
-        if got is None or ref is None:
-            assert got is ref
-        else:
-            assert_same(got, ref)
+        assert_same(flat(outcome(by_code, chart, field, [q], w)),
+                    flat(outcome(by_jets, chart, field, [q], w)))
 
 
 def closure_field(chart, field):
-    """The closure route's ``at(q, v)`` at one point, deciding a point within
-    rounding of the floor by the checked determinant, as ``dynamics._field`` does."""
+    """The closure route's ``at(q, v)`` at one point: ``_trajectory_field`` on
+    one ``Chart._jets`` pass."""
 
     def at(q, v):
-        jets = chart._jets(q, int(field != "line_image"))
-        fn = _fields._trajectory_field(field, chart.kind, chart.dim, chart.ambient_dim)
-        out = fn(jets, v, FLOOR2)
-        if out is None:  # det g within rounding of the floor
-            out = fn(jets, v, FLOOR2, checked_gram(chart._tensors(jets, 0)[0], q)[1])
-        return out
+        return by_jets(chart, field, q, v)
 
     return at
 
@@ -486,13 +482,35 @@ def test_chart_code_truncates_like_closure_route(edge, field):
     assert_bitwise(got[1], ref[1])
 
 
+def edge_of_admission(admits, lo, hi):
+    """The least float in (lo, hi] that ``admits`` (a predicate rejecting lo and
+    admitting hi, monotone between them), by bisection down to adjacent floats."""
+    assert not admits(lo) and admits(hi)
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return hi
+        lo, hi = (lo, mid) if admits(mid) else (mid, hi)
+
+
+def admitted_by_metric(chart, q):
+    return not isinstance(outcome(chart.metric, q), tuple)
+
+
 def test_field_within_rounding_of_the_floor_returns_plain_floats():
-    # det g within rounding of the floor: the field comes from the jets and the checked det,
-    # and must stay plain floats like the generated code's, or the RK4 state turns into numpy
-    # scalars and error messages differ between the routes (found by Hypothesis above)
-    chart = Chart(2, "map", ["atan2(q1, q1)", "atan2(q1, sqrt(q2))"])
-    q, v = [1.0, 0.0078125], [0.0, 1.0]
-    jets = chart._jets(q, 1)
-    assert _fields._trajectory_field("geodesic", "map", 2, 2)(jets, v, FLOOR2) is None
-    out = dynamics._field(chart, "geodesic")(q, v)
-    assert [type(x) for x in out] == [float, float]
+    # the least q1 the rule admits at the degenerate band's edge, where det g is within
+    # rounding of the floor^2: the field returns plain floats like anywhere else (a route
+    # that returned numpy scalars there once turned the RK4 state into them), and one
+    # float below, it raises as ``checked_metric`` does
+    q1 = edge_of_admission(lambda x: admitted_by_metric(DEGENERATE, [x, 0.0]), 0.1, 0.3)
+    E = DEGENERATE.triad([q1, 0.0])
+    assert 1e-24 < np.linalg.det(E.T @ E) < 1e-24 * (1.0 + 1e-12)
+    below = float(np.nextafter(q1, 0.0))
+    want = outcome(DEGENERATE.metric, [below, 0.0])
+    assert want[0] is DegenerateTriadError
+    for field in FIELDS:
+        at = dynamics._field(DEGENERATE, field)
+        out = at([q1, 0.0], [1.0, 0.5])
+        parts = out if field == "variation" else (out,)
+        assert {type(x) for part in parts for x in part} == {float}
+        assert outcome(at, [below, 0.0], [1.0, 0.5]) == want

@@ -61,7 +61,9 @@ the trajectories, under criteria 3 and 5:
 * ``field_point``             one sphere geodesic field evaluation at a phase
   point, as the integrators take it (``dynamics._field``; the mean of 10,000);
 * ``field_point_closure``     the same through ``Chart._jets`` and
-  ``dynamics._trajectory_field``, the route stacks of points take;
+  ``dynamics._trajectory_field``, the route stacks of points take (its
+  signature ``(q, jets, v, floor)`` since the one degenerate-triad rule,
+  ``(jets, v, floor2)`` before);
 * ``variation_matrices``      one ``variation_matrices`` call on that chart
   (the mean of 1,000 calls);
 * ``half_step_samples``       ``dynamics._half_step_samples`` along that
@@ -85,7 +87,9 @@ the cold start:
 * ``integrator_first_use``    the first use of the sphere's geodesic and
   line-image integrators: one step of ``integrate_geodesic`` and one of
   ``straight_line_image`` on the unit sphere, all the code they take generated
-  and compiled, timed inside a fresh interpreter after the import (the median of 9).
+  and compiled, timed inside a fresh interpreter after the import (the median
+  of 9); the field per shape, ``_trajectory_field``, is compiled there only by
+  checkouts from before the one degenerate-triad rule.
 
 A layer that a checkout cannot run (a stacked ``PostpointData`` or every
 ``LocalGeometry`` tensor over a stack, before they took one) is recorded with
@@ -95,14 +99,15 @@ Only public names are used, besides ``_local.LocalGeometry``,
 ``dynamics._expm`` (optional, as above) and
 ``dynamics._half_step_samples``, whose
 signature is unchanged since the variation solvers first shared it, and
-``dynamics._field`` and ``dynamics._trajectory_field``, unchanged since
-the generated fields came in, so any checkout since then can be timed.
+``dynamics._field`` and ``dynamics._trajectory_field``, in every checkout
+since the generated fields came in, so any checkout since then can be timed.
 BLAS is pinned to one thread before numpy loads, as in ``perfbench/run.py``.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import os
@@ -275,9 +280,10 @@ def _trajectory_layers():
 
         impl = "scipy.linalg.expm"
 
-    q, v, floor2 = [1.2, 0.1], [0.3, 0.8], 1e-12 * 1e-12
+    q, v, floor = [1.2, 0.1], [0.3, 0.8], 1e-12
     at = dynamics._field(sphere, "geodesic")
     fn = dynamics._trajectory_field("geodesic", sphere.kind, sphere.dim, sphere.ambient_dim)
+    with_point = "q" in inspect.signature(fn).parameters  # (q, jets, v, floor), or (jets, v, floor2)
 
     def field_calls():
         for _ in range(FIELD_CALLS):
@@ -285,7 +291,10 @@ def _trajectory_layers():
 
     def closure_calls():
         for _ in range(FIELD_CALLS):
-            fn(sphere._jets(q, 1), v, floor2)
+            if with_point:
+                fn(q, sphere._jets(q, 1), v, floor)
+            else:
+                fn(sphere._jets(q, 1), v, floor * floor)
 
     layers = {
         "geodesic_per_step": _median_timing(
