@@ -19,7 +19,7 @@ degenerate-triad rule (``_local.rule_lines``, which ``checked_metric`` runs
 too), which raise ``DegenerateTriadError`` at a rejected point; a trajectory
 truncates there as at a guard.  Elsewhere a field returns plain floats, D
 accelerations or the row-major D x D matrices (G, Sigma); on the jets of a
-stack (N, D), D <= 3, and a velocity of D arrays it returns arrays.
+stack (N, D) and a velocity of D arrays it returns arrays.
 
 ``_chart_field`` writes the same lines once per chart definition behind the
 guard and the jets of every chart expression, which ``_Taylor`` inlines
@@ -117,12 +117,12 @@ def _field_source(field, kind, dim, ambient, head=None, slope=None):
             G = ", ".join(x[l][m] for m in rD for l in rD)
             S = ", ".join(x[dim + n][m] for m in rD for n in rD) if kind != "map" else zero
             result = f"({G},), ({S},)"
-    else:
-        rhs = ", ".join("(" + ", ".join(f"c{c}_{s}" for c in range(len(columns))) + ",)" for s in rD)
-        lines.append(f"    x = np.linalg.solve(g, np.array(({rhs})))")
-        S = f"tuple(x[:, {dim}:].ravel().tolist())" if kind != "map" else f"({zero},)"
-        result = (f"tuple(({sign}x[:, 0]).tolist())" if field != "variation"
-                  else f"tuple(x[:, :{dim}].ravel().tolist()), {S}")
+    else:  # right-hand sides (..., D, columns) at a point or over a stack; x (D, columns, ...)
+        rhs = ", ".join("(" + ", ".join(f"c{c}_{s}" for s in rD) + ",)" for c in range(len(columns)))
+        lines.append(f"    x = np.moveaxis(np.linalg.solve(g, np.array(({rhs},)).T), (-2, -1), (0, 1))")
+        G, S = (f"tuple(x[:, {c}:{c + dim}].reshape({dim * dim}, *x.shape[2:]).tolist())" for c in (0, dim))
+        S = S if kind != "map" else f"({zero},)"
+        result = f"tuple(({sign}x[:, 0]).tolist())" if field != "variation" else f"{G}, {S}"
     lines.append(f"    {slope} = {result}" if slope else f"    return {result}")
     return "\n".join(lines) + "\n"
 

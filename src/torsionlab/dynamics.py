@@ -21,7 +21,7 @@ At one phase point of floats, one call of the code generated for the chart's
 definition checks the guard, evaluates every chart expression's jet, applies
 the degenerate-triad rule (``_local.rule_lines``, as ``checked_metric`` does,
 on the same floats) and returns the field as plain floats; over a stack of
-points (D <= 3) the same field lines read one batched ``Chart._jets`` pass.
+points the same field lines read one batched ``Chart._jets`` pass.
 A point the rule rejects raises ``DegenerateTriadError``; in an integrator it
 ends the path like any other domain error.  The line image stays an
 independent oracle for the autoparallel: it integrates a different,
@@ -92,8 +92,8 @@ def _chart_code(chart: Chart, field, rk4=False):
 def _field(chart: Chart, field):
     """``at(q, v)``: the generated ``field`` of ``chart`` at one phase point (q an
     array or D floats, and v) by one call of the code generated for the chart's
-    definition, or over points (N, D), D <= 3, by ``_trajectory_field`` on one
-    batched jet pass.  Both raise where a point fails, a degenerate triad too."""
+    definition, or over points (N, D) by ``_trajectory_field`` on one batched
+    jet pass.  Both raise where a point fails, a degenerate triad too."""
     code, args = _chart_code(chart, field)
 
     def at(q, v):
@@ -214,8 +214,8 @@ def _half_step_samples(chart: Chart, base: Trajectory, deltaq, params):
 
     Sample j = 2k is node k and j = 2k + 1 the midpoint of step k, where the
     state is the cubic Hermite interpolant of the two nodes.  All samples
-    take one batched jet pass (D <= 3), or one each in order if the batch
-    fails, so the first failing sample raises its own error.  Returns
+    take one batched jet pass, or one each in order if the batch fails, so
+    the first failing sample raises its own error.  Returns
     ``(delta_q, G, Sigma)`` with 2N - 1 samples each.
     """
     if len(base) < 2:
@@ -236,8 +236,7 @@ def _half_step_samples(chart: Chart, base: Trajectory, deltaq, params):
     def batch():
         return dq_fn(ts), *(columns(parts, m) for parts in variation(qs, tuple(vs.T)))
 
-    # one batched pass (above D = 3 the fields solve per point), or sample by sample
-    dq, G, Sigma = (attempt(batch) if D <= 3 else None) or [np.array(c) for c in zip(*(
+    dq, G, Sigma = attempt(batch) or [np.array(c) for c in zip(*(  # or sample by sample
         (dq_fn(ts[j]), *variation(qs[j], vs[j].tolist())) for j in range(m)))]
     return dq, G.reshape(m, D, D), Sigma.reshape(m, D, D)
 

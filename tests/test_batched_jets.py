@@ -315,11 +315,13 @@ def test_kinetic_energy_equals_per_node_reference(name, jet_calls):
 # -- generated fields over a batch ----------------------------------------------------------
 
 
-OTHER_CHARTS = {"triad3": TRIAD3, "map1": Chart(1, "map", ["2*cos(q1)", "2*sin(q1)", "0.5*q1"])}
+OTHER_CHARTS = {"triad3": TRIAD3, "map1": Chart(1, "map", ["2*cos(q1)", "2*sin(q1)", "0.5*q1"]),
+                **{f"{kind}4": Chart(4, kind, exprs) for kind, exprs in FOUR_DIMENSIONAL.items()}}
 
 
 @pytest.mark.parametrize("field", FIELDS)
-@pytest.mark.parametrize("name", ["sphere", "synthetic_torsion", "dislocation", "triad3", "map1"])
+@pytest.mark.parametrize("name", ["sphere", "synthetic_torsion", "dislocation", "triad3", "map1",
+                                  "map4", "triad4"])
 def test_batched_fields_equal_pointwise(name, field, rng):
     if name in OTHER_CHARTS:
         chart = OTHER_CHARTS[name]
@@ -340,7 +342,8 @@ def test_batched_fields_equal_pointwise(name, field, rng):
 
 @pytest.mark.parametrize("kind", sorted(FOUR_DIMENSIONAL))
 def test_four_dimensional_samples_are_taken_pointwise(kind):
-    # above D = 3 the generated fields solve per point: the batch defers
+    # above D = 3 the generated fields solve with ``np.linalg.solve``, which takes a stack
+    # of samples as it takes each one: the batch equals the samples taken pointwise
     chart = Chart(4, kind, FOUR_DIMENSIONAL[kind])
     path = straight_path([0.6, 0.7, 0.8, 0.9], [1.2, 0.9, 0.6, 1.1])
     deltaq = DELTAQ + ["0.1*t*(1 - t)", "0"]
