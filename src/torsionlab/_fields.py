@@ -38,7 +38,7 @@ from functools import cache
 import numpy as np
 
 from . import expressions
-from ._local import degenerate_triad, rule_lines
+from ._local import _ADJUGATES, degenerate_triad, rule_lines
 from .errors import DegenerateTriadError, EvaluationError, SingularPointError
 from .expressions import _REAL, Name, Num, _Code, _lit, _multisets, _operation, _rule, _Taylor
 
@@ -58,10 +58,10 @@ def _jet_names(kind, dim, ambient, deriv):
 
 
 def _field_source(field, kind, dim, ambient, head=None, slope=None):
-    """Source of ``field``; ``head`` (the def line and the lines binding the
-    jet names, the velocity and the chart's coordinates) unpacks ``jets`` and
-    ``v`` at the point or stack ``q`` by default.  With ``slope``, the lines
-    compute the field into those names instead of returning it."""
+    """Source of ``field``; ``head`` (the def line, whose arguments in a chart's
+    code include its coordinates ``q1..``, and the lines binding the jet names
+    and the velocity) unpacks ``jets`` and ``v`` at the point or stack ``q`` by
+    default.  With ``slope``, the lines compute the field into those names."""
     rD, rA = range(dim), range(ambient)
     deriv = field != "line_image"
 
@@ -108,7 +108,7 @@ def _field_source(field, kind, dim, ambient, head=None, slope=None):
         lines += [f"    c{c}_{s} = {entry}" for s, entry in enumerate(column)]
 
     zero = ", ".join(["0.0"] * dim * dim)  # a map chart's Sigma
-    if dim <= 3:  # g^-1 = adjugate / det
+    if dim in _ADJUGATES:  # g^-1 = adjugate / det, from the rule's lines
         # x[c][m]: row m of the solution for column c
         x = [[f"{sign}({total(f'a{min(m, s)}_{max(m, s)}*c{c}_{s}' for s in rD)}) / det" for m in rD]
              for c in range(len(columns))]

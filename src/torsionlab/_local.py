@@ -77,7 +77,7 @@ def rule_lines(dim, ambient, point=None):
 
 def degenerate_triad(q, floor, ok=True):
     """The error at the point ``q``, or at the first point of the stack ``q`` that ``ok`` rejects."""
-    at = np.asarray(q)[np.argmin(ok)] if np.ndim(ok) else np.asarray(q)
+    at = np.asarray(q, dtype=float)[np.argmin(ok) if np.ndim(ok) else ...]
     return DegenerateTriadError(f"triad degenerate at {at.tolist()}: det g <= floor^2 + "
                                 f"{DEGENERATE_MARGIN:g} prod(diag g), floor {floor:g}")
 

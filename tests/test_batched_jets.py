@@ -352,6 +352,25 @@ def test_four_dimensional_samples_are_taken_pointwise(kind):
         assert_bitwise(got, want)
 
 
+FIVE_DIMENSIONAL = {
+    "map": ["q1", "q2 + 0.1*q1*q3", "q3", "q4 + 0.2*q5^2", "q5", "0.3*q1*q4"],
+    "triad": ["1 + 0.1*q1" if i == k else f"0.05*q{k + 1}" if k == (i + 1) % 5 else "0"
+              for i in range(5) for k in range(5)],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(FIVE_DIMENSIONAL))
+def test_as_many_samples_as_dimensions_equal_pointwise(kind):
+    # a three-node base gives 5 half-step samples, as many as D = 5: the stacked solve must
+    # not take the sample axis for a matrix axis (the variation raised a TypeError there)
+    chart = Chart(5, kind, FIVE_DIMENSIONAL[kind])
+    path = straight_path([0.5, 0.4, 0.3, 0.2, 0.1], [0.7, 0.5, 0.4, 0.3, 0.3], n=3)
+    deltaq = DELTAQ + ["0.1*t*(1 - t)", "0", "0"]
+    for got, want in zip(dynamics._half_step_samples(chart, path, deltaq, None),
+                         reference_samples(chart, path, deltaq)):
+        assert_bitwise(got, want)
+
+
 def test_near_singular_batch_defers_to_pointwise():
     # det g is 2.4e-15 of the product of g's diagonal at every point, inside the rule's
     # 1e-13 margin (the LU det used to admit it): the batched field raises what its first

@@ -24,7 +24,7 @@ from torsionlab.cli import EXIT_NUMERIC
 from torsionlab.errors import DegenerateTriadError
 
 from test_batched_jets import RANK_ONE
-from test_rk4_stepper import INTEGRATORS, assert_stepper_equals_oracle, by_integrator
+from test_rk4_stepper import INTEGRATORS, assert_stepper_equals_oracle, by_integrator, failed
 from test_trajectory_fields import (
     FIELDS,
     admitted_by_metric,
@@ -41,10 +41,6 @@ REJECTED = {  # (chart, point, a stack whose first point the rule rejects is ``p
     "atan2": (ATAN2, [1.0, 0.0078125], [[1.0, 0.0078125], [1.0, 0.5]]),
     "one_step": (ONE_STEP, [1.3, 0.0], [[1.3, 0.05], [1.3, 0.0], [1.0, 0.0]]),
 }
-
-
-def failed(result):
-    return isinstance(result, tuple) and isinstance(result[0], type)
 
 
 def velocities(chart, field, n=None):
