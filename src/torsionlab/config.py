@@ -1,7 +1,7 @@
 """Tolerance profiles.
 
 The engine consults one threshold at run time: the degenerate-triad floor of
-its one rule (``_local.rule_lines``: det g > floor^2 + 1e-13 prod g_ii, and
+its one rule (``_local.rule_lines``: det g > floor^2 + margin * prod g_ii, and
 finite; else a point query raises, a path truncates).  The environment variable
 ``TORSIONLAB_TOLERANCES`` selects the profile, at every public call, so it
 acts on charts that already exist.  The test suites pin their own
@@ -19,7 +19,7 @@ from .errors import ValidationError
 @dataclass(frozen=True)
 class ToleranceProfile:
     name: str = "default"
-    # det g at or below this squared (plus 1e-13 of prod g_ii) means the triad is unusable.
+    # det g at or below this squared (plus ``_local.DEGENERATE_MARGIN`` prod g_ii): unusable.
     degenerate_triad_floor: float = 1e-12
 
 
