@@ -75,7 +75,7 @@ from .errors import (
     TorsionLabError,
     ValidationError,
 )
-from .expressions import Expression, Jet, parse_expression
+from .expressions import Expression
 from .pathintegral import (
     Ring,
     ShortTimeConfig,

@@ -45,7 +45,7 @@ def torsion_tensor(chart: Chart, q) -> np.ndarray:
 
 def torsion_trace(torsion: np.ndarray) -> np.ndarray:
     """Contracted torsion vector S_mu = S_{mu lam}^lam."""
-    return np.einsum("mll->m", torsion)
+    return np.einsum("...mll->...m", torsion)
 
 
 def contortion(chart: Chart, q) -> np.ndarray:

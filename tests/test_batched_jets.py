@@ -53,9 +53,12 @@ TENSORS = (  # the ``LocalGeometry`` tensors that each triad order adds
 
 def geometry_tensors(chart, q, order):
     """Every ``LocalGeometry`` tensor at triad order ``order`` at q (one point or
-    a stack), and at order 2 the Ricci reductions of both curvatures."""
+    a stack), from order 1 the torsion vector, and at order 2 the Ricci
+    reductions of both curvatures."""
     geo = LocalGeometry.of(chart, q, order)
     out = {name: getattr(geo, name) for names in TENSORS[: order + 1] for name in names}
+    if order >= 1:
+        out["torsion_vector"] = tl.torsion_trace(geo.torsion)
     for source in ("riemann", "cartan") if order == 2 else ():
         parts = ("ricci", "scalar", "einstein")
         out.update(zip((f"{source}_{p}" for p in parts), geo.ricci_scalar_einstein(source)))
@@ -108,6 +111,15 @@ def test_builtin_batches_equal_pointwise(name, rng, jet_calls):
         assert jet_calls == [points.shape]  # the batch needed no point-by-point rerun
         assert_bitwise(batch, pointwise_jets(chart, points, order))
         assert_geometry_pointwise(chart, points, order)
+
+
+@pytest.mark.parametrize("name", BUILTIN_CHARTS)
+def test_empty_stacks_give_empty_tensors(name):
+    chart = tl.builtin_chart(name)
+    points = np.empty((0, chart.dim))
+    assert chart.metric(points).shape == (0, chart.dim, chart.dim)
+    for key, value in geometry_tensors(chart, points, 2).items():
+        assert np.shape(value)[0] == 0, key
 
 
 @settings(max_examples=100, deadline=None)

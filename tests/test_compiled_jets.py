@@ -2,6 +2,7 @@
 
 import math
 import os
+import struct
 import subprocess
 import sys
 from functools import lru_cache, partial
@@ -18,7 +19,9 @@ import torsionlab
 from torsionlab import builtin_chart, dynamics, expressions
 from torsionlab.charts import BUILTIN_CHARTS
 from torsionlab.errors import EvaluationError, SingularPointError, ValidationError
-from torsionlab.expressions import Expression, Jet
+from torsionlab.expressions import Expression
+
+from jet_reference import Jet, interpret
 
 PARAMS = {"a": 0.7, "b": -1.3}
 
@@ -28,7 +31,7 @@ def interpreted(expr, names, point, order, params=PARAMS):
     dim = len(names)
     env = dict(params)
     env.update({n: Jet.variable(x, i, dim, order) for i, (n, x) in enumerate(zip(names, point))})
-    jet = expr(env)
+    jet = interpret(expr, env)
     if not isinstance(jet, Jet):
         jet = Jet.constant(jet, dim, order)
     tensors = (None, jet.d1, jet.d2, jet.d3)
@@ -226,6 +229,31 @@ def test_compiled_matches_interpreter(case, order):
     assert_within_running_error(expr, names, point, order, ref, got)
 
 
+def plain_outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # the two routes must fail alike
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=cases())
+@example(case=("-(q1 - q1)", ["q1"], [1.0]))  # a signed zero
+@example(case=("sqrt(q1) + atan2(q1, q1)", ["q1"], [0.0]))  # defined for a plain value only
+@example(case=("log(q1)", ["q1"], [0.0]))
+def test_plain_values_match_interpreter(case):
+    # expr(env) on floats is the interpreter's float bit for bit, or the same error
+    source, names, point = case
+    expr = Expression(source)
+    env = {**PARAMS, **dict(zip(names, point))}
+    ref = plain_outcome(interpret, expr, env)
+    got = plain_outcome(expr, env)
+    if isinstance(ref, tuple) and isinstance(ref[0], type):
+        assert got == ref
+        return
+    assert len(got) == 1 and struct.pack("d", *got) == struct.pack("d", ref), (source, ref, got)
+
+
 def test_fixed_d3_order3_matches_sympy():
     source = "a*q1^2*sin(q2*q3) + exp(q1 - q3)/sqrt(1 + q2^2) - atan2(q3, q1)*log(2 + q2) + q2^q1"
     point = (0.8, 1.1, -0.6)
@@ -271,7 +299,7 @@ def test_plain_values_need_no_derivatives():
     # 1e-200 squared underflows to 0, which only a derivative would divide by
     expr = Expression("log(q1) + sqrt(q1) + sqrt(0)")
     env = {"q1": 1e-200}
-    assert expr(env, (), 0) == (expr(env),) == (math.log(1e-200) + 1e-100,)
+    assert expr(env, (), 0) == expr(env) == (interpret(expr, env),) == (math.log(1e-200) + 1e-100,)
 
 
 # -- domain errors ------------------------------------------------------------------
@@ -329,23 +357,30 @@ def test_guard_rejected_point_raises_singular_point():
 
 
 def test_hot_paths_never_walk_the_tree(monkeypatch):
+    # the engine walks an expression's tree only to lower it, once per expression and
+    # (wrt, order), never per step: three times the steps walk the same nodes
     calls = []
-    walk = expressions._eval
+    walk = expressions._lower
 
-    def counted(node, env):
+    def counted(node, wrt, kernels):
         calls.append(node)
-        return walk(node, env)
+        return walk(node, wrt, kernels)
 
-    monkeypatch.setattr(expressions, "_eval", counted)
-    sphere = builtin_chart("sphere")
-    traj = dynamics.integrate_geodesic(sphere, [1.2, 0.1], [0.3, 0.8], (0.0, 0.1), 1e-3)
-    assert len(traj) == 101
-    torsion = builtin_chart("synthetic_torsion")
-    base = dynamics.integrate_autoparallel(torsion, [0.1, 0.0], [1.0, 0.5], (0.0, 0.1), 1e-3)
-    dynamics.nonholonomic_variation(torsion, base, ["t*(0.1 - t)", "0"])
-    dynamics.closure_defect_by_quadrature(torsion, base, ["t*(0.1 - t)", "0"])
-    dynamics.torsion_el_residual(torsion, base)
-    assert calls == []
+    monkeypatch.setattr(expressions, "_lower", counted)
+    walked = []
+    for end in (0.1, 0.3):
+        calls.clear()
+        sphere = builtin_chart("sphere")
+        traj = dynamics.integrate_geodesic(sphere, [1.2, 0.1], [0.3, 0.8], (0.0, end), 1e-3)
+        assert len(traj) == round(end / 1e-3) + 1
+        torsion = builtin_chart("synthetic_torsion")
+        base = dynamics.integrate_autoparallel(torsion, [0.1, 0.0], [1.0, 0.5], (0.0, end), 1e-3)
+        deltaq = [f"t*({end} - t)", "0"]
+        dynamics.nonholonomic_variation(torsion, base, deltaq)
+        dynamics.closure_defect_by_quadrature(torsion, base, deltaq)
+        dynamics.torsion_el_residual(torsion, base)
+        walked.append(len(calls))
+    assert walked[0] == walked[1] > 0
 
 
 def fresh_interpreter(code):
