@@ -248,7 +248,7 @@ def test_plain_values_match_interpreter(case):
     env = {**PARAMS, **dict(zip(names, point))}
     ref = plain_outcome(interpret, expr, env)
     got = plain_outcome(expr, env)
-    if isinstance(ref, tuple) and isinstance(ref[0], type):
+    if isinstance(ref, tuple):  # both raise, the same error and message
         assert got == ref
         return
     assert len(got) == 1 and struct.pack("d", *got) == struct.pack("d", ref), (source, ref, got)
