@@ -21,12 +21,11 @@ truncates there as at a guard.  Elsewhere a field returns plain floats, D
 accelerations or the row-major D x D matrices (G, Sigma); on the jets of a
 stack (N, D) and a velocity of D arrays it returns arrays.
 
-``_chart_field`` writes the same lines once per chart definition behind the
-guard and the jets of every chart expression, which ``_Taylor`` inlines
-(a subexpression shared between entries, found by structural hashing of
-the AST, computed once): one call evaluates the field at a phase point of
-floats.  Parameter values are arguments, so charts that differ only in
-them share the code.
+``_chart_field`` writes these lines once per chart definition into its RK4
+integrator, behind the guard and the jets of every chart expression, which
+``_Taylor`` inlines (a subexpression shared between entries, found by
+structural hashing of the AST, computed once).  Parameter values are
+arguments, so charts that differ only in them share the code.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ from ._local import _ADJUGATES, degenerate_triad, rule_lines
 from .errors import DegenerateTriadError, EvaluationError, SingularPointError
 from .expressions import _REAL, Name, Num, _Code, _lit, _multisets, _operation, _rule, _Taylor
 
-_CHART_FIELDS: dict = {}  # (field, (kind, D, sources, guard, parameter names), rk4) -> function
+_CHART_FIELDS: dict = {}  # (field, (kind, D, sources, guard, parameter names)) -> integrator
 _CHART_FIELDS_KEPT = 128  # entries kept, the most recently used (8-33 KB each)
 
 
@@ -58,10 +57,10 @@ def _jet_names(kind, dim, ambient, deriv):
 
 
 def _field_source(field, kind, dim, ambient, head=None, slope=None):
-    """Source of ``field``; ``head`` (the def line, whose arguments in a chart's
-    code include its coordinates ``q1..``, and the lines binding the jet names
-    and the velocity) unpacks ``jets`` and ``v`` at the point or stack ``q`` by
-    default.  With ``slope``, the lines compute the field into those names."""
+    """Source of ``field(q, jets, v, floor)``, which unpacks ``jets`` and ``v``
+    at the point or stack ``q``; or, with ``head`` (the lines binding the jet
+    names from a chart integrator's coordinates ``q1..``) and ``slope``, the
+    lines that compute the field into the names ``slope``."""
     rD, rA = range(dim), range(ambient)
     deriv = field != "line_image"
 
@@ -71,7 +70,7 @@ def _field_source(field, kind, dim, ambient, head=None, slope=None):
     def dE(i, k, l):  # d_l e^i_k; a map chart's is symmetric in (k, l)
         return f"d{i}_{min(k, l)}_{max(k, l)}" if kind == "map" else f"d{i}_{k}_{l}"
 
-    point = f"[{', '.join(f'q{k + 1}' for k in rD)}]"  # in a chart's code, its coordinates
+    point = f"[{', '.join(f'q{k + 1}' for k in rD)}]"  # in a chart's integrator, its coordinates
     if head is None:
         point, names = None, _jet_names(kind, dim, ambient, deriv)  # ``q``, a point or a stack
         head = [f"def {field}(q, jets, v, floor):",
@@ -138,7 +137,7 @@ def _trajectory_field(field, kind, dim, ambient):
     return namespace[field]
 
 
-def _chart_source(field, kind, dim, exprs, guard, params, rk4=False):
+def _chart_source(field, kind, dim, exprs, guard, params):
     ambient = len(exprs) if kind == "map" else dim
     deriv = field != "line_image"
     order = (kind == "map") + deriv  # of the jets that give E and its ``deriv`` derivatives
@@ -181,14 +180,11 @@ def _chart_source(field, kind, dim, exprs, guard, params, rk4=False):
             if name != "_":
                 taylor.lines.append(f"    {name} = {_lit(jet[i])}")
                 jet[i] = name if isinstance(jet[i], _Code) else jet[i]
-    rest = [*velocity, *(f"r{k}" for k in range(len(params))), "floor"]
-    if not rk4:
-        return _field_source(field, kind, dim, ambient, [
-            f"def {field}({', '.join([*coords, *rest])}):", *taylor.lines])
     state = [*coords, *velocity[: dim * deriv]]
     slope = [*velocity[: dim * deriv], *(f"f{k}" for k in range(dim))]
+    rest = [*velocity[dim * deriv:], *(f"r{k}" for k in range(len(params))), "floor"]
     body = _field_source(field, kind, dim, ambient, taylor.lines, ", ".join(slope[-dim:]) + ",")
-    return _rk4_source(f"def {field}(y, t, {', '.join(rest[dim * deriv:])}):",
+    return _rk4_source(f"def {field}(y, t, {', '.join(rest)}):",
                        state, slope, body.splitlines(), final=not deriv)
 
 
@@ -239,22 +235,22 @@ def _rk4_source(head, state, slope, body, final):
         f"    return y, np.frombuffer(slopes).reshape(-1, {n}), len(y) < len(t)\n"])
 
 
-def _chart_field(field, definition, exprs, guard, rk4=False):
-    """``field(q1, .., qD, v.., parameter values.., floor)`` of one chart
-    definition (``Chart._definition``, whose ``exprs`` and ``guard`` it reads):
-    the guard, the jets and the lines of ``_field_source`` in one function,
-    compiled on first use.  It raises as ``Chart._jets`` and ``checked_metric``
-    raise and returns what ``_trajectory_field`` returns on that pass's jets.
-    With ``rk4``, the chart's integrator ``field(y, t, v.., parameter values..,
-    floor)`` instead (``_rk4_source``; ``v`` only for the line image)."""
-    key = (field, definition, rk4)
+def _chart_field(field, definition, exprs, guard):
+    """The RK4 integrator ``field(y, t, v.., parameter values.., floor)`` of one
+    chart definition (``Chart._definition``, whose ``exprs`` and ``guard`` it
+    reads; ``v``, the flat velocity, only for the line image), compiled on first
+    use: ``_rk4_source`` over the guard, the jets and the lines of
+    ``_field_source``.  Each stage raises as ``Chart._jets`` and
+    ``checked_metric`` raise and computes what ``_trajectory_field`` returns on
+    that pass's jets."""
+    key = (field, definition)
     fn = _CHART_FIELDS.pop(key, None)  # re-inserted below: dict order is recency order
     if fn is None:
         kind, dim, sources, _, params = definition
         namespace = {**vars(expressions), **globals(),  # the helpers, errors, array, math, np
                      "_INF": math.inf, **{f"_REAL_{op}": f for op, f in _REAL.items()}}
-        label = f"<{field} {'integrator' if rk4 else 'field'} of the {kind} chart {list(sources)}>"
-        source = _chart_source(field, kind, dim, exprs, guard, params, rk4)
+        label = f"<{field} integrator of the {kind} chart {list(sources)}>"
+        source = _chart_source(field, kind, dim, exprs, guard, params)
         exec(compile(source, label, "exec"), namespace)
         fn = namespace[field]
         if len(_CHART_FIELDS) >= _CHART_FIELDS_KEPT:

@@ -21,13 +21,13 @@ from .config import active_profile
 from .errors import DegenerateTriadError, TorsionLabError
 
 
-def attempt(batch, errors=(ArithmeticError, ValueError, TorsionLabError)):
-    """``batch()`` over a stack of points, or None if it raises one of ``errors`` (numpy's
-    float errors raise, as Python's do): the caller then runs the points one by one."""
+def attempt(batch):
+    """``batch()`` over a stack of points, or None if it raises (numpy's float errors
+    raise, as Python's do): the caller then runs the points one by one."""
     try:
         with np.errstate(divide="raise", over="raise", invalid="raise"):
             return batch()
-    except errors:
+    except (ArithmeticError, ValueError, TorsionLabError):
         return None
 
 

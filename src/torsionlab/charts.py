@@ -194,11 +194,11 @@ class Chart:
         return jets[order]
 
     def metric_with_derivatives(self, q, order=2):
-        """Metric plus its first (and second) coordinate derivatives."""
-        geo = LocalGeometry.of(self, q, 1 if order == 1 else 2)
-        if order == 1:
-            return geo.g, geo.dg
-        return geo.g, geo.dg, geo.d2g
+        """Metric plus its first (order=1) and second (order=2) coordinate derivatives."""
+        if order not in (1, 2):
+            raise ValidationError(f"order must be 1 or 2, got {order!r}")
+        geo = LocalGeometry.of(self, q, order)
+        return (geo.g, geo.dg) if order == 1 else (geo.g, geo.dg, geo.d2g)
 
     # -- serialization --------------------------------------------------------
 

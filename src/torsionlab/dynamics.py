@@ -7,31 +7,30 @@ integrator is kept as an independent oracle.  The closure defect of varied
 paths solves a linear ODE driven by torsion.
 
 All three trajectory kinds are stepped by one RK4 integrator generated per
-chart definition and field (``_fields._chart_field`` with ``rk4``): the
-step loop on floats with the chart's field lines inline in a loop over the 4
-stages, so no call is left per stage, into flat buffers.  The linear
-closure-defect ODE takes its RK4 steps as affine maps, all built at once.
-Its second, independent solver, an ordered exponential (one stacked Pade
-``_expm``) plus trapezoid rule, reads the same half-step samples of the
-variation matrices.
+chart definition and field (``_fields._chart_field``): the step loop on
+floats with the chart's field lines inline in a loop over the 4 stages, so
+no call is left per stage, into flat buffers.  It is the only code generated
+per chart.  The linear closure-defect ODE takes its RK4 steps as affine
+maps, all built at once.  Its second, independent solver, an ordered
+exponential (one stacked Pade ``_expm``) plus trapezoid rule, reads the same
+half-step samples of the variation matrices.
 
 The geodesic, autoparallel and line-image right-hand sides and the
 variation matrices are straight-line functions generated by ``_fields``.
-At one phase point of floats, one call of the code generated for the chart's
-definition checks the guard, evaluates every chart expression's jet, applies
-the degenerate-triad rule (``_local.rule_lines``, as ``checked_metric`` does,
-on the same floats) and returns the field as plain floats; over a stack of
-points the same field lines read one batched ``Chart._jets`` pass.
-A point the rule rejects raises ``DegenerateTriadError``; in an integrator it
-ends the path like any other domain error.  The line image stays an
-independent oracle for the autoparallel: it integrates a different,
-first-order equation, dq/dt = g^-1 E^T v for a constant flat velocity v.
+Outside an integrator, at one phase point or over a stack, the field lines
+read one ``Chart._jets`` pass (``_fields._trajectory_field``), apply the
+degenerate-triad rule (``_local.rule_lines``, as ``checked_metric`` does, on
+the same floats) and return the field.  A point the rule rejects raises
+``DegenerateTriadError``; in an integrator it ends the path like any other
+domain error.  The line image stays an independent oracle for the
+autoparallel: it integrates a different, first-order equation,
+dq/dt = g^-1 E^T v for a constant flat velocity v.
 
-The variation samples and the Euler-Lagrange residual nodes (read from
-``LocalGeometry``), known up front, take one batched jet pass per call,
-bitwise equal to the point-by-point path; that path takes over when a batch
-fails, so errors name the first bad point.  A failing stack of variation
-samples goes straight to the sample-by-sample loop.
+The variation samples and the nodes of the kinetic energy and of the
+Euler-Lagrange residual (one stacked ``LocalGeometry``) take one batched jet
+pass per call, bitwise the point-by-point path.  A failing stack raises its
+first failing point's error: ``LocalGeometry.of`` retries the nodes one by
+one, and the variation samples go through ``_field`` one by one.
 """
 
 from __future__ import annotations
@@ -73,38 +72,29 @@ def _grid(t_span, step):
     ta, tb = float(t_span[0]), float(t_span[1])
     if not step > 0:
         raise ValidationError(f"step must be positive, got {step!r}")
+    if not math.isfinite((tb - ta) / step):  # nan or inf for a non-finite end too
+        raise ValidationError(f"time span {t_span!r} in steps of {step!r} is not finite")
     if tb <= ta:
         raise ValidationError(f"empty time span {t_span!r}")
     n = max(1, int(round((tb - ta) / step)))
     return np.linspace(ta, tb, n + 1)
 
 
-_NUMERIC = (ArithmeticError, ValueError)  # a batch retried node by node after one of these
-
-
-def _chart_code(chart: Chart, field, rk4=False):
-    """``(code, args)``: the chart's generated ``field(*floats, *args)`` at a phase point, or
-    with ``rk4`` its integrator ``field(y, t, *args)``.  Reads the profile's floor once."""
-    code = _chart_field(field, chart._definition, chart.exprs, chart.guard, rk4)
-    return code, (*chart.params.values(), active_profile().degenerate_triad_floor)
+def _integrator(chart: Chart, field):
+    """``(rk4, args)``: the chart's generated integrator ``rk4(y, t, *args)`` of
+    ``field``.  Reads the profile's floor once."""
+    rk4 = _chart_field(field, chart._definition, chart.exprs, chart.guard)
+    return rk4, (*chart.params.values(), active_profile().degenerate_triad_floor)
 
 
 def _field(chart: Chart, field):
     """``at(q, v)``: the generated ``field`` of ``chart`` at one phase point (q an
-    array or D floats, and v) by one call of the code generated for the chart's
-    definition, or over points (N, D) by ``_trajectory_field`` on one batched
-    jet pass.  Both raise where a point fails, a degenerate triad too."""
-    code, args = _chart_code(chart, field)
-
-    def at(q, v):
-        if isinstance(q, np.ndarray):
-            if q.shape != (chart.dim,):  # points (N, D), or a shape ``_jets`` rejects
-                fn = _trajectory_field(field, chart.kind, chart.dim, chart.ambient_dim)
-                return fn(q, chart._jets(q, int(field != "line_image"), pointwise=False), v, args[-1])
-            q = q.tolist()
-        return code(*q, *v, *args)
-
-    return at
+    array or D floats, v D floats) or over points (N, D) (v D arrays), by
+    ``_trajectory_field`` on one ``Chart._jets`` pass.  It raises where a point
+    fails, a degenerate triad too.  Reads the profile's floor once."""
+    fn = _trajectory_field(field, chart.kind, chart.dim, chart.ambient_dim)
+    order, floor = int(field != "line_image"), active_profile().degenerate_triad_floor
+    return lambda q, v: fn(q, chart._jets(q, order, pointwise=False), v, floor)
 
 
 def _velocity(chart: Chart, qdot):
@@ -122,7 +112,7 @@ def _integrate_second_order(field, chart, q0, qdot0, t_span, step) -> Trajectory
     q0 = chart.check_point(q0)
     t_grid = _grid(t_span, step)
     D = chart.dim
-    rk4, args = _chart_code(chart, field, True)
+    rk4, args = _integrator(chart, field)
     y, _, truncated = rk4([*q0.tolist(), *_velocity(chart, qdot0).tolist()], t_grid, *args)
     return Trajectory(t=t_grid[: len(y)], q=y[:, :D], qdot=y[:, D:], truncated=truncated)
 
@@ -147,15 +137,14 @@ def straight_line_image(chart: Chart, q0, qdot0, t_span, step) -> Trajectory:
     q0 = chart.check_point(q0)
     v_flat = (chart.triad_jets(q0)[0] @ _velocity(chart, qdot0)).tolist()
     t_grid = _grid(t_span, step)
-    rk4, args = _chart_code(chart, "line_image", True)
+    rk4, args = _integrator(chart, "line_image")
     q, qdot, truncated = rk4(q0.tolist(), t_grid, *v_flat, *args)  # rejects a degenerate q0 too
     return Trajectory(t=t_grid[: len(q)], q=q, qdot=qdot, truncated=truncated)
 
 
 def kinetic_energy(chart: Chart, traj: Trajectory, mass: float = 1.0) -> np.ndarray:
     """(M/2) g_munu qdot^mu qdot^nu along the trajectory."""
-    g = attempt(lambda: chart.metric(traj.q), _NUMERIC)  # one batched jet pass, or node by node
-    g = np.array([chart.metric(q) for q in traj.q]) if g is None else g
+    g = chart.metric(traj.q)  # one batched jet pass
     v = traj.qdot
     return 0.5 * mass * ((v[:, None, :] @ g) @ v[:, :, None])[:, 0, 0]
 
@@ -355,18 +344,11 @@ def torsion_el_residual(chart: Chart, traj: Trajectory, mass: float = 1.0):
         raise GridMismatchError("trajectory must be uniformly sampled")
     h = steps[0]
 
-    def at(q):
-        geo = LocalGeometry.of(chart, q, 1)
-        return geo.g, geo.dg, geo.torsion
-
-    # one batched jet pass over the nodes; node by node in order after a float error only,
-    # since ``LocalGeometry.of`` raises a failing stack's first failing node's error itself
-    g, dg, torsion = (attempt(lambda: at(traj.q), _NUMERIC)
-                      or [np.array(c) for c in zip(*map(at, traj.q))])
+    geo = LocalGeometry.of(chart, traj.q, 1)  # one batched jet pass over the nodes
     v = traj.qdot
-    p = np.einsum("kmn,kn->km", mass * g, v)  # dL/dqdot_lam = M g_lamnu qdot^nu
-    dLdq = 0.5 * mass * np.einsum("kmnl,km,kn->kl", dg, v, v)  # (M/2) d_lam g_munu qdot qdot
-    torsion_force = 2.0 * np.einsum("klmn,km,kn->kl", torsion, v, p)
+    p = np.einsum("kmn,kn->km", mass * geo.g, v)  # dL/dqdot_lam = M g_lamnu qdot^nu
+    dLdq = 0.5 * mass * np.einsum("kmnl,km,kn->kl", geo.dg, v, v)  # (M/2) d_lam g_munu qdot qdot
+    torsion_force = 2.0 * np.einsum("klmn,km,kn->kl", geo.torsion, v, p)
 
     dp = (-p[4:] + 8.0 * p[3:-1] - 8.0 * p[1:-3] + p[:-4]) / (12.0 * h)
     interior = slice(2, n - 2)

@@ -362,8 +362,8 @@ def _free_names(node, out):
 # writes it out as straight-line source: one kernel function per pair and
 # operation, each compiled on its first lookup over the scalar helpers or (for
 # batches of points) the array helpers above, and inline in the per-chart
-# trajectory fields below.  Each expression is lowered once per (wrt, order,
-# batched) into closures over the kernels.
+# trajectory integrators of ``_fields``.  Each expression is lowered once per
+# (wrt, order, batched) into closures over the kernels.
 
 _KERNELS: dict = {}  # (D, n, batched) -> ``_Kernels``
 

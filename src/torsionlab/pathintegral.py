@@ -60,8 +60,9 @@ class ShortTimeConfig:
     cutoff_sigmas: float = 6.0
 
     def __post_init__(self):
-        if self.mass <= 0 or self.hbar <= 0 or self.epsilon <= 0:
-            raise ValidationError("mass, hbar and epsilon must all be positive")
+        if not all(0.0 < value < math.inf for value in astuple(self)):
+            raise ValidationError(f"mass, hbar, epsilon and cutoff_sigmas must all be finite and "
+                                  f"positive, got {self}")
 
 
 def _normalize_measure(mode: str) -> str:

@@ -93,6 +93,16 @@ def test_triad_derivative_examples():
     assert dE_t[1, 0, 1] == pytest.approx(0.0)  # d_2 e^2_1 = 0
 
 
+@pytest.mark.parametrize("order", (0, 3, 1.5, None))
+def test_derivative_orders_other_than_one_and_two_are_rejected(order):
+    polar = builtin_chart("polar")
+    for method in (polar.metric_with_derivatives, polar.triad_derivatives):
+        with pytest.raises(ValidationError, match="order must be 1 or 2"):
+            method([1.7, 0.6], order)
+    assert len(polar.metric_with_derivatives([1.7, 0.6], 1)) == 2
+    assert polar.metric_with_derivatives([1.7, 0.6], 2)[2].shape == (2, 2, 2, 2)
+
+
 def test_schwarz_condition_on_holonomic_charts(charts, rng):
     for name in ("cartesian", "polar", "sphere", "disclination"):
         chart = charts[name]

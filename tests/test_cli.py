@@ -251,10 +251,16 @@ GEODESIC = ["geodesic", "--chart", "builtin:polar", "--q0", "1,0", "--qdot0", "1
          "ValidationError", EXIT_VALIDATION, "flat_list.json"),
         (["tensors", "--chart", "builtin:dislocation", "--at", "0,0"],
          "SingularPointError", EXIT_NUMERIC, "guard"),
+        (GEODESIC + ["--t1", "inf"], "ValidationError", EXIT_VALIDATION, "(0.0, inf)"),
+        (GEODESIC + ["--t1", "nan"], "ValidationError", EXIT_VALIDATION, "(0.0, nan)"),
+        (["amplitude", "--manifold", "ring", "--epsilon", "nan"],
+         "ValidationError", EXIT_VALIDATION, "epsilon=nan"),
+        (["spectrum", "--manifold", "ring", "--mass", "inf"],
+         "ValidationError", EXIT_VALIDATION, "mass=inf"),
     ],
     ids=["missing-option", "malformed-floats", "malformed-float", "bad-param", "bad-choice",
          "unknown-builtin", "unknown-file-param", "loop-without-vertices", "loop-flat-list",
-         "guard-rejected"],
+         "guard-rejected", "infinite-t1", "nan-t1", "nan-epsilon", "infinite-mass"],
 )
 def test_every_error_is_one_json_line(tmp_path, capsys, argv, error_type, code, mentions):
     files = {

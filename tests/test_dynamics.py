@@ -207,6 +207,15 @@ def test_variation_validates_endpoints():
         nonholonomic_variation(st, base, ["t*(1-t)"])
 
 
+@pytest.mark.parametrize("t_span, step", [((0.0, math.inf), 1e-2), ((0.0, math.nan), 1e-2),
+                                           ((-math.inf, 1.0), 1e-2), ((0.0, 1.0), 1e-320)])
+def test_non_finite_time_grids_are_rejected(t_span, step):
+    polar = builtin_chart("polar")
+    for integrate in (integrate_geodesic, integrate_autoparallel, straight_line_image):
+        with pytest.raises(ValidationError, match="finite"):
+            integrate(polar, [1.0, 0.0], [0.0, 1.0], t_span, step)
+
+
 def test_variation_on_nonuniform_base():
     # h = 1e-2 over (0, 0.4), then the same autoparallel continued at h = 2.5e-3
     st = builtin_chart("synthetic_torsion", alpha=0.3)

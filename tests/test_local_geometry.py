@@ -18,11 +18,11 @@ from test_rk4_stepper import watch_integrators
 
 @pytest.fixture
 def jet_passes(monkeypatch):
-    """Triad orders of every jet pass made while the test runs: every triad
-    and tensor evaluates its point through ``Chart._jets``, a trajectory field
-    at one point and each stage of a generated integrator through the code
-    generated for its chart definition, which evaluates the jets inline
-    (order 0 for the line image, 1 otherwise)."""
+    """Triad orders of every jet pass made while the test runs: every triad,
+    tensor and trajectory field outside an integrator evaluates its point
+    through ``Chart._jets``, each stage of a generated integrator through the
+    jets its chart's code evaluates inline (order 0 for the line image, 1
+    otherwise)."""
     calls, original = [], Chart._jets
     runs = watch_integrators(monkeypatch)  # what a tracer sees of each integrator run
     generated = dynamics._chart_field
@@ -31,21 +31,20 @@ def jet_passes(monkeypatch):
         calls.append(order)
         return original(self, q, order, **kw)
 
-    def counted_field(field, *definition):
-        before = len(runs)
+    def counted_integrator(field, *definition):
         fn, order = generated(field, *definition), int(field != "line_image")
-        seen = runs[-1] if len(runs) > before else None  # an integrator's run
+        seen = runs[-1]  # this integrator's run
 
         def counted(*args):
             try:
                 return fn(*args)
-            finally:  # one pass per call of a field, one per stage an integrator runs
-                calls.extend([order] * (seen["passes"] if seen else 1))
+            finally:  # one pass per stage the integrator runs
+                calls.extend([order] * seen["passes"])
 
         return counted
 
     monkeypatch.setattr(Chart, "_jets", counting)
-    monkeypatch.setattr(dynamics, "_chart_field", counted_field)
+    monkeypatch.setattr(dynamics, "_chart_field", counted_integrator)
     return calls
 
 
@@ -89,8 +88,8 @@ def test_el_residual_makes_one_pass_per_call(jet_passes):
 
 def test_failing_stack_is_taken_point_by_point_once(jet_passes):
     # the path's metric fails at its first node: the stack's pass, then that node, in
-    # ``LocalGeometry.of`` alone; the caller retries node by node only after a float
-    # error (the errors equal the point-by-point ones: test_batched_jets)
+    # ``LocalGeometry.of``, the one place that retries a failing stack point by point
+    # (the errors equal the point-by-point ones: test_batched_jets)
     chart, path = FAILING_PATHS["rank_one"]
     for consumer, order in ((tl.torsion_el_residual, 1), (tl.kinetic_energy, 0)):
         jet_passes.clear()
@@ -102,9 +101,9 @@ def test_failing_stack_is_taken_point_by_point_once(jet_passes):
 @pytest.mark.parametrize("case, failing, checked", [("guard", 10, 0), ("degenerate_then_guard", 5, 0)])
 def test_failing_sample_stack_goes_sample_by_sample(case, failing, checked, jet_passes):
     # a failing stack of half-step samples is not re-run point by point in ``Chart._jets``:
-    # after its one pass, the samples go one by one through the chart's code up to the
+    # after its one pass, the samples go one by one through ``dynamics._field`` up to the
     # failing one (sample 10 is node 5, on the polar guard; sample 5 is a midpoint in the
-    # degenerate band, which the chart's code rejects itself: no ``checked`` pass beyond
+    # degenerate band, which the field's rule rejects itself: no ``checked`` pass beyond
     # it), which raises the point-by-point error (test_batched_jets)
     chart, path = FAILING_PATHS[case]
     for solver in (tl.nonholonomic_variation, tl.closure_defect_by_quadrature):

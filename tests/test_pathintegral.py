@@ -321,6 +321,15 @@ def test_geometry_point_aggregates_everything():
     assert np.max(np.abs(gp.connection.torsion)) < 1e-12
 
 
+@pytest.mark.parametrize("field", ("mass", "hbar", "epsilon", "cutoff_sigmas"))
+@pytest.mark.parametrize("value", (0.0, -1.0, math.nan, math.inf))
+def test_short_time_config_needs_finite_positive_values(field, value):
+    with pytest.raises(ValidationError, match="finite and positive"):
+        ShortTimeConfig(**{field: value})
+    with pytest.raises(ValidationError, match="finite and positive"):
+        replace(ShortTimeConfig(), **{field: value})
+
+
 def test_grid_too_coarse_rejected():
     with pytest.raises(GridTooCoarseError):
         build_propagator(Ring(radius=1.0, points=16), ShortTimeConfig(epsilon=0.01), "qep")

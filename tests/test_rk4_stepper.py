@@ -1,14 +1,15 @@
 """The generated RK4 integrators against the generic loop they replaced.
 
 Every trajectory integrator runs one function generated per (chart
-definition, field), ``_fields._chart_field(..., rk4=True)``: the RK4 step
-loop with the chart's field lines inline in a loop over the 4 stages.  The
-oracle is ``rk4`` of ``test_trajectory_fields``, the generic loop that once
-stepped every trajectory, over ``dynamics._field``.  The two must agree bit
-for bit: the states, the slopes (the NaN of an uncomputed last slope
-included), whether the path truncated, and the error that ended it.  No call
-is left per stage to wrap, so a tracer on the integrator's frame observes it:
-the error raised into it, its ``stage`` then, and each pass of its field lines.
+definition, field), ``_fields._chart_field``: the RK4 step loop with the
+chart's field lines inline in a loop over the 4 stages.  The oracle is
+``rk4`` of ``test_trajectory_fields``, the generic loop that once stepped
+every trajectory, over ``dynamics._field``, the jet route.  The two must
+agree bit for bit: the states, the slopes (the NaN of an uncomputed last
+slope included), whether the path truncated, and the error that ended it.  No
+call is left per stage to wrap, so a tracer on the integrator's frame
+observes it: the error raised into it, its ``stage`` then, and each pass of
+its field lines.
 """
 
 import sys
@@ -27,6 +28,7 @@ from test_compiled_jets import fresh_interpreter
 from test_trajectory_fields import (
     DEFAULT_BOX,
     DEGENERATE,
+    INTEGRATORS,
     TRUNCATING,
     assert_bitwise,
     field_cases,
@@ -35,20 +37,14 @@ from test_trajectory_fields import (
 )
 
 TRAJECTORY_FIELDS = ("geodesic", "autoparallel", "line_image")
-INTEGRATORS = {
-    "geodesic": tl.integrate_geodesic,
-    "autoparallel": tl.integrate_autoparallel,
-    "line_image": tl.straight_line_image,
-}
 
 
 def watched(rk4, field, definition, exprs, guard, seen):
-    """The integrator ``rk4`` of ``_chart_field(field, definition, exprs, guard,
-    True)``, recording in ``seen`` each pass of its field lines ("passes"),
-    every error raised into its frame ("errors") and the stage (0-3) that met
-    it ("stage")."""
+    """The integrator ``rk4`` of ``_chart_field(field, definition, exprs, guard)``,
+    recording in ``seen`` each pass of its field lines ("passes"), every error
+    raised into its frame ("errors") and the stage (0-3) that met it ("stage")."""
     kind, dim, _, _, params = definition
-    source = _fields._chart_source(field, kind, dim, exprs, guard, params, True).splitlines()
+    source = _fields._chart_source(field, kind, dim, exprs, guard, params).splitlines()
     first = source.index(" " * 12 + "for stage in range(4):") + 2  # the field's first line
     code = rk4.__code__
 
@@ -80,12 +76,10 @@ def watch_integrators(patch):
     is active, one ``seen`` record per run (see ``watched``)."""
     runs, generated = [], dynamics._chart_field
 
-    def chart_field(field, definition, exprs, guard, rk4=False):
-        fn = generated(field, definition, exprs, guard, rk4)
-        if not rk4:
-            return fn
+    def chart_field(field, definition, exprs, guard):
         runs.append({"passes": 0, "errors": [], "stage": None})
-        return watched(fn, field, definition, exprs, guard, runs[-1])
+        return watched(generated(field, definition, exprs, guard), field, definition, exprs, guard,
+                       runs[-1])
 
     patch.setattr(dynamics, "_chart_field", chart_field)
     return runs
@@ -224,7 +218,7 @@ SHARED_ARGUMENTS = {
 @pytest.mark.parametrize("kind", sorted(SHARED_ARGUMENTS))
 def test_shared_elementary_functions_equal_the_generic_loop(kind, field, rng):
     chart = SHARED_ARGUMENTS[kind]
-    source = _fields._chart_source(field, kind, 2, chart.exprs, chart.guard, (), True)
+    source = _fields._chart_source(field, kind, 2, chart.exprs, chart.guard, ())
     calls = [line.split(" = ")[1] for line in source.splitlines()
              if line.split(" = ")[-1].startswith(("_sin(", "_cos(", "_exp("))]
     assert len(calls) == len(set(calls)) >= 5, calls
@@ -242,6 +236,5 @@ def test_import_compiles_no_stepper():
         "tl.integrate_autoparallel(st, [0.1, 0.2], [1.0, 0.7], (0.0, 0.1), 0.01); "
         "tl.integrate_geodesic(tl.builtin_chart('sphere'), [1.0, 0.0], [0.3, 0.4], (0.0, 0.1), 0.01); "
         "tl.straight_line_image(st, [0.1, 0.2], [1.0, 0.7], (0.0, 0.1), 0.01); "
-        "print(*sorted((g, d[0], rk4) for g, d, rk4 in f._CHART_FIELDS), sep=';')"
-    ) == ["0", "('autoparallel',", "'triad',", "True);('geodesic',", "'map',",
-          "True);('line_image',", "'triad',", "True)"]
+        "print(*sorted((g, d[0]) for g, d in f._CHART_FIELDS), sep=';')"
+    ) == ["0", "('autoparallel',", "'triad');('geodesic',", "'map');('line_image',", "'triad')"]

@@ -2,11 +2,12 @@
 
 The oracle is the tensor route: ``LocalGeometry``'s Christoffel symbols,
 affine connection and torsion, contracted with ``np.einsum`` exactly as the
-trajectory right-hand sides and ``variation_matrices`` once did.  The code
-generated per chart definition, which inlines the jets, must in turn equal
-the closure route (``_trajectory_field`` on one ``Chart._jets`` pass) bit for
-bit, fail alike and truncate trajectories at the same node.  Every route
-decides a degenerate triad by the one rule of ``_local.rule_lines``.
+trajectory right-hand sides and ``variation_matrices`` once did.  The only
+code generated per chart definition, its integrators, which inline the jets,
+must in turn equal the jet route (``_trajectory_field`` on one ``Chart._jets``
+pass, which ``dynamics._field`` takes) bit for bit, fail alike and truncate
+trajectories at the same node.  Every route decides a degenerate triad by the
+one rule of ``_local.rule_lines``.
 """
 
 import numpy as np
@@ -284,7 +285,7 @@ def test_truncation_matches_tensor_route(edge, field):
 
 
 def test_fields_compile_once_per_shape():
-    # the field per shape serves stacks of points only, compiled at the first stack:
+    # the field per shape serves ``dynamics._field``, compiled at its first use there:
     # an integrator compiles none
     _fields._trajectory_field.cache_clear()
     points, velocities = np.array([[1.0, 0.0], [1.2, 0.3]]), (np.array([0.3, 0.1]), np.array([0.4, 0.2]))
@@ -298,7 +299,7 @@ def test_fields_compile_once_per_shape():
     assert (info.currsize, info.misses, info.hits) == (1, 1, 1)
 
 
-# -- the code generated per chart definition against the closure route ------------------------
+# -- the code generated per chart definition against the jet route ----------------------------
 
 FLOOR = 1e-12  # the default profile's degenerate-triad floor
 
@@ -330,11 +331,6 @@ def field_cases(draw):
     return chart, points[0].tolist(), draw(v)
 
 
-def by_code(chart, field, q, v):
-    code = _fields._chart_field(field, chart._definition, chart.exprs, chart.guard)
-    return code(*q, *v, *chart.params.values(), FLOOR)
-
-
 def by_jets(chart, field, q, v):
     fn = _fields._trajectory_field(field, chart.kind, chart.dim, chart.ambient_dim)
     return fn(q, chart._jets(q, int(field != "line_image")), v, FLOOR)
@@ -347,21 +343,6 @@ def flat(out):
     if isinstance(out[0], tuple):
         return np.concatenate([np.ravel(part) for part in out])
     return np.array(out)
-
-
-def velocity(chart, field, v):
-    return v if field == "line_image" else v[: chart.dim]
-
-
-@settings(max_examples=200, deadline=None)
-@given(case=field_cases())
-def test_chart_code_equals_closure_route(case):
-    chart, q, v = case
-    for field in FIELDS + ("line_image",):
-        w = velocity(chart, field, v)
-        got = flat(outcome(by_code, chart, field, q, w))
-        ref = flat(outcome(by_jets, chart, field, q, w))
-        assert_same(got, ref)
 
 
 def zero_derivative_expressions():
@@ -378,6 +359,15 @@ def zero_derivative_expressions():
     return st.recursive(leaves, extend, max_leaves=6)
 
 
+def first_slope(chart, field, q, v):
+    """The field at (q, v) as the chart's integrator computes it: the slope at
+    node 0 of one step of length 0, whose every stage is at the start."""
+    rk4, args = dynamics._integrator(chart, field)
+    if field == "line_image":  # it computes the final slope: one node will do
+        return rk4(q, np.zeros(1), *v, *args)[1][0]
+    return rk4([*q, *v], np.zeros(2), *args)[1][0, chart.dim:]
+
+
 @settings(max_examples=300, deadline=None)
 @given(source=zero_derivative_expressions(), kind=st.sampled_from(["map", "triad"]),
        q=st.sampled_from([-1.5, -0.5, 0.5, 1.5]), v=st.sampled_from([-1.0, -0.0, 0.0, 1.0]))
@@ -387,18 +377,11 @@ def test_chart_code_keeps_signed_zeros(source, kind, q, v):
     chart = Chart(1, kind, [source, "1 + 0.5*q1^2"] if kind == "map" else [source], params=PARAMS)
     for field in FIELDS + ("line_image",):
         w = [v, 0.5][: chart.ambient_dim] if field == "line_image" else [v]
-        assert_same(flat(outcome(by_code, chart, field, [q], w)),
-                    flat(outcome(by_jets, chart, field, [q], w)))
-
-
-def closure_field(chart, field):
-    """The closure route's ``at(q, v)`` at one point: ``_trajectory_field`` on
-    one ``Chart._jets`` pass."""
-
-    def at(q, v):
-        return by_jets(chart, field, q, v)
-
-    return at
+        ref = flat(outcome(by_jets, chart, field, [q], w))
+        if field == "variation":
+            assert_same(flat(outcome(dynamics._field(chart, field), [q], w)), ref)
+        else:
+            assert_same(flat(outcome(first_slope, chart, field, [q], w)), ref)
 
 
 def stepped(at, chart, field, q0, v, h=0.05, steps=20):
@@ -419,45 +402,23 @@ def stepped(at, chart, field, q0, v, h=0.05, steps=20):
     return y, slope, truncated, errors
 
 
-@settings(max_examples=60, deadline=None)
-@given(case=field_cases())
-def test_chart_code_trajectories_equal_closure_route(case):
-    chart, q0, v = case
-    for field in ("geodesic", "autoparallel", "line_image"):
-        w = velocity(chart, field, v)
-        got = outcome(stepped, dynamics._field(chart, field), chart, field, q0, w)
-        ref = outcome(stepped, closure_field(chart, field), chart, field, q0, w)
-        if isinstance(ref, tuple) and isinstance(ref[0], type):
-            assert got == ref  # the first node fails alike
-            continue
-        assert got[2:] == ref[2:]  # truncated at the same node, by the same errors
-        assert_bitwise(got[0], ref[0])
-        assert_bitwise(got[1], ref[1])
-        if field != "line_image":  # what the integrators return
-            integrate = tl.integrate_geodesic if field == "geodesic" else tl.integrate_autoparallel
-            traj = integrate(chart, q0, w, (0.0, 1.0), 0.05)
-            assert_bitwise(np.hstack((traj.q, traj.qdot)), got[0])
-        # the variation matrices along the path, point by point as a failed batch takes them
-        generated, closure = dynamics._field(chart, "variation"), closure_field(chart, "variation")
-        u = w[: chart.dim]
-        for q in got[0][:, : chart.dim].tolist():
-            assert_same(flat(outcome(generated, q, u)), flat(outcome(closure, q, u)))
-
-
 def test_rebuilt_chart_reuses_the_compiled_field(monkeypatch):
-    # every CLI run builds a fresh chart from its definition, maybe with other values
+    # every CLI run builds a fresh chart from its definition, maybe with other values:
+    # its integrator is compiled once and takes them as arguments
     monkeypatch.setattr(_fields, "_CHART_FIELDS", {})
     written, source = [], _fields._chart_source
     monkeypatch.setattr(_fields, "_chart_source", lambda *a: written.append(a[0]) or source(*a))
     definition = tl.builtin_chart("synthetic_torsion").to_dict()
-    q, v = [0.3, 0.1], [0.4, 0.2]
-    fields = []
+    q0, v = [0.3, 0.1], [0.4, 0.2]
+    paths = []
     for alpha in (0.3, 0.5):
         chart = Chart.from_dict({**definition, "params": {"alpha": alpha}})
-        fields.append(dynamics._field(chart, "autoparallel")(q, v))
-        assert_bitwise(fields[-1], closure_field(chart, "autoparallel")(q, v))
+        traj = tl.integrate_autoparallel(chart, q0, v, (0.0, 0.1), 1e-2)
+        paths.append(np.hstack((traj.q, traj.qdot)))
+        ref = stepped(dynamics._field(chart, "autoparallel"), chart, "autoparallel", q0, v, 1e-2, 10)
+        assert_bitwise(paths[-1], ref[0])
     assert written == ["autoparallel"]
-    assert fields[0] != fields[1]
+    assert not np.array_equal(paths[0], paths[1])
 
 
 TRUNCATING = {  # (chart, q0, velocity): each path meets its domain edge within 100 steps
@@ -468,18 +429,25 @@ TRUNCATING = {  # (chart, q0, velocity): each path meets its domain edge within 
 }
 
 
-@pytest.mark.parametrize("field", ("geodesic", "autoparallel", "line_image"))
+INTEGRATORS = {"geodesic": tl.integrate_geodesic, "autoparallel": tl.integrate_autoparallel,
+               "line_image": tl.straight_line_image}
+
+
+@pytest.mark.parametrize("field", sorted(INTEGRATORS))
 @pytest.mark.parametrize("edge", sorted(TRUNCATING))
 def test_chart_code_truncates_like_closure_route(edge, field):
+    # the chart's integrator ends the path where the classical RK4 loop over the jet
+    # route does, at the same node and bit for bit
     chart, q0, v = TRUNCATING[edge]
+    traj = INTEGRATORS[field](chart, q0, v, (0.0, 1.0), 1e-2)
     if field == "line_image":  # the flat velocity
         v = (chart.triad(q0) @ v).tolist()
-    got = stepped(dynamics._field(chart, field), chart, field, q0, v, h=1e-2, steps=100)
-    ref = stepped(closure_field(chart, field), chart, field, q0, v, h=1e-2, steps=100)
-    assert got[2:] == ref[2:]
-    assert got[2] or (edge, field) == ("sphere_pole", "line_image")  # that one turns away in time
-    assert_bitwise(got[0], ref[0])
-    assert_bitwise(got[1], ref[1])
+    y, slope, truncated, _ = stepped(dynamics._field(chart, field), chart, field, q0, v,
+                                     h=1e-2, steps=100)
+    assert traj.truncated == truncated
+    assert truncated or (edge, field) == ("sphere_pole", "line_image")  # that one turns away in time
+    assert_bitwise(traj.q, y[:, : chart.dim])
+    assert_bitwise(traj.qdot, slope if field == "line_image" else y[:, chart.dim:])
 
 
 def edge_of_admission(admits, lo, hi):

@@ -177,15 +177,15 @@ def test_expm_rejects_non_finite_generators(bad):
 
 
 def test_chart_field_cache_keeps_only_the_recently_used(monkeypatch):
-    # every distinct chart definition compiles its own field (~9 KB); a long process
+    # every distinct chart definition compiles its own integrator; a long process
     # keeps the most recently used ones, and a definition in use keeps hitting
     monkeypatch.setattr(_fields, "_CHART_FIELDS", {})
     written, source = [], _fields._chart_source
     monkeypatch.setattr(_fields, "_chart_source", lambda *a: written.append(a[0]) or source(*a))
     reused = tl.builtin_chart("synthetic_torsion")
     for k in range(300):
-        dynamics._field(Chart(2, "triad", ["1", "0", "0", f"1 + {k + 1}e-3*q1"]), "autoparallel")
-        dynamics._field(reused, "autoparallel")
+        dynamics._integrator(Chart(2, "triad", ["1", "0", "0", f"1 + {k + 1}e-3*q1"]), "autoparallel")
+        dynamics._integrator(reused, "autoparallel")
         assert len(_fields._CHART_FIELDS) <= _fields._CHART_FIELDS_KEPT
     assert len(written) == 301
     assert len(_fields._CHART_FIELDS) == _fields._CHART_FIELDS_KEPT

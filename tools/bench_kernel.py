@@ -59,11 +59,13 @@ the trajectories, under criteria 3 and 5:
 * ``line_image_per_step``     ``straight_line_image`` from the same start on the
   same chart, 1,000 steps of h = 1e-3, per step;
 * ``field_point``             one sphere geodesic field evaluation at a phase
-  point, as the integrators take it (``dynamics._field``; the mean of 10,000);
+  point through ``dynamics._field`` (the mean of 10,000): the jet route, one
+  ``Chart._jets`` pass and ``_trajectory_field``, since per-chart code was
+  kept for the integrators only; before that, the field's own per-chart code;
 * ``field_point_closure``     the same through ``Chart._jets`` and
-  ``dynamics._trajectory_field``, the route stacks of points take (its
-  signature ``(q, jets, v, floor)`` since the one degenerate-triad rule,
-  ``(jets, v, floor2)`` before);
+  ``dynamics._trajectory_field`` called directly, the route stacks of points
+  take (its signature ``(q, jets, v, floor)`` since the one degenerate-triad
+  rule, ``(jets, v, floor2)`` before);
 * ``variation_matrices``      one ``variation_matrices`` call on that chart
   (the mean of 1,000 calls);
 * ``half_step_samples``       ``dynamics._half_step_samples`` along that
