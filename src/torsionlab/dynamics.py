@@ -98,13 +98,16 @@ def _field(chart: Chart, field):
 
 
 def _velocity(chart: Chart, qdot):
-    """A chart velocity as a float array, rejecting one of the wrong shape."""
+    """A chart velocity as a list of floats, rejecting one of the wrong shape or not finite."""
     qdot = np.asarray(qdot, dtype=float)
     if qdot.shape != (chart.dim,):
         raise DimensionMismatchError(
             f"velocity of shape {qdot.shape} does not match chart dimension {chart.dim}"
         )
-    return qdot
+    values = qdot.tolist()
+    if not all(map(math.isfinite, values)):  # on the list: cheaper than np.isfinite here
+        raise ValidationError(f"velocity must be finite, got {values}")
+    return values
 
 
 def _integrate_second_order(field, chart, q0, qdot0, t_span, step) -> Trajectory:
@@ -113,7 +116,7 @@ def _integrate_second_order(field, chart, q0, qdot0, t_span, step) -> Trajectory
     t_grid = _grid(t_span, step)
     D = chart.dim
     rk4, args = _integrator(chart, field)
-    y, _, truncated = rk4([*q0.tolist(), *_velocity(chart, qdot0).tolist()], t_grid, *args)
+    y, _, truncated = rk4([*q0.tolist(), *_velocity(chart, qdot0)], t_grid, *args)
     return Trajectory(t=t_grid[: len(y)], q=y[:, :D], qdot=y[:, D:], truncated=truncated)
 
 
@@ -193,7 +196,7 @@ def variation_matrices(chart: Chart, q, qdot):
     """Transport matrix G^mu_lam = Gamma_{lam nu}^mu qdot^nu and torsion drive
     Sigma^mu_nu = 2 S_{lam nu}^mu qdot^lam at one phase point."""
     at = _field(chart, "variation")
-    G, Sigma = at(np.asarray(q, dtype=float), _velocity(chart, qdot).tolist())
+    G, Sigma = at(np.asarray(q, dtype=float), _velocity(chart, qdot))
     shape = (chart.dim, chart.dim)
     return np.array(G).reshape(shape), np.array(Sigma).reshape(shape)
 

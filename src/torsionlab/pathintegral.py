@@ -28,6 +28,7 @@ same spectra.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import astuple, dataclass, replace
 from functools import lru_cache
 
@@ -75,13 +76,24 @@ def _normalize_measure(mode: str) -> str:
     return key
 
 
+def _step_polynomial(name, degree, doc=None):
+    """A ``PostpointData`` method: the polynomial with coefficients ``name`` on steps dq."""
+    def method(self, dq):
+        dq, coefficients = np.asarray(dq, dtype=float), getattr(self, name)
+        values = coefficients @ _monomials(np.moveaxis(dq, -1, 0), degree)
+        return values.reshape(coefficients.shape[:-1] + dq.shape[:-1])
+    method.__doc__ = doc
+    return method
+
+
 class PostpointData:
     """Connection data at one postpoint, reusable over batches of steps.
 
-    Each step polynomial is collapsed once onto monomial coefficients, so an
-    evaluation on steps of any shape ``(..., D)`` is one matrix product.
-    Postpoints ``q`` (N, D) take one stacked ``LocalGeometry`` pass, and every
-    coefficient array gains a leading row axis, row j bitwise that of ``q[j]`` alone.
+    Each step polynomial is collapsed once onto monomial coefficients, so on steps
+    ``dq`` of any shape ``(..., D)`` it is one product ``coefficients @ planes``
+    with the coordinate-first planes of ``_monomials``.  Postpoints ``q`` (N, D)
+    take one stacked ``LocalGeometry`` pass; every coefficient array gains a leading
+    row axis, row j bitwise that of ``q[j]`` alone, and a polynomial shape (N, ...).
     """
 
     def __init__(self, chart: Chart, q):
@@ -123,29 +135,18 @@ class PostpointData:
         """Riemann curvature scalar at the postpoint (per row of a stack)."""
         return self.geometry.ricci_scalar_einstein("riemann")[1]
 
-    def quadratic_form(self, dq):
-        return _monomials(dq, 2) @ self._quadratic
-
-    def bracket(self, dq):
-        """Postpoint expansion of the squared flat step through fourth order."""
-        return _monomials(dq, 4) @ self._bracket
-
-    def bracket_midpoint(self, dq):
-        return _monomials(dq, 4) @ self._bracket_mid
-
-    def jacobian_naive(self, dq):
-        return _monomials(dq, 2) @ self._jacobian_naive
-
-    def jacobian_qep(self, dq):
-        return _monomials(dq, 2) @ self._jacobian_qep
-
-    def delta_jacobian(self, dq):
-        """``jacobian_qep(dq) - jacobian_naive(dq)`` as one polynomial."""
-        return _monomials(dq, 2) @ self._delta_jacobian
+    quadratic_form = _step_polynomial("_quadratic", 2)
+    bracket = _step_polynomial(
+        "_bracket", 4, "Postpoint expansion of the squared flat step through fourth order.")
+    bracket_midpoint = _step_polynomial("_bracket_mid", 4)
+    jacobian_naive = _step_polynomial("_jacobian_naive", 2)
+    jacobian_qep = _step_polynomial("_jacobian_qep", 2)
+    delta_jacobian = _step_polynomial(
+        "_delta_jacobian", 2, "``jacobian_qep(dq) - jacobian_naive(dq)`` as one polynomial.")
 
 
 def _coefficients(rows, degree, *tensors):
-    """Coefficients on ``_monomials(dq, degree)`` of sum_T T[a1..ak] dq^a1 .. dq^ak per
+    """Coefficients on ``_monomials(steps, degree)`` of sum_T T[a1..ak] dq^a1 .. dq^ak per
     row (``rows``: () or (N,)); row offsets keep each row's order of additions."""
     n, size = math.prod(rows), len(_multisets(tensors[0].shape[-1], degree))
     return sum(
@@ -161,16 +162,17 @@ def _row_partials(dim, k, n, size):
     return (size * np.arange(n)[:, None] + _partials_index(dim, k).ravel()).ravel()
 
 
-def _monomials(dq, degree):
-    """Every monomial of the steps ``dq`` (shape (..., D)) up to ``degree``, last
-    axis in the order of the jet tuples' partials (``expressions._multisets``)."""
-    dq = np.asarray(dq, dtype=float)
-    factors = _monomial_factors(dq.shape[-1], degree)
-    out = np.empty(dq.shape[:-1] + (len(factors) + 1,))
-    out[..., 0] = 1.0
+def _monomials(steps, degree):
+    """Every monomial up to ``degree`` of the D coordinate ``steps`` (arrays that broadcast
+    to one shape) as contiguous planes (S, M) over the M flattened steps, in the order of
+    the jet tuples' partials (``expressions._multisets``): a polynomial is
+    ``coefficients @ planes``."""
+    factors = _monomial_factors(len(steps), degree)
+    planes = np.empty((len(factors) + 1,) + np.broadcast_shapes(*map(np.shape, steps)))
+    planes[0] = 1.0
     for s, (parent, last) in enumerate(factors, 1):
-        np.multiply(out[..., parent], dq[..., last], out=out[..., s])
-    return out
+        np.multiply(planes[parent], steps[last], out=planes[s, ...])  # a view, also 0-d
+    return planes.reshape(len(planes), -1)
 
 
 @lru_cache(maxsize=None)
@@ -242,8 +244,19 @@ def _veff(scalar: float, cfg: ShortTimeConfig) -> float:
 # -- manifolds and kernels ----------------------------------------------------
 
 
+class _Grid:
+    """A kernel grid: its radius, then its grid points per axis (``_grid_points``)."""
+
+    def __post_init__(self):
+        radius, *points = astuple(self)
+        if not (0.0 < radius < math.inf
+                and all(isinstance(n, numbers.Integral) and n >= 8 for n in points)):
+            raise ValidationError(f"a kernel grid needs a finite positive radius and integer "
+                                  f"grid sizes of at least 8, got {self}")
+
+
 @dataclass(frozen=True)
-class Ring:
+class Ring(_Grid):
     """Circle of radius r, P uniform grid points (free rotor)."""
 
     radius: float = 1.0
@@ -251,7 +264,7 @@ class Ring:
 
 
 @dataclass(frozen=True)
-class Sphere:
+class Sphere(_Grid):
     """Round sphere of radius r on a Gauss-Legendre x uniform-azimuth grid."""
 
     radius: float = 1.0
@@ -373,7 +386,7 @@ def _checked_real(vals):
 def _grid_points(manifold):
     """Grid points per axis, the fields after the radius: (points,) for the ring,
     (n_theta, n_phi) for the sphere."""
-    if isinstance(manifold, (Ring, Sphere)):
+    if isinstance(manifold, _Grid):
         return tuple(int(n) for n in astuple(manifold)[1:])
     raise ValidationError(f"unsupported manifold {manifold!r}")
 
@@ -386,19 +399,18 @@ def _kernel_grid(manifold):
     sqrt(g) times the coordinate cell volume at the column's point,
     ``spacing`` the largest geodesic grid step.  ``posts`` lists the
     postpoint q_a (azimuth 0) of each latitude row, and ``steps(q_a)`` gives
-    that row's steps dq = q_a - q_b to every column and their exact squared
-    geodesic arcs.  The ring is the single-row case.
+    that row's steps dq = q_a - q_b to every column, coordinate first (D arrays
+    broadcasting to the columns, as ``_monomials`` takes them), and their exact
+    squared geodesic arcs, flattened.  The ring is the single-row case.
     """
     points = _grid_points(manifold)
-    if min(points) < 8:
-        raise ValidationError(f"kernel grid needs at least 8 points per axis, got {points}")
     r, n_ph = float(manifold.radius), points[-1]
     dphi = 2.0 * math.pi / n_ph
     delta_phi = _wrap_angle(dphi * np.arange(n_ph))
     if len(points) == 1:
         chart = builtin_chart("ring", r=r)
         weights = np.full((1, n_ph), r * dphi)  # sqrt(g) = r along the ring
-        row = (delta_phi[None, :, None], (r * delta_phi[None, :]) ** 2)
+        row = ((delta_phi[None, :],), (r * delta_phi) ** 2)
         return chart, weights, r * dphi, [np.zeros(1)], lambda q_post: row
 
     n_th = points[0]
@@ -409,14 +421,14 @@ def _kernel_grid(manifold):
     weights = np.broadcast_to((vol * (r * r * np.sin(theta)))[:, None], (n_th, n_ph))
     spacing = max(r * float(np.max(np.abs(np.diff(theta)))), r * dphi)  # azimuth: equator
 
+    column, dphi_row = theta[:, None], delta_phi[None, :]
+    cos_column, sin_column, cos_dphi = np.cos(column), np.sin(column), np.cos(dphi_row)
+
     def steps(q_post):
         th = q_post[0]
-        dq = np.broadcast_arrays((th - theta)[:, None], delta_phi[None, :])
-        cos_arc = math.cos(th) * np.cos(theta)[:, None] + (
-            math.sin(th) * np.sin(theta)[:, None]
-        ) * np.cos(delta_phi)[None, :]
+        cos_arc = math.cos(th) * cos_column + (math.sin(th) * sin_column) * cos_dphi
         arc2 = (r * np.arccos(np.clip(cos_arc, -1.0, 1.0))) ** 2
-        return np.stack(dq, axis=-1), arc2
+        return (th - column, dphi_row), arc2.ravel()
 
     return chart, weights, spacing, [np.array([th, 0.0]) for th in theta], steps
 
@@ -427,7 +439,7 @@ def build_propagator(manifold, cfg: ShortTimeConfig, measure_mode="qep") -> Slic
     The kernel row at postpoint a is
     ``norm * sqrt(g(b)) * vol_b * exp(-A_eps/hbar + J_mode)``: postpoint
     short-time action, exact volume weight at the integration point, the
-    measure-mode exponent of ``_mode_exponent``, and a Gaussian cutoff at
+    measure-mode exponent of ``_mode_exponents``, and a Gaussian cutoff at
     ``cfg.cutoff_sigmas`` widths of geodesic distance.  A leading-order
     Gaussian row sum (continuum value one) fixes the normalization on the
     grid, so only quadrature error is divided out.
@@ -452,7 +464,7 @@ def _propagators(manifold, cfgs, mode):
             )
         lam = 0.5 * cfg.mass / (cfg.epsilon * cfg.hbar)
         norm = (cfg.mass / (2.0 * math.pi * cfg.epsilon * cfg.hbar)) ** (chart.dim / 2)
-        scales.append((lam, (cfg.cutoff_sigmas * sigma) ** 2, norm * weights))
+        scales.append((lam, (cfg.cutoff_sigmas * sigma) ** 2, (norm * weights).ravel()))
     profiles, live, fallback = _kernel_profiles(chart, weights, posts, steps, mode, cfgs, scales)
     for cfg, profile, n_live, n_fallback in zip(cfgs, profiles, live, fallback):
         # blocks m and n_phi - m of the even profile coincide: keep m <= n_phi / 2
@@ -465,39 +477,51 @@ def _kernel_profiles(chart, weights, posts, steps, mode, cfgs, scales):
     """Every config's kernel profile and counts of live and fallback entries.
 
     One stacked ``PostpointData`` holds every row's coefficients; rows then run
-    outermost: one row's steps, arcs and step monomials fill that row of every
-    config's kernel (and die with this call)."""
+    outermost: one row's steps, arcs and monomial planes fill that row of every
+    config's kernel (and die with this call).  The row and its flat reference are
+    built in place, in two buffers over the flattened columns."""
     n_ph = weights.shape[1]
     mirror = (-np.arange(n_ph)) % n_ph
-    n_low = len(_multisets(chart.dim, 2))  # the leading monomials, degree <= 2
     profiles = np.empty((len(cfgs), len(weights)) + weights.shape)
+    kernel, flat = np.empty(weights.size), np.empty(weights.size)
     live, fallback = [0] * len(cfgs), [0] * len(cfgs)
     data = PostpointData(chart, np.array(posts))
     dressing = _mode_exponents(data, mode, cfgs)
     for j, q_post in enumerate(data.q):
-        dq, arc2 = steps(q_post)
-        mono = _monomials(dq, 4)
-        low = mono[..., :n_low]
-        bracket = mono @ data._bracket[j]
-        # cubic + quartic part of the bracket: the short-time expansion's trust measure
-        excess = np.abs(bracket - low @ data._quadratic[j])
-        jexps = dressing(j, low)
+        row_steps, arc2 = steps(q_post)
+        bracket, excess, jexps = _row_exponents(data, dressing, j, row_steps)
         for c, ((lam, cut, norm_weights), jexp) in enumerate(zip(scales, jexps)):
             trusted = lam * excess <= EXPANSION_TOLERANCE
-            action2 = np.where(trusted, bracket, arc2)
             mask = arc2 <= cut
             live[c] += np.count_nonzero(mask)
             fallback[c] += np.count_nonzero(mask & ~trusted)
-            kernel = np.where(mask, norm_weights * np.exp(-lam * action2 + jexp), 0.0)
+            # norm_weights * exp(-lam * action2 + jexp), zero outside the cutoff
+            np.multiply(np.where(trusted, bracket, arc2), -lam, out=kernel)
+            np.exp(np.add(kernel, jexp, out=kernel), out=kernel)
+            np.multiply(norm_weights, kernel, out=kernel)
+            kernel[~mask] = 0.0
             # leading-order reference with the exact arc and measure (continuum value 1)
-            flat_sum = float(np.sum(np.where(mask, norm_weights * np.exp(-lam * arc2), 0.0)))
+            np.exp(np.multiply(arc2, -lam, out=flat), out=flat)
+            np.multiply(norm_weights, flat, out=flat)
+            flat[~mask] = 0.0
+            flat_sum = float(np.sum(flat))
             if flat_sum <= 0:
                 raise NumericError("flat reference kernel summed to zero")
-            row = kernel / flat_sum
-            _check_positive_finite(row)
+            np.divide(kernel, flat_sum, out=kernel)
+            _check_positive_finite(kernel)
             # the kernel is even in the azimuth difference; symmetrize rounding noise
-            profiles[c, j] = 0.5 * (row + row[:, mirror])
+            row = kernel.reshape(weights.shape)
+            np.multiply(row + row[:, mirror], 0.5, out=profiles[c, j])
     return profiles, live, fallback
+
+
+def _row_exponents(data, dressing, j, steps):
+    """Row j's bracket, its cubic + quartic part (the trust measure) and dressings."""
+    planes = _monomials(steps, 4)
+    low = planes[: data._quadratic.shape[-1]]  # the leading monomials, degree <= 2
+    bracket = data._bracket[j] @ planes
+    excess = np.abs(bracket - data._quadratic[j] @ low)
+    return bracket, excess, dressing(j, low)
 
 
 def _check_positive_finite(arr):
@@ -509,14 +533,14 @@ def _check_positive_finite(arr):
 
 def _mode_exponents(data: PostpointData, mode: str, cfgs):
     """Measure dressing relative to the exact prepoint volume weight, per config,
-    as a function of a row j of ``data`` and its step monomials of degree <= 2.
+    as a function of a row j of ``data`` and its step monomial planes of degree <= 2.
 
     The naive measure is carried entirely by the closed-form sqrt(g) weight
     at the integration point; the step-difference measure differs from it by
     exp(delta_jacobian); the effective-potential form inserts -eps V_eff instead.
     """
     if mode == "qep":
-        return lambda j, low: [low @ data._delta_jacobian[j]] * len(cfgs)
+        return lambda j, low: [data._delta_jacobian[j] @ low] * len(cfgs)
     if mode == "naive_dewitt":
         return lambda j, low: [0.0] * len(cfgs)
     scalars = data.curvature_scalar().tolist()

@@ -257,10 +257,23 @@ GEODESIC = ["geodesic", "--chart", "builtin:polar", "--q0", "1,0", "--qdot0", "1
          "ValidationError", EXIT_VALIDATION, "epsilon=nan"),
         (["spectrum", "--manifold", "ring", "--mass", "inf"],
          "ValidationError", EXIT_VALIDATION, "mass=inf"),
+        (["amplitude", "--manifold", "ring", "--radius", "0"],
+         "ValidationError", EXIT_VALIDATION, "radius=0.0"),
+        (["amplitude", "--manifold", "ring", "--radius", "nan"],
+         "ValidationError", EXIT_VALIDATION, "radius=nan"),
+        (["amplitude", "--manifold", "ring", "--radius", "-1"],
+         "ValidationError", EXIT_VALIDATION, "radius=-1.0"),
+        (["amplitude", "--manifold", "ring", "--radius", "inf"],
+         "ValidationError", EXIT_VALIDATION, "radius=inf"),
+        (["spectrum", "--manifold", "sphere", "--n-theta", "7"],
+         "ValidationError", EXIT_VALIDATION, "n_theta=7"),
+        (["geodesic", "--chart", "builtin:polar", "--q0", "1,0", "--qdot0", "inf,1", "--t1", "1"],
+         "ValidationError", EXIT_VALIDATION, "velocity must be finite"),
     ],
     ids=["missing-option", "malformed-floats", "malformed-float", "bad-param", "bad-choice",
          "unknown-builtin", "unknown-file-param", "loop-without-vertices", "loop-flat-list",
-         "guard-rejected", "infinite-t1", "nan-t1", "nan-epsilon", "infinite-mass"],
+         "guard-rejected", "infinite-t1", "nan-t1", "nan-epsilon", "infinite-mass", "zero-radius",
+         "nan-radius", "negative-radius", "infinite-radius", "sparse-sphere", "infinite-qdot0"],
 )
 def test_every_error_is_one_json_line(tmp_path, capsys, argv, error_type, code, mentions):
     files = {

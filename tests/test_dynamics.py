@@ -14,6 +14,7 @@ from torsionlab import (
     solve_variation_ode,
     straight_line_image,
     torsion_el_residual,
+    variation_matrices,
 )
 from torsionlab.charts import Chart, builtin_chart
 from torsionlab.errors import SamplingError, ValidationError
@@ -214,6 +215,16 @@ def test_non_finite_time_grids_are_rejected(t_span, step):
     for integrate in (integrate_geodesic, integrate_autoparallel, straight_line_image):
         with pytest.raises(ValidationError, match="finite"):
             integrate(polar, [1.0, 0.0], [0.0, 1.0], t_span, step)
+
+
+@pytest.mark.parametrize("qdot", ([math.inf, 1.0], [0.0, -math.inf], [math.nan, 0.0]))
+def test_non_finite_velocities_are_rejected(qdot):
+    polar = builtin_chart("polar")
+    for integrate in (integrate_geodesic, integrate_autoparallel, straight_line_image):
+        with pytest.raises(ValidationError, match="velocity must be finite"):
+            integrate(polar, [1.0, 0.0], qdot, (0.0, 1.0), 1e-2)
+    with pytest.raises(ValidationError, match="velocity must be finite"):
+        variation_matrices(polar, [1.0, 0.0], qdot)
 
 
 def test_variation_on_nonuniform_base():

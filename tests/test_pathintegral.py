@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from dataclasses import replace
 
@@ -23,7 +24,17 @@ from torsionlab import (
 from torsionlab.charts import Chart, builtin_chart
 from torsionlab.connection import connection_bundle
 from torsionlab.errors import GridTooCoarseError, NumericError, ValidationError
-from torsionlab.pathintegral import PostpointData, SlicedPropagator, _kernel_grid, _propagators
+from torsionlab import pathintegral
+from torsionlab.pathintegral import (
+    EXPANSION_TOLERANCE,
+    PostpointData,
+    SlicedPropagator,
+    _kernel_grid,
+    _mode_exponents,
+    _monomial_factors,
+    _propagators,
+    _row_exponents,
+)
 
 CFG = ShortTimeConfig(epsilon=0.01)
 FLAT = Chart(dim=2, kind="map", exprs=["q1", "q2"])
@@ -335,11 +346,26 @@ def test_grid_too_coarse_rejected():
         build_propagator(Ring(radius=1.0, points=16), ShortTimeConfig(epsilon=0.01), "qep")
     with pytest.raises(GridTooCoarseError):
         build_propagator(Sphere(1.0, 8, 16), ShortTimeConfig(epsilon=0.001), "qep")
-    for manifold in (Ring(points=7), Sphere(n_theta=7), Sphere(n_phi=7), object()):
+    for manifold in (lambda: Ring(points=7), lambda: Sphere(n_theta=7), lambda: Sphere(n_phi=7),
+                     object):
         with pytest.raises(ValidationError):
-            build_propagator(manifold, ShortTimeConfig(), "qep")
+            build_propagator(manifold(), ShortTimeConfig(), "qep")
     with pytest.raises(ValidationError):
         build_propagator(Ring(), ShortTimeConfig(), "weyl")
+
+
+@pytest.mark.parametrize("kind, fields", [
+    *((kind, {"radius": r}) for kind in (Ring, Sphere) for r in (0.0, -1.0, math.nan, math.inf)),
+    (Ring, {"points": 7}), (Ring, {"points": 8.0}),
+    (Sphere, {"n_theta": 7}), (Sphere, {"n_phi": 8.0}),
+])
+def test_manifolds_need_finite_positive_radius_and_integer_grids(kind, fields):
+    with pytest.raises(ValidationError, match="finite positive radius and integer grid sizes"):
+        kind(**fields)
+    with pytest.raises(ValidationError, match="finite positive radius and integer grid sizes"):
+        replace(kind(), **fields)
+    names = [f.name for f in dataclasses.fields(kind)]
+    kind(**{name: np.int64(8) if name != "radius" else 2 for name in names})  # numpy ints pass
 
 
 @pytest.mark.parametrize("mode", ["qep", "naive_dewitt", "qep_via_veff"])
@@ -629,7 +655,8 @@ def test_stacked_block_solve_equals_per_block_solves(manifold, eigvals_calls):
 
 
 def hand_built_propagator(imag_block=None):
-    """n_phi = 8 sphere kernel whose leading values sit in the last stored block (m = 4)."""
+    """n_phi = 8 sphere kernel of 4 rows whose leading values sit in the last stored block
+    (m = 4); its manifold is read for n_phi only."""
     rng = np.random.default_rng(7)
     blocks = np.empty((4, 4, 5), dtype=complex)
     for m in range(4):
@@ -638,7 +665,7 @@ def hand_built_propagator(imag_block=None):
     blocks[:, :, 4] = np.diag([10.0, 9.0, 8.0, 7.0]) + 0.01 * np.ones((4, 4))
     if imag_block is not None:
         blocks[0, 1, imag_block] += 1e-3j
-    return SlicedPropagator(Sphere(1.0, 4, 8), ShortTimeConfig(), "qep", blocks=blocks)
+    return SlicedPropagator(Sphere(1.0, 8, 8), ShortTimeConfig(), "qep", blocks=blocks)
 
 
 def test_blocks_are_solved_by_bound_not_by_m(eigvals_calls):
@@ -727,3 +754,90 @@ def test_under_resolved_ladder_fails_before_any_row(monkeypatch):
         next(_propagators(sphere, cfgs, "qep"))
     assert str(ladder.value) == str(single.value)
     assert builds == []
+
+
+# -- the step-last monomial oracle of the coordinate-first kernel rows -------------
+
+
+def oracle_monomials(dq, degree):
+    """Every monomial of the steps ``dq`` (shape (..., D)) up to ``degree``, last
+    axis in the order of the jet tuples' partials: the step-last builder that the
+    coordinate-first planes replaced, kept as their reference."""
+    dq = np.asarray(dq, dtype=float)
+    factors = _monomial_factors(dq.shape[-1], degree)
+    out = np.empty(dq.shape[:-1] + (len(factors) + 1,))
+    out[..., 0] = 1.0
+    for s, (parent, last) in enumerate(factors, 1):
+        np.multiply(out[..., parent], dq[..., last], out=out[..., s])
+    return out
+
+
+def oracle_row_exponents(data, mode, cfgs, j, steps):
+    """``_row_exponents`` with every step polynomial ``monomials @ coefficients``."""
+    dq = np.stack(np.broadcast_arrays(*steps), axis=-1).reshape(-1, len(steps))  # flattened
+    mono = oracle_monomials(dq, 4)
+    low = mono[..., : data._quadratic.shape[-1]]
+    bracket = mono @ data._bracket[j]
+    excess = np.abs(bracket - low @ data._quadratic[j])
+    if mode == "qep":
+        return bracket, excess, [low @ data._delta_jacobian[j]] * len(cfgs)
+    return bracket, excess, _mode_exponents(data, mode, cfgs)(j, None)  # no step polynomial
+
+
+def oracle_profiles(manifold, cfgs, mode):
+    """Every config's kernel profile, each row built from whole temporaries."""
+    chart, weights, _, posts, steps = _kernel_grid(manifold)
+    data = PostpointData(chart, np.array(posts))
+    mirror = (-np.arange(weights.shape[1])) % weights.shape[1]
+    profiles = np.empty((len(cfgs), len(weights)) + weights.shape)
+    weights = weights.ravel()
+    for j, q_post in enumerate(data.q):
+        row_steps, arc2 = steps(q_post)
+        bracket, excess, jexps = oracle_row_exponents(data, mode, cfgs, j, row_steps)
+        for c, (cfg, jexp) in enumerate(zip(cfgs, jexps)):
+            sigma = math.sqrt(cfg.epsilon * cfg.hbar / cfg.mass)
+            lam = 0.5 * cfg.mass / (cfg.epsilon * cfg.hbar)
+            norm = (cfg.mass / (2.0 * math.pi * cfg.epsilon * cfg.hbar)) ** (chart.dim / 2)
+            mask = arc2 <= (cfg.cutoff_sigmas * sigma) ** 2
+            trusted = lam * excess <= EXPANSION_TOLERANCE
+            action2 = np.where(trusted, bracket, arc2)
+            kernel = np.where(mask, norm * weights * np.exp(-lam * action2 + jexp), 0.0)
+            flat_sum = float(np.sum(np.where(mask, norm * weights * np.exp(-lam * arc2), 0.0)))
+            row = (kernel / flat_sum).reshape(profiles.shape[2:])
+            profiles[c, j] = 0.5 * (row + row[:, mirror])
+    return profiles
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_ring_kernels_equal_the_step_last_oracle_bitwise(mode):
+    ring = Ring(1.0, 256)
+    cfgs = [ShortTimeConfig(epsilon=eps) for eps in (0.08, 0.04, 0.02, 0.01)]
+    want = oracle_profiles(ring, cfgs, mode)
+    for c, prop in enumerate(_propagators(ring, cfgs, mode)):
+        assert np.array_equal(prop.profile, want[c]), c
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_in_place_kernel_rows_equal_whole_temporaries_bitwise(mode, monkeypatch):
+    """Given the oracle's exponents, the kernel rows built in place are its rows."""
+    sphere = Sphere(1.0, 24, 48)
+    cfgs = [ShortTimeConfig(epsilon=eps) for eps in (0.16, 0.08, 0.04)]
+    monkeypatch.setattr(pathintegral, "_row_exponents", lambda data, dressing, j, steps:
+                        oracle_row_exponents(data, mode, cfgs, j, steps))
+    want = oracle_profiles(sphere, cfgs, mode)
+    for c, prop in enumerate(_propagators(sphere, cfgs, mode)):
+        assert np.array_equal(prop.profile, want[c]), c
+
+
+@pytest.mark.parametrize("mode, j", [("qep", 0), ("naive_dewitt", 23), ("qep_via_veff", 40)])
+def test_sphere_row_exponents_match_the_step_last_oracle(mode, j):
+    chart, _, _, posts, steps = _kernel_grid(Sphere(1.0, 48, 96))
+    cfgs = [ShortTimeConfig(epsilon=eps) for eps in (0.08, 0.04, 0.02)]
+    data = PostpointData(chart, np.array(posts))
+    row_steps, arc2 = steps(data.q[j])
+    got = _row_exponents(data, _mode_exponents(data, mode, cfgs), j, row_steps)
+    want = oracle_row_exponents(data, mode, cfgs, j, row_steps)
+    names = ("bracket", "excess", *(f"dressing {c}" for c in range(len(cfgs))))
+    for name, g, w in zip(names, (*got[:2], *got[2]), (*want[:2], *want[2])):
+        assert np.shape(g) in ((), arc2.shape) and np.shape(g) == np.shape(w), name
+        assert np.max(np.abs(np.subtract(g, w))) <= 1e-13 * np.max(np.abs(w)), name

@@ -12,12 +12,12 @@ so two checkouts (say, before and after a change) can be recorded side by
 side in one file.
 
 With ``--pair``, ``SRC_A`` is the parent and ``SRC_B`` the change.  Each of
-``--rounds`` rounds times each side's trajectory and cold-start layers (the
-last two groups below) in a fresh interpreter, the two sides in turn,
-alternating which goes first, so that machine drift between rounds cancels
-in the per-round ratios; ``--out`` then holds, per layer, both sides'
-medians of each round, the change/parent ratios and their median and
-quartiles.  ``--perfbench PAIRS`` adds that many alternating pairs of
+``--rounds`` rounds times each side's sphere kernel, trajectory and cold-start
+layers (the first group below and the last two) in a fresh interpreter, the
+two sides in turn, alternating which goes first, so that machine drift
+between rounds cancels in the per-round ratios; ``--out`` then holds, per
+layer, both sides' medians of each round, the change/parent ratios and their
+median and quartiles.  ``--perfbench PAIRS`` adds that many alternating pairs of
 ``perfbench/run.py`` runs per workload, each side run from the checkout that
 holds its ``src`` (at its default run length, seeds 1501, 1502, ...), with
 the end-to-end metrics of every run, their change/parent ratios and how many
@@ -356,7 +356,7 @@ def _import_layers():
 
 GROUPS = {"kernel": _kernel_layers, "ring": _ring_layers, "trajectories": _trajectory_layers,
           "imports": _import_layers}
-PAIR_GROUPS = ("trajectories", "imports")  # what a --pair round times on each side
+PAIR_GROUPS = ("kernel", "trajectories", "imports")  # what a --pair round times on each side
 
 
 def measure(groups=tuple(GROUPS)):
