@@ -22,10 +22,11 @@ accelerations or the row-major D x D matrices (G, Sigma); on the jets of a
 stack (N, D) and a velocity of D arrays it returns arrays.
 
 ``_chart_field`` writes these lines once per chart definition into its RK4
-integrator, behind the guard and the jets of every chart expression, which
-``_Taylor`` inlines (a subexpression shared between entries, found by
-structural hashing of the AST, computed once).  Parameter values are
-arguments, so charts that differ only in them share the code.
+integrator, behind a check that the point is finite, the guard and the jets
+of every chart expression, which ``_Taylor`` inlines (a subexpression shared
+between entries, found by structural hashing of the AST, computed once).
+Parameter values are arguments, so charts that differ only in them share the
+code.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ import numpy as np
 
 from . import expressions
 from ._local import _ADJUGATES, degenerate_triad, rule_lines
-from .errors import DegenerateTriadError, EvaluationError, SingularPointError
+from .errors import DegenerateTriadError, EvaluationError, NonFiniteError, SingularPointError
 from .expressions import _REAL, Name, Num, _Code, _lit, _multisets, _operation, _rule, _Taylor
 
 _CHART_FIELDS: dict = {}  # (field, (kind, D, sources, guard, parameter names)) -> integrator
@@ -167,11 +168,14 @@ def _chart_source(field, kind, dim, exprs, guard, params):
 
         return lower
 
-    plain = lowering(())
+    plain, point = lowering(()), f"{{[{', '.join(coords)}]}}"
+    finite = " == ".join(f"{c} - {c}" for c in coords)  # x - x is 0.0 for finite x, else NaN
+    taylor.lines += [f"    if not {finite} == 0.0:",  # as ``Chart._point_env``
+                     f"        raise NonFiniteError(f'point {point} is not finite')"]
     if guard is not None:  # as ``Chart._checked_env``
         test = taylor.use(plain(guard.ast)[1], 0)
         taylor.lines += [f"    if not {_lit(test)} > 0.0:", "        raise SingularPointError("
-                         f"f'point {{[{', '.join(coords)}]}} rejected by chart domain guard')"]
+                         f"f'point {point} rejected by chart domain guard')"]
     lower = lowering(coords) if order else plain  # as ``Chart._jets``: plain values at order 0
     for expr, row in zip(exprs, _jet_names(kind, dim, ambient, deriv)):
         _, jet, is_jet = lower(expr.ast)
@@ -188,7 +192,7 @@ def _chart_source(field, kind, dim, exprs, guard, params):
                        state, slope, body.splitlines(), final=not deriv)
 
 
-_DOMAIN_ERRORS = (SingularPointError, EvaluationError, DegenerateTriadError)  # end a path
+_DOMAIN_ERRORS = (NonFiniteError, SingularPointError, EvaluationError, DegenerateTriadError)  # end a path
 
 
 def _rk4_source(head, state, slope, body, final):

@@ -18,6 +18,7 @@ Array layout conventions used across the package:
 from __future__ import annotations
 
 import json
+import math
 from importlib import resources
 
 import numpy as np
@@ -25,6 +26,7 @@ import numpy as np
 from ._local import LocalGeometry, attempt, columns
 from .errors import (
     DimensionMismatchError,
+    NonFiniteError,
     SingularPointError,
     ValidationError,
 )
@@ -86,14 +88,18 @@ class Chart:
     # -- admission ----------------------------------------------------------
 
     def _point_env(self, q):
-        """The point as a float array and its evaluation environment."""
+        """The point as a float array and its evaluation environment; a point
+        that is not finite is rejected."""
         q = np.asarray(q, dtype=float)
         if q.shape != (self.dim,):
             raise DimensionMismatchError(
                 f"point of shape {q.shape} does not match chart dimension {self.dim}"
             )
+        coords = q.tolist()
+        if not all(map(math.isfinite, coords)):  # on the list: cheaper than np.isfinite here
+            raise NonFiniteError(f"point {coords} is not finite")
         env = dict(self.params)
-        env.update(zip(self._coord_names, q.tolist()))
+        env.update(zip(self._coord_names, coords))
         return q, env
 
     def _admits(self, env) -> bool:
@@ -135,7 +141,10 @@ class Chart:
         return [e(env, wrt, first + order) for e in self.exprs]
 
     def _batch_jets(self, q, wrt, order):
-        """``_jets`` of every point of ``q`` in one pass; raises unless the guard admits them all."""
+        """``_jets`` of every point of ``q`` in one pass; raises unless they are all
+        finite and the guard admits them all."""
+        if not (finite := np.isfinite(q).all(axis=1)).all():
+            raise NonFiniteError(f"point {q[np.argmin(finite)].tolist()} is not finite")
         env = {**self.params, **dict(zip(self._coord_names, np.ascontiguousarray(q.T, float)))}
         if self.guard is not None and not np.all(admitted := self.guard._batch(env, (), 0)[0] > 0.0):
             raise SingularPointError(

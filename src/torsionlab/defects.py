@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charts import Chart, builtin_chart
-from .errors import DimensionMismatchError, SingularPointError, ValidationError
+from .errors import DimensionMismatchError, NonFiniteError, SingularPointError, ValidationError
 
 TWO_PI = 2.0 * np.pi
 
@@ -30,6 +30,8 @@ class LoopSpec:
         verts = np.asarray(self.vertices, dtype=float)
         if verts.ndim != 2 or len(verts) < 3:
             raise ValidationError("loop needs at least 3 vertices (closed polygon)")
+        if not np.isfinite(verts).all():
+            raise NonFiniteError(f"loop vertices must be finite, got {verts.tolist()}")
         if not np.allclose(verts[0], verts[-1], atol=0.0, rtol=0.0):
             raise ValidationError("loop must be closed: first vertex must equal last")
         if self.samples_per_edge < 8:
@@ -58,40 +60,31 @@ def square_loop(half_width=1.0, center=(0.0, 0.0), samples_per_edge=8, turns=1) 
     return LoopSpec(vertices=tuple(verts), samples_per_edge=samples_per_edge)
 
 
-def _edge_nodes(samples_per_edge):
-    nodes, weights = np.polynomial.legendre.leggauss(samples_per_edge)
-    return 0.5 * (nodes + 1.0), 0.5 * weights  # mapped to [0, 1]
-
-
 def line_integral(field, loop: LoopSpec, chart: Chart | None = None):
     """Composite Gauss-Legendre line integral of a covector field along a loop.
 
-    ``field(q)`` returns either a vector f_mu (the integrand is f_mu dq^mu,
-    scalar result) or a matrix F[i, mu] (result is a vector, one component
-    per flat index i).  If a chart is given, every quadrature node must pass
-    its domain guard.
+    ``field(nodes)`` takes every quadrature node at once, a stack (N, D) edge
+    by edge, and returns per node either a vector f_mu, shape (N, D) (the
+    integrand is f_mu dq^mu, scalar result), or a matrix F[i, mu], shape
+    (N, A, D) (result is a vector, one component per flat index i).  The
+    pieces are summed in loop order.  If a chart is given, every vertex must
+    pass its domain guard; a chart field's one pass over the stack checks
+    the nodes.
     """
     verts = loop.array
-    if chart is not None:
-        for v in verts:
-            if not chart.admitted(v):
-                raise SingularPointError(
-                    f"loop vertex {v.tolist()} rejected by the chart guard"
-                )
-    s_nodes, s_weights = _edge_nodes(loop.samples_per_edge)
-    total = None
-    for a, b in zip(verts[:-1], verts[1:]):
-        tangent = b - a
-        for s, w in zip(s_nodes, s_weights):
-            point = a + s * tangent
-            if chart is not None and not chart.admitted(point):
-                raise SingularPointError(
-                    f"loop quadrature node {point.tolist()} rejected by the chart guard"
-                )
-            value = np.asarray(field(point), dtype=float)
-            piece = w * (value @ tangent)
-            total = piece if total is None else total + piece
-    return total
+    for v in verts if chart is not None else ():
+        if not chart.admitted(v):
+            raise SingularPointError(f"loop vertex {v.tolist()} rejected by the chart guard")
+    s, w = np.polynomial.legendre.leggauss(loop.samples_per_edge)
+    s, w = 0.5 * (s + 1.0), 0.5 * w  # mapped to [0, 1]
+    edges = verts[1:] - verts[:-1]
+    tangents = np.repeat(edges, len(s), axis=0)  # (N, D), edge by edge
+    nodes = np.repeat(verts[:-1], len(s), axis=0) + np.tile(s, len(edges))[:, None] * tangents
+    weights = np.tile(w, len(edges))
+    values = np.asarray(field(nodes), dtype=float)
+    N, D = nodes.shape
+    pieces = weights[:, None] * (values.reshape(N, -1, D) @ tangents[:, :, None])[..., 0]
+    return np.cumsum(pieces.reshape(values.shape[:-1]), axis=0)[-1]  # in loop order; np.sum pairs
 
 
 def angle_gradient(q) -> np.ndarray:
@@ -137,8 +130,13 @@ def make_disclination(omega: float) -> DefectChart:
 
 
 def winding_integral(field, loop: LoopSpec, chart: Chart | None = None) -> float:
-    """Circuit integral of a gradient field; 2*pi per enclosed winding of the angle."""
-    return float(line_integral(field, loop, chart=chart))
+    """Circuit integral of a gradient field ``field(q)``, taken point by point;
+    2*pi per enclosed winding of the angle.  If a chart is given, every
+    quadrature node must pass its domain guard."""
+    def stacked(nodes):
+        return [field(q if chart is None else chart.check_point(q)) for q in nodes]
+
+    return float(line_integral(stacked, loop, chart=chart))
 
 
 @dataclass(frozen=True)
@@ -155,10 +153,8 @@ def burgers_vector(defect: DefectChart, loop: LoopSpec) -> BurgersResult:
     dislocation chart the raw integral of an origin-enclosing loop is
     (0, 2*pi*eps).
     """
-    chart = defect.chart
-    b = line_integral(lambda q: chart.triad(q), loop, chart=chart)
-    b = np.atleast_1d(np.asarray(b, dtype=float))
-    winding = winding_integral(angle_gradient, loop, chart=chart) / TWO_PI
+    b = np.atleast_1d(line_integral(defect.chart.triad, loop, chart=defect.chart))
+    winding = winding_integral(angle_gradient, loop) / TWO_PI  # the triad pass checked the nodes
     return BurgersResult(
         b=tuple(b.tolist()), b_over_2pi=tuple((b / TWO_PI).tolist()), winding=float(winding)
     )
@@ -175,9 +171,9 @@ def frank_angle(defect: DefectChart, loop: LoopSpec) -> float:
         raise ValidationError("frank_angle needs a disclination chart")
     chart = defect.chart
 
-    def rotation_gradient(q):
-        dE = chart.triad_derivatives(q, order=1)  # dE[i, kap, lam]
-        return 0.5 * (dE[1, 0, :] - dE[0, 1, :])
+    def rotation_gradient(nodes):
+        dE = chart.triad_derivatives(nodes, order=1)  # dE[n, i, kap, lam]
+        return 0.5 * (dE[:, 1, 0, :] - dE[:, 0, 1, :])
 
     return float(line_integral(rotation_gradient, loop, chart=chart))
 
@@ -187,13 +183,13 @@ def torsion_flux(defect: DefectChart, loop: LoopSpec) -> np.ndarray:
 
     By Stokes this equals the surface integral of the torsion two-form, i.e.
     the Burgers vector; pointwise torsion vanishes off the origin, so the
-    flux is loop-shape independent (it only counts the enclosed defect).
+    flux is loop-shape independent (it only counts the enclosed defect).  The
+    defect-free circuit is that of the identity triad, which both defect
+    charts have at zero strength.
     """
     chart = defect.chart
-    if defect.defect_kind == "dislocation":
-        baseline = make_dislocation(0.0).chart
-    else:
-        baseline = make_disclination(0.0).chart
-    b_defect = line_integral(lambda q: chart.triad(q), loop, chart=chart)
-    b_flat = line_integral(lambda q: baseline.triad(q), loop, chart=baseline)
-    return np.asarray(b_defect, dtype=float) - np.asarray(b_flat, dtype=float)
+    identity = np.eye(chart.dim)
+    b_defect = line_integral(chart.triad, loop, chart=chart)
+    b_flat = line_integral(lambda nodes: np.broadcast_to(identity, (len(nodes),) + identity.shape),
+                           loop)
+    return b_defect - b_flat

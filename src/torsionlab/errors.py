@@ -11,6 +11,10 @@ class ValidationError(TorsionLabError):
     """Malformed input: bad configuration, wrong shapes, broken preconditions."""
 
 
+class NonFiniteError(ValidationError):
+    """A point with a NaN or infinite coordinate: bad input, or the end of a path reaching it."""
+
+
 class DimensionMismatchError(ValidationError):
     """Expression count or coordinate length inconsistent with the chart dimension."""
 

@@ -568,6 +568,8 @@ def extract_spectrum(prop: SlicedPropagator, n_levels: int, group_tol: float = 1
     """
     if n_levels < 1:
         raise ValidationError("n_levels must be at least 1")
+    if not 0.0 <= group_tol < math.inf:
+        raise ValidationError(f"group_tol must be finite and non-negative, got {group_tol!r}")
     # enough eigenvalues even for (2l+1)-fold degenerate ladders
     vals = prop._leading(max(16, 2 * (n_levels + 1) ** 2))
     vals = vals[vals.real > 0.0]

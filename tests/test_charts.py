@@ -10,6 +10,7 @@ from torsionlab.errors import (
     DimensionMismatchError,
     EvaluationError,
     ExpressionParseError,
+    NonFiniteError,
     SingularPointError,
     ValidationError,
 )
@@ -148,6 +149,28 @@ def test_guard_rejects_singular_points():
         polar.triad([-1.0, 0.2])
     assert disl.admitted([1.0, 1.0])
     assert not disl.admitted([0.0, 0.0])
+
+
+@pytest.mark.parametrize("name", ["cartesian", "polar"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_points_are_rejected(name, bad):
+    # a ValidationError (CLI exit 2) that also ends a trajectory reaching such a point
+    assert issubclass(NonFiniteError, ValidationError)
+    chart = builtin_chart(name)
+    with pytest.raises(NonFiniteError, match="not finite"):
+        chart.admitted([bad, 0.5])
+    with pytest.raises(NonFiniteError, match="not finite"):
+        chart.check_point([1.0, bad])
+    with pytest.raises(NonFiniteError, match="not finite"):
+        chart.triad_jets([bad, 0.5], order=2)
+    stack = np.array([[1.0, 0.5], [bad, 0.5], [2.0, 0.5]])
+
+    def batch(q):  # one pass that raises, with no point-by-point retry
+        return chart._jets(q, 0, pointwise=False)
+
+    for query in (chart.metric, chart.triad_derivatives, batch):
+        with pytest.raises(NonFiniteError, match=r"point \[.*\] is not finite"):
+            query(stack)
 
 
 def test_degenerate_triad_detected():

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -269,17 +270,38 @@ GEODESIC = ["geodesic", "--chart", "builtin:polar", "--q0", "1,0", "--qdot0", "1
          "ValidationError", EXIT_VALIDATION, "n_theta=7"),
         (["geodesic", "--chart", "builtin:polar", "--q0", "1,0", "--qdot0", "inf,1", "--t1", "1"],
          "ValidationError", EXIT_VALIDATION, "velocity must be finite"),
+        (["geodesic", "--chart", "builtin:cartesian", "--q0", "nan,0", "--qdot0", "1,1",
+          "--t1", "0.01", "--step", "0.005"], "NonFiniteError", EXIT_VALIDATION, "not finite"),
+        (["tensors", "--chart", "builtin:cartesian", "--at", "inf,0"],
+         "NonFiniteError", EXIT_VALIDATION, "[inf, 0.0] is not finite"),
+        (["geodesic", "--chart", "builtin:polar", "--q0", "nan,0", "--qdot0", "1,1", "--t1", "0.01"],
+         "NonFiniteError", EXIT_VALIDATION, "not finite"),
+        (["burgers", "--chart", "builtin:dislocation", "--loop", "{nan_vertex}"],
+         "NonFiniteError", EXIT_VALIDATION, "loop vertices must be finite"),
+        (["burgers", "--chart", "builtin:dislocation", "--loop", "{through_origin}"],
+         "SingularPointError", EXIT_NUMERIC, "guard"),
+        (["spectrum", "--manifold", "ring", "--group-tol", "nan"],
+         "ValidationError", EXIT_VALIDATION, "group_tol"),
+        (["spectrum", "--manifold", "ring", "--group-tol", "-1"],
+         "ValidationError", EXIT_VALIDATION, "group_tol"),
     ],
     ids=["missing-option", "malformed-floats", "malformed-float", "bad-param", "bad-choice",
          "unknown-builtin", "unknown-file-param", "loop-without-vertices", "loop-flat-list",
          "guard-rejected", "infinite-t1", "nan-t1", "nan-epsilon", "infinite-mass", "zero-radius",
-         "nan-radius", "negative-radius", "infinite-radius", "sparse-sphere", "infinite-qdot0"],
+         "nan-radius", "negative-radius", "infinite-radius", "sparse-sphere", "infinite-qdot0",
+         "nan-q0-unguarded", "infinite-at", "nan-q0-guarded", "nan-loop-vertex",
+         "loop-through-origin", "nan-group-tol", "negative-group-tol"],
 )
 def test_every_error_is_one_json_line(tmp_path, capsys, argv, error_type, code, mentions):
     files = {
         "chart": write_json(tmp_path / "polar.json", POLAR_FILE),
         "no_vertices": write_json(tmp_path / "no_vertices.json", {"verts": [[1, 1], [1, 1]]}),
         "flat_list": write_json(tmp_path / "flat_list.json", [1, 2, 3]),
+        "nan_vertex": write_json(tmp_path / "nan_vertex.json",
+                                 [[1, 1], [-1, 1], [math.nan, -1], [1, -1], [1, 1]]),
+        "through_origin": write_json(tmp_path / "through_origin.json",  # a node at the origin
+                                     {"vertices": [[-1, 0], [1, 0], [1, 1], [-1, 1], [-1, 0]],
+                                      "samples_per_edge": 9}),
     }
     assert main([arg.format(**files) for arg in argv]) == code
     out, err = capsys.readouterr()

@@ -396,6 +396,15 @@ def test_ring_kernel_positive_and_symmetric():
         assert np.max(np.abs(prop.compose(prop).matrix - dense)) < 1e-14 * np.max(dense)
 
 
+@pytest.mark.parametrize("group_tol", [math.nan, math.inf, -1.0, -1e-300])
+def test_group_tol_must_be_finite_and_non_negative(group_tol):
+    prop = build_propagator(Ring(1.0, 64), ShortTimeConfig(epsilon=0.08), "qep")
+    with pytest.raises(ValidationError, match="group_tol"):
+        extract_spectrum(prop, 4, group_tol=group_tol)
+    with pytest.raises(ValidationError, match="group_tol"):
+        spectrum_ladder(Ring(1.0, 64), ShortTimeConfig(), "qep", (0.08, 0.04), 4, group_tol)
+
+
 def test_ring_spectrum_exact_rotor():
     res = spectrum_ladder(Ring(1.0, 256), ShortTimeConfig(), "qep", (0.08, 0.04, 0.02, 0.01), 4)
     expected = np.array([0.0, 0.5, 2.0, 4.5])

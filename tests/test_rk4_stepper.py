@@ -21,7 +21,7 @@ from hypothesis import given, settings
 import torsionlab as tl
 from torsionlab import _fields, dynamics
 from torsionlab.charts import BUILTIN_CHARTS, Chart
-from torsionlab.errors import DegenerateTriadError, EvaluationError
+from torsionlab.errors import DegenerateTriadError, EvaluationError, NonFiniteError
 
 from conftest import SAMPLE_BOXES
 from test_compiled_jets import fresh_interpreter
@@ -191,6 +191,15 @@ def test_near_floor_path_is_rejected_like_the_generic_loop():
     for field in TRAJECTORY_FIELDS:
         assert assert_stepper_equals_oracle(chart, field, q0, [0.0, 1.0]) is None
         assert outcome(INTEGRATORS[field], chart, q0, [0.0, 1.0], (0.0, 1.0), 0.05) == want
+
+
+def test_path_reaching_a_non_finite_point_ends_like_the_generic_loop():
+    # the autoparallel runs off to infinity after 14 steps: a stage at [inf, -inf]
+    # ends it there, checked before the rule, as ``Chart._point_env`` checks
+    chart = Chart(2, "triad", ["q1", "q2", "q2", "q2"])
+    seen = assert_stepper_equals_oracle(chart, "autoparallel", [0.0, 1.0], [1.0, 0.0])
+    assert seen["errors"] == [(NonFiniteError, "point [inf, -inf] is not finite")]
+    assert len(seen["returned"][0]) == 15 and seen["returned"][2]
 
 
 @pytest.mark.parametrize("field", TRAJECTORY_FIELDS)

@@ -19,14 +19,19 @@ import torsionlab as tl
 from torsionlab import _fields, dynamics
 from torsionlab.charts import BUILTIN_CHARTS, Chart
 from torsionlab.connection import affine_connection, christoffel, torsion_tensor
-from torsionlab.errors import DegenerateTriadError, EvaluationError, SingularPointError
+from torsionlab.errors import (
+    DegenerateTriadError,
+    EvaluationError,
+    NonFiniteError,
+    SingularPointError,
+)
 
 from conftest import SAMPLE_BOXES
 from test_compiled_jets import PARAMS, cases, expressions_in
 
 FIELDS = ("geodesic", "autoparallel", "variation")
 # a trajectory step that meets one of these ends the path instead of failing it
-DOMAIN_ERRORS = (SingularPointError, EvaluationError, DegenerateTriadError)
+DOMAIN_ERRORS = (NonFiniteError, SingularPointError, EvaluationError, DegenerateTriadError)
 
 
 def assert_bitwise(got, ref):

@@ -1,4 +1,4 @@
-"""Layer timings of the ring and sphere kernels, their ladders and the trajectories.
+"""Layer timings of the ring and sphere kernels, their ladders, the trajectories and the geometry.
 
 Usage::
 
@@ -12,8 +12,8 @@ so two checkouts (say, before and after a change) can be recorded side by
 side in one file.
 
 With ``--pair``, ``SRC_A`` is the parent and ``SRC_B`` the change.  Each of
-``--rounds`` rounds times each side's sphere kernel, trajectory and cold-start
-layers (the first group below and the last two) in a fresh interpreter, the
+``--rounds`` rounds times each side's sphere kernel, trajectory, geometry and
+cold-start layers (every group below but the ring) in a fresh interpreter, the
 two sides in turn, alternating which goes first, so that machine drift
 between rounds cancels in the per-round ratios; ``--out`` then holds, per
 layer, both sides' medians of each round, the change/parent ratios and their
@@ -82,6 +82,18 @@ the trajectories, under criteria 3 and 5:
 * ``quadrature_solve``        ``closure_defect_by_quadrature`` along that
   autoparallel, its half-step samples included.
 
+the geometry, under criteria 1 and 4, on the inputs of the first
+``geometry_sweep`` pass of ``perfbench/inputs.py`` (seed 1501):
+
+* ``loop_invariants``         ``winding_integral``, ``burgers_vector``,
+  ``torsion_flux`` and ``frank_angle`` on each of the pass's four polygons
+  (4 or 5 vertices, 24 samples per edge), the pass's defect charts built once;
+* ``criterion1_point_polar``  ``identity_residuals`` and
+  ``curvature_relation_check`` at one point of ``polar``, warm (the mean over
+  the pass's 100 polar points);
+* ``criterion1_point_generated`` the same on the pass's first generated map
+  chart, warm (the mean over its 5 points).
+
 the cold start:
 
 * ``import_torsionlab``       ``import torsionlab`` in a fresh interpreter, timed
@@ -109,6 +121,7 @@ BLAS is pinned to one thread before numpy loads, as in ``perfbench/run.py``.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import inspect
 import json
 import math
@@ -133,6 +146,7 @@ VARIATION_CALLS = 1000
 FIELD_CALLS = 10000
 IMPORTS = 9
 DELTAQ = ["0.3*t*(1 - t)", "-0.2*t*(1 - t)"]  # criterion 5
+GEOMETRY_SEED = 1501  # the first seed of a --perfbench pair
 GEOMETRY_TENSORS = ("g", "invg", "recip", "dg", "d2g", "dinvg", "chris1", "chris2", "dchris2",
                     "gamma", "dgamma", "torsion", "contortion", "contortion_mixed", "cartan",
                     "riemann")
@@ -323,6 +337,64 @@ def _trajectory_layers():
     return layers, {"trajectory_steps": TRAJECTORY_STEPS}
 
 
+def _perfbench_inputs():
+    """This checkout's ``perfbench/inputs.py``: the benchmark's seeded inputs."""
+    spec = importlib.util.spec_from_file_location("perfbench_inputs",
+                                                  ROOT / "perfbench" / "inputs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _geometry_layers():
+    from torsionlab import (
+        Chart,
+        LoopSpec,
+        angle_gradient,
+        builtin_chart,
+        burgers_vector,
+        curvature_relation_check,
+        frank_angle,
+        identity_residuals,
+        make_disclination,
+        make_dislocation,
+        torsion_flux,
+        winding_integral,
+    )
+
+    inputs = _perfbench_inputs()
+    sweep = inputs.geometry_inputs(GEOMETRY_SEED, 0)
+    loops = [LoopSpec(vertices=tuple(map(tuple, verts)), samples_per_edge=inputs.SAMPLES_PER_EDGE)
+             for _, verts in sweep["loops"]]
+    dislocation = make_dislocation(sweep["dislocation_eps"])
+    disclination = make_disclination(sweep["disclination_omega"])
+
+    def invariants():
+        for loop in loops:
+            winding_integral(angle_gradient, loop)
+            burgers_vector(dislocation, loop)
+            torsion_flux(dislocation, loop)
+            frank_angle(disclination, loop)
+
+    def criterion_1(chart, points):
+        for q in points:
+            identity_residuals(chart, q)
+            curvature_relation_check(chart, q)
+
+    polar = next(spec["points"] for spec in sweep["charts"] if spec.get("builtin") == "polar")
+    generated = next(spec for spec in sweep["charts"]
+                     if spec.get("definition", {}).get("kind") == "map")
+    chart = Chart.from_dict(generated["definition"])
+    layers = {
+        "loop_invariants": _median_timing(invariants, 15),
+        "criterion1_point_polar": _median_timing(
+            lambda: criterion_1(builtin_chart("polar"), polar), 9, per=len(polar)),
+        "criterion1_point_generated": _median_timing(
+            lambda: criterion_1(chart, generated["points"]), 50, per=len(generated["points"])),
+    }
+    return layers, {"loops": [len(loop.vertices) - 1 for loop in loops]}
+
+
 def _fresh_timing(code):
     """The median of the times that ``code`` prints in ``IMPORTS`` fresh interpreters
     importing this checkout, or the error of a checkout that cannot run it."""
@@ -355,8 +427,8 @@ def _import_layers():
 
 
 GROUPS = {"kernel": _kernel_layers, "ring": _ring_layers, "trajectories": _trajectory_layers,
-          "imports": _import_layers}
-PAIR_GROUPS = ("kernel", "trajectories", "imports")  # what a --pair round times on each side
+          "geometry": _geometry_layers, "imports": _import_layers}
+PAIR_GROUPS = ("kernel", "trajectories", "geometry", "imports")  # what a --pair round times
 
 
 def measure(groups=tuple(GROUPS)):
