@@ -25,8 +25,11 @@ stack (N, D) and a velocity of D arrays it returns arrays.
 integrator, behind a check that the point is finite, the guard and the jets
 of every chart expression, which ``_Taylor`` inlines (a subexpression shared
 between entries, found by structural hashing of the AST, computed once).
-Parameter values are arguments, so charts that differ only in them share the
-code.
+``_Taylor`` folds only exact identities, and structural zeros: a partial in a
+variable that its subexpression never reads is written as the literal 0.0
+and multiplies nothing, as the closure kernels of the jet route drop it too,
+so both routes compute it as +0.0.  Parameter values are arguments, so charts
+that differ only in them share the code.
 """
 
 from __future__ import annotations

@@ -359,11 +359,13 @@ def _free_names(node, out):
 # order.  Its arithmetic -- the Leibniz product and the univariate and
 # bivariate Faa di Bruno chain rules (Griewank & Walther, Evaluating
 # Derivatives, 2nd ed., ch. 13) -- depends on (D, n) only.  ``_Taylor``
-# writes it out as straight-line source: one kernel function per pair and
-# operation, each compiled on its first lookup over the scalar helpers or (for
-# batches of points) the array helpers above, and inline in the per-chart
-# trajectory integrators of ``_fields``.  Each expression is lowered once per
-# (wrt, order, batched) into closures over the kernels.
+# writes it out as straight-line source: one kernel function per pair,
+# operation and tuple of the operands' structural-zero positions (partials
+# in a variable the operand never reads, which the kernel neither reads nor
+# multiplies by), each compiled on its first use over the scalar helpers or
+# (for batches of points) the array helpers above, and inline in the
+# per-chart trajectory integrators of ``_fields``.  Each expression is
+# lowered once per (wrt, order, batched) into closures over the kernels.
 
 _KERNELS: dict = {}  # (D, n, batched) -> ``_Kernels``
 
@@ -403,21 +405,46 @@ def _minus_zero(x):
     return not isinstance(x, str) and x == 0.0 and math.copysign(1.0, x) < 0.0
 
 
-# Exact identities only (-0.0 + x, x - 0.0, 1.0 * x), so that signed zeros
-# and NaNs come out as the unfolded arithmetic gives them.
+class _Zero:
+    """A structural zero: a partial in a variable that its subexpression never
+    reads.  It is not a float, so no arithmetic but the rules below meets it."""
+
+    __slots__ = ()
+
+    def __repr__(self):  # what generated code reads where one is left
+        return "0.0"
+
+    def __bool__(self):
+        return False
+
+
+_ZERO = _Zero()
+
+
+# Exact identities (-0.0 + x, x - 0.0, 1.0 * x), so that signed zeros and
+# NaNs come out as the unfolded arithmetic gives them, and one fold that is
+# not: a structural zero absorbs a product and drops out of a sum (0 - x is
+# -x), so a partial in a variable the subexpression never reads is +0.0,
+# where x*0.0 would give -0.0 for a negative x and NaN for an infinite one.
 def _neg(x):
-    return _Code(f"-{x}") if isinstance(x, str) else -x
+    return _Code(f"-{x}") if isinstance(x, str) else x if x is _ZERO else -x
 
 
 def _add(x, y):
+    if x is _ZERO or y is _ZERO:
+        return y if x is _ZERO else x
     return x if _minus_zero(y) else y if _minus_zero(x) else _op(operator.add, "{} + {}", x, y)
 
 
 def _sub(x, y):
+    if x is _ZERO or y is _ZERO:
+        return _neg(y) if x is _ZERO else x
     return x if y == 0.0 and not _minus_zero(y) else _op(operator.sub, "{} - {}", x, y)
 
 
 def _mul(x, y):
+    if x is _ZERO or y is _ZERO:
+        return _ZERO
     return y if x is None or x == 1.0 else x if y == 1.0 else _op(operator.mul, "{}*{}", x, y)
 
 
@@ -451,10 +478,11 @@ class _Taylor:
     """Jet arithmetic in ``dim`` variables to ``order`` as straight-line source.
 
     A jet is a list of components in ``_multisets`` order, each a known float,
-    a name or a ``_Code`` expression, bound to a name when first read: the
-    same code, such as ``_sin(j3)``, to the same name.  A plain value is a
-    one-component list.  A rule returns its result and adds the lines it needs
-    (bindings, series helper calls, the exponent-rule branch) to ``lines``.
+    ``_ZERO``, a name or a ``_Code`` expression, bound to a name when first
+    read: the same code, such as ``_sin(j3)``, to the same name.  A plain
+    value is a one-component list.  A rule returns its result and adds the
+    lines it needs (bindings, series helper calls, the exponent-rule branch)
+    to ``lines``.
     """
 
     def __init__(self, dim, order, prefix):
@@ -491,10 +519,10 @@ class _Taylor:
         return total
 
     def const(self, c):
-        return [self.use(c, 0)] + [0.0] * (len(self.sets) - 1)
+        return [self.use(c, 0)] + [_ZERO] * (len(self.sets) - 1)
 
-    def var(self, k, x):
-        return [x] + [float(s == (k,)) for s in self.sets[1:]]
+    def var(self, k, x):  # its own higher partials are known zeros, not structural ones
+        return [x] + [float(s == (k,)) if set(s) == {k} else _ZERO for s in self.sets[1:]]
 
     def mul(self, a, b):
         return [self.poly(_leibniz(self.dim, self.order, s), {"a": a, "b": b}) for s in self.sets]
@@ -519,21 +547,37 @@ class _Taylor:
 
     def exponent_rule(self, b, other, constant, general):
         """``constant()`` where every derivative of the exponent ``b`` vanishes,
-        else ``general()``, decided here where the derivatives are known."""
+        else ``general()``, decided here where the derivatives are known.  The
+        constant rule keeps a structural zero only where the general one has
+        one, so a kernel, which may know the derivatives only at run time,
+        places them as the inline code does."""
         for jet in (b, other):  # bound before the branches read them
             self.each(_same, jet)
         unknown = [x for x in b[1:] if isinstance(x, str)]
         if any(x for x in b[1:] if not isinstance(x, str)):
             return general()
+        indent = self.indent
+        body, jet = self.scoped(general, indent + "    ")  # its lines kept only for a branch
+        known = lambda: [0.0 if x is _ZERO and y is not _ZERO else x  # noqa: E731
+                         for x, y in zip(constant(), jet)]
         if not unknown:
-            return constant()
-        out, indent, bound = [next(self._names) for _ in self.sets], self.indent, self.bound
-        for head, rule in ((f"if not any(({', '.join(unknown)},)):", constant), ("else:", general)):
-            self.lines.append(indent + head)
-            self.indent, self.bound = indent + "    ", dict(bound)  # a branch's names stay in it
-            self.lines += [f"{self.indent}{name} = {_lit(x)}" for name, x in zip(out, rule())]
-        self.indent, self.bound = indent, bound
+            return known()
+        branches = [self.scoped(known, indent + "    "), (body, jet)]
+        out = [_ZERO if x is _ZERO and y is _ZERO else next(self._names)  # never the value
+               for x, y in zip(branches[0][1], jet)]
+        for head, (lines, result) in zip((f"if not any(({', '.join(unknown)},)):", "else:"), branches):
+            self.lines += [indent + head, *lines,
+                           *(f"{indent}    {name} = {_lit(x)}" for name, x in zip(out, result)
+                             if name is not _ZERO)]
         return out
+
+    def scoped(self, rule, indent):
+        """``rule()``'s lines at ``indent``, whose names stay in them, and its result."""
+        lines, outer, bound = self.lines, self.indent, self.bound
+        self.lines, self.indent, self.bound = [], indent, dict(bound)
+        scope = self.lines, rule()
+        self.lines, self.indent, self.bound = lines, outer, bound
+        return scope
 
     def apply(self, op, *args):
         return _RULES[op][1](self, *args)
@@ -544,11 +588,18 @@ class _Taylor:
             return [{"neg": _neg, "add": _add, "sub": _sub, "mul": _mul}[op](*args)]
         if op in ("sin", "cos", "exp"):
             return [self.shared(op, *args)]
+        if op == "pow" and isinstance(args[0], str) and _whole(args[1]):  # no check can fire
+            return [self.call(f"{args[0]}**{args[1]!r}")]
         return [self.call(f"_REAL_{op}({', '.join(map(_lit, args))})")]
 
 
 def _same(x, *_):
     return x
+
+
+def _whole(c):
+    """Whether ``c`` is a known integral exponent >= 0, where ``_real_pow`` raises nothing."""
+    return isinstance(c, float) and c.is_integer() and c >= 0.0
 
 
 def _log_base(c):
@@ -590,33 +641,44 @@ _RULES = {
 }
 
 
-def _kernel_source(dim, order, rule):
+def _kernel_source(dim, order, rule, zeros=()):
     """Source of the kernel ``rule`` (a ``_RULES`` name, or ``var{k}`` seeding
-    variable k) on jets in ``dim`` variables to ``order``."""
+    variable k) on jets in ``dim`` variables to ``order`` whose structural
+    zeros sit at ``zeros`` (per jet operand, a tuple of positions), and the
+    positions of its result's."""
     size = len(_multisets(dim, order))
     operands = "x" if rule.startswith("var") else _RULES[rule][0]
-    taylor = _Taylor(dim, order, "t")
-    args = [[f"{p}{i}" for i in range(size)] if p in "ab" else [p] for p in operands]
+    taylor, given = _Taylor(dim, order, "t"), dict(zip([p for p in operands if p in "ab"], zeros))
+    args = [[_ZERO if i in given[p] else f"{p}{i}" for i in range(size)] if p in "ab" else [p]
+            for p in operands]
     out = taylor.var(int(rule[3:]), "x") if operands == "x" else taylor.apply(rule, *args)
-    return "\n".join([f"def {rule}({', '.join(operands)}):",
-                      *(f"    {', '.join(arg)}, = {p}" for p, arg in zip(operands, args) if p in "ab"),
-                      *taylor.lines, f"    return ({', '.join(map(_lit, out))},)"]) + "\n"
+    source = "\n".join([f"def {rule}({', '.join(operands)}):",
+                        *(f"    {', '.join('_' if x is _ZERO else x for x in arg)}, = {p}"
+                          for p, arg in zip(operands, args) if p in "ab"),
+                        *taylor.lines, f"    return ({', '.join(map(_lit, out))},)"]) + "\n"
+    return source, tuple(i for i, x in enumerate(out) if x is _ZERO)
 
 
 class _Kernels(dict):
-    """The kernels of one (D, n, batched) by name, and ``_REAL``; each is compiled
-    on its first lookup, over the scalar series helpers or (batched) the array ones."""
+    """The kernels of one (D, n, batched), and ``_REAL``: per rule name, one
+    variant per tuple of its jet operands' structural-zero positions, as
+    (kernel, its result's zero positions), compiled on first use over the
+    scalar series helpers or (batched) the array ones."""
 
     def __init__(self, dim, order, batched):
         self.key, self.namespace = (dim, order, batched), {**globals(), **(_BATCH if batched else {})}
         super().__init__(_REAL=self.namespace["_REAL"])
 
-    def __missing__(self, rule):
-        dim, order, batched = self.key
-        label = f"<{'batched ' * batched}kernel {rule} D={dim} n={order}>"
-        exec(compile(_kernel_source(dim, order, rule), label, "exec"), self.namespace)
-        fn = self[rule] = self.namespace[rule]
-        return fn
+    def variant(self, rule, zeros=()):
+        variants = self.setdefault(rule, {})
+        if zeros not in variants:
+            dim, order, batched = self.key
+            source, out = _kernel_source(dim, order, rule, zeros)
+            label = f"<{'batched ' * batched}kernel {rule} D={dim} n={order} zeros {zeros}>"
+            scope = {}  # one per variant, over the shared namespace
+            exec(compile(source, label, "exec"), self.namespace, scope)
+            variants[zeros] = scope[rule], out
+        return variants[zeros]
 
 
 def _kernels(dim, order, batched):
@@ -653,26 +715,27 @@ def _rule(op, jets):
 
 
 def _lower(node, wrt, kernels):
-    """Closure ``env -> value`` for ``node``, and whether the value is a jet
-    tuple; a subtree that does not depend on ``wrt`` gives a plain float."""
+    """Closure ``env -> value`` for ``node``, and the positions of the value's
+    structural zeros (+0.0 there), or None where the value is a plain float:
+    a subtree that does not depend on ``wrt``."""
     if isinstance(node, Num):
-        return (lambda env, value=node.value: value), False
+        return (lambda env, value=node.value: value), None
     if isinstance(node, Name):
         ident = node.ident
         if ident in wrt:
-            seed = kernels[f"var{wrt.index(ident)}"]
-            return (lambda env: seed(env[ident])), True
-        return (lambda env: env[ident]), False
+            seed, zeros = kernels.variant(f"var{wrt.index(ident)}")
+            return (lambda env: seed(env[ident])), zeros
+        return (lambda env: env[ident]), None
     op, args = _operation(node)
     lowered = [_lower(a, wrt, kernels) for a in args]
-    jets = [j for _, j in lowered]
-    rule = _rule(op, jets)
-    fn = kernels["_REAL"][op] if rule is None else kernels[rule]
+    zeros = tuple(z for _, z in lowered if z is not None)
+    rule = _rule(op, [z is not None for _, z in lowered])
+    fn, out = (kernels["_REAL"][op], None) if rule is None else kernels.variant(rule, zeros)
     if len(lowered) == 1:
         ((f, _),) = lowered
-        return (lambda env: fn(f(env))), any(jets)
+        return (lambda env: fn(f(env))), out
     (f, _), (g, _) = lowered
-    return (lambda env: fn(f(env), g(env))), any(jets)
+    return (lambda env: fn(f(env), g(env))), out
 
 
 class Expression:
@@ -706,9 +769,10 @@ class Expression:
         if not isinstance(wrt, tuple) or order not in (0, 1, 2, 3):
             raise ValidationError(f"need a tuple wrt and order 0..3, got {wrt!r}, {order!r}")
         kernels = _kernels(len(wrt), order, batched)
-        fn, is_jet = _lower(self.ast, wrt, kernels)
-        if not is_jet:
-            fn = lambda env, value=fn, const=kernels["const"]: const(value(env))  # noqa: E731
+        fn, zeros = _lower(self.ast, wrt, kernels)
+        if zeros is None:
+            const = kernels.variant("const")[0]
+            fn = lambda env, value=fn: const(value(env))  # noqa: E731
         self._lowered[wrt, order, batched] = fn
         return fn
 

@@ -559,6 +559,13 @@ class SpectrumLevels:
     eigenvalues: np.ndarray
 
 
+def _check_levels(n_levels, group_tol):
+    if n_levels < 1:
+        raise ValidationError("n_levels must be at least 1")
+    if not 0.0 <= group_tol < math.inf:
+        raise ValidationError(f"group_tol must be finite and non-negative, got {group_tol!r}")
+
+
 def extract_spectrum(prop: SlicedPropagator, n_levels: int, group_tol: float = 1e-6) -> SpectrumLevels:
     """Energies from the largest kernel eigenvalues.
 
@@ -566,10 +573,7 @@ def extract_spectrum(prop: SlicedPropagator, n_levels: int, group_tol: float = 1
     (within ``group_tol`` in energy) are merged and reported with their
     degeneracy.
     """
-    if n_levels < 1:
-        raise ValidationError("n_levels must be at least 1")
-    if not 0.0 <= group_tol < math.inf:
-        raise ValidationError(f"group_tol must be finite and non-negative, got {group_tol!r}")
+    _check_levels(n_levels, group_tol)
     # enough eigenvalues even for (2l+1)-fold degenerate ladders
     vals = prop._leading(max(16, 2 * (n_levels + 1) ** 2))
     vals = vals[vals.real > 0.0]
@@ -626,6 +630,7 @@ def spectrum_ladder(
 
     The reported ``extrapolated`` levels come from the two smallest epsilons.
     """
+    _check_levels(n_levels, group_tol)  # before any kernel is built
     eps_sorted = tuple(sorted(set(float(e) for e in epsilons), reverse=True))
     if len(eps_sorted) < 2:
         raise ValidationError("need at least two distinct epsilons to extrapolate")

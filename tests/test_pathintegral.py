@@ -405,6 +405,16 @@ def test_group_tol_must_be_finite_and_non_negative(group_tol):
         spectrum_ladder(Ring(1.0, 64), ShortTimeConfig(), "qep", (0.08, 0.04), 4, group_tol)
 
 
+@pytest.mark.parametrize("n_levels, group_tol", [(4, math.nan), (4, -1.0), (0, 1e-6)])
+def test_ladder_validates_its_arguments_before_any_kernel(monkeypatch, n_levels, group_tol):
+    def unbuilt(*args):
+        raise AssertionError("a kernel was built before the arguments were checked")
+
+    monkeypatch.setattr(pathintegral, "_propagators", unbuilt)
+    with pytest.raises(ValidationError, match="group_tol|n_levels"):
+        spectrum_ladder(Ring(1.0, 64), ShortTimeConfig(), "qep", (0.08, 0.04), n_levels, group_tol)
+
+
 def test_ring_spectrum_exact_rotor():
     res = spectrum_ladder(Ring(1.0, 256), ShortTimeConfig(), "qep", (0.08, 0.04, 0.02, 0.01), 4)
     expected = np.array([0.0, 0.5, 2.0, 4.5])

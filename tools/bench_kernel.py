@@ -92,7 +92,14 @@ the geometry, under criteria 1 and 4, on the inputs of the first
   ``curvature_relation_check`` at one point of ``polar``, warm (the mean over
   the pass's 100 polar points);
 * ``criterion1_point_generated`` the same on the pass's first generated map
-  chart, warm (the mean over its 5 points).
+  chart, warm (the mean over its 5 points);
+* ``dsl_jets_o1``, ``dsl_jets_o2``  one warm ``Chart._jets`` pass at triad order 1
+  and 2 at the first point of the pass's first generated D = 3 map chart (the
+  mean of 200 calls).
+
+The fact ``kernel_variants`` counts the Taylor kernels that the process has
+compiled once every group has run: per rule, one per tuple of its operands'
+structural-zero positions, or one per rule in checkouts from before those.
 
 the cold start:
 
@@ -109,7 +116,8 @@ A layer that a checkout cannot run (a stacked ``PostpointData`` or every
 ``LocalGeometry`` tensor over a stack, before they took one) is recorded with
 ``median_s`` null and the error under ``unsupported``.
 
-Only public names are used, besides ``_local.LocalGeometry``,
+Only public names are used, besides ``_local.LocalGeometry``, ``Chart._jets``,
+``expressions._KERNELS``,
 ``dynamics._expm`` (optional, as above) and
 ``dynamics._half_step_samples``, whose
 signature is unchanged since the variation solvers first shared it, and
@@ -144,6 +152,7 @@ RING_POINTS, RING_LADDER = 256, (0.08, 0.04, 0.02, 0.01)
 TRAJECTORY_STEPS, TRAJECTORY_H = 1000, 1e-3
 VARIATION_CALLS = 1000
 FIELD_CALLS = 10000
+JET_CALLS = 200
 IMPORTS = 9
 DELTAQ = ["0.3*t*(1 - t)", "-0.2*t*(1 - t)"]  # criterion 5
 GEOMETRY_SEED = 1501  # the first seed of a --perfbench pair
@@ -385,12 +394,22 @@ def _geometry_layers():
     generated = next(spec for spec in sweep["charts"]
                      if spec.get("definition", {}).get("kind") == "map")
     chart = Chart.from_dict(generated["definition"])
+    d3 = next(spec for spec in sweep["charts"]
+              if spec.get("definition", {}).get("kind") == "map" and spec["definition"]["dim"] == 3)
+    d3_chart, d3_point = Chart.from_dict(d3["definition"]), [float(x) for x in d3["points"][0]]
+
+    def jet_calls(order):
+        for _ in range(JET_CALLS):
+            d3_chart._jets(d3_point, order)
+
     layers = {
         "loop_invariants": _median_timing(invariants, 15),
         "criterion1_point_polar": _median_timing(
             lambda: criterion_1(builtin_chart("polar"), polar), 9, per=len(polar)),
         "criterion1_point_generated": _median_timing(
             lambda: criterion_1(chart, generated["points"]), 50, per=len(generated["points"])),
+        "dsl_jets_o1": _median_timing(lambda: jet_calls(1), 15, per=JET_CALLS),
+        "dsl_jets_o2": _median_timing(lambda: jet_calls(2), 15, per=JET_CALLS),
     }
     return layers, {"loops": [len(loop.vertices) - 1 for loop in loops]}
 
@@ -440,6 +459,7 @@ def measure(groups=tuple(GROUPS)):
         layers, facts = GROUPS[group]()
         result["layers"].update(layers)
         result.update(facts)
+    result["kernel_variants"] = _kernel_variants()
     result["machine"] = {
         "nproc": os.cpu_count(),
         "python": platform.python_version(),
@@ -448,6 +468,14 @@ def measure(groups=tuple(GROUPS)):
         "blas_threads": BLAS_THREADS,
     }
     return result
+
+
+def _kernel_variants():
+    from torsionlab import expressions
+
+    return sum(len(kernel) if isinstance(kernel, dict) else 1
+               for kernels in expressions._KERNELS.values()
+               for rule, kernel in kernels.items() if rule != "_REAL")
 
 
 def _quartiles(values):
@@ -503,7 +531,9 @@ def pair(sources, rounds, perfbench_pairs):
         if None not in medians["parent"] + medians["change"]:
             layers[name] = _compare(medians["parent"], medians["change"])
     doc = {"harness": "tools/bench_kernel.py --pair", "rounds": rounds, "groups": PAIR_GROUPS,
-           "layers": layers, "machine": runs["parent"][0]["machine"]}
+           "layers": layers, "machine": runs["parent"][0]["machine"],
+           "kernel_variants": {side: [run["kernel_variants"] for run in runs[side]]
+                               for side in runs}}
     if perfbench_pairs:
         doc["perfbench"] = {"workloads": {}}
         for workload in ("trajectories", "geometry_sweep", "spectra"):
