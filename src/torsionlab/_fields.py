@@ -1,9 +1,10 @@
 """Straight-line trajectory fields: the right-hand sides of ``dynamics``
-written out per (field, chart kind, D, ambient dimension) over the raw jet
-tuples of a chart's expressions (``Chart._jets`` at triad order 1, order 0
-for the line image) and the velocity v, and compiled on first use like the
-Taylor kernels of ``expressions``.  Each term is contracted with v while its
-indices are still lowered, so no rank-3 tensor is formed:
+written out per (field, chart kind, D, ambient dimension, zero pattern of the
+jets) over the raw jet tuples of a chart's expressions (``Chart._jets`` at
+triad order 1, order 0 for the line image) and the velocity v, and compiled
+on first use like the Taylor kernels of ``expressions``.  Each term is
+contracted with v while its indices are still lowered, so no rank-3 tensor
+is formed:
 
   P^i_k = d_l e^i_k v^l,  T^i_l = d_l e^i_k v^k,  w^i = P^i_k v^k,  u^i = e^i_k v^k
   geodesic      -g^{ms} (e^i_s w^i + u^i (P^i_s - T^i_s))  = -Gammabar^m_{ln} v^l v^n
@@ -12,41 +13,63 @@ indices are still lowered, so no rank-3 tensor is formed:
   line_image    g^{ms} e^i_s v^i = e_i^m v^i, with v^i the flat velocity
 
 with g_{mn} = e^i_m e^i_n formed from the triad.  A map chart's d_l e^i_k is
-symmetric, so there P = T and its torsion terms vanish identically.  The
-metric is inverted by cofactors for D <= 3 and by one ``np.linalg.solve``
+symmetric, so there P = T and its torsion terms vanish identically, and its
+geodesic and autoparallel take w^i = sum_{k <= l} d_k d_l x^i m_kl from the
+products m_kl = (2 - delta_kl) v^k v^l, formed once (P only for variation).
+The metric is inverted by cofactors for D <= 3 and by one ``np.linalg.solve``
 above.  Before that, the field runs the lines of the engine's one
 degenerate-triad rule (``_local.rule_lines``, which ``checked_metric`` runs
-too), which raise ``DegenerateTriadError`` at a rejected point; a trajectory
+too, unfolded, to the same decision), which raise ``DegenerateTriadError`` at a rejected point; a trajectory
 truncates there as at a guard.  Elsewhere a field returns plain floats, D
 accelerations or the row-major D x D matrices (G, Sigma); on the jets of a
 stack (N, D) and a velocity of D arrays it returns arrays.
 
-``_chart_field`` writes these lines once per chart definition into its RK4
-integrator, behind a check that the point is finite, the guard and the jets
-of every chart expression, which ``_Taylor`` inlines (a subexpression shared
-between entries, found by structural hashing of the AST, computed once).
-``_Taylor`` folds only exact identities, and structural zeros: a partial in a
-variable that its subexpression never reads is written as the literal 0.0
-and multiplies nothing, as the closure kernels of the jet route drop it too,
-so both routes compute it as +0.0.  Parameter values are arguments, so charts
-that differ only in them share the code.
+Every line is written through ``_Taylor``'s fold helpers (``_add``, ``_sub``,
+``_mul``, ``_neg``) over what is known of the jets: a known float folds only
+by exact identities (1.0*x is x), and a structural zero, a partial in a
+variable that its subexpression never reads, absorbs a product and drops out
+of a sum.  ``_chart_field`` writes these lines once per chart definition
+into its RK4 integrator, behind a check that the point is finite, the guard
+and the jets of every chart expression, which ``_Taylor`` inlines (a
+subexpression shared between entries, found by structural hashing of the
+AST, computed once); there the lines read the jets' floats, zeros and names.
+The jet route knows only where the structural zeros are (``Chart._zeros``),
+so ``_trajectory_field`` compiles one field per zero pattern: both routes
+drop the same terms, and compute bit for bit alike.  Parameter values are
+arguments, so charts that differ only in them share the code.
 """
 
 from __future__ import annotations
 
 import math
 from array import array  # for the generated integrators
-from functools import cache
+from functools import lru_cache
+from itertools import product
 
 import numpy as np
 
 from . import expressions
-from ._local import _ADJUGATES, degenerate_triad, rule_lines
+from ._local import bind, degenerate_triad, rule_lines, stacked, total
 from .errors import DegenerateTriadError, EvaluationError, NonFiniteError, SingularPointError
-from .expressions import _REAL, Name, Num, _Code, _lit, _multisets, _operation, _rule, _Taylor
+from .expressions import (
+    _REAL,
+    _ZERO,
+    Name,
+    Num,
+    _Code,
+    _lit,
+    _mul,
+    _multisets,
+    _neg,
+    _operation,
+    _rule,
+    _sub,
+    _Taylor,
+)
 
 _CHART_FIELDS: dict = {}  # (field, (kind, D, sources, guard, parameter names)) -> integrator
 _CHART_FIELDS_KEPT = 128  # entries kept, the most recently used (8-33 KB each)
+_TRAJECTORY_FIELDS_KEPT = 64  # ``_trajectory_field``s kept, the most recently used
 
 
 def _jet_names(kind, dim, ambient, deriv):
@@ -60,84 +83,123 @@ def _jet_names(kind, dim, ambient, deriv):
             for i in range(ambient) for k in range(dim)]
 
 
-def _field_source(field, kind, dim, ambient, head=None, slope=None):
+def _jet_values(kind, dim, ambient, deriv, zeros):
+    """The jet names that the field lines read, each as its value for the fold
+    helpers: the name, or ``_ZERO`` at a structural zero of the chart's jets,
+    whose positions per expression are ``zeros`` (``Chart._zeros``)."""
+    return {name: _ZERO if p in z else name
+            for row, z in zip(_jet_names(kind, dim, ambient, deriv), zeros)
+            for p, name in enumerate(row) if name != "_"}
+
+
+def _group(x):
+    """``x`` as one operand of a product or a difference."""
+    return _Code(f"({x})") if isinstance(x, _Code) else x
+
+
+def _field_source(field, kind, dim, ambient, values, head=None, slope=None):
     """Source of ``field(q, jets, v, floor)``, which unpacks ``jets`` and ``v``
-    at the point or stack ``q``; or, with ``head`` (the lines binding the jet
-    names from a chart integrator's coordinates ``q1..``) and ``slope``, the
-    lines that compute the field into the names ``slope``."""
+    at the point or stack ``q``; or, with ``head`` (the lines computing the
+    jets from a chart integrator's coordinates ``q1..``) and ``slope``, the
+    lines that compute the field into the names ``slope``.  ``values`` maps
+    each jet name to its value for the fold helpers (``_jet_values``, or what
+    the integrator's jets know), so every line drops a structural zero and a
+    product by a known 1.0."""
     rD, rA = range(dim), range(ambient)
     deriv = field != "line_image"
-
-    def total(terms):
-        return " + ".join(terms)
-
-    def dE(i, k, l):  # d_l e^i_k; a map chart's is symmetric in (k, l)
-        return f"d{i}_{min(k, l)}_{max(k, l)}" if kind == "map" else f"d{i}_{k}_{l}"
-
+    values = dict(values)  # the lines' names go in too
     point = f"[{', '.join(f'q{k + 1}' for k in rD)}]"  # in a chart's integrator, its coordinates
     if head is None:
-        point, names = None, _jet_names(kind, dim, ambient, deriv)  # ``q``, a point or a stack
+        point = None  # ``q``, a point or a stack
+        names = [["_" if values.get(n, _ZERO) is _ZERO else n for n in row]
+                 for row in _jet_names(kind, dim, ambient, deriv)]
         head = [f"def {field}(q, jets, v, floor):",
                 f"    {', '.join('(' + ', '.join(n) + ',)' for n in names)}, = jets",
                 f"    {', '.join(f'v{k}' for k in (rD if deriv else rA))}, = v"]
-    T = "p" if kind == "map" else "t"
     lines = list(head)
-    if deriv:
-        lines += [f"    p{i}_{k} = {total(f'{dE(i, k, l)}*v{l}' for l in rD)}" for i in rA for k in rD]
-    if deriv and kind != "map":
-        lines += [f"    t{i}_{l} = {total(f'{dE(i, k, l)}*v{k}' for k in rD)}" for i in rA for l in rD]
-    lines += rule_lines(dim, ambient, point)
+
+    def let(name, x):
+        bind(lines, values, name, x)
+
+    def val(name, *index):  # the value of the name ``e0_1``, say, as ``val("e", 0, 1)``
+        return values[name + "_".join(map(str, index))]
+
+    def dE(i, k, l):  # d_l e^i_k; a map chart's is symmetric in (k, l)
+        return val("d", i, min(k, l), max(k, l)) if kind == "map" else val("d", i, k, l)
+
+    torsion = kind != "map" and field in ("geodesic", "variation")
+    if deriv and (kind != "map" or field == "variation"):
+        for i, k in product(rA, rD):
+            let(f"p{i}_{k}", total(_mul(dE(i, k, l), f"v{l}") for l in rD))
+    if torsion:
+        for i, l in product(rA, rD):
+            let(f"t{i}_{l}", total(_mul(dE(i, k, l), f"v{k}") for k in rD))
+    lines += rule_lines(dim, ambient, values, point)
 
     if field == "line_image":
-        columns = [[total(f"e{i}_{s}*v{i}" for i in rA) for s in rD]]
-        sign = ""
+        columns = [[total(_mul(val("e", i, s), f"v{i}") for i in rA) for s in rD]]
     elif field == "variation":  # right-hand sides: the D columns of G, then of Sigma
-        columns = [[total(f"e{i}_{s}*{T}{i}_{l}" for i in rA) for s in rD] for l in rD]
-        if kind != "map":
-            columns += [[total(f"e{i}_{s}*(p{i}_{n} - t{i}_{n})" for i in rA) for s in rD] for n in rD]
-        sign = ""
-    else:
-        lines += [f"    w{i} = {total(f'p{i}_{k}*v{k}' for k in rD)}" for i in rA]
-        torsion = field == "geodesic" and kind != "map"
+        T = "t" if torsion else "p"
+        columns = [[total(_mul(val("e", i, s), val(T, i, l)) for i in rA) for s in rD] for l in rD]
         if torsion:
-            lines += [f"    u{i} = {total(f'e{i}_{k}*v{k}' for k in rD)}" for i in rA]
-        columns = [[
-            total([f"e{i}_{s}*w{i}" for i in rA]
-                  + ([f"u{i}*(p{i}_{s} - t{i}_{s})" for i in rA] if torsion else []))
-            for s in rD
-        ]]
-        sign = "-"
+            columns += [[total(_mul(val("e", i, s), _group(_sub(val("p", i, n), val("t", i, n))))
+                               for i in rA) for s in rD] for n in rD]
+    else:
+        if kind == "map":  # w^i = sum_{k <= l} d_k d_l x^i m_kl, m_kl = (2 - delta_kl) v^k v^l
+            pairs = [(k, l) for k in rD for l in rD[k:]]
+            for k, l in pairs:
+                let(f"m{k}_{l}", _mul(_mul(2.0, f"v{k}") if k < l else f"v{k}", f"v{l}"))
+            for i in rA:
+                let(f"w{i}", total(_mul(dE(i, k, l), val("m", k, l)) for k, l in pairs))
+        else:
+            for i in rA:
+                let(f"w{i}", total(_mul(val("p", i, k), f"v{k}") for k in rD))
+        if torsion:
+            for i in rA:
+                let(f"u{i}", total(_mul(val("e", i, k), f"v{k}") for k in rD))
+        columns = [[total([_mul(val("e", i, s), val("w", i)) for i in rA]
+                          + ([_mul(val("u", i), _group(_sub(val("p", i, s), val("t", i, s))))
+                              for i in rA] if torsion else []))
+                    for s in rD]]
     for c, column in enumerate(columns):
-        lines += [f"    c{c}_{s} = {entry}" for s, entry in enumerate(column)]
+        for s, entry in enumerate(column):
+            let(f"c{c}_{s}", entry)
+    sign = field in ("geodesic", "autoparallel")
 
     zero = ", ".join(["0.0"] * dim * dim)  # a map chart's Sigma
-    if dim in _ADJUGATES:  # g^-1 = adjugate / det, from the rule's lines
-        # x[c][m]: row m of the solution for column c
-        x = [[f"{sign}({total(f'a{min(m, s)}_{max(m, s)}*c{c}_{s}' for s in rD)}) / det" for m in rD]
-             for c in range(len(columns))]
+    if dim <= 3:  # g^-1 = adjugate / det, from the rule's lines
+        def solution(c, m):  # row m of the solution for column c; the rule makes det > 0
+            x = _group(total(_mul(val("a", min(m, s), max(m, s)), val("c", c, s)) for s in rD))
+            return "0.0" if x is _ZERO else f"{_lit(_neg(x) if sign else x)} / {_lit(val('det'))}"
+
+        x = [[solution(c, m) for m in rD] for c in range(len(columns))]
         result = f"({', '.join(x[0])},)"
         if field == "variation":
             G = ", ".join(x[l][m] for m in rD for l in rD)
-            S = ", ".join(x[dim + n][m] for m in rD for n in rD) if kind != "map" else zero
+            S = ", ".join(x[dim + n][m] for m in rD for n in rD) if torsion else zero
             result = f"({G},), ({S},)"
     else:  # right-hand sides (..., D, columns) at a point or over a stack; x (D, columns, ...)
-        rhs = ", ".join("(" + ", ".join(f"c{c}_{s}" for s in rD) + ",)" for c in range(len(columns)))
-        lines.append(f"    x = np.moveaxis(np.linalg.solve(g, np.array(({rhs},)).T), (-2, -1), (0, 1))")
+        rhs = ", ".join(_lit(val("c", c, s)) for c in range(len(columns)) for s in rD)
+        lines.append(f"    x = np.moveaxis(np.linalg.solve(g, stacked(({rhs},), {len(columns)}, {dim})),"
+                     " (-2, -1), (0, 1))")
         G, S = (f"tuple(x[:, {c}:{c + dim}].reshape({dim * dim}, *x.shape[2:]).tolist())" for c in (0, dim))
-        S = S if kind != "map" else f"({zero},)"
-        result = f"tuple(({sign}x[:, 0]).tolist())" if field != "variation" else f"{G}, {S}"
+        S = S if torsion else f"({zero},)"
+        result = f"tuple(({'-' * sign}x[:, 0]).tolist())" if field != "variation" else f"{G}, {S}"
     lines.append(f"    {slope} = {result}" if slope else f"    return {result}")
     return "\n".join(lines) + "\n"
 
 
-@cache
-def _trajectory_field(field, kind, dim, ambient):
+@lru_cache(maxsize=_TRAJECTORY_FIELDS_KEPT)
+def _trajectory_field(field, kind, dim, ambient, zeros):
     """The compiled ``field(q, jets, v, floor)`` ("geodesic", "autoparallel",
     "variation" or "line_image") of a chart of this kind, dimension and ambient
-    dimension, at the point or stack ``q`` whose ``Chart._jets`` are ``jets``."""
-    namespace = {"np": np, "_INF": math.inf, "degenerate_triad": degenerate_triad}
-    label = f"<{field} field {kind} D={dim} A={ambient}>"
-    exec(compile(_field_source(field, kind, dim, ambient), label, "exec"), namespace)
+    dimension whose jets have their structural zeros at ``zeros``
+    (``Chart._zeros``), at the point or stack ``q`` whose ``Chart._jets`` are
+    ``jets``."""
+    namespace = {"np": np, "_INF": math.inf, "degenerate_triad": degenerate_triad, "stacked": stacked}
+    label = f"<{field} field {kind} D={dim} A={ambient} zeros {zeros}>"
+    values = _jet_values(kind, dim, ambient, field != "line_image", zeros)
+    exec(compile(_field_source(field, kind, dim, ambient, values), label, "exec"), namespace)
     return namespace[field]
 
 
@@ -180,17 +242,15 @@ def _chart_source(field, kind, dim, exprs, guard, params):
         taylor.lines += [f"    if not {_lit(test)} > 0.0:", "        raise SingularPointError("
                          f"f'point {point} rejected by chart domain guard')"]
     lower = lowering(coords) if order else plain  # as ``Chart._jets``: plain values at order 0
+    values = {}  # jet name -> its component, bound to a name unless known
     for expr, row in zip(exprs, _jet_names(kind, dim, ambient, deriv)):
         _, jet, is_jet = lower(expr.ast)
         jet = taylor.const(jet) if order and not is_jet else jet
-        for i, name in enumerate(row):
-            if name != "_":
-                taylor.lines.append(f"    {name} = {_lit(jet[i])}")
-                jet[i] = name if isinstance(jet[i], _Code) else jet[i]
+        values.update((name, taylor.use(jet, i)) for i, name in enumerate(row) if name != "_")
     state = [*coords, *velocity[: dim * deriv]]
     slope = [*velocity[: dim * deriv], *(f"f{k}" for k in range(dim))]
     rest = [*velocity[dim * deriv:], *(f"r{k}" for k in range(len(params))), "floor"]
-    body = _field_source(field, kind, dim, ambient, taylor.lines, ", ".join(slope[-dim:]) + ",")
+    body = _field_source(field, kind, dim, ambient, values, taylor.lines, ", ".join(slope[-dim:]) + ",")
     return _rk4_source(f"def {field}(y, t, {', '.join(rest)}):",
                        state, slope, body.splitlines(), final=not deriv)
 

@@ -13,12 +13,13 @@ point's slice bitwise the single-point tensor.
 from __future__ import annotations
 
 import math
-from functools import cache, cached_property
+from functools import cache, cached_property, reduce
 
 import numpy as np
 
 from .config import active_profile
 from .errors import DegenerateTriadError, TorsionLabError
+from .expressions import _ZERO, _add, _Code, _lit, _mul, _neg, _sub
 
 
 def attempt(batch):
@@ -38,37 +39,77 @@ def columns(parts, n):
 
 DEGENERATE_MARGIN = 1e-13  # of the product of g's diagonal, which bounds det g (Hadamard)
 
-_ADJUGATES = {  # upper triangle of the adjugate of a symmetric g, and det g
-    1: ({(0, 0): "1.0"}, "g0_0"),
-    2: ({(0, 0): "g1_1", (0, 1): "-g0_1", (1, 1): "g0_0"}, "g0_0*g1_1 - g0_1*g0_1"),
-    3: ({(0, 0): "g1_1*g2_2 - g1_2*g1_2", (0, 1): "g0_2*g1_2 - g0_1*g2_2",
-         (0, 2): "g0_1*g1_2 - g0_2*g1_1", (1, 1): "g0_0*g2_2 - g0_2*g0_2",
-         (1, 2): "g0_1*g0_2 - g0_0*g1_2", (2, 2): "g0_0*g1_1 - g0_1*g0_1"},
-        "g0_0*a0_0 + g0_1*a0_1 + g0_2*a0_2"),
-}
+
+def bind(lines, values, name, x):
+    """Make ``x``, a fold helper's result, the value of ``name`` in ``values``:
+    code through a line one indent deep that binds it to ``name``, a known
+    float, ``_ZERO`` or another name as is, with no line."""
+    if isinstance(x, _Code):
+        lines.append(f"    {name} = {x}")
+        x = name
+    values[name] = x
 
 
-def rule_lines(dim, ambient, point=None):
+def total(terms):
+    """The sum of ``terms`` left to right, by ``_add``."""
+    return reduce(_add, terms, _ZERO)
+
+
+def _adjugate(dim, g):
+    """Upper triangle of the adjugate of a symmetric g by cofactors, D <= 3,
+    from ``g(m, n)``, the values of its entries."""
+    if dim == 1:
+        return {(0, 0): 1.0}
+    if dim == 2:
+        return {(0, 0): g(1, 1), (0, 1): _neg(g(0, 1)), (1, 1): g(0, 0)}
+
+    def cofactor(m, n):  # g_{n+1,m+1} g_{n+2,m+2} - g_{n+1,m+2} g_{n+2,m+1}, indices mod 3
+        r, c = ((n + 1) % 3, (n + 2) % 3), ((m + 1) % 3, (m + 2) % 3)
+        return _sub(_mul(g(r[0], c[0]), g(r[1], c[1])), _mul(g(r[0], c[1]), g(r[1], c[0])))
+
+    return {(m, n): cofactor(m, n) for m in range(3) for n in range(m, 3)}
+
+
+def stacked(entries, *shape):
+    """Entries (floats, or arrays of one shape) as one array of ``shape`` at
+    each point, the points' axes first, every axis reversed (``.T``)."""
+    parts = np.broadcast_arrays(*entries)
+    return np.array(parts).reshape(*shape, *parts[0].shape).T
+
+
+def rule_lines(dim, ambient, values, point=None):
     """The engine's one degenerate-triad rule, as source lines one indent deep.
 
-    From the triad entries ``e{i}_{k}`` they compute g's upper triangle
-    ``g{m}_{n}`` (sums left to right) and ``det``: by the cofactors ``a{m}_{n}``
-    for D <= 3, else by ``np.linalg.det`` of the matrices ``g``.  Unless det g >
-    floor^2 + DEGENERATE_MARGIN prod g_ii and is finite, they raise
-    ``degenerate_triad`` at ``point``, the source of one point of plain floats,
-    or by default at the first rejected point of ``q``, a point or a stack."""
-    rD = range(dim)
-    lines = [f"    g{m}_{n} = {' + '.join(f'e{i}_{m}*e{i}_{n}' for i in range(ambient))}"
-             for m in rD for n in rD if m <= n]
-    if dim in _ADJUGATES:
-        adjugate, det = _ADJUGATES[dim]
-        lines += [f"    a{m}_{n} = {entry}" for (m, n), entry in adjugate.items()]
+    From the triad entries ``e{i}_{k}``, whose values for the fold helpers
+    ``values`` holds (their names, unless known), they compute g's upper
+    triangle ``g{m}_{n}`` (sums left to right) and ``det``: by the cofactors
+    ``a{m}_{n}`` for D <= 3, else by ``np.linalg.det`` of the matrices ``g``;
+    each into ``values`` by ``bind``.  Unless det g > floor^2 +
+    DEGENERATE_MARGIN prod g_ii and is finite, they raise ``degenerate_triad``
+    at ``point``, the source of one point of plain floats, or by default at
+    the first rejected point of ``q``, a point or a stack.  A dropped
+    structural zero changes at most the sign of a zero g_mn, never the decision."""
+    rD, lines = range(dim), []
+    for m in rD:
+        for n in rD[m:]:
+            bind(lines, values, f"g{m}_{n}",
+                 total(_mul(values[f"e{i}_{m}"], values[f"e{i}_{n}"]) for i in range(ambient)))
+
+    def g(m, n):
+        return values[f"g{min(m, n)}_{max(m, n)}"]
+
+    if dim <= 3:
+        for (m, n), entry in _adjugate(dim, g).items():
+            bind(lines, values, f"a{m}_{n}", entry)
+        det = (g(0, 0) if dim == 1 else _sub(_mul(g(0, 0), g(1, 1)), _mul(g(0, 1), g(0, 1)))
+               if dim == 2 else total(_mul(g(0, n), values[f"a0_{n}"]) for n in rD))
     else:  # g is symmetric, so .T only moves a stack's axis first
-        rows = ", ".join("(" + ", ".join(f"g{min(m, n)}_{max(m, n)}" for n in rD) + ")" for m in rD)
-        lines.append(f"    g = np.array(({rows})).T")
-        det = "np.linalg.det(g)"
-    lines.append(f"    det = {det}")
-    ok = f"(floor*floor + {DEGENERATE_MARGIN!r}*{'*'.join(f'g{m}_{m}' for m in rD)} < det) & (det < _INF)"
+        lines.append(f"    g = stacked(({', '.join(_lit(g(m, n)) for m in rD for n in rD)},), {dim}, {dim})")
+        det = _Code("np.linalg.det(g)")
+    bind(lines, values, "det", det)
+    det = _lit(values["det"])
+    bound = _add(_Code("floor*floor"), reduce(_mul, (g(m, m) for m in rD), DEGENERATE_MARGIN))
+    ok = f"({_lit(bound)} < {det}) & ({det} < _INF)"
     if point is not None:  # one decision
         return lines + [f"    if not {ok}:", f"        raise degenerate_triad({point}, floor)"]
     return lines + [f"    ok = {ok}", "    if not (ok if ok.__class__ is bool else ok.all()):",
@@ -77,7 +118,9 @@ def rule_lines(dim, ambient, point=None):
 
 def degenerate_triad(q, floor, ok=True):
     """The error at the point ``q``, or at the first point of the stack ``q`` that ``ok`` rejects."""
-    at = np.asarray(q, dtype=float)[np.argmin(ok) if np.ndim(ok) else ...]
+    at = np.asarray(q, dtype=float)
+    if at.ndim == 2:  # ``ok`` is one bool where g is known at every point
+        at = at[np.argmin(np.broadcast_to(ok, len(at)))]
     return DegenerateTriadError(f"triad degenerate at {at.tolist()}: det g <= floor^2 + "
                                 f"{DEGENERATE_MARGIN:g} prod(diag g), floor {floor:g}")
 
@@ -85,10 +128,10 @@ def degenerate_triad(q, floor, ok=True):
 @cache
 def _checker(dim, ambient):
     """The compiled ``check(entries, q, floor)``: ``rule_lines`` on the entries of E, row-major."""
-    names = ", ".join(f"e{i}_{k}" for i in range(ambient) for k in range(dim))
-    source = "\n".join(["def check(entries, q, floor):", f"    {names}, = entries",
-                        *rule_lines(dim, ambient), ""])
-    namespace = {"np": np, "_INF": math.inf, "degenerate_triad": degenerate_triad}
+    names = [f"e{i}_{k}" for i in range(ambient) for k in range(dim)]
+    source = "\n".join(["def check(entries, q, floor):", f"    {', '.join(names)}, = entries",
+                        *rule_lines(dim, ambient, dict(zip(names, names))), ""])
+    namespace = {"np": np, "_INF": math.inf, "degenerate_triad": degenerate_triad, "stacked": stacked}
     exec(compile(source, f"<degenerate-triad rule D={dim} A={ambient}>", "exec"), namespace)
     return namespace["check"]
 

@@ -129,16 +129,27 @@ class Chart:
         fails, point by point, or unless ``pointwise`` it raises its own error."""
         if order not in (0, 1, 2):
             raise ValidationError(f"triad derivative order must be 0, 1 or 2, got {order!r}")
-        first = 1 if self.kind == "map" else 0  # derivative order that gives E
-        # plain values (no wrt) for an order-0 triad: nothing to differentiate
-        wrt = self._coord_names if first + order else ()
+        wrt, n = self._jet_order(order)
         if isinstance(q, np.ndarray) and q.shape[1:] == (self.dim,):  # if it fails, point by point
             if not pointwise:
-                return self._batch_jets(q, wrt, first + order)
-            jets = attempt(lambda: self._batch_jets(q, wrt, first + order))
+                return self._batch_jets(q, wrt, n)
+            jets = attempt(lambda: self._batch_jets(q, wrt, n))
             return np.moveaxis([self._jets(p, order) for p in q], 0, -1) if jets is None else jets
         env = self._checked_env(q)[1]
-        return [e(env, wrt, first + order) for e in self.exprs]
+        return [e(env, wrt, n) for e in self.exprs]
+
+    def _jet_order(self, order):
+        """``wrt`` and the derivative order of the jets that give the triad and
+        its ``order`` derivatives: a map's triad is its first derivative, and an
+        order-0 triad takes plain values (no wrt), with nothing to differentiate."""
+        n = order + (self.kind == "map")
+        return (self._coord_names if n else ()), n
+
+    def _zeros(self, order):
+        """Per expression, the positions in its ``_jets`` tuple at ``order`` of
+        the structural zeros, +0.0 at every point."""
+        wrt, n = self._jet_order(order)
+        return tuple(e._zero_positions(wrt, n) for e in self.exprs)
 
     def _batch_jets(self, q, wrt, order):
         """``_jets`` of every point of ``q`` in one pass; raises unless they are all

@@ -10,21 +10,25 @@ All three trajectory kinds are stepped by one RK4 integrator generated per
 chart definition and field (``_fields._chart_field``): the step loop on
 floats with the chart's field lines inline in a loop over the 4 stages, so
 no call is left per stage, into flat buffers.  It is the only code generated
-per chart.  The linear closure-defect ODE takes its RK4 steps as affine
-maps, all built at once.  Its second, independent solver, an ordered
-exponential (one stacked Pade ``_expm``) plus trapezoid rule, reads the same
-half-step samples of the variation matrices.
+per chart; its field lines fold what the chart's jets know (structural
+zeros, products by a known 1.0).  The linear closure-defect ODE takes its
+RK4 steps as affine maps on (db, 1), all built at once.  Its second,
+independent solver, an ordered exponential (one stacked Pade ``_expm``) plus
+trapezoid rule, reads the same half-step samples of the variation matrices
+and takes its running trapezoid steps as such maps too; one loop,
+``_affine_path``, applies both solvers' maps.
 
 The geodesic, autoparallel and line-image right-hand sides and the
 variation matrices are straight-line functions generated by ``_fields``.
 Outside an integrator, at one phase point or over a stack, the field lines
-read one ``Chart._jets`` pass (``_fields._trajectory_field``), apply the
-degenerate-triad rule (``_local.rule_lines``, as ``checked_metric`` does, on
-the same floats) and return the field.  A point the rule rejects raises
-``DegenerateTriadError``; in an integrator it ends the path like any other
-domain error.  The line image stays an independent oracle for the
-autoparallel: it integrates a different, first-order equation,
-dq/dt = g^-1 E^T v for a constant flat velocity v.
+read one ``Chart._jets`` pass (``_fields._trajectory_field``, compiled per
+zero pattern of the chart's jets, so it folds the integrator's structural
+zeros), apply the degenerate-triad rule (``_local.rule_lines``, which decides
+as ``checked_metric`` does on the same floats) and return the field.  A
+point the rule rejects raises ``DegenerateTriadError``; in an integrator it
+ends the path like any other domain error.  The line image stays an
+independent oracle for the autoparallel: it integrates a different,
+first-order equation, dq/dt = g^-1 E^T v for a constant flat velocity v.
 
 The variation samples and the nodes of the kinetic energy and of the
 Euler-Lagrange residual (one stacked ``LocalGeometry``) take one batched jet
@@ -92,8 +96,8 @@ def _field(chart: Chart, field):
     array or D floats, v D floats) or over points (N, D) (v D arrays), by
     ``_trajectory_field`` on one ``Chart._jets`` pass.  It raises where a point
     fails, a degenerate triad too.  Reads the profile's floor once."""
-    fn = _trajectory_field(field, chart.kind, chart.dim, chart.ambient_dim)
     order, floor = int(field != "line_image"), active_profile().degenerate_triad_floor
+    fn = _trajectory_field(field, chart.kind, chart.dim, chart.ambient_dim, chart._zeros(order))
     return lambda q, v: fn(q, chart._jets(q, order, pointwise=False), v, floor)
 
 
@@ -251,9 +255,15 @@ def solve_variation_ode(G, Sigma, deltaq, t_grid):
     eye, h = np.eye(D + 1), np.diff(t_grid)[:, None, None]
     k2 = Lm @ (eye + 0.5 * h * La)  # the stages as maps: k1 = La, k2 = Lm (1 + h/2 k1), ...
     k3 = Lm @ (eye + 0.5 * h * k2)
-    step = eye + h / 6.0 * (La + 2.0 * k2 + 2.0 * k3 + Lb @ (eye + h * k3))
-    db = np.tile(eye[D], (len(t_grid), 1))  # db = 0 at the start; later rows are overwritten
-    for a, y, out in zip(step, db, db[1:]):
+    return _affine_path(eye + h / 6.0 * (La + 2.0 * k2 + 2.0 * k3 + Lb @ (eye + h * k3)))
+
+
+def _affine_path(maps):
+    """The path of db from db = 0 under the affine maps (K, D + 1, D + 1) on
+    (db, 1), applied in order by one ``np.dot`` each: (K + 1, D)."""
+    D = maps.shape[-1] - 1
+    db = np.tile(np.eye(D + 1)[D], (len(maps) + 1, 1))  # (0, 1); later rows are overwritten
+    for a, y, out in zip(maps, db, db[1:]):
         np.dot(a, y, out=out)
     return db[:, :D].copy()
 
@@ -319,12 +329,13 @@ def closure_defect_by_quadrature(chart: Chart, base: Trajectory, deltaq, params=
     steps = np.diff(base.t)
     integrand = np.einsum("kmn,kn->km", Sigma[::2], dq[::2])
     props = _expm(-G[1::2] * steps[:, None, None])
-    db = np.zeros_like(integrand)
     lead, trail = 0.5 * steps[:, None] * integrand[:-1], 0.5 * steps[:, None] * integrand[1:]
-    # running trapezoid: db_{k+1} = P_k (db_k + h/2 f_k) + h/2 f_{k+1}
-    for k in range(len(steps)):
-        db[k + 1] = props[k] @ (db[k] + lead[k]) + trail[k]
-    return db
+    # running trapezoid db_{k+1} = P_k (db_k + h/2 f_k) + h/2 f_{k+1}, as maps on (db, 1)
+    D = integrand.shape[1]
+    maps = np.zeros((len(steps), D + 1, D + 1))
+    maps[:, :D, :D], maps[:, D, D] = props, 1.0
+    maps[:, :D, D] = np.einsum("kmn,kn->km", props, lead) + trail
+    return _affine_path(maps)
 
 
 # -- torsion-modified Euler-Lagrange residual ---------------------------------

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import operator
 import re
-from collections import Counter
+from collections import Counter, OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement, count, product
@@ -368,6 +368,8 @@ def _free_names(node, out):
 # lowered once per (wrt, order, batched) into closures over the kernels.
 
 _KERNELS: dict = {}  # (D, n, batched) -> ``_Kernels``
+_KERNEL_VARIANTS_KEPT = 1024  # variants kept over all of ``_KERNELS``, the most recently used
+_KERNEL_USE = OrderedDict()  # ((D, n, batched), rule, zeros) of every kept variant, in order of use
 
 
 def _multisets(dim, order):
@@ -671,13 +673,18 @@ class _Kernels(dict):
 
     def variant(self, rule, zeros=()):
         variants = self.setdefault(rule, {})
-        if zeros not in variants:
-            dim, order, batched = self.key
-            source, out = _kernel_source(dim, order, rule, zeros)
-            label = f"<{'batched ' * batched}kernel {rule} D={dim} n={order} zeros {zeros}>"
-            scope = {}  # one per variant, over the shared namespace
-            exec(compile(source, label, "exec"), self.namespace, scope)
-            variants[zeros] = scope[rule], out
+        if zeros in variants:
+            _KERNEL_USE.move_to_end((self.key, rule, zeros))
+            return variants[zeros]
+        dim, order, batched = self.key
+        source, out = _kernel_source(dim, order, rule, zeros)
+        label = f"<{'batched ' * batched}kernel {rule} D={dim} n={order} zeros {zeros}>"
+        scope = {}  # one per variant, over the shared namespace
+        exec(compile(source, label, "exec"), self.namespace, scope)
+        variants[zeros], _KERNEL_USE[self.key, rule, zeros] = (scope[rule], out), None
+        while len(_KERNEL_USE) > _KERNEL_VARIANTS_KEPT:  # drop the least recently used
+            (key, old, old_zeros), _ = _KERNEL_USE.popitem(last=False)
+            del _KERNELS[key][old][old_zeros]
         return variants[zeros]
 
 
@@ -748,6 +755,7 @@ class Expression:
         _free_names(self.ast, names)
         self.free_names = names  # name -> first column of use
         self._lowered: dict = {}  # (wrt, order, batched) -> closure
+        self._zeros: dict = {}  # (wrt, order) -> positions of the jet's structural zeros
 
     def __call__(self, env, wrt=(), order=0):
         """The compiled kernels' flat tuple at ``env`` (names bound to floats) of
@@ -771,10 +779,19 @@ class Expression:
         kernels = _kernels(len(wrt), order, batched)
         fn, zeros = _lower(self.ast, wrt, kernels)
         if zeros is None:
-            const = kernels.variant("const")[0]
+            const, zeros = kernels.variant("const")
             fn = lambda env, value=fn: const(value(env))  # noqa: E731
         self._lowered[wrt, order, batched] = fn
+        self._zeros[wrt, order] = zeros
         return fn
+
+    def _zero_positions(self, wrt, order):
+        """Positions of the structural zeros (always +0.0) in ``self(env, wrt,
+        order)``: the partials the Taylor rules know to vanish, every partial
+        of a constant.  Recorded when the expression is lowered."""
+        if (wrt, order) not in self._zeros:
+            self._lower(wrt, order, False)
+        return self._zeros[wrt, order]
 
     def __repr__(self):
         return f"Expression({self.source!r})"

@@ -245,13 +245,18 @@ def reference_samples(chart, base, deltaq, params=None):
 
 
 def reference_quadrature(chart, base, deltaq):
+    """The quadrature step by step: each step's running trapezoid as an affine map on (db, 1)."""
     dq, G, Sigma = reference_samples(chart, base, deltaq)
     integrand = np.einsum("kmn,kn->km", Sigma[::2], dq[::2])
-    db = np.zeros_like(integrand)
+    D = integrand.shape[1]
+    db = np.zeros((len(base.t), D + 1))
+    db[0, D] = 1.0
     for k, h in enumerate(np.diff(base.t)):
-        prop = expm(-G[2 * k + 1] * h)
-        db[k + 1] = prop @ (db[k] + 0.5 * h * integrand[k]) + 0.5 * h * integrand[k + 1]
-    return db
+        prop, step = expm(-G[2 * k + 1] * h), np.eye(D + 1)
+        step[:D, :D] = prop
+        step[:D, D] = prop @ (0.5 * h * integrand[k]) + 0.5 * h * integrand[k + 1]
+        db[k + 1] = step @ db[k]
+    return db[:, :D]
 
 
 def reference_el_residual(chart, traj, mass=1.0):
@@ -350,6 +355,18 @@ def test_batched_fields_equal_pointwise(name, field, rng):
         single = at(q, v.tolist())
         for batch_part, single_part in zip(parts, single if field == "variation" else (single,)):
             assert_bitwise([np.broadcast_to(x, len(points))[k] for x in batch_part], single_part)
+
+
+@pytest.mark.parametrize("field", FIELDS + ("line_image",))
+def test_batched_field_rejected_alike_everywhere_names_its_first_point(field):
+    # no expression reads q2, so g_22 and det g are structural zeros: the folded rule
+    # decides once for the whole stack, and names its first point, as the points do
+    chart = Chart(2, "map", ["q1", "sin(q1)"])
+    points, velocities = np.array([[0.3, 0.1], [0.5, 0.2]]), np.array([[0.4, -0.2], [0.1, 0.3]])
+    at = dynamics._field(chart, field)
+    ref = outcome(at, points[0], velocities[0].tolist())
+    assert ref[0] is tl.DegenerateTriadError and "[0.3, 0.1]" in ref[1]
+    assert outcome(at, points, tuple(velocities.T)) == ref
 
 
 @pytest.mark.parametrize("kind", sorted(FOUR_DIMENSIONAL))

@@ -8,8 +8,11 @@ infinite one.
 """
 
 import math
+import re
+from collections import OrderedDict
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -106,10 +109,55 @@ def test_both_routes_place_structural_zeros_alike(case, order):
         assert set(unread_partials(expr, names, order)) <= set(inline)
 
 
-def test_sphere_integrator_writes_unread_partials_as_literal_zeros():
-    # x^2 = r*cos(q1) never reads q2: its partials in q2 are constants of the source
-    chart = tl.builtin_chart("sphere", r=1.0)
+FIELDS = ("geodesic", "autoparallel", "variation", "line_image")
+MARK = "STRUCTURAL_ZERO"  # what a structural zero prints as while the sources are written
+
+
+def field_sources(chart, zeros):
+    """The source of the chart's integrator and of its jet-route field, per field,
+    given the chart's zero patterns at triad order 0 and 1."""
     kind, dim, _, _, params = chart._definition
-    source = _fields._chart_source("geodesic", kind, dim, chart.exprs, chart.guard, params)
-    lines = {line.strip() for line in source.splitlines()}
-    assert {"e2_1 = 0.0", "d2_0_1 = 0.0", "d2_1_1 = 0.0"} <= lines
+    for field in FIELDS:
+        order = int(field != "line_image")
+        values = _fields._jet_values(kind, dim, chart.ambient_dim, bool(order), zeros[order])
+        yield _fields._chart_source(field, kind, dim, chart.exprs, chart.guard, params)
+        yield _fields._field_source(field, kind, dim, chart.ambient_dim, values)
+
+
+@pytest.mark.parametrize("name", ["sphere", "synthetic_torsion"])
+def test_field_lines_read_no_structural_zero_nor_a_known_one(name, monkeypatch):
+    # x^2 = r*cos(q1) of the sphere never reads q2, and synthetic_torsion's triad is
+    # (1, 0, 0, 1 + alpha*q1): their partials in q2 and every partial of a constant
+    # are structural zeros, and e^1_1 = 1.0 is known.  No line reads a structural
+    # zero (printed as MARK here), no product has a factor 1.0, and no name is bound
+    # to a known float, where the field lines once read e2_1 = 0.0 and e0_0 = 1.0
+    chart = tl.builtin_chart(name)
+    zeros = [chart._zeros(order) for order in (0, 1)]  # its kernels compiled before the patch
+    assert sum(map(len, zeros[1])) >= (7 if name == "synthetic_torsion" else 3)
+    monkeypatch.setattr(expressions._Zero, "__repr__", lambda self: MARK)
+    for source in field_sources(chart, zeros):
+        assert MARK not in source, source
+        assert not re.search(r"(?<![\w.])1\.0\*|\*1\.0(?![\w.])", source), source
+        assert not re.search(r"^ *\w+ = -?[\d.]+(e-?\d+)?$", source, re.M), source
+
+
+def test_kernel_variants_keep_only_the_recently_used(monkeypatch):
+    # every zero pattern compiles its own kernel variants: a sweep of fresh chart
+    # shapes keeps the most recently used ones, and a chart lowered against dropped
+    # variants, or lowered again after, evaluates as before, bit for bit
+    reads = ["q1", "q2", "q3", "q1*q2", "q2*q3", "sin(q1*q3)", "2"]
+    shapes = [[f"exp({a})", f"cos({b})", "q1 + q3"] for a in reads for b in reads]
+    q = [0.3, -0.4, 0.7]
+    want = [tl.Chart(3, "map", sources)._jets(q, 0) for sources in shapes]
+    compiled, source = [], expressions._kernel_source
+    monkeypatch.setattr(expressions, "_kernel_source", lambda *a: compiled.append(a) or source(*a))
+    monkeypatch.setattr(expressions, "_KERNEL_VARIANTS_KEPT", 12)
+    monkeypatch.setattr(expressions, "_KERNELS", {})
+    monkeypatch.setattr(expressions, "_KERNEL_USE", OrderedDict())
+    first = tl.Chart(3, "map", shapes[0])
+    for sources, jets in zip(shapes, want):
+        assert tl.Chart(3, "map", sources)._jets(q, 0) == jets
+        kept = sum(len(k) for ks in expressions._KERNELS.values() for r, k in ks.items() if r != "_REAL")
+        assert kept == len(expressions._KERNEL_USE) <= 12
+    assert kept == 12 and len(compiled) > 2 * kept
+    assert first._jets(q, 0) == want[0] == tl.Chart(3, "map", shapes[0])._jets(q, 0)

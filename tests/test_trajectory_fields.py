@@ -220,6 +220,24 @@ def test_near_singular_metric_is_rejected_by_the_relative_margin():
         assert outcome(by_jets, chart, field, q, v) == want
 
 
+def test_structural_zero_meeting_an_infinite_entry_raises_alike():
+    # x^1 = q1*1e200*1e200 overflows and never reads q2: e^1_1 = inf meets the
+    # structural zeros e^1_2 and e^2_1.  The folded fields drop inf*0.0 from g_12,
+    # where checked_metric's unfolded sums make it NaN; g_11 = inf rejects the point
+    # on every route all the same, with one message
+    chart = Chart(2, "map", ["q1*1e200*1e200", "q2"])
+    q, v, flat_v = [0.5, 0.3], [0.4, -0.2], [0.1, 0.2]
+    assert chart.triad_jets(q)[0].tolist() == [[np.inf, 0.0], [0.0, 1.0]]
+    assert chart._zeros(1)[0] == (2, 4, 5)
+    want = outcome(chart.metric, q)
+    assert want[0] is DegenerateTriadError and "[0.5, 0.3]" in want[1]
+    for field in FIELDS + ("line_image",):
+        w = flat_v if field == "line_image" else v
+        assert outcome(by_jets, chart, field, q, w) == want
+        assert outcome(dynamics._field(chart, field), q, w) == want
+        assert outcome(first_slope, chart, field, q, w) == want
+
+
 def rk4(rhs, y0, t_grid, final_slope=False):
     """Classical RK4 for y' = rhs(j, y) on ``t_grid``: the generic loop that once
     stepped every trajectory, the oracle of the generated RK4 integrators.
@@ -290,8 +308,8 @@ def test_truncation_matches_tensor_route(edge, field):
 
 
 def test_fields_compile_once_per_shape():
-    # the field per shape serves ``dynamics._field``, compiled at its first use there:
-    # an integrator compiles none
+    # the field per shape and zero pattern (one for every radius) serves
+    # ``dynamics._field``, compiled at its first use there: an integrator compiles none
     _fields._trajectory_field.cache_clear()
     points, velocities = np.array([[1.0, 0.0], [1.2, 0.3]]), (np.array([0.3, 0.1]), np.array([0.4, 0.2]))
     for r in (1.0, 2.0):
@@ -302,6 +320,23 @@ def test_fields_compile_once_per_shape():
         dynamics._field(sphere, "geodesic")(points, velocities)
     info = _fields._trajectory_field.cache_info()
     assert (info.currsize, info.misses, info.hits) == (1, 1, 1)
+
+
+def test_trajectory_fields_keep_only_the_recently_used():
+    # a field is compiled per zero pattern of the chart's jets: a sweep of fresh
+    # chart shapes keeps the most recently used, and a pattern in use keeps hitting
+    _fields._trajectory_field.cache_clear()
+    reads = ["q1^3", "q2^3", "q1^3 + q2^3", "q1*q2", "2"]
+    charts = [Chart(2, "map", [a, b, c]) for a in reads for b in reads for c in reads]
+    sphere = tl.builtin_chart("sphere")
+    for chart in charts:
+        dynamics._field(chart, "geodesic")
+        dynamics._field(sphere, "geodesic")
+    info = _fields._trajectory_field.cache_info()
+    patterns = {chart._zeros(1) for chart in charts}  # the sphere's among them
+    assert len(patterns) == len(charts) > info.maxsize and sphere._zeros(1) in patterns
+    assert info.maxsize == _fields._TRAJECTORY_FIELDS_KEPT == info.currsize
+    assert (info.misses, info.hits) == (len(charts), len(charts))
 
 
 # -- the code generated per chart definition against the jet route ----------------------------
@@ -337,8 +372,9 @@ def field_cases(draw):
 
 
 def by_jets(chart, field, q, v):
-    fn = _fields._trajectory_field(field, chart.kind, chart.dim, chart.ambient_dim)
-    return fn(q, chart._jets(q, int(field != "line_image")), v, FLOOR)
+    order = int(field != "line_image")
+    fn = _fields._trajectory_field(field, chart.kind, chart.dim, chart.ambient_dim, chart._zeros(order))
+    return fn(q, chart._jets(q, order), v, FLOOR)
 
 
 def flat(out):

@@ -59,14 +59,17 @@ def triad1():
     return G, (0.7 + 0.2 * half)[:, None, None], dq, t
 
 
-def nonuniform():
+def nonuniform_base(st):
     # as in test_variation_on_nonuniform_base: h = 1e-2 over (0, 0.4), then 2.5e-3
-    st = tl.builtin_chart("synthetic_torsion", alpha=0.3)
     head = tl.integrate_autoparallel(st, [0.1, 0.2], [1.0, 0.7], (0.0, 0.4), 1e-2)
     tail = tl.integrate_autoparallel(st, head.q[-1], head.qdot[-1], (0.4, 1.0), 2.5e-3)
-    base = Trajectory(*(np.concatenate((a, b[1:])) for a, b in
+    return Trajectory(*(np.concatenate((a, b[1:])) for a, b in
                         ((head.t, tail.t), (head.q, tail.q), (head.qdot, tail.qdot))))
-    return samples(st, base, DELTAQ)
+
+
+def nonuniform():
+    st = tl.builtin_chart("synthetic_torsion", alpha=0.3)
+    return samples(st, nonuniform_base(st), DELTAQ)
 
 
 def constant_drive():
@@ -115,6 +118,29 @@ def test_solve_rejects_sample_counts_off_the_grid(count):
         tl.solve_variation_ode(G, Sigma, dq, t)
     with pytest.raises(GridMismatchError):
         tl.solve_variation_ode(G[:21], Sigma[:21], dq, t)  # only delta_q off the grid
+
+
+def running_trapezoid(chart, base, deltaq):
+    """The quadrature as it once ran: db_{k+1} = P_k (db_k + h/2 f_k) + h/2 f_{k+1}, step by step."""
+    dq, G, Sigma = dynamics._half_step_samples(chart, base, deltaq, None)
+    steps, integrand = np.diff(base.t), np.einsum("kmn,kn->km", Sigma[::2], dq[::2])
+    props = dynamics._expm(-G[1::2] * steps[:, None, None])
+    db = np.zeros_like(integrand)
+    for k, h in enumerate(steps):
+        db[k + 1] = props[k] @ (db[k] + 0.5 * h * integrand[k]) + 0.5 * h * integrand[k + 1]
+    return db
+
+
+@pytest.mark.parametrize("name", ("synthetic_torsion", "nonuniform"))
+def test_quadrature_maps_match_the_running_trapezoid(name):
+    # the affine maps on (db, 1) reassociate P (db + h/2 f) into P db + P h/2 f: measured
+    # max |maps - loop| / max |db| 1.9e-15 (synthetic_torsion), 1.5e-15 (nonuniform)
+    st, base = criterion_5()
+    base = nonuniform_base(st) if name == "nonuniform" else base
+    db = tl.closure_defect_by_quadrature(st, base, DELTAQ)
+    ref = running_trapezoid(st, base, DELTAQ)
+    assert db.shape == ref.shape and np.max(np.abs(ref)) > 1e-4
+    assert np.max(np.abs(db - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 # -- the stacked Pade exponential ------------------------------------------------------------

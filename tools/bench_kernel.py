@@ -65,7 +65,8 @@ the trajectories, under criteria 3 and 5:
 * ``field_point_closure``     the same through ``Chart._jets`` and
   ``dynamics._trajectory_field`` called directly, the route stacks of points
   take (its signature ``(q, jets, v, floor)`` since the one degenerate-triad
-  rule, ``(jets, v, floor2)`` before);
+  rule, ``(jets, v, floor2)`` before; keyed by the chart's zero pattern,
+  ``Chart._zeros``, where it takes a ``zeros`` parameter);
 * ``variation_matrices``      one ``variation_matrices`` call on that chart
   (the mean of 1,000 calls);
 * ``half_step_samples``       ``dynamics._half_step_samples`` along that
@@ -117,7 +118,7 @@ A layer that a checkout cannot run (a stacked ``PostpointData`` or every
 ``median_s`` null and the error under ``unsupported``.
 
 Only public names are used, besides ``_local.LocalGeometry``, ``Chart._jets``,
-``expressions._KERNELS``,
+``Chart._zeros`` (where ``_trajectory_field`` is keyed by it), ``expressions._KERNELS``,
 ``dynamics._expm`` (optional, as above) and
 ``dynamics._half_step_samples``, whose
 signature is unchanged since the variation solvers first shared it, and
@@ -307,7 +308,10 @@ def _trajectory_layers():
 
     q, v, floor = [1.2, 0.1], [0.3, 0.8], 1e-12
     at = dynamics._field(sphere, "geodesic")
-    fn = dynamics._trajectory_field("geodesic", sphere.kind, sphere.dim, sphere.ambient_dim)
+    key = ["geodesic", sphere.kind, sphere.dim, sphere.ambient_dim]
+    if "zeros" in inspect.signature(dynamics._trajectory_field).parameters:  # one field per pattern
+        key.append(sphere._zeros(1))
+    fn = dynamics._trajectory_field(*key)
     with_point = "q" in inspect.signature(fn).parameters  # (q, jets, v, floor), or (jets, v, floor2)
 
     def field_calls():
