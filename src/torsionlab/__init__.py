@@ -69,6 +69,7 @@ from .errors import (
     ExpressionParseError,
     GridMismatchError,
     GridTooCoarseError,
+    MultipletMismatchError,
     NonFiniteError,
     NumericError,
     SamplingError,

@@ -26,13 +26,15 @@ stack (N, D) and a velocity of D arrays it returns arrays.
 
 Every line is written through ``_Taylor``'s fold helpers (``_add``, ``_sub``,
 ``_mul``, ``_neg``) over what is known of the jets: a known float folds only
-by exact identities (1.0*x is x), and a structural zero, a partial in a
-variable that its subexpression never reads, absorbs a product and drops out
-of a sum.  ``_chart_field`` writes these lines once per chart definition
-into its RK4 integrator, behind a check that the point is finite, the guard
-and the jets of every chart expression, which ``_Taylor`` inlines (a
-subexpression shared between entries, found by structural hashing of the
-AST, computed once); there the lines read the jets' floats, zeros and names.
+by exact identities (1.0*x is x), and a structural zero (a partial in a
+variable that its subexpression never reads, a seed's own higher partial,
+the value of a chart expression that folds to the known +0.0) absorbs a
+product and drops out of a sum.  ``_chart_field`` writes these lines into
+each of the four stages of its RK4 integrator per chart definition, behind a
+check that the point is finite, the guard and the jets of every chart
+expression, which ``_Taylor`` inlines (a subexpression shared between
+entries, found by structural hashing of the AST, computed once); there the
+lines read the jets' floats, zeros and names.
 The jet route knows only where the structural zeros are (``Chart._zeros``),
 so ``_trajectory_field`` compiles one field per zero pattern: both routes
 drop the same terms, and compute bit for bit alike.  Parameter values are
@@ -62,13 +64,14 @@ from .expressions import (
     _multisets,
     _neg,
     _operation,
+    _plus_zero,
     _rule,
     _sub,
     _Taylor,
 )
 
 _CHART_FIELDS: dict = {}  # (field, (kind, D, sources, guard, parameter names)) -> integrator
-_CHART_FIELDS_KEPT = 128  # entries kept, the most recently used (8-33 KB each)
+_CHART_FIELDS_KEPT = 128  # entries kept, the most recently used (10-50 KB each)
 _TRAJECTORY_FIELDS_KEPT = 64  # ``_trajectory_field``s kept, the most recently used
 
 
@@ -246,6 +249,8 @@ def _chart_source(field, kind, dim, exprs, guard, params):
     for expr, row in zip(exprs, _jet_names(kind, dim, ambient, deriv)):
         _, jet, is_jet = lower(expr.ast)
         jet = taylor.const(jet) if order and not is_jet else jet
+        # a constant's known +0.0 value is structural, as ``Expression._lower`` finds it
+        jet = [_ZERO, *jet[1:]] if not is_jet and _plus_zero(jet[0]) else jet
         values.update((name, taylor.use(jet, i)) for i, name in enumerate(row) if name != "_")
     state = [*coords, *velocity[: dim * deriv]]
     slope = [*velocity[: dim * deriv], *(f"f{k}" for k in range(dim))]
@@ -260,39 +265,40 @@ _DOMAIN_ERRORS = (NonFiniteError, SingularPointError, EvaluationError, Degenerat
 
 def _rk4_source(head, state, slope, body, final):
     """Classical RK4 over the grid ``t`` (a float array) from the floats ``y``,
-    one copy of ``body`` (the field's lines) inside a loop over the 4 stages:
-    it reads the stage state from the names ``state`` and leaves the slope in
-    the names ``slope``, or raises.  The function returns ``(y, slope,
-    truncated)``, arrays (N, n) over flat buffers; the last node's slope is NaN
-    unless ``final``.  A domain error ends the path at the last node whose
-    slope was computed; at the first node it propagates.  The arithmetic is the
-    generic loop's: x + hh * a, x + h6 * (a + 2.0 * b + 2.0 * c + d)."""
+    ``body`` (the field's lines) written once per stage, each copy followed by
+    that stage's own tail: it reads the stage state from the names ``state``
+    and leaves the slope in the names ``slope``, or raises.  The function
+    returns ``(y, slope, truncated)``, arrays (N, n) over flat buffers; the
+    last node's slope is NaN unless ``final``.  A domain error ends the path
+    at the last node whose slope was computed; at the first node it
+    propagates.  The arithmetic is the generic loop's: x + hh * a,
+    x + h6 * (a + 2.0 * b + 2.0 * c + d)."""
     n = len(state)
     y, m = [f"y{i}" for i in range(n)], [f"m{i}" for i in range(n)]
 
     def row(names):
         return "".join(f"{x}, " for x in names)
 
-    def at(w=None, indent=" " * 8):  # the next stage state y + w * slope, or y itself
-        return [f"{indent}{x} = {y0}" + (f" + {w} * {k}" if w else "")
+    def at(w=None):  # the next stage state y + w * slope, or y itself
+        return [f"    {x} = {y0}" + (f" + {w} * {k}" if w else "")
                 for x, y0, k in zip(state, y, slope)]
 
-    stages = ["for stage in range(4):", *body, "    if stage == 0:",
-              f"        slopes.extend(({row(slope)}))", "        done = k + 1",
-              *["        if done == len(t):", "            break"] * final,
-              "        h = t[k + 1] - t[k]", "        hh, h6 = 0.5 * h, h / 6.0",
-              *(f"        {a} = {k}" for a, k in zip(m, slope)), *at("hh"),
-              "    elif stage < 3:", *(f"        {a} = {a} + 2.0 * {k}" for a, k in zip(m, slope)),
-              "        w = hh if stage == 1 else h", *at("w"),
-              "    else:",
-              *(f"        {x} = {x} + h6 * ({a} + {k})" for x, a, k in zip(y, m, slope)),
-              f"        ys.extend(({row(y)}))", *at()]
+    accumulate = [f"    {a} = {a} + 2.0 * {k}" for a, k in zip(m, slope)]
+    tails = [  # after stage 0: store the slope, take the half step; 1, 2: accumulate and step
+        [f"    slopes.extend(({row(slope)}))", "    done = k + 1",
+         *["    if done == len(t):", "        break"] * final,
+         "    h = t[k + 1] - t[k]", "    hh, h6 = 0.5 * h, h / 6.0",
+         *(f"    {a} = {k}" for a, k in zip(m, slope)), *at("hh")],
+        [*accumulate, *at("hh")],
+        [*accumulate, *at("h")],
+        [*(f"    {x} = {x} + h6 * ({a} + {k})" for x, a, k in zip(y, m, slope)),
+         f"    ys.extend(({row(y)}))", *at()]]  # 3: update and record
     return "\n".join([
-        head, f"    {row(y)}= y", *at(indent="    "),
+        head, f"    {row(y)}= y", *at(),
         "    ys, slopes, done, t = array('d', y), array('d'), 0, memoryview(t)",
         "    try:",
         f"        for k in range(len(t){' - 1' * (not final)}):",
-        *(f"{' ' * 12}{line}" for line in stages),
+        *(f"{' ' * 8}{line}" for tail in tails for line in [*body, *tail]),
         *[f"        slopes.extend(({'math.nan, ' * n}))"] * (not final),
         "    except _DOMAIN_ERRORS:",
         "        if done == 0:",

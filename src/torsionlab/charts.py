@@ -82,6 +82,7 @@ class Chart:
         self.guard = None if guard is None else parse_over([guard], allowed, "chart guard")[0]
         self.name = name
         self.ambient_dim = ambient
+        self._patterns = {}  # triad order -> ``_zeros``
         self._definition = (kind, dim, tuple(e.source for e in exprs),  # ``_chart_field``'s key
                             self.guard and self.guard.source, tuple(self.params))
 
@@ -147,9 +148,11 @@ class Chart:
 
     def _zeros(self, order):
         """Per expression, the positions in its ``_jets`` tuple at ``order`` of
-        the structural zeros, +0.0 at every point."""
-        wrt, n = self._jet_order(order)
-        return tuple(e._zero_positions(wrt, n) for e in self.exprs)
+        the structural zeros, +0.0 at every point; kept per order."""
+        if order not in self._patterns:
+            wrt, n = self._jet_order(order)
+            self._patterns[order] = tuple(e._zero_positions(wrt, n) for e in self.exprs)
+        return self._patterns[order]
 
     def _batch_jets(self, q, wrt, order):
         """``_jets`` of every point of ``q`` in one pass; raises unless they are all

@@ -8,11 +8,11 @@ paths solves a linear ODE driven by torsion.
 
 All three trajectory kinds are stepped by one RK4 integrator generated per
 chart definition and field (``_fields._chart_field``): the step loop on
-floats with the chart's field lines inline in a loop over the 4 stages, so
-no call is left per stage, into flat buffers.  It is the only code generated
-per chart; its field lines fold what the chart's jets know (structural
-zeros, products by a known 1.0).  The linear closure-defect ODE takes its
-RK4 steps as affine maps on (db, 1), all built at once.  Its second,
+floats with the chart's field lines written out once per stage, so no call
+and no branch on the stage is left, into flat buffers.  It is the only code
+generated per chart; its field lines fold what the chart's jets know
+(structural zeros, products by a known 1.0).  The linear closure-defect ODE
+takes its RK4 steps as affine maps on (db, 1), all built at once.  Its second,
 independent solver, an ordered exponential (one stacked Pade ``_expm``) plus
 trapezoid rule, reads the same half-step samples of the variation matrices
 and takes its running trapezoid steps as such maps too; one loop,

@@ -55,3 +55,14 @@ class GridTooCoarseError(ValidationError):
 
 class NumericError(TorsionLabError):
     """Solver failure: overflow, non-finite kernel entries, eigensolver breakdown."""
+
+
+class MultipletMismatchError(NumericError):
+    """A spectrum ladder whose degeneracy patterns differ across epsilon, so
+    levels paired by index would mix unlike multiplets."""
+
+    def __init__(self, patterns: dict):
+        self.patterns = patterns  # eps -> degeneracies
+        listed = "; ".join(f"eps {eps!r}: {pattern}" for eps, pattern in patterns.items())
+        super().__init__(f"degeneracy patterns differ across the ladder ({listed}); "
+                         "levels paired by index would mix unlike multiplets")

@@ -408,8 +408,10 @@ def _minus_zero(x):
 
 
 class _Zero:
-    """A structural zero: a partial in a variable that its subexpression never
-    reads.  It is not a float, so no arithmetic but the rules below meets it."""
+    """A structural zero: a partial that vanishes at every point by the rules
+    alone (one in a variable that its subexpression never reads, a seed's own
+    higher partial), or the value of a whole expression that the fold helpers
+    make +0.0.  It is not a float, so no arithmetic but the rules below meets it."""
 
     __slots__ = ()
 
@@ -426,7 +428,7 @@ _ZERO = _Zero()
 # Exact identities (-0.0 + x, x - 0.0, 1.0 * x), so that signed zeros and
 # NaNs come out as the unfolded arithmetic gives them, and one fold that is
 # not: a structural zero absorbs a product and drops out of a sum (0 - x is
-# -x), so a partial in a variable the subexpression never reads is +0.0,
+# -x), so a structural zero stays +0.0 wherever it is read,
 # where x*0.0 would give -0.0 for a negative x and NaN for an infinite one.
 def _neg(x):
     return _Code(f"-{x}") if isinstance(x, str) else x if x is _ZERO else -x
@@ -448,6 +450,14 @@ def _mul(x, y):
     if x is _ZERO or y is _ZERO:
         return _ZERO
     return y if x is None or x == 1.0 else x if y == 1.0 else _op(operator.mul, "{}*{}", x, y)
+
+
+_FOLDS = {"neg": _neg, "add": _add, "sub": _sub, "mul": _mul}
+
+
+def _plus_zero(x):
+    """Whether ``x``, a fold helper's result, is the known float +0.0."""
+    return not isinstance(x, str) and x == 0.0 and math.copysign(1.0, x) > 0.0
 
 
 @lru_cache(maxsize=None)
@@ -523,8 +533,8 @@ class _Taylor:
     def const(self, c):
         return [self.use(c, 0)] + [_ZERO] * (len(self.sets) - 1)
 
-    def var(self, k, x):  # its own higher partials are known zeros, not structural ones
-        return [x] + [float(s == (k,)) if set(s) == {k} else _ZERO for s in self.sets[1:]]
+    def var(self, k, x):  # its own first partial is the known 1.0, every other one vanishes
+        return [x] + [1.0 if s == (k,) else _ZERO for s in self.sets[1:]]
 
     def mul(self, a, b):
         return [self.poly(_leibniz(self.dim, self.order, s), {"a": a, "b": b}) for s in self.sets]
@@ -586,8 +596,8 @@ class _Taylor:
 
     def plain(self, op, *args):  # as ``_REAL``
         args = [self.use(a, 0) for a in args]
-        if op in ("neg", "add", "sub", "mul"):
-            return [{"neg": _neg, "add": _add, "sub": _sub, "mul": _mul}[op](*args)]
+        if op in _FOLDS:
+            return [_FOLDS[op](*args)]
         if op in ("sin", "cos", "exp"):
             return [self.shared(op, *args)]
         if op == "pow" and isinstance(args[0], str) and _whole(args[1]):  # no check can fire
@@ -721,6 +731,19 @@ def _rule(op, jets):
     return op + ("_jc" if jets[0] else "_cj") if len(jets) == 2 and not all(jets) else op
 
 
+def _known(node):
+    """The float that the fold helpers make of ``node`` where it reads no name,
+    as a chart integrator's lowering folds it (``_Taylor.plain``), else None."""
+    if isinstance(node, Num):
+        return node.value if math.isfinite(node.value) else None
+    if isinstance(node, Name) or _operation(node)[0] not in _FOLDS:
+        return None
+    op, args = _operation(node)
+    values = [_known(a) for a in args]
+    x = None if None in values else _FOLDS[op](*values)
+    return None if isinstance(x, str) else x
+
+
 def _lower(node, wrt, kernels):
     """Closure ``env -> value`` for ``node``, and the positions of the value's
     structural zeros (+0.0 there), or None where the value is a plain float:
@@ -778,8 +801,9 @@ class Expression:
             raise ValidationError(f"need a tuple wrt and order 0..3, got {wrt!r}, {order!r}")
         kernels = _kernels(len(wrt), order, batched)
         fn, zeros = _lower(self.ast, wrt, kernels)
-        if zeros is None:
+        if zeros is None:  # a known +0.0 value is a structural zero too
             const, zeros = kernels.variant("const")
+            zeros = (0, *zeros) if _plus_zero(_known(self.ast)) else zeros
             fn = lambda env, value=fn: const(value(env))  # noqa: E731
         self._lowered[wrt, order, batched] = fn
         self._zeros[wrt, order] = zeros
@@ -788,7 +812,8 @@ class Expression:
     def _zero_positions(self, wrt, order):
         """Positions of the structural zeros (always +0.0) in ``self(env, wrt,
         order)``: the partials the Taylor rules know to vanish, every partial
-        of a constant.  Recorded when the expression is lowered."""
+        of a constant, and the value of a constant that the fold helpers make
+        +0.0 (``_known``).  Recorded when the expression is lowered."""
         if (wrt, order) not in self._zeros:
             self._lower(wrt, order, False)
         return self._zeros[wrt, order]

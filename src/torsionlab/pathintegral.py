@@ -37,7 +37,7 @@ import numpy as np
 from .charts import Chart, builtin_chart
 from ._local import LocalGeometry
 from .curvature import ricci_scalar_einstein
-from .errors import GridTooCoarseError, NumericError, ValidationError
+from .errors import GridTooCoarseError, MultipletMismatchError, NumericError, ValidationError
 from .expressions import _multisets, _partials_index
 
 MEASURE_MODES = ("naive_dewitt", "qep", "qep_via_veff")
@@ -629,6 +629,8 @@ def spectrum_ladder(
     """Spectra over an epsilon ladder with first-order Richardson extrapolation.
 
     The reported ``extrapolated`` levels come from the two smallest epsilons.
+    Levels are paired by index across epsilon, so a ladder whose degeneracy
+    patterns differ raises ``MultipletMismatchError``, naming them.
     """
     _check_levels(n_levels, group_tol)  # before any kernel is built
     eps_sorted = tuple(sorted(set(float(e) for e in epsilons), reverse=True))
@@ -640,6 +642,9 @@ def spectrum_ladder(
         extract_spectrum(prop, n_levels, group_tol=group_tol)
         for prop in _propagators(manifold, cfgs, mode)
     ]
+    patterns = {eps: levels.degeneracies for eps, levels in zip(eps_sorted, spectra)}
+    if len(set(patterns.values())) > 1:
+        raise MultipletMismatchError(patterns)
     ladder = {eps: levels.energies for eps, levels in zip(eps_sorted, spectra)}
     extrapolated = richardson_order1(
         eps_sorted[-2], ladder[eps_sorted[-2]], eps_sorted[-1], ladder[eps_sorted[-1]]

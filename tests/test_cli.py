@@ -284,13 +284,16 @@ GEODESIC = ["geodesic", "--chart", "builtin:polar", "--q0", "1,0", "--qdot0", "1
          "ValidationError", EXIT_VALIDATION, "group_tol"),
         (["spectrum", "--manifold", "ring", "--group-tol", "-1"],
          "ValidationError", EXIT_VALIDATION, "group_tol"),
+        (["spectrum", "--manifold", "sphere", "--n-theta", "48", "--n-phi", "96",
+          "--ladder", "0.08,0.04,0.02"],
+         "MultipletMismatchError", EXIT_NUMERIC, "eps 0.02: (1, 2, 1, 2)"),
     ],
     ids=["missing-option", "malformed-floats", "malformed-float", "bad-param", "bad-choice",
          "unknown-builtin", "unknown-file-param", "loop-without-vertices", "loop-flat-list",
          "guard-rejected", "infinite-t1", "nan-t1", "nan-epsilon", "infinite-mass", "zero-radius",
          "nan-radius", "negative-radius", "infinite-radius", "sparse-sphere", "infinite-qdot0",
          "nan-q0-unguarded", "infinite-at", "nan-q0-guarded", "nan-loop-vertex",
-         "loop-through-origin", "nan-group-tol", "negative-group-tol"],
+         "loop-through-origin", "nan-group-tol", "negative-group-tol", "unlike-multiplets"],
 )
 def test_every_error_is_one_json_line(tmp_path, capsys, argv, error_type, code, mentions):
     files = {

@@ -23,7 +23,12 @@ from torsionlab import (
 )
 from torsionlab.charts import Chart, builtin_chart
 from torsionlab.connection import connection_bundle
-from torsionlab.errors import GridTooCoarseError, NumericError, ValidationError
+from torsionlab.errors import (
+    GridTooCoarseError,
+    MultipletMismatchError,
+    NumericError,
+    ValidationError,
+)
 from torsionlab import pathintegral
 from torsionlab.pathintegral import (
     EXPANSION_TOLERANCE,
@@ -415,6 +420,21 @@ def test_ladder_validates_its_arguments_before_any_kernel(monkeypatch, n_levels,
         spectrum_ladder(Ring(1.0, 64), ShortTimeConfig(), "qep", (0.08, 0.04), n_levels, group_tol)
 
 
+def test_ladder_refuses_unlike_multiplets():
+    # at the default group_tol the sphere's l = 1 and l = 2 multiplets split unlike at
+    # each eps, so levels paired by index would extrapolate one l = 1 member against
+    # two: the ladder names the patterns instead
+    with pytest.raises(MultipletMismatchError) as info:
+        spectrum_ladder(Sphere(1.0, 48, 96), ShortTimeConfig(), "qep", (0.08, 0.04, 0.02), 4)
+    assert isinstance(info.value, NumericError)
+    assert info.value.patterns == {0.08: (1, 1, 2, 1), 0.04: (1, 1, 2, 1), 0.02: (1, 2, 1, 2)}
+    assert "eps 0.04: (1, 1, 2, 1); eps 0.02: (1, 2, 1, 2)" in str(info.value)
+    # a window that the multiplets meet gives one pattern at every eps
+    res = spectrum_ladder(Sphere(1.0, 48, 96), ShortTimeConfig(), "qep", (0.08, 0.04, 0.02), 4,
+                          group_tol=0.05)
+    assert res.degeneracies == (1, 3, 5, 7)
+
+
 def test_ring_spectrum_exact_rotor():
     res = spectrum_ladder(Ring(1.0, 256), ShortTimeConfig(), "qep", (0.08, 0.04, 0.02, 0.01), 4)
     expected = np.array([0.0, 0.5, 2.0, 4.5])
@@ -582,13 +602,19 @@ def test_monomial_polynomials_match_tensor_contractions(chart, q, lead, rng):
 @pytest.mark.parametrize("mode", ["qep", "naive_dewitt", "qep_via_veff"])
 def test_ladder_levels_equal_one_kernel_per_epsilon(manifold, ladder, mode):
     cfg = ShortTimeConfig()
+    spectra = {eps: extract_spectrum(build_propagator(manifold, replace(cfg, epsilon=eps), mode),
+                                     3, group_tol=0.05) for eps in ladder}
+    patterns = {eps: levels.degeneracies for eps, levels in spectra.items()}
+    if len(set(patterns.values())) > 1:  # the qep l = 2 multiplet is not one group at eps = 0.16
+        assert (mode, type(manifold), patterns[0.16]) == ("qep", Sphere, (1, 3, 1))
+        with pytest.raises(MultipletMismatchError) as info:
+            spectrum_ladder(manifold, cfg, mode, ladder, n_levels=3, group_tol=0.05)
+        assert info.value.patterns == patterns
+        return
     res = spectrum_ladder(manifold, cfg, mode, ladder, n_levels=3, group_tol=0.05)
     for eps in ladder:
-        levels = extract_spectrum(
-            build_propagator(manifold, replace(cfg, epsilon=eps), mode), 3, group_tol=0.05
-        )
-        assert np.array_equal(res.ladder[eps], levels.energies)
-    assert res.degeneracies == levels.degeneracies
+        assert np.array_equal(res.ladder[eps], spectra[eps].energies)
+    assert res.degeneracies == spectra[ladder[-1]].degeneracies
 
 
 def full_block_eigenvalues(blocks):

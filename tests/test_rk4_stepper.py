@@ -2,17 +2,19 @@
 
 Every trajectory integrator runs one function generated per (chart
 definition, field), ``_fields._chart_field``: the RK4 step loop with the
-chart's field lines inline in a loop over the 4 stages.  The oracle is
+chart's field lines written out once per stage, each copy followed by that
+stage's tail.  The oracle is
 ``rk4`` of ``test_trajectory_fields``, the generic loop that once stepped
 every trajectory, over ``dynamics._field``, the jet route.  The two must
 agree bit for bit: the states, the slopes (the NaN of an uncomputed last
 slope included), whether the path truncated, and the error that ended it.  No
 call is left per stage to wrap, so a tracer on the integrator's frame
-observes it: the error raised into it, its ``stage`` then, and each pass of
-its field lines.
+observes it: the error raised into it, the stage whose copy of the field
+lines met it, and each pass of its field lines.
 """
 
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -39,21 +41,33 @@ from test_trajectory_fields import (
 TRAJECTORY_FIELDS = ("geodesic", "autoparallel", "line_image")
 
 
+def stage_copies(source):
+    """The line numbers of the first line of each stage's copy of the field
+    lines in an integrator's ``source`` lines, in stage order."""
+    loop = next(i for i, line in enumerate(source) if line.startswith(" " * 8 + "for k in range("))
+    firsts = [i + 1 for i, line in enumerate(source) if line == source[loop + 1]]
+    assert len(firsts) == 4, source
+    return firsts
+
+
 def watched(rk4, field, definition, exprs, guard, seen):
     """The integrator ``rk4`` of ``_chart_field(field, definition, exprs, guard)``,
     recording in ``seen`` each pass of its field lines ("passes"), every error
-    raised into its frame ("errors") and the stage (0-3) that met it ("stage")."""
+    raised into its frame ("errors") and the stage (0-3) that met it ("stage"):
+    the one whose copy of the field lines, with its tail, holds the line."""
     kind, dim, _, _, params = definition
     source = _fields._chart_source(field, kind, dim, exprs, guard, params).splitlines()
-    first = source.index(" " * 12 + "for stage in range(4):") + 2  # the field's first line
+    firsts = stage_copies(source)  # and where each copy, with its tail, ends
+    ends = firsts[1:] + [source.index("    except _DOMAIN_ERRORS:") + 1]
     code = rk4.__code__
 
     def local(frame, event, arg):
-        if event == "line" and frame.f_lineno == first:
+        if event == "line" and frame.f_lineno in firsts:
             seen["passes"] += 1
-        elif event == "exception":
+        elif event == "exception":  # again as the handler re-raises it, outside every copy
             seen["errors"].append((arg[0], str(arg[1])))
-            seen["stage"] = frame.f_locals["stage"]
+            seen["stage"] = next((stage for stage, (a, b) in enumerate(zip(firsts, ends))
+                                  if a <= frame.f_lineno < b), seen["stage"])
         return local
 
     def tracer(frame, event, arg):
@@ -228,9 +242,9 @@ SHARED_ARGUMENTS = {
 def test_shared_elementary_functions_equal_the_generic_loop(kind, field, rng):
     chart = SHARED_ARGUMENTS[kind]
     source = _fields._chart_source(field, kind, 2, chart.exprs, chart.guard, ())
-    calls = [line.split(" = ")[1] for line in source.splitlines()
-             if line.split(" = ")[-1].startswith(("_sin(", "_cos(", "_exp("))]
-    assert len(calls) == len(set(calls)) >= 5, calls
+    calls = Counter(line.split(" = ")[1] for line in source.splitlines()
+                    if line.split(" = ")[-1].startswith(("_sin(", "_cos(", "_exp(")))
+    assert set(calls.values()) == {4} and len(calls) >= 5, calls  # once in each stage's copy
     for q0, qdot0 in zip(0.2 + rng.random((3, 2)), rng.normal(size=(3, 2))):
         assert assert_stepper_equals_oracle(chart, field, q0.tolist(), qdot0.tolist()) is not None
     # an exp that overflows fails the path alike, after the stages before it

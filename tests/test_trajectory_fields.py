@@ -228,7 +228,7 @@ def test_structural_zero_meeting_an_infinite_entry_raises_alike():
     chart = Chart(2, "map", ["q1*1e200*1e200", "q2"])
     q, v, flat_v = [0.5, 0.3], [0.4, -0.2], [0.1, 0.2]
     assert chart.triad_jets(q)[0].tolist() == [[np.inf, 0.0], [0.0, 1.0]]
-    assert chart._zeros(1)[0] == (2, 4, 5)
+    assert chart._zeros(1)[0] == (2, 3, 4, 5)  # d^2/dq1^2 of the seed q1 too
     want = outcome(chart.metric, q)
     assert want[0] is DegenerateTriadError and "[0.5, 0.3]" in want[1]
     for field in FIELDS + ("line_image",):
@@ -326,7 +326,7 @@ def test_trajectory_fields_keep_only_the_recently_used():
     # a field is compiled per zero pattern of the chart's jets: a sweep of fresh
     # chart shapes keeps the most recently used, and a pattern in use keeps hitting
     _fields._trajectory_field.cache_clear()
-    reads = ["q1^3", "q2^3", "q1^3 + q2^3", "q1*q2", "2"]
+    reads = ["q1^3", "q2^3", "q1^3 + q2^3", "sin(q1*q2)", "2"]  # 5 patterns, () among them
     charts = [Chart(2, "map", [a, b, c]) for a in reads for b in reads for c in reads]
     sphere = tl.builtin_chart("sphere")
     for chart in charts:

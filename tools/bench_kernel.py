@@ -58,6 +58,10 @@ the trajectories, under criteria 3 and 5:
   (alpha = 0.3), 1,000 steps of h = 1e-3, per step;
 * ``line_image_per_step``     ``straight_line_image`` from the same start on the
   same chart, 1,000 steps of h = 1e-3, per step;
+* ``torsion_geodesic_per_step`` ``integrate_geodesic`` from the same start on the
+  same chart, 1,000 steps of h = 1e-3, per step;
+* ``polar_geodesic_per_step`` ``integrate_geodesic`` on ``polar`` from (1.0, 0.3)
+  at (0.2, 0.4), the base of the flat variation, 1,000 steps of h = 1e-3, per step;
 * ``field_point``             one sphere geodesic field evaluation at a phase
   point through ``dynamics._field`` (the mean of 10,000): the jet route, one
   ``Chart._jets`` pass and ``_trajectory_field``, since per-chart code was
@@ -290,6 +294,7 @@ def _trajectory_layers():
 
     sphere = builtin_chart("sphere", r=1.0)
     torsion = builtin_chart("synthetic_torsion", alpha=0.3)
+    polar = builtin_chart("polar")
     span = (0.0, TRAJECTORY_STEPS * TRAJECTORY_H)
     base = integrate_autoparallel(torsion, [0.1, 0.2], [1.0, 0.7], span, TRAJECTORY_H)
 
@@ -334,6 +339,12 @@ def _trajectory_layers():
             per=TRAJECTORY_STEPS),
         "line_image_per_step": _median_timing(
             lambda: straight_line_image(torsion, [0.1, 0.2], [1.0, 0.7], span, TRAJECTORY_H), 7,
+            per=TRAJECTORY_STEPS),
+        "torsion_geodesic_per_step": _median_timing(
+            lambda: integrate_geodesic(torsion, [0.1, 0.2], [1.0, 0.7], span, TRAJECTORY_H), 7,
+            per=TRAJECTORY_STEPS),
+        "polar_geodesic_per_step": _median_timing(
+            lambda: integrate_geodesic(polar, [1.0, 0.3], [0.2, 0.4], span, TRAJECTORY_H), 7,
             per=TRAJECTORY_STEPS),
         "field_point": _median_timing(field_calls, 7, per=FIELD_CALLS),
         "field_point_closure": _median_timing(closure_calls, 7, per=FIELD_CALLS),
