@@ -260,7 +260,8 @@ def _chart_source(field, kind, dim, exprs, guard, params):
                        state, slope, body.splitlines(), final=not deriv)
 
 
-_DOMAIN_ERRORS = (NonFiniteError, SingularPointError, EvaluationError, DegenerateTriadError)  # end a path
+_DOMAIN_ERRORS = (NonFiniteError, SingularPointError, EvaluationError, DegenerateTriadError,
+                  ArithmeticError)  # end a path; the jet route raises the last as EvaluationError
 
 
 def _rk4_source(head, state, slope, body, final):
@@ -270,9 +271,9 @@ def _rk4_source(head, state, slope, body, final):
     and leaves the slope in the names ``slope``, or raises.  The function
     returns ``(y, slope, truncated)``, arrays (N, n) over flat buffers; the
     last node's slope is NaN unless ``final``.  A domain error ends the path
-    at the last node whose slope was computed; at the first node it
-    propagates.  The arithmetic is the generic loop's: x + hh * a,
-    x + h6 * (a + 2.0 * b + 2.0 * c + d)."""
+    at the last node whose slope was computed; at the first node it propagates,
+    an ``ArithmeticError`` as the ``EvaluationError`` it causes.  The arithmetic
+    is the generic loop's: x + hh * a, x + h6 * (a + 2.0 * b + 2.0 * c + d)."""
     n = len(state)
     y, m = [f"y{i}" for i in range(n)], [f"m{i}" for i in range(n)]
 
@@ -300,7 +301,9 @@ def _rk4_source(head, state, slope, body, final):
         f"        for k in range(len(t){' - 1' * (not final)}):",
         *(f"{' ' * 8}{line}" for tail in tails for line in [*body, *tail]),
         *[f"        slopes.extend(({'math.nan, ' * n}))"] * (not final),
-        "    except _DOMAIN_ERRORS:",
+        "    except _DOMAIN_ERRORS as exc:",
+        "        if done == 0 and isinstance(exc, ArithmeticError):",  # as the jet route, unnamed
+        "            raise EvaluationError(f'{type(exc).__name__}: {exc}') from exc",
         "        if done == 0:",
         "            raise",
         f"        del ys[{n} * done:]",  # a truncated path ends at the last node with a slope

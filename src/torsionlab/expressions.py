@@ -789,7 +789,10 @@ class Expression:
             fn = self._lowered[wrt, order, False]
         except (KeyError, TypeError):
             fn = self._lower(wrt, order, False)
-        return fn(env)
+        try:
+            return fn(env)
+        except ArithmeticError as exc:  # a float overflow or division inside a kernel
+            raise EvaluationError(f"{self.source!r}: {type(exc).__name__}: {exc}") from exc
 
     def _batch(self, env, wrt, order):
         """``self(env, wrt, order)`` with names bound to arrays of points: an

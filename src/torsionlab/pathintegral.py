@@ -7,6 +7,9 @@ point.  Spectra run in imaginary time (the standard Wick rotation of the
 sliced amplitude; real-time slicing is out of scope), where the kernel is a
 positive transfer matrix, block-circulant in the azimuth on ring and sphere
 alike, whose Fourier-block eigenvalues give ``E = -(hbar/eps) log(lambda)``.
+A kernel is built on its symmetry-unique quarter, azimuth differences 0 .. n_phi/2
+of the rows j < ceil(n_theta/2), and copied exactly onto the rest: the round
+manifold is even under phi -> -phi, the sphere and its Gauss-Legendre grid under z -> -z.
 
 Three measures can dress the kernel.  All carry the exact volume weight
 sqrt(g) at the integration (pre)point -- for the naive measure that weight
@@ -283,8 +286,8 @@ class SlicedPropagator:
     The kernel is block-circulant in the azimuth and is kept in profile form
     ``profile[j, j', dk]`` over the rows j of ``_kernel_grid`` (the ring has
     one) together with its Fourier blocks; the full dense matrix is never
-    materialized.  The profile is even in dk, so block m equals block
-    n_phi - m: only blocks m = 0 .. n_phi // 2 are kept.
+    materialized.  Built on its symmetric quarter and copied (``_kernel_profiles``), the
+    profile is exactly even in dk: block m is block n_phi - m, so only m <= n_phi // 2 are kept.
     ``fallback_fraction`` is the share of a single slice's entries inside the
     cutoff that left the fourth-order bracket for the exact squared arc.
     """
@@ -394,31 +397,34 @@ def _grid_points(manifold):
 def _kernel_grid(manifold):
     """Grid description for the kernel assembly of ``_propagators``.
 
-    Returns ``(chart, weights, spacing, posts, steps)``.  A column is a
-    latitude and an azimuth difference dk = k_a - k_b; ``weights[j, dk]`` is
-    sqrt(g) times the coordinate cell volume at the column's point,
-    ``spacing`` the largest geodesic grid step.  ``posts`` lists the
-    postpoint q_a (azimuth 0) of each latitude row, and ``steps(q_a)`` gives
-    that row's steps dq = q_a - q_b to every column, coordinate first (D arrays
-    broadcasting to the columns, as ``_monomials`` takes them), and their exact
-    squared geodesic arcs, flattened.  The ring is the single-row case.
+    Returns ``(chart, weights, spacing, posts, steps, fold)``.  A column is a latitude
+    and an azimuth difference dk = k_a - k_b; the kernel is even under phi -> -phi, so
+    the columns take dk = 0 .. n_phi // 2 only, and ``fold[dk] = min(dk, n_phi - dk)``
+    is every dk's column.  ``weights[j, dk]`` is sqrt(g) times the coordinate cell
+    volume at the column's point, ``spacing`` the largest geodesic grid step.  The
+    sphere and its Gauss-Legendre nodes are even under z -> -z too, so ``posts`` lists
+    the postpoint q_a (azimuth 0) of the latitude rows j < ceil(n_theta / 2) only, and
+    ``steps(q_a)`` gives that row's steps dq = q_a - q_b to every column, coordinate
+    first (D arrays broadcasting to the columns, as ``_monomials`` takes them), and
+    their exact squared geodesic arcs, flattened.  The ring is the single-row case.
     """
     points = _grid_points(manifold)
     r, n_ph = float(manifold.radius), points[-1]
     dphi = 2.0 * math.pi / n_ph
-    delta_phi = _wrap_angle(dphi * np.arange(n_ph))
+    delta_phi = _wrap_angle(dphi * np.arange(n_ph // 2 + 1))
+    fold = np.minimum(np.arange(n_ph), n_ph - np.arange(n_ph))
     if len(points) == 1:
         chart = builtin_chart("ring", r=r)
-        weights = np.full((1, n_ph), r * dphi)  # sqrt(g) = r along the ring
+        weights = np.full((1, len(delta_phi)), r * dphi)  # sqrt(g) = r along the ring
         row = ((delta_phi[None, :],), (r * delta_phi) ** 2)
-        return chart, weights, r * dphi, [np.zeros(1)], lambda q_post: row
+        return chart, weights, r * dphi, [np.zeros(1)], lambda q_post: row, fold
 
     n_th = points[0]
     chart = builtin_chart("sphere", r=r)
-    u, wu = np.polynomial.legendre.leggauss(n_th)
+    u, wu = np.polynomial.legendre.leggauss(n_th)  # nodes and weights even under u -> -u
     theta = np.arccos(u)  # descending from pi to 0, none at the poles
     vol = wu * dphi / np.sin(theta)  # coordinate cell volume per column latitude
-    weights = np.broadcast_to((vol * (r * r * np.sin(theta)))[:, None], (n_th, n_ph))
+    weights = np.broadcast_to((vol * (r * r * np.sin(theta)))[:, None], (n_th, len(delta_phi)))
     spacing = max(r * float(np.max(np.abs(np.diff(theta)))), r * dphi)  # azimuth: equator
 
     column, dphi_row = theta[:, None], delta_phi[None, :]
@@ -430,7 +436,8 @@ def _kernel_grid(manifold):
         arc2 = (r * np.arccos(np.clip(cos_arc, -1.0, 1.0))) ** 2
         return (th - column, dphi_row), arc2.ravel()
 
-    return chart, weights, spacing, [np.array([th, 0.0]) for th in theta], steps
+    posts = [np.array([th, 0.0]) for th in theta[: (n_th + 1) // 2]]
+    return chart, weights, spacing, posts, steps, fold
 
 
 def build_propagator(manifold, cfg: ShortTimeConfig, measure_mode="qep") -> SlicedPropagator:
@@ -454,7 +461,7 @@ def build_propagator(manifold, cfg: ShortTimeConfig, measure_mode="qep") -> Slic
 def _propagators(manifold, cfgs, mode):
     """The kernel of ``build_propagator`` for each config in turn; every
     config's grid resolution is checked before any row is built."""
-    chart, weights, spacing, posts, steps = _kernel_grid(manifold)
+    chart, weights, spacing, posts, steps, fold = _kernel_grid(manifold)
     scales = []
     for cfg in cfgs:
         sigma = math.sqrt(cfg.epsilon * cfg.hbar / cfg.mass)
@@ -465,7 +472,8 @@ def _propagators(manifold, cfgs, mode):
         lam = 0.5 * cfg.mass / (cfg.epsilon * cfg.hbar)
         norm = (cfg.mass / (2.0 * math.pi * cfg.epsilon * cfg.hbar)) ** (chart.dim / 2)
         scales.append((lam, (cfg.cutoff_sigmas * sigma) ** 2, (norm * weights).ravel()))
-    profiles, live, fallback = _kernel_profiles(chart, weights, posts, steps, mode, cfgs, scales)
+    profiles, live, fallback = _kernel_profiles(chart, weights, posts, steps, fold, mode, cfgs,
+                                                scales)
     for cfg, profile, n_live, n_fallback in zip(cfgs, profiles, live, fallback):
         # blocks m and n_phi - m of the even profile coincide: keep m <= n_phi / 2
         yield SlicedPropagator(manifold, cfg, mode, profile=profile,
@@ -473,28 +481,32 @@ def _propagators(manifold, cfgs, mode):
                                fallback_fraction=n_fallback / n_live)
 
 
-def _kernel_profiles(chart, weights, posts, steps, mode, cfgs, scales):
+def _kernel_profiles(chart, weights, posts, steps, fold, mode, cfgs, scales):
     """Every config's kernel profile and counts of live and fallback entries.
 
-    One stacked ``PostpointData`` holds every row's coefficients; rows then run
-    outermost: one row's steps, arcs and monomial planes fill that row of every
-    config's kernel (and die with this call).  The row and its flat reference are
-    built in place, in two buffers over the flattened columns."""
-    n_ph = weights.shape[1]
-    mirror = (-np.arange(n_ph)) % n_ph
-    profiles = np.empty((len(cfgs), len(weights)) + weights.shape)
+    One stacked ``PostpointData`` holds the coefficients of the rows in ``posts``;
+    rows then run outermost: one row's steps, arcs and monomial planes fill that
+    row of every config's kernel (and die with this call).  The row and its flat
+    reference are built in place, in two buffers over the flattened columns, and
+    ``fold`` copies the row onto every dk (phi -> -phi); row n_rows - 1 - j is row
+    j with its columns reversed (z -> -z).  Counts weigh a built entry by the dk and
+    rows it stands for, and the row's flat reference sum by its dk."""
+    n_rows = len(weights)
+    copies = np.broadcast_to(np.bincount(fold).astype(float), weights.shape).ravel()  # per dk
+    profiles = np.empty((len(cfgs), n_rows, n_rows, len(fold)))
     kernel, flat = np.empty(weights.size), np.empty(weights.size)
     live, fallback = [0] * len(cfgs), [0] * len(cfgs)
     data = PostpointData(chart, np.array(posts))
     dressing = _mode_exponents(data, mode, cfgs)
     for j, q_post in enumerate(data.q):
+        rows = 1 if 2 * j + 1 == n_rows else 2  # row j and its mirror; a middle row once
         row_steps, arc2 = steps(q_post)
         bracket, excess, jexps = _row_exponents(data, dressing, j, row_steps)
         for c, ((lam, cut, norm_weights), jexp) in enumerate(zip(scales, jexps)):
             trusted = lam * excess <= EXPANSION_TOLERANCE
             mask = arc2 <= cut
-            live[c] += np.count_nonzero(mask)
-            fallback[c] += np.count_nonzero(mask & ~trusted)
+            live[c] += rows * int(copies @ mask)
+            fallback[c] += rows * int(copies @ (mask & ~trusted))
             # norm_weights * exp(-lam * action2 + jexp), zero outside the cutoff
             np.multiply(np.where(trusted, bracket, arc2), -lam, out=kernel)
             np.exp(np.add(kernel, jexp, out=kernel), out=kernel)
@@ -504,14 +516,14 @@ def _kernel_profiles(chart, weights, posts, steps, mode, cfgs, scales):
             np.exp(np.multiply(arc2, -lam, out=flat), out=flat)
             np.multiply(norm_weights, flat, out=flat)
             flat[~mask] = 0.0
-            flat_sum = float(np.sum(flat))
+            flat_sum = float(flat @ copies)
             if flat_sum <= 0:
                 raise NumericError("flat reference kernel summed to zero")
             np.divide(kernel, flat_sum, out=kernel)
             _check_positive_finite(kernel)
-            # the kernel is even in the azimuth difference; symmetrize rounding noise
-            row = kernel.reshape(weights.shape)
-            np.multiply(row + row[:, mirror], 0.5, out=profiles[c, j])
+            np.take(kernel.reshape(weights.shape), fold, axis=1, out=profiles[c, j])
+            if rows == 2:
+                profiles[c, n_rows - 1 - j] = profiles[c, j, ::-1]
     return profiles, live, fallback
 
 

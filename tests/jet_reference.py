@@ -289,5 +289,10 @@ def _eval(node, env):
 
 
 def interpret(expr, env):
-    """``expr`` at ``env`` by the tree walk: a ``Jet`` if ``env`` holds one, else a float."""
-    return _eval(expr.ast, env)
+    """``expr`` at ``env`` by the tree walk: a ``Jet`` if ``env`` holds one, else a float.
+    An ``ArithmeticError`` on the way is an ``EvaluationError`` naming ``expr``, as
+    ``Expression.__call__`` raises it."""
+    try:
+        return _eval(expr.ast, env)
+    except ArithmeticError as exc:
+        raise EvaluationError(f"{expr.source!r}: {type(exc).__name__}: {exc}") from exc

@@ -287,13 +287,18 @@ GEODESIC = ["geodesic", "--chart", "builtin:polar", "--q0", "1,0", "--qdot0", "1
         (["spectrum", "--manifold", "sphere", "--n-theta", "48", "--n-phi", "96",
           "--ladder", "0.08,0.04,0.02"],
          "MultipletMismatchError", EXIT_NUMERIC, "eps 0.02: (1, 2, 1, 2)"),
+        (["tensors", "--chart", "{overflow}", "--at=-1.7509112730905815e-126,0.8198969239343383"],
+         "EvaluationError", EXIT_NUMERIC, "'exp(((a * q1) ^ -3))': OverflowError"),
+        (["geodesic", "--chart", "{overflow_1d}", "--q0", "0.01", "--qdot0", "1", "--t1", "0.1"],
+         "EvaluationError", EXIT_NUMERIC, "OverflowError"),  # in the integrator's first stage
     ],
     ids=["missing-option", "malformed-floats", "malformed-float", "bad-param", "bad-choice",
          "unknown-builtin", "unknown-file-param", "loop-without-vertices", "loop-flat-list",
          "guard-rejected", "infinite-t1", "nan-t1", "nan-epsilon", "infinite-mass", "zero-radius",
          "nan-radius", "negative-radius", "infinite-radius", "sparse-sphere", "infinite-qdot0",
          "nan-q0-unguarded", "infinite-at", "nan-q0-guarded", "nan-loop-vertex",
-         "loop-through-origin", "nan-group-tol", "negative-group-tol", "unlike-multiplets"],
+         "loop-through-origin", "nan-group-tol", "negative-group-tol", "unlike-multiplets",
+         "taylor-overflow", "integrator-overflow"],
 )
 def test_every_error_is_one_json_line(tmp_path, capsys, argv, error_type, code, mentions):
     files = {
@@ -305,6 +310,11 @@ def test_every_error_is_one_json_line(tmp_path, capsys, argv, error_type, code, 
         "through_origin": write_json(tmp_path / "through_origin.json",  # a node at the origin
                                      {"vertices": [[-1, 0], [1, 0], [1, 1], [-1, 1], [-1, 0]],
                                       "samples_per_edge": 9}),
+        "overflow": write_json(tmp_path / "overflow.json",  # (a q1)^-3 overflows a float there
+                               {"dim": 2, "kind": "triad", "params": {"a": 0.7, "b": -1.3},
+                                "exprs": ["-2", "-(0.5 + q1)", "exp(((a * q1) ^ -3))", "-(3 ^ b)"]}),
+        "overflow_1d": write_json(tmp_path / "overflow_1d.json",
+                                  {"dim": 1, "kind": "triad", "exprs": ["1 + q1^-200"]}),
     }
     assert main([arg.format(**files) for arg in argv]) == code
     out, err = capsys.readouterr()

@@ -39,6 +39,7 @@ from torsionlab.pathintegral import (
     _monomial_factors,
     _propagators,
     _row_exponents,
+    _wrap_angle,
 )
 
 CFG = ShortTimeConfig(epsilon=0.01)
@@ -768,7 +769,7 @@ def test_ladder_kernels_equal_one_build_per_config(manifold, ladder, mode):
 
 @pytest.mark.parametrize("manifold", [Sphere(1.0, 48, 96), Sphere(1.0, 24, 48), Ring(1.0, 256)])
 def test_stacked_postpoint_rows_equal_single_postpoints(manifold):
-    chart, _, _, posts, _ = _kernel_grid(manifold)
+    chart, _, _, posts, _, _ = _kernel_grid(manifold)
     stacked = PostpointData(chart, np.array(posts))
     scalars = stacked.curvature_scalar()
     assert scalars.shape == (len(posts),)
@@ -829,12 +830,11 @@ def oracle_row_exponents(data, mode, cfgs, j, steps):
     return bracket, excess, _mode_exponents(data, mode, cfgs)(j, None)  # no step polynomial
 
 
-def oracle_profiles(manifold, cfgs, mode):
-    """Every config's kernel profile, each row built from whole temporaries."""
-    chart, weights, _, posts, steps = _kernel_grid(manifold)
+def oracle_kernel_rows(chart, weights, posts, steps, cfgs, mode):
+    """Per row j of ``posts`` and config c: the row's kernel before normalisation,
+    its flat reference, cutoff mask and trusted entries, each a whole temporary over
+    the flattened columns of ``weights``."""
     data = PostpointData(chart, np.array(posts))
-    mirror = (-np.arange(weights.shape[1])) % weights.shape[1]
-    profiles = np.empty((len(cfgs), len(weights)) + weights.shape)
     weights = weights.ravel()
     for j, q_post in enumerate(data.q):
         row_steps, arc2 = steps(q_post)
@@ -847,10 +847,62 @@ def oracle_profiles(manifold, cfgs, mode):
             trusted = lam * excess <= EXPANSION_TOLERANCE
             action2 = np.where(trusted, bracket, arc2)
             kernel = np.where(mask, norm * weights * np.exp(-lam * action2 + jexp), 0.0)
-            flat_sum = float(np.sum(np.where(mask, norm * weights * np.exp(-lam * arc2), 0.0)))
-            row = (kernel / flat_sum).reshape(profiles.shape[2:])
-            profiles[c, j] = 0.5 * (row + row[:, mirror])
+            flat = np.where(mask, norm * weights * np.exp(-lam * arc2), 0.0)
+            yield j, c, kernel, flat, mask, trusted
+
+
+def oracle_profiles(manifold, cfgs, mode):
+    """Every config's kernel profile, each unique row and column of ``_kernel_grid``
+    built from whole temporaries, then copied onto the azimuth differences and rows
+    that mirror it."""
+    chart, weights, _, posts, steps, fold = _kernel_grid(manifold)
+    n_rows = len(weights)
+    copies = np.broadcast_to(np.bincount(fold).astype(float), weights.shape).ravel()
+    profiles = np.empty((len(cfgs), n_rows, n_rows, len(fold)))
+    for j, c, kernel, flat, _, _ in oracle_kernel_rows(chart, weights, posts, steps, cfgs, mode):
+        profiles[c, j] = (kernel / float(flat @ copies)).reshape(weights.shape)[:, fold]
+    for j in range(n_rows // 2):
+        profiles[:, n_rows - 1 - j] = profiles[:, j, ::-1]
     return profiles
+
+
+def full_kernel_grid(sphere):
+    """``(chart, weights, posts, steps)`` of ``_kernel_grid`` over every latitude row and
+    every azimuth difference of a sphere, as the kernel was built before its symmetric
+    build."""
+    r, n_ph = float(sphere.radius), sphere.n_phi
+    dphi = 2.0 * math.pi / n_ph
+    delta_phi = _wrap_angle(dphi * np.arange(n_ph))
+    u, wu = np.polynomial.legendre.leggauss(sphere.n_theta)
+    theta = np.arccos(u)
+    vol = wu * dphi / np.sin(theta)
+    weights = np.broadcast_to((vol * (r * r * np.sin(theta)))[:, None], (len(theta), n_ph))
+    column, dphi_row = theta[:, None], delta_phi[None, :]
+
+    def steps(q_post):
+        th = q_post[0]
+        cos_arc = math.cos(th) * np.cos(column) + (math.sin(th) * np.sin(column)) * np.cos(dphi_row)
+        arc2 = (r * np.arccos(np.clip(cos_arc, -1.0, 1.0))) ** 2
+        return (th - column, dphi_row), arc2.ravel()
+
+    return builtin_chart("sphere", r=r), weights, [np.array([th, 0.0]) for th in theta], steps
+
+
+def full_grid_kernels(sphere, cfgs, mode):
+    """Every config's profile and fallback fraction built on ``full_kernel_grid``, each
+    row averaged with its azimuth mirror and every entry counted: the construction that
+    the symmetric build replaced, kept as its reference."""
+    chart, weights, posts, steps = full_kernel_grid(sphere)
+    mirror = (-np.arange(weights.shape[1])) % weights.shape[1]
+    profiles = np.empty((len(cfgs), len(weights)) + weights.shape)
+    live, fallback = np.zeros(len(cfgs), dtype=int), np.zeros(len(cfgs), dtype=int)
+    for j, c, kernel, flat, mask, trusted in oracle_kernel_rows(chart, weights, posts, steps,
+                                                                cfgs, mode):
+        row = (kernel / float(np.sum(flat))).reshape(weights.shape)
+        profiles[c, j] = 0.5 * (row + row[:, mirror])
+        live[c] += np.count_nonzero(mask)
+        fallback[c] += np.count_nonzero(mask & ~trusted)
+    return profiles, fallback / live
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -874,9 +926,9 @@ def test_in_place_kernel_rows_equal_whole_temporaries_bitwise(mode, monkeypatch)
         assert np.array_equal(prop.profile, want[c]), c
 
 
-@pytest.mark.parametrize("mode, j", [("qep", 0), ("naive_dewitt", 23), ("qep_via_veff", 40)])
+@pytest.mark.parametrize("mode, j", [("qep", 0), ("naive_dewitt", 23), ("qep_via_veff", 7)])
 def test_sphere_row_exponents_match_the_step_last_oracle(mode, j):
-    chart, _, _, posts, steps = _kernel_grid(Sphere(1.0, 48, 96))
+    chart, _, _, posts, steps, _ = _kernel_grid(Sphere(1.0, 48, 96))
     cfgs = [ShortTimeConfig(epsilon=eps) for eps in (0.08, 0.04, 0.02)]
     data = PostpointData(chart, np.array(posts))
     row_steps, arc2 = steps(data.q[j])
@@ -886,3 +938,24 @@ def test_sphere_row_exponents_match_the_step_last_oracle(mode, j):
     for name, g, w in zip(names, (*got[:2], *got[2]), (*want[:2], *want[2])):
         assert np.shape(g) in ((), arc2.shape) and np.shape(g) == np.shape(w), name
         assert np.max(np.abs(np.subtract(g, w))) <= 1e-13 * np.max(np.abs(w)), name
+
+
+@pytest.mark.parametrize(
+    "manifold, ladder",
+    [(Sphere(1.0, 48, 96), (0.08, 0.04, 0.02)), (Sphere(2.0, 24, 48), (0.32, 0.16)),
+     (Sphere(1.0, 33, 64), (0.16, 0.08, 0.04))],
+)
+@pytest.mark.parametrize("mode", MODES)
+def test_symmetric_build_equals_the_full_grid(manifold, ladder, mode):
+    # the unique quarter (dk <= n_phi / 2, rows j < ceil(n_theta / 2)) and its mirror
+    # copies give the full-grid kernel to rounding, and exactly its entry counts
+    cfgs = [ShortTimeConfig(epsilon=eps) for eps in ladder]
+    want, fractions = full_grid_kernels(manifold, cfgs, mode)
+    n_rows = manifold.n_theta
+    for c, prop in enumerate(_propagators(manifold, cfgs, mode)):
+        got = prop.profile
+        assert np.max(np.abs(got - want[c])) <= 1e-13 * np.max(np.abs(want[c])), c
+        assert prop.fallback_fraction == fractions[c], c
+        assert np.array_equal(got[:, :, 1:], got[:, :, :0:-1]), c  # dk and n_phi - dk
+        for j in range(n_rows // 2):
+            assert np.array_equal(got[n_rows - 1 - j], got[j, ::-1]), (c, j)

@@ -58,7 +58,7 @@ def watched(rk4, field, definition, exprs, guard, seen):
     kind, dim, _, _, params = definition
     source = _fields._chart_source(field, kind, dim, exprs, guard, params).splitlines()
     firsts = stage_copies(source)  # and where each copy, with its tail, ends
-    ends = firsts[1:] + [source.index("    except _DOMAIN_ERRORS:") + 1]
+    ends = firsts[1:] + [source.index("    except _DOMAIN_ERRORS as exc:") + 1]
     code = rk4.__code__
 
     def local(frame, event, arg):
@@ -247,8 +247,9 @@ def test_shared_elementary_functions_equal_the_generic_loop(kind, field, rng):
     assert set(calls.values()) == {4} and len(calls) >= 5, calls  # once in each stage's copy
     for q0, qdot0 in zip(0.2 + rng.random((3, 2)), rng.normal(size=(3, 2))):
         assert assert_stepper_equals_oracle(chart, field, q0.tolist(), qdot0.tolist()) is not None
-    # an exp that overflows fails the path alike, after the stages before it
-    assert assert_stepper_equals_oracle(chart, field, [0.3, 0.2], [2e4, 2e4], h=0.1, steps=3) is None
+    # an exp that overflows in stage 1 ends the path alike, at the first node
+    seen = assert_stepper_equals_oracle(chart, field, [0.3, 0.2], [2e4, 2e4], h=0.1, steps=3)
+    assert (seen["stage"], len(seen["returned"][0]), seen["returned"][2]) == (1, 1, True)
 
 
 def test_import_compiles_no_stepper():

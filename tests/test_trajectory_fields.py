@@ -75,7 +75,17 @@ def outcome(fn, *args):
     try:
         return fn(*args)
     except Exception as exc:  # the two routes must fail alike
-        return type(exc), str(exc)
+        return met(exc)
+
+
+def met(exc):
+    """An error as (type, message).  The jet route raises an ``ArithmeticError`` of the
+    kernels as the ``EvaluationError`` it causes, naming the expression; an integrator
+    meets it unwrapped (and ends the path), or at its first node wraps it unnamed: such
+    an error is compared by that ``ArithmeticError``."""
+    if isinstance(exc, EvaluationError) and isinstance(exc.__cause__, ArithmeticError):
+        exc = exc.__cause__
+    return type(exc), str(exc)
 
 
 def assert_field_matches(chart, field, q, v, rtol=1e-13, atol=1e-300):
@@ -434,7 +444,7 @@ def stepped(at, chart, field, q0, v, h=0.05, steps=20):
         try:
             return at(y, v) if field == "line_image" else (*y[D:], *at(y[:D], y[D:]))
         except Exception as exc:
-            errors.append((type(exc), str(exc)))
+            errors.append(met(exc))
             raise
 
     y0 = q0 if field == "line_image" else q0 + v
@@ -467,6 +477,7 @@ TRUNCATING = {  # (chart, q0, velocity): each path meets its domain edge within 
     "polar_origin": (tl.builtin_chart("polar"), [0.5, 0.2], [-1.0, 0.0]),
     "sqrt_of_negative": (Chart(2, "map", ["q1 + 0.1*sqrt(q1)", "q2"]), [0.5, 0.0], [-1.0, 0.0]),
     "guard_hole": (Chart(1, "triad", ["1/q1"], guard="(q1 - 1.5)^2 - 1e-4"), [1.0], [1.0]),
+    "guard_overflow": (Chart(1, "triad", ["1"], guard="q1^-200"), [0.5], [-1.0]),  # below 0.0296
 }
 
 

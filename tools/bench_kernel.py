@@ -12,8 +12,8 @@ so two checkouts (say, before and after a change) can be recorded side by
 side in one file.
 
 With ``--pair``, ``SRC_A`` is the parent and ``SRC_B`` the change.  Each of
-``--rounds`` rounds times each side's sphere kernel, trajectory, geometry and
-cold-start layers (every group below but the ring) in a fresh interpreter, the
+``--rounds`` rounds times each side's sphere and ring kernel, trajectory,
+geometry and cold-start layers (every group below) in a fresh interpreter, the
 two sides in turn, alternating which goes first, so that machine drift
 between rounds cancels in the per-round ratios; ``--out`` then holds, per
 layer, both sides' medians of each round, the change/parent ratios and their
@@ -41,6 +41,12 @@ the kernel, under criterion 8 on the 48 x 96 sphere:
   and ``eigvals_matrices``, the blocks they solved (counted by wrapping numpy's
   function);
 * ``sphere_ladder``           one criterion-8 ``qep`` ladder (eps 0.08, 0.04, 0.02).
+
+The fact ``entries_built`` counts what one such build evaluates: its ``rows``
+and ``entries`` (the steps of every row that ``pathintegral._monomials`` took
+the degree-4 planes of), against the kernel's ``full_rows`` (n_theta) and
+``full_entries`` (n_theta x n_theta n_phi); ``ring_entries_built`` likewise for
+the ring kernel at eps = 0.02 below.
 
 the ring kernel, under criterion 7 on 256 points:
 
@@ -122,6 +128,7 @@ A layer that a checkout cannot run (a stacked ``PostpointData`` or every
 ``median_s`` null and the error under ``unsupported``.
 
 Only public names are used, besides ``_local.LocalGeometry``, ``Chart._jets``,
+``pathintegral._monomials`` (wrapped to count ``entries_built``),
 ``Chart._zeros`` (where ``_trajectory_field`` is keyed by it), ``expressions._KERNELS``,
 ``dynamics._expm`` (optional, as above) and
 ``dynamics._half_step_samples``, whose
@@ -259,6 +266,7 @@ def _kernel_layers():
     facts = {
         "grid": [N_THETA, N_PHI],
         "blocks_stored": None if prop.blocks is None else int(prop.blocks.shape[2]),
+        "entries_built": _entries_built(sphere, cfg),
     }
     return layers, facts
 
@@ -274,7 +282,31 @@ def _ring_layers():
             lambda: spectrum_ladder(ring, ShortTimeConfig(), "qep", RING_LADDER, n_levels=4), 15),
     }
     layers["ring_eigensolve"].update(_eigvals_counts(lambda: prop.eigenvalues(count=50)))
-    return layers, {"ring_points": RING_POINTS}
+    return layers, {"ring_points": RING_POINTS,
+                    "ring_entries_built": _entries_built(ring, ShortTimeConfig(epsilon=0.02))}
+
+
+def _entries_built(manifold, cfg):
+    """Rows and steps per row of one ``build_propagator(manifold, cfg, "qep")``: one
+    degree-4 ``pathintegral._monomials`` call per row built, counted by wrapping it."""
+    from torsionlab import build_propagator, pathintegral
+
+    monomials, columns = pathintegral._monomials, []
+
+    def counted(steps, degree):
+        planes = monomials(steps, degree)
+        if degree == 4:
+            columns.append(planes.shape[1])
+        return planes
+
+    pathintegral._monomials = counted
+    try:
+        prop = build_propagator(manifold, cfg, "qep")
+    finally:
+        pathintegral._monomials = monomials
+    n_rows, n_phi = prop.profile.shape[1:]
+    return {"rows": len(columns), "entries": sum(columns),
+            "full_rows": n_rows, "full_entries": n_rows * n_rows * n_phi}
 
 
 def _trajectory_layers():
@@ -462,7 +494,7 @@ def _import_layers():
 
 GROUPS = {"kernel": _kernel_layers, "ring": _ring_layers, "trajectories": _trajectory_layers,
           "geometry": _geometry_layers, "imports": _import_layers}
-PAIR_GROUPS = ("kernel", "trajectories", "geometry", "imports")  # what a --pair round times
+PAIR_GROUPS = ("kernel", "ring", "trajectories", "geometry", "imports")  # what a --pair round times
 
 
 def measure(groups=tuple(GROUPS)):
@@ -548,7 +580,10 @@ def pair(sources, rounds, perfbench_pairs):
     doc = {"harness": "tools/bench_kernel.py --pair", "rounds": rounds, "groups": PAIR_GROUPS,
            "layers": layers, "machine": runs["parent"][0]["machine"],
            "kernel_variants": {side: [run["kernel_variants"] for run in runs[side]]
-                               for side in runs}}
+                               for side in runs},
+           "entries_built": {side: {fact: runs[side][0][fact]
+                                    for fact in ("entries_built", "ring_entries_built")}
+                             for side in runs}}
     if perfbench_pairs:
         doc["perfbench"] = {"workloads": {}}
         for workload in ("trajectories", "geometry_sweep", "spectra"):
