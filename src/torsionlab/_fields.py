@@ -272,8 +272,12 @@ def _rk4_source(head, state, slope, body, final):
     returns ``(y, slope, truncated)``, arrays (N, n) over flat buffers; the
     last node's slope is NaN unless ``final``.  A domain error ends the path
     at the last node whose slope was computed; at the first node it propagates,
-    an ``ArithmeticError`` as the ``EvaluationError`` it causes.  The arithmetic
-    is the generic loop's: x + hh * a, x + h6 * (a + 2.0 * b + 2.0 * c + d)."""
+    an ``ArithmeticError`` as the ``EvaluationError`` it causes.  No node that
+    is not finite is recorded.  Each stage checks its point, so only the last
+    node can be one: at the end it raises ``NonFiniteError``, and before a
+    failed stage it is one whose velocity is not finite, which the next stage
+    met; the path ends before it.  The arithmetic is the generic loop's:
+    x + hh * a, x + h6 * (a + 2.0 * b + 2.0 * c + d)."""
     n = len(state)
     y, m = [f"y{i}" for i in range(n)], [f"m{i}" for i in range(n)]
 
@@ -300,13 +304,17 @@ def _rk4_source(head, state, slope, body, final):
         "    try:",
         f"        for k in range(len(t){' - 1' * (not final)}):",
         *(f"{' ' * 8}{line}" for tail in tails for line in [*body, *tail]),
-        *[f"        slopes.extend(({'math.nan, ' * n}))"] * (not final),
+        *[f"        if not {' == '.join(f'{x} - {x}' for x in y)} == 0.0:",  # as the point check
+          f"            raise NonFiniteError(f'node {{[{', '.join(y)}]}} is not finite')",
+          f"        slopes.extend(({'math.nan, ' * n}))"] * (not final),
         "    except _DOMAIN_ERRORS as exc:",
         "        if done == 0 and isinstance(exc, ArithmeticError):",  # as the jet route, unnamed
         "            raise EvaluationError(f'{type(exc).__name__}: {exc}') from exc",
         "        if done == 0:",
         "            raise",
         f"        del ys[{n} * done:]",  # a truncated path ends at the last node with a slope
+        f"        if not all(map(math.isfinite, ys[-{n}:])):",
+        f"            del ys[-{n}:], slopes[-{n}:]",
         f"    y = np.frombuffer(ys).reshape(-1, {n})",
         f"    return y, np.frombuffer(slopes).reshape(-1, {n}), len(y) < len(t)\n"])
 

@@ -173,9 +173,12 @@ class LocalGeometry:
 
     Jets of order 0 give the metric and the reciprocal triad, order 1 adds
     the metric derivative, both connections, torsion and contortion, order 2
-    the connection derivatives and curvatures.  Each tensor is computed on
-    first access and cached.  Over points (N, D) every tensor carries a
-    leading point axis, and ``ricci_scalar_einstein`` gives one scalar per point.
+    the connection derivatives and curvatures.  At the point of the chart's
+    last pass of that order the chart's kept jets serve (``Chart._jets``):
+    the arrays are fresh all the same, and the degenerate-triad rule runs
+    again.  Each tensor is computed on first access and cached.  Over points
+    (N, D) every tensor carries a leading point axis, and
+    ``ricci_scalar_einstein`` gives one scalar per point.
     """
 
     def __init__(self, jets, q):

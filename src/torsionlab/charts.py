@@ -83,6 +83,7 @@ class Chart:
         self.name = name
         self.ambient_dim = ambient
         self._patterns = {}  # triad order -> ``_zeros``
+        self._last = [(None, None)] * 3  # per triad order, the last point's bytes and jets
         self._definition = (kind, dim, tuple(e.source for e in exprs),  # ``_chart_field``'s key
                             self.guard and self.guard.source, tuple(self.params))
 
@@ -125,8 +126,12 @@ class Chart:
     def _jets(self, q, order, pointwise=True):
         """The raw jet tuple of every expression at a guard-checked point, to
         the derivative order that gives the triad and its ``order`` (0, 1 or 2)
-        derivatives: the one evaluation every triad and tensor reads.  Points
-        ``q`` (N, D) take one pass, an (expressions, partials, N) array; if it
+        derivatives: the one evaluation every triad and tensor reads.  Per
+        order the chart keeps the last point's jets, keyed by the bytes of the
+        checked float64 point (so +0.0 and -0.0 are two points), and a repeat
+        returns them, a tuple of float tuples; the checks run on every call,
+        and an evaluation that raises stores nothing.  Points ``q`` (N, D) take
+        one pass past that memo, an (expressions, partials, N) array; if it
         fails, point by point, or unless ``pointwise`` it raises its own error."""
         if order not in (0, 1, 2):
             raise ValidationError(f"triad derivative order must be 0, 1 or 2, got {order!r}")
@@ -135,7 +140,14 @@ class Chart:
             if not pointwise:
                 return self._batch_jets(q, wrt, n)
             jets = attempt(lambda: self._batch_jets(q, wrt, n))
-            return np.moveaxis([self._jets(p, order) for p in q], 0, -1) if jets is None else jets
+            return np.moveaxis([self._point_jets(p, wrt, n) for p in q], 0, -1) if jets is None else jets
+        q, env = self._checked_env(q)
+        if self._last[order][0] != (key := q.tobytes()):
+            self._last[order] = key, tuple(e(env, wrt, n) for e in self.exprs)
+        return self._last[order][1]
+
+    def _point_jets(self, q, wrt, n):
+        """The jets at one point of a failing stack, past the memo."""
         env = self._checked_env(q)[1]
         return [e(env, wrt, n) for e in self.exprs]
 

@@ -1,14 +1,17 @@
 """One triad-jet pass per point, and the tensor identities in D = 1 and D = 3."""
 
+import collections
 import math
 
 import numpy as np
 import pytest
+from numpy.testing import assert_array_equal
 
 import torsionlab as tl
 from torsionlab import _local, dynamics
 from torsionlab.charts import Chart
 from torsionlab.cli import _build_arg_parser, config_from_args, run
+from torsionlab.expressions import Expression
 
 from test_batched_jets import DELTAQ, FAILING_PATHS
 from test_rk4_stepper import watch_integrators
@@ -22,7 +25,9 @@ def jet_passes(monkeypatch):
     tensor and trajectory field outside an integrator evaluates its point
     through ``Chart._jets``, each stage of a generated integrator through the
     jets its chart's code evaluates inline (order 0 for the line image, 1
-    otherwise)."""
+    otherwise).  It counts ``Chart._jets`` calls, a repeat of a chart's last
+    point of its order included, which returns the kept jets and evaluates
+    no expression (``expression_calls`` counts those evaluations)."""
     calls, original = [], Chart._jets
     runs = watch_integrators(monkeypatch)  # what a tracer sees of each integrator run
     generated = dynamics._chart_field
@@ -182,3 +187,84 @@ def test_other_dimensions_are_not_trivial():
     three_sphere = other_dimension_chart("map3_three_sphere")
     assert tl.curvature_bundle(three_sphere, [1.0, 1.2, 0.4]).scalar == pytest.approx(6.0, rel=1e-8)
     assert tl.curvature_bundle(other_dimension_chart("map1_helix"), [0.7]).scalar == 0.0
+
+
+# -- the last point's jets, kept per order ------------------------------------------------
+
+
+@pytest.fixture
+def expression_calls(monkeypatch):
+    """Per expression object (by id), the jet orders of every evaluation at one
+    point made while the test runs."""
+    calls, original = collections.defaultdict(list), Expression.__call__
+
+    def counting(self, env, wrt=(), order=0):
+        calls[id(self)].append(order)
+        return original(self, env, wrt, order)
+
+    monkeypatch.setattr(Expression, "__call__", counting)
+    return calls
+
+
+MEMO_POINTS = {"polar": [1.0, 0.2], "sphere": [1.1, 0.3], "triad3_torsion": [0.3, -0.2, 0.5]}
+
+
+def memo_chart(name):
+    return other_dimension_chart(name) if name in OTHER_DIMENSIONS else tl.builtin_chart(name)
+
+
+@pytest.mark.parametrize("name", sorted(MEMO_POINTS))
+def test_criterion_one_point_evaluates_each_expression_once_per_order(name, expression_calls):
+    # the criterion-1 point makes 6 ``triad_jets`` calls, 5 at order 1 and 1 at order 2:
+    # each chart expression is evaluated once at each order
+    chart, q = memo_chart(name), MEMO_POINTS[name]
+    tl.identity_residuals(chart, q)
+    tl.curvature_relation_check(chart, q)
+    orders = [chart._jet_order(1)[1], chart._jet_order(2)[1]]
+    assert [expression_calls[id(e)] for e in chart.exprs] == [orders] * len(chart.exprs)
+
+
+def test_signed_zeros_are_two_points():
+    # atan2(q2, -1) is pi at q2 = 0.0 and -pi at q2 = -0.0: float equality would
+    # take the second point for the first
+    def chart():
+        return Chart(2, "triad", ["1", "0", "0", "1 + 0.1*atan2(q2, -1)"])
+
+    kept, triads = chart(), []
+    for q in ([1.0, 0.0], [1.0, -0.0]):
+        triads.append(kept.triad(q))
+        assert triads[-1].tobytes() == chart().triad(q).tobytes()
+    assert triads[0][1, 1] != triads[1][1, 1]
+
+
+def test_returned_tensors_are_fresh_arrays():
+    polar, q = tl.builtin_chart("polar"), [1.0, 0.2]
+    g, dE = polar.metric(q), polar.triad_jets(q, 1)[1]
+    ref = g.copy(), dE.copy()
+    g[:] = dE[:] = 7.0
+    assert_array_equal(polar.metric(q), ref[0])
+    assert_array_equal(polar.triad_jets(q, 1)[1], ref[1])
+
+
+def test_failing_point_raises_again():
+    chart = Chart(2, "map", ["log(q1)", "q2"])
+    good = chart.metric([1.0, 0.2])
+    for _ in range(2):
+        with pytest.raises(tl.EvaluationError):
+            chart.metric([-1.0, 0.2])
+    assert_array_equal(chart.metric([1.0, 0.2]), good)
+
+
+def test_checks_run_at_every_call(monkeypatch):
+    polar = tl.builtin_chart("polar")
+    polar.metric([1.0, 0.2])
+    polar.metric([1.0, 0.2])
+    with pytest.raises(tl.SingularPointError):
+        polar.metric([-0.5, 0.2])
+    # a repeated point meets the degenerate-triad rule again: sqrt(det g) = 1.4e-11
+    # is above the default floor and below the strict one
+    chart = Chart(2, "triad", ["exp(-1/q1^2)", "0", "0", "1"])
+    chart.metric([0.2, 0.0])
+    monkeypatch.setenv("TORSIONLAB_TOLERANCES", "strict")
+    with pytest.raises(tl.DegenerateTriadError):
+        chart.metric([0.2, 0.0])

@@ -18,7 +18,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 import torsionlab as tl
 from torsionlab import _fields, dynamics
@@ -26,7 +26,7 @@ from torsionlab.charts import BUILTIN_CHARTS, Chart
 from torsionlab.errors import DegenerateTriadError, EvaluationError, NonFiniteError
 
 from conftest import SAMPLE_BOXES
-from test_compiled_jets import fresh_interpreter
+from test_compiled_jets import PARAMS, fresh_interpreter
 from test_trajectory_fields import (
     DEFAULT_BOX,
     DEGENERATE,
@@ -157,10 +157,18 @@ def test_builtin_paths_equal_the_generic_loop(name, field, rng):
         assert assert_stepper_equals_oracle(chart, field, q0.tolist(), qdot0.tolist()) is not None
 
 
+# a path that blows up: its node at step 20 is not finite, and its NaNs took opposite
+# sign bits on the two routes while such a node was recorded
+BLOWING_UP = (Chart(2, "triad", ["-q1", "--a", "-atan2(atan2(b, q1), -a)", "-(exp(0.5) / exp(0.5))"],
+                    params=PARAMS),
+              [1.6956825254897128, -0.5415064890754635], [-1.8507290345036278, 2.2250738585072014e-308])
+
+
 @settings(max_examples=60, deadline=None)
 @given(case=field_cases())
+@example(case=BLOWING_UP)
 def test_generated_chart_paths_equal_the_generic_loop(case):
-    # D = 1-3, map and triad charts, half of them guarded
+    # D = 1-3, map and triad charts, half of them guarded; a path ends at its last finite node
     chart, q0, v = case
     for field in TRAJECTORY_FIELDS:
         assert_stepper_equals_oracle(chart, field, q0, v[: chart.dim])
@@ -208,12 +216,14 @@ def test_near_floor_path_is_rejected_like_the_generic_loop():
 
 
 def test_path_reaching_a_non_finite_point_ends_like_the_generic_loop():
-    # the autoparallel runs off to infinity after 14 steps: a stage at [inf, -inf]
-    # ends it there, checked before the rule, as ``Chart._point_env`` checks
+    # the autoparallel runs off to infinity: its node after 14 steps has an infinite
+    # velocity, and the next stage at [inf, -inf] fails, checked before the rule, as
+    # ``Chart._point_env`` checks.  The path ends at the last finite node, before that one
     chart = Chart(2, "triad", ["q1", "q2", "q2", "q2"])
     seen = assert_stepper_equals_oracle(chart, "autoparallel", [0.0, 1.0], [1.0, 0.0])
     assert seen["errors"] == [(NonFiniteError, "point [inf, -inf] is not finite")]
-    assert len(seen["returned"][0]) == 15 and seen["returned"][2]
+    assert seen["stage"] == 1
+    assert len(seen["returned"][0]) == 14 and seen["returned"][2]
 
 
 @pytest.mark.parametrize("field", TRAJECTORY_FIELDS)

@@ -248,7 +248,7 @@ def test_structural_zero_meeting_an_infinite_entry_raises_alike():
         assert outcome(first_slope, chart, field, q, w) == want
 
 
-def rk4(rhs, y0, t_grid, final_slope=False):
+def rk4(rhs, y0, t_grid, final_slope=False, errors=None):
     """Classical RK4 for y' = rhs(j, y) on ``t_grid``: the generic loop that once
     stepped every trajectory, the oracle of the generated RK4 integrators.
 
@@ -258,7 +258,10 @@ def rk4(rhs, y0, t_grid, final_slope=False):
     Returns ``(y, slope, truncated)`` with ``slope[k] = rhs(2k, y[k])``; the
     slope at the last node is computed only with ``final_slope`` and is NaN
     otherwise.  A domain error ends the path at the last node whose slope was
-    computed; at the first node it propagates.
+    computed, and goes into ``errors``; at the first node it propagates.  No
+    node that is not finite is recorded, as in ``_fields._rk4_source``: the
+    last node raises ``NonFiniteError``, and a failed stage ends the path
+    before a node whose velocity is not finite.
     """
     n = len(t_grid)
     y = np.empty((n,) + np.shape(y0))
@@ -278,9 +281,14 @@ def rk4(rhs, y0, t_grid, final_slope=False):
                              for x, a, b, c, d in zip(yk, k1, k2, k3, k4)]
         if final_slope:
             slope[n - 1] = rhs(2 * n - 2, yk)
-    except DOMAIN_ERRORS:
+        if not np.isfinite(yk).all():
+            raise NonFiniteError(f"node {yk} is not finite")
+    except DOMAIN_ERRORS as exc:
         if done == 0:
             raise
+        if errors is not None:
+            errors.append(met(exc))
+        done -= not np.isfinite(y[done - 1]).all()
         return y[:done], slope[:done], True
     return y, slope, False
 
@@ -441,15 +449,11 @@ def stepped(at, chart, field, q0, v, h=0.05, steps=20):
     D, errors = chart.dim, []
 
     def rhs(_, y):
-        try:
-            return at(y, v) if field == "line_image" else (*y[D:], *at(y[:D], y[D:]))
-        except Exception as exc:
-            errors.append(met(exc))
-            raise
+        return at(y, v) if field == "line_image" else (*y[D:], *at(y[:D], y[D:]))
 
     y0 = q0 if field == "line_image" else q0 + v
     y, slope, truncated = rk4(rhs, np.array(y0), np.linspace(0.0, h * steps, steps + 1),
-                                        final_slope=field == "line_image")
+                              final_slope=field == "line_image", errors=errors)
     return y, slope, truncated, errors
 
 

@@ -69,7 +69,8 @@ the trajectories, under criteria 3 and 5:
 * ``polar_geodesic_per_step`` ``integrate_geodesic`` on ``polar`` from (1.0, 0.3)
   at (0.2, 0.4), the base of the flat variation, 1,000 steps of h = 1e-3, per step;
 * ``field_point``             one sphere geodesic field evaluation at a phase
-  point through ``dynamics._field`` (the mean of 10,000): the jet route, one
+  point through ``dynamics._field`` (the mean of 10,000, cycling through the
+  10 points of ``CYCLE``): the jet route, one
   ``Chart._jets`` pass and ``_trajectory_field``, since per-chart code was
   kept for the integrators only; before that, the field's own per-chart code;
 * ``field_point_closure``     the same through ``Chart._jets`` and
@@ -78,7 +79,7 @@ the trajectories, under criteria 3 and 5:
   rule, ``(jets, v, floor2)`` before; keyed by the chart's zero pattern,
   ``Chart._zeros``, where it takes a ``zeros`` parameter);
 * ``variation_matrices``      one ``variation_matrices`` call on that chart
-  (the mean of 1,000 calls);
+  (the mean of 1,000 calls, cycling through ``CYCLE`` likewise);
 * ``half_step_samples``       ``dynamics._half_step_samples`` along that
   autoparallel: delta_q, G and Sigma at its 1,001 nodes and 1,000 step
   midpoints (2,001 samples), as both closure-defect solvers take them;
@@ -104,9 +105,20 @@ the geometry, under criteria 1 and 4, on the inputs of the first
   the pass's 100 polar points);
 * ``criterion1_point_generated`` the same on the pass's first generated map
   chart, warm (the mean over its 5 points);
+* ``criterion1_point_cold``   ``Chart.from_dict`` of a generated chart and the
+  criterion-1 point at its first point (the mean over the pass's 100
+  generated charts);
 * ``dsl_jets_o1``, ``dsl_jets_o2``  one warm ``Chart._jets`` pass at triad order 1
-  and 2 at the first point of the pass's first generated D = 3 map chart (the
-  mean of 200 calls).
+  and 2 at a point of the pass's first generated D = 3 map chart (the
+  mean of 200 calls, cycling through its 5 points).
+
+A chart keeps its last point's jets per triad order, so every layer that
+calls ``Chart._jets`` (itself or through ``dynamics._field``) over and over
+cycles through a fixed list of distinct points: no call repeats the point of
+the call before it, and both sides of a ``--pair`` run evaluate every call.
+The fact ``expression_calls_per_point`` counts the evaluations of each chart
+expression (wrapping ``Expression.__call__``) in one criterion-1 point on the
+pass's first generated map chart, per expression.
 
 The fact ``kernel_variants`` counts the Taylor kernels that the process has
 compiled once every group has run: per rule, one per tuple of its operands'
@@ -128,6 +140,7 @@ A layer that a checkout cannot run (a stacked ``PostpointData`` or every
 ``median_s`` null and the error under ``unsupported``.
 
 Only public names are used, besides ``_local.LocalGeometry``, ``Chart._jets``,
+``expressions.Expression`` (wrapped to count ``expression_calls_per_point``),
 ``pathintegral._monomials`` (wrapped to count ``entries_built``),
 ``Chart._zeros`` (where ``_trajectory_field`` is keyed by it), ``expressions._KERNELS``,
 ``dynamics._expm`` (optional, as above) and
@@ -168,6 +181,7 @@ JET_CALLS = 200
 IMPORTS = 9
 DELTAQ = ["0.3*t*(1 - t)", "-0.2*t*(1 - t)"]  # criterion 5
 GEOMETRY_SEED = 1501  # the first seed of a --perfbench pair
+CYCLE = 10  # distinct points a repeated single-point layer cycles through
 GEOMETRY_TENSORS = ("g", "invg", "recip", "dg", "d2g", "dinvg", "chris1", "chris2", "dchris2",
                     "gamma", "dgamma", "torsion", "contortion", "contortion_mixed", "cartan",
                     "riemann")
@@ -331,8 +345,8 @@ def _trajectory_layers():
     base = integrate_autoparallel(torsion, [0.1, 0.2], [1.0, 0.7], span, TRAJECTORY_H)
 
     def variation_calls():
-        for _ in range(VARIATION_CALLS):
-            variation_matrices(torsion, [0.3, 0.1], [0.4, 0.2])
+        for k in range(VARIATION_CALLS):
+            variation_matrices(torsion, cycle[k % CYCLE], [0.4, 0.2])
 
     dq, G, Sigma = dynamics._half_step_samples(torsion, base, DELTAQ, None)
     generators = -G[1::2] * np.diff(base.t)[:, None, None]
@@ -344,6 +358,7 @@ def _trajectory_layers():
         impl = "scipy.linalg.expm"
 
     q, v, floor = [1.2, 0.1], [0.3, 0.8], 1e-12
+    cycle = [[q[0] + 0.01 * k, q[1] + 0.02 * k] for k in range(CYCLE)]
     at = dynamics._field(sphere, "geodesic")
     key = ["geodesic", sphere.kind, sphere.dim, sphere.ambient_dim]
     if "zeros" in inspect.signature(dynamics._trajectory_field).parameters:  # one field per pattern
@@ -352,15 +367,16 @@ def _trajectory_layers():
     with_point = "q" in inspect.signature(fn).parameters  # (q, jets, v, floor), or (jets, v, floor2)
 
     def field_calls():
-        for _ in range(FIELD_CALLS):
-            at(q, v)
+        for k in range(FIELD_CALLS):
+            at(cycle[k % CYCLE], v)
 
     def closure_calls():
-        for _ in range(FIELD_CALLS):
+        for k in range(FIELD_CALLS):
+            p = cycle[k % CYCLE]
             if with_point:
-                fn(q, sphere._jets(q, 1), v, floor)
+                fn(p, sphere._jets(p, 1), v, floor)
             else:
-                fn(sphere._jets(q, 1), v, floor * floor)
+                fn(sphere._jets(p, 1), v, floor * floor)
 
     layers = {
         "geodesic_per_step": _median_timing(
@@ -417,6 +433,7 @@ def _geometry_layers():
         torsion_flux,
         winding_integral,
     )
+    from torsionlab.expressions import Expression
 
     inputs = _perfbench_inputs()
     sweep = inputs.geometry_inputs(GEOMETRY_SEED, 0)
@@ -443,11 +460,31 @@ def _geometry_layers():
     chart = Chart.from_dict(generated["definition"])
     d3 = next(spec for spec in sweep["charts"]
               if spec.get("definition", {}).get("kind") == "map" and spec["definition"]["dim"] == 3)
-    d3_chart, d3_point = Chart.from_dict(d3["definition"]), [float(x) for x in d3["points"][0]]
+    d3_chart, d3_points = Chart.from_dict(d3["definition"]), [list(map(float, q)) for q in d3["points"]]
+    definitions = [spec for spec in sweep["charts"] if "definition" in spec]
 
     def jet_calls(order):
-        for _ in range(JET_CALLS):
-            d3_chart._jets(d3_point, order)
+        for k in range(JET_CALLS):
+            d3_chart._jets(d3_points[k % len(d3_points)], order)
+
+    def cold_points():
+        for spec in definitions:
+            criterion_1(Chart.from_dict(spec["definition"]), spec["points"][:1])
+
+    def expression_calls_per_point():
+        fresh, calls, evaluate = Chart.from_dict(generated["definition"]), [], Expression.__call__
+        exprs = {id(e) for e in fresh.exprs}
+
+        def counted(self, *args, **kwargs):
+            calls.append(id(self) in exprs)
+            return evaluate(self, *args, **kwargs)
+
+        Expression.__call__ = counted
+        try:
+            criterion_1(fresh, generated["points"][:1])
+        finally:
+            Expression.__call__ = evaluate
+        return sum(calls) / len(exprs)
 
     layers = {
         "loop_invariants": _median_timing(invariants, 15),
@@ -455,10 +492,12 @@ def _geometry_layers():
             lambda: criterion_1(builtin_chart("polar"), polar), 9, per=len(polar)),
         "criterion1_point_generated": _median_timing(
             lambda: criterion_1(chart, generated["points"]), 50, per=len(generated["points"])),
+        "criterion1_point_cold": _median_timing(cold_points, 9, per=len(definitions)),
         "dsl_jets_o1": _median_timing(lambda: jet_calls(1), 15, per=JET_CALLS),
         "dsl_jets_o2": _median_timing(lambda: jet_calls(2), 15, per=JET_CALLS),
     }
-    return layers, {"loops": [len(loop.vertices) - 1 for loop in loops]}
+    return layers, {"loops": [len(loop.vertices) - 1 for loop in loops],
+                    "expression_calls_per_point": expression_calls_per_point()}
 
 
 def _fresh_timing(code):
@@ -583,7 +622,9 @@ def pair(sources, rounds, perfbench_pairs):
                                for side in runs},
            "entries_built": {side: {fact: runs[side][0][fact]
                                     for fact in ("entries_built", "ring_entries_built")}
-                             for side in runs}}
+                             for side in runs},
+           "expression_calls_per_point": {side: runs[side][0]["expression_calls_per_point"]
+                                          for side in runs}}
     if perfbench_pairs:
         doc["perfbench"] = {"workloads": {}}
         for workload in ("trajectories", "geometry_sweep", "spectra"):
