@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 from importlib import resources
+from types import MappingProxyType
 
 import numpy as np
 
@@ -58,7 +59,8 @@ class Chart:
             raise ValidationError(f"chart dimension must be a positive integer, got {dim!r}")
         if kind not in _KINDS:
             raise ValidationError(f"chart kind must be one of {_KINDS}, got {kind!r}")
-        self.params = {str(k): float(v) for k, v in (params or {}).items()}
+        # read-only: the kept jets and the generated integrator assume fixed values
+        self.params = MappingProxyType({str(k): float(v) for k, v in (params or {}).items()})
         self._coord_names = tuple(f"q{i + 1}" for i in range(dim))
         allowed = set(self._coord_names) | set(self.params)
         exprs = parse_over(exprs, allowed, "chart expression")
@@ -131,8 +133,9 @@ class Chart:
         checked float64 point (so +0.0 and -0.0 are two points), and a repeat
         returns them, a tuple of float tuples; the checks run on every call,
         and an evaluation that raises stores nothing.  Points ``q`` (N, D) take
-        one pass past that memo, an (expressions, partials, N) array; if it
-        fails, point by point, or unless ``pointwise`` it raises its own error."""
+        one pass, an (expressions, partials, N) array, without the kept jets; if
+        it fails, point by point as above, or unless ``pointwise`` it raises its
+        own error."""
         if order not in (0, 1, 2):
             raise ValidationError(f"triad derivative order must be 0, 1 or 2, got {order!r}")
         wrt, n = self._jet_order(order)
@@ -140,16 +143,13 @@ class Chart:
             if not pointwise:
                 return self._batch_jets(q, wrt, n)
             jets = attempt(lambda: self._batch_jets(q, wrt, n))
-            return np.moveaxis([self._point_jets(p, wrt, n) for p in q], 0, -1) if jets is None else jets
+            return np.moveaxis([self._jets(p, order) for p in q], 0, -1) if jets is None else jets
         q, env = self._checked_env(q)
-        if self._last[order][0] != (key := q.tobytes()):
-            self._last[order] = key, tuple(e(env, wrt, n) for e in self.exprs)
-        return self._last[order][1]
-
-    def _point_jets(self, q, wrt, n):
-        """The jets at one point of a failing stack, past the memo."""
-        env = self._checked_env(q)[1]
-        return [e(env, wrt, n) for e in self.exprs]
+        last, jets = self._last[order]
+        if last != (key := q.tobytes()):
+            jets = tuple(e(env, wrt, n) for e in self.exprs)
+            self._last[order] = key, jets
+        return jets
 
     def _jet_order(self, order):
         """``wrt`` and the derivative order of the jets that give the triad and

@@ -268,3 +268,13 @@ def test_checks_run_at_every_call(monkeypatch):
     monkeypatch.setenv("TORSIONLAB_TOLERANCES", "strict")
     with pytest.raises(tl.DegenerateTriadError):
         chart.metric([0.2, 0.0])
+
+
+def test_params_are_read_only():
+    # kept jets would otherwise outlive a changed value
+    chart = Chart(2, "triad", ["1", "0", "0", "a + q1"], params={"a": 0.5})
+    g = chart.metric([1.0, 0.2])
+    with pytest.raises(TypeError):
+        chart.params["a"] = 2.0
+    assert chart.params == {"a": 0.5}
+    assert_array_equal(chart.metric([1.0, 0.2]), g)
