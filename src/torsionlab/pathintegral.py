@@ -288,6 +288,7 @@ class SlicedPropagator:
     one) together with its Fourier blocks; the full dense matrix is never
     materialized.  Built on its symmetric quarter and copied (``_kernel_profiles``), the
     profile is exactly even in dk: block m is block n_phi - m, so only m <= n_phi // 2 are kept.
+    The sphere's rows mirror under z -> -z; its mirror rows' blocks are copies, not transforms.
     ``fallback_fraction`` is the share of a single slice's entries inside the
     cutoff that left the fourth-order bracket for the exact squared arc.
     """
@@ -316,8 +317,9 @@ class SlicedPropagator:
 
     def compose(self, other: "SlicedPropagator") -> "SlicedPropagator":
         """Chain two kernels on the same grid (matrix product, block by block)."""
-        if self.manifold != other.manifold or self.measure_mode != other.measure_mode:
-            raise ValidationError("can only compose propagators on the same grid and measure")
+        if (self.manifold, self.cfg, self.measure_mode) != (
+                other.manifold, other.cfg, other.measure_mode):
+            raise ValidationError("can only compose propagators on one grid, config and measure")
         blocks = np.einsum("abm,bcm->acm", self.blocks, other.blocks)
         n_phi = _grid_points(self.manifold)[-1]
         return replace(self, slice_count=self.slice_count + other.slice_count, blocks=blocks,
@@ -340,13 +342,19 @@ class SlicedPropagator:
         physics and are returned as real parts.)
 
         The eigenvalues are those of the Fourier blocks B_m (P. J. Davis,
-        *Circulant Matrices*, 1979; the ring's 1x1 blocks are its eigenvalues)
-        and obey |lambda| <= b_m = min(||B_m||_1, ||B_m||_inf).  Blocks are
-        solved in descending b_m (a block standing also for n_phi - m counts
-        twice) until ``count`` values are in hand and the next b_m is strictly
-        below the count-th largest real part so far; the slice is then a full
-        solve's, bit for bit.
+        *Circulant Matrices*, 1979; the ring's 1x1 blocks are its eigenvalues).
+        A block equal to its own row-and-column reversal (built kernels of even
+        n_theta, exactly even under z -> -z) is [[A, C], [JCJ, JAJ]], J the
+        reversal of n_theta / 2 rows; its eigenvectors are even (x, Jx) or odd
+        (x, -Jx), as Y_lm has parity (-1)^(l+m), so the sectors A + CJ and A - CJ
+        are its solve units; any other block is one.  A unit U obeys |lambda| <=
+        b = min(||U||_1, ||U||_inf); units are solved in descending b (a unit of m
+        standing also for n_phi - m counts twice) until ``count`` values are in
+        hand and the next b is strictly below the count-th largest real part so
+        far; the slice is then a full solve's (every unit), bit for bit.
         """
+        if count is not None and not (isinstance(count, numbers.Integral) and count >= 1):
+            raise ValidationError(f"count must be None or an integer of at least 1, got {count!r}")
         vals = self._leading(count)
         return vals.real if count is None else _checked_real(vals)
 
@@ -357,26 +365,39 @@ class SlicedPropagator:
                   > 1e-9 * np.maximum(1.0, np.max(size, axis=(0, 1)))):
             raise NumericError("azimuthal kernel block unexpectedly complex")
         n_phi = _grid_points(self.manifold)[-1]
-        bound = np.minimum(size.sum(axis=0).max(axis=0), size.sum(axis=1).max(axis=0))
-        copies = lambda m: 2 if 0 < m and 2 * m != n_phi else 1  # noqa: E731 (m, n_phi - m)
+        units, m = _solve_units(self.blocks.real)
+        size = np.abs(units)
+        bound = np.minimum(size.sum(axis=1).max(axis=1), size.sum(axis=2).max(axis=1))
+        copies = np.where((m > 0) & (2 * m != n_phi), 2, 1)  # a unit of m stands for n_phi - m
         queue, solved, found = list(np.argsort(-bound, kind="stable")), {}, np.empty(0)
         while True:
-            # a round: the next blocks solved whatever those before them hold (re <= bound)
+            # a round: the next units solved whatever those before them hold (re <= bound)
             upper, take = found, 0
-            for m in queue:
-                if 0 < (count or 0) <= len(upper) and bound[m] < np.sort(upper)[-count]:
+            for u in queue:
+                if 0 < (count or 0) <= len(upper) and bound[u] < np.sort(upper)[-count]:
                     break
-                upper = np.concatenate([upper, np.full(len(self.blocks) * copies(m), bound[m])])
+                upper = np.concatenate([upper, np.full(units.shape[1] * copies[u], bound[u])])
                 take += 1
             if not take:
                 break
             round_, queue = queue[:take], queue[take:]
-            for m, v in zip(round_, np.linalg.eigvals(
-                    np.moveaxis(self.blocks[:, :, round_].real, 2, 0))):
-                solved[m] = [v] * copies(m)
-                found = np.concatenate([found] + [v.real] * copies(m))
-        vals = np.concatenate([v for m in sorted(solved) for v in solved[m]])
+            for u, v in zip(round_, np.linalg.eigvals(units[round_])):
+                solved[u] = [v] * copies[u]
+                found = np.concatenate([found] + [v.real] * copies[u])
+        vals = np.concatenate([v for u in sorted(solved) for v in solved[u]])
         return vals[np.argsort(-vals.real, kind="stable")][:count]
+
+
+def _solve_units(blocks):
+    """Real blocks (n, n, M) as one contiguous stack of solve units (U, k, k) and each
+    unit's m: the sectors A + CJ, A - CJ of exactly reflection-even blocks, else whole ones."""
+    n, m = len(blocks), np.arange(blocks.shape[2])
+    stack = np.ascontiguousarray(np.moveaxis(blocks, 2, 0))
+    if n % 2 or not np.array_equal(stack, stack[:, ::-1, ::-1]):
+        return stack, m
+    h = n // 2
+    a, cj = stack[:, :h, :h], stack[:, :h, : h - 1 : -1]
+    return np.stack([a + cj, a - cj], axis=1).reshape(-1, h, h), np.repeat(m, 2)
 
 
 def _checked_real(vals):
@@ -475,9 +496,12 @@ def _propagators(manifold, cfgs, mode):
     profiles, live, fallback = _kernel_profiles(chart, weights, posts, steps, fold, mode, cfgs,
                                                 scales)
     for cfg, profile, n_live, n_fallback in zip(cfgs, profiles, live, fallback):
-        # blocks m and n_phi - m of the even profile coincide: keep m <= n_phi / 2
-        yield SlicedPropagator(manifold, cfg, mode, profile=profile,
-                               blocks=np.fft.rfft(profile, axis=2),
+        # blocks m and n_phi - m of the even profile coincide: keep m <= n_phi / 2; the
+        # rows past len(posts) mirror those before them (z -> -z), and so do their blocks
+        blocks = np.empty(profile.shape[:2] + (len(fold) // 2 + 1,), dtype=complex)
+        blocks[: len(posts)] = np.fft.rfft(profile[: len(posts)], axis=2)
+        blocks[len(posts):] = blocks[: len(blocks) // 2][::-1, ::-1]
+        yield SlicedPropagator(manifold, cfg, mode, profile=profile, blocks=blocks,
                                fallback_fraction=n_fallback / n_live)
 
 

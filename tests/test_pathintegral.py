@@ -314,19 +314,52 @@ def test_flat_kernel_semigroup():
 
 
 def test_composition_associative():
-    ring = Ring(radius=1.0, points=96)
-    cfg = ShortTimeConfig(epsilon=0.05)
-    a = build_propagator(ring, cfg, "qep")
-    b = build_propagator(ring, replace(cfg, epsilon=0.1), "qep")
-    c = build_propagator(ring, replace(cfg, epsilon=0.2), "qep")
+    # kernels compose only under one config: three kernels of it, one to three slices
+    a = build_propagator(Ring(radius=1.0, points=96), ShortTimeConfig(epsilon=0.05), "qep")
+    b = a.compose(a)
+    c = b.compose(a)
     left = a.compose(b).compose(c)
     right = a.compose(b.compose(c))
-    assert left.slice_count == right.slice_count == 3
+    assert left.slice_count == right.slice_count == 6
+    assert left.total_time == pytest.approx(0.3)
     assert np.max(np.abs(left.matrix - right.matrix)) < 1e-14
     # a composed ring kernel is the dense product, entry by entry
     dense = a.matrix @ b.matrix @ c.matrix
     assert np.max(np.abs(left.matrix - dense)) < 1e-14 * np.max(dense)
     assert all(left.entry(i, j) == left.matrix[i, j] for i, j in ((0, 0), (3, 10), (95, 1)))
+
+
+def test_compose_refuses_unlike_configs_measures_and_grids():
+    # eps 0.08 after eps 0.04 would report total_time 0.16 (0.12 elapsed) and put the
+    # ring's first excited level at 0.375 instead of 0.5, without a warning
+    ring, cfg = Ring(1.0, 64), ShortTimeConfig(epsilon=0.08)
+    coarse = build_propagator(ring, cfg, "qep")
+    for other in (build_propagator(ring, replace(cfg, epsilon=0.04), "qep"),
+                  build_propagator(ring, replace(cfg, mass=2.0), "qep"),
+                  build_propagator(ring, cfg, "naive_dewitt"),
+                  build_propagator(Ring(1.0, 96), cfg, "qep")):
+        with pytest.raises(ValidationError, match="one grid, config and measure"):
+            coarse.compose(other)
+        with pytest.raises(ValidationError, match="one grid, config and measure"):
+            other.compose(coarse)
+    twice = coarse.compose(build_propagator(ring, cfg, "qep"))
+    assert twice.slice_count == 2 and twice.total_time == pytest.approx(0.16)
+
+
+@pytest.mark.parametrize("count", [0, -1, 2.5, "3", np.float64(4.0)])
+def test_eigenvalue_count_is_validated_before_any_solve(count, eigvals_calls):
+    prop = build_propagator(Ring(1.0, 64), ShortTimeConfig(epsilon=0.08), "qep")
+    with pytest.raises(ValidationError, match="count must be None or an integer of at least 1"):
+        prop.eigenvalues(count)
+    assert eigvals_calls == []
+
+
+def test_eigenvalue_count_takes_none_and_any_positive_integer():
+    prop = build_propagator(Ring(1.0, 64), ShortTimeConfig(epsilon=0.08), "qep")
+    full = prop.eigenvalues()
+    assert len(full) == 64 and np.array_equal(prop.eigenvalues(None), full)
+    for count in (1, np.int64(5), 64, 65):
+        assert np.array_equal(prop.eigenvalues(count), full[:count]), count
 
 
 def test_geometry_point_aggregates_everything():
@@ -625,18 +658,21 @@ def full_block_eigenvalues(blocks):
 
 @pytest.mark.parametrize("n_phi", [32, 33])
 def test_halved_blocks_give_every_block_eigenvalue(n_phi):
-    prop = build_propagator(Sphere(1.0, 16, n_phi), ShortTimeConfig(epsilon=0.16), "qep")
-    assert prop.blocks.shape == (16, 16, n_phi // 2 + 1)
-    full = np.fft.fft(prop.profile, axis=2)
-    kept = full[:, :, : n_phi // 2 + 1]
-    assert np.max(np.abs(prop.blocks - kept)) <= 1e-13 * np.max(np.abs(full))
-    for kernel, blocks in (
-        (prop, full),
-        (prop.compose(prop), np.einsum("abm,bcm->acm", full, full)),
-    ):
-        vals = kernel.eigenvalues()
-        assert len(vals) == 16 * n_phi
-        assert np.max(np.abs(np.sort(vals)[::-1] - full_block_eigenvalues(blocks))) < 1e-12
+    for n_theta in (15, 16):
+        prop = build_propagator(Sphere(1.0, n_theta, n_phi), ShortTimeConfig(epsilon=0.16), "qep")
+        assert prop.blocks.shape == (n_theta, n_theta, n_phi // 2 + 1)
+        # the mirror rows' blocks are copies of the upper rows' transforms, bit for bit
+        assert np.array_equal(prop.blocks, np.fft.rfft(prop.profile, axis=2)), n_theta
+        full = np.fft.fft(prop.profile, axis=2)
+        kept = full[:, :, : n_phi // 2 + 1]
+        assert np.max(np.abs(prop.blocks - kept)) <= 1e-13 * np.max(np.abs(full))
+        for kernel, blocks in (
+            (prop, full),
+            (prop.compose(prop), np.einsum("abm,bcm->acm", full, full)),
+        ):
+            vals = kernel.eigenvalues()
+            assert len(vals) == n_theta * n_phi
+            assert np.max(np.abs(np.sort(vals)[::-1] - full_block_eigenvalues(blocks))) < 1e-12
 
 
 def test_fallback_fraction_pinned_on_the_sphere():
@@ -670,30 +706,71 @@ def eigvals_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def solved_matrices(monkeypatch):
+    """Every (k, k) matrix that ``np.linalg.eigvals`` solved, in call order."""
+    matrices = []
+    solve = np.linalg.eigvals
+
+    def recorded(a):
+        matrices.extend(a.reshape(-1, *a.shape[-2:]).copy())
+        return solve(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", recorded)
+    return matrices
+
+
+def sector_matrices(block):
+    """The even and odd sectors A + CJ, A - CJ of a reflection-even block [[A, C], [JCJ, JAJ]]
+    (J the reversal of half the rows), each from the block's upper rows."""
+    h = len(block) // 2
+    a, c = block[:h, :h], block[:h, h:]
+    return a + c[:, ::-1], a - c[:, ::-1]
+
+
 @pytest.mark.parametrize("mode", MODES)
-def test_pruned_eigenvalues_equal_the_full_solve(mode, eigvals_calls):
+def test_pruned_eigenvalues_equal_the_full_solve(mode, eigvals_calls, solved_matrices):
     cfgs = [ShortTimeConfig(epsilon=eps) for eps in (0.08, 0.04, 0.02)]
     for prop in _propagators(Sphere(1.0, 48, 96), cfgs, mode):
         full = prop.eigenvalues()
-        assert eigvals_calls == [prop.blocks.shape[2]] == [49]  # one stacked solve
+        # one stacked solve of both 24 x 24 parity sectors of each of the 49 stored blocks
+        assert eigvals_calls == [2 * prop.blocks.shape[2]] == [98]
+        assert {len(a) for a in solved_matrices} == {24}
         for count in (8, 16, 50):
             eigvals_calls.clear()
+            solved_matrices.clear()
             assert np.array_equal(prop.eigenvalues(count), full[:count]), count
-            # measured: 8 of the 49 stored blocks at count 50
-            assert sum(eigvals_calls) <= 10, count
+            # measured: 15 of the 98 sectors at count 50 (8 whole 48 x 48 blocks before them,
+            # 884,736 in sum k^3)
+            assert sum(eigvals_calls) <= 15, count
+            assert sum(len(a) ** 3 for a in solved_matrices) <= 15 * 24**3 == 207_360, count
         eigvals_calls.clear()
+        solved_matrices.clear()
 
 
 @pytest.mark.parametrize("manifold", [Ring(1.0, 256), Sphere(1.0, 48, 96)])
 def test_stacked_block_solve_equals_per_block_solves(manifold, eigvals_calls):
     prop = build_propagator(manifold, ShortTimeConfig(epsilon=0.04), "qep")
     n_phi, m = prop.profile.shape[2], np.arange(prop.blocks.shape[2])
-    per_block = [np.linalg.eigvals(prop.blocks[:, :, k].real) for k in m]
+    blocks = [prop.blocks[:, :, k].real for k in m]
     copies = np.where((m > 0) & (2 * m != n_phi), 2, 1)
-    vals = np.concatenate([v for k in m for v in [per_block[k]] * copies[k]])
+
+    def spectrum(solved):
+        """Block by block, each unit's values once per block it stands for, sorted."""
+        vals = np.concatenate([v for k in m for v in solved[k] for _ in range(copies[k])])
+        return vals[np.argsort(-vals.real, kind="stable")]
+
+    # the ring's 1x1 blocks are solved whole, the sphere's blocks as their two sectors
+    units = [[b] if len(b) == 1 else sector_matrices(b) for b in blocks]
+    per_unit = spectrum([[np.linalg.eigvals(u) for u in us] for us in units])
+    whole = spectrum([[np.linalg.eigvals(b)] for b in blocks])
     eigvals_calls.clear()
-    assert np.array_equal(prop._leading(None), vals[np.argsort(-vals.real, kind="stable")])
-    assert eigvals_calls == [len(m)]
+    vals = prop._leading(None)
+    assert np.array_equal(vals, per_unit)
+    assert eigvals_calls == [sum(map(len, units))]  # one stacked call
+    # ... and the whole blocks' eigenvalues to rounding (the ring's bit for bit)
+    assert np.max(np.abs(vals - whole)) <= 1e-12 * np.max(np.abs(whole))
+    assert len(blocks[0]) > 1 or np.array_equal(vals, whole)
     if len(prop.profile) == 1:  # the ring's 1x1 blocks at count 50: one call for 26 blocks
         eigvals_calls.clear()
         prop.eigenvalues(50)
@@ -724,6 +801,52 @@ def test_blocks_are_solved_by_bound_not_by_m(eigvals_calls):
     assert vals[0] > 10.0 and eigvals_calls == [1]
     for count in (32, 33, 100):  # at least every eigenvalue: the full solve
         assert np.array_equal(prop.eigenvalues(count), full)
+
+
+def reflection_even_propagator():
+    """n_phi = 8 sphere kernel of 4 rows, every block [[A, C], [JCJ, JAJ]] exactly (J the
+    reversal of 2 rows); the leading values sit in the odd sector of block m = 2."""
+    rng = np.random.default_rng(11)
+    blocks = np.empty((4, 4, 5), dtype=complex)
+    for m in range(5):
+        even, odd = (0.05 * (m + 1) * (a + a.T) for a in rng.random((2, 2, 2)))
+        if m == 2:
+            odd = np.diag([10.0, 9.0]) + 0.01
+        a, cj = 0.5 * (even + odd), 0.5 * (even - odd)
+        c = cj[:, ::-1]
+        blocks[:, :, m] = np.block([[a, c], [c[::-1, ::-1], a[::-1, ::-1]]])
+    assert np.array_equal(blocks, blocks[::-1, ::-1])
+    return SlicedPropagator(Sphere(1.0, 8, 8), ShortTimeConfig(), "qep", blocks=blocks)
+
+
+def test_leading_sector_is_solved_first(eigvals_calls, solved_matrices):
+    prop = reflection_even_propagator()
+    full = prop.eigenvalues()
+    assert len(full) == 4 * 8 and eigvals_calls == [10]  # both sectors of each of the 5 blocks
+    assert np.all(full[:4] > 9.0) and full[4] < 9.0  # block 2 stands for block 6 too
+    leading = sector_matrices(prop.blocks[:, :, 2].real)[1]  # the odd sector
+    for count in (1, 4, 5, 8, 32):
+        eigvals_calls.clear()
+        solved_matrices.clear()
+        assert np.array_equal(prop.eigenvalues(count), full[:count]), count
+        assert np.array_equal(solved_matrices[0], leading), count
+        assert count > 4 or eigvals_calls == [1], count
+
+
+@pytest.mark.parametrize("n_theta", [15, 16])
+def test_odd_grids_and_composed_kernels_solve_whole_blocks(n_theta, solved_matrices):
+    # an odd grid's middle row has no mirror partner, so it takes whole blocks; a composed
+    # kernel's blocks are products summed in one order and miss their reversal in the last bits
+    prop = build_propagator(Sphere(1.0, n_theta, 32), ShortTimeConfig(epsilon=0.16), "qep")
+    dk = (np.arange(32)[:, None] - np.arange(32)[None, :]) % 32
+    for kernel, size in ((prop, n_theta // 2 if n_theta % 2 == 0 else n_theta),
+                         (prop.compose(prop), n_theta)):
+        solved_matrices.clear()
+        vals = kernel.eigenvalues()
+        assert {len(a) for a in solved_matrices} == {size}
+        dense = kernel.profile[:, :, dk].transpose(0, 2, 1, 3).reshape(n_theta * 32, -1)
+        oracle = np.sort(np.linalg.eigvals(dense).real)[::-1]
+        assert np.max(np.abs(vals - oracle)) <= 1e-12 * np.max(np.abs(oracle))
 
 
 def test_pruned_complex_block_still_raises(eigvals_calls):

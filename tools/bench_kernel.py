@@ -17,7 +17,8 @@ geometry and cold-start layers (every group below) in a fresh interpreter, the
 two sides in turn, alternating which goes first, so that machine drift
 between rounds cancels in the per-round ratios; ``--out`` then holds, per
 layer, both sides' medians of each round, the change/parent ratios and their
-median and quartiles.  ``--perfbench PAIRS`` adds that many alternating pairs of
+median and quartiles, and under ``eigensolve_counts`` each side's ``eigvals_*``
+counts of the two eigensolve layers.  ``--perfbench PAIRS`` adds that many alternating pairs of
 ``perfbench/run.py`` runs per workload, each side run from the checkout that
 holds its ``src`` (at its default run length, seeds 1501, 1502, ...), with
 the end-to-end metrics of every run, their change/parent ratios and how many
@@ -38,8 +39,10 @@ the kernel, under criterion 8 on the 48 x 96 sphere:
 * ``build_propagator``        one 48 x 96 ``qep`` kernel at eps = 0.04;
 * ``block_eigensolve``        ``SlicedPropagator.eigenvalues(count=50)`` of that kernel,
   with ``eigvals_calls``, the ``numpy.linalg.eigvals`` calls of one such solve,
-  and ``eigvals_matrices``, the blocks they solved (counted by wrapping numpy's
-  function);
+  ``eigvals_matrices``, the matrices they solved (whole blocks, or parity
+  sectors where the checkout splits the blocks), ``eigvals_sizes``, the size k
+  of each (k, k) matrix in call order, and ``eigvals_work``, the sum of k^3
+  over them (counted by wrapping numpy's function);
 * ``sphere_ladder``           one criterion-8 ``qep`` ladder (eps 0.08, 0.04, 0.02).
 
 The fact ``entries_built`` counts what one such build evaluates: its ``rows``
@@ -51,8 +54,8 @@ the ring kernel at eps = 0.02 below.
 the ring kernel, under criterion 7 on 256 points:
 
 * ``ring_eigensolve``         ``SlicedPropagator.eigenvalues(count=50)`` of the
-  ``qep`` kernel at eps = 0.02, with its ``eigvals_calls`` and
-  ``eigvals_matrices`` as above;
+  ``qep`` kernel at eps = 0.02, with its ``eigvals_calls``, ``eigvals_matrices``,
+  ``eigvals_sizes`` and ``eigvals_work`` as above;
 * ``ring_ladder``             one criterion-7 ``qep`` ladder (eps 0.08, 0.04, 0.02,
   0.01, four levels).
 
@@ -208,13 +211,15 @@ def _runnable_timing(fn, repeats):
 
 
 def _eigvals_counts(fn):
-    """``numpy.linalg.eigvals`` calls made by one ``fn()``, and the matrices they solved."""
+    """``numpy.linalg.eigvals`` calls made by one ``fn()``, the matrices they solved,
+    each matrix's size k and the sum of k^3 over them."""
     import numpy as np
 
-    solve, calls = np.linalg.eigvals, []
+    solve, calls, sizes = np.linalg.eigvals, [], []
 
     def counted(a):
         calls.append(1 if a.ndim == 2 else len(a))
+        sizes.extend([a.shape[-1]] * calls[-1])
         return solve(a)
 
     np.linalg.eigvals = counted
@@ -222,7 +227,8 @@ def _eigvals_counts(fn):
         fn()
     finally:
         np.linalg.eigvals = solve
-    return {"eigvals_calls": len(calls), "eigvals_matrices": sum(calls)}
+    return {"eigvals_calls": len(calls), "eigvals_matrices": sum(calls), "eigvals_sizes": sizes,
+            "eigvals_work": sum(k**3 for k in sizes)}
 
 
 def _rows():
@@ -624,7 +630,12 @@ def pair(sources, rounds, perfbench_pairs):
                                     for fact in ("entries_built", "ring_entries_built")}
                              for side in runs},
            "expression_calls_per_point": {side: runs[side][0]["expression_calls_per_point"]
-                                          for side in runs}}
+                                          for side in runs},
+           "eigensolve_counts": {side: {layer: {key: value for key, value in
+                                                 runs[side][0]["layers"][layer].items()
+                                                 if key.startswith("eigvals_")}
+                                         for layer in ("block_eigensolve", "ring_eigensolve")}
+                                 for side in runs}}
     if perfbench_pairs:
         doc["perfbench"] = {"workloads": {}}
         for workload in ("trajectories", "geometry_sweep", "spectra"):
@@ -673,7 +684,8 @@ def main(argv=None):
             print(f"{args.label:>10}  {name:<24} unsupported: {timing['unsupported']}")
             continue
         calls = (f", {timing['eigvals_calls']} eigvals calls on {timing['eigvals_matrices']}"
-                 " matrices" if "eigvals_calls" in timing else "")
+                 f" matrices, sum k^3 {timing['eigvals_work']}" if "eigvals_calls" in timing
+                 else "")
         print(f"{args.label:>10}  {name:<24} {timing['median_s'] * 1e6:12.2f} us"
               f"  (median of {timing['repeats']}{calls})")
 
