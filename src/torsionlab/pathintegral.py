@@ -38,6 +38,7 @@ from functools import lru_cache
 import numpy as np
 
 from .charts import Chart, builtin_chart
+from .config import active_profile
 from ._local import LocalGeometry
 from .curvature import ricci_scalar_einstein
 from .errors import GridTooCoarseError, MultipletMismatchError, NumericError, ValidationError
@@ -52,6 +53,7 @@ MIN_RESOLUTION_RATIO = 1.5
 # region (coordinate steps wrapping a pole, far Gaussian tails); those
 # entries use the manifold's exact squared geodesic arc instead.
 EXPANSION_TOLERANCE = 2.0
+GRIDS_KEPT = 4  # kernel grids and their postpoint rows kept, each under 0.1 MB
 
 
 @dataclass(frozen=True)
@@ -326,10 +328,11 @@ class SlicedPropagator:
                        profile=np.fft.irfft(blocks, n_phi, axis=2), fallback_fraction=None)
 
     def entry(self, a: int, b: int) -> float:
-        """Kernel entry between flat grid indices (row = postpoint)."""
-        n_phi = self.profile.shape[2]
-        ja, ka = divmod(a, n_phi)
-        jb, kb = divmod(b, n_phi)
+        """Kernel entry between flat grid indices in [0, n_rows * n_phi) (row = postpoint)."""
+        n_rows, _, n_phi = self.profile.shape
+        if not all(isinstance(i, numbers.Integral) and 0 <= i < n_rows * n_phi for i in (a, b)):
+            raise ValidationError(f"indices must be integers in [0, {n_rows * n_phi}), got {a, b}")
+        (ja, ka), (jb, kb) = divmod(a, n_phi), divmod(b, n_phi)
         return float(self.profile[ja, jb, (ka - kb) % n_phi])
 
     def eigenvalues(self, count: int | None = None) -> np.ndarray:
@@ -360,9 +363,9 @@ class SlicedPropagator:
 
     def _leading(self, count):
         """The complex eigenvalues of ``eigenvalues``, unchecked."""
-        size = np.abs(self.blocks.real)
-        if np.any(np.max(np.abs(self.blocks.imag), axis=(0, 1))
-                  > 1e-9 * np.maximum(1.0, np.max(size, axis=(0, 1)))):
+        parts = np.ascontiguousarray(self.blocks).view(float).reshape(-1, self.blocks.shape[2], 2)
+        size = np.maximum(parts.max(axis=0), -parts.min(axis=0))  # max |re|, |im| per m
+        if np.any(size[:, 1] > 1e-9 * np.maximum(1.0, size[:, 0])):
             raise NumericError("azimuthal kernel block unexpectedly complex")
         n_phi = _grid_points(self.manifold)[-1]
         units, m = _solve_units(self.blocks.real)
@@ -392,12 +395,13 @@ def _solve_units(blocks):
     """Real blocks (n, n, M) as one contiguous stack of solve units (U, k, k) and each
     unit's m: the sectors A + CJ, A - CJ of exactly reflection-even blocks, else whole ones."""
     n, m = len(blocks), np.arange(blocks.shape[2])
-    stack = np.ascontiguousarray(np.moveaxis(blocks, 2, 0))
-    if n % 2 or not np.array_equal(stack, stack[:, ::-1, ::-1]):
-        return stack, m
-    h = n // 2
-    a, cj = stack[:, :h, :h], stack[:, :h, : h - 1 : -1]
-    return np.stack([a + cj, a - cj], axis=1).reshape(-1, h, h), np.repeat(m, 2)
+    h = n // 2  # rows h .. n - 1 reversed against rows h - 1 .. 0: the whole reversal test
+    if n % 2 or not np.array_equal(blocks[:h], blocks[: h - 1 : -1, ::-1]):
+        return np.ascontiguousarray(np.moveaxis(blocks, 2, 0)), m
+    a, cj = blocks[:h, :h], blocks[:h, : h - 1 : -1]
+    units = np.empty((len(m), 2, h, h))  # units[m] = A + CJ, A - CJ of block m
+    np.stack([a + cj, a - cj], out=np.moveaxis(units, 0, 3))
+    return units.reshape(-1, h, h), np.repeat(m, 2)
 
 
 def _checked_real(vals):
@@ -428,17 +432,25 @@ def _kernel_grid(manifold):
     ``steps(q_a)`` gives that row's steps dq = q_a - q_b to every column, coordinate
     first (D arrays broadcasting to the columns, as ``_monomials`` takes them), and
     their exact squared geodesic arcs, flattened.  The ring is the single-row case.
+    Kept, keyed on the manifold, for the last ``GRIDS_KEPT`` ones: every array is read-only.
     """
+    _grid_points(manifold)  # before the lookup: an unsupported manifold may be unhashable
+    return _cached_grid(manifold)
+
+
+@lru_cache(maxsize=GRIDS_KEPT)
+def _cached_grid(manifold):
     points = _grid_points(manifold)
     r, n_ph = float(manifold.radius), points[-1]
     dphi = 2.0 * math.pi / n_ph
     delta_phi = _wrap_angle(dphi * np.arange(n_ph // 2 + 1))
     fold = np.minimum(np.arange(n_ph), n_ph - np.arange(n_ph))
+    delta_phi.flags.writeable = fold.flags.writeable = False
     if len(points) == 1:
         chart = builtin_chart("ring", r=r)
-        weights = np.full((1, len(delta_phi)), r * dphi)  # sqrt(g) = r along the ring
-        row = ((delta_phi[None, :],), (r * delta_phi) ** 2)
-        return chart, weights, r * dphi, [np.zeros(1)], lambda q_post: row, fold
+        weights = np.broadcast_to(r * dphi, (1, len(delta_phi)))  # sqrt(g) = r along the ring
+        return (chart, weights, r * dphi, (np.broadcast_to(0.0, 1),),
+                lambda q_post: ((delta_phi[None, :],), (r * delta_phi) ** 2), fold)
 
     n_th = points[0]
     chart = builtin_chart("sphere", r=r)
@@ -457,8 +469,14 @@ def _kernel_grid(manifold):
         arc2 = (r * np.arccos(np.clip(cos_arc, -1.0, 1.0))) ** 2
         return (th - column, dphi_row), arc2.ravel()
 
-    posts = [np.array([th, 0.0]) for th in theta[: (n_th + 1) // 2]]
+    posts = tuple(np.broadcast_to([th, 0.0], 2) for th in theta[: (n_th + 1) // 2])
     return chart, weights, spacing, posts, steps, fold
+
+
+@lru_cache(maxsize=GRIDS_KEPT)
+def _grid_rows(manifold, floor):
+    """The stacked ``PostpointData`` of the grid's ``posts``; a new ``floor`` rebuilds it."""
+    return PostpointData(_kernel_grid(manifold)[0], np.array(_kernel_grid(manifold)[3]))
 
 
 def build_propagator(manifold, cfg: ShortTimeConfig, measure_mode="qep") -> SlicedPropagator:
@@ -493,8 +511,8 @@ def _propagators(manifold, cfgs, mode):
         lam = 0.5 * cfg.mass / (cfg.epsilon * cfg.hbar)
         norm = (cfg.mass / (2.0 * math.pi * cfg.epsilon * cfg.hbar)) ** (chart.dim / 2)
         scales.append((lam, (cfg.cutoff_sigmas * sigma) ** 2, (norm * weights).ravel()))
-    profiles, live, fallback = _kernel_profiles(chart, weights, posts, steps, fold, mode, cfgs,
-                                                scales)
+    data = _grid_rows(manifold, active_profile().degenerate_triad_floor)
+    profiles, live, fallback = _kernel_profiles(data, weights, steps, fold, mode, cfgs, scales)
     for cfg, profile, n_live, n_fallback in zip(cfgs, profiles, live, fallback):
         # blocks m and n_phi - m of the even profile coincide: keep m <= n_phi / 2; the
         # rows past len(posts) mirror those before them (z -> -z), and so do their blocks
@@ -505,49 +523,46 @@ def _propagators(manifold, cfgs, mode):
                                fallback_fraction=n_fallback / n_live)
 
 
-def _kernel_profiles(chart, weights, posts, steps, fold, mode, cfgs, scales):
+def _kernel_profiles(data, weights, steps, fold, mode, cfgs, scales):
     """Every config's kernel profile and counts of live and fallback entries.
 
-    One stacked ``PostpointData`` holds the coefficients of the rows in ``posts``;
-    rows then run outermost: one row's steps, arcs and monomial planes fill that
-    row of every config's kernel (and die with this call).  The row and its flat
-    reference are built in place, in two buffers over the flattened columns, and
-    ``fold`` copies the row onto every dk (phi -> -phi); row n_rows - 1 - j is row
-    j with its columns reversed (z -> -z).  Counts weigh a built entry by the dk and
-    rows it stands for, and the row's flat reference sum by its dk."""
-    n_rows = len(weights)
+    ``data`` holds the h = ceil(n_rows / 2) built rows.  One row at a time, its steps and
+    monomial planes fill that row of (h, columns) buffers of brackets, trust measures, arcs
+    and each config's dressing; each config's kernel is then one call per elementwise step
+    over all h rows (the flat reference summed per row).  ``fold`` copies a row onto every
+    dk (phi -> -phi); rows h - 1 .. 0, reversed in both axes, are the last rows (z -> -z)."""
+    h, n_rows = len(data.q), len(weights)
     copies = np.broadcast_to(np.bincount(fold).astype(float), weights.shape).ravel()  # per dk
-    profiles = np.empty((len(cfgs), n_rows, n_rows, len(fold)))
-    kernel, flat = np.empty(weights.size), np.empty(weights.size)
-    live, fallback = [0] * len(cfgs), [0] * len(cfgs)
-    data = PostpointData(chart, np.array(posts))
+    rows = 2.0 - (2 * np.arange(h) + 1 == n_rows)  # row j and its mirror; a middle row once
+    bracket, excess, arc2, kernel, flat = np.empty((5, h, weights.size))
+    dressings = np.empty((len(cfgs), h, weights.size))
     dressing = _mode_exponents(data, mode, cfgs)
     for j, q_post in enumerate(data.q):
-        rows = 1 if 2 * j + 1 == n_rows else 2  # row j and its mirror; a middle row once
-        row_steps, arc2 = steps(q_post)
-        bracket, excess, jexps = _row_exponents(data, dressing, j, row_steps)
-        for c, ((lam, cut, norm_weights), jexp) in enumerate(zip(scales, jexps)):
-            trusted = lam * excess <= EXPANSION_TOLERANCE
-            mask = arc2 <= cut
-            live[c] += rows * int(copies @ mask)
-            fallback[c] += rows * int(copies @ (mask & ~trusted))
-            # norm_weights * exp(-lam * action2 + jexp), zero outside the cutoff
-            np.multiply(np.where(trusted, bracket, arc2), -lam, out=kernel)
-            np.exp(np.add(kernel, jexp, out=kernel), out=kernel)
-            np.multiply(norm_weights, kernel, out=kernel)
-            kernel[~mask] = 0.0
-            # leading-order reference with the exact arc and measure (continuum value 1)
-            np.exp(np.multiply(arc2, -lam, out=flat), out=flat)
-            np.multiply(norm_weights, flat, out=flat)
-            flat[~mask] = 0.0
-            flat_sum = float(flat @ copies)
-            if flat_sum <= 0:
-                raise NumericError("flat reference kernel summed to zero")
-            np.divide(kernel, flat_sum, out=kernel)
-            _check_positive_finite(kernel)
-            np.take(kernel.reshape(weights.shape), fold, axis=1, out=profiles[c, j])
-            if rows == 2:
-                profiles[c, n_rows - 1 - j] = profiles[c, j, ::-1]
+        row_steps, arc2[j] = steps(q_post)
+        bracket[j], excess[j], jexps = _row_exponents(data, dressing, j, row_steps)
+        dressings[:, j] = np.reshape(jexps, (len(cfgs), -1))
+    profiles, live, fallback = np.empty((len(cfgs), n_rows, n_rows, len(fold))), [], []
+    for c, (lam, cut, norm_weights) in enumerate(scales):
+        trusted = lam * excess <= EXPANSION_TOLERANCE
+        mask = arc2 <= cut
+        live.append(int(rows @ (mask @ copies)))  # exact: integers
+        fallback.append(int(rows @ ((mask & ~trusted) @ copies)))
+        # norm_weights * exp(-lam * action2 + dressing), zero outside the cutoff
+        np.multiply(np.where(trusted, bracket, arc2), -lam, out=kernel)
+        np.exp(np.add(kernel, dressings[c], out=kernel), out=kernel)
+        np.multiply(norm_weights, kernel, out=kernel)
+        kernel[~mask] = 0.0
+        # leading-order reference with the exact arc and measure (continuum value 1)
+        np.exp(np.multiply(arc2, -lam, out=flat), out=flat)
+        np.multiply(norm_weights, flat, out=flat)
+        flat[~mask] = 0.0
+        flat_sums = np.array([row @ copies for row in flat])  # a dot per row: the sums stay bitwise
+        if np.any(flat_sums <= 0):
+            raise NumericError("flat reference kernel summed to zero")
+        np.divide(kernel, flat_sums[:, None], out=kernel)
+        _check_positive_finite(kernel)
+        np.take(kernel.reshape((h,) + weights.shape), fold, axis=2, out=profiles[c, :h])
+        profiles[c, h:] = profiles[c, : n_rows - h][::-1, ::-1]
     return profiles, live, fallback
 
 
@@ -596,8 +611,8 @@ class SpectrumLevels:
 
 
 def _check_levels(n_levels, group_tol):
-    if n_levels < 1:
-        raise ValidationError("n_levels must be at least 1")
+    if not isinstance(n_levels, numbers.Integral) or isinstance(n_levels, bool) or n_levels < 1:
+        raise ValidationError(f"n_levels must be an integer of at least 1, got {n_levels!r}")
     if not 0.0 <= group_tol < math.inf:
         raise ValidationError(f"group_tol must be finite and non-negative, got {group_tol!r}")
 

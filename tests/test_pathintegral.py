@@ -416,6 +416,20 @@ def test_flat_ring_rows_normalized(mode):
         assert np.max(np.abs(matrix.sum(axis=1) - 1.0)) < 1e-13
 
 
+def test_entry_takes_grid_indices_only():
+    # -1 used to read entry(63, 0) and 64 or 0.5 raised a raw IndexError
+    prop = build_propagator(Ring(1.0, 64), ShortTimeConfig(epsilon=0.08), "qep")
+    for a, b in ((-1, 0), (64, 0), (0.5, 0), (0, -1), (0, 64), (0, 1.0), ("3", 0)):
+        with pytest.raises(ValidationError, match=r"indices must be integers in \[0, 64\)"):
+            prop.entry(a, b)
+    assert prop.entry(63, 0) == prop.matrix[63, 0]
+    assert prop.entry(np.int64(5), np.int32(60)) == prop.matrix[5, 60]
+    sphere = build_propagator(Sphere(1.0, 16, 32), ShortTimeConfig(epsilon=0.16), "qep")
+    assert sphere.entry(16 * 32 - 1, 0) == sphere.profile[15, 0, 31]
+    with pytest.raises(ValidationError, match=r"\[0, 512\)"):
+        sphere.entry(16 * 32, 0)
+
+
 def test_ring_kernel_positive_and_symmetric():
     prop = build_propagator(Ring(1.0, 128), ShortTimeConfig(epsilon=0.05), "naive_dewitt")
     assert np.all(prop.matrix >= 0.0)
@@ -444,7 +458,8 @@ def test_group_tol_must_be_finite_and_non_negative(group_tol):
         spectrum_ladder(Ring(1.0, 64), ShortTimeConfig(), "qep", (0.08, 0.04), 4, group_tol)
 
 
-@pytest.mark.parametrize("n_levels, group_tol", [(4, math.nan), (4, -1.0), (0, 1e-6)])
+@pytest.mark.parametrize("n_levels, group_tol", [(4, math.nan), (4, -1.0), (0, 1e-6),
+                                                (2.5, 1e-6), ("3", 1e-6), (True, 1e-6)])
 def test_ladder_validates_its_arguments_before_any_kernel(monkeypatch, n_levels, group_tol):
     def unbuilt(*args):
         raise AssertionError("a kernel was built before the arguments were checked")
@@ -452,6 +467,21 @@ def test_ladder_validates_its_arguments_before_any_kernel(monkeypatch, n_levels,
     monkeypatch.setattr(pathintegral, "_propagators", unbuilt)
     with pytest.raises(ValidationError, match="group_tol|n_levels"):
         spectrum_ladder(Ring(1.0, 64), ShortTimeConfig(), "qep", (0.08, 0.04), n_levels, group_tol)
+
+
+def test_n_levels_takes_any_integer_of_at_least_one(eigvals_calls):
+    # 2.5 used to raise a raw IndexError in the eigensolve, "3" a TypeError
+    ring, cfg = Ring(1.0, 64), ShortTimeConfig(epsilon=0.08)
+    prop = build_propagator(ring, cfg, "qep")
+    for n_levels in (2.5, "3", True, 0, np.float64(3.0)):
+        with pytest.raises(ValidationError, match="n_levels must be an integer of at least 1"):
+            extract_spectrum(prop, n_levels)
+    assert eigvals_calls == []
+    levels = extract_spectrum(prop, np.int64(3))
+    assert levels.degeneracies == extract_spectrum(prop, 3).degeneracies == (1, 2, 2)
+    res = spectrum_ladder(ring, cfg, "qep", (0.08, 0.04), np.int64(3))
+    assert np.array_equal(res.extrapolated, spectrum_ladder(ring, cfg, "qep", (0.08, 0.04),
+                                                            3).extrapolated)
 
 
 def test_ladder_refuses_unlike_multiplets():
@@ -858,6 +888,61 @@ def test_pruned_complex_block_still_raises(eigvals_calls):
         extract_spectrum(hand_built_propagator(imag_block=4), 1)
 
 
+def oracle_complex_blocks(blocks):
+    """The complex-block decision of ``_leading`` from whole |x| temporaries, as it was
+    decided before it took max |x| as max(max x, -min x): kept as the reference."""
+    size = np.abs(blocks.real)
+    return bool(np.any(np.max(np.abs(blocks.imag), axis=(0, 1))
+                       > 1e-9 * np.maximum(1.0, np.max(size, axis=(0, 1)))))
+
+
+def complex_check_raises(blocks, monkeypatch):
+    """Whether ``_leading`` refuses ``blocks`` as complex before it builds any solve unit."""
+    class Checked(Exception):
+        pass
+
+    def checked(_):
+        raise Checked
+
+    monkeypatch.setattr(pathintegral, "_solve_units", checked)
+    prop = SlicedPropagator(Sphere(1.0, 8, 8), ShortTimeConfig(), "qep", blocks=blocks)
+    try:
+        prop._leading(1)
+    except Checked:
+        return False
+    except NumericError as error:
+        assert "unexpectedly complex" in str(error)
+        return True
+    raise AssertionError("the check neither refused nor passed the blocks")
+
+
+def test_complex_block_check_equals_the_whole_temporaries_oracle(monkeypatch):
+    def with_entry(blocks, index, value):
+        blocks = blocks.copy()
+        blocks[index] = value
+        return blocks
+
+    base = hand_built_propagator().blocks  # block 4 peaks at 10.01, blocks 0 .. 3 below 1
+    composed = build_propagator(Sphere(1.0, 16, 32), ShortTimeConfig(epsilon=0.16), "qep")
+    cases = [base, composed.blocks, composed.compose(composed).blocks, np.zeros((4, 4, 5), complex),
+             np.moveaxis(np.moveaxis(base, 2, 0).copy(), 0, 2)]  # not C-contiguous
+    for m, scale in ((4, 10.01), (0, 1.0)):  # 1e-9 max(1, ||re||), the largest real part
+        limit = 1e-9 * scale
+        for imag in (np.nextafter(limit, 0.0), limit, np.nextafter(limit, 1.0)):
+            for sign in (1.0, -1.0):
+                cases.append(with_entry(base, (0, 1, m), base[0, 1, m].real + sign * imag * 1j))
+    cases.append(with_entry(base, (2, 3, 4), -50.0 + 4.9e-8j))  # the real maximum from -min
+    cases.append(with_entry(base, (2, 3, 4), -50.0 + 5.1e-8j))
+    for value in (complex(math.nan, 0.0), complex(0.0, math.nan), complex(math.nan, math.nan),
+                  complex(math.inf, 1.0), complex(1.0, -math.inf)):
+        cases.append(with_entry(base, (1, 1, 2), value))
+        cases.append(with_entry(base, (1, 1, 2), value) + 1e-3j)  # and a truly complex block
+    decisions = [oracle_complex_blocks(blocks) for blocks in cases]
+    assert 5 < sum(decisions) < len(cases) - 5  # both ways, many times
+    for k, (blocks, want) in enumerate(zip(cases, decisions)):
+        assert complex_check_raises(blocks, monkeypatch) == want, k
+
+
 def test_levels_check_only_their_own_eigenvalues():
     # a rotation in the weak block m = 0 gives a complex pair deep in the spectrum
     prop = hand_built_propagator()
@@ -905,11 +990,22 @@ def test_stacked_postpoint_rows_equal_single_postpoints(manifold):
         assert scalars[j] == single.curvature_scalar(), j
 
 
-def test_under_resolved_ladder_fails_before_any_row(monkeypatch):
+@pytest.fixture
+def cold_kernel_caches():
+    """Empty the kept kernel grids and postpoint rows, before and after the test."""
+    def clear():
+        pathintegral._cached_grid.cache_clear()
+        pathintegral._grid_rows.cache_clear()
+
+    clear()
+    yield
+    clear()
+
+
+def test_under_resolved_ladder_fails_before_any_row(monkeypatch, cold_kernel_caches):
+    # the rows are kept once built, so they are counted from an empty cache on
     sphere = Sphere(1.0, 24, 48)
     coarse = ShortTimeConfig(epsilon=0.001)
-    with pytest.raises(GridTooCoarseError) as single:
-        build_propagator(sphere, coarse, "qep")
     builds = []
     init = PostpointData.__init__
 
@@ -918,6 +1014,8 @@ def test_under_resolved_ladder_fails_before_any_row(monkeypatch):
         init(self, chart, q)
 
     monkeypatch.setattr(PostpointData, "__init__", counted)
+    with pytest.raises(GridTooCoarseError) as single:
+        build_propagator(sphere, coarse, "qep")
     cfgs = [ShortTimeConfig(epsilon=0.16), ShortTimeConfig(epsilon=0.08), coarse]
     with pytest.raises(GridTooCoarseError) as ladder:
         next(_propagators(sphere, cfgs, "qep"))
@@ -1082,3 +1180,58 @@ def test_symmetric_build_equals_the_full_grid(manifold, ladder, mode):
         assert np.array_equal(got[:, :, 1:], got[:, :, :0:-1]), c  # dk and n_phi - dk
         for j in range(n_rows // 2):
             assert np.array_equal(got[n_rows - 1 - j], got[j, ::-1]), (c, j)
+
+
+# -- the kept kernel grids and postpoint rows ---------------------------------------
+
+
+def test_kernel_grids_are_kept_read_only(cold_kernel_caches):
+    for manifold, equal in ((Sphere(1.0, 48, 96), Sphere(1, np.int64(48), 96)),
+                            (Ring(1.0, 256), Ring(1.0, 256))):
+        grid = _kernel_grid(manifold)
+        hits = pathintegral._cached_grid.cache_info().hits
+        assert _kernel_grid(equal) is grid  # an equal manifold hits the cache
+        assert pathintegral._cached_grid.cache_info().hits == hits + 1
+        chart, weights, spacing, posts, steps, fold = grid
+        assert isinstance(posts, tuple)
+        for array in (weights, fold, *posts):
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0.0
+        # a row's steps and arcs are new arrays or read-only views of the kept ones
+        once, again = steps(posts[0]), steps(posts[0])
+        for mine, next_call in zip((*once[0], once[1]), (*again[0], again[1])):
+            assert not (mine.flags.writeable and np.shares_memory(mine, next_call))
+    assert pathintegral._cached_grid.cache_info().maxsize == pathintegral.GRIDS_KEPT
+
+
+@pytest.mark.parametrize("manifold", [{"radius": 1.0, "points": 64}, [1.0, 64], "ring", None])
+def test_unsupported_manifolds_raise_before_the_cache(manifold, cold_kernel_caches):
+    with pytest.raises(ValidationError, match="unsupported manifold"):
+        _kernel_grid(manifold)
+    with pytest.raises(ValidationError, match="unsupported manifold"):
+        build_propagator(manifold, ShortTimeConfig(), "qep")
+    assert pathintegral._cached_grid.cache_info().currsize == 0
+
+
+def test_measures_share_one_row_build_per_tolerance_profile(monkeypatch, cold_kernel_caches):
+    builds = []
+    init = PostpointData.__init__
+
+    def counted(self, chart, q):
+        builds.append(len(q))
+        init(self, chart, q)
+
+    monkeypatch.setattr(PostpointData, "__init__", counted)
+    monkeypatch.delenv("TORSIONLAB_TOLERANCES", raising=False)
+    sphere, cfg = Sphere(1.0, 24, 48), ShortTimeConfig(epsilon=0.08)
+    kernels = {mode: build_propagator(sphere, cfg, mode) for mode in MODES}
+    assert builds == [12]  # the 12 built rows, once for the three measures
+    monkeypatch.setenv("TORSIONLAB_TOLERANCES", "strict")
+    for mode in MODES:
+        strict = build_propagator(sphere, cfg, mode)
+        assert np.array_equal(strict.profile, kernels[mode].profile), mode
+    assert builds == [12, 12]  # a new degenerate-triad floor rebuilds the rows, once
+    monkeypatch.setenv("TORSIONLAB_TOLERANCES", "default")
+    build_propagator(sphere, cfg, "qep")
+    assert builds == [12, 12]  # the default profile's rows are still kept
+

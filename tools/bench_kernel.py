@@ -17,10 +17,12 @@ geometry and cold-start layers (every group below) in a fresh interpreter, the
 two sides in turn, alternating which goes first, so that machine drift
 between rounds cancels in the per-round ratios; ``--out`` then holds, per
 layer, both sides' medians of each round, the change/parent ratios and their
-median and quartiles, and under ``eigensolve_counts`` each side's ``eigvals_*``
-counts of the two eigensolve layers.  ``--perfbench PAIRS`` adds that many alternating pairs of
-``perfbench/run.py`` runs per workload, each side run from the checkout that
-holds its ``src`` (at its default run length, seeds 1501, 1502, ...), with
+median and quartiles, under ``eigensolve_counts`` each side's ``eigvals_*``
+counts of the two eigensolve layers, and under ``spectra_minor_faults`` each
+side's faults per spectra pass in each round.  ``--perfbench PAIRS`` adds that
+many alternating pairs of ``perfbench/run.py`` runs per workload, each side
+run from the checkout that holds its ``src`` (at its default run length, seeds
+1501, 1502, ...), with
 the end-to-end metrics of every run, their change/parent ratios and how many
 pairs the change is lower in.  Layers, each a warm median over ``repeats``
 timed calls with ``time.perf_counter``:
@@ -43,13 +45,28 @@ the kernel, under criterion 8 on the 48 x 96 sphere:
   sectors where the checkout splits the blocks), ``eigvals_sizes``, the size k
   of each (k, k) matrix in call order, and ``eigvals_work``, the sum of k^3
   over them (counted by wrapping numpy's function);
-* ``sphere_ladder``           one criterion-8 ``qep`` ladder (eps 0.08, 0.04, 0.02).
+* ``sphere_ladder``           one criterion-8 ``qep`` ladder (eps 0.08, 0.04, 0.02);
+* ``kernel_assembly``         the three kernels of that ladder, built by
+  ``pathintegral._propagators`` with no eigensolve, its grid and postpoint rows
+  kept from the call before (warm caches);
+* ``kernel_assembly_cold``    the same with the kept grids and rows emptied before
+  each call (``KERNEL_CACHES``, where the checkout keeps them; a checkout that
+  keeps none builds them in every call, cold and warm alike);
+* ``leading_prelude``         ``SlicedPropagator._leading(50)`` of the eps = 0.04
+  kernel up to its first ``numpy.linalg.eigvals`` call, which a stand-in stops:
+  the complex-block check, the solve units, their norm bounds and the choice of
+  the first round's units.
 
 The fact ``entries_built`` counts what one such build evaluates: its ``rows``
 and ``entries`` (the steps of every row that ``pathintegral._monomials`` took
 the degree-4 planes of), against the kernel's ``full_rows`` (n_theta) and
 ``full_entries`` (n_theta x n_theta n_phi); ``ring_entries_built`` likewise for
-the ring kernel at eps = 0.02 below.
+the ring kernel at eps = 0.02 below.  The fact ``spectra_minor_faults`` is the
+minor page faults (``ru_minflt``) per steady-state pass of the ``spectra``
+workload's ladders (the criterion-7 ring ladder and the three criterion-8 sphere
+ladders), the mean over ``FAULT_PASSES`` passes after 3 warm ones, in a fresh
+interpreter: a large temporary that the allocator maps anew in every kernel
+shows here as thousands of faults per pass.
 
 the ring kernel, under criterion 7 on 256 points:
 
@@ -142,7 +159,9 @@ A layer that a checkout cannot run (a stacked ``PostpointData`` or every
 ``LocalGeometry`` tensor over a stack, before they took one) is recorded with
 ``median_s`` null and the error under ``unsupported``.
 
-Only public names are used, besides ``_local.LocalGeometry``, ``Chart._jets``,
+Only public names are used, besides ``pathintegral._propagators`` and
+``SlicedPropagator._leading`` (their signatures unchanged since the ladder took
+one build of rows for every epsilon), ``_local.LocalGeometry``, ``Chart._jets``,
 ``expressions.Expression`` (wrapped to count ``expression_calls_per_point``),
 ``pathintegral._monomials`` (wrapped to count ``entries_built``),
 ``Chart._zeros`` (where ``_trajectory_field`` is keyed by it), ``expressions._KERNELS``,
@@ -184,6 +203,8 @@ JET_CALLS = 200
 IMPORTS = 9
 DELTAQ = ["0.3*t*(1 - t)", "-0.2*t*(1 - t)"]  # criterion 5
 GEOMETRY_SEED = 1501  # the first seed of a --perfbench pair
+FAULT_PASSES = 10
+KERNEL_CACHES = ("_cached_grid", "_grid_rows")  # pathintegral's kept grids and rows
 CYCLE = 10  # distinct points a repeated single-point layer cycles through
 GEOMETRY_TENSORS = ("g", "invg", "recip", "dg", "d2g", "dinvg", "chris1", "chris2", "dchris2",
                     "gamma", "dgamma", "torsion", "contortion", "contortion_mixed", "cartan",
@@ -231,6 +252,64 @@ def _eigvals_counts(fn):
             "eigvals_work": sum(k**3 for k in sizes)}
 
 
+def _clear_kernel_caches():
+    from torsionlab import pathintegral
+
+    for name in KERNEL_CACHES:
+        if hasattr(pathintegral, name):
+            getattr(pathintegral, name).cache_clear()
+
+
+class _FirstSolve(Exception):
+    """Raised by the stand-in ``numpy.linalg.eigvals`` of ``leading_prelude``."""
+
+
+def _prelude_timing(prop, repeats):
+    """``prop._leading(50)`` up to its first ``numpy.linalg.eigvals`` call, timed."""
+    import numpy as np
+
+    def first_solve(a):
+        raise _FirstSolve
+
+    def prelude():
+        try:
+            prop._leading(50)
+        except _FirstSolve:
+            return
+        raise RuntimeError("the eigensolve made no eigvals call")
+
+    solve, np.linalg.eigvals = np.linalg.eigvals, first_solve
+    try:
+        return _median_timing(prelude, repeats)
+    finally:
+        np.linalg.eigvals = solve
+
+
+def _spectra_minor_faults():
+    """Minor page faults per steady-state spectra pass, in a fresh interpreter."""
+    import torsionlab
+
+    code = "\n".join([
+        "import resource, torsionlab as tl",
+        f"ring, sphere = tl.Ring(1.0, {RING_POINTS}), tl.Sphere(1.0, {N_THETA}, {N_PHI})",
+        "def spectra_pass():",
+        f"    tl.spectrum_ladder(ring, tl.ShortTimeConfig(), 'qep', {RING_LADDER}, n_levels=4)",
+        "    for mode in ('qep', 'naive_dewitt', 'qep_via_veff'):",
+        f"        tl.spectrum_ladder(sphere, tl.ShortTimeConfig(), mode, {LADDER}, n_levels=4,",
+        "                           group_tol=0.05)",
+        "for _ in range(3):",
+        "    spectra_pass()",
+        "start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt",
+        f"for _ in range({FAULT_PASSES}):",
+        "    spectra_pass()",
+        f"print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - start) / {FAULT_PASSES})",
+    ])
+    env = dict(os.environ, PYTHONPATH=str(Path(torsionlab.__file__).parent.parent))
+    run = subprocess.run([sys.executable, "-c", code], env=env, check=True, capture_output=True,
+                         text=True)
+    return float(run.stdout)
+
+
 def _rows():
     """Postpoints and steps of the sphere kernel rows (the grid of ``build_propagator``)."""
     import numpy as np
@@ -248,7 +327,7 @@ def _kernel_layers():
 
     from torsionlab import ShortTimeConfig, Sphere, build_propagator, builtin_chart, spectrum_ladder
     from torsionlab._local import LocalGeometry
-    from torsionlab.pathintegral import PostpointData
+    from torsionlab.pathintegral import PostpointData, _propagators
 
     chart = builtin_chart("sphere", r=1.0)
     rows = list(_rows())
@@ -257,6 +336,14 @@ def _kernel_layers():
     sphere = Sphere(1.0, N_THETA, N_PHI)
     cfg = ShortTimeConfig(epsilon=0.04)
     prop = build_propagator(sphere, cfg, "qep")
+    ladder_cfgs = [ShortTimeConfig(epsilon=eps) for eps in LADDER]
+
+    def assembly():
+        return list(_propagators(sphere, ladder_cfgs, "qep"))
+
+    def cold_assembly():
+        _clear_kernel_caches()
+        return assembly()
 
     def all_brackets():
         for d, (_, dq) in zip(data, rows):
@@ -281,12 +368,16 @@ def _kernel_layers():
         "sphere_ladder": _median_timing(
             lambda: spectrum_ladder(sphere, ShortTimeConfig(), "qep", LADDER, n_levels=4,
                                     group_tol=0.05), 7),
+        "kernel_assembly": _median_timing(assembly, 15),
+        "kernel_assembly_cold": _median_timing(cold_assembly, 15),
+        "leading_prelude": _prelude_timing(prop, 30),
     }
     layers["block_eigensolve"].update(_eigvals_counts(lambda: prop.eigenvalues(count=50)))
     facts = {
         "grid": [N_THETA, N_PHI],
         "blocks_stored": None if prop.blocks is None else int(prop.blocks.shape[2]),
         "entries_built": _entries_built(sphere, cfg),
+        "spectra_minor_faults": _spectra_minor_faults(),
     }
     return layers, facts
 
@@ -631,6 +722,8 @@ def pair(sources, rounds, perfbench_pairs):
                              for side in runs},
            "expression_calls_per_point": {side: runs[side][0]["expression_calls_per_point"]
                                           for side in runs},
+           "spectra_minor_faults": {side: [run["spectra_minor_faults"] for run in runs[side]]
+                                    for side in runs},
            "eigensolve_counts": {side: {layer: {key: value for key, value in
                                                  runs[side][0]["layers"][layer].items()
                                                  if key.startswith("eigvals_")}
