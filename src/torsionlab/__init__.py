@@ -9,10 +9,10 @@ measures.
 
 __version__ = "0.1.0"
 
+from ._local import LocalGeometry
 from .charts import BUILTIN_CHARTS, Chart, builtin_chart, load_chart, save_chart
 from .config import ToleranceProfile, active_profile
 from .connection import (
-    ConnectionBundle,
     affine_connection,
     christoffel,
     connection_bundle,
@@ -25,10 +25,7 @@ from .connection import (
     torsion_trace,
 )
 from .curvature import (
-    CurvatureBundle,
-    GeometryPoint,
     cartan_curvature,
-    curvature_bundle,
     curvature_relation_check,
     geometry_point,
     ricci_scalar_einstein,

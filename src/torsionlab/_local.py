@@ -2,9 +2,10 @@
 
 ``LocalGeometry`` takes the result of one ``Chart.triad_jets`` call and
 derives each tensor from it on first use: metric derivatives, both
-connections and their derivatives, torsion, contortion and curvatures.  The
-public tensor functions of ``charts``, ``connection`` and ``curvature`` are
-views on it.  Index layouts are those documented in ``charts`` and
+connections and their derivatives, torsion, contortion and curvatures.  It
+is the engine's one point-geometry type: ``geometry_point`` returns it, and
+the public tensor functions of ``charts``, ``connection`` and ``curvature``
+are views on it.  Index layouts are those documented in ``charts`` and
 ``connection``; curvatures are ``R[mu, nu, lam, kap]`` as in ``curvature``.
 Every formula takes a leading stack of points (``...`` einsums), each
 point's slice bitwise the single-point tensor.
@@ -18,7 +19,7 @@ from functools import cache, cached_property, reduce
 import numpy as np
 
 from .config import active_profile
-from .errors import DegenerateTriadError, TorsionLabError
+from .errors import DegenerateTriadError, TorsionLabError, ValidationError
 from .expressions import _ZERO, _add, _Code, _lit, _mul, _neg, _sub
 
 
@@ -179,6 +180,13 @@ class LocalGeometry:
     again.  Each tensor is computed on first access and cached.  Over points
     (N, D) every tensor carries a leading point axis, and
     ``ricci_scalar_einstein`` gives one scalar per point.
+
+    Attributes against the keys of the CLI ``tensors`` result: ``g`` metric,
+    ``invg`` inverse_metric, ``chris1`` christoffel_first, ``chris2``
+    christoffel_second, ``gamma`` affine_connection, ``torsion`` torsion
+    (``torsion_trace`` of it torsion_vector), ``contortion`` contortion,
+    ``cartan`` cartan_curvature, ``riemann`` riemann_curvature, and
+    ``ricci_scalar_einstein(source)`` ricci, curvature_scalar, einstein.
     """
 
     def __init__(self, jets, q):
@@ -293,5 +301,7 @@ class LocalGeometry:
 
     def ricci_scalar_einstein(self, source):
         """(ricci, scalar, einstein) of the "riemann" or "cartan" curvature."""
+        if source not in ("riemann", "cartan"):
+            raise ValidationError(f"source must be 'riemann' or 'cartan', got {source!r}")
         R4 = self.riemann if source == "riemann" else self.cartan
         return ricci_reduction(R4, self.g, self.invg)

@@ -25,6 +25,7 @@ import numpy as np
 from . import __version__
 from .charts import BUILTIN_CHARTS, builtin_chart, load_chart
 from .config import ENV_VAR, active_profile
+from .connection import torsion_trace
 from .curvature import geometry_point
 from .defects import DefectChart, LoopSpec, burgers_vector, frank_angle
 from .dynamics import (
@@ -132,23 +133,23 @@ def _tensor(arr) -> list:
 
 def _cmd_tensors(cfg: RunConfig) -> dict:
     chart = _resolve_chart(cfg)
-    point = geometry_point(chart, np.asarray(cfg.at, dtype=float), source=cfg.source)
-    bundle, curv = point.connection, point.curvature
+    geo = geometry_point(chart, np.asarray(cfg.at, dtype=float))
+    ricci, scalar, einstein = geo.ricci_scalar_einstein(cfg.source)
     return {
-        "metric": _tensor(bundle.metric),
-        "inverse_metric": _tensor(bundle.inverse_metric),
-        "christoffel_first": _tensor(bundle.gamma_bar_first),
-        "christoffel_second": _tensor(bundle.gamma_bar),
-        "affine_connection": _tensor(bundle.gamma),
-        "torsion": _tensor(bundle.torsion),
-        "torsion_vector": _tensor(bundle.torsion_vector),
-        "contortion": _tensor(bundle.contortion),
-        "cartan_curvature": _tensor(curv.cartan),
-        "riemann_curvature": _tensor(curv.riemann),
-        "ricci": _tensor(curv.ricci),
-        "curvature_scalar": curv.scalar,
-        "einstein": _tensor(curv.einstein),
-        "curvature_source": curv.source,
+        "metric": _tensor(geo.g),
+        "inverse_metric": _tensor(geo.invg),
+        "christoffel_first": _tensor(geo.chris1),
+        "christoffel_second": _tensor(geo.chris2),
+        "affine_connection": _tensor(geo.gamma),
+        "torsion": _tensor(geo.torsion),
+        "torsion_vector": _tensor(torsion_trace(geo.torsion)),
+        "contortion": _tensor(geo.contortion),
+        "cartan_curvature": _tensor(geo.cartan),
+        "riemann_curvature": _tensor(geo.riemann),
+        "ricci": _tensor(ricci),
+        "curvature_scalar": scalar,
+        "einstein": _tensor(einstein),
+        "curvature_source": cfg.source,
     }
 
 

@@ -12,8 +12,6 @@ Index layout (see charts module for triad/metric layouts):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ._local import LocalGeometry
@@ -56,50 +54,18 @@ def contortion(chart: Chart, q) -> np.ndarray:
     return LocalGeometry.of(chart, q, 1).contortion
 
 
-@dataclass
-class ConnectionBundle:
-    """All connection-level tensors at one point."""
-
-    q: np.ndarray
-    metric: np.ndarray
-    inverse_metric: np.ndarray
-    gamma_bar_first: np.ndarray  # chris1[lam, nu, mu]
-    gamma_bar: np.ndarray  # chris2[lam, nu, mu]
-    gamma: np.ndarray  # affine [lam, kap, mu]
-    torsion: np.ndarray  # S[lam, kap, mu]
-    torsion_vector: np.ndarray  # S_mu
-    contortion: np.ndarray  # K[mu, nu, lam] all lower
-    contortion_mixed: np.ndarray  # K_{mu nu}^lam
-
-    @classmethod
-    def of(cls, geo: LocalGeometry) -> "ConnectionBundle":
-        return cls(
-            q=geo.q,
-            metric=geo.g,
-            inverse_metric=geo.invg,
-            gamma_bar_first=geo.chris1,
-            gamma_bar=geo.chris2,
-            gamma=geo.gamma,
-            torsion=geo.torsion,
-            torsion_vector=torsion_trace(geo.torsion),
-            contortion=geo.contortion,
-            contortion_mixed=geo.contortion_mixed,
-        )
-
-
-def connection_bundle(chart: Chart, q) -> ConnectionBundle:
-    return ConnectionBundle.of(LocalGeometry.of(chart, q, 1))
+def connection_bundle(chart: Chart, q) -> LocalGeometry:
+    """The connection-level geometry at q (jets of order 1); ``geometry_point``
+    gives every tensor.  perfbench times ``identity_residuals`` by this name."""
+    return LocalGeometry.of(chart, q, 1)
 
 
 def connection_derivatives(chart: Chart, q):
-    """First derivatives of both connections (needed by curvature and kernels).
-
-    Returns ``(bundle, dgamma, dchris2)`` where
-    dgamma[lam, kap, mu, sig] = d_sig Gamma_{lam kap}^mu and likewise for the
-    Riemann connection of the second kind.
-    """
+    """``(geo, dgamma, dchris2)``: the geometry at q (jets of order 2) and the
+    first derivatives of both connections, dgamma[lam, kap, mu, sig] =
+    d_sig Gamma_{lam kap}^mu and likewise for the Christoffel symbols."""
     geo = LocalGeometry.of(chart, q, 2)
-    return ConnectionBundle.of(geo), geo.dgamma, geo.dchris2
+    return geo, geo.dgamma, geo.dchris2
 
 
 def covariant_derivative(chart: Chart, q, field, connection="riemann", variance="upper"):
@@ -165,24 +131,20 @@ def identity_residuals(chart: Chart, q) -> dict:
     decomposition (Gamma = Gammabar + K), trace_identity, metric_derivative
     (d g = Gamma + Gamma), metricity.
     """
-    b = connection_bundle(chart, q)
-    g, dg = chart.metric_with_derivatives(q, order=1)
-    gamma_low = np.einsum("lkm,mc->lkc", b.gamma, b.metric)
-    res = {
-        "christoffel_symmetry": float(np.max(np.abs(b.gamma_bar - b.gamma_bar.transpose(1, 0, 2)))),
-        "torsion_antisymmetry": float(np.max(np.abs(b.torsion + b.torsion.transpose(1, 0, 2)))),
-        "contortion_antisymmetry": float(
-            np.max(np.abs(b.contortion + b.contortion.transpose(0, 2, 1)))
-        ),
-        "decomposition": float(
-            np.max(np.abs(b.gamma - (b.gamma_bar + b.contortion_mixed)))
-        ),
+    geo = connection_bundle(chart, q)
+    _, dg = chart.metric_with_derivatives(q, order=1)
+    gamma, chris2, K, S = geo.gamma, geo.chris2, geo.contortion, geo.torsion
+    gamma_low = np.einsum("lkm,mc->lkc", gamma, geo.g)
+    return {
+        "christoffel_symmetry": float(np.max(np.abs(chris2 - chris2.transpose(1, 0, 2)))),
+        "torsion_antisymmetry": float(np.max(np.abs(S + S.transpose(1, 0, 2)))),
+        "contortion_antisymmetry": float(np.max(np.abs(K + K.transpose(0, 2, 1)))),
+        "decomposition": float(np.max(np.abs(gamma - (chris2 + geo.contortion_mixed)))),
         "trace_identity": float(
-            np.max(np.abs(np.einsum("mnn->m", b.gamma) - np.einsum("mnn->m", b.gamma_bar)))
+            np.max(np.abs(np.einsum("mnn->m", gamma) - np.einsum("mnn->m", chris2)))
         ),
         "metric_derivative": float(
             np.max(np.abs(dg - (np.einsum("snl->nls", gamma_low) + np.einsum("sln->nls", gamma_low))))
         ),
         "metricity": metricity_residual(chart, q),
     }
-    return res

@@ -12,19 +12,11 @@ round sphere of radius r comes out +2/r^2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ._local import LocalGeometry, curl, inverse_derivative
 from .charts import Chart
-from .connection import ConnectionBundle, connection_derivatives
-from .errors import ValidationError
-
-
-def _check_source(source):
-    if source not in ("riemann", "cartan"):
-        raise ValidationError(f"source must be 'riemann' or 'cartan', got {source!r}")
+from .connection import connection_derivatives
 
 
 def cartan_curvature(chart: Chart, q) -> np.ndarray:
@@ -44,58 +36,12 @@ def ricci_scalar_einstein(chart: Chart, q, source="riemann"):
     Returns ``(ricci, scalar, einstein)`` with R_nulam = R_{mu nu lam}^mu,
     R = g^{nulam} R_nulam, G = R_nulam - g_nulam R / 2.
     """
-    _check_source(source)
     return LocalGeometry.of(chart, q, 2).ricci_scalar_einstein(source)
 
 
-@dataclass
-class CurvatureBundle:
-    """Curvature-level tensors at one point (Ricci family from the chosen source)."""
-
-    q: np.ndarray
-    cartan: np.ndarray
-    riemann: np.ndarray
-    ricci: np.ndarray
-    scalar: float
-    einstein: np.ndarray
-    source: str
-
-    @classmethod
-    def of(cls, geo: LocalGeometry, source: str) -> "CurvatureBundle":
-        ricci, scalar, einstein = geo.ricci_scalar_einstein(source)
-        return cls(
-            q=geo.q,
-            cartan=geo.cartan,
-            riemann=geo.riemann,
-            ricci=ricci,
-            scalar=scalar,
-            einstein=einstein,
-            source=source,
-        )
-
-
-def curvature_bundle(chart: Chart, q, source="riemann") -> CurvatureBundle:
-    _check_source(source)
-    return CurvatureBundle.of(LocalGeometry.of(chart, q, 2), source)
-
-
-@dataclass
-class GeometryPoint:
-    """Every local tensor at one point: connection and curvature bundles."""
-
-    q: np.ndarray
-    connection: ConnectionBundle
-    curvature: CurvatureBundle
-
-
-def geometry_point(chart: Chart, q, source="riemann") -> GeometryPoint:
-    _check_source(source)
-    geo = LocalGeometry.of(chart, q, 2)
-    return GeometryPoint(
-        q=geo.q,
-        connection=ConnectionBundle.of(geo),
-        curvature=CurvatureBundle.of(geo, source),
-    )
+def geometry_point(chart: Chart, q) -> LocalGeometry:
+    """Every local tensor at q: the geometry of one order-2 jet pass."""
+    return LocalGeometry.of(chart, q, 2)
 
 
 def curvature_relation_check(chart: Chart, q) -> float:
@@ -105,21 +51,19 @@ def curvature_relation_check(chart: Chart, q) -> float:
     contortion matrices K_mu = K_{mu lam}^kap and Christoffel covariant
     derivatives; both curvatures are computed independently.
     """
-    bundle, dgamma, dchris2 = connection_derivatives(chart, q)
-    g, invg = bundle.metric, bundle.inverse_metric
-    chris2 = bundle.gamma_bar
-    cartan = curl(bundle.gamma, dgamma)
+    geo, dgamma, dchris2 = connection_derivatives(chart, q)
+    g, invg, chris2 = geo.g, geo.invg, geo.chris2
+    cartan = curl(geo.gamma, dgamma)
     riemann = curl(chris2, dchris2)
 
     # dK needs dS (from dgamma), dg and d(invg)
     _, dg = chart.metric_with_derivatives(q, order=1)
     dinvg = inverse_derivative(invg, dg)
     dS = 0.5 * (dgamma - np.einsum("klms->lkms", dgamma))
-    S = bundle.torsion
+    S = geo.torsion
     dSl = np.einsum("abts,tc->abcs", dS, g) + np.einsum("abt,tcs->abcs", S, dg)
     dKl = dSl - np.einsum("bcas->abcs", dSl) + np.einsum("cabs->abcs", dSl)
-    Kl = bundle.contortion
-    Kmix = bundle.contortion_mixed
+    Kl, Kmix = geo.contortion, geo.contortion_mixed
     dKmix = np.einsum("abls,lc->abcs", dKl, invg) + np.einsum("abl,lcs->abcs", Kl, dinvg)
 
     # Dbar_mu K_{nu lam}^kap

@@ -59,7 +59,7 @@ def test_criterion_2_flatness_and_sphere_scalar(charts, rng):
     for r in (1.0, 1.7):
         sphere = tl.builtin_chart("sphere", r=r)
         for q in sample_points("sphere", 10, rng):
-            scalar = tl.curvature_bundle(sphere, q, source="riemann").scalar
+            scalar = tl.geometry_point(sphere, q).ricci_scalar_einstein("riemann")[1]
             worst_scalar = max(worst_scalar, abs(abs(scalar) * r * r - 2.0))
             assert abs(abs(scalar) * r * r - 2.0) < 1e-6
     elapsed = time.perf_counter() - t0
@@ -209,7 +209,7 @@ def test_criterion_6_jacobian_actions(rng):
     # is stronger than any finite order)
     sphere = tl.builtin_chart("sphere", r=1.0)
     q = np.array([1.1, 0.5])
-    ricci = tl.curvature_bundle(sphere, q).ricci
+    ricci = tl.geometry_point(sphere, q).ricci_scalar_einstein("riemann")[0]
     direction = np.array([0.6, -0.8])
     scales = np.array([0.2, 0.1, 0.05, 0.025])
     residuals, targets = [], []

@@ -17,7 +17,8 @@ from torsionlab.cli import (
     run,
     _build_arg_parser,
 )
-from torsionlab.charts import load_chart
+from torsionlab import geometry_point, torsion_trace
+from torsionlab.charts import builtin_chart, load_chart
 from torsionlab.errors import DimensionMismatchError, ExpressionParseError
 
 
@@ -68,6 +69,27 @@ def test_tensors_command_payload():
     assert np.allclose(result["torsion"], 0.0)
     assert np.max(np.abs(np.asarray(result["einstein"]))) < 1e-8
     assert artifact["config"]["command"] == "tensors"
+    # every key is the matching attribute of the point's geometry, bit for bit
+    for name, at in (("polar", [1.0, 0.2]), ("sphere", [1.0, 0.5]),
+                     ("synthetic_torsion", [0.2, 0.5])):
+        geo = geometry_point(builtin_chart(name), at)
+        for source in ("riemann", "cartan"):
+            result = run(build_config(["tensors", "--chart", f"builtin:{name}", "--at",
+                                       ",".join(map(str, at)), "--source", source]))["result"]
+            ricci, scalar, einstein = geo.ricci_scalar_einstein(source)
+            want = {
+                "metric": geo.g, "inverse_metric": geo.invg, "christoffel_first": geo.chris1,
+                "christoffel_second": geo.chris2, "affine_connection": geo.gamma,
+                "torsion": geo.torsion, "torsion_vector": torsion_trace(geo.torsion),
+                "contortion": geo.contortion, "cartan_curvature": geo.cartan,
+                "riemann_curvature": geo.riemann, "ricci": ricci, "curvature_scalar": scalar,
+                "einstein": einstein,
+            }
+            assert list(result) == [*want, "curvature_source"]
+            assert result["curvature_source"] == source
+            for key, value in want.items():
+                got = np.asarray(result[key], dtype=float)
+                assert got.tobytes() == np.asarray(value).tobytes(), (name, source, key)
 
 
 def test_param_override():

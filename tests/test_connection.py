@@ -6,9 +6,9 @@ import pytest
 from torsionlab import (
     affine_connection,
     christoffel,
-    connection_bundle,
     contortion,
     covariant_derivative,
+    geometry_point,
     identity_residuals,
     metricity_residual,
     torsion_tensor,
@@ -100,8 +100,8 @@ def test_contortion_antisymmetry_and_decomposition(charts, rng):
     for q in sample_points("synthetic_torsion", 10, rng):
         K = contortion(st, q)
         assert np.max(np.abs(K + K.transpose(0, 2, 1))) < 1e-12
-        b = connection_bundle(st, q)
-        assert np.max(np.abs(b.gamma - (b.gamma_bar + b.contortion_mixed))) < 1e-8
+        geo = geometry_point(st, q)
+        assert np.max(np.abs(geo.gamma - (geo.chris2 + geo.contortion_mixed))) < 1e-8
 
 
 def test_covariant_derivative_constant_field_flat():

@@ -3,12 +3,13 @@ import pytest
 
 from torsionlab import (
     cartan_curvature,
-    curvature_bundle,
     curvature_relation_check,
+    geometry_point,
     ricci_scalar_einstein,
     riemann_curvature,
 )
 from torsionlab.charts import builtin_chart
+from torsionlab.errors import ValidationError
 
 from conftest import sample_points
 
@@ -46,7 +47,7 @@ def test_cartan_matches_triad_commutator_oracle(charts, rng):
 def test_sphere_cartan_equals_riemann(charts, rng):
     sphere = charts["sphere"]
     for q in sample_points("sphere", 5, rng):
-        cb = curvature_bundle(sphere, q)
+        cb = geometry_point(sphere, q)
         assert np.max(np.abs(cb.cartan - cb.riemann)) < 1e-10
         assert np.max(np.abs(cb.cartan)) > 0.1  # genuinely curved
 
@@ -70,7 +71,8 @@ def test_sphere_scalar_homogeneous(rng):
     r = 1.3
     sphere = builtin_chart("sphere", r=r)
     scalars = [
-        curvature_bundle(sphere, q).scalar * r * r for q in sample_points("sphere", 10, rng)
+        geometry_point(sphere, q).ricci_scalar_einstein("riemann")[1] * r * r
+        for q in sample_points("sphere", 10, rng)
     ]
     assert np.max(np.abs(np.array(scalars) - 2.0)) < 1e-6
 
@@ -113,3 +115,5 @@ def test_curvature_relation(charts, rng):
 def test_source_validation(charts):
     with pytest.raises(Exception):
         ricci_scalar_einstein(charts["sphere"], [1.0, 0.0], source="weyl")
+    with pytest.raises(ValidationError, match="'riemann' or 'cartan'"):
+        geometry_point(charts["sphere"], [1.0, 0.0]).ricci_scalar_einstein("weyl")

@@ -185,8 +185,10 @@ def test_other_dimensions_are_not_trivial():
     torsion = tl.torsion_tensor(other_dimension_chart("triad3_torsion"), [0.3, -0.2, 0.5])
     assert np.max(np.abs(torsion)) > 0.05
     three_sphere = other_dimension_chart("map3_three_sphere")
-    assert tl.curvature_bundle(three_sphere, [1.0, 1.2, 0.4]).scalar == pytest.approx(6.0, rel=1e-8)
-    assert tl.curvature_bundle(other_dimension_chart("map1_helix"), [0.7]).scalar == 0.0
+    scalar = tl.geometry_point(three_sphere, [1.0, 1.2, 0.4]).ricci_scalar_einstein("riemann")[1]
+    assert scalar == pytest.approx(6.0, rel=1e-8)
+    helix = tl.geometry_point(other_dimension_chart("map1_helix"), [0.7])
+    assert helix.ricci_scalar_einstein("riemann")[1] == 0.0
 
 
 # -- the last point's jets, kept per order ------------------------------------------------

@@ -10,10 +10,10 @@ from torsionlab import (
     ShortTimeConfig,
     Sphere,
     build_propagator,
-    curvature_bundle,
     delta_jacobian,
     effective_potential,
     extract_spectrum,
+    geometry_point,
     jacobian_action_naive,
     jacobian_action_qep,
     midpoint_action,
@@ -22,7 +22,6 @@ from torsionlab import (
     spectrum_ladder,
 )
 from torsionlab.charts import Chart, builtin_chart
-from torsionlab.connection import connection_bundle
 from torsionlab.errors import (
     GridTooCoarseError,
     MultipletMismatchError,
@@ -220,22 +219,19 @@ def test_contortion_drops_out_of_naive_jacobian(rng):
     for _ in range(5):
         q = rng.uniform(-0.3, 1.0, size=2)
         dq = rng.uniform(-0.2, 0.2, size=2)
-        b = connection_bundle(st, q)
-        tr_affine = np.einsum("mnn->m", b.gamma)
-        tr_riemann = np.einsum("mnn->m", b.gamma_bar)
+        geo = geometry_point(st, q)
+        tr_affine = np.einsum("mnn->m", geo.gamma)
+        tr_riemann = np.einsum("mnn->m", geo.chris2)
         assert np.max(np.abs(tr_affine - tr_riemann)) < 1e-10
         val = jacobian_action_naive(st, q, dq)
-        from torsionlab.connection import connection_derivatives
-
-        _, dgamma, dchris2 = connection_derivatives(st, q)
-        val_bar = -tr_riemann @ dq + 0.5 * np.einsum("nkkm,n,m->", dchris2, dq, dq)
+        val_bar = -tr_riemann @ dq + 0.5 * np.einsum("nkkm,n,m->", geo.dchris2, dq, dq)
         assert abs(val - val_bar) < 1e-10
 
 
 def test_delta_jacobian_matches_ricci_form_on_sphere():
     sphere = builtin_chart("sphere", r=1.0)
     q = np.array([1.1, 0.5])
-    ricci = curvature_bundle(sphere, q).ricci
+    ricci = geometry_point(sphere, q).ricci_scalar_einstein("riemann")[0]
     for s in (0.2, 0.1, 0.05):
         dq = s * np.array([0.6, -0.8])
         target = float(np.einsum("mn,m,n->", ricci, dq, dq)) / 6.0
@@ -251,8 +247,6 @@ def test_torsion_squared_enters_bracket_at_fourth_order():
     # substituting the Christoffel connection for the full one changes the
     # step expansion only at fourth order, quadratically in the torsion
     # strength (the cubic term difference drops out under symmetrization)
-    from torsionlab.connection import connection_derivatives
-
     def bracket_with(conn, dconn, g, dq):
         conn_lower = np.einsum("mns,sl->mnl", conn, g)
         csym = 0.5 * (conn + conn.transpose(1, 0, 2))
@@ -272,10 +266,10 @@ def test_torsion_squared_enters_bracket_at_fourth_order():
 
     def difference(alpha, s):
         chart = builtin_chart("synthetic_torsion", alpha=alpha)
-        bundle, dgamma, dchris2 = connection_derivatives(chart, q)
+        geo = geometry_point(chart, q)
         dq = s * direction
-        full = bracket_with(bundle.gamma, dgamma, bundle.metric, dq)
-        riemann_only = bracket_with(bundle.gamma_bar, dchris2, bundle.metric, dq)
+        full = bracket_with(geo.gamma, geo.dgamma, geo.g, dq)
+        riemann_only = bracket_with(geo.chris2, geo.dchris2, geo.g, dq)
         return full - riemann_only
 
     # quartic in the step size
@@ -363,12 +357,10 @@ def test_eigenvalue_count_takes_none_and_any_positive_integer():
 
 
 def test_geometry_point_aggregates_everything():
-    from torsionlab import geometry_point
-
     sphere = builtin_chart("sphere", r=1.0)
     gp = geometry_point(sphere, [1.0, 0.4])
-    assert gp.curvature.scalar == pytest.approx(2.0, rel=1e-10)
-    assert np.max(np.abs(gp.connection.torsion)) < 1e-12
+    assert gp.ricci_scalar_einstein("riemann")[1] == pytest.approx(2.0, rel=1e-10)
+    assert np.max(np.abs(gp.torsion)) < 1e-12
 
 
 @pytest.mark.parametrize("field", ("mass", "hbar", "epsilon", "cutoff_sigmas"))
@@ -599,10 +591,8 @@ TORSION_3D = Chart(
 
 def einsum_step_polynomials(chart, q, dq):
     """Reference: the step polynomials as direct tensor contractions."""
-    from torsionlab.connection import connection_derivatives
-
-    bundle, dgamma, _ = connection_derivatives(chart, q)
-    g, gamma = bundle.metric, bundle.gamma
+    geo = geometry_point(chart, q)
+    g, gamma, dgamma = geo.g, geo.gamma, geo.dgamma
     gamma_lower = np.einsum("mns,sl->mnl", gamma, g)
     gsym = 0.5 * (gamma + gamma.transpose(1, 0, 2))
     quartic = (
