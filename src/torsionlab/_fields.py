@@ -68,6 +68,7 @@ from .expressions import (
     _rule,
     _sub,
     _Taylor,
+    _too_deep,
 )
 
 _CHART_FIELDS: dict = {}  # (field, (kind, D, sources, guard, parameter names)) -> integrator
@@ -334,7 +335,10 @@ def _chart_field(field, definition, exprs, guard):
         namespace = {**vars(expressions), **globals(),  # the helpers, errors, array, math, np
                      "_INF": math.inf, **{f"_REAL_{op}": f for op, f in _REAL.items()}}
         label = f"<{field} integrator of the {kind} chart {list(sources)}>"
-        source = _chart_source(field, kind, dim, exprs, guard, params)
+        try:
+            source = _chart_source(field, kind, dim, exprs, guard, params)
+        except RecursionError:  # a tree too deep to lower, as ``Expression`` reports it
+            raise _too_deep(", ".join(sources)) from None
         exec(compile(source, label, "exec"), namespace)
         fn = namespace[field]
         if len(_CHART_FIELDS) >= _CHART_FIELDS_KEPT:

@@ -154,6 +154,7 @@ class Token(NamedTuple):
 
 
 _NUMBER_RE = re.compile(r"(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")
+_SINGLE = {**dict.fromkeys("+-*/^", "OP"), "(": "LPAREN", ")": "RPAREN", ",": "COMMA"}
 
 
 def _tokenize(source: str) -> list[Token]:
@@ -173,9 +174,7 @@ def _tokenize(source: str) -> list[Token]:
             continue
         start_col = col
         if ch.isdigit() or (ch == "." and i + 1 < n and source[i + 1].isdigit()):
-            m = _NUMBER_RE.match(source, i)
-            if m is None:
-                raise ExpressionParseError(f"bad number literal at {ch!r}", line, start_col, ch)
+            m = _NUMBER_RE.match(source, i)  # never None: a digit or ".digit" starts it
             text = m.group(0)
             tokens.append(Token("NUM", text, line, start_col))
             col += len(text)
@@ -194,16 +193,9 @@ def _tokenize(source: str) -> list[Token]:
             i += 2
             col += 2
             continue
-        if ch in "+-*/^":
-            tokens.append(Token("OP", ch, line, start_col))
-        elif ch == "(":
-            tokens.append(Token("LPAREN", ch, line, start_col))
-        elif ch == ")":
-            tokens.append(Token("RPAREN", ch, line, start_col))
-        elif ch == ",":
-            tokens.append(Token("COMMA", ch, line, start_col))
-        else:
+        if ch not in _SINGLE:
             raise ExpressionParseError(f"unexpected character {ch!r}", line, start_col, ch)
+        tokens.append(Token(_SINGLE[ch], ch, line, start_col))
         i += 1
         col += 1
     tokens.append(Token("END", "", line, col))
@@ -240,6 +232,10 @@ class Call:
     col: int
 
 
+def _error_at(tok, message):
+    return ExpressionParseError(message, tok.line, tok.col, tok.text)
+
+
 class _Parser:
     def __init__(self, source: str):
         self.tokens = _tokenize(source)
@@ -256,21 +252,14 @@ class _Parser:
     def expect(self, kind: str) -> Token:
         tok = self.peek()
         if tok.kind != kind:
-            raise ExpressionParseError(
-                f"expected {kind}, found {tok.text or 'end of input'!r}",
-                tok.line,
-                tok.col,
-                tok.text,
-            )
+            raise _error_at(tok, f"expected {kind}, found {tok.text or 'end of input'!r}")
         return self.advance()
 
     def parse(self):
         node = self.expression()
         tok = self.peek()
         if tok.kind != "END":
-            raise ExpressionParseError(
-                f"unexpected trailing token {tok.text!r}", tok.line, tok.col, tok.text
-            )
+            raise _error_at(tok, f"unexpected trailing token {tok.text!r}")
         return node
 
     def expression(self):
@@ -289,12 +278,9 @@ class _Parser:
 
     def factor(self):
         tok = self.peek()
-        if tok.kind == "OP" and tok.text == "-":
+        if tok.kind == "OP" and tok.text in "+-":
             self.advance()
-            return Neg(self.factor())
-        if tok.kind == "OP" and tok.text == "+":
-            self.advance()
-            return self.factor()
+            return Neg(self.factor()) if tok.text == "-" else self.factor()
         return self.power()
 
     def power(self):
@@ -312,9 +298,7 @@ class _Parser:
         if tok.kind == "IDENT":
             if self.peek().kind == "LPAREN":
                 if tok.text not in FUNCTIONS:
-                    raise ExpressionParseError(
-                        f"unknown function {tok.text!r}", tok.line, tok.col, tok.text
-                    )
+                    raise _error_at(tok, f"unknown function {tok.text!r}")
                 self.advance()
                 args = [self.expression()]
                 while self.peek().kind == "COMMA":
@@ -323,21 +307,15 @@ class _Parser:
                 self.expect("RPAREN")
                 arity = FUNCTIONS[tok.text]
                 if len(args) != arity:
-                    raise ExpressionParseError(
-                        f"function {tok.text!r} takes {arity} argument(s), got {len(args)}",
-                        tok.line,
-                        tok.col,
-                        tok.text,
-                    )
+                    raise _error_at(tok, f"function {tok.text!r} takes {arity} argument(s), "
+                                         f"got {len(args)}")
                 return Call(tok.text, tuple(args), tok.col)
             return Name(tok.text, tok.col)
         if tok.kind == "LPAREN":
             node = self.expression()
             self.expect("RPAREN")
             return node
-        raise ExpressionParseError(
-            f"unexpected token {tok.text or 'end of input'!r}", tok.line, tok.col, tok.text
-        )
+        raise _error_at(tok, f"unexpected token {tok.text or 'end of input'!r}")
 
 
 def _free_names(node, out):
@@ -768,14 +746,23 @@ def _lower(node, wrt, kernels):
     return (lambda env: fn(f(env), g(env))), out
 
 
+def _too_deep(source):
+    """The error for an expression whose tree is deeper than a walk over it may recurse."""
+    return ExpressionParseError(f"expression nested too deeply: {source[:40]!r}...", 1, 1)
+
+
 class Expression:
-    """A parsed expression, reusable against many environments."""
+    """A parsed expression, reusable against many environments.  Parsing, lowering and
+    evaluation recurse over its tree; one too deep for them is an ``ExpressionParseError``."""
 
     def __init__(self, source: str):
         self.source = source
-        self.ast = _Parser(source).parse()
         names: dict[str, int] = {}
-        _free_names(self.ast, names)
+        try:
+            self.ast = _Parser(source).parse()
+            _free_names(self.ast, names)
+        except RecursionError:
+            raise _too_deep(source) from None
         self.free_names = names  # name -> first column of use
         self._lowered: dict = {}  # (wrt, order, batched) -> closure
         self._zeros: dict = {}  # (wrt, order) -> positions of the jet's structural zeros
@@ -793,6 +780,8 @@ class Expression:
             return fn(env)
         except ArithmeticError as exc:  # a float overflow or division inside a kernel
             raise EvaluationError(f"{self.source!r}: {type(exc).__name__}: {exc}") from exc
+        except RecursionError:
+            raise _too_deep(self.source) from None
 
     def _batch(self, env, wrt, order):
         """``self(env, wrt, order)`` with names bound to arrays of points: an
@@ -803,7 +792,10 @@ class Expression:
         if not isinstance(wrt, tuple) or order not in (0, 1, 2, 3):
             raise ValidationError(f"need a tuple wrt and order 0..3, got {wrt!r}, {order!r}")
         kernels = _kernels(len(wrt), order, batched)
-        fn, zeros = _lower(self.ast, wrt, kernels)
+        try:
+            fn, zeros = _lower(self.ast, wrt, kernels)
+        except RecursionError:
+            raise _too_deep(self.source) from None
         if zeros is None:  # a known +0.0 value is a structural zero too
             const, zeros = kernels.variant("const")
             zeros = (0, *zeros) if _plus_zero(_known(self.ast)) else zeros

@@ -34,6 +34,7 @@ import math
 import numbers
 from dataclasses import astuple, dataclass, replace
 from functools import lru_cache
+from itertools import repeat
 
 import numpy as np
 
@@ -53,7 +54,8 @@ MIN_RESOLUTION_RATIO = 1.5
 # region (coordinate steps wrapping a pole, far Gaussian tails); those
 # entries use the manifold's exact squared geodesic arc instead.
 EXPANSION_TOLERANCE = 2.0
-GRIDS_KEPT = 4  # kernel grids and their postpoint rows kept, each under 0.1 MB
+# Grids kept, keyed on the manifold, and their rows, keyed on it and the degenerate-triad floor
+GRIDS_KEPT = 4  # rows: 3 ceil(n_theta/2) n_theta (n_phi/2 + 1) doubles, 1.35 MB at 48 x 96
 
 
 @dataclass(frozen=True)
@@ -475,8 +477,19 @@ def _cached_grid(manifold):
 
 @lru_cache(maxsize=GRIDS_KEPT)
 def _grid_rows(manifold, floor):
-    """The stacked ``PostpointData`` of the grid's ``posts``; a new ``floor`` rebuilds it."""
-    return PostpointData(_kernel_grid(manifold)[0], np.array(_kernel_grid(manifold)[3]))
+    """The h = ceil(n_theta / 2) built rows of a grid, kept per manifold and degenerate-triad
+    ``floor`` (a new floor rebuilds them): the stacked ``PostpointData`` of its ``posts``,
+    their steps (a tuple of D arrays broadcasting to (h, columns)), and each row's bracket,
+    trust measure (its cubic + quartic part) and squared arc, three (h, columns) arrays of
+    3 h n_theta (n_phi/2 + 1) doubles, 1.35 MB on the 48 x 96 sphere.  All read-only."""
+    chart, _, _, posts, steps, _ = _kernel_grid(manifold)
+    data = PostpointData(chart, np.array(posts))
+    dq, arc2 = zip(*map(steps, data.q))
+    bracket, excess = zip(*(_row_exponents(data, j, row_steps) for j, row_steps in enumerate(dq)))
+    rows = [tuple(map(np.stack, zip(*dq))), *map(np.array, (bracket, excess, arc2))]
+    for array in (*rows[0], *rows[1:]):
+        array.flags.writeable = False
+    return data, *rows
 
 
 def build_propagator(manifold, cfg: ShortTimeConfig, measure_mode="qep") -> SlicedPropagator:
@@ -498,9 +511,10 @@ def build_propagator(manifold, cfg: ShortTimeConfig, measure_mode="qep") -> Slic
 
 
 def _propagators(manifold, cfgs, mode):
-    """The kernel of ``build_propagator`` for each config in turn; every
-    config's grid resolution is checked before any row is built."""
-    chart, weights, spacing, posts, steps, fold = _kernel_grid(manifold)
+    """The kernel of ``build_propagator`` for each config in turn; every config's grid
+    resolution is checked before any row is built, and a kernel's blocks are built only
+    once the kernel before it has been taken (and may have been dropped)."""
+    chart, weights, spacing, posts, _, fold = _kernel_grid(manifold)
     scales = []
     for cfg in cfgs:
         sigma = math.sqrt(cfg.epsilon * cfg.hbar / cfg.mass)
@@ -511,45 +525,42 @@ def _propagators(manifold, cfgs, mode):
         lam = 0.5 * cfg.mass / (cfg.epsilon * cfg.hbar)
         norm = (cfg.mass / (2.0 * math.pi * cfg.epsilon * cfg.hbar)) ** (chart.dim / 2)
         scales.append((lam, (cfg.cutoff_sigmas * sigma) ** 2, (norm * weights).ravel()))
-    data = _grid_rows(manifold, active_profile().degenerate_triad_floor)
-    profiles, live, fallback = _kernel_profiles(data, weights, steps, fold, mode, cfgs, scales)
-    for cfg, profile, n_live, n_fallback in zip(cfgs, profiles, live, fallback):
+    rows = _grid_rows(manifold, active_profile().degenerate_triad_floor)
+    profiles, fractions = _kernel_profiles(  # the dressings are dropped with their buffers
+        rows, weights, fold, _mode_exponents(rows, mode, cfgs), scales)
+    for cfg, profile, fraction in zip(cfgs, profiles, fractions):
         # blocks m and n_phi - m of the even profile coincide: keep m <= n_phi / 2; the
         # rows past len(posts) mirror those before them (z -> -z), and so do their blocks
         blocks = np.empty(profile.shape[:2] + (len(fold) // 2 + 1,), dtype=complex)
-        blocks[: len(posts)] = np.fft.rfft(profile[: len(posts)], axis=2)
+        np.fft.rfft(profile[: len(posts)], axis=2, out=blocks[: len(posts)])
         blocks[len(posts):] = blocks[: len(blocks) // 2][::-1, ::-1]
         yield SlicedPropagator(manifold, cfg, mode, profile=profile, blocks=blocks,
-                               fallback_fraction=n_fallback / n_live)
+                               fallback_fraction=fraction)
+        del blocks  # the caller's to drop before the next is built
 
 
-def _kernel_profiles(data, weights, steps, fold, mode, cfgs, scales):
-    """Every config's kernel profile and counts of live and fallback entries.
+def _kernel_profiles(rows, weights, fold, dressings, scales):
+    """Every config's kernel profile and its ``fallback_fraction``.
 
-    ``data`` holds the h = ceil(n_rows / 2) built rows.  One row at a time, its steps and
-    monomial planes fill that row of (h, columns) buffers of brackets, trust measures, arcs
-    and each config's dressing; each config's kernel is then one call per elementwise step
-    over all h rows (the flat reference summed per row).  ``fold`` copies a row onto every
-    dk (phi -> -phi); rows h - 1 .. 0, reversed in both axes, are the last rows (z -> -z)."""
-    h, n_rows = len(data.q), len(weights)
+    ``rows`` are those of ``_grid_rows``: the h = ceil(n_rows / 2) built rows' brackets,
+    trust measures and arcs.  Each config's kernel is one call per elementwise step over
+    all h rows (the flat reference summed per row), in two (h, columns) buffers.  ``fold``
+    copies a row onto every dk (phi -> -phi); rows h - 1 .. 0, reversed in both axes, are
+    the last rows (z -> -z)."""
+    _, _, bracket, excess, arc2 = rows
+    h, n_rows = len(bracket), len(weights)
     copies = np.broadcast_to(np.bincount(fold).astype(float), weights.shape).ravel()  # per dk
-    rows = 2.0 - (2 * np.arange(h) + 1 == n_rows)  # row j and its mirror; a middle row once
-    bracket, excess, arc2, kernel, flat = np.empty((5, h, weights.size))
-    dressings = np.empty((len(cfgs), h, weights.size))
-    dressing = _mode_exponents(data, mode, cfgs)
-    for j, q_post in enumerate(data.q):
-        row_steps, arc2[j] = steps(q_post)
-        bracket[j], excess[j], jexps = _row_exponents(data, dressing, j, row_steps)
-        dressings[:, j] = np.reshape(jexps, (len(cfgs), -1))
-    profiles, live, fallback = np.empty((len(cfgs), n_rows, n_rows, len(fold))), [], []
-    for c, (lam, cut, norm_weights) in enumerate(scales):
+    row_copies = 2.0 - (2 * np.arange(h) + 1 == n_rows)  # row j and its mirror; a middle row once
+    kernel, flat = np.empty((2, h, weights.size))
+    profiles, fractions = np.empty((len(scales), n_rows, n_rows, len(fold))), []
+    for c, ((lam, cut, norm_weights), dressing) in enumerate(zip(scales, dressings)):
         trusted = lam * excess <= EXPANSION_TOLERANCE
         mask = arc2 <= cut
-        live.append(int(rows @ (mask @ copies)))  # exact: integers
-        fallback.append(int(rows @ ((mask & ~trusted) @ copies)))
+        live = int(row_copies @ (mask @ copies))  # exact: integers
+        fractions.append(int(row_copies @ ((mask & ~trusted) @ copies)) / live)
         # norm_weights * exp(-lam * action2 + dressing), zero outside the cutoff
         np.multiply(np.where(trusted, bracket, arc2), -lam, out=kernel)
-        np.exp(np.add(kernel, dressings[c], out=kernel), out=kernel)
+        np.exp(np.add(kernel, dressing, out=kernel), out=kernel)
         np.multiply(norm_weights, kernel, out=kernel)
         kernel[~mask] = 0.0
         # leading-order reference with the exact arc and measure (continuum value 1)
@@ -563,16 +574,14 @@ def _kernel_profiles(data, weights, steps, fold, mode, cfgs, scales):
         _check_positive_finite(kernel)
         np.take(kernel.reshape((h,) + weights.shape), fold, axis=2, out=profiles[c, :h])
         profiles[c, h:] = profiles[c, : n_rows - h][::-1, ::-1]
-    return profiles, live, fallback
+    return profiles, fractions
 
 
-def _row_exponents(data, dressing, j, steps):
-    """Row j's bracket, its cubic + quartic part (the trust measure) and dressings."""
+def _row_exponents(data, j, steps):
+    """Row j's bracket and its cubic + quartic part, the trust measure."""
     planes = _monomials(steps, 4)
-    low = planes[: data._quadratic.shape[-1]]  # the leading monomials, degree <= 2
     bracket = data._bracket[j] @ planes
-    excess = np.abs(bracket - data._quadratic[j] @ low)
-    return bracket, excess, dressing(j, low)
+    return bracket, np.abs(bracket - data._quadratic[j] @ planes[: data._quadratic.shape[-1]])
 
 
 def _check_positive_finite(arr):
@@ -582,20 +591,24 @@ def _check_positive_finite(arr):
         raise NumericError("imaginary-time kernel must be non-negative")
 
 
-def _mode_exponents(data: PostpointData, mode: str, cfgs):
-    """Measure dressing relative to the exact prepoint volume weight, per config,
-    as a function of a row j of ``data`` and its step monomial planes of degree <= 2.
+def _mode_exponents(rows, mode: str, cfgs):
+    """Measure dressing relative to the exact prepoint volume weight, per config, over
+    the built ``rows`` of ``_grid_rows``: an array that broadcasts to (h, columns).
 
     The naive measure is carried entirely by the closed-form sqrt(g) weight
     at the integration point; the step-difference measure differs from it by
-    exp(delta_jacobian); the effective-potential form inserts -eps V_eff instead.
+    exp(delta_jacobian), one product per row with its step planes of degree <= 2;
+    the effective-potential form inserts -eps V_eff instead.
     """
+    data, dq = rows[:2]
     if mode == "qep":
-        return lambda j, low: [data._delta_jacobian[j] @ low] * len(cfgs)
+        h, low = len(data.q), _monomials(dq, 2)
+        planes = low.reshape(len(low), h, -1).swapaxes(0, 1)  # (h, planes, columns)
+        return [np.matmul(data._delta_jacobian[:, None], planes)[:, 0]] * len(cfgs)
     if mode == "naive_dewitt":
-        return lambda j, low: [0.0] * len(cfgs)
-    scalars = data.curvature_scalar().tolist()
-    return lambda j, low: [-cfg.epsilon * _veff(scalars[j], cfg) / cfg.hbar for cfg in cfgs]
+        return [0.0] * len(cfgs)
+    scalars = data.curvature_scalar()[:, None]
+    return [-cfg.epsilon * _veff(scalars, cfg) / cfg.hbar for cfg in cfgs]
 
 
 # -- spectrum extraction -------------------------------------------------------
@@ -689,10 +702,9 @@ def spectrum_ladder(
         raise ValidationError("need at least two distinct epsilons to extrapolate")
     mode = _normalize_measure(measure_mode)
     cfgs = [replace(cfg, epsilon=eps) for eps in eps_sorted]
-    spectra = [
-        extract_spectrum(prop, n_levels, group_tol=group_tol)
-        for prop in _propagators(manifold, cfgs, mode)
-    ]
+    # each kernel is dropped once solved, before the next is built
+    spectra = list(map(extract_spectrum, _propagators(manifold, cfgs, mode),
+                       repeat(n_levels), repeat(group_tol)))
     patterns = {eps: levels.degeneracies for eps, levels in zip(eps_sorted, spectra)}
     if len(set(patterns.values())) > 1:
         raise MultipletMismatchError(patterns)

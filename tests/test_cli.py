@@ -22,6 +22,10 @@ from torsionlab.charts import builtin_chart, load_chart
 from torsionlab.errors import DimensionMismatchError, ExpressionParseError
 
 
+DEEP = {"parentheses": "(" * 3000 + "q1" + ")" * 3000, "minus": "-" * 3000 + "q1",
+        "sum": "q1" + "+q1*0.001" * 2999}  # nested 3,000 deep
+
+
 def write_json(path, payload):
     path.write_text(json.dumps(payload))
     return str(path)
@@ -313,6 +317,8 @@ GEODESIC = ["geodesic", "--chart", "builtin:polar", "--q0", "1,0", "--qdot0", "1
          "EvaluationError", EXIT_NUMERIC, "'exp(((a * q1) ^ -3))': OverflowError"),
         (["geodesic", "--chart", "{overflow_1d}", "--q0", "0.01", "--qdot0", "1", "--t1", "0.1"],
          "EvaluationError", EXIT_NUMERIC, "OverflowError"),  # in the integrator's first stage
+        *((["tensors", "--chart", "{%s}" % name, "--at", "1,0.2"], "ExpressionParseError",
+           EXIT_VALIDATION, "nested too deeply") for name in DEEP),
     ],
     ids=["missing-option", "malformed-floats", "malformed-float", "bad-param", "bad-choice",
          "unknown-builtin", "unknown-file-param", "loop-without-vertices", "loop-flat-list",
@@ -320,7 +326,7 @@ GEODESIC = ["geodesic", "--chart", "builtin:polar", "--q0", "1,0", "--qdot0", "1
          "nan-radius", "negative-radius", "infinite-radius", "sparse-sphere", "infinite-qdot0",
          "nan-q0-unguarded", "infinite-at", "nan-q0-guarded", "nan-loop-vertex",
          "loop-through-origin", "nan-group-tol", "negative-group-tol", "unlike-multiplets",
-         "taylor-overflow", "integrator-overflow"],
+         "taylor-overflow", "integrator-overflow", *(f"{name}-3000-deep" for name in DEEP)],
 )
 def test_every_error_is_one_json_line(tmp_path, capsys, argv, error_type, code, mentions):
     files = {
@@ -337,6 +343,8 @@ def test_every_error_is_one_json_line(tmp_path, capsys, argv, error_type, code, 
                                 "exprs": ["-2", "-(0.5 + q1)", "exp(((a * q1) ^ -3))", "-(3 ^ b)"]}),
         "overflow_1d": write_json(tmp_path / "overflow_1d.json",
                                   {"dim": 1, "kind": "triad", "exprs": ["1 + q1^-200"]}),
+        **{name: write_json(tmp_path / f"{name}.json", {"dim": 2, "kind": "map", "exprs": [
+            f"q1*cos(q2) + {source}", "q1*sin(q2)"]}) for name, source in DEEP.items()},
     }
     assert main([arg.format(**files) for arg in argv]) == code
     out, err = capsys.readouterr()

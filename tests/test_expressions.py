@@ -1,9 +1,12 @@
+import sys
+
 import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from torsionlab import Chart, geometry_point, integrate_geodesic
 from torsionlab.errors import EvaluationError, ExpressionParseError
 from torsionlab.expressions import Expression
 
@@ -46,6 +49,54 @@ def test_wrong_arity_and_syntax_errors():
         Expression("q1 q2")
     with pytest.raises(ExpressionParseError):
         Expression("1 + $")
+
+
+DEEP = {"parentheses": "(" * 3000 + "q1" + ")" * 3000, "minus": "-" * 3000 + "q1",
+        "sum": "q1" + "+q1*0.001" * 2999}  # nested 3,000 deep
+
+
+def deep_chart(source):
+    return {"dim": 2, "kind": "map", "exprs": [f"q1*cos(q2) + {source}", "q1*sin(q2)"]}
+
+
+@pytest.mark.parametrize("source", DEEP.values(), ids=DEEP)
+def test_too_deep_expression_is_a_parse_error(source):
+    with pytest.raises(ExpressionParseError, match="nested too deeply"):
+        Expression(source)
+    with pytest.raises(ExpressionParseError, match="nested too deeply"):
+        Chart.from_dict(deep_chart(source))
+
+
+def at_depth(frames, fn):
+    """``fn()`` called ``frames`` frames below this one."""
+    return fn() if frames == 0 else at_depth(frames - 1, fn)
+
+
+def test_expression_too_deep_for_the_stack_left_is_a_parse_error():
+    # 300 terms parse, lower and evaluate here; with fewer than 300 frames left, lowering
+    # (for the jets and for the generated integrator) and evaluation fail as a parse error
+    source = "q1" + "+q1*0.001" * 299
+    expr, chart = Expression(source), Chart.from_dict(deep_chart(source))
+    expr({"q1": 1.0})
+    frames = sys.getrecursionlimit() - 250  # leaves too few for 300 levels, enough for the rest
+    for fn in (lambda: expr({"q1": 1.0, "q2": 0.2}, ("q1", "q2"), 1),  # lowering
+               lambda: expr({"q1": 1.0}),  # evaluation of the lowered tree
+               lambda: geometry_point(chart, [1.0, 0.2]),
+               lambda: integrate_geodesic(chart, [1.0, 0.2], [0.1, 0.1], (0.0, 0.01), 1e-3)):
+        with pytest.raises(ExpressionParseError, match="nested too deeply"):
+            at_depth(frames, fn)
+
+
+def test_deep_expressions_within_the_stack_evaluate_as_before():
+    x, y = 1.3, 0.7
+    point = {"q1": x, "q2": y}
+    nested = Expression("(" * 150 + "q1*q2" + ")" * 150)
+    assert nested(point, ("q1", "q2"), 3) == Expression("q1*q2")(point, ("q1", "q2"), 3)
+    assert Expression("-" * 150 + "q1")(point, ("q1",), 2) == (x, 1.0, 0.0)
+    total = x
+    for _ in range(299):
+        total = total + x * 0.001
+    assert Expression("q1" + "+q1*0.001" * 299)(point) == (total,)
 
 
 def test_domain_errors():

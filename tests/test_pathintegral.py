@@ -33,11 +33,13 @@ from torsionlab.pathintegral import (
     EXPANSION_TOLERANCE,
     PostpointData,
     SlicedPropagator,
+    _grid_rows,
     _kernel_grid,
     _mode_exponents,
     _monomial_factors,
     _propagators,
     _row_exponents,
+    _veff,
     _wrap_angle,
 )
 
@@ -1030,7 +1032,8 @@ def oracle_monomials(dq, degree):
 
 
 def oracle_row_exponents(data, mode, cfgs, j, steps):
-    """``_row_exponents`` with every step polynomial ``monomials @ coefficients``."""
+    """``_row_exponents`` and row j of ``_mode_exponents`` with every step polynomial
+    ``monomials @ coefficients``."""
     dq = np.stack(np.broadcast_arrays(*steps), axis=-1).reshape(-1, len(steps))  # flattened
     mono = oracle_monomials(dq, 4)
     low = mono[..., : data._quadratic.shape[-1]]
@@ -1038,7 +1041,20 @@ def oracle_row_exponents(data, mode, cfgs, j, steps):
     excess = np.abs(bracket - low @ data._quadratic[j])
     if mode == "qep":
         return bracket, excess, [low @ data._delta_jacobian[j]] * len(cfgs)
-    return bracket, excess, _mode_exponents(data, mode, cfgs)(j, None)  # no step polynomial
+    if mode == "naive_dewitt":
+        return bracket, excess, [0.0] * len(cfgs)
+    scalar = data.curvature_scalar()[j]  # no step polynomial
+    return bracket, excess, [-cfg.epsilon * _veff(scalar, cfg) / cfg.hbar for cfg in cfgs]
+
+
+def oracle_mode_exponents(rows, mode, cfgs, steps):
+    """``_mode_exponents`` stacked from the oracle's rows: per config, (h, columns)."""
+    data = rows[0]
+    dressings = [oracle_row_exponents(data, mode, cfgs, j, steps(q)[0])[2]
+                 for j, q in enumerate(data.q)]
+    columns = np.broadcast_shapes(*map(np.shape, steps(data.q[0])[0]))
+    return [np.array([np.broadcast_to(row[c], math.prod(columns)) for row in dressings])
+            for c in range(len(cfgs))]
 
 
 def oracle_kernel_rows(chart, weights, posts, steps, cfgs, mode):
@@ -1126,28 +1142,49 @@ def test_ring_kernels_equal_the_step_last_oracle_bitwise(mode):
 
 
 @pytest.mark.parametrize("mode", MODES)
-def test_in_place_kernel_rows_equal_whole_temporaries_bitwise(mode, monkeypatch):
+def test_in_place_kernel_rows_equal_whole_temporaries_bitwise(mode, monkeypatch,
+                                                              cold_kernel_caches):
     """Given the oracle's exponents, the kernel rows built in place are its rows."""
     sphere = Sphere(1.0, 24, 48)
     cfgs = [ShortTimeConfig(epsilon=eps) for eps in (0.16, 0.08, 0.04)]
-    monkeypatch.setattr(pathintegral, "_row_exponents", lambda data, dressing, j, steps:
-                        oracle_row_exponents(data, mode, cfgs, j, steps))
+    steps = _kernel_grid(sphere)[4]
+    built = []
+
+    def row_exponents(data, j, row_steps):
+        built.append(j)
+        return oracle_row_exponents(data, mode, cfgs, j, row_steps)[:2]
+
+    monkeypatch.setattr(pathintegral, "_row_exponents", row_exponents)
+    monkeypatch.setattr(pathintegral, "_mode_exponents", lambda rows, mode, cfgs:
+                        oracle_mode_exponents(rows, mode, cfgs, steps))
     want = oracle_profiles(sphere, cfgs, mode)
     for c, prop in enumerate(_propagators(sphere, cfgs, mode)):
         assert np.array_equal(prop.profile, want[c]), c
+    assert built == list(range(12))  # the substitute built every row, once
 
 
 @pytest.mark.parametrize("mode, j", [("qep", 0), ("naive_dewitt", 23), ("qep_via_veff", 7)])
 def test_sphere_row_exponents_match_the_step_last_oracle(mode, j):
-    chart, _, _, posts, steps, _ = _kernel_grid(Sphere(1.0, 48, 96))
+    sphere = Sphere(1.0, 48, 96)
+    steps = _kernel_grid(sphere)[4]
     cfgs = [ShortTimeConfig(epsilon=eps) for eps in (0.08, 0.04, 0.02)]
-    data = PostpointData(chart, np.array(posts))
-    row_steps, arc2 = steps(data.q[j])
-    got = _row_exponents(data, _mode_exponents(data, mode, cfgs), j, row_steps)
+    rows = _grid_rows(sphere, pathintegral.active_profile().degenerate_triad_floor)
+    data, _, bracket, excess, arc2 = rows
+    row_steps, row_arc2 = steps(data.q[j])
+    assert np.array_equal(arc2[j], row_arc2)
+    got = _row_exponents(data, j, row_steps)
+    for name, g, kept in zip(("bracket", "excess"), got, (bracket[j], excess[j])):
+        assert np.array_equal(g, kept), name  # the kept rows are this row's
+    stacked = _mode_exponents(rows, mode, cfgs)
+    dressings = [np.broadcast_to(d, arc2.shape)[j] for d in stacked]
+    if mode == "qep":  # every row's dressing is that row's own product with its planes
+        for k, q in enumerate(data.q):
+            low = pathintegral._monomials(steps(q)[0], 4)[: data._quadratic.shape[-1]]
+            assert np.array_equal(stacked[0][k], data._delta_jacobian[k] @ low), k
     want = oracle_row_exponents(data, mode, cfgs, j, row_steps)
     names = ("bracket", "excess", *(f"dressing {c}" for c in range(len(cfgs))))
-    for name, g, w in zip(names, (*got[:2], *got[2]), (*want[:2], *want[2])):
-        assert np.shape(g) in ((), arc2.shape) and np.shape(g) == np.shape(w), name
+    for name, g, w in zip(names, (*got, *dressings), (*want[:2], *want[2])):
+        assert np.shape(g) == row_arc2.shape and np.shape(w) in ((), row_arc2.shape), name
         assert np.max(np.abs(np.subtract(g, w))) <= 1e-13 * np.max(np.abs(w)), name
 
 
@@ -1204,24 +1241,43 @@ def test_unsupported_manifolds_raise_before_the_cache(manifold, cold_kernel_cach
 
 
 def test_measures_share_one_row_build_per_tolerance_profile(monkeypatch, cold_kernel_caches):
-    builds = []
-    init = PostpointData.__init__
+    builds, rows_built = [], []
+    init, row_exponents = PostpointData.__init__, pathintegral._row_exponents
 
     def counted(self, chart, q):
         builds.append(len(q))
         init(self, chart, q)
 
+    def counted_row(data, j, steps):
+        rows_built.append(j)
+        return row_exponents(data, j, steps)
+
     monkeypatch.setattr(PostpointData, "__init__", counted)
+    monkeypatch.setattr(pathintegral, "_row_exponents", counted_row)
     monkeypatch.delenv("TORSIONLAB_TOLERANCES", raising=False)
     sphere, cfg = Sphere(1.0, 24, 48), ShortTimeConfig(epsilon=0.08)
     kernels = {mode: build_propagator(sphere, cfg, mode) for mode in MODES}
-    assert builds == [12]  # the 12 built rows, once for the three measures
+    for mode in MODES:  # three measures, then each measure's ladder again
+        spectrum_ladder(sphere, cfg, mode, (0.16, 0.08), n_levels=2, group_tol=0.05)
+    assert builds == [12] and rows_built == list(range(12))  # each row once for them all
+    floor = pathintegral.active_profile().degenerate_triad_floor
+    kept = _grid_rows(sphere, floor)
+    for array in (*kept[1], *kept[2:]):  # steps, brackets, trust measures, arcs
+        assert array.shape[0] == 12
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0.0
     monkeypatch.setenv("TORSIONLAB_TOLERANCES", "strict")
+    assert pathintegral.active_profile().degenerate_triad_floor != floor
     for mode in MODES:
         strict = build_propagator(sphere, cfg, mode)
         assert np.array_equal(strict.profile, kernels[mode].profile), mode
-    assert builds == [12, 12]  # a new degenerate-triad floor rebuilds the rows, once
+    # a new degenerate-triad floor rebuilds the rows, once
+    assert builds == [12, 12] and rows_built == list(range(12)) * 2
+    rebuilt = _grid_rows(sphere, pathintegral.active_profile().degenerate_triad_floor)
+    assert rebuilt is not kept
+    for new, old in zip((*rebuilt[1], *rebuilt[2:]), (*kept[1], *kept[2:])):
+        assert new is not old and np.array_equal(new, old)
     monkeypatch.setenv("TORSIONLAB_TOLERANCES", "default")
     build_propagator(sphere, cfg, "qep")
-    assert builds == [12, 12]  # the default profile's rows are still kept
+    assert builds == [12, 12] and len(rows_built) == 24  # the default profile's rows are kept
 

@@ -18,8 +18,10 @@ two sides in turn, alternating which goes first, so that machine drift
 between rounds cancels in the per-round ratios; ``--out`` then holds, per
 layer, both sides' medians of each round, the change/parent ratios and their
 median and quartiles, under ``eigensolve_counts`` each side's ``eigvals_*``
-counts of the two eigensolve layers, and under ``spectra_minor_faults`` each
-side's faults per spectra pass in each round.  ``--perfbench PAIRS`` adds that
+counts of the two eigensolve layers, under ``spectra_minor_faults`` each
+side's faults per spectra pass in each round, and under
+``spectra_tracemalloc_peak_mb`` each side's traced memory peak of one spectra
+pass in each round.  ``--perfbench PAIRS`` adds that
 many alternating pairs of ``perfbench/run.py`` runs per workload, each side
 run from the checkout that holds its ``src`` (at its default run length, seeds
 1501, 1502, ...), with
@@ -52,21 +54,34 @@ the kernel, under criterion 8 on the 48 x 96 sphere:
 * ``kernel_assembly_cold``    the same with the kept grids and rows emptied before
   each call (``KERNEL_CACHES``, where the checkout keeps them; a checkout that
   keeps none builds them in every call, cold and warm alike);
+* ``grid_rows_cold``          one ``pathintegral._grid_rows`` build of the 48 x 96
+  sphere after emptying ``KERNEL_CACHES``: its grid and its built rows, as much
+  of them as the checkout keeps (the stacked ``PostpointData`` only, or also
+  each row's bracket, trust measure and arcs);
+* ``eigvals_sectors_stacked`` the matrices that ``block_eigensolve`` solves (15
+  parity sectors of 24 x 24 where the checkout splits the blocks), all in one
+  ``numpy.linalg.eigvals`` call, and ``eigvals_sectors_each``, one call per
+  matrix: what solving them in fewer calls could save;
 * ``leading_prelude``         ``SlicedPropagator._leading(50)`` of the eps = 0.04
   kernel up to its first ``numpy.linalg.eigvals`` call, which a stand-in stops:
   the complex-block check, the solve units, their norm bounds and the choice of
   the first round's units.
 
-The fact ``entries_built`` counts what one such build evaluates: its ``rows``
-and ``entries`` (the steps of every row that ``pathintegral._monomials`` took
-the degree-4 planes of), against the kernel's ``full_rows`` (n_theta) and
-``full_entries`` (n_theta x n_theta n_phi); ``ring_entries_built`` likewise for
-the ring kernel at eps = 0.02 below.  The fact ``spectra_minor_faults`` is the
-minor page faults (``ru_minflt``) per steady-state pass of the ``spectra``
+The fact ``entries_built`` counts what one such build evaluates from emptied
+``KERNEL_CACHES``: its ``rows`` and ``entries`` (the steps of every row that
+``pathintegral._monomials`` took the degree-4 planes of), against the kernel's
+``full_rows`` (n_theta) and ``full_entries`` (n_theta x n_theta n_phi);
+``ring_entries_built`` likewise for the ring kernel at eps = 0.02 below.  The
+fact ``spectra_minor_faults`` is the minor page faults (``ru_minflt``) per
+steady-state pass of the ``spectra``
 workload's ladders (the criterion-7 ring ladder and the three criterion-8 sphere
 ladders), the mean over ``FAULT_PASSES`` passes after 3 warm ones, in a fresh
 interpreter: a large temporary that the allocator maps anew in every kernel
-shows here as thousands of faults per pass.
+shows here as thousands of faults per pass.  The fact
+``spectra_tracemalloc_peak_mb`` is the ``tracemalloc`` peak of one such pass
+after 3 warm ones, in a fresh interpreter tracing from before the import: the
+most memory that numpy and Python held at once during the pass, kept grids and
+rows included.  Unlike the resident set it repeats exactly from run to run.
 
 the ring kernel, under criterion 7 on 256 points:
 
@@ -156,12 +171,14 @@ the cold start:
   checkouts from before the one degenerate-triad rule.
 
 A layer that a checkout cannot run (a stacked ``PostpointData`` or every
-``LocalGeometry`` tensor over a stack, before they took one) is recorded with
+``LocalGeometry`` tensor over a stack, before they took one, or ``grid_rows_cold``
+before the rows were kept) is recorded with
 ``median_s`` null and the error under ``unsupported``.
 
 Only public names are used, besides ``pathintegral._propagators`` and
 ``SlicedPropagator._leading`` (their signatures unchanged since the ladder took
-one build of rows for every epsilon), ``_local.LocalGeometry``, ``Chart._jets``,
+one build of rows for every epsilon), ``pathintegral._grid_rows`` (for
+``grid_rows_cold`` only), ``_local.LocalGeometry``, ``Chart._jets``,
 ``expressions.Expression`` (wrapped to count ``expression_calls_per_point``),
 ``pathintegral._monomials`` (wrapped to count ``entries_built``),
 ``Chart._zeros`` (where ``_trajectory_field`` is keyed by it), ``expressions._KERNELS``,
@@ -205,6 +222,16 @@ DELTAQ = ["0.3*t*(1 - t)", "-0.2*t*(1 - t)"]  # criterion 5
 GEOMETRY_SEED = 1501  # the first seed of a --perfbench pair
 FAULT_PASSES = 10
 KERNEL_CACHES = ("_cached_grid", "_grid_rows")  # pathintegral's kept grids and rows
+SPECTRA_PASS = "\n".join([  # the spectra workload's ladders, as ``spectra_pass()``
+    "import torsionlab as tl",
+    f"ring, sphere = tl.Ring(1.0, {RING_POINTS}), tl.Sphere(1.0, {N_THETA}, {N_PHI})",
+    "def spectra_pass():",
+    f"    tl.spectrum_ladder(ring, tl.ShortTimeConfig(), 'qep', {RING_LADDER}, n_levels=4)",
+    "    for mode in ('qep', 'naive_dewitt', 'qep_via_veff'):",
+    f"        tl.spectrum_ladder(sphere, tl.ShortTimeConfig(), mode, {LADDER}, n_levels=4,",
+    "                           group_tol=0.05)",
+    "for _ in range(3):",
+    "    spectra_pass()"])
 CYCLE = 10  # distinct points a repeated single-point layer cycles through
 GEOMETRY_TENSORS = ("g", "invg", "recip", "dg", "d2g", "dinvg", "chris1", "chris2", "dchris2",
                     "gamma", "dgamma", "torsion", "contortion", "contortion_mixed", "cartan",
@@ -285,29 +312,51 @@ def _prelude_timing(prop, repeats):
         np.linalg.eigvals = solve
 
 
-def _spectra_minor_faults():
-    """Minor page faults per steady-state spectra pass, in a fresh interpreter."""
+def _fresh_spectra(head, tail):
+    """What ``tail`` prints after ``head`` and 3 warm spectra passes, in a fresh interpreter
+    importing this checkout."""
     import torsionlab
 
-    code = "\n".join([
-        "import resource, torsionlab as tl",
-        f"ring, sphere = tl.Ring(1.0, {RING_POINTS}), tl.Sphere(1.0, {N_THETA}, {N_PHI})",
-        "def spectra_pass():",
-        f"    tl.spectrum_ladder(ring, tl.ShortTimeConfig(), 'qep', {RING_LADDER}, n_levels=4)",
-        "    for mode in ('qep', 'naive_dewitt', 'qep_via_veff'):",
-        f"        tl.spectrum_ladder(sphere, tl.ShortTimeConfig(), mode, {LADDER}, n_levels=4,",
-        "                           group_tol=0.05)",
-        "for _ in range(3):",
-        "    spectra_pass()",
+    env = dict(os.environ, PYTHONPATH=str(Path(torsionlab.__file__).parent.parent))
+    run = subprocess.run([sys.executable, "-c", "\n".join([head, SPECTRA_PASS, tail])], env=env,
+                         check=True, capture_output=True, text=True)
+    return float(run.stdout)
+
+
+def _spectra_minor_faults():
+    """Minor page faults per steady-state spectra pass, in a fresh interpreter."""
+    return _fresh_spectra("import resource", "\n".join([
         "start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt",
         f"for _ in range({FAULT_PASSES}):",
         "    spectra_pass()",
-        f"print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - start) / {FAULT_PASSES})",
-    ])
-    env = dict(os.environ, PYTHONPATH=str(Path(torsionlab.__file__).parent.parent))
-    run = subprocess.run([sys.executable, "-c", code], env=env, check=True, capture_output=True,
-                         text=True)
-    return float(run.stdout)
+        f"print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - start) / {FAULT_PASSES})"]))
+
+
+def _spectra_tracemalloc_peak_mb():
+    """The traced memory peak (MB) of one steady-state spectra pass, in a fresh interpreter
+    tracing from before the import: live memory at the pass's start included."""
+    return _fresh_spectra("import tracemalloc; tracemalloc.start()", "\n".join([
+        "tracemalloc.reset_peak()",
+        "spectra_pass()",
+        "print(tracemalloc.get_traced_memory()[1] / 1e6)"]))
+
+
+def _sector_matrices(prop):
+    """The matrices that ``prop.eigenvalues(count=50)`` solves, stacked (k, n, n)."""
+    import numpy as np
+
+    solve, matrices = np.linalg.eigvals, []
+
+    def kept(a):
+        matrices.extend(a.reshape(-1, *a.shape[-2:]))
+        return solve(a)
+
+    np.linalg.eigvals = kept
+    try:
+        prop.eigenvalues(count=50)
+    finally:
+        np.linalg.eigvals = solve
+    return np.array(matrices)
 
 
 def _rows():
@@ -326,7 +375,9 @@ def _kernel_layers():
     import numpy as np
 
     from torsionlab import ShortTimeConfig, Sphere, build_propagator, builtin_chart, spectrum_ladder
+    from torsionlab import pathintegral
     from torsionlab._local import LocalGeometry
+    from torsionlab.config import active_profile
     from torsionlab.pathintegral import PostpointData, _propagators
 
     chart = builtin_chart("sphere", r=1.0)
@@ -336,6 +387,7 @@ def _kernel_layers():
     sphere = Sphere(1.0, N_THETA, N_PHI)
     cfg = ShortTimeConfig(epsilon=0.04)
     prop = build_propagator(sphere, cfg, "qep")
+    sectors = _sector_matrices(prop)
     ladder_cfgs = [ShortTimeConfig(epsilon=eps) for eps in LADDER]
 
     def assembly():
@@ -344,6 +396,10 @@ def _kernel_layers():
     def cold_assembly():
         _clear_kernel_caches()
         return assembly()
+
+    def cold_grid_rows():
+        _clear_kernel_caches()
+        return pathintegral._grid_rows(sphere, active_profile().degenerate_triad_floor)
 
     def all_brackets():
         for d, (_, dq) in zip(data, rows):
@@ -370,14 +426,20 @@ def _kernel_layers():
                                     group_tol=0.05), 7),
         "kernel_assembly": _median_timing(assembly, 15),
         "kernel_assembly_cold": _median_timing(cold_assembly, 15),
+        "grid_rows_cold": _runnable_timing(cold_grid_rows, 15),
         "leading_prelude": _prelude_timing(prop, 30),
+        "eigvals_sectors_stacked": _median_timing(lambda: np.linalg.eigvals(sectors), 30),
+        "eigvals_sectors_each": _median_timing(lambda: [np.linalg.eigvals(a) for a in sectors],
+                                               30),
     }
     layers["block_eigensolve"].update(_eigvals_counts(lambda: prop.eigenvalues(count=50)))
     facts = {
         "grid": [N_THETA, N_PHI],
         "blocks_stored": None if prop.blocks is None else int(prop.blocks.shape[2]),
+        "eigvals_sectors": list(sectors.shape),
         "entries_built": _entries_built(sphere, cfg),
         "spectra_minor_faults": _spectra_minor_faults(),
+        "spectra_tracemalloc_peak_mb": _spectra_tracemalloc_peak_mb(),
     }
     return layers, facts
 
@@ -398,10 +460,12 @@ def _ring_layers():
 
 
 def _entries_built(manifold, cfg):
-    """Rows and steps per row of one ``build_propagator(manifold, cfg, "qep")``: one
-    degree-4 ``pathintegral._monomials`` call per row built, counted by wrapping it."""
+    """Rows and steps per row of one ``build_propagator(manifold, cfg, "qep")`` from emptied
+    kernel caches: one degree-4 ``pathintegral._monomials`` call per row built, counted by
+    wrapping it."""
     from torsionlab import build_propagator, pathintegral
 
+    _clear_kernel_caches()
     monomials, columns = pathintegral._monomials, []
 
     def counted(steps, degree):
@@ -722,8 +786,8 @@ def pair(sources, rounds, perfbench_pairs):
                              for side in runs},
            "expression_calls_per_point": {side: runs[side][0]["expression_calls_per_point"]
                                           for side in runs},
-           "spectra_minor_faults": {side: [run["spectra_minor_faults"] for run in runs[side]]
-                                    for side in runs},
+           **{fact: {side: [run[fact] for run in runs[side]] for side in runs}
+              for fact in ("spectra_minor_faults", "spectra_tracemalloc_peak_mb")},
            "eigensolve_counts": {side: {layer: {key: value for key, value in
                                                  runs[side][0]["layers"][layer].items()
                                                  if key.startswith("eigvals_")}
