@@ -22,7 +22,8 @@ degenerate-triad rule (``_local.rule_lines``, which ``checked_metric`` runs
 too, unfolded, to the same decision), which raise ``DegenerateTriadError`` at a rejected point; a trajectory
 truncates there as at a guard.  Elsewhere a field returns plain floats, D
 accelerations or the row-major D x D matrices (G, Sigma); on the jets of a
-stack (N, D) and a velocity of D arrays it returns arrays.
+stack (N, D) and a velocity of D arrays it returns arrays.  Its every NaN is
+``math.nan`` (``_plus_nan``), whatever NaNs its lines met.
 
 Every line is written through ``_Taylor``'s fold helpers (``_add``, ``_sub``,
 ``_mul``, ``_neg``) over what is known of the jets: a known float folds only
@@ -174,7 +175,11 @@ def _field_source(field, kind, dim, ambient, values, head=None, slope=None):
     if dim <= 3:  # g^-1 = adjugate / det, from the rule's lines
         def solution(c, m):  # row m of the solution for column c; the rule makes det > 0
             x = _group(total(_mul(val("a", min(m, s), max(m, s)), val("c", c, s)) for s in rD))
-            return "0.0" if x is _ZERO else f"{_lit(_neg(x) if sign else x)} / {_lit(val('det'))}"
+            if x is _ZERO:
+                return "0.0"
+            x = f"{_lit(_neg(x) if sign else x)} / {_lit(val('det'))}"
+            # an integrator's stage computes floats: its NaN test is inline
+            return f"(z if (z := {x}) == z else math.nan)" if slope else f"_plus_nan({x})"
 
         x = [[solution(c, m) for m in rD] for c in range(len(columns))]
         result = f"({', '.join(x[0])},)"
@@ -184,13 +189,23 @@ def _field_source(field, kind, dim, ambient, values, head=None, slope=None):
             result = f"({G},), ({S},)"
     else:  # right-hand sides (..., D, columns) at a point or over a stack; x (D, columns, ...)
         rhs = ", ".join(_lit(val("c", c, s)) for c in range(len(columns)) for s in rD)
-        lines.append(f"    x = np.moveaxis(np.linalg.solve(g, stacked(({rhs},), {len(columns)}, {dim})),"
-                     " (-2, -1), (0, 1))")
+        lines.append(f"    x = _plus_nan({'-' * sign}np.moveaxis(np.linalg.solve(g, stacked(({rhs},),"
+                     f" {len(columns)}, {dim})), (-2, -1), (0, 1)))")
         G, S = (f"tuple(x[:, {c}:{c + dim}].reshape({dim * dim}, *x.shape[2:]).tolist())" for c in (0, dim))
         S = S if torsion else f"({zero},)"
-        result = f"tuple(({'-' * sign}x[:, 0]).tolist())" if field != "variation" else f"{G}, {S}"
+        result = "tuple(x[:, 0].tolist())" if field != "variation" else f"{G}, {S}"
     lines.append(f"    {slope} = {result}" if slope else f"    return {result}")
     return "\n".join(lines) + "\n"
+
+
+def _plus_nan(x):
+    """The field value ``x`` (a float or an array) with each NaN made
+    ``math.nan``.  The sign of a NaN that two NaNs make depends on the
+    interpreter's state (CPython's specialized float multiply keeps the other
+    operand's NaN), so the field's lines alone would not fix it."""
+    if isinstance(x, float):
+        return x if x == x else math.nan
+    return np.where(x == x, x, math.nan)
 
 
 @lru_cache(maxsize=_TRAJECTORY_FIELDS_KEPT)
@@ -200,7 +215,8 @@ def _trajectory_field(field, kind, dim, ambient, zeros):
     dimension whose jets have their structural zeros at ``zeros``
     (``Chart._zeros``), at the point or stack ``q`` whose ``Chart._jets`` are
     ``jets``."""
-    namespace = {"np": np, "_INF": math.inf, "degenerate_triad": degenerate_triad, "stacked": stacked}
+    namespace = {"np": np, "math": math, "_INF": math.inf, "_plus_nan": _plus_nan,
+                 "degenerate_triad": degenerate_triad, "stacked": stacked}
     label = f"<{field} field {kind} D={dim} A={ambient} zeros {zeros}>"
     values = _jet_values(kind, dim, ambient, field != "line_image", zeros)
     exec(compile(_field_source(field, kind, dim, ambient, values), label, "exec"), namespace)

@@ -264,6 +264,12 @@ def stage_fields(chart, field, q0, v, h=0.05, steps=4):
 # synthetic_torsion's triad, where each stage's f0 is a signed zero unless both
 # routes fold its constant entries alike
 @example(case=(Chart(2, "triad", ["1", "0", "0", "1 + a*q1"], params=PARAMS), [0.1, 0.2], [1.0, -0.7]))
+# the path overflows to a NaN velocity at the 8th stage, where the field meets
+# NaNs of both signs: its NaN is math.nan on both routes, however warm each is
+@example(case=(Chart(3, "triad", ["---log(a)", "0", "-atan2((2 * b), atan2(2, q3))", "--2",
+                                  "(-q1 * atan2(q3, q3))", "0", "1", "--0.5", "1"], params=PARAMS),
+               [0.6350189174673866, 0.8807973784216787, -5.960464477539063e-08],
+               [-0.4196054282975994, -1.6173461478278535, 1.9999999999999998]))
 def test_integrator_stages_equal_the_jet_route_on_zero_entries(case):
     # the integrator folds a literal 0 entry inline; the jet route knows it only
     # as a structural zero of ``Chart._zeros``: every stage's field is the same
