@@ -154,7 +154,6 @@ class Token(NamedTuple):
 
 
 _NUMBER_RE = re.compile(r"(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?")
-_SINGLE = {**dict.fromkeys("+-*/^", "OP"), "(": "LPAREN", ")": "RPAREN", ",": "COMMA"}
 
 
 def _tokenize(source: str) -> list[Token]:
@@ -174,7 +173,9 @@ def _tokenize(source: str) -> list[Token]:
             continue
         start_col = col
         if ch.isdigit() or (ch == "." and i + 1 < n and source[i + 1].isdigit()):
-            m = _NUMBER_RE.match(source, i)  # never None: a digit or ".digit" starts it
+            m = _NUMBER_RE.match(source, i)
+            if m is None:
+                raise ExpressionParseError(f"bad number literal at {ch!r}", line, start_col, ch)
             text = m.group(0)
             tokens.append(Token("NUM", text, line, start_col))
             col += len(text)
@@ -193,9 +194,16 @@ def _tokenize(source: str) -> list[Token]:
             i += 2
             col += 2
             continue
-        if ch not in _SINGLE:
+        if ch in "+-*/^":
+            tokens.append(Token("OP", ch, line, start_col))
+        elif ch == "(":
+            tokens.append(Token("LPAREN", ch, line, start_col))
+        elif ch == ")":
+            tokens.append(Token("RPAREN", ch, line, start_col))
+        elif ch == ",":
+            tokens.append(Token("COMMA", ch, line, start_col))
+        else:
             raise ExpressionParseError(f"unexpected character {ch!r}", line, start_col, ch)
-        tokens.append(Token(_SINGLE[ch], ch, line, start_col))
         i += 1
         col += 1
     tokens.append(Token("END", "", line, col))
@@ -232,10 +240,6 @@ class Call:
     col: int
 
 
-def _error_at(tok, message):
-    return ExpressionParseError(message, tok.line, tok.col, tok.text)
-
-
 class _Parser:
     def __init__(self, source: str):
         self.tokens = _tokenize(source)
@@ -252,14 +256,21 @@ class _Parser:
     def expect(self, kind: str) -> Token:
         tok = self.peek()
         if tok.kind != kind:
-            raise _error_at(tok, f"expected {kind}, found {tok.text or 'end of input'!r}")
+            raise ExpressionParseError(
+                f"expected {kind}, found {tok.text or 'end of input'!r}",
+                tok.line,
+                tok.col,
+                tok.text,
+            )
         return self.advance()
 
     def parse(self):
         node = self.expression()
         tok = self.peek()
         if tok.kind != "END":
-            raise _error_at(tok, f"unexpected trailing token {tok.text!r}")
+            raise ExpressionParseError(
+                f"unexpected trailing token {tok.text!r}", tok.line, tok.col, tok.text
+            )
         return node
 
     def expression(self):
@@ -278,9 +289,12 @@ class _Parser:
 
     def factor(self):
         tok = self.peek()
-        if tok.kind == "OP" and tok.text in "+-":
+        if tok.kind == "OP" and tok.text == "-":
             self.advance()
-            return Neg(self.factor()) if tok.text == "-" else self.factor()
+            return Neg(self.factor())
+        if tok.kind == "OP" and tok.text == "+":
+            self.advance()
+            return self.factor()
         return self.power()
 
     def power(self):
@@ -298,7 +312,9 @@ class _Parser:
         if tok.kind == "IDENT":
             if self.peek().kind == "LPAREN":
                 if tok.text not in FUNCTIONS:
-                    raise _error_at(tok, f"unknown function {tok.text!r}")
+                    raise ExpressionParseError(
+                        f"unknown function {tok.text!r}", tok.line, tok.col, tok.text
+                    )
                 self.advance()
                 args = [self.expression()]
                 while self.peek().kind == "COMMA":
@@ -307,15 +323,21 @@ class _Parser:
                 self.expect("RPAREN")
                 arity = FUNCTIONS[tok.text]
                 if len(args) != arity:
-                    raise _error_at(tok, f"function {tok.text!r} takes {arity} argument(s), "
-                                         f"got {len(args)}")
+                    raise ExpressionParseError(
+                        f"function {tok.text!r} takes {arity} argument(s), got {len(args)}",
+                        tok.line,
+                        tok.col,
+                        tok.text,
+                    )
                 return Call(tok.text, tuple(args), tok.col)
             return Name(tok.text, tok.col)
         if tok.kind == "LPAREN":
             node = self.expression()
             self.expect("RPAREN")
             return node
-        raise _error_at(tok, f"unexpected token {tok.text or 'end of input'!r}")
+        raise ExpressionParseError(
+            f"unexpected token {tok.text or 'end of input'!r}", tok.line, tok.col, tok.text
+        )
 
 
 def _free_names(node, out):
@@ -786,7 +808,11 @@ class Expression:
     def _batch(self, env, wrt, order):
         """``self(env, wrt, order)`` with names bound to arrays of points: an
         array (a float where constant) per component, bitwise the scalar one."""
-        return (self._lowered.get((wrt, order, True)) or self._lower(wrt, order, True))(env)
+        fn = self._lowered.get((wrt, order, True)) or self._lower(wrt, order, True)
+        try:
+            return fn(env)
+        except RecursionError:
+            raise _too_deep(self.source) from None
 
     def _lower(self, wrt, order, batched):
         if not isinstance(wrt, tuple) or order not in (0, 1, 2, 3):

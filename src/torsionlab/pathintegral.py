@@ -56,6 +56,7 @@ MIN_RESOLUTION_RATIO = 1.5
 EXPANSION_TOLERANCE = 2.0
 # Grids kept, keyed on the manifold, and their rows, keyed on it and the degenerate-triad floor
 GRIDS_KEPT = 4  # rows: 3 ceil(n_theta/2) n_theta (n_phi/2 + 1) doubles, 1.35 MB at 48 x 96
+ROWS_KEPT_BYTES = 4 << 20  # larger rows (past about 64 x 128) are built per ladder, not kept
 
 
 @dataclass(frozen=True)
@@ -481,7 +482,9 @@ def _grid_rows(manifold, floor):
     ``floor`` (a new floor rebuilds them): the stacked ``PostpointData`` of its ``posts``,
     their steps (a tuple of D arrays broadcasting to (h, columns)), and each row's bracket,
     trust measure (its cubic + quartic part) and squared arc, three (h, columns) arrays of
-    3 h n_theta (n_phi/2 + 1) doubles, 1.35 MB on the 48 x 96 sphere.  All read-only."""
+    3 h n_theta (n_phi/2 + 1) doubles, 1.35 MB on the 48 x 96 sphere.  All read-only.
+    ``_propagators`` keeps only rows within ``ROWS_KEPT_BYTES``, so at most
+    ``GRIDS_KEPT`` of them, 16 MB, stay; it builds larger ones afresh per ladder."""
     chart, _, _, posts, steps, _ = _kernel_grid(manifold)
     data = PostpointData(chart, np.array(posts))
     dq, arc2 = zip(*map(steps, data.q))
@@ -525,7 +528,9 @@ def _propagators(manifold, cfgs, mode):
         lam = 0.5 * cfg.mass / (cfg.epsilon * cfg.hbar)
         norm = (cfg.mass / (2.0 * math.pi * cfg.epsilon * cfg.hbar)) ** (chart.dim / 2)
         scales.append((lam, (cfg.cutoff_sigmas * sigma) ** 2, (norm * weights).ravel()))
-    rows = _grid_rows(manifold, active_profile().degenerate_triad_floor)
+    floor = active_profile().degenerate_triad_floor
+    kept = 24 * len(posts) * weights.size <= ROWS_KEPT_BYTES  # three (h, columns) doubles
+    rows = (_grid_rows if kept else _grid_rows.__wrapped__)(manifold, floor)
     profiles, fractions = _kernel_profiles(  # the dressings are dropped with their buffers
         rows, weights, fold, _mode_exponents(rows, mode, cfgs), scales)
     for cfg, profile, fraction in zip(cfgs, profiles, fractions):

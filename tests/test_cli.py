@@ -255,6 +255,7 @@ def test_negative_coordinate_lists_are_values(capsys, argv, field, value):
 
 POLAR_FILE = {"dim": 2, "kind": "map", "exprs": ["q1*cos(q2)", "q1*sin(q2)"], "guard": "q1"}
 GEODESIC = ["geodesic", "--chart", "builtin:polar", "--q0", "1,0", "--qdot0", "1,1"]
+SUPERSCRIPTS = {"superscript-digit": "2\u00b2", "point-superscript": ".\u00b2"}  # str.isdigit
 
 
 @pytest.mark.parametrize(
@@ -319,6 +320,8 @@ GEODESIC = ["geodesic", "--chart", "builtin:polar", "--q0", "1,0", "--qdot0", "1
          "EvaluationError", EXIT_NUMERIC, "OverflowError"),  # in the integrator's first stage
         *((["tensors", "--chart", "{%s}" % name, "--at", "1,0.2"], "ExpressionParseError",
            EXIT_VALIDATION, "nested too deeply") for name in DEEP),
+        *((["tensors", "--chart", "{%s}" % name, "--at", "1,0.2"], "ExpressionParseError",
+           EXIT_VALIDATION, "bad number literal") for name in SUPERSCRIPTS),
     ],
     ids=["missing-option", "malformed-floats", "malformed-float", "bad-param", "bad-choice",
          "unknown-builtin", "unknown-file-param", "loop-without-vertices", "loop-flat-list",
@@ -326,7 +329,8 @@ GEODESIC = ["geodesic", "--chart", "builtin:polar", "--q0", "1,0", "--qdot0", "1
          "nan-radius", "negative-radius", "infinite-radius", "sparse-sphere", "infinite-qdot0",
          "nan-q0-unguarded", "infinite-at", "nan-q0-guarded", "nan-loop-vertex",
          "loop-through-origin", "nan-group-tol", "negative-group-tol", "unlike-multiplets",
-         "taylor-overflow", "integrator-overflow", *(f"{name}-3000-deep" for name in DEEP)],
+         "taylor-overflow", "integrator-overflow", *(f"{name}-3000-deep" for name in DEEP),
+         *SUPERSCRIPTS],
 )
 def test_every_error_is_one_json_line(tmp_path, capsys, argv, error_type, code, mentions):
     files = {
@@ -345,6 +349,8 @@ def test_every_error_is_one_json_line(tmp_path, capsys, argv, error_type, code, 
                                   {"dim": 1, "kind": "triad", "exprs": ["1 + q1^-200"]}),
         **{name: write_json(tmp_path / f"{name}.json", {"dim": 2, "kind": "map", "exprs": [
             f"q1*cos(q2) + {source}", "q1*sin(q2)"]}) for name, source in DEEP.items()},
+        **{name: write_json(tmp_path / f"{name}.json", {"dim": 2, "kind": "map", "exprs": [
+            f"{source}*cos(q2)", "q1*sin(q2)"]}) for name, source in SUPERSCRIPTS.items()},
     }
     assert main([arg.format(**files) for arg in argv]) == code
     out, err = capsys.readouterr()

@@ -49,6 +49,9 @@ def test_wrong_arity_and_syntax_errors():
         Expression("q1 q2")
     with pytest.raises(ExpressionParseError):
         Expression("1 + $")
+    for source in ("2\u00b2", "q1*\u00b2", ".\u00b2"):  # a digit to str.isdigit, not to the number pattern
+        with pytest.raises(ExpressionParseError, match="bad number literal"):
+            Expression(source)
 
 
 DEEP = {"parentheses": "(" * 3000 + "q1" + ")" * 3000, "minus": "-" * 3000 + "q1",
@@ -74,13 +77,17 @@ def at_depth(frames, fn):
 
 def test_expression_too_deep_for_the_stack_left_is_a_parse_error():
     # 300 terms parse, lower and evaluate here; with fewer than 300 frames left, lowering
-    # (for the jets and for the generated integrator) and evaluation fail as a parse error
+    # (for the jets and for the generated integrator) and evaluation, at a point or over
+    # a stack of points, fail as a parse error
     source = "q1" + "+q1*0.001" * 299
     expr, chart = Expression(source), Chart.from_dict(deep_chart(source))
     expr({"q1": 1.0})
+    stack_jets = lambda: chart._batch_jets(np.array([[1.0, 0.2], [1.1, 0.3]]), ("q1", "q2"), 2)  # noqa: E731
+    stack_jets()  # lowered here, evaluated below
     frames = sys.getrecursionlimit() - 250  # leaves too few for 300 levels, enough for the rest
     for fn in (lambda: expr({"q1": 1.0, "q2": 0.2}, ("q1", "q2"), 1),  # lowering
                lambda: expr({"q1": 1.0}),  # evaluation of the lowered tree
+               stack_jets,  # evaluation of the lowered tree over a stack
                lambda: geometry_point(chart, [1.0, 0.2]),
                lambda: integrate_geodesic(chart, [1.0, 0.2], [0.1, 0.1], (0.0, 0.01), 1e-3)):
         with pytest.raises(ExpressionParseError, match="nested too deeply"):

@@ -1280,4 +1280,10 @@ def test_measures_share_one_row_build_per_tolerance_profile(monkeypatch, cold_ke
     monkeypatch.setenv("TORSIONLAB_TOLERANCES", "default")
     build_propagator(sphere, cfg, "qep")
     assert builds == [12, 12] and len(rows_built) == 24  # the default profile's rows are kept
+    # rows over ROWS_KEPT_BYTES are built for each kernel and not kept, to the same kernel
+    monkeypatch.setattr(pathintegral, "ROWS_KEPT_BYTES", 3 * kept[2].nbytes - 1)
+    pathintegral._grid_rows.cache_clear()
+    for _ in range(2):
+        assert np.array_equal(build_propagator(sphere, cfg, "qep").profile, kernels["qep"].profile)
+    assert len(rows_built) == 48 and pathintegral._grid_rows.cache_info().currsize == 0
 
