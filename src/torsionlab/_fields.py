@@ -31,7 +31,9 @@ by exact identities (1.0*x is x), and a structural zero (a partial in a
 variable that its subexpression never reads, a seed's own higher partial,
 the value of a chart expression that folds to the known +0.0) absorbs a
 product and drops out of a sum.  ``_chart_field`` writes these lines into
-each of the four stages of its RK4 integrator per chart definition, behind a
+each of the four stages of its RK4 integrator per field and chart definition
+(``Chart._definition``: kind, D, expression sources, guard source and
+parameter names, from which it parses the chart again), behind a
 check that the point is finite, the guard and the jets of every chart
 expression, which ``_Taylor`` inlines (a subexpression shared between
 entries, found by structural hashing of the AST, computed once); there the
@@ -39,7 +41,8 @@ lines read the jets' floats, zeros and names.
 The jet route knows only where the structural zeros are (``Chart._zeros``),
 so ``_trajectory_field`` compiles one field per zero pattern: both routes
 drop the same terms, and compute bit for bit alike.  Parameter values are
-arguments, so charts that differ only in them share the code.
+arguments, so charts that differ only in them share the code.  Both caches
+are ``functools.lru_cache``s (``cache_info()`` reads them).
 """
 
 from __future__ import annotations
@@ -72,8 +75,7 @@ from .expressions import (
     _too_deep,
 )
 
-_CHART_FIELDS: dict = {}  # (field, (kind, D, sources, guard, parameter names)) -> integrator
-_CHART_FIELDS_KEPT = 128  # entries kept, the most recently used (10-50 KB each)
+_CHART_FIELDS_KEPT = 128  # ``_chart_field``s kept, the most recently used (10-50 KB each)
 _TRAJECTORY_FIELDS_KEPT = 64  # ``_trajectory_field``s kept, the most recently used
 
 
@@ -336,28 +338,24 @@ def _rk4_source(head, state, slope, body, final):
         f"    return y, np.frombuffer(slopes).reshape(-1, {n}), len(y) < len(t)\n"])
 
 
-def _chart_field(field, definition, exprs, guard):
+@lru_cache(maxsize=_CHART_FIELDS_KEPT)
+def _chart_field(field, definition):
     """The RK4 integrator ``field(y, t, v.., parameter values.., floor)`` of one
-    chart definition (``Chart._definition``, whose ``exprs`` and ``guard`` it
-    reads; ``v``, the flat velocity, only for the line image), compiled on first
-    use: ``_rk4_source`` over the guard, the jets and the lines of
-    ``_field_source``.  Each stage raises as ``Chart._jets`` and
-    ``checked_metric`` raise and computes what ``_trajectory_field`` returns on
-    that pass's jets."""
-    key = (field, definition)
-    fn = _CHART_FIELDS.pop(key, None)  # re-inserted below: dict order is recency order
-    if fn is None:
-        kind, dim, sources, _, params = definition
-        namespace = {**vars(expressions), **globals(),  # the helpers, errors, array, math, np
-                     "_INF": math.inf, **{f"_REAL_{op}": f for op, f in _REAL.items()}}
-        label = f"<{field} integrator of the {kind} chart {list(sources)}>"
-        try:
-            source = _chart_source(field, kind, dim, exprs, guard, params)
-        except RecursionError:  # a tree too deep to lower, as ``Expression`` reports it
-            raise _too_deep(", ".join(sources)) from None
-        exec(compile(source, label, "exec"), namespace)
-        fn = namespace[field]
-        if len(_CHART_FIELDS) >= _CHART_FIELDS_KEPT:
-            del _CHART_FIELDS[next(iter(_CHART_FIELDS))]  # the least recently used
-    _CHART_FIELDS[key] = fn
-    return fn
+    chart definition (``Chart._definition``: kind, D, the expression sources,
+    the guard's source and the parameter names; ``v``, the flat velocity, only
+    for the line image), compiled on first use from the sources, parsed again:
+    ``_rk4_source`` over the guard, the jets and the lines of ``_field_source``.
+    Each stage raises as ``Chart._jets`` and ``checked_metric`` raise and
+    computes what ``_trajectory_field`` returns on that pass's jets."""
+    kind, dim, sources, guard, params = definition
+    namespace = {**vars(expressions), **globals(),  # the helpers, errors, array, math, np
+                 "_INF": math.inf, **{f"_REAL_{op}": f for op, f in _REAL.items()}}
+    label = f"<{field} integrator of the {kind} chart {list(sources)}>"
+    exprs = [expressions.Expression(s) for s in sources]
+    guard = guard and expressions.Expression(guard)
+    try:
+        source = _chart_source(field, kind, dim, exprs, guard, params)
+    except RecursionError:  # a tree too deep to lower, as ``Expression`` reports it
+        raise _too_deep(", ".join(sources)) from None
+    exec(compile(source, label, "exec"), namespace)
+    return namespace[field]

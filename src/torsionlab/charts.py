@@ -19,7 +19,9 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Mapping
 from importlib import resources
+from numbers import Real
 from types import MappingProxyType
 
 import numpy as np
@@ -47,21 +49,30 @@ class Chart:
         ``"map"`` for a coordinate map x(q) (one expression per ambient
         component, at least D of them), ``"triad"`` for a D x D matrix of
         triad component expressions in row-major order.
-    exprs : sequence of str or Expression
+    exprs : list or tuple of str or Expression
     params : dict, optional
-        Named real constants available inside every expression.
+        Named finite real constants available inside every expression; no
+        name may be a coordinate's.
     guard : str or Expression, optional
         A point is admitted iff the guard evaluates > 0.
     """
 
     def __init__(self, dim, kind, exprs, params=None, guard=None, name=None):
-        if not isinstance(dim, int) or dim < 1:
-            raise ValidationError(f"chart dimension must be a positive integer, got {dim!r}")
+        if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
+            raise ValidationError(f"chart dim must be a positive integer, got {dim!r}")
         if kind not in _KINDS:
             raise ValidationError(f"chart kind must be one of {_KINDS}, got {kind!r}")
-        # read-only: the kept jets and the generated integrator assume fixed values
-        self.params = MappingProxyType({str(k): float(v) for k, v in (params or {}).items()})
+        if not isinstance(exprs, (list, tuple)):
+            raise ValidationError(f"chart exprs must be a list of expressions, got {exprs!r}")
         self._coord_names = tuple(f"q{i + 1}" for i in range(dim))
+        params = {} if params is None else params
+        if not isinstance(params, Mapping) or not all(
+                isinstance(k, str) and k not in self._coord_names and isinstance(v, Real)
+                and not isinstance(v, bool) and math.isfinite(v) for k, v in params.items()):
+            raise ValidationError(f"chart params must map names other than {self._coord_names} "
+                                  f"to finite numbers, got {params!r}")
+        # read-only: the kept jets and the generated integrator assume fixed values
+        self.params = MappingProxyType({k: float(v) for k, v in params.items()})
         allowed = set(self._coord_names) | set(self.params)
         exprs = parse_over(exprs, allowed, "chart expression")
         if kind == "triad":
@@ -86,7 +97,8 @@ class Chart:
         self.ambient_dim = ambient
         self._patterns = {}  # triad order -> ``_zeros``
         self._last = [(None, None)] * 3  # per triad order, the last point's bytes and jets
-        self._definition = (kind, dim, tuple(e.source for e in exprs),  # ``_chart_field``'s key
+        # ``_chart_field``'s key, from which it parses the sources again on a miss
+        self._definition = (kind, dim, tuple(e.source for e in exprs),
                             self.guard and self.guard.source, tuple(self.params))
 
     # -- admission ----------------------------------------------------------
@@ -258,17 +270,8 @@ class Chart:
         missing = {"dim", "kind", "exprs"} - set(data)
         if missing:
             raise ValidationError(f"chart definition missing fields: {sorted(missing)}")
-        dim = data["dim"]
-        if not isinstance(dim, int):
-            raise ValidationError(f"chart dim must be an integer, got {dim!r}")
-        return cls(
-            dim=dim,
-            kind=data["kind"],
-            exprs=data["exprs"],
-            params=data.get("params"),
-            guard=data.get("guard"),
-            name=data.get("name"),
-        )
+        return cls(data["dim"], data["kind"], data["exprs"], data.get("params"),
+                   data.get("guard"), data.get("name"))
 
     def __repr__(self):
         label = self.name or f"{self.kind}[{self.dim}]"
@@ -279,9 +282,10 @@ class Chart:
 
 
 def _with_overrides(data, overrides, label) -> Chart:
-    """Chart of a definition with some of its params replaced; unknown names are rejected."""
-    if overrides and isinstance(data, dict):
-        params = dict(data.get("params") or {})
+    """Chart of a definition with some of its params replaced; unknown names are
+    rejected, and malformed params by ``Chart``."""
+    params = isinstance(data, dict) and (data.get("params") or {})
+    if overrides and isinstance(params, dict):
         unknown = set(overrides) - set(params)
         if unknown:
             raise ValidationError(f"chart {label} has no parameter(s) {sorted(unknown)}")

@@ -87,7 +87,7 @@ def _grid(t_span, step):
 def _integrator(chart: Chart, field):
     """``(rk4, args)``: the chart's generated integrator ``rk4(y, t, *args)`` of
     ``field``.  Reads the profile's floor once."""
-    rk4 = _chart_field(field, chart._definition, chart.exprs, chart.guard)
+    rk4 = _chart_field(field, chart._definition)
     return rk4, (*chart.params.values(), active_profile().degenerate_triad_floor)
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import operator
 import re
-from collections import Counter, OrderedDict
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement, count, product
@@ -342,7 +342,7 @@ class _Parser:
 
 def _free_names(node, out):
     if isinstance(node, Name):
-        out[node.ident] = node.col
+        out.setdefault(node.ident, node.col)
     elif isinstance(node, Neg):
         _free_names(node.arg, out)
     elif isinstance(node, BinOp):
@@ -367,9 +367,7 @@ def _free_names(node, out):
 # per-chart trajectory integrators of ``_fields``.  Each expression is
 # lowered once per (wrt, order, batched) into closures over the kernels.
 
-_KERNELS: dict = {}  # (D, n, batched) -> ``_Kernels``
-_KERNEL_VARIANTS_KEPT = 1024  # variants kept over all of ``_KERNELS``, the most recently used
-_KERNEL_USE = OrderedDict()  # ((D, n, batched), rule, zeros) of every kept variant, in order of use
+_KERNEL_VARIANTS_KEPT = 1024  # ``_variant``s kept, the most recently used
 
 
 def _multisets(dim, order):
@@ -653,7 +651,7 @@ _RULES = {
 }
 
 
-def _kernel_source(dim, order, rule, zeros=()):
+def _kernel_source(dim, order, rule, zeros):
     """Source of the kernel ``rule`` (a ``_RULES`` name, or ``var{k}`` seeding
     variable k) on jets in ``dim`` variables to ``order`` whose structural
     zeros sit at ``zeros`` (per jet operand, a tuple of positions), and the
@@ -671,36 +669,20 @@ def _kernel_source(dim, order, rule, zeros=()):
     return source, tuple(i for i, x in enumerate(out) if x is _ZERO)
 
 
-class _Kernels(dict):
-    """The kernels of one (D, n, batched), and ``_REAL``: per rule name, one
-    variant per tuple of its jet operands' structural-zero positions, as
-    (kernel, its result's zero positions), compiled on first use over the
-    scalar series helpers or (batched) the array ones."""
-
-    def __init__(self, dim, order, batched):
-        self.key, self.namespace = (dim, order, batched), {**globals(), **(_BATCH if batched else {})}
-        super().__init__(_REAL=self.namespace["_REAL"])
-
-    def variant(self, rule, zeros=()):
-        variants = self.setdefault(rule, {})
-        if zeros in variants:
-            _KERNEL_USE.move_to_end((self.key, rule, zeros))
-            return variants[zeros]
-        dim, order, batched = self.key
-        source, out = _kernel_source(dim, order, rule, zeros)
-        label = f"<{'batched ' * batched}kernel {rule} D={dim} n={order} zeros {zeros}>"
-        scope = {}  # one per variant, over the shared namespace
-        exec(compile(source, label, "exec"), self.namespace, scope)
-        variants[zeros], _KERNEL_USE[self.key, rule, zeros] = (scope[rule], out), None
-        while len(_KERNEL_USE) > _KERNEL_VARIANTS_KEPT:  # drop the least recently used
-            (key, old, old_zeros), _ = _KERNEL_USE.popitem(last=False)
-            del _KERNELS[key][old][old_zeros]
-        return variants[zeros]
+# what the kernels read, per ``batched``: the scalar series helpers or the array ones
+_NAMESPACES = {False: {**globals()}, True: {**globals(), **_BATCH}}
 
 
-def _kernels(dim, order, batched):
-    key = (dim, order, batched)
-    return _KERNELS.get(key) or _KERNELS.setdefault(key, _Kernels(*key))
+@lru_cache(maxsize=_KERNEL_VARIANTS_KEPT)
+def _variant(dim, order, batched, rule, zeros):
+    """``_kernel_source``'s kernel and its result's zero positions, compiled over
+    the scalar series helpers or (``batched``) the array ones.  Called with
+    every argument positional, so each variant has one key."""
+    source, out = _kernel_source(dim, order, rule, zeros)
+    label = f"<{'batched ' * batched}kernel {rule} D={dim} n={order} zeros {zeros}>"
+    scope = {}  # one per variant, over the shared namespace
+    exec(compile(source, label, "exec"), _NAMESPACES[batched], scope)
+    return scope[rule], out
 
 
 @lru_cache(maxsize=None)
@@ -744,23 +726,24 @@ def _known(node):
     return None if isinstance(x, str) else x
 
 
-def _lower(node, wrt, kernels):
-    """Closure ``env -> value`` for ``node``, and the positions of the value's
-    structural zeros (+0.0 there), or None where the value is a plain float:
-    a subtree that does not depend on ``wrt``."""
+def _lower(node, wrt, key):
+    """Closure ``env -> value`` for ``node`` over the kernels of ``key``, (D, n,
+    batched), and the positions of the value's structural zeros (+0.0 there),
+    or None where the value is a plain float: a subtree that does not depend
+    on ``wrt``."""
     if isinstance(node, Num):
         return (lambda env, value=node.value: value), None
     if isinstance(node, Name):
         ident = node.ident
         if ident in wrt:
-            seed, zeros = kernels.variant(f"var{wrt.index(ident)}")
+            seed, zeros = _variant(*key, f"var{wrt.index(ident)}", ())
             return (lambda env: seed(env[ident])), zeros
         return (lambda env: env[ident]), None
     op, args = _operation(node)
-    lowered = [_lower(a, wrt, kernels) for a in args]
+    lowered = [_lower(a, wrt, key) for a in args]
     zeros = tuple(z for _, z in lowered if z is not None)
     rule = _rule(op, [z is not None for _, z in lowered])
-    fn, out = (kernels["_REAL"][op], None) if rule is None else kernels.variant(rule, zeros)
+    fn, out = _variant(*key, rule, zeros) if rule else (_NAMESPACES[key[2]]["_REAL"][op], None)
     if len(lowered) == 1:
         ((f, _),) = lowered
         return (lambda env: fn(f(env))), out
@@ -817,13 +800,13 @@ class Expression:
     def _lower(self, wrt, order, batched):
         if not isinstance(wrt, tuple) or order not in (0, 1, 2, 3):
             raise ValidationError(f"need a tuple wrt and order 0..3, got {wrt!r}, {order!r}")
-        kernels = _kernels(len(wrt), order, batched)
+        key = (len(wrt), order, batched)
         try:
-            fn, zeros = _lower(self.ast, wrt, kernels)
+            fn, zeros = _lower(self.ast, wrt, key)
         except RecursionError:
             raise _too_deep(self.source) from None
         if zeros is None:  # a known +0.0 value is a structural zero too
-            const, zeros = kernels.variant("const")
+            const, zeros = _variant(*key, "const", ())
             zeros = (0, *zeros) if _plus_zero(_known(self.ast)) else zeros
             fn = lambda env, value=fn: const(value(env))  # noqa: E731
         self._lowered[wrt, order, batched] = fn

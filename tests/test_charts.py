@@ -194,6 +194,9 @@ def test_unknown_name_rejected():
     with pytest.raises(ExpressionParseError) as err:
         Chart(dim=2, kind="map", exprs=["q1", "q3"])
     assert err.value.token == "q3"
+    with pytest.raises(ExpressionParseError) as err:  # reported at its first use
+        Chart(dim=2, kind="map", exprs=["foo + q1 + foo", "q2"])
+    assert (err.value.token, err.value.line, err.value.column) == ("foo", 1, 1)
 
 
 def test_chart_json_round_trip(tmp_path):

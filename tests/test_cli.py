@@ -256,6 +256,14 @@ def test_negative_coordinate_lists_are_values(capsys, argv, field, value):
 POLAR_FILE = {"dim": 2, "kind": "map", "exprs": ["q1*cos(q2)", "q1*sin(q2)"], "guard": "q1"}
 GEODESIC = ["geodesic", "--chart", "builtin:polar", "--q0", "1,0", "--qdot0", "1,1"]
 SUPERSCRIPTS = {"superscript-digit": "2\u00b2", "point-superscript": ".\u00b2"}  # str.isdigit
+MALFORMED = {  # polar chart files with one field the chart rejects, and what its error names
+    "null-param": ({"params": {"a": None}}, "chart params"),
+    "listed-params": ({"params": ["a"]}, "chart params"),
+    "string-param": ({"params": {"a": "abc"}}, "chart params"),
+    "coordinate-param": ({"params": {"q1": 5}}, "names other than ('q1', 'q2')"),
+    "numeric-exprs": ({"exprs": 5}, "chart exprs"),
+    "boolean-dim": ({"dim": True}, "chart dim"),
+}
 
 
 @pytest.mark.parametrize(
@@ -322,6 +330,12 @@ SUPERSCRIPTS = {"superscript-digit": "2\u00b2", "point-superscript": ".\u00b2"} 
            EXIT_VALIDATION, "nested too deeply") for name in DEEP),
         *((["tensors", "--chart", "{%s}" % name, "--at", "1,0.2"], "ExpressionParseError",
            EXIT_VALIDATION, "bad number literal") for name in SUPERSCRIPTS),
+        *((["tensors", "--chart", "{%s}" % name, "--at", "1,0.2"], "ValidationError",
+           EXIT_VALIDATION, mentions) for name, (_, mentions) in MALFORMED.items()),
+        (["tensors", "--chart", "{listed-params}", "--at", "1,0.2", "--param", "a=1"],
+         "ValidationError", EXIT_VALIDATION, "chart params"),
+        (["tensors", "--chart", "builtin:sphere", "--at", "1,0.2", "--param", "r=nan"],
+         "ValidationError", EXIT_VALIDATION, "to finite numbers, got {'r': nan}"),
     ],
     ids=["missing-option", "malformed-floats", "malformed-float", "bad-param", "bad-choice",
          "unknown-builtin", "unknown-file-param", "loop-without-vertices", "loop-flat-list",
@@ -330,7 +344,7 @@ SUPERSCRIPTS = {"superscript-digit": "2\u00b2", "point-superscript": ".\u00b2"} 
          "nan-q0-unguarded", "infinite-at", "nan-q0-guarded", "nan-loop-vertex",
          "loop-through-origin", "nan-group-tol", "negative-group-tol", "unlike-multiplets",
          "taylor-overflow", "integrator-overflow", *(f"{name}-3000-deep" for name in DEEP),
-         *SUPERSCRIPTS],
+         *SUPERSCRIPTS, *MALFORMED, "listed-params-overridden", "nan-param"],
 )
 def test_every_error_is_one_json_line(tmp_path, capsys, argv, error_type, code, mentions):
     files = {
@@ -351,6 +365,8 @@ def test_every_error_is_one_json_line(tmp_path, capsys, argv, error_type, code, 
             f"q1*cos(q2) + {source}", "q1*sin(q2)"]}) for name, source in DEEP.items()},
         **{name: write_json(tmp_path / f"{name}.json", {"dim": 2, "kind": "map", "exprs": [
             f"{source}*cos(q2)", "q1*sin(q2)"]}) for name, source in SUPERSCRIPTS.items()},
+        **{name: write_json(tmp_path / f"{name}.json", {**POLAR_FILE, **field})
+           for name, (field, _) in MALFORMED.items()},
     }
     assert main([arg.format(**files) for arg in argv]) == code
     out, err = capsys.readouterr()

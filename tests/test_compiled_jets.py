@@ -396,19 +396,22 @@ def fresh_interpreter(code):
 def test_import_generates_no_kernels():
     assert fresh_interpreter(
         "import torsionlab, torsionlab.expressions as e, torsionlab._fields as f, "
-        "torsionlab._local as l; print(len(e._KERNELS), f._trajectory_field.cache_info().currsize, "
-        "len(f._CHART_FIELDS), l._checker.cache_info().currsize)"
+        "torsionlab._local as l; print(e._variant.cache_info().currsize, "
+        "f._trajectory_field.cache_info().currsize, f._chart_field.cache_info().currsize, "
+        "l._checker.cache_info().currsize)"
     ) == ["0", "0", "0", "0"]
 
 
 def test_an_evaluation_compiles_only_the_kernels_it_calls():
     # sin(q1) * q2 seeds both variables, applies sin and multiplies two jets
     out = fresh_interpreter(
-        "import torsionlab.expressions as e; "
+        "import torsionlab.expressions as e; source, seen = e._kernel_source, []; "
+        "e._kernel_source = lambda *a: seen.append(a) or source(*a); "
         "e.Expression('sin(q1)*q2')({'q1': 0.3, 'q2': 0.5}, wrt=('q1', 'q2'), order=3); "
-        "print(len(e._RULES) + 2, *sorted(set(e._KERNELS[2, 3, False]) - {'_REAL'}))"
+        "print(len(e._RULES) + 2, e._variant.cache_info().currsize, "
+        "{a[:2] for a in seen} == {(2, 3)}, *sorted(a[2] for a in seen))"
     )
-    assert out[1:] == ["mul", "sin", "var0", "var1"] and int(out[0]) > len(out) - 1
+    assert out[1:] == ["4", "True", "mul", "sin", "var0", "var1"] and int(out[0]) > 4
 
 
 def test_import_leaves_scipy_unloaded():

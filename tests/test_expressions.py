@@ -212,6 +212,7 @@ def test_jet_symmetry_of_derivative_tensors():
 def test_free_names_recorded():
     e = Expression("a*q1 + sin(b + q2)")
     assert set(e.free_names) == {"a", "q1", "b", "q2"}
+    assert Expression("q1 + q2*q1 + sin(q1)").free_names == {"q1": 1, "q2": 6}  # first use
 
 
 finite = st.floats(-2.0, 2.0)

@@ -24,6 +24,7 @@ import torsionlab as tl
 from torsionlab import _fields, dynamics
 from torsionlab.charts import BUILTIN_CHARTS, Chart
 from torsionlab.errors import DegenerateTriadError, EvaluationError, NonFiniteError
+from torsionlab.expressions import Expression
 
 from conftest import SAMPLE_BOXES
 from test_compiled_jets import PARAMS, fresh_interpreter
@@ -50,12 +51,13 @@ def stage_copies(source):
     return firsts
 
 
-def watched(rk4, field, definition, exprs, guard, seen):
-    """The integrator ``rk4`` of ``_chart_field(field, definition, exprs, guard)``,
-    recording in ``seen`` each pass of its field lines ("passes"), every error
-    raised into its frame ("errors") and the stage (0-3) that met it ("stage"):
-    the one whose copy of the field lines, with its tail, holds the line."""
-    kind, dim, _, _, params = definition
+def watched(rk4, field, definition, seen):
+    """The integrator ``rk4`` of ``_chart_field(field, definition)``, recording
+    in ``seen`` each pass of its field lines ("passes"), every error raised into
+    its frame ("errors") and the stage (0-3) that met it ("stage"): the one
+    whose copy of the field lines, with its tail, holds the line."""
+    kind, dim, sources, guard, params = definition
+    exprs, guard = [Expression(s) for s in sources], guard and Expression(guard)
     source = _fields._chart_source(field, kind, dim, exprs, guard, params).splitlines()
     firsts = stage_copies(source)  # and where each copy, with its tail, ends
     ends = firsts[1:] + [source.index("    except _DOMAIN_ERRORS as exc:") + 1]
@@ -90,10 +92,9 @@ def watch_integrators(patch):
     is active, one ``seen`` record per run (see ``watched``)."""
     runs, generated = [], dynamics._chart_field
 
-    def chart_field(field, definition, exprs, guard):
+    def chart_field(field, definition):
         runs.append({"passes": 0, "errors": [], "stage": None})
-        return watched(generated(field, definition, exprs, guard), field, definition, exprs, guard,
-                       runs[-1])
+        return watched(generated(field, definition), field, definition, runs[-1])
 
     patch.setattr(dynamics, "_chart_field", chart_field)
     return runs
@@ -265,10 +266,12 @@ def test_shared_elementary_functions_equal_the_generic_loop(kind, field, rng):
 def test_import_compiles_no_stepper():
     # one integrator per (field, chart definition), compiled when a path first needs it
     assert fresh_interpreter(
-        "import torsionlab as tl, torsionlab._fields as f; print(len(f._CHART_FIELDS)); "
-        "st = tl.builtin_chart('synthetic_torsion'); "
+        "import torsionlab as tl, torsionlab._fields as f; source, seen = f._chart_source, []; "
+        "f._chart_source = lambda *a: seen.append(a[:2]) or source(*a); "
+        "print(f._chart_field.cache_info().currsize); st = tl.builtin_chart('synthetic_torsion'); "
         "tl.integrate_autoparallel(st, [0.1, 0.2], [1.0, 0.7], (0.0, 0.1), 0.01); "
         "tl.integrate_geodesic(tl.builtin_chart('sphere'), [1.0, 0.0], [0.3, 0.4], (0.0, 0.1), 0.01); "
         "tl.straight_line_image(st, [0.1, 0.2], [1.0, 0.7], (0.0, 0.1), 0.01); "
-        "print(*sorted((g, d[0]) for g, d in f._CHART_FIELDS), sep=';')"
-    ) == ["0", "('autoparallel',", "'triad');('geodesic',", "'map');('line_image',", "'triad')"]
+        "print(*sorted(seen), sep=';'); print(f._chart_field.cache_info().currsize)"
+    ) == ["0", "('autoparallel',", "'triad');('geodesic',", "'map');('line_image',", "'triad')",
+          "3"]

@@ -11,7 +11,7 @@ route: not the -0.0 of x*0.0 at a negative x, nor its NaN at an infinite one.
 import math
 import re
 import sys
-from collections import OrderedDict
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -111,11 +111,10 @@ def test_both_routes_place_structural_zeros_alike(case, order):
     # so is the value of a whole constant that folds to the known +0.0
     source, names, _ = case
     expr, wrt = Expression(source), tuple(names)
-    kernels = expressions._kernels(len(wrt), order, False)
     taylor = _Taylor(len(wrt), order, "j")
     jet, is_jet = inline_jet(expr.ast, wrt, taylor)
     inline = tuple(p for p, x in enumerate(jet) if x is _ZERO) if is_jet else None
-    assert expressions._lower(expr.ast, wrt, kernels)[1] == inline, source
+    assert expressions._lower(expr.ast, wrt, (len(wrt), order, False))[1] == inline, source
     assert is_jet == bool(set(names) & set(expr.free_names))
     if is_jet:  # else the constant rule makes every partial one
         assert set(unread_partials(expr, names, order)) <= set(inline)
@@ -198,15 +197,16 @@ def test_kernel_variants_keep_only_the_recently_used(monkeypatch):
     want = [tl.Chart(3, "map", sources)._jets(q, 0) for sources in shapes]
     compiled, source = [], expressions._kernel_source
     monkeypatch.setattr(expressions, "_kernel_source", lambda *a: compiled.append(a) or source(*a))
-    monkeypatch.setattr(expressions, "_KERNEL_VARIANTS_KEPT", 12)
-    monkeypatch.setattr(expressions, "_KERNELS", {})
-    monkeypatch.setattr(expressions, "_KERNEL_USE", OrderedDict())
+    assert expressions._variant.cache_info().maxsize == expressions._KERNEL_VARIANTS_KEPT
+    variant = lru_cache(maxsize=12)(expressions._variant.__wrapped__)
+    monkeypatch.setattr(expressions, "_variant", variant)
     first = tl.Chart(3, "map", shapes[0])
     for sources, jets in zip(shapes, want):
         assert tl.Chart(3, "map", sources)._jets(q, 0) == jets
-        kept = sum(len(k) for ks in expressions._KERNELS.values() for r, k in ks.items() if r != "_REAL")
-        assert kept == len(expressions._KERNEL_USE) <= 12
+        kept = variant.cache_info().currsize
+        assert kept == min(len(compiled), 12)
     assert kept == 12 and len(compiled) > 2 * kept
+    assert variant.cache_info().misses == len(compiled)
     assert first._jets(q, 0) == want[0] == tl.Chart(3, "map", shapes[0])._jets(q, 0)
 
 

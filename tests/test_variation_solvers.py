@@ -9,6 +9,7 @@ step propagators from the stacked Pade ``dynamics._expm``; the oracle is
 """
 
 import math
+from functools import lru_cache
 
 import mpmath
 import numpy as np
@@ -205,13 +206,16 @@ def test_expm_rejects_non_finite_generators(bad):
 def test_chart_field_cache_keeps_only_the_recently_used(monkeypatch):
     # every distinct chart definition compiles its own integrator; a long process
     # keeps the most recently used ones, and a definition in use keeps hitting
-    monkeypatch.setattr(_fields, "_CHART_FIELDS", {})
+    kept = _fields._CHART_FIELDS_KEPT
+    assert _fields._chart_field.cache_info().maxsize == kept
+    chart_field = lru_cache(maxsize=kept)(_fields._chart_field.__wrapped__)
+    monkeypatch.setattr(dynamics, "_chart_field", chart_field)  # empty, as in a new process
     written, source = [], _fields._chart_source
     monkeypatch.setattr(_fields, "_chart_source", lambda *a: written.append(a[0]) or source(*a))
     reused = tl.builtin_chart("synthetic_torsion")
     for k in range(300):
         dynamics._integrator(Chart(2, "triad", ["1", "0", "0", f"1 + {k + 1}e-3*q1"]), "autoparallel")
         dynamics._integrator(reused, "autoparallel")
-        assert len(_fields._CHART_FIELDS) <= _fields._CHART_FIELDS_KEPT
-    assert len(written) == 301
-    assert len(_fields._CHART_FIELDS) == _fields._CHART_FIELDS_KEPT
+        assert chart_field.cache_info().currsize <= kept
+    assert len(written) == 301 and chart_field.cache_info().hits == 299
+    assert chart_field.cache_info().currsize == kept

@@ -181,7 +181,8 @@ one build of rows for every epsilon), ``pathintegral._grid_rows`` (for
 ``grid_rows_cold`` only), ``_local.LocalGeometry``, ``Chart._jets``,
 ``expressions.Expression`` (wrapped to count ``expression_calls_per_point``),
 ``pathintegral._monomials`` (wrapped to count ``entries_built``),
-``Chart._zeros`` (where ``_trajectory_field`` is keyed by it), ``expressions._KERNELS``,
+``Chart._zeros`` (where ``_trajectory_field`` is keyed by it), ``expressions._variant``
+(``expressions._KERNELS`` in a checkout before it),
 ``dynamics._expm`` (optional, as above) and
 ``dynamics._half_step_samples``, whose
 signature is unchanged since the variation solvers first shared it, and
@@ -718,8 +719,12 @@ def measure(groups=tuple(GROUPS)):
 
 
 def _kernel_variants():
+    """Taylor-kernel variants kept: ``_variant``'s cache, or in a checkout before
+    it the hand-kept ``_KERNELS``."""
     from torsionlab import expressions
 
+    if hasattr(expressions, "_variant"):
+        return expressions._variant.cache_info().currsize
     return sum(len(kernel) if isinstance(kernel, dict) else 1
                for kernels in expressions._KERNELS.values()
                for rule, kernel in kernels.items() if rule != "_REAL")
