@@ -67,7 +67,6 @@ from .expressions import (
     _mul,
     _multisets,
     _neg,
-    _operation,
     _plus_zero,
     _rule,
     _sub,
@@ -244,13 +243,13 @@ def _chart_source(field, kind, dim, exprs, guard, params):
                 if node.ident in wrt:
                     return node.ident, taylor.var(wrt.index(node.ident), node.ident), True
                 return node.ident, [names[node.ident]], False
-            op, args = _operation(node)
-            lowered = [lower(a) for a in args]
-            key = (op, *(k for k, _, _ in lowered))
+            lowered = [lower(a) for a in node.args]
+            key = (node.op, *(k for k, _, _ in lowered))
             if key not in memo:
-                values, rule = [v for _, v, _ in lowered], _rule(op, [j for _, _, j in lowered])
-                memo[key] = (taylor.plain(op, *values) if rule is None
-                             else taylor.apply(rule, *values)), rule is not None
+                values, jets = [v for _, v, _ in lowered], [j for _, _, j in lowered]
+                rule = _rule(node.op, jets)
+                memo[key] = (taylor.plain(node.op, *values) if rule is None
+                             else taylor.apply(rule, values, jets)), rule is not None
             return key, *memo[key]
 
         return lower

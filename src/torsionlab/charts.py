@@ -64,6 +64,8 @@ class Chart:
             raise ValidationError(f"chart kind must be one of {_KINDS}, got {kind!r}")
         if not isinstance(exprs, (list, tuple)):
             raise ValidationError(f"chart exprs must be a list of expressions, got {exprs!r}")
+        if not (name is None or isinstance(name, str)):
+            raise ValidationError(f"chart name must be a string, got {name!r}")
         self._coord_names = tuple(f"q{i + 1}" for i in range(dim))
         params = {} if params is None else params
         if not isinstance(params, Mapping) or not all(

@@ -222,22 +222,12 @@ class Name:
 
 
 @dataclass(frozen=True)
-class Neg:
-    arg: object
-
-
-@dataclass(frozen=True)
-class BinOp:
-    op: str
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Call:
-    func: str
+class Op:
+    op: str  # the ``_RULES`` name of the operation: "neg", "add", ..., "sin", ...
     args: tuple
-    col: int
+
+
+_OPS = {"+": "add", "-": "sub", "*": "mul", "/": "div", "^": "pow"}
 
 
 class _Parser:
@@ -277,21 +267,21 @@ class _Parser:
         node = self.term()
         while self.peek().kind == "OP" and self.peek().text in "+-":
             op = self.advance().text
-            node = BinOp(op, node, self.term())
+            node = Op(_OPS[op], (node, self.term()))
         return node
 
     def term(self):
         node = self.factor()
         while self.peek().kind == "OP" and self.peek().text in "*/":
             op = self.advance().text
-            node = BinOp(op, node, self.factor())
+            node = Op(_OPS[op], (node, self.factor()))
         return node
 
     def factor(self):
         tok = self.peek()
         if tok.kind == "OP" and tok.text == "-":
             self.advance()
-            return Neg(self.factor())
+            return Op("neg", (self.factor(),))
         if tok.kind == "OP" and tok.text == "+":
             self.advance()
             return self.factor()
@@ -302,7 +292,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "OP" and tok.text == "^":
             self.advance()
-            node = BinOp("^", node, self.factor())
+            node = Op("pow", (node, self.factor()))
         return node
 
     def atom(self):
@@ -329,7 +319,7 @@ class _Parser:
                         tok.col,
                         tok.text,
                     )
-                return Call(tok.text, tuple(args), tok.col)
+                return Op(tok.text, tuple(args))
             return Name(tok.text, tok.col)
         if tok.kind == "LPAREN":
             node = self.expression()
@@ -343,12 +333,7 @@ class _Parser:
 def _free_names(node, out):
     if isinstance(node, Name):
         out.setdefault(node.ident, node.col)
-    elif isinstance(node, Neg):
-        _free_names(node.arg, out)
-    elif isinstance(node, BinOp):
-        _free_names(node.left, out)
-        _free_names(node.right, out)
-    elif isinstance(node, Call):
+    elif isinstance(node, Op):
         for a in node.args:
             _free_names(a, out)
 
@@ -362,9 +347,10 @@ def _free_names(node, out):
 # writes it out as straight-line source: one kernel function per pair,
 # operation and tuple of the operands' structural-zero positions (partials
 # in a variable the operand never reads, which the kernel neither reads nor
-# multiplies by), each compiled on its first use over the scalar helpers or
-# (for batches of points) the array helpers above, and inline in the
-# per-chart trajectory integrators of ``_fields``.  Each expression is
+# multiplies by; None for a plain operand, read as a constant jet), each
+# compiled on its first use over the scalar helpers or (for batches of
+# points) the array helpers above, and inline in the per-chart trajectory
+# integrators of ``_fields``.  Each expression is
 # lowered once per (wrt, order, batched) into closures over the kernels.
 
 _KERNEL_VARIANTS_KEPT = 1024  # ``_variant``s kept, the most recently used
@@ -562,7 +548,8 @@ class _Taylor:
         one, so a kernel, which may know the derivatives only at run time,
         places them as the inline code does."""
         for jet in (b, other):  # bound before the branches read them
-            self.each(_same, jet)
+            for i in range(len(jet)):
+                self.use(jet, i)
         unknown = [x for x in b[1:] if isinstance(x, str)]
         if any(x for x in b[1:] if not isinstance(x, str)):
             return general()
@@ -589,8 +576,11 @@ class _Taylor:
         self.lines, self.indent, self.bound = lines, outer, bound
         return scope
 
-    def apply(self, op, *args):
-        return _RULES[op][1](self, *args)
+    def apply(self, rule, args, jets):
+        """``rule`` on ``args``, jets where ``jets`` says so, else plain values,
+        which it reads as constant jets; a power's plain operand "c" stays plain."""
+        return _RULES[rule][1](self, *(a if j or p == "c" else self.const(a)
+                                      for p, a, j in zip(_RULES[rule][0], args, jets)))
 
     def plain(self, op, *args):  # as ``_REAL``
         args = [self.use(a, 0) for a in args]
@@ -601,10 +591,6 @@ class _Taylor:
         if op == "pow" and isinstance(args[0], str) and _whole(args[1]):  # no check can fire
             return [self.call(f"{args[0]}**{args[1]!r}")]
         return [self.call(f"_REAL_{op}({', '.join(map(_lit, args))})")]
-
-
-def _same(x, *_):
-    return x
 
 
 def _whole(c):
@@ -620,7 +606,10 @@ def _log_base(c):
 
 
 # kernel name -> (operands: "a", "b" jets, "c" a plain value; the rule on a
-# ``_Taylor``); "_jc" / "_cj" mark a plain right / left operand
+# ``_Taylor``).  One rule per operation: ``apply`` hands a plain "a" or "b" in
+# as a constant jet, whose structural zeros the folds drop from every product
+# and sum.  Only the power has plain forms, "pow_jc" / "pow_cj" with a plain
+# exponent / base, since their domain rules differ (``_real_pow``, ``_log_base``).
 _RULES = {
     "const": ("c", _Taylor.const),
     "neg": ("a", lambda t, a: t.each(_neg, a)),
@@ -630,41 +619,32 @@ _RULES = {
     "mul": ("ab", _Taylor.mul),
     "div": ("ab", lambda t, a, b: t.mul(a, t.series("recip", b))),
     "pow": ("ab", lambda t, a, b: t.exponent_rule(  # variable exponent: exp(b log a)
-        b, a, lambda: t.apply("pow_jc", a, b[:1]),
+        b, a, lambda: t.series("pow", a, t.use(b, 0)),
         lambda: t.series("exp", t.mul(b, t.series("log", a))))),
     "atan2": ("ab", _Taylor.atan2),
-    "add_jc": ("ac", lambda t, a, c: [_add(t.use(a, 0), t.use(c, 0)), *t.each(_same, a)[1:]]),
-    "add_cj": ("ca", lambda t, c, a: [_add(t.use(c, 0), t.use(a, 0)), *t.each(_same, a)[1:]]),
-    "sub_jc": ("ac", lambda t, a, c: [_sub(t.use(a, 0), t.use(c, 0)), *t.each(_same, a)[1:]]),
-    "sub_cj": ("ca", lambda t, c, a: [_sub(t.use(c, 0), t.use(a, 0)), *t.each(_neg, a)[1:]]),
-    "mul_jc": ("ac", lambda t, a, c: t.each(_mul, a, [t.use(c, 0)] * len(a))),
-    "mul_cj": ("ca", lambda t, c, a: t.each(_mul, [t.use(c, 0)] * len(a), a)),
-    "div_jc": ("ac", lambda t, a, c: t.apply(
-        "mul_jc", a, [t.call(f"_recip_series({t.use(c, 0)})[0]")])),
-    "div_cj": ("ca", lambda t, c, b: t.apply("mul_cj", c, t.series("recip", b))),
     "pow_jc": ("ac", lambda t, a, c: t.series("pow", a, t.use(c, 0))),
     "pow_cj": ("ca", lambda t, c, b: t.exponent_rule(
         b, c, lambda: t.const([t.call(f"_real_pow({_lit(c[0])}, {_lit(b[0])})")]),
-        lambda: t.series("exp", t.apply("mul_jc", b, [t.call(f"_log_base({_lit(c[0])})")])))),
-    "atan2_jc": ("ac", lambda t, y, c: t.atan2(y, t.const(c))),
-    "atan2_cj": ("ca", lambda t, c, x: t.atan2(t.const(c), x)),
+        lambda: t.series("exp", t.mul(b, t.const([t.call(f"_log_base({_lit(c[0])})")]))))),
 }
 
 
 def _kernel_source(dim, order, rule, zeros):
     """Source of the kernel ``rule`` (a ``_RULES`` name, or ``var{k}`` seeding
-    variable k) on jets in ``dim`` variables to ``order`` whose structural
-    zeros sit at ``zeros`` (per jet operand, a tuple of positions), and the
-    positions of its result's."""
+    variable k, with no ``zeros``) on jets in ``dim`` variables to ``order``,
+    and the positions of its result's structural zeros.  ``zeros`` holds one
+    entry per operand, in the order of the rule's operand letters: the
+    positions of a jet operand's structural zeros, or None for a plain value."""
     size = len(_multisets(dim, order))
     operands = "x" if rule.startswith("var") else _RULES[rule][0]
-    taylor, given = _Taylor(dim, order, "t"), dict(zip([p for p in operands if p in "ab"], zeros))
-    args = [[_ZERO if i in given[p] else f"{p}{i}" for i in range(size)] if p in "ab" else [p]
-            for p in operands]
-    out = taylor.var(int(rule[3:]), "x") if operands == "x" else taylor.apply(rule, *args)
+    taylor = _Taylor(dim, order, "t")
+    args = [[p] if z is None else [_ZERO if i in z else f"{p}{i}" for i in range(size)]
+            for p, z in zip(operands, zeros)]
+    out = (taylor.var(int(rule[3:]), "x") if operands == "x"
+           else taylor.apply(rule, args, [z is not None for z in zeros]))
     source = "\n".join([f"def {rule}({', '.join(operands)}):",
                         *(f"    {', '.join('_' if x is _ZERO else x for x in arg)}, = {p}"
-                          for p, arg in zip(operands, args) if p in "ab"),
+                          for p, arg, z in zip(operands, args, zeros) if z is not None),
                         *taylor.lines, f"    return ({', '.join(map(_lit, out))},)"]) + "\n"
     return source, tuple(i for i, x in enumerate(out) if x is _ZERO)
 
@@ -693,24 +673,13 @@ def _partials_index(dim, k):
     return np.array(flat, dtype=np.intp).reshape((dim,) * k)
 
 
-_OPS = {"+": "add", "-": "sub", "*": "mul", "/": "div", "^": "pow"}
-
-
-def _operation(node):
-    """The operation of a ``Neg``, ``BinOp`` or ``Call`` node, and its operands."""
-    if isinstance(node, Neg):
-        return "neg", (node.arg,)
-    if isinstance(node, BinOp):
-        return _OPS[node.op], (node.left, node.right)
-    return node.func, node.args
-
-
 def _rule(op, jets):
-    """The kernel of ``op`` whose operands are jets where ``jets`` says so
-    ("_jc" / "_cj" mark a plain right / left one), or None if none is."""
+    """The kernel of ``op`` whose operands are jets where ``jets`` says so, or
+    None if none is: ``op`` itself, but for a power with a plain base or
+    exponent, "pow_cj" or "pow_jc" (the plain operand marked "c")."""
     if not any(jets):
         return None
-    return op + ("_jc" if jets[0] else "_cj") if len(jets) == 2 and not all(jets) else op
+    return op + ("_jc" if jets[0] else "_cj") if op == "pow" and not all(jets) else op
 
 
 def _known(node):
@@ -718,11 +687,10 @@ def _known(node):
     as a chart integrator's lowering folds it (``_Taylor.plain``), else None."""
     if isinstance(node, Num):
         return node.value if math.isfinite(node.value) else None
-    if isinstance(node, Name) or _operation(node)[0] not in _FOLDS:
+    if isinstance(node, Name) or node.op not in _FOLDS:
         return None
-    op, args = _operation(node)
-    values = [_known(a) for a in args]
-    x = None if None in values else _FOLDS[op](*values)
+    values = [_known(a) for a in node.args]
+    x = None if None in values else _FOLDS[node.op](*values)
     return None if isinstance(x, str) else x
 
 
@@ -739,11 +707,10 @@ def _lower(node, wrt, key):
             seed, zeros = _variant(*key, f"var{wrt.index(ident)}", ())
             return (lambda env: seed(env[ident])), zeros
         return (lambda env: env[ident]), None
-    op, args = _operation(node)
-    lowered = [_lower(a, wrt, key) for a in args]
-    zeros = tuple(z for _, z in lowered if z is not None)
-    rule = _rule(op, [z is not None for _, z in lowered])
-    fn, out = _variant(*key, rule, zeros) if rule else (_NAMESPACES[key[2]]["_REAL"][op], None)
+    lowered = [_lower(a, wrt, key) for a in node.args]
+    zeros = tuple(z for _, z in lowered)
+    rule = _rule(node.op, [z is not None for z in zeros])
+    fn, out = _variant(*key, rule, zeros) if rule else (_NAMESPACES[key[2]]["_REAL"][node.op], None)
     if len(lowered) == 1:
         ((f, _),) = lowered
         return (lambda env: fn(f(env))), out
@@ -806,7 +773,7 @@ class Expression:
         except RecursionError:
             raise _too_deep(self.source) from None
         if zeros is None:  # a known +0.0 value is a structural zero too
-            const, zeros = _variant(*key, "const", ())
+            const, zeros = _variant(*key, "const", (None,))
             zeros = (0, *zeros) if _plus_zero(_known(self.ast)) else zeros
             fn = lambda env, value=fn: const(value(env))  # noqa: E731
         self._lowered[wrt, order, batched] = fn
@@ -827,13 +794,18 @@ class Expression:
 
 
 def parse_over(sources, allowed, context: str) -> tuple:
-    """Parse each source (an ``Expression`` passes as is), rejecting a free
-    name outside ``allowed`` with the column of its first use."""
-    exprs = tuple(e if isinstance(e, Expression) else Expression(str(e)) for e in sources)
+    """Parse each source (an ``Expression`` passes as is), rejecting a source
+    that is neither a string nor an ``Expression``, and a free name outside
+    ``allowed`` with the column of its first use."""
+    exprs = []
+    for e in sources:
+        if not isinstance(e, (str, Expression)):
+            raise ValidationError(f"{context} must be a string or Expression, got {e!r}")
+        exprs.append(e if isinstance(e, Expression) else Expression(e))
     for expr in exprs:
         for ident, col in expr.free_names.items():
             if ident not in allowed:
                 raise ExpressionParseError(
                     f"unknown name {ident!r} in {context} {expr.source!r}", 1, col, ident
                 )
-    return exprs
+    return tuple(exprs)

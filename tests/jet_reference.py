@@ -8,16 +8,14 @@ errors with the same messages; the compiled kernels are tested against it.
 """
 
 import math
+import operator
 
 import numpy as np
 
 from torsionlab.errors import EvaluationError
 from torsionlab.expressions import (
     _REAL,
-    BinOp,
-    Call,
     Name,
-    Neg,
     Num,
     _atan2_series,
     _log_series,
@@ -248,44 +246,33 @@ def jet_atan2(y, x):
     return j
 
 
+_ARITHMETIC = {"neg": operator.neg, "add": operator.add, "sub": operator.sub,
+               "mul": operator.mul, "div": operator.truediv, "atan2": jet_atan2}
+
+
 def _eval(node, env):
     if isinstance(node, Num):
         return node.value
     if isinstance(node, Name):
         return env[node.ident]
-    if isinstance(node, Neg):
-        return -_eval(node.arg, env)
-    if isinstance(node, BinOp):
-        left = _eval(node.left, env)
-        right = _eval(node.right, env)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        if node.op == "*":
-            return left * right
-        if node.op == "/":
-            if not isinstance(left, Jet) and not isinstance(right, Jet):
-                return _real_div(left, right)
-            return left / right
-        if node.op == "^":
-            if isinstance(right, Jet):
-                parts = [p for p in (right.d1, right.d2, right.d3) if p is not None]
-                if any(np.any(p != 0.0) for p in parts):
-                    return left**right
-                right = right.val  # exponent is constant at every order
-            if isinstance(left, Jet):
+    args = [_eval(a, env) for a in node.args]
+    if node.op == "div" and not any(isinstance(a, Jet) for a in args):
+        return _real_div(*args)
+    if node.op in _ARITHMETIC:
+        return _ARITHMETIC[node.op](*args)
+    if node.op == "pow":
+        left, right = args
+        if isinstance(right, Jet):
+            parts = [p for p in (right.d1, right.d2, right.d3) if p is not None]
+            if any(np.any(p != 0.0) for p in parts):
                 return left**right
-            return _real_pow(left, right)
-        raise AssertionError(node.op)
-    if isinstance(node, Call):
-        args = [_eval(a, env) for a in node.args]
-        if node.func == "atan2":
-            return jet_atan2(*args)
-        if isinstance(args[0], Jet):
-            return getattr(args[0], node.func)()
-        return _REAL[node.func](*args)
-    raise AssertionError(type(node))
+            right = right.val  # exponent is constant at every order
+        if isinstance(left, Jet):
+            return left**right
+        return _real_pow(left, right)
+    if isinstance(args[0], Jet):
+        return getattr(args[0], node.op)()
+    return _REAL[node.op](*args)
 
 
 def interpret(expr, env):

@@ -263,6 +263,10 @@ MALFORMED = {  # polar chart files with one field the chart rejects, and what it
     "coordinate-param": ({"params": {"q1": 5}}, "names other than ('q1', 'q2')"),
     "numeric-exprs": ({"exprs": 5}, "chart exprs"),
     "boolean-dim": ({"dim": True}, "chart dim"),
+    "numeric-expr-entry": ({"exprs": [1, "q1*sin(q2)"]}, "chart expression"),
+    "numeric-guard": ({"guard": 1}, "chart guard"),
+    "boolean-guard": ({"guard": True}, "chart guard"),
+    "numeric-name": ({"name": 7}, "chart name"),
 }
 
 

@@ -155,8 +155,7 @@ def mp_coefficients(expr, names, point, order, params=PARAMS):
                 return const(mpmath.mpf(params[node.ident]))
             x = mpmath.mpf(point[names.index(node.ident)])
             return [(x, abs(x))] + [(1, 1) if s == (names.index(node.ident),) else (0, 0) for s in sets[1:]]
-        op, args = expressions._operation(node)
-        a = [walk(arg) for arg in args]
+        op, a = node.op, [walk(arg) for arg in node.args]
         if op in ("add", "sub"):
             sign = 1 if op == "add" else -1
             return [(u + sign * w, m + n) for (u, m), (w, n) in zip(*a)]
@@ -412,6 +411,18 @@ def test_an_evaluation_compiles_only_the_kernels_it_calls():
         "{a[:2] for a in seen} == {(2, 3)}, *sorted(a[2] for a in seen))"
     )
     assert out[1:] == ["4", "True", "mul", "sin", "var0", "var1"] and int(out[0]) > 4
+
+
+def test_a_plain_operand_takes_the_operations_own_rule():
+    # 2, 1 and 3 enter mul, div and the power as plain values (a None zero pattern);
+    # only the power has a plain form of its own
+    out = fresh_interpreter(
+        "import torsionlab.expressions as e; source, seen = e._kernel_source, []; "
+        "e._kernel_source = lambda *a: seen.append(a) or source(*a); "
+        "e.Expression('2*q1 - 1/q1 + 3^q1')({'q1': 0.3}, wrt=('q1',), order=2); "
+        "print(*sorted(f'{a[2]}:' + ''.join('c' if z is None else 'j' for z in a[3]) for a in seen))"
+    )
+    assert out == ["add:jj", "div:cj", "mul:cj", "pow_cj:cj", "sub:jj", "var0:"]
 
 
 def test_import_leaves_scipy_unloaded():

@@ -230,14 +230,29 @@ def test_contortion_drops_out_of_naive_jacobian(rng):
         assert abs(val - val_bar) < 1e-10
 
 
-def test_delta_jacobian_matches_ricci_form_on_sphere():
-    sphere = builtin_chart("sphere", r=1.0)
-    q = np.array([1.1, 0.5])
-    ricci = geometry_point(sphere, q).ricci_scalar_einstein("riemann")[0]
-    for s in (0.2, 0.1, 0.05):
-        dq = s * np.array([0.6, -0.8])
+RICCI_CHARTS = {  # torsion-free map charts and their sampling boxes
+    "sphere": (builtin_chart("sphere", r=1.0), ((0.35, math.pi - 0.35), (-math.pi, math.pi))),
+    "paraboloid": (Chart(2, "map", ["q1", "q2", "a*(q1^2 + q2^2)"], {"a": 0.7}),
+                   ((-1.5, 1.5),) * 2),
+    # its Ricci form changes sign between the outer and the inner equator
+    "torus": (Chart(2, "map", ["(R + r*cos(q1))*cos(q2)", "(R + r*cos(q1))*sin(q2)",
+                               "r*sin(q1)"], {"R": 2.0, "r": 0.7}), ((-math.pi, math.pi),) * 2),
+    "graph3d": (Chart(3, "map", ["q1", "q2", "q3", "sin(q1)*q2 + 0.3*q3^2"]), ((-1.5, 1.5),) * 3),
+}
+
+
+@pytest.mark.parametrize("name", RICCI_CHARTS)
+def test_delta_jacobian_matches_ricci_form(name):
+    # absolute in max|Ric| |dq|^2: a relative bound fails where the form changes sign
+    chart, box = RICCI_CHARTS[name]
+    gen = np.random.default_rng(31)
+    for _ in range(50):
+        q = gen.uniform(*np.transpose(box))
+        dq = 0.1 * gen.standard_normal(chart.dim)
+        ricci = geometry_point(chart, q).ricci_scalar_einstein("riemann")[0]
         target = float(np.einsum("mn,m,n->", ricci, dq, dq)) / 6.0
-        assert delta_jacobian(sphere, q, dq) == pytest.approx(target, rel=1e-10)
+        bound = 1e-13 * np.max(np.abs(ricci)) * float(dq @ dq)
+        assert abs(delta_jacobian(chart, q, dq) - target) <= bound, (q, dq)
 
 
 def test_delta_jacobian_zero_on_flat_charts():

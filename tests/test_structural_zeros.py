@@ -27,7 +27,6 @@ from torsionlab.expressions import (
     Name,
     Num,
     _multisets,
-    _operation,
     _plus_zero,
     _rule,
     _Taylor,
@@ -89,10 +88,12 @@ def inline_jet(node, wrt, taylor):
         if node.ident in wrt:
             return taylor.var(wrt.index(node.ident), node.ident), True
         return [node.ident], False
-    op, args = _operation(node)
-    lowered = [inline_jet(a, wrt, taylor) for a in args]
-    values, rule = [v for v, _ in lowered], _rule(op, [j for _, j in lowered])
-    return (taylor.plain(op, *values), False) if rule is None else (taylor.apply(rule, *values), True)
+    lowered = [inline_jet(a, wrt, taylor) for a in node.args]
+    values, jets = [v for v, _ in lowered], [j for _, j in lowered]
+    rule = _rule(node.op, jets)
+    if rule is None:
+        return taylor.plain(node.op, *values), False
+    return taylor.apply(rule, values, jets), True
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,4 +1,4 @@
-"""Render the CLI reference artifacts, or compare two rendered sets.
+"""Render the CLI reference artifacts and an engine record, or compare two rendered sets.
 
 Usage::
 
@@ -12,6 +12,10 @@ not copied) plus ``EXTRA_CASES`` below.  Each case runs through
 ``torsionlab.cli.main`` with ``DIR`` as the working directory and relative
 ``--output`` and loop paths, so the embedded run configuration does not
 depend on where ``DIR`` lives and two checkouts render comparable files.
+It also writes ``ENGINE_FILE``: engine outputs through the public API on the
+charts of ``perfbench/inputs.geometry_inputs(ENGINE_SEED, 0)`` (see
+``engine_record``).  ``json`` writes each float by ``repr``, so two records
+are byte-identical only when every bit and zero sign matches.
 
 The second form reports, per file, whether the two sets are byte-identical
 and otherwise the largest absolute deviation between their numbers (when
@@ -29,8 +33,12 @@ import re
 import sys
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 LOOP_FILE = "loop.json"
+ENGINE_FILE = "engine-geometry.json"
+ENGINE_SEED = 7
 
 # cases beyond criterion 9: a chart override, the CSV renderers, a disclination,
 # a sphere kernel's leading eigenvalues (a pruned block solve); the sphere ladder
@@ -58,6 +66,48 @@ def cases(examples):
         yield f"{k:02d}-{argv[0]}.{fmt}", argv
 
 
+def _numbers(value):
+    """``value`` (arrays, tuples, dicts, floats) as JSON-ready lists, dicts and floats."""
+    if isinstance(value, dict):
+        return {k: _numbers(v) for k, v in value.items()}
+    if isinstance(value, (tuple, list, np.ndarray)):
+        return [_numbers(v) for v in value]
+    return float(value)
+
+
+def _outcome(fn):
+    """``fn()`` as numbers, or the type and message of the error it raises."""
+    try:
+        return _numbers(fn())
+    except Exception as exc:  # noqa: BLE001 -- the record keeps what the engine raised
+        return {"error": type(exc).__name__, "message": str(exc)}
+
+
+def engine_record():
+    """Per chart of one geometry_sweep pass: at its first two points the order-2
+    triad jets, both criterion-1 residuals and the variation matrices at
+    velocity 0.3 in every coordinate, and the order-2 triad jets over its
+    whole point stack."""
+    import torsionlab as tl
+    from inputs import BUILTINS, geometry_inputs
+
+    params, record = dict(BUILTINS), []
+    for spec in geometry_inputs(ENGINE_SEED, 0)["charts"]:
+        if "builtin" in spec:
+            chart = tl.builtin_chart(spec["builtin"], **params[spec["builtin"]])
+        else:
+            chart = tl.Chart.from_dict(spec["definition"])
+        points = spec["points"]
+        record.append({"chart": chart.name, "points": [{
+            "triad_jets": _outcome(lambda: chart.triad_jets(q, 2)),
+            "identity_residuals": _outcome(lambda: tl.identity_residuals(chart, q)),
+            "curvature_relation": _outcome(lambda: tl.curvature_relation_check(chart, q)),
+            "variation_matrices": _outcome(
+                lambda: tl.variation_matrices(chart, q, [0.3] * chart.dim)),
+        } for q in points[:2]], "stack_triad_jets": _outcome(lambda: chart.triad_jets(points, 2))})
+    return record
+
+
 def render_all(src, out) -> int:
     sys.path[:0] = [str(Path(src).resolve()), str(ROOT / "perfbench")]
     from workloads import CLI_EXAMPLES, CLI_LOOP
@@ -72,6 +122,8 @@ def render_all(src, out) -> int:
         code = cli.main(argv + ["--output", name])
         print(f"{name:<28} exit {code}")
         failed += code != 0
+    Path(ENGINE_FILE).write_text(json.dumps(engine_record(), indent=1) + "\n", encoding="utf-8")
+    print(f"{ENGINE_FILE:<28} written")
     return 1 if failed else 0
 
 
